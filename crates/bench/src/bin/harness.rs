@@ -138,15 +138,47 @@ fn rate(mut f: impl FnMut() -> usize) -> f64 {
 }
 
 /// EVAL — package-evaluation throughput: the columnar `CandidateView` path
-/// (full projection and delta moves) against the interpreted expression-tree
-/// oracle. Writes `BENCH_eval.json` next to the working directory so future
-/// PRs have a machine-readable baseline.
+/// (full projection, point delta moves, and the chunk-at-a-time scan kernel
+/// the full-neighbourhood scans run on) against the interpreted
+/// expression-tree oracle, with the delta and scan paths measured on
+/// resident columns and again through a 16-page buffer pool. Writes
+/// `BENCH_eval.json` next to the working directory so future PRs have a
+/// machine-readable baseline.
 fn eval_throughput() {
+    use packagebuilder::par::{chunk_count, ParExec};
+    use packagebuilder::view::ViewState;
+    use packagebuilder::ColumnPolicy;
+
     println!("## EVAL — objective/violation evaluation throughput (columnar vs interpreted)\n");
     let widths = [8, 30, 16, 18];
     print_header(&["n", "path", "evals/sec", "vs interpreted"], &widths);
+
+    // Swap moves scored one at a time through the point path.
+    let delta_rate = |state: &ViewState<'_>, member: usize| {
+        let swaps: Vec<[(usize, i64); 2]> = (0..state.view().candidate_count().min(256))
+            .map(|inn| [(member, -1i64), (inn, 1i64)])
+            .collect();
+        rate(|| {
+            for changes in &swaps {
+                std::hint::black_box(state.score_with(changes));
+            }
+            swaps.len()
+        })
+    };
+    // The same swaps for every candidate, a chunk per kernel call.
+    let scan_rate = |state: &ViewState<'_>, member: usize| {
+        let n = state.view().candidate_count();
+        rate(|| {
+            let scan = state.move_scan(vec![vec![(member, -1)]], true);
+            for c in 0..chunk_count(n) {
+                std::hint::black_box(scan.chunk(c).score(0).get(0));
+            }
+            n
+        })
+    };
+
     let mut json_rows: Vec<String> = Vec::new();
-    for n in [500usize, 2_000, 8_000] {
+    for n in [500usize, 2_000, 8_000, 120_000] {
         let table = recipe_table(n);
         let analyzed = paql::compile(MEAL_PLAN_QUERY_NO_FILTER, table.schema()).unwrap();
         let spec = PackageSpec::build(&analyzed, &table).unwrap();
@@ -182,21 +214,28 @@ fn eval_throughput() {
             packages.len()
         });
         let state = spec.view().project(&packages[0]).unwrap();
-        let member = *state.member_indices().collect::<Vec<_>>().first().unwrap();
-        let swaps: Vec<[(usize, i64); 2]> = (0..spec.candidate_count().min(256))
-            .map(|inn| [(member, -1i64), (inn, 1i64)])
-            .collect();
-        let delta = rate(|| {
-            for changes in &swaps {
-                std::hint::black_box(state.score_with(changes));
-            }
-            swaps.len()
-        });
+        let member = state.member_indices().next().unwrap();
+        let delta = delta_rate(&state, member);
+        let scan = scan_rate(&state, member);
+
+        let paged_spec = PackageSpec::build_with(
+            &analyzed,
+            &table,
+            &ColumnPolicy::paged(16),
+            ParExec::sequential(),
+        )
+        .unwrap();
+        let paged_state = paged_spec.view().project(&packages[0]).unwrap();
+        let delta_paged = delta_rate(&paged_state, member);
+        let scan_paged = scan_rate(&paged_state, member);
 
         for (label, value) in [
             ("interpreted (oracle)", interpreted),
             ("columnar projection", columnar),
             ("columnar delta (swap)", delta),
+            ("columnar delta, paged", delta_paged),
+            ("chunk scan kernel (swap)", scan),
+            ("chunk scan kernel, paged", scan_paged),
         ] {
             print_row(
                 &[
@@ -210,7 +249,9 @@ fn eval_throughput() {
         }
         json_rows.push(format!(
             "    {{\"n\": {n}, \"interpreted_evals_per_sec\": {interpreted:.1}, \
-             \"columnar_evals_per_sec\": {columnar:.1}, \"delta_evals_per_sec\": {delta:.1}}}"
+             \"columnar_evals_per_sec\": {columnar:.1}, \"delta_evals_per_sec\": {delta:.1}, \
+             \"delta_paged_evals_per_sec\": {delta_paged:.1}, \
+             \"scan_evals_per_sec\": {scan:.1}, \"scan_paged_evals_per_sec\": {scan_paged:.1}}}"
         ));
     }
     let json = format!(

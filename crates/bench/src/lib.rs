@@ -111,15 +111,35 @@ pub fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// The resource fields every `BENCH_*.json` records: the process's peak RSS
-/// plus the cumulative buffer-pool counters of the out-of-core column store
-/// (all zero for a run whose views stayed resident). Rendered as top-level
-/// JSON members, ready to splice between `"query"` and `"rows"`.
+/// First line of `program args…`'s standard output, or `"unknown"` when it
+/// cannot be run.
+fn command_line(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_owned))
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The fields every `BENCH_*.json` records besides its rows: where and when
+/// the numbers were taken (host cores, the commit the tree was built from —
+/// `-dirty` when it carries uncommitted changes — and the UTC date), the
+/// process's peak RSS, and the cumulative buffer-pool counters of the
+/// out-of-core column store (all zero for a run whose views stayed
+/// resident). Rendered as top-level JSON members, ready to splice between
+/// `"query"` and `"rows"`.
 pub fn resource_json() -> String {
     let pool = packagebuilder::pool_stats();
+    let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
     format!(
-        "  \"peak_rss_bytes\": {},\n  \"pool\": {{\"hits\": {}, \"misses\": {}, \
+        "  \"host\": {{\"cores\": {cores}, \"commit\": \"{}\", \"date\": \"{}\"}},\n  \
+         \"peak_rss_bytes\": {},\n  \"pool\": {{\"hits\": {}, \"misses\": {}, \
          \"evictions\": {}, \"pages_spilled\": {}}},",
+        command_line("git", &["describe", "--always", "--dirty"]),
+        command_line("date", &["-u", "+%Y-%m-%d"]),
         peak_rss_bytes(),
         pool.hits,
         pool.misses,

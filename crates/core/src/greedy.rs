@@ -39,127 +39,171 @@ pub fn starting_package(
     let bounds = derive_bounds(view).clamp_to(n as u64 * view.max_multiplicity() as u64);
     let target = starting_cardinality(view, bounds.lower, bounds.upper);
 
-    // Order candidates by the chosen heuristic.
+    // Order candidates by the chosen heuristic. Only the first
+    // `min(target, n)` positions are ever placed, so the density order
+    // selects and sorts just that prefix.
     let mut order: Vec<usize> = (0..n).collect();
     match heuristic {
         StartHeuristic::Random => order.shuffle(rng),
-        StartHeuristic::Greedy => {
-            let coeffs = linearize_objective(view).ok().flatten().map(|l| l.coeffs);
-            match coeffs {
-                Some(c) => {
-                    let maximize = matches!(view.direction(), paql::ObjectiveDirection::Maximize);
-                    order.sort_by(|&a, &b| {
-                        let x = c[a];
-                        let y = c[b];
-                        if maximize {
-                            y.total_cmp(&x)
-                        } else {
-                            x.total_cmp(&y)
-                        }
-                    });
-                }
-                None => order.shuffle(rng),
+        StartHeuristic::Greedy => match linearize_objective(view).ok().flatten() {
+            Some(l) => {
+                let maximize = matches!(view.direction(), paql::ObjectiveDirection::Maximize);
+                density_prefix(&mut order, &l.coeffs, maximize, target);
             }
-        }
+            None => order.shuffle(rng),
+        },
     }
 
+    // The first round adds each tuple once; later rounds add repetitions
+    // (only reachable for REPEAT queries, where `target` can exceed `n`).
     let mut package = Package::new();
     let mut placed = 0u64;
-    'outer: for round in 0..view.max_multiplicity() {
+    'outer: for _ in 0..view.max_multiplicity() {
         for &i in &order {
             if placed >= target {
                 break 'outer;
             }
-            // First pass adds each tuple once; later passes add repetitions
-            // (only relevant for REPEAT queries).
-            let _ = round;
             if package.multiplicity(view.candidates()[i]) < view.max_multiplicity() {
                 package.add(view.candidates()[i], 1);
                 placed += 1;
             }
         }
-        if view.max_multiplicity() == 1 {
-            break;
-        }
     }
     package
 }
 
+/// Truncates `order` (a permutation of the candidate indices, ascending) to
+/// its best `min(target, n)` entries by objective coefficient, best first,
+/// ties to the lower index — exactly the prefix a stable full sort by
+/// coefficient would produce, at selection cost instead of `O(n log n)`.
+fn density_prefix(order: &mut Vec<usize>, coeffs: &[f64], maximize: bool, target: u64) {
+    let by_density = |a: &usize, b: &usize| {
+        let by_coeff = if maximize {
+            coeffs[*b].total_cmp(&coeffs[*a])
+        } else {
+            coeffs[*a].total_cmp(&coeffs[*b])
+        };
+        by_coeff.then(a.cmp(b))
+    };
+    let keep = (target.min(order.len() as u64)) as usize;
+    if keep < order.len() {
+        if keep > 0 {
+            order.select_nth_unstable_by(keep - 1, by_density);
+        }
+        order.truncate(keep);
+    }
+    order.sort_unstable_by(by_density);
+}
+
 /// Feasibility-repair pass: accept single add/drop moves while they strictly
-/// reduce the violation (delta-evaluated on the view's columns). Each pass
-/// scans the whole candidate set in fixed-width chunks fanned out over
-/// `par`; per-chunk local bests combine in chunk order (first strictly
-/// better move wins, exactly the sequential scan's tie-breaking), so the
-/// repair trajectory is bit-identical at every thread count. The budget is
-/// checked per chunk, not per element: a chunk that observes expiry marks
-/// the pass interrupted and the state is left at its best-so-far.
+/// reduce the violation. Each pass scans the whole candidate set in
+/// fixed-width chunks fanned out over `par`: the add moves of a chunk are
+/// scored column-at-a-time by one [`crate::view::MoveScan`] kernel call —
+/// each term the formula references is pinned once per chunk, and the
+/// objective's terms are never read — while the drop moves (one per member)
+/// go through the point path, [`ViewState::violation_with`]. Per-chunk local
+/// bests combine in chunk order (first strictly better move wins, exactly
+/// the sequential scan's tie-breaking) and chunk scores are bit-identical to
+/// point scores, so the repair trajectory is the same at every thread count
+/// and storage mode. The budget is checked per chunk, not per element: a
+/// chunk that observes expiry marks the pass interrupted and the state is
+/// left at its best-so-far.
 /// Returns `(evaluations, moves)` for the caller's stats.
 pub(crate) fn repair_to_feasibility(
     state: &mut ViewState<'_>,
     budget: &Budget,
     par: ParExec,
 ) -> (u64, u64) {
-    let view = state.view();
-    let n = view.candidate_count();
-    let max_mult = view.max_multiplicity() as i64;
     let mut evaluations = 0u64;
     let mut moves = 0u64;
     let mut violation = state.violation();
     while violation > 0.0 && !budget.expired() {
-        // One pass: chunk-local best move (`None` chunk = expired marker).
-        let chunk_bests = {
-            let snapshot: &ViewState<'_> = state;
-            par.run_chunks(n, |_, range| {
-                if budget.expired() {
-                    return None;
-                }
-                let mut evals = 0u64;
-                let mut best: Option<(f64, usize, i64)> = None;
-                for idx in range {
-                    for delta in [1i64, -1] {
-                        let mult = snapshot.multiplicity(idx) as i64;
-                        if mult + delta < 0 || mult + delta > max_mult {
-                            continue;
-                        }
-                        evals += 1;
-                        let (v, _) = snapshot.score_with(&[(idx, delta)]);
-                        if v + 1e-9 < best.map_or(violation, |(b, _, _)| b) {
-                            best = Some((v, idx, delta));
-                        }
-                    }
-                }
-                Some((evals, best))
-            })
-        };
-        let mut expired = false;
-        let mut best_change: Option<(usize, i64)> = None;
-        let mut best_violation = violation;
-        for chunk in chunk_bests {
-            let Some((evals, best)) = chunk else {
-                expired = true;
-                break;
-            };
-            evaluations += evals;
-            if let Some((v, idx, delta)) = best {
-                if v + 1e-9 < best_violation {
-                    best_violation = v;
-                    best_change = Some((idx, delta));
-                }
-            }
-        }
-        if expired {
-            break;
-        }
-        match best_change {
-            Some((idx, delta)) => {
+        let pass = repair_pass(state, violation, budget, par);
+        evaluations += pass.evaluations;
+        match pass.best {
+            Some((v, idx, delta)) if !pass.expired => {
                 state.apply(idx, delta);
-                violation = best_violation;
+                violation = v;
                 moves += 1;
             }
-            None => break, // stuck — the repair gives up, feasible or not
+            // Expired, or stuck — the repair gives up, feasible or not.
+            _ => break,
         }
     }
     (evaluations, moves)
+}
+
+/// What one full scan of the add/drop neighbourhood found.
+struct RepairPass {
+    /// Moves scored (by the chunks that ran before any expiry).
+    evaluations: u64,
+    /// `(violation, index, delta)` of the first move that beats the current
+    /// violation by the most, if any does.
+    best: Option<(f64, usize, i64)>,
+    /// Some chunk observed budget expiry and skipped its scan.
+    expired: bool,
+}
+
+fn repair_pass(state: &ViewState<'_>, violation: f64, budget: &Budget, par: ParExec) -> RepairPass {
+    let view = state.view();
+    let max_mult = view.max_multiplicity();
+    let scan = state.move_scan(vec![vec![]], false);
+    // One chunk's local best move (`None` chunk = expired marker).
+    let chunk_bests = par.run_chunks(view.candidate_count(), |c, range| {
+        if budget.expired() {
+            return None;
+        }
+        let mut chunk = scan.chunk(c);
+        let adds = chunk.score(0).violations();
+        let mut evals = 0u64;
+        let mut best: Option<(f64, usize, i64)> = None;
+        let mut bar = violation;
+        let mut consider = |v: f64, idx: usize, delta: i64| {
+            if v + 1e-9 < bar {
+                bar = v;
+                best = Some((v, idx, delta));
+            }
+        };
+        // Runs of non-members (add only, always legal under REPEAT >= 1)
+        // separated by members (add if below the REPEAT bound, then drop).
+        for (run, member) in state.member_runs(range.clone()) {
+            if max_mult > 0 {
+                evals += run.len() as u64;
+                for idx in run {
+                    consider(adds[idx - range.start], idx, 1);
+                }
+            }
+            if let Some((member, mult)) = member {
+                if mult < max_mult {
+                    evals += 1;
+                    consider(adds[member - range.start], member, 1);
+                }
+                evals += 1;
+                consider(state.violation_with(&[(member, -1)]), member, -1);
+            }
+        }
+        Some((evals, best))
+    });
+    let mut pass = RepairPass {
+        evaluations: 0,
+        best: None,
+        expired: false,
+    };
+    let mut bar = violation;
+    for chunk in chunk_bests {
+        let Some((evals, best)) = chunk else {
+            pass.expired = true;
+            break;
+        };
+        pass.evaluations += evals;
+        if let Some((v, _, _)) = best {
+            if v + 1e-9 < bar {
+                bar = v;
+                pass.best = best;
+            }
+        }
+    }
+    pass
 }
 
 fn starting_cardinality(view: &CandidateView, lower: u64, upper: Option<u64>) -> u64 {
@@ -189,11 +233,15 @@ pub fn random_cardinality(view: &CandidateView, rng: &mut StdRng) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column_store::SpillStore;
+    use crate::par::{chunk_count, chunk_range};
     use crate::spec::PackageSpec;
+    use crate::view::ColumnSink;
     use datagen::{recipes, Seed};
     use minidb::Table;
     use paql::compile;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
@@ -273,5 +321,153 @@ mod tests {
             let c = random_cardinality(spec.view(), &mut rng);
             assert!((2..=6).contains(&c), "cardinality {c} out of bounds");
         }
+    }
+
+    #[test]
+    fn density_prefix_equals_the_stable_full_sort_on_duplicated_coefficients() {
+        // Heavy ties (five distinct values over 400 entries, signed zeros
+        // included): the selected prefix must be the stable sort's, ties to
+        // the lower index, in both directions and at every prefix length.
+        let coeffs: Vec<f64> = (0..400u32)
+            .map(|i| match i.wrapping_mul(2_654_435_761) % 5 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => 7.5,
+                3 => -3.0,
+                _ => 7.5,
+            })
+            .collect();
+        for maximize in [true, false] {
+            let mut full: Vec<usize> = (0..coeffs.len()).collect();
+            full.sort_by(|&a, &b| {
+                if maximize {
+                    coeffs[b].total_cmp(&coeffs[a])
+                } else {
+                    coeffs[a].total_cmp(&coeffs[b])
+                }
+            });
+            for target in [0u64, 1, 2, 3, 57, 399, 400, 1_000] {
+                let mut order: Vec<usize> = (0..coeffs.len()).collect();
+                density_prefix(&mut order, &coeffs, maximize, target);
+                let keep = (target as usize).min(coeffs.len());
+                assert_eq!(order, full[..keep], "maximize={maximize} target={target}");
+            }
+        }
+    }
+
+    /// Rebuilds `view` with term `t`'s column spilled to `stores[t]` (terms
+    /// with `None` stay as they are), so a test can watch one term's page
+    /// requests on a store nothing else touches.
+    fn respill(
+        view: &CandidateView,
+        table: &Table,
+        stores: &[Option<Arc<SpillStore>>],
+    ) -> CandidateView {
+        let n = view.candidate_count();
+        CandidateView::assemble(
+            table,
+            view.candidates().to_vec(),
+            view.stats().clone(),
+            view.max_multiplicity(),
+            view.formula().cloned(),
+            view.objective().cloned(),
+            |call| {
+                let t = view.term_keys().iter().position(|k| k == call).unwrap();
+                let column = &view.terms()[t];
+                let Some(store) = &stores[t] else {
+                    return Some(column.clone());
+                };
+                let mut sink = ColumnSink::paged(column.func, Arc::clone(store));
+                let (coeffs, included) = (column.coeffs_vec(), column.included_vec());
+                for c in 0..chunk_count(n) {
+                    let r = chunk_range(c, n);
+                    sink.push_chunk(&coeffs[r.clone()], &included[r]).unwrap();
+                }
+                Some(sink.finish())
+            },
+        )
+        .unwrap()
+    }
+
+    fn requests(store: &SpillStore) -> u64 {
+        let (hits, misses, _) = store.counters();
+        hits + misses
+    }
+
+    const PAGED_MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R \
+        SUCH THAT COUNT(*) = 4 AND SUM(P.calories) BETWEEN 2000 AND 2500 AND SUM(P.fat) <= 90 \
+        MAXIMIZE SUM(P.protein)";
+
+    #[test]
+    fn a_repair_pass_never_reads_the_objective_term() {
+        let t = recipes(10_000, Seed(11));
+        let spec = spec_for(&t, PAGED_MEAL_QUERY);
+        let objective_term = spec.view().terms().len() - 1;
+        assert_eq!(
+            spec.view().term_keys()[objective_term].arg,
+            spec.objective.as_ref().and_then(|o| match &o.expr {
+                paql::GlobalExpr::Agg(call) => call.arg.clone(),
+                _ => None,
+            }),
+            "terms are interned formula first, so the objective's own term is last"
+        );
+        let store = SpillStore::create(4).unwrap();
+        let mut stores = vec![None; spec.view().terms().len()];
+        stores[objective_term] = Some(Arc::clone(&store));
+        let view = respill(spec.view(), &t, &stores);
+
+        let mut rng = StdRng::seed_from_u64(1);
+        let start = starting_package(&view, StartHeuristic::Greedy, &mut rng);
+        let state = view.project(&start).unwrap();
+        let violation = state.violation();
+        assert!(violation > 0.0, "the greedy start must need repair");
+        let before = requests(&store);
+        let pass = repair_pass(&state, violation, &Budget::unlimited(), ParExec::new(2));
+        assert!(pass.best.is_some() && !pass.expired);
+        assert_eq!(
+            pass.evaluations, 10_000,
+            "one add per non-member, one drop per member"
+        );
+        assert_eq!(
+            requests(&store),
+            before,
+            "a violation-only scan must not request the objective term's pages"
+        );
+    }
+
+    #[test]
+    fn a_repair_pass_pins_each_referenced_term_once_per_chunk() {
+        let t = recipes(10_000, Seed(12));
+        let spec = spec_for(&t, PAGED_MEAL_QUERY);
+        let terms = spec.view().terms().len();
+        let store = SpillStore::create(4).unwrap();
+        let view = respill(spec.view(), &t, &vec![Some(Arc::clone(&store)); terms]);
+
+        let mut rng = StdRng::seed_from_u64(2);
+        let start = starting_package(&view, StartHeuristic::Greedy, &mut rng);
+        let state = view.project(&start).unwrap();
+        let members = state.member_indices().count() as u64;
+        let violation = state.violation();
+        assert!(violation > 0.0);
+        let before = requests(&store);
+        let pass = repair_pass(
+            &state,
+            violation,
+            &Budget::unlimited(),
+            ParExec::sequential(),
+        );
+        assert!(pass.best.is_some());
+        let used = requests(&store) - before;
+        // Three of the four terms are referenced by the formula; each is
+        // pinned once per chunk. Members add point lookups on top: one drop
+        // and one patched add each, one element pin per term reference (the
+        // formula has four).
+        let chunks = chunk_count(view.candidate_count()) as u64;
+        let budget = chunks * 3 + members * 2 * 4;
+        assert!(
+            used <= budget,
+            "{used} pool requests for one pass; budget {budget} ({chunks} chunks, {members} members)"
+        );
+        assert!(used >= chunks * 3, "every referenced chunk is read");
     }
 }

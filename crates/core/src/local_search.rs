@@ -15,12 +15,13 @@
 //! is a heuristic: "there is no guarantee that all valid solutions will be
 //! found".
 //!
-//! Since the columnar refactor the search walks a [`ViewState`]: each
-//! candidate move is scored through [`ViewState::score_with`], a delta
-//! evaluation over the view's precomputed term columns (`O(#terms)` per
-//! neighbour), instead of cloning the package and re-aggregating every
-//! member — the exact change that makes the neighbourhood scan cheap enough
-//! to matter at scale.
+//! Since the columnar refactor the search walks a [`ViewState`]: moves are
+//! scored as deltas over the view's precomputed term columns instead of
+//! cloning the package and re-aggregating every member. The two full
+//! neighbourhood scans (swaps and adds) score a whole column chunk per pin
+//! through [`crate::view::MoveScan`]; the `O(|P|)`-sized move sets (drops,
+//! `k = 2`) use the point lookup [`ViewState::score_with`]. Both produce
+//! bit-identical scores.
 
 use minidb::ops::{cross_join, filter, scan, Relation};
 use minidb::{BinaryOp, Expr, Table, TupleId};
@@ -34,7 +35,7 @@ use crate::greedy::{random_cardinality, starting_package, StartHeuristic};
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::result::{EvalStats, StrategyUsed};
-use crate::view::{CandidateView, ViewState};
+use crate::view::{CandidateView, MoveScan, ViewState};
 use crate::PbResult;
 
 /// Options for the local-search strategy.
@@ -201,6 +202,9 @@ fn record(
 /// A candidate move: multiplicity deltas over candidate indices.
 type Move = Vec<(usize, i64)>;
 
+/// A scored move.
+type Scored = ((f64, Option<f64>), Move);
+
 /// True when applying `changes` keeps every touched multiplicity within
 /// `[0, max_multiplicity]`.
 fn move_is_legal(state: &ViewState<'_>, changes: &[(usize, i64)]) -> bool {
@@ -223,22 +227,90 @@ fn move_is_legal(state: &ViewState<'_>, changes: &[(usize, i64)]) -> bool {
     true
 }
 
-/// One chunk's scan result: `None` when the chunk observed budget expiry and
-/// skipped; otherwise the neighbour evaluations performed plus the chunk's
-/// best move strictly better than the incoming score bar.
-type ChunkScan = Option<(u64, Option<((f64, Option<f64>), Move)>)>;
+/// One column chunk's scan result.
+struct ChunkScan {
+    /// Neighbour evaluations performed.
+    evals: u64,
+    /// Per prefix of the scan (one per outgoing member in the swap scan, a
+    /// single empty one in the add scan), the chunk's best move strictly
+    /// better than the incoming score bar. Shorter than the prefix list
+    /// when the chunk observed budget expiry part-way.
+    found: Vec<Option<Scored>>,
+    /// The chunk observed budget expiry and stopped.
+    expired: bool,
+}
+
+/// Scores every legal "prefix, then +1 at `inn`" move of chunk `c` for each
+/// prefix of `scan` through the kernel, keeping the first best per prefix.
+/// The budget is checked once per prefix — per 4096 evaluations, as
+/// everywhere.
+fn scan_chunk(
+    scan: &MoveScan<'_, '_>,
+    c: usize,
+    bar: (f64, Option<f64>),
+    direction: ObjectiveDirection,
+    budget: &Budget,
+) -> ChunkScan {
+    let state = scan.state();
+    let max_mult = state.view().max_multiplicity();
+    let mut chunk = scan.chunk(c);
+    let range = chunk.range();
+    let mut result = ChunkScan {
+        evals: 0,
+        found: Vec::with_capacity(scan.prefixes().len()),
+        expired: false,
+    };
+    for (p, prefix) in scan.prefixes().enumerate() {
+        if budget.expired() {
+            result.expired = true;
+            break;
+        }
+        let scores = chunk.score(p);
+        let mut best: Option<((f64, Option<f64>), usize)> = None;
+        let mut consider = |inn: usize| {
+            result.evals += 1;
+            let s = scores.get(inn - range.start);
+            if lex_better(s, best.map_or(bar, |(bs, _)| bs), direction) {
+                best = Some((s, inn));
+            }
+        };
+        // Runs of non-members (always legal under REPEAT >= 1) separated by
+        // members (legal below the REPEAT bound; swapping a member for
+        // itself is not a move).
+        for (run, member) in state.member_runs(range.clone()) {
+            if max_mult > 0 {
+                run.for_each(&mut consider);
+            }
+            match member {
+                Some((m, mult)) if mult < max_mult && prefix.iter().all(|&(i, _)| i != m) => {
+                    consider(m)
+                }
+                _ => {}
+            }
+        }
+        result.found.push(best.map(|(s, inn)| {
+            let mut mv = prefix.to_vec();
+            mv.push((inn, 1));
+            (s, mv)
+        }));
+    }
+    result
+}
 
 /// Finds the best move in the k-replacement neighbourhood (plus add/remove
-/// moves when the cardinality is allowed to change). Every neighbour is
-/// scored through the view's delta evaluation — no package clones, no
-/// re-aggregation — and the scans fan out over `par` in fixed-width chunks
-/// of the (member × candidate) move space. Per-chunk local bests merge in
-/// chunk order with strict improvement, which reproduces the sequential
-/// scan's "earliest occurrence of the optimum wins" tie-breaking exactly,
-/// so the selected move is bit-identical at every thread count. The budget
-/// is checked per chunk (not per element); an expired scan returns the best
-/// move seen so far. Returns the best move, its score and how many
-/// neighbours were evaluated.
+/// moves when the cardinality is allowed to change). The two full scans —
+/// every (outgoing member × incoming candidate) swap and every add — fan out
+/// over `par` by **column chunk**: chunk `c` of the executor is chunk `c` of
+/// every term column, pinned once and scored column-at-a-time by the
+/// [`MoveScan`] kernel for each outgoing member in turn. Kernel scores are
+/// bit-identical to [`ViewState::score_with`], and per-(member, chunk) local
+/// bests merge member-major, chunk-minor with strict improvement — the
+/// sequential (member, candidate) scan's "earliest occurrence of the optimum
+/// wins" tie-breaking — so the selected move is the same at every thread
+/// count and storage mode. The budget is checked per (chunk, member) step,
+/// never per element; an expired scan returns the best move seen so far.
+/// Drops and k = 2 moves are `O(|P|)`-sized sets and stay on the point path.
+/// Returns the best move, its score and how many neighbours were evaluated.
 fn best_neighbour(
     state: &ViewState<'_>,
     current_score: (f64, Option<f64>),
@@ -255,64 +327,37 @@ fn best_neighbour(
 
     let members: Vec<usize> = state.member_indices().collect();
 
-    // Folds one scan's chunk results (in chunk order) into the running best;
+    // Runs one chunked scan ("prefix, then +1 anywhere" for each prefix) and
+    // folds its results into the running best, prefix-major and chunk-minor;
     // returns true when some chunk observed expiry, i.e. the caller should
     // return its best-so-far immediately.
-    let merge = |results: Vec<ChunkScan>,
-                 best: &mut Option<Move>,
-                 best_score: &mut (f64, Option<f64>),
-                 evaluations: &mut u64|
+    let scan_all = |prefixes: Vec<Vec<(usize, i64)>>,
+                    best: &mut Option<Move>,
+                    best_score: &mut (f64, Option<f64>),
+                    evaluations: &mut u64|
      -> bool {
-        for chunk in results {
-            let Some((evals, found)) = chunk else {
-                return true;
-            };
-            *evaluations += evals;
-            if let Some((score, mv)) = found {
+        let scan = state.move_scan(prefixes, true);
+        let bar = *best_score;
+        let mut results = par.run_chunks(n, |c, _| scan_chunk(&scan, c, bar, direction, budget));
+        for p in 0..scan.prefixes().len() {
+            for chunk in &mut results {
+                let Some((score, mv)) = chunk.found.get_mut(p).and_then(Option::take) else {
+                    continue;
+                };
                 if lex_better(score, *best_score, direction) {
                     *best_score = score;
                     *best = Some(mv);
                 }
             }
         }
-        false
+        *evaluations += results.iter().map(|chunk| chunk.evals).sum::<u64>();
+        results.iter().any(|chunk| chunk.expired)
     };
 
-    // Single-tuple replacements (k = 1), always explored: the flattened
-    // (outgoing member × incoming candidate) pair space, pair
-    // `p = (members[p / n], p % n)`, walked chunk by chunk without a
-    // division per pair.
+    // Single-tuple replacements (k = 1), always explored.
     if !members.is_empty() && n > 0 {
-        let results = par.run_chunks(members.len() * n, |_, range| -> ChunkScan {
-            if budget.expired() {
-                return None;
-            }
-            let bar = best_score;
-            let mut evals = 0u64;
-            let mut found: Option<((f64, Option<f64>), Move)> = None;
-            let mut out_pos = range.start / n;
-            let mut inn = range.start % n;
-            for _ in range {
-                let out = members[out_pos];
-                if inn != out {
-                    let changes = [(out, -1), (inn, 1)];
-                    if move_is_legal(state, &changes) {
-                        evals += 1;
-                        let s = state.score_with(&changes);
-                        if lex_better(s, found.as_ref().map_or(bar, |(fs, _)| *fs), direction) {
-                            found = Some((s, changes.to_vec()));
-                        }
-                    }
-                }
-                inn += 1;
-                if inn == n {
-                    inn = 0;
-                    out_pos += 1;
-                }
-            }
-            Some((evals, found))
-        });
-        if merge(results, &mut best, &mut best_score, &mut evaluations) {
+        let removals = members.iter().map(|&out| vec![(out, -1)]).collect();
+        if scan_all(removals, &mut best, &mut best_score, &mut evaluations) {
             return (best, best_score, evaluations);
         }
     }
@@ -349,27 +394,7 @@ fn best_neighbour(
     // help when the starting cardinality guess was off. The add scan is
     // chunked like the swaps; the drop scan is |P| evaluations and stays
     // inline.
-    let results = par.run_chunks(n, |_, range| -> ChunkScan {
-        if budget.expired() {
-            return None;
-        }
-        let bar = best_score;
-        let mut evals = 0u64;
-        let mut found: Option<((f64, Option<f64>), Move)> = None;
-        for inn in range {
-            let changes = [(inn, 1)];
-            if !move_is_legal(state, &changes) {
-                continue;
-            }
-            evals += 1;
-            let s = state.score_with(&changes);
-            if lex_better(s, found.as_ref().map_or(bar, |(fs, _)| *fs), direction) {
-                found = Some((s, changes.to_vec()));
-            }
-        }
-        Some((evals, found))
-    });
-    if merge(results, &mut best, &mut best_score, &mut evaluations) {
+    if scan_all(vec![vec![]], &mut best, &mut best_score, &mut evaluations) {
         return (best, best_score, evaluations);
     }
     for &out in &members {

@@ -14,7 +14,11 @@
 //!   a handful of dot products and comparisons with no AST in sight;
 //! * [`ViewState`], an incremental accumulator that scores multiplicity
 //!   deltas (swap / add / drop moves) in `O(#terms)` per move instead of
-//!   re-aggregating the whole package — the local search's inner loop.
+//!   re-aggregating the whole package. Single moves are point lookups
+//!   ([`ViewState::score_with`]); the full-neighbourhood scans of greedy
+//!   repair and the local search score a whole chunk per pin through
+//!   [`ViewState::move_scan`] (the kernel in `view/scan.rs`), bit-identical
+//!   to the point path.
 //!
 //! The interpreted path ([`Package::eval_aggregate`] and friends) survives as
 //! the debug oracle: `columnar_matches_interpreted` asserts agreement on
@@ -56,6 +60,9 @@ use crate::package::Package;
 use crate::par::{chunk_count, chunk_range, ParExec, CHUNK_WIDTH};
 use crate::partition::Partitioning;
 use crate::{PbError, PbResult};
+
+mod scan;
+pub use scan::{ChunkScores, MoveScan, ScanChunk};
 
 /// Penalty for constraints whose sides cannot be evaluated (NULL aggregate),
 /// identical to the interpreted path's constant.
@@ -204,6 +211,16 @@ impl ColumnChunk<'_> {
             ColumnChunk::Paged { guard, .. } => guard.included(i),
         }
     }
+
+    /// The chunk's inclusion-mask words ([`MASK_WORDS_PER_CHUNK`] of them;
+    /// bit `i % 64` of word `i / 64` is element `i`).
+    #[inline]
+    pub fn mask_words(&self) -> &[u64] {
+        match self {
+            ColumnChunk::Resident { mask, .. } => mask,
+            ColumnChunk::Paged { guard, .. } => guard.mask(),
+        }
+    }
 }
 
 #[inline]
@@ -305,8 +322,13 @@ impl TermColumn {
         }
     }
 
-    /// `(coefficient, included)` of element `idx` with a single chunk pin —
-    /// the accessor [`ViewState`]'s delta scoring uses.
+    /// `(coefficient, included)` of element `idx` with a single chunk pin.
+    /// A **point lookup**: on a paged column every call is a buffer-pool
+    /// request, so it serves [`ViewState::apply`] and
+    /// [`ViewState::score_with`] (a handful of elements per move) and
+    /// nothing that visits every candidate — full scans pin
+    /// [`TermColumn::chunk`] once per 4096 elements
+    /// ([`ViewState::move_scan`]).
     #[inline]
     pub fn entry_at(&self, idx: usize) -> (f64, bool) {
         match &self.data {
@@ -1241,7 +1263,8 @@ fn materialize_chunk(
 /// [`TermAccum`] per term, so evaluating a candidate move is `O(#terms)` —
 /// plus an `O(|package|)` rescan only for MIN/MAX terms, which have no
 /// constant-time delta. This is the structure behind the local search's
-/// delta evaluation of swap moves.
+/// delta evaluation of swap moves: [`ViewState::score_with`] for one move,
+/// [`ViewState::move_scan`] for every candidate at once.
 #[derive(Debug, Clone)]
 pub struct ViewState<'v> {
     view: &'v CandidateView,
@@ -1327,103 +1350,13 @@ impl<'v> ViewState<'v> {
     /// The value of one term under the current accumulators, with the exact
     /// NULL semantics of the interpreted path.
     pub fn term_value(&self, term_id: usize) -> Option<f64> {
-        let term = &self.view.terms[term_id];
-        let accum = &self.accums[term_id];
-        match term.func {
-            AggFunc::Count => Some(accum.count as f64),
-            AggFunc::Sum => (accum.distinct > 0).then_some(accum.sum),
-            AggFunc::Avg => (accum.count > 0).then(|| accum.sum / accum.count as f64),
-            AggFunc::Min | AggFunc::Max => self.min_max(term_id),
-        }
-    }
-
-    /// MIN/MAX over the distinct included members (multiplicity-independent,
-    /// like the interpreted path). `O(|package|)` — there is no constant-time
-    /// delta for extrema.
-    fn min_max(&self, term_id: usize) -> Option<f64> {
-        let term = &self.view.terms[term_id];
-        let mut best: Option<f64> = None;
-        for &idx in self.members.keys() {
-            let (v, inc) = term.entry_at(idx);
-            if !inc {
-                continue;
-            }
-            best = Some(match (best, term.func) {
-                (None, _) => v,
-                (Some(b), AggFunc::Min) => b.min(v),
-                (Some(b), _) => b.max(v),
-            });
-        }
-        best
+        TermValues::term_value(self, term_id)
     }
 
     /// Evaluates a compiled expression; `None` on NULL sub-aggregates or
     /// division by zero (SQL semantics, identical to the interpreted path).
     pub fn eval_expr(&self, expr: &CompiledExpr) -> Option<f64> {
-        match expr {
-            CompiledExpr::Literal(x) => Some(*x),
-            CompiledExpr::Term(id) => self.term_value(*id),
-            CompiledExpr::Binary { op, lhs, rhs } => {
-                let a = self.eval_expr(lhs)?;
-                let b = self.eval_expr(rhs)?;
-                match op {
-                    GlobalArithOp::Add => Some(a + b),
-                    GlobalArithOp::Sub => Some(a - b),
-                    GlobalArithOp::Mul => Some(a * b),
-                    GlobalArithOp::Div => (b != 0.0).then_some(a / b),
-                }
-            }
-        }
-    }
-
-    fn constraint_satisfied(&self, c: &CompiledConstraint) -> bool {
-        match (self.eval_expr(&c.lhs), self.eval_expr(&c.rhs)) {
-            (Some(a), Some(b)) => c.op.compare(a, b),
-            _ => false,
-        }
-    }
-
-    fn formula_satisfied(&self, f: &CompiledFormula) -> bool {
-        match f {
-            CompiledFormula::Atom(c) => self.constraint_satisfied(c),
-            CompiledFormula::And(a, b) => self.formula_satisfied(a) && self.formula_satisfied(b),
-            CompiledFormula::Or(a, b) => self.formula_satisfied(a) || self.formula_satisfied(b),
-            CompiledFormula::Not(a) => !self.formula_satisfied(a),
-        }
-    }
-
-    fn constraint_violation(&self, c: &CompiledConstraint) -> f64 {
-        let (a, b) = match (self.eval_expr(&c.lhs), self.eval_expr(&c.rhs)) {
-            (Some(a), Some(b)) => (a, b),
-            _ => return UNEVALUABLE_PENALTY,
-        };
-        match c.op {
-            CmpOp::Eq => (a - b).abs(),
-            CmpOp::NotEq => {
-                if c.op.compare(a, b) {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
-            CmpOp::Lt | CmpOp::LtEq => (a - b).max(0.0),
-            CmpOp::Gt | CmpOp::GtEq => (b - a).max(0.0),
-        }
-    }
-
-    fn formula_violation(&self, f: &CompiledFormula) -> f64 {
-        match f {
-            CompiledFormula::Atom(c) => self.constraint_violation(c),
-            CompiledFormula::And(a, b) => self.formula_violation(a) + self.formula_violation(b),
-            CompiledFormula::Or(a, b) => self.formula_violation(a).min(self.formula_violation(b)),
-            CompiledFormula::Not(a) => {
-                if self.formula_satisfied(a) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
+        eval_expr(self, expr)
     }
 
     /// True when the formula holds (multiplicity bounds are checked by the
@@ -1438,22 +1371,18 @@ impl<'v> ViewState<'v> {
         }
         match &self.view.compiled_formula {
             None => true,
-            Some(f) => self.formula_satisfied(f),
+            Some(f) => formula_satisfied(self, f),
         }
     }
 
     /// Total violation (0 when feasible).
     pub fn violation(&self) -> f64 {
-        match &self.view.compiled_formula {
-            None => 0.0,
-            Some(f) => self.formula_violation(f),
-        }
+        violation_of(self, self.view)
     }
 
     /// Objective value (`None` when absent or un-evaluable).
     pub fn objective_value(&self) -> Option<f64> {
-        let expr = self.view.compiled_objective.as_ref()?;
-        self.eval_expr(expr)
+        objective_of(self, self.view)
     }
 
     /// `(violation, objective)` — the lexicographic score the local search
@@ -1463,27 +1392,184 @@ impl<'v> ViewState<'v> {
     }
 
     /// Scores the state *as if* `changes` (candidate index, multiplicity
-    /// delta) were applied, without mutating it. This is the delta evaluation
-    /// behind swap moves: `O(#terms · #changes)` plus a member rescan for
-    /// MIN/MAX terms only.
+    /// delta) were applied, without mutating it. This is the point-lookup
+    /// delta evaluation for `O(1)`-sized move sets (drops, k = 2 moves):
+    /// `O(#terms · #changes)` element pins plus a member rescan for MIN/MAX
+    /// terms only. Full-neighbourhood scans score a whole chunk per pin
+    /// through [`ViewState::move_scan`] instead — bit-identical scores.
     pub fn score_with(&self, changes: &[(usize, i64)]) -> (f64, Option<f64>) {
-        let mut scratch = Scratch {
+        let overlay = Overlay {
             base: self,
             changes,
         };
-        (scratch.violation(), scratch.objective_value())
+        (
+            violation_of(&overlay, self.view),
+            objective_of(&overlay, self.view),
+        )
     }
+
+    /// The violation half of [`ViewState::score_with`], for callers that
+    /// discard the objective (feasibility repair): the objective's terms are
+    /// never read.
+    pub fn violation_with(&self, changes: &[(usize, i64)]) -> f64 {
+        let overlay = Overlay {
+            base: self,
+            changes,
+        };
+        violation_of(&overlay, self.view)
+    }
+}
+
+/// Where the scalar evaluator gets a term's value from: the state's running
+/// accumulators ([`ViewState`]) or the same with pending changes netted in
+/// ([`Overlay`]). Everything above term level — expression arithmetic, the
+/// NULL and division-by-zero rules, constraint and formula violation — is
+/// defined once, in the free functions below, over this trait.
+trait TermValues {
+    fn term_value(&self, term_id: usize) -> Option<f64>;
+}
+
+/// A term's value from its accumulators, with the interpreted path's NULL
+/// semantics; `extremum` is only consulted for MIN/MAX terms.
+#[inline]
+fn accum_value(
+    func: AggFunc,
+    accum: TermAccum,
+    extremum: impl FnOnce() -> Option<f64>,
+) -> Option<f64> {
+    match func {
+        AggFunc::Count => Some(accum.count as f64),
+        AggFunc::Sum => (accum.distinct > 0).then_some(accum.sum),
+        AggFunc::Avg => (accum.count > 0).then(|| accum.sum / accum.count as f64),
+        AggFunc::Min | AggFunc::Max => extremum(),
+    }
+}
+
+/// Folds one more value into a running MIN/MAX (`func` picks which).
+#[inline]
+fn fold_extremum(func: AggFunc, best: Option<f64>, v: f64) -> f64 {
+    match (best, func) {
+        (None, _) => v,
+        (Some(b), AggFunc::Min) => b.min(v),
+        (Some(b), _) => b.max(v),
+    }
+}
+
+/// MIN/MAX of `term` over the included entries among `members`, folded in
+/// iteration order (multiplicity-independent, like the interpreted path).
+/// `O(|members|)` — there is no constant-time delta for extrema.
+fn extremum(term: &TermColumn, members: impl Iterator<Item = usize>) -> Option<f64> {
+    let mut best = None;
+    for idx in members {
+        let (v, inc) = term.entry_at(idx);
+        if inc {
+            best = Some(fold_extremum(term.func, best, v));
+        }
+    }
+    best
+}
+
+impl TermValues for ViewState<'_> {
+    fn term_value(&self, term_id: usize) -> Option<f64> {
+        let term = &self.view.terms[term_id];
+        accum_value(term.func, self.accums[term_id], || {
+            extremum(term, self.members.keys().copied())
+        })
+    }
+}
+
+fn eval_expr<S: TermValues>(src: &S, expr: &CompiledExpr) -> Option<f64> {
+    match expr {
+        CompiledExpr::Literal(x) => Some(*x),
+        CompiledExpr::Term(id) => src.term_value(*id),
+        CompiledExpr::Binary { op, lhs, rhs } => {
+            let a = eval_expr(src, lhs)?;
+            let b = eval_expr(src, rhs)?;
+            match op {
+                GlobalArithOp::Add => Some(a + b),
+                GlobalArithOp::Sub => Some(a - b),
+                GlobalArithOp::Mul => Some(a * b),
+                GlobalArithOp::Div => (b != 0.0).then_some(a / b),
+            }
+        }
+    }
+}
+
+/// Distance of `a op b` from holding (0 when it holds).
+#[inline]
+fn comparison_violation(op: CmpOp, a: f64, b: f64) -> f64 {
+    match op {
+        CmpOp::Eq => (a - b).abs(),
+        CmpOp::NotEq => {
+            if op.compare(a, b) {
+                0.0
+            } else {
+                1.0
+            }
+        }
+        CmpOp::Lt | CmpOp::LtEq => (a - b).max(0.0),
+        CmpOp::Gt | CmpOp::GtEq => (b - a).max(0.0),
+    }
+}
+
+fn constraint_satisfied<S: TermValues>(src: &S, c: &CompiledConstraint) -> bool {
+    match (eval_expr(src, &c.lhs), eval_expr(src, &c.rhs)) {
+        (Some(a), Some(b)) => c.op.compare(a, b),
+        _ => false,
+    }
+}
+
+fn constraint_violation<S: TermValues>(src: &S, c: &CompiledConstraint) -> f64 {
+    match (eval_expr(src, &c.lhs), eval_expr(src, &c.rhs)) {
+        (Some(a), Some(b)) => comparison_violation(c.op, a, b),
+        _ => UNEVALUABLE_PENALTY,
+    }
+}
+
+fn formula_satisfied<S: TermValues>(src: &S, f: &CompiledFormula) -> bool {
+    match f {
+        CompiledFormula::Atom(c) => constraint_satisfied(src, c),
+        CompiledFormula::And(a, b) => formula_satisfied(src, a) && formula_satisfied(src, b),
+        CompiledFormula::Or(a, b) => formula_satisfied(src, a) || formula_satisfied(src, b),
+        CompiledFormula::Not(a) => !formula_satisfied(src, a),
+    }
+}
+
+fn formula_violation<S: TermValues>(src: &S, f: &CompiledFormula) -> f64 {
+    match f {
+        CompiledFormula::Atom(c) => constraint_violation(src, c),
+        CompiledFormula::And(a, b) => formula_violation(src, a) + formula_violation(src, b),
+        CompiledFormula::Or(a, b) => formula_violation(src, a).min(formula_violation(src, b)),
+        CompiledFormula::Not(a) => {
+            if formula_satisfied(src, a) {
+                1.0
+            } else {
+                0.0
+            }
+        }
+    }
+}
+
+fn violation_of<S: TermValues>(src: &S, view: &CandidateView) -> f64 {
+    match &view.compiled_formula {
+        None => 0.0,
+        Some(f) => formula_violation(src, f),
+    }
+}
+
+fn objective_of<S: TermValues>(src: &S, view: &CandidateView) -> Option<f64> {
+    eval_expr(src, view.compiled_objective.as_ref()?)
 }
 
 /// A lightweight "state + pending changes" overlay used by
 /// [`ViewState::score_with`]. Term accumulators are adjusted on the fly;
 /// membership queries consult the overlay first.
-struct Scratch<'s, 'v> {
+struct Overlay<'s, 'v> {
     base: &'s ViewState<'v>,
     changes: &'s [(usize, i64)],
 }
 
-impl Scratch<'_, '_> {
+impl Overlay<'_, '_> {
     #[inline]
     fn multiplicity(&self, idx: usize) -> u32 {
         let mut m = self.base.multiplicity(idx) as i64;
@@ -1528,127 +1614,24 @@ impl Scratch<'_, '_> {
         accum
     }
 
-    #[inline]
-    fn term_value(&mut self, term_id: usize) -> Option<f64> {
-        let term = &self.base.view.terms[term_id];
-        let accum = self.accum(term_id);
-        match term.func {
-            AggFunc::Count => Some(accum.count as f64),
-            AggFunc::Sum => (accum.distinct > 0).then_some(accum.sum),
-            AggFunc::Avg => (accum.count > 0).then(|| accum.sum / accum.count as f64),
-            AggFunc::Min | AggFunc::Max => self.min_max(term_id),
-        }
+    /// MIN/MAX rescan: base members the changes do not touch, then the
+    /// changed indices that remain (or become) members.
+    fn extremum(&self, term_id: usize) -> Option<f64> {
+        let touched = |idx: usize| self.changes.iter().any(|&(i, _)| i == idx);
+        let untouched = self.base.members.keys().copied().filter(|&i| !touched(i));
+        let changed = self
+            .changes
+            .iter()
+            .map(|&(idx, _)| idx)
+            .filter(|&idx| self.multiplicity(idx) > 0);
+        extremum(&self.base.view.terms[term_id], untouched.chain(changed))
     }
+}
 
-    /// MIN/MAX rescan over base members plus changed indices.
-    fn min_max(&self, term_id: usize) -> Option<f64> {
-        let term = &self.base.view.terms[term_id];
-        let mut best: Option<f64> = None;
-        let mut consider = |idx: usize, mult: u32| {
-            if mult == 0 {
-                return;
-            }
-            let (v, inc) = term.entry_at(idx);
-            if !inc {
-                return;
-            }
-            best = Some(match (best, term.func) {
-                (None, _) => v,
-                (Some(b), AggFunc::Min) => b.min(v),
-                (Some(b), _) => b.max(v),
-            });
-        };
-        for (&idx, &m) in &self.base.members {
-            if self.changes.iter().any(|&(i, _)| i == idx) {
-                continue; // handled below with the overlay multiplicity
-            }
-            consider(idx, m);
-        }
-        for &(idx, _) in self.changes {
-            consider(idx, self.multiplicity(idx));
-        }
-        best
-    }
-
-    fn eval_expr(&mut self, expr: &CompiledExpr) -> Option<f64> {
-        match expr {
-            CompiledExpr::Literal(x) => Some(*x),
-            CompiledExpr::Term(id) => self.term_value(*id),
-            CompiledExpr::Binary { op, lhs, rhs } => {
-                let a = self.eval_expr(lhs)?;
-                let b = self.eval_expr(rhs)?;
-                match op {
-                    GlobalArithOp::Add => Some(a + b),
-                    GlobalArithOp::Sub => Some(a - b),
-                    GlobalArithOp::Mul => Some(a * b),
-                    GlobalArithOp::Div => (b != 0.0).then_some(a / b),
-                }
-            }
-        }
-    }
-
-    fn constraint_violation(&mut self, c: &CompiledConstraint) -> f64 {
-        let (a, b) = match (self.eval_expr(&c.lhs), self.eval_expr(&c.rhs)) {
-            (Some(a), Some(b)) => (a, b),
-            _ => return UNEVALUABLE_PENALTY,
-        };
-        match c.op {
-            CmpOp::Eq => (a - b).abs(),
-            CmpOp::NotEq => {
-                if c.op.compare(a, b) {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
-            CmpOp::Lt | CmpOp::LtEq => (a - b).max(0.0),
-            CmpOp::Gt | CmpOp::GtEq => (b - a).max(0.0),
-        }
-    }
-
-    fn constraint_satisfied(&mut self, c: &CompiledConstraint) -> bool {
-        match (self.eval_expr(&c.lhs), self.eval_expr(&c.rhs)) {
-            (Some(a), Some(b)) => c.op.compare(a, b),
-            _ => false,
-        }
-    }
-
-    fn formula_satisfied(&mut self, f: &CompiledFormula) -> bool {
-        match f {
-            CompiledFormula::Atom(c) => self.constraint_satisfied(c),
-            CompiledFormula::And(a, b) => self.formula_satisfied(a) && self.formula_satisfied(b),
-            CompiledFormula::Or(a, b) => self.formula_satisfied(a) || self.formula_satisfied(b),
-            CompiledFormula::Not(a) => !self.formula_satisfied(a),
-        }
-    }
-
-    fn formula_violation(&mut self, f: &CompiledFormula) -> f64 {
-        match f {
-            CompiledFormula::Atom(c) => self.constraint_violation(c),
-            CompiledFormula::And(a, b) => self.formula_violation(a) + self.formula_violation(b),
-            CompiledFormula::Or(a, b) => self.formula_violation(a).min(self.formula_violation(b)),
-            CompiledFormula::Not(a) => {
-                if self.formula_satisfied(a) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
-    fn violation(&mut self) -> f64 {
-        let base = self.base;
-        match &base.view.compiled_formula {
-            None => 0.0,
-            Some(f) => self.formula_violation(f),
-        }
-    }
-
-    fn objective_value(&mut self) -> Option<f64> {
-        let base = self.base;
-        let expr = base.view.compiled_objective.as_ref()?;
-        self.eval_expr(expr)
+impl TermValues for Overlay<'_, '_> {
+    fn term_value(&self, term_id: usize) -> Option<f64> {
+        let func = self.base.view.terms[term_id].func;
+        accum_value(func, self.accum(term_id), || self.extremum(term_id))
     }
 }
 

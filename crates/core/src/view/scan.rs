@@ -1,0 +1,564 @@
+//! Chunk-at-a-time move scoring: the full-neighbourhood scan kernel.
+//!
+//! Greedy repair and the local search ask the same question of every
+//! candidate: *what would the state score with one more copy of element `i`*
+//! (optionally after a fixed prefix of changes, e.g. "member `out` removed")?
+//! [`ViewState::score_with`] answers it one element at a time — a formula
+//! tree walk, two map lookups and one chunk pin per term *reference*. A
+//! [`MoveScan`] answers it for a whole [`crate::par::CHUNK_WIDTH`]-element
+//! chunk at once:
+//!
+//! * the prefix is resolved **once per scan** into per-term accumulators (and
+//!   a base extremum for MIN/MAX terms) — [`MoveScan`];
+//! * each referenced term's [`ColumnChunk`] is pinned **once per chunk**,
+//!   on first use, and shared by every prefix scored against that chunk —
+//!   [`ScanChunk`]; a term the scan does not need (the objective's, when the
+//!   caller only wants violations) is never read;
+//! * the compiled formula is evaluated **column-at-a-time** over the pinned
+//!   slices: one tight loop per expression node, not one tree walk per
+//!   element.
+//!
+//! Every floating-point operation is the one the scalar evaluator performs,
+//! in the same order, so a chunk score is bit-identical to `score_with` on
+//! the same move — solver trajectories cannot tell the two apart
+//! (`tests/columnar_oracle.rs` asserts `to_bits` equality across every
+//! scenario family, resident and paged). The few elements whose base
+//! multiplicity is not zero (current members, prefix indices) take deltas
+//! the column form does not model; they are patched through the point path.
+
+use std::ops::Range;
+
+use super::{
+    comparison_violation, fold_extremum, CandidateView, ColumnChunk, CompiledConstraint,
+    CompiledExpr, CompiledFormula, Overlay, TermAccum, TermColumn, ViewState, UNEVALUABLE_PENALTY,
+};
+use crate::par::chunk_range;
+use paql::ast::GlobalArithOp;
+use paql::AggFunc;
+
+/// One fixed prefix of changes folded into the base state's accumulators.
+struct PrefixBase {
+    changes: Vec<(usize, i64)>,
+    /// Per term: accumulators with the prefix applied (terms the scan does
+    /// not reference keep the state's own and are never consulted).
+    accums: Vec<TermAccum>,
+    /// Per MIN/MAX term: the extremum over the members that remain.
+    extrema: Vec<Option<f64>>,
+}
+
+/// A full-neighbourhood scan over one base state: scores "+1 at element `i`"
+/// for every candidate, after each of a fixed set of change prefixes.
+///
+/// Built once per scan pass by [`ViewState::move_scan`] (outside the chunk
+/// fan-out — prefix resolution is the only per-element pinning the scan
+/// does); chunk closures call [`MoveScan::chunk`].
+pub struct MoveScan<'s, 'v> {
+    state: &'s ViewState<'v>,
+    want_objective: bool,
+    prefixes: Vec<PrefixBase>,
+}
+
+impl<'v> ViewState<'v> {
+    /// Prepares a chunk-at-a-time scan of the "+1 at `i`" moves of this
+    /// state, one score set per entry of `prefixes` (pass `vec![vec![]]` for
+    /// plain add moves, `vec![vec![(out, -1)]]` for the swaps that remove
+    /// `out`). With `want_objective` false only violations are computed and
+    /// the objective's terms are never read.
+    pub fn move_scan<'s>(
+        &'s self,
+        prefixes: Vec<Vec<(usize, i64)>>,
+        want_objective: bool,
+    ) -> MoveScan<'s, 'v> {
+        let view = self.view;
+        let mut referenced = vec![false; view.terms.len()];
+        if let Some(f) = &view.compiled_formula {
+            mark_formula_terms(f, &mut referenced);
+        }
+        if let (true, Some(e)) = (want_objective, &view.compiled_objective) {
+            mark_expr_terms(e, &mut referenced);
+        }
+        let prefixes = prefixes
+            .into_iter()
+            .map(|changes| {
+                let overlay = Overlay {
+                    base: self,
+                    changes: &changes,
+                };
+                let mut accums = self.accums.clone();
+                let mut extrema = vec![None; view.terms.len()];
+                for (id, term) in view.terms.iter().enumerate() {
+                    if !referenced[id] {
+                        continue;
+                    }
+                    accums[id] = overlay.accum(id);
+                    if matches!(term.func, AggFunc::Min | AggFunc::Max) {
+                        extrema[id] = overlay.extremum(id);
+                    }
+                }
+                PrefixBase {
+                    changes,
+                    accums,
+                    extrema,
+                }
+            })
+            .collect();
+        MoveScan {
+            state: self,
+            want_objective,
+            prefixes,
+        }
+    }
+
+    /// Walks `range` in ascending order as runs of non-members, each paired
+    /// with the member that ends it (`None` for the final run) and that
+    /// member's multiplicity — how scan loops visit every candidate with a
+    /// legality check per *member*, not a map lookup per candidate.
+    pub fn member_runs(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = (Range<usize>, Option<(usize, u32)>)> + '_ {
+        let mut next = Some(range.start);
+        let mut members = self.members.range(range.clone());
+        std::iter::from_fn(move || {
+            let start = next?;
+            Some(match members.next() {
+                Some((&member, &mult)) => {
+                    next = Some(member + 1);
+                    (start..member, Some((member, mult)))
+                }
+                None => {
+                    next = None;
+                    (start..range.end, None)
+                }
+            })
+        })
+    }
+}
+
+fn mark_expr_terms(expr: &CompiledExpr, referenced: &mut [bool]) {
+    match expr {
+        CompiledExpr::Literal(_) => {}
+        CompiledExpr::Term(id) => referenced[*id] = true,
+        CompiledExpr::Binary { lhs, rhs, .. } => {
+            mark_expr_terms(lhs, referenced);
+            mark_expr_terms(rhs, referenced);
+        }
+    }
+}
+
+fn mark_formula_terms(formula: &CompiledFormula, referenced: &mut [bool]) {
+    match formula {
+        CompiledFormula::Atom(c) => {
+            mark_expr_terms(&c.lhs, referenced);
+            mark_expr_terms(&c.rhs, referenced);
+        }
+        CompiledFormula::And(a, b) | CompiledFormula::Or(a, b) => {
+            mark_formula_terms(a, referenced);
+            mark_formula_terms(b, referenced);
+        }
+        CompiledFormula::Not(a) => mark_formula_terms(a, referenced),
+    }
+}
+
+impl<'s, 'v> MoveScan<'s, 'v> {
+    /// The base state the scan scores moves of.
+    pub fn state(&self) -> &'s ViewState<'v> {
+        self.state
+    }
+
+    /// The change prefixes the scan was built from, in order.
+    pub fn prefixes(&self) -> impl ExactSizeIterator<Item = &[(usize, i64)]> {
+        self.prefixes.iter().map(|p| p.changes.as_slice())
+    }
+
+    /// Opens column chunk `c` for scoring. Terms are pinned lazily, once
+    /// each, and stay pinned until the returned cursor drops.
+    pub fn chunk(&self, c: usize) -> ScanChunk<'_> {
+        let view = self.state.view;
+        let range = chunk_range(c, view.candidate_count());
+        ScanChunk {
+            scan: self,
+            chunk: c,
+            pins: view.terms.iter().map(|_| None).collect(),
+            bufs: Bufs {
+                len: range.len(),
+                floats: Vec::new(),
+                flags: Vec::new(),
+            },
+            range,
+            scores: ChunkScores::default(),
+        }
+    }
+}
+
+/// The scores of one chunk's "+1 at `i`" moves after one prefix, indexed by
+/// the element's offset inside the chunk.
+#[derive(Debug, Default)]
+pub struct ChunkScores {
+    violation: Vec<f64>,
+    objective: Vec<f64>,
+    objective_null: Vec<bool>,
+}
+
+impl ChunkScores {
+    /// The violation of each move, by offset in the chunk.
+    pub fn violations(&self) -> &[f64] {
+        &self.violation
+    }
+
+    /// `(violation, objective)` of the move at offset `i` — exactly what
+    /// [`ViewState::score_with`] returns for it (the objective is `None`
+    /// when the scan was built without `want_objective`).
+    #[inline]
+    pub fn get(&self, i: usize) -> (f64, Option<f64>) {
+        let objective = match self.objective_null.get(i) {
+            Some(false) => Some(self.objective[i]),
+            _ => None,
+        };
+        (self.violation[i], objective)
+    }
+}
+
+/// One column chunk opened by a [`MoveScan`]: the pinned term chunks plus
+/// the kernel's scratch buffers (a few chunk-wide vectors, recycled across
+/// prefixes).
+pub struct ScanChunk<'m> {
+    scan: &'m MoveScan<'m, 'm>,
+    chunk: usize,
+    range: Range<usize>,
+    pins: Vec<Option<ColumnChunk<'m>>>,
+    bufs: Bufs,
+    scores: ChunkScores,
+}
+
+impl ScanChunk<'_> {
+    /// The candidate-index range this chunk covers.
+    pub fn range(&self) -> Range<usize> {
+        self.range.clone()
+    }
+
+    /// Scores every element of the chunk after prefix number `prefix` (its
+    /// position in the `prefixes` list the scan was built from). The slot
+    /// of an element already at the `REPEAT` bound — no "+1" is legal there —
+    /// holds an unspecified score.
+    pub fn score(&mut self, prefix: usize) -> &ChunkScores {
+        let scan = self.scan;
+        let view = scan.state.view;
+        let base = &scan.prefixes[prefix];
+        let old = std::mem::take(&mut self.scores);
+        self.bufs.floats.extend([old.violation, old.objective]);
+        self.bufs.flags.push(old.objective_null);
+
+        let mut kernel = Kernel {
+            view,
+            base,
+            chunk: self.chunk,
+            pins: &mut self.pins,
+            bufs: &mut self.bufs,
+        };
+        let violation = match &view.compiled_formula {
+            Some(f) => kernel.formula_violation(f),
+            None => kernel.bufs.floats_of(0.0),
+        };
+        let (objective, objective_null) = match (&view.compiled_objective, scan.want_objective) {
+            (Some(e), true) => {
+                let col = kernel.eval_expr(e);
+                let nulls = match col.nulls {
+                    Some(nulls) => nulls,
+                    None => kernel.bufs.flags_of(false),
+                };
+                (col.vals, nulls)
+            }
+            (None, true) => (kernel.bufs.floats_of(0.0), kernel.bufs.flags_of(true)),
+            (_, false) => (Vec::new(), Vec::new()),
+        };
+        self.scores = ChunkScores {
+            violation,
+            objective,
+            objective_null,
+        };
+
+        // Elements whose base multiplicity is not zero: the point path.
+        // (Those already at the REPEAT bound have no legal "+1" at all.)
+        let range = self.range.clone();
+        let state = scan.state;
+        let mut changes = base.changes.clone();
+        let touched = base.changes.iter().map(|&(idx, _)| idx);
+        let members = state.members.range(range.clone()).map(|(&idx, _)| idx);
+        for idx in members.chain(touched.filter(|idx| range.contains(idx))) {
+            if state.multiplicity(idx) >= view.max_multiplicity {
+                continue;
+            }
+            changes.push((idx, 1));
+            let i = idx - range.start;
+            if scan.want_objective {
+                let (v, o) = state.score_with(&changes);
+                self.scores.violation[i] = v;
+                self.scores.objective_null[i] = o.is_none();
+                self.scores.objective[i] = o.unwrap_or(0.0);
+            } else {
+                self.scores.violation[i] = state.violation_with(&changes);
+            }
+            changes.pop();
+        }
+        &self.scores
+    }
+}
+
+/// Recycled chunk-wide scratch vectors.
+struct Bufs {
+    len: usize,
+    floats: Vec<Vec<f64>>,
+    flags: Vec<Vec<bool>>,
+}
+
+impl Bufs {
+    /// A chunk-wide float vector with unspecified contents.
+    fn floats(&mut self) -> Vec<f64> {
+        let mut v = self.floats.pop().unwrap_or_default();
+        v.resize(self.len, 0.0);
+        v
+    }
+
+    fn floats_of(&mut self, x: f64) -> Vec<f64> {
+        let mut v = self.floats();
+        v.fill(x);
+        v
+    }
+
+    /// A chunk-wide flag vector with unspecified contents.
+    fn flags(&mut self) -> Vec<bool> {
+        let mut v = self.flags.pop().unwrap_or_default();
+        v.resize(self.len, false);
+        v
+    }
+
+    fn flags_of(&mut self, x: bool) -> Vec<bool> {
+        let mut v = self.flags();
+        v.fill(x);
+        v
+    }
+}
+
+/// One expression's value for every element of the chunk; `nulls` is absent
+/// when no element is NULL (the common case — most loops skip it entirely).
+struct Col {
+    vals: Vec<f64>,
+    nulls: Option<Vec<bool>>,
+}
+
+/// The column-at-a-time evaluator: [`super::eval_expr`] and friends with
+/// every `Option<f64>` widened to a [`Col`]. Operation for operation the
+/// same arithmetic, so the results are bit-identical.
+struct Kernel<'k, 'm> {
+    view: &'m CandidateView,
+    base: &'k PrefixBase,
+    chunk: usize,
+    pins: &'k mut Vec<Option<ColumnChunk<'m>>>,
+    bufs: &'k mut Bufs,
+}
+
+#[inline]
+fn bit(mask: &[u64], i: usize) -> bool {
+    (mask[i / 64] >> (i % 64)) & 1 == 1
+}
+
+impl Kernel<'_, '_> {
+    /// The value of term `id` with one more copy of each element: the
+    /// prefix's accumulators plus the element's own contribution (old
+    /// multiplicity 0, new 1 — the delta [`Overlay::accum`] applies).
+    fn term(&mut self, id: usize) -> Col {
+        let term: &TermColumn = &self.view.terms[id];
+        let pin = self.pins[id].get_or_insert_with(|| term.chunk(self.chunk));
+        let coeffs = pin.coeffs();
+        let mask = pin.mask_words();
+        let accum = self.base.accums[id];
+        let without = accum.count as f64;
+        let with = (accum.count + 1) as f64;
+        let mut vals = self.bufs.floats();
+        // NULL exactly where the prefix leaves the term empty and the
+        // element itself is excluded.
+        let mut empty_base = false;
+        match term.func {
+            AggFunc::Count => {
+                for (i, v) in vals.iter_mut().enumerate() {
+                    *v = if bit(mask, i) { with } else { without };
+                }
+            }
+            AggFunc::Sum => {
+                empty_base = accum.distinct == 0;
+                for (i, (v, &c)) in vals.iter_mut().zip(coeffs).enumerate() {
+                    *v = if bit(mask, i) {
+                        accum.sum + c * 1.0
+                    } else {
+                        accum.sum
+                    };
+                }
+            }
+            AggFunc::Avg => {
+                empty_base = accum.count == 0;
+                let base_avg = accum.sum / without;
+                for (i, (v, &c)) in vals.iter_mut().zip(coeffs).enumerate() {
+                    *v = if bit(mask, i) {
+                        (accum.sum + c * 1.0) / with
+                    } else {
+                        base_avg
+                    };
+                }
+            }
+            AggFunc::Min | AggFunc::Max => {
+                let best = self.base.extrema[id];
+                empty_base = best.is_none();
+                for (i, (v, &c)) in vals.iter_mut().zip(coeffs).enumerate() {
+                    *v = if bit(mask, i) {
+                        fold_extremum(term.func, best, c)
+                    } else {
+                        best.unwrap_or(0.0)
+                    };
+                }
+            }
+        }
+        let nulls = empty_base.then(|| {
+            let mut nulls = self.bufs.flags();
+            for (i, n) in nulls.iter_mut().enumerate() {
+                *n = !bit(mask, i);
+            }
+            nulls
+        });
+        Col { vals, nulls }
+    }
+
+    fn eval_expr(&mut self, expr: &CompiledExpr) -> Col {
+        match expr {
+            CompiledExpr::Literal(x) => Col {
+                vals: self.bufs.floats_of(*x),
+                nulls: None,
+            },
+            CompiledExpr::Term(id) => self.term(*id),
+            CompiledExpr::Binary { op, lhs, rhs } => {
+                let mut a = self.eval_expr(lhs);
+                let b = self.eval_expr(rhs);
+                let mut nulls = self.merge_nulls(a.nulls.take(), b.nulls);
+                let pairs = a.vals.iter_mut().zip(&b.vals);
+                match op {
+                    GlobalArithOp::Add => pairs.for_each(|(x, &y)| *x += y),
+                    GlobalArithOp::Sub => pairs.for_each(|(x, &y)| *x -= y),
+                    GlobalArithOp::Mul => pairs.for_each(|(x, &y)| *x *= y),
+                    GlobalArithOp::Div => {
+                        pairs.for_each(|(x, &y)| *x /= y);
+                        if b.vals.contains(&0.0) {
+                            let zero = nulls.get_or_insert_with(|| self.bufs.flags_of(false));
+                            for (n, &y) in zero.iter_mut().zip(&b.vals) {
+                                *n |= y == 0.0;
+                            }
+                        }
+                    }
+                }
+                self.bufs.floats.push(b.vals);
+                a.nulls = nulls;
+                a
+            }
+        }
+    }
+
+    /// NULL if either side is; the surviving vector is reused.
+    fn merge_nulls(&mut self, a: Option<Vec<bool>>, b: Option<Vec<bool>>) -> Option<Vec<bool>> {
+        match (a, b) {
+            (Some(mut a), Some(b)) => {
+                a.iter_mut().zip(&b).for_each(|(x, &y)| *x |= y);
+                self.bufs.flags.push(b);
+                Some(a)
+            }
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Both sides of a constraint plus the elements where either is NULL.
+    fn sides(&mut self, c: &CompiledConstraint) -> (Vec<f64>, Vec<f64>, Option<Vec<bool>>) {
+        let a = self.eval_expr(&c.lhs);
+        let b = self.eval_expr(&c.rhs);
+        let nulls = self.merge_nulls(a.nulls, b.nulls);
+        (a.vals, b.vals, nulls)
+    }
+
+    fn constraint_violation(&mut self, c: &CompiledConstraint) -> Vec<f64> {
+        let (mut a, b, nulls) = self.sides(c);
+        for (x, &y) in a.iter_mut().zip(&b) {
+            *x = comparison_violation(c.op, *x, y);
+        }
+        self.bufs.floats.push(b);
+        if let Some(nulls) = nulls {
+            for (x, &n) in a.iter_mut().zip(&nulls) {
+                if n {
+                    *x = UNEVALUABLE_PENALTY;
+                }
+            }
+            self.bufs.flags.push(nulls);
+        }
+        a
+    }
+
+    fn constraint_satisfied(&mut self, c: &CompiledConstraint) -> Vec<bool> {
+        let (a, b, nulls) = self.sides(c);
+        let mut out = self.bufs.flags();
+        for (o, (&x, &y)) in out.iter_mut().zip(a.iter().zip(&b)) {
+            *o = c.op.compare(x, y);
+        }
+        self.bufs.floats.extend([a, b]);
+        if let Some(nulls) = nulls {
+            out.iter_mut().zip(&nulls).for_each(|(o, &n)| *o &= !n);
+            self.bufs.flags.push(nulls);
+        }
+        out
+    }
+
+    fn formula_satisfied(&mut self, f: &CompiledFormula) -> Vec<bool> {
+        match f {
+            CompiledFormula::Atom(c) => self.constraint_satisfied(c),
+            CompiledFormula::And(a, b) | CompiledFormula::Or(a, b) => {
+                let mut x = self.formula_satisfied(a);
+                let y = self.formula_satisfied(b);
+                let pairs = x.iter_mut().zip(&y);
+                if matches!(f, CompiledFormula::And(..)) {
+                    pairs.for_each(|(p, &q)| *p &= q);
+                } else {
+                    pairs.for_each(|(p, &q)| *p |= q);
+                }
+                self.bufs.flags.push(y);
+                x
+            }
+            CompiledFormula::Not(a) => {
+                let mut x = self.formula_satisfied(a);
+                x.iter_mut().for_each(|p| *p = !*p);
+                x
+            }
+        }
+    }
+
+    fn formula_violation(&mut self, f: &CompiledFormula) -> Vec<f64> {
+        match f {
+            CompiledFormula::Atom(c) => self.constraint_violation(c),
+            CompiledFormula::And(a, b) | CompiledFormula::Or(a, b) => {
+                let mut x = self.formula_violation(a);
+                let y = self.formula_violation(b);
+                let pairs = x.iter_mut().zip(&y);
+                if matches!(f, CompiledFormula::And(..)) {
+                    pairs.for_each(|(p, &q)| *p += q);
+                } else {
+                    pairs.for_each(|(p, &q)| *p = p.min(q));
+                }
+                self.bufs.floats.push(y);
+                x
+            }
+            CompiledFormula::Not(a) => {
+                let holds = self.formula_satisfied(a);
+                let mut x = self.bufs.floats();
+                for (p, &h) in x.iter_mut().zip(&holds) {
+                    *p = if h { 1.0 } else { 0.0 };
+                }
+                self.bufs.flags.push(holds);
+                x
+            }
+        }
+    }
+}
