@@ -254,15 +254,174 @@ fn eval_throughput() {
              \"scan_evals_per_sec\": {scan:.1}, \"scan_paged_evals_per_sec\": {scan_paged:.1}}}"
         ));
     }
+    let cold_rows = cold_build_throughput();
     let json = format!(
-        "{{\n  \"experiment\": \"eval_throughput\",\n  \"query\": \"meal_plan\",\n{}\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"eval_throughput\",\n  \"query\": \"meal_plan\",\n{}\n  \"rows\": [\n{}\n  ],\n  \"cold_build\": [\n{}\n  ]\n}}\n",
         resource_json(),
-        json_rows.join(",\n")
+        json_rows.join(",\n"),
+        cold_rows.join(",\n")
     );
     match std::fs::write("BENCH_eval.json", &json) {
         Ok(()) => println!("\n(wrote BENCH_eval.json)\n"),
         Err(e) => println!("\n(could not write BENCH_eval.json: {e})\n"),
     }
+}
+
+/// The cold build path of `EVAL`, stage by stage: what a query pays the
+/// first time it touches a relation (or after every append). `scan` is the
+/// base-predicate pass over the table (absent without a `WHERE`), `stats`
+/// the candidate statistics
+/// (`cells` = candidates × numeric columns; single-threaded by design),
+/// `materialize` the fused term-column pass (`cells` = candidates × terms,
+/// including fetching the candidate rows). Each stage is timed on its own,
+/// best of several runs, at 1 and 2 executor threads. Returns the
+/// `cold_build` rows of `BENCH_eval.json`.
+fn cold_build_throughput() -> Vec<String> {
+    use datagen::{lineitem, recipes, scenario, wide_table, Seed};
+    use minidb::stats::TableStats;
+    use packagebuilder::par::ParExec;
+    use packagebuilder::spec::base_candidates_par;
+    use packagebuilder::view::CandidateView;
+    use packagebuilder::ColumnPolicy;
+
+    /// Units per second of the fastest of at least three runs (~0.3 s).
+    fn best_rate(units: usize, mut f: impl FnMut()) -> f64 {
+        let budget = std::time::Duration::from_millis(300);
+        let start = Instant::now();
+        let mut best = f64::INFINITY;
+        let mut runs = 0;
+        while runs < 3 || start.elapsed() < budget {
+            let t = Instant::now();
+            f();
+            best = best.min(t.elapsed().as_secs_f64());
+            runs += 1;
+        }
+        units as f64 / best
+    }
+
+    let registry = |family: &str, label: &str| -> String {
+        scenario(family)
+            .and_then(|s| s.queries.into_iter().find(|q| q.label == label))
+            .map(|q| q.text)
+            .expect("registry query exists")
+    };
+    let seed = Seed(pb_bench::BENCH_SEED);
+    let cases = [
+        (
+            "lineitem filtered",
+            lineitem(200_000, seed),
+            "SELECT PACKAGE(R) AS P FROM lineitem R WHERE R.l_returnflag = 'R' \
+             SUCH THAT COUNT(*) <= 40 AND SUM(P.l_quantity) <= 400 \
+             MAXIMIZE SUM(P.l_extendedprice)"
+                .to_string(),
+        ),
+        (
+            "lineitem unfiltered",
+            lineitem(200_000, seed),
+            registry("lineitem", "quantity_budget"),
+        ),
+        (
+            "recipes",
+            recipes(100_000, seed),
+            "SELECT PACKAGE(R) AS P FROM recipes R \
+             SUCH THAT COUNT(*) <= 10 AND SUM(P.calories) <= 6000 AND SUM(P.fat) <= 250 \
+             MAXIMIZE SUM(P.protein)"
+                .to_string(),
+        ),
+        (
+            "wide 122 terms",
+            wide_table(4_000, seed),
+            registry("wide", "filtered_caps"),
+        ),
+    ];
+
+    println!("\n## EVAL — cold build path (scan, statistics, fused materialization)\n");
+    let widths = [20, 8, 8, 6, 7, 14, 16, 18];
+    print_header(
+        &[
+            "case",
+            "rows",
+            "cands",
+            "terms",
+            "threads",
+            "scan rows/s",
+            "stats cells/s",
+            "material. cells/s",
+        ],
+        &widths,
+    );
+    let mut json_rows = Vec::new();
+    for (label, table, text) in &cases {
+        let query = paql::compile(text, table.schema()).unwrap().query;
+        let candidates =
+            base_candidates_par(table, query.where_clause.as_ref(), ParExec::sequential()).unwrap();
+        let rows: Vec<&minidb::Tuple> = candidates
+            .iter()
+            .map(|id| table.require(*id).unwrap())
+            .collect();
+        let stats = TableStats::of_row_refs(table.schema(), rows.iter().copied());
+        let numeric = table.schema().numeric_columns().len();
+        let stats_rate = best_rate(rows.len() * numeric, || {
+            std::hint::black_box(TableStats::of_row_refs(
+                table.schema(),
+                rows.iter().copied(),
+            ));
+        });
+        for threads in [1usize, 2] {
+            let par = ParExec::new(threads);
+            // Without a base predicate there is no scan to time.
+            let scan_rate = query.where_clause.as_ref().map(|pred| {
+                best_rate(table.len(), || {
+                    std::hint::black_box(base_candidates_par(table, Some(pred), par).unwrap());
+                })
+            });
+            let (scan_cell, scan_json) = match scan_rate {
+                Some(rate) => (format!("{rate:.0}"), format!("{rate:.1}")),
+                None => ("-".to_string(), "null".to_string()),
+            };
+            let build = || {
+                CandidateView::assemble_par_with(
+                    table,
+                    candidates.clone(),
+                    stats.clone(),
+                    query.max_multiplicity(),
+                    query.such_that.clone(),
+                    query.objective.clone(),
+                    |_| None,
+                    &ColumnPolicy::resident(),
+                    par,
+                )
+                .unwrap()
+            };
+            let terms = build().terms().len();
+            let materialize_rate = best_rate(candidates.len() * terms, || {
+                std::hint::black_box(build());
+            });
+            print_row(
+                &[
+                    label.to_string(),
+                    table.len().to_string(),
+                    candidates.len().to_string(),
+                    terms.to_string(),
+                    threads.to_string(),
+                    scan_cell,
+                    format!("{stats_rate:.0}"),
+                    format!("{materialize_rate:.0}"),
+                ],
+                &widths,
+            );
+            json_rows.push(format!(
+                "    {{\"case\": \"{label}\", \"rows\": {}, \"candidates\": {}, \
+                 \"terms\": {terms}, \"threads\": {threads}, \
+                 \"scan_rows_per_sec\": {scan_json}, \
+                 \"stats_cells_per_sec\": {stats_rate:.1}, \
+                 \"materialize_cells_per_sec\": {materialize_rate:.1}}}",
+                table.len(),
+                candidates.len()
+            ));
+        }
+    }
+    json_rows
 }
 
 /// PORTFOLIO — racing solve vs the sequential strategies on the meal-plan

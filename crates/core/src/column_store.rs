@@ -311,7 +311,8 @@ impl SpillStore {
         &self.path
     }
 
-    /// Pages written so far.
+    /// Pages reserved so far (every one of them written once its column is
+    /// sealed).
     pub fn page_count(&self) -> u64 {
         self.pages.load(Ordering::Relaxed)
     }
@@ -331,13 +332,21 @@ impl SpillStore {
         )
     }
 
-    /// Appends one column chunk (`coeffs` and `included` of equal length,
-    /// at most [`CHUNK_WIDTH`]; tail chunks are zero-padded to a full page)
-    /// and returns its page id. Chunks of one column must be appended in
-    /// chunk order — the column addresses page `first + c` for chunk `c`.
-    pub fn append_chunk(&self, coeffs: &[f64], included: &[bool]) -> io::Result<u64> {
+    /// Allocates `pages` consecutive page ids and returns the first. A
+    /// column reserves all of its pages before its first chunk is written,
+    /// so it can address chunk `c` as page `first + c` even when several
+    /// columns are written to the store chunk by chunk, interleaved.
+    pub fn reserve(&self, pages: u64) -> u64 {
+        self.pages.fetch_add(pages, Ordering::Relaxed)
+    }
+
+    /// Writes one column chunk (`coeffs` and `included` of equal length, at
+    /// most [`CHUNK_WIDTH`]; tail chunks are zero-padded to a full page) to
+    /// a page obtained from [`SpillStore::reserve`]. Pages are written once.
+    pub fn write_chunk(&self, page: u64, coeffs: &[f64], included: &[bool]) -> io::Result<()> {
         assert_eq!(coeffs.len(), included.len());
         assert!(coeffs.len() <= CHUNK_WIDTH);
+        assert!(page < self.page_count(), "page {page} was never reserved");
         let mut buf = vec![0u8; PAGE_BYTES];
         for (i, &c) in coeffs.iter().enumerate() {
             buf[i * 8..i * 8 + 8].copy_from_slice(&c.to_ne_bytes());
@@ -352,11 +361,18 @@ impl SpillStore {
         for (w, &word) in words.iter().enumerate() {
             buf[mask_base + w * 8..mask_base + w * 8 + 8].copy_from_slice(&word.to_ne_bytes());
         }
-        let page = self.pages.fetch_add(1, Ordering::Relaxed);
         let mut file = self.lock_file();
         file.seek(SeekFrom::Start(page * PAGE_BYTES as u64))?;
         file.write_all(&buf)?;
         GLOBAL_SPILLED.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Reserves the next page and writes one chunk to it, returning the
+    /// page id.
+    pub fn append_chunk(&self, coeffs: &[f64], included: &[bool]) -> io::Result<u64> {
+        let page = self.reserve(1);
+        self.write_chunk(page, coeffs, included)?;
         Ok(page)
     }
 

@@ -148,6 +148,16 @@ impl PackageEngine {
             .ok_or_else(|| PbError::UnknownRelation(query.relation.clone()))
     }
 
+    /// The column storage policy and chunk executor every view build of
+    /// this engine runs under, from its configuration.
+    pub(crate) fn build_context(&self) -> (crate::column_store::ColumnPolicy, crate::par::ParExec) {
+        let policy = crate::column_store::ColumnPolicy {
+            memory_budget: self.config.column_memory_budget,
+            pool_pages: self.config.pool_pages,
+        };
+        (policy, crate::par::ParExec::new(self.config.num_threads))
+    }
+
     /// Builds the executable spec for a query (exposed for the interface
     /// layers: exploration, suggestion, summaries). Routed through the view
     /// cache when [`EngineConfig::cache`] is on, so repeated builds reuse
@@ -155,11 +165,7 @@ impl PackageEngine {
     pub fn build_spec<'a>(&'a self, query: &PaqlQuery) -> PbResult<PackageSpec<'a>> {
         let analyzed = self.analyze(query)?;
         let table = self.relation(&analyzed.query)?;
-        let par = crate::par::ParExec::new(self.config.num_threads);
-        let policy = crate::column_store::ColumnPolicy {
-            memory_budget: self.config.column_memory_budget,
-            pool_pages: self.config.pool_pages,
-        };
+        let (policy, par) = self.build_context();
         if self.config.cache {
             PackageSpec::build_cached_with(&analyzed, table, &self.cache, &policy, par)
         } else {

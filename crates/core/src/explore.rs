@@ -21,6 +21,7 @@ use crate::engine::PackageEngine;
 use crate::error::PbError;
 use crate::package::Package;
 use crate::result::PackageResult;
+use crate::spec::PackageSpec;
 use crate::suggest::Suggestion;
 use crate::PbResult;
 
@@ -96,15 +97,23 @@ impl ExplorationSession {
         self.refine(engine)
     }
 
+    /// The query's spec with the rejected tuples removed from the candidate
+    /// pool (locked tuples stay candidates; [`ExplorationSession::refine`]
+    /// forces them into the package). The narrowed view is rebuilt on the
+    /// engine's executor and under its column policy.
+    fn narrowed_spec<'e>(&self, engine: &'e PackageEngine) -> PbResult<PackageSpec<'e>> {
+        let spec = engine.build_spec(&self.query)?;
+        // Probed once per candidate: flatten the set to a sorted vector.
+        let rejected: Vec<TupleId> = self.rejected.iter().copied().collect();
+        let (policy, par) = engine.build_context();
+        spec.restrict_candidates(|t| rejected.binary_search(&t).is_err(), &policy, par)
+    }
+
     /// Produces a new sample that keeps every locked tuple, avoids rejected
     /// tuples, and replaces the rest — the "request a new sample that
     /// replaces the unselected tuples" interaction.
     pub fn refine(&mut self, engine: &PackageEngine) -> PbResult<PackageResult> {
-        let spec = engine.build_spec(&self.query)?;
-        // Narrow the candidate pool: rejected tuples are out; locked tuples
-        // stay candidates (they are forced into the package below).
-        let rejected = self.rejected.clone();
-        let narrowed = spec.restrict_candidates(|t| !rejected.contains(&t));
+        let narrowed = self.narrowed_spec(engine)?;
 
         // Verify locked tuples are still available.
         for &t in &self.locked {
@@ -226,6 +235,28 @@ mod tests {
         let mut catalog = Catalog::new();
         catalog.register(recipes(n, Seed(seed)));
         PackageEngine::new(catalog)
+    }
+
+    #[test]
+    fn the_narrowed_view_is_stored_as_the_engine_is_configured() {
+        // Whatever PB_COLUMN_BUDGET says in the environment, the engine's
+        // own budget decides where the narrowed view's columns live.
+        for (budget, paged) in [(0usize, true), (usize::MAX, false)] {
+            let mut engine = engine(300, 6);
+            engine.config_mut().column_memory_budget = budget;
+            let mut session = ExplorationSession::new(paql::parse(MEAL_QUERY).unwrap());
+            let first = session.sample(&engine).unwrap();
+            session.reject(first.best().unwrap().tuple_ids()[0]);
+            let narrowed = session.narrowed_spec(&engine).unwrap();
+            assert_eq!(narrowed.view().is_paged(), paged);
+            assert_eq!(
+                narrowed.candidate_count() + 1,
+                engine
+                    .build_spec(session.query())
+                    .unwrap()
+                    .candidate_count()
+            );
+        }
     }
 
     #[test]

@@ -377,7 +377,7 @@ mod tests {
                 let Some(store) = &stores[t] else {
                     return Some(column.clone());
                 };
-                let mut sink = ColumnSink::paged(column.func, Arc::clone(store));
+                let mut sink = ColumnSink::paged(column.func, Arc::clone(store), column.len());
                 let (coeffs, included) = (column.coeffs_vec(), column.included_vec());
                 for c in 0..chunk_count(n) {
                     let r = chunk_range(c, n);

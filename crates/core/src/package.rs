@@ -2,8 +2,10 @@
 //!
 //! The aggregate-evaluation methods here ([`Package::eval_aggregate`],
 //! [`Package::formula_violation`], [`Package::satisfies`],
-//! [`Package::objective_value`]) are the *interpreted* path: they walk the
-//! expression AST per member tuple against the base table. Production
+//! [`Package::objective_value`]) are the *interpreted* path: they re-evaluate
+//! each aggregate's filter and argument (bound once per aggregate, see
+//! [`minidb::eval::BoundExpr`]) per member tuple against the base table and
+//! walk the global formula's AST per package. Production
 //! evaluation routes through the columnar [`crate::view::CandidateView`]
 //! instead; the interpreted path survives as the correctness oracle (see
 //! `tests/columnar_oracle.rs`) and for ad-hoc evaluation outside a candidate
@@ -12,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use minidb::eval::{eval, eval_predicate};
+use minidb::eval::BoundExpr;
 use minidb::{Table, TupleId};
 use paql::{
     AggCall, AggFunc, CmpOp, GlobalConstraint, GlobalExpr, GlobalFormula, Objective,
@@ -119,6 +121,9 @@ impl Package {
     /// return `None` (SQL NULL), except `COUNT`, which returns 0.
     pub fn eval_aggregate(&self, table: &Table, call: &AggCall) -> PbResult<Option<f64>> {
         let schema = table.schema();
+        let bind = |e: &minidb::Expr| BoundExpr::bind(e, schema);
+        let filter = call.filter.as_ref().map(bind).transpose()?;
+        let arg = call.arg.as_ref().map(bind).transpose()?;
         let mut count: u64 = 0;
         let mut sum = 0.0;
         let mut min = f64::INFINITY;
@@ -126,15 +131,15 @@ impl Package {
         let mut any = false;
         for (tid, mult) in self.members() {
             let tuple = table.require(tid)?;
-            if let Some(filter) = &call.filter {
-                if !eval_predicate(filter, schema, tuple)? {
+            if let Some(filter) = &filter {
+                if !filter.eval_predicate(tuple)? {
                     continue;
                 }
             }
-            let value = match &call.arg {
+            let value = match &arg {
                 None => None,
                 Some(arg) => {
-                    let v = eval(arg, schema, tuple)?;
+                    let v = arg.eval(tuple)?;
                     if v.is_null() {
                         // NULL contributions are skipped for SUM/AVG/MIN/MAX
                         // and for COUNT(expr), matching SQL.
@@ -143,7 +148,7 @@ impl Package {
                         }
                         None
                     } else {
-                        Some(v.expect_f64(&format!("argument of {}", call.func.name()))?)
+                        Some(v.expect_f64(format_args!("argument of {}", call.func.name()))?)
                     }
                 }
             };

@@ -1,6 +1,6 @@
 //! The validated, executable form of a package query.
 
-use minidb::eval::eval_predicate;
+use minidb::eval::BoundExpr;
 use minidb::stats::TableStats;
 use minidb::{Expr, Table, TupleId};
 use paql::{AnalyzedQuery, GlobalFormula, Objective, PaqlQuery};
@@ -35,11 +35,11 @@ pub fn base_candidates_par(
         Some(pred) => pred,
     };
     let rows = table.rows();
-    let schema = table.schema();
+    let pred = BoundExpr::bind(pred, table.schema())?;
     let chunks = par.run_chunks(rows.len(), |_, range| -> PbResult<Vec<TupleId>> {
         let mut matched = Vec::new();
         for i in range {
-            if eval_predicate(pred, schema, &rows[i])? {
+            if pred.eval_predicate(&rows[i])? {
                 matched.push(TupleId(i as u32));
             }
         }
@@ -237,26 +237,32 @@ impl<'a> PackageSpec<'a> {
     /// Restricts the spec to a subset of its candidates (used by adaptive
     /// exploration to narrow the search space after user feedback). The view
     /// is rebuilt over the surviving candidates — statistics and columns are
-    /// streamed from borrowed rows.
-    pub fn restrict_candidates(&self, keep: impl Fn(TupleId) -> bool) -> PackageSpec<'a> {
+    /// streamed from borrowed rows — on the caller's executor and under the
+    /// caller's [`ColumnPolicy`], like every other build: the engine passes
+    /// its configured ones, so a narrowed view is paged exactly when a fresh
+    /// build of the same size would be.
+    pub fn restrict_candidates(
+        &self,
+        keep: impl Fn(TupleId) -> bool,
+        policy: &ColumnPolicy,
+        par: ParExec,
+    ) -> PbResult<PackageSpec<'a>> {
         let candidates: Vec<TupleId> = self
             .candidates
             .iter()
             .copied()
             .filter(|&t| keep(t))
             .collect();
-        let view = CandidateView::build(
+        let view = CandidateView::build_par_with(
             self.table,
             candidates.clone(),
             self.max_multiplicity,
             self.formula.clone(),
             self.objective.clone(),
-        )
-        // pb-lint: allow(no-panic-in-solver-paths) — invariant: the parent
-        // view already evaluated these exact tuples; a subset cannot add
-        // new evaluation failures.
-        .expect("restricting candidates cannot introduce evaluation errors");
-        PackageSpec {
+            policy,
+            par,
+        )?;
+        Ok(PackageSpec {
             table: self.table,
             candidates,
             max_multiplicity: self.max_multiplicity,
@@ -264,7 +270,7 @@ impl<'a> PackageSpec<'a> {
             objective: self.objective.clone(),
             view,
             query: self.query.clone(),
-        }
+        })
     }
 }
 
@@ -339,12 +345,24 @@ mod tests {
             &t,
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 2",
         );
+        // Candidates are in id order, so a prefix is a sorted set.
         let keep: Vec<TupleId> = spec.candidates.iter().copied().take(10).collect();
-        let narrowed = spec.restrict_candidates(|t| keep.contains(&t));
+        let narrow = |policy: &ColumnPolicy| {
+            spec.restrict_candidates(
+                |t| keep.binary_search(&t).is_ok(),
+                policy,
+                ParExec::sequential(),
+            )
+            .unwrap()
+        };
+        let narrowed = narrow(&ColumnPolicy::resident());
         assert_eq!(narrowed.candidate_count(), 10);
         assert_eq!(narrowed.max_multiplicity, spec.max_multiplicity);
         assert_eq!(narrowed.view().candidate_count(), 10);
         assert_eq!(narrowed.stats().row_count(), 10);
+        // Storage follows the policy handed in, not the environment.
+        assert!(!narrowed.view().is_paged());
+        assert!(narrow(&ColumnPolicy::paged(2)).view().is_paged());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The columnar evaluation core: [`CandidateView`].
 //!
 //! Every evaluation strategy used to re-interpret PaQL aggregate expressions
-//! per tuple via `minidb::eval` against the base table — an expression-tree
-//! walk per member per neighbour per move. The view replaces that with a
-//! **columnar** representation built once per query:
+//! per tuple against the base table — an expression-tree walk per member per
+//! neighbour per move. The view replaces that with a **columnar**
+//! representation built once per query, in one fused pass over the candidate
+//! rows (`materialize_chunk`: every term's filter and argument bound once
+//! as a [`minidb::eval::BoundExpr`], every row visited once):
 //!
 //! * for every distinct aggregate term referenced by the `SUCH THAT` formula
 //!   or the objective, a dense `f64` column over the candidate set (the
@@ -47,9 +49,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use minidb::eval::{eval, eval_predicate};
+use minidb::eval::BoundExpr;
 use minidb::stats::TableStats;
-use minidb::{Table, Tuple, TupleId};
+use minidb::{Expr, Schema, Table, Tuple, TupleId};
 use paql::ast::GlobalArithOp;
 use paql::{AggCall, AggFunc, CmpOp, GlobalExpr, GlobalFormula, Objective, ObjectiveDirection};
 
@@ -68,13 +70,17 @@ pub use scan::{ChunkScores, MoveScan, ScanChunk};
 /// identical to the interpreted path's constant.
 const UNEVALUABLE_PENALTY: f64 = 1e9;
 
-/// Chunks per materialization segment in paged-aware builds (~4.3 MB of
-/// coefficient buffer). Segments bound the *transient* memory of building a
-/// column — evaluated chunks are pushed into the [`ColumnSink`] (spilled,
-/// for paged columns) before the next segment is evaluated. Segment starts
-/// are multiples of [`crate::par::CHUNK_WIDTH`], so segmentation never moves
-/// a chunk boundary and results stay bit-identical.
-const BUILD_SEGMENT_CHUNKS: usize = 128;
+/// Chunk buffers (one coefficient/inclusion pair per chunk per fused term)
+/// a materialization segment may hold at once: ~1.2 MB. Segments bound the
+/// *transient* memory of a build — evaluated chunks are pushed into their
+/// [`ColumnSink`]s (spilled, for paged columns) before the next segment is
+/// evaluated — and keep it small enough that each segment's buffers are the
+/// previous segment's, recycled by the allocator and still cache-resident
+/// when they are copied out, rather than freshly faulted pages (128-chunk
+/// segments spent a quarter of a 200 000-row build on first-touch faults).
+/// Segment starts are multiples of [`crate::par::CHUNK_WIDTH`], so
+/// segmentation never moves a chunk boundary and results stay bit-identical.
+const BUILD_SEGMENT_CHUNKS: usize = 32;
 
 /// Precomputed aggregates of one [`crate::par::CHUNK_WIDTH`]-wide chunk of a
 /// [`TermColumn`], over the chunk's *included* entries only.
@@ -510,9 +516,11 @@ enum SinkMode {
         coeffs: Vec<f64>,
         mask: Vec<u64>,
     },
+    /// Chunk `c` goes to page `first_page + c` of the `pages` reserved.
     Paged {
         store: Arc<SpillStore>,
-        first_page: Option<u64>,
+        first_page: u64,
+        pages: u64,
     },
 }
 
@@ -530,16 +538,20 @@ impl ColumnSink {
         }
     }
 
-    /// A sink spilling chunks to `store` (one view build shares one store
-    /// across all its columns — and its buffer pool with every reader).
-    pub fn paged(func: AggFunc, store: Arc<SpillStore>) -> Self {
+    /// A sink spilling a column of `len` elements to `store` (one view build
+    /// shares one store across all its columns — and its buffer pool with
+    /// every reader). The column's pages are reserved here, consecutively,
+    /// so the fused build can push chunks of several columns interleaved.
+    pub fn paged(func: AggFunc, store: Arc<SpillStore>, len: usize) -> Self {
+        let pages = chunk_count(len) as u64;
         ColumnSink {
             func,
             len: 0,
-            chunks: Vec::new(),
+            chunks: Vec::with_capacity(pages as usize),
             mode: SinkMode::Paged {
+                first_page: store.reserve(pages),
+                pages,
                 store,
-                first_page: None,
             },
         }
     }
@@ -581,21 +593,16 @@ impl ColumnSink {
                 }
                 mask.extend_from_slice(&words);
             }
-            SinkMode::Paged { store, first_page } => {
-                let page = store
-                    .append_chunk(coeffs, included)
+            SinkMode::Paged {
+                store,
+                first_page,
+                pages,
+            } => {
+                let c = self.chunks.len() as u64 - 1;
+                assert!(c < *pages, "more chunks pushed than the sink reserved");
+                store
+                    .write_chunk(*first_page + c, coeffs, included)
                     .map_err(|e| PbError::Internal(format!("column spill write: {e}")))?;
-                if first_page.is_none() {
-                    *first_page = Some(page);
-                }
-                debug_assert_eq!(
-                    page,
-                    // pb-lint: allow(no-panic-in-solver-paths) — invariant:
-                    // `first_page` was filled on the first loop iteration;
-                    // debug-build consistency check only.
-                    first_page.unwrap() + (self.chunks.len() - 1) as u64,
-                    "a column's chunks must land on consecutive pages"
-                );
             }
         }
         Ok(())
@@ -605,12 +612,18 @@ impl ColumnSink {
     pub fn finish(self) -> TermColumn {
         let data = match self.mode {
             SinkMode::Resident { coeffs, mask } => ColumnData::Resident { coeffs, mask },
-            SinkMode::Paged { store, first_page } => ColumnData::Paged {
-                // An empty paged column never wrote a page; first_page 0 is
-                // fine — it has no chunks to address.
-                first_page: first_page.unwrap_or(0),
+            SinkMode::Paged {
                 store,
-            },
+                first_page,
+                pages,
+            } => {
+                assert_eq!(
+                    self.chunks.len() as u64,
+                    pages,
+                    "a paged column must be pushed to the length it reserved"
+                );
+                ColumnData::Paged { store, first_page }
+            }
         };
         TermColumn {
             func: self.func,
@@ -898,11 +911,10 @@ impl CandidateView {
         policy: &ColumnPolicy,
         par: ParExec,
     ) -> PbResult<Self> {
-        let schema = table.schema();
         // Candidate rows are only fetched when some column must actually be
-        // materialized (and `build` hands down the rows it already fetched
-        // for statistics) — on a full cache hit the table is never touched.
-        let mut rows: Option<Vec<&Tuple>> = prefetched;
+        // materialized (and `build` hands down the `prefetched` rows it
+        // already fetched for statistics) — on a full cache hit the table
+        // is never touched.
 
         // Collect the distinct aggregate terms of the formula and objective.
         let mut term_keys: Vec<AggCall> = Vec::new();
@@ -961,68 +973,74 @@ impl CandidateView {
             .as_ref()
             .map(|o| compile_expr(&o.expr, &mut term_keys, &mut intern));
 
-        // Materialize one column pair per term, unless the source already
-        // has the column (a cache hit on that term). Materialization fans
-        // out over fixed-width candidate chunks: each chunk evaluates its
-        // rows into chunk-local buffers, and the buffers are pushed into a
-        // [`ColumnSink`] in chunk order — disjoint fixed ranges, so the
-        // column (and any evaluation error: first failing chunk, first
-        // failing row) is identical at every thread count and storage mode.
+        // Materialize every term the source does not already have (a cache
+        // hit on that term), all of them in **one fused pass** over the
+        // candidate rows. The pass fans out over fixed-width candidate
+        // chunks: each chunk evaluates its rows into chunk-local buffers,
+        // one pair per missing term, and the buffers are pushed into the
+        // terms' [`ColumnSink`]s in chunk order — disjoint fixed ranges, so
+        // the columns (and any evaluation error, see [`materialize_chunk`])
+        // are identical at every thread count and storage mode.
         //
         // The storage decision is made once, view-level, over the columns
         // this assembly actually has to build (source-adopted columns keep
         // their mode): if their estimated footprint exceeds the policy's
-        // budget, all of them spill to one shared store. Paged builds
-        // materialize in bounded segments so the transient chunk buffers —
-        // not just the finished column — stay small.
-        let sourced: Vec<Option<TermColumn>> = term_keys.iter().map(column_source).collect();
-        let missing = sourced.iter().filter(|s| s.is_none()).count();
-        let store = if policy.wants_paged(missing, candidates.len()) {
-            Some(
-                SpillStore::create(policy.pool_pages)
-                    .map_err(|e| PbError::Internal(format!("column spill file: {e}")))?,
-            )
-        } else {
-            None
-        };
-        let mut terms = Vec::with_capacity(term_keys.len());
-        for (call, cached) in term_keys.iter().zip(sourced) {
-            if let Some(column) = cached {
-                debug_assert_eq!(column.len(), candidates.len());
-                terms.push(column);
-                continue;
-            }
-            let rows = match rows {
-                Some(ref rows) => rows,
-                None => {
-                    let fetched = candidates
-                        .iter()
-                        .map(|id| table.require(*id))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    rows.get_or_insert(fetched)
-                }
+        // budget, all of them spill to one shared store. The pass runs in
+        // bounded segments so the transient chunk buffers — not just the
+        // finished columns — stay small.
+        let mut terms: Vec<Option<TermColumn>> = term_keys.iter().map(column_source).collect();
+        let missing: Vec<usize> = (0..terms.len()).filter(|&t| terms[t].is_none()).collect();
+        if !missing.is_empty() {
+            let n = candidates.len();
+            let rows = match prefetched {
+                Some(rows) => rows,
+                None => candidates
+                    .iter()
+                    .map(|id| table.require(*id))
+                    .collect::<Result<Vec<_>, _>>()?,
             };
-            let mut sink = match &store {
-                Some(store) => ColumnSink::paged(call.func, Arc::clone(store)),
-                None => ColumnSink::resident(call.func, candidates.len()),
+            let fused = FusedTerms::bind(missing.iter().map(|&t| &term_keys[t]), table.schema())?;
+            let store = if policy.wants_paged(missing.len(), n) {
+                Some(
+                    SpillStore::create(policy.pool_pages)
+                        .map_err(|e| PbError::Internal(format!("column spill file: {e}")))?,
+                )
+            } else {
+                None
             };
-            // Segment starts are multiples of CHUNK_WIDTH, so the chunks a
-            // segment fans out are exactly the column's global chunks.
-            let seg = BUILD_SEGMENT_CHUNKS * CHUNK_WIDTH;
+            let mut sinks: Vec<ColumnSink> = missing
+                .iter()
+                .map(|&t| match &store {
+                    Some(store) => ColumnSink::paged(term_keys[t].func, Arc::clone(store), n),
+                    None => ColumnSink::resident(term_keys[t].func, n),
+                })
+                .collect();
+            // A segment holds one buffer pair per (chunk, fused term), so
+            // its width shrinks with the number of terms — but never below
+            // a chunk per executor thread. Segment starts are multiples of
+            // CHUNK_WIDTH, so the chunks a segment fans out are exactly the
+            // columns' global chunks.
+            let seg = (BUILD_SEGMENT_CHUNKS / missing.len()).max(par.threads()) * CHUNK_WIDTH;
             let mut start = 0;
-            while start < candidates.len() {
-                let end = (start + seg).min(candidates.len());
+            while start < n {
+                let end = (start + seg).min(n);
                 let chunks = par.run_chunks(end - start, |_, range| {
-                    materialize_chunk(call, schema, &rows[start + range.start..start + range.end])
+                    materialize_chunk(&fused, &rows[start + range.start..start + range.end])
                 });
                 for chunk in chunks {
-                    let (c, inc) = chunk?;
-                    sink.push_chunk(&c, &inc)?;
+                    for (sink, (coeffs, included)) in sinks.iter_mut().zip(chunk?) {
+                        sink.push_chunk(&coeffs, &included)?;
+                    }
                 }
                 start = end;
             }
-            terms.push(sink.finish());
+            for (t, sink) in missing.into_iter().zip(sinks) {
+                terms[t] = Some(sink.finish());
+            }
         }
+        let terms: Vec<TermColumn> = terms.into_iter().flatten().collect();
+        debug_assert_eq!(terms.len(), term_keys.len());
+        debug_assert!(terms.iter().all(|t| t.len() == candidates.len()));
 
         Ok(CandidateView {
             candidates,
@@ -1212,49 +1230,121 @@ impl CandidateView {
     }
 }
 
-/// Evaluates one fixed-width chunk of a term column into chunk-local
-/// coefficient/inclusion buffers (stitched back in chunk order by the
-/// caller — see [`CandidateView::assemble_par`]). Pure per-row work, which
-/// is what makes the chunk fan-out deterministic.
-fn materialize_chunk(
-    call: &AggCall,
-    schema: &minidb::Schema,
-    rows: &[&Tuple],
-) -> PbResult<(Vec<f64>, Vec<bool>)> {
-    let mut coeffs = vec![0.0; rows.len()];
-    let mut included = vec![false; rows.len()];
-    for (i, tuple) in rows.iter().enumerate() {
-        if let Some(filter) = &call.filter {
-            if !eval_predicate(filter, schema, tuple)? {
-                continue;
-            }
+/// The terms one assembly has to materialize, bound to the table schema
+/// once for the whole fused pass.
+struct FusedTerms {
+    /// The distinct `FILTER` predicates among the terms (structural
+    /// [`minidb::Expr`] equality — the same equality that interns terms).
+    filters: Vec<BoundExpr>,
+    /// The terms, in interning order.
+    terms: Vec<FusedTerm>,
+}
+
+struct FusedTerm {
+    func: AggFunc,
+    /// Index of the term's predicate in [`FusedTerms::filters`].
+    filter: Option<usize>,
+    /// The aggregate's argument; `None` for `COUNT(*)`.
+    arg: Option<BoundExpr>,
+}
+
+impl FusedTerms {
+    /// Binds every filter and argument. Unknown columns surface here, before
+    /// any row is read, in interning order (a term's filter before its
+    /// argument).
+    fn bind<'c>(calls: impl Iterator<Item = &'c AggCall>, schema: &Schema) -> PbResult<Self> {
+        let mut distinct: Vec<&Expr> = Vec::new();
+        let mut filters = Vec::new();
+        let mut terms = Vec::new();
+        for call in calls {
+            let filter = match &call.filter {
+                None => None,
+                Some(f) => Some(match distinct.iter().position(|d| *d == f) {
+                    Some(slot) => slot,
+                    None => {
+                        distinct.push(f);
+                        filters.push(BoundExpr::bind(f, schema)?);
+                        filters.len() - 1
+                    }
+                }),
+            };
+            let arg = call.arg.as_ref().map(|arg| BoundExpr::bind(arg, schema));
+            terms.push(FusedTerm {
+                func: call.func,
+                filter,
+                arg: arg.transpose()?,
+            });
         }
-        match &call.arg {
-            None => {
+        Ok(FusedTerms { filters, terms })
+    }
+}
+
+/// Evaluates one fixed-width chunk of candidate rows for **all** the fused
+/// terms at once, into one chunk-local `(coefficients, inclusion)` buffer
+/// pair per term (pushed to the terms' sinks in chunk order by the caller —
+/// see [`CandidateView::assemble_par`]). Each row is visited once: every
+/// distinct `FILTER` predicate is evaluated at most once per row and shared
+/// by the terms that carry it, and a term's argument is evaluated only for
+/// rows its filter lets in. Pure per-row work, which is what makes the chunk
+/// fan-out deterministic.
+///
+/// # Error order
+///
+/// A build that fails reports the error of the **first failing chunk**,
+/// within it the **first failing row** in candidate order, and within that
+/// row the **first failing term** in interning order (a term fails on its
+/// filter before its argument; a shared filter fails on behalf of the first
+/// term that carries it). Chunk boundaries are fixed and the caller reads
+/// chunk results in chunk order, so the reported error is the same at every
+/// thread count and in both storage modes.
+fn materialize_chunk(fused: &FusedTerms, rows: &[&Tuple]) -> PbResult<Vec<(Vec<f64>, Vec<bool>)>> {
+    let mut out: Vec<(Vec<f64>, Vec<bool>)> = fused
+        .terms
+        .iter()
+        .map(|_| (vec![0.0; rows.len()], vec![false; rows.len()]))
+        .collect();
+    // This row's verdict per distinct filter, filled in on first use.
+    let mut passes: Vec<Option<bool>> = vec![None; fused.filters.len()];
+    for (i, tuple) in rows.iter().enumerate() {
+        passes.fill(None);
+        for (term, (coeffs, included)) in fused.terms.iter().zip(&mut out) {
+            if let Some(slot) = term.filter {
+                let pass = match passes[slot] {
+                    Some(pass) => pass,
+                    None => {
+                        let pass = fused.filters[slot].eval_predicate(tuple)?;
+                        passes[slot] = Some(pass);
+                        pass
+                    }
+                };
+                if !pass {
+                    continue;
+                }
+            }
+            let Some(arg) = &term.arg else {
                 // COUNT(*): every filtered-in member contributes 1.
                 coeffs[i] = 1.0;
                 included[i] = true;
+                continue;
+            };
+            let v = arg.eval(tuple)?;
+            if v.is_null() {
+                // NULL arguments are skipped for every aggregate
+                // (COUNT(expr) included), matching SQL.
+                continue;
             }
-            Some(arg) => {
-                let v = eval(arg, schema, tuple)?;
-                if v.is_null() {
-                    // NULL arguments are skipped for every aggregate
-                    // (COUNT(expr) included), matching SQL.
-                    continue;
-                }
-                let value = v.expect_f64(&format!("argument of {}", call.func.name()))?;
-                // COUNT(expr) counts included members: its linear
-                // coefficient is 1, not the argument's value.
-                coeffs[i] = if call.func == AggFunc::Count {
-                    1.0
-                } else {
-                    value
-                };
-                included[i] = true;
-            }
+            let value = v.expect_f64(format_args!("argument of {}", term.func.name()))?;
+            // COUNT(expr) counts included members: its linear coefficient
+            // is 1, not the argument's value.
+            coeffs[i] = if term.func == AggFunc::Count {
+                1.0
+            } else {
+                value
+            };
+            included[i] = true;
         }
     }
-    Ok((coeffs, included))
+    Ok(out)
 }
 
 /// Incremental package accumulator over a [`CandidateView`].

@@ -16,6 +16,13 @@
 //! stricter standard against the point path it replaced in the full scans:
 //! **bit-for-bit** equality with `ViewState::score_with`, over every family,
 //! every formula shape the compiled form can take, resident and paged.
+//!
+//! The cold build itself — bound base scan, positional statistics, one fused
+//! materialization pass — is held to the same standard against a per-term,
+//! per-row rebuild through the reference tree-walking evaluator
+//! (`minidb/tests/common/reference_eval.rs`): candidates, term columns,
+//! inclusion masks, chunk metadata and every statistics field, bit for bit,
+//! at every thread count and in both storage modes.
 
 use minidb::{Table, Tuple, TupleId, Value};
 use packagebuilder::package::Package;
@@ -26,6 +33,9 @@ use packagebuilder::ColumnPolicy;
 use proptest::prelude::*;
 
 use datagen::{scenarios, QueryParams, Scenario, Seed};
+
+#[path = "../../minidb/tests/common/reference_eval.rs"]
+mod reference_eval;
 
 /// Draws a random package over the spec's candidates (possibly empty,
 /// possibly with repeated members up to the REPEAT bound).
@@ -307,6 +317,174 @@ proptest! {
             let removed: Vec<usize> = state.member_indices().collect();
             let context = format!("{} n={n} paged={} ({text})", scenario.name, spec.view().is_paged());
             assert_kernel_matches_point_path(&state, &removed, &context);
+        }
+    }
+}
+
+/// The build the fused pass replaced, through the reference evaluator: one
+/// term at a time, one row at a time, name resolution and all. Returns the
+/// term's coefficient and inclusion columns.
+fn reference_term_column(
+    table: &Table,
+    candidates: &[TupleId],
+    call: &paql::AggCall,
+) -> (Vec<f64>, Vec<bool>) {
+    let schema = table.schema();
+    let mut coeffs = vec![0.0; candidates.len()];
+    let mut included = vec![false; candidates.len()];
+    for (i, id) in candidates.iter().enumerate() {
+        let tuple = table.require(*id).unwrap();
+        if let Some(filter) = &call.filter {
+            if !reference_eval::eval_predicate(filter, schema, tuple).unwrap() {
+                continue;
+            }
+        }
+        let value = match &call.arg {
+            None => 1.0,
+            Some(arg) => match reference_eval::eval(arg, schema, tuple).unwrap() {
+                Value::Null => continue,
+                v => v.expect_f64("aggregate argument").unwrap(),
+            },
+        };
+        // COUNT's coefficient is 1 whatever its (non-NULL) argument.
+        coeffs[i] = if call.func == paql::AggFunc::Count {
+            1.0
+        } else {
+            value
+        };
+        included[i] = true;
+    }
+    (coeffs, included)
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 40, .. ProptestConfig::default() })]
+
+    /// The cold build — bound base scan, positional statistics, fused
+    /// multi-term materialization — equals a per-term, per-row rebuild
+    /// through the reference evaluator **bit for bit**: candidate list,
+    /// every term's coefficients, inclusion mask and `ChunkMeta`, and every
+    /// `TableStats` field, for every registered family and formula shape
+    /// (shared and distinct FILTERs, NULL arguments, COUNT(expr)), with and
+    /// without a base predicate, at 1, 2 and 8 threads, resident and
+    /// through a 2-frame pool.
+    #[test]
+    fn fused_cold_build_matches_a_per_term_per_row_rebuild(
+        scenario_pick in 0usize..64,
+        seed in 0u64..5_000,
+        shape in 0usize..7,
+        multi_chunk in prop::bool::ANY,
+        nulls in prop::bool::ANY,
+        base_predicate in prop::bool::ANY,
+        count in 1u64..5,
+        col_a in 0usize..4,
+        col_b in 0usize..4,
+        lo in 10.0f64..500.0,
+        width in 10.0f64..2000.0,
+    ) {
+        let registry = scenarios();
+        let scenario = &registry[scenario_pick % registry.len()];
+        let n = if multi_chunk { 2 * CHUNK_WIDTH + 300 } else { scenario.property_n };
+        let cols = scenario.columns;
+        let (a, b) = (cols[col_a % cols.len()], cols[col_b % cols.len()]);
+        let mut table = (scenario.build)(n, Seed(seed));
+        if nulls {
+            table = with_nulls(&table, a);
+        }
+        // Shapes past the generated five are the family's own gauntlet
+        // queries (the wide family's carries 122 terms over 4 FILTERs).
+        let mut text = match shape.checked_sub(5) {
+            None => scan_query(scenario, shape, (a, b), (lo, lo + width), count, None),
+            Some(own) => scenario.queries[own % scenario.queries.len()].text.clone(),
+        };
+        if base_predicate {
+            // NULLs in `a` make this predicate NULL on a third of the rows.
+            let family = scenario.filter.map(|f| format!(" OR {f}")).unwrap_or_default();
+            text = text.replacen(
+                " SUCH THAT",
+                &format!(" WHERE R.{a} >= {lo:.2}{family} SUCH THAT"),
+                1,
+            );
+        }
+        let analyzed = paql::compile(&text, table.schema()).expect("generated query compiles");
+        let schema = table.schema();
+
+        // The reference build: scan, statistics and columns, row by row.
+        let candidates: Vec<TupleId> = table
+            .iter()
+            .filter(|(_, row)| match &analyzed.query.where_clause {
+                None => true,
+                Some(pred) => reference_eval::eval_predicate(pred, schema, row).unwrap(),
+            })
+            .map(|(id, _)| id)
+            .collect();
+
+        for policy in [ColumnPolicy::resident(), ColumnPolicy::paged(2)] {
+            for threads in [1usize, 2, 8] {
+                let context = format!("{} n={n} {threads} threads {policy:?} ({text})", scenario.name);
+                let spec =
+                    PackageSpec::build_with(&analyzed, &table, &policy, ParExec::new(threads)).unwrap();
+                prop_assert_eq!(&spec.candidates, &candidates, "{}", context);
+                let view = spec.view();
+                prop_assert_eq!(view.candidates(), candidates.as_slice());
+
+                for (call, term) in view.term_keys().iter().zip(view.terms()) {
+                    let (coeffs, included) = reference_term_column(&table, &candidates, call);
+                    prop_assert_eq!(bits(&term.coeffs_vec()), bits(&coeffs), "{}: {:?}", context, call);
+                    prop_assert_eq!(term.included_vec(), included.clone(), "{}: {:?}", context, call);
+                    prop_assert_eq!(term.chunk_meta().len(), chunk_count(candidates.len()));
+                    for (c, meta) in term.chunk_meta().iter().enumerate() {
+                        let range = c * CHUNK_WIDTH..((c + 1) * CHUNK_WIDTH).min(candidates.len());
+                        let (mut sum, mut min, mut max, mut inc) =
+                            (0.0f64, f64::INFINITY, f64::NEG_INFINITY, 0u32);
+                        for i in range {
+                            if included[i] {
+                                sum += coeffs[i];
+                                min = min.min(coeffs[i]);
+                                max = max.max(coeffs[i]);
+                                inc += 1;
+                            }
+                        }
+                        prop_assert_eq!(
+                            (meta.sum.to_bits(), meta.min.to_bits(), meta.max.to_bits(), meta.included),
+                            (sum.to_bits(), min.to_bits(), max.to_bits(), inc),
+                            "{}: chunk {} of {:?}", context, c, call
+                        );
+                    }
+                }
+
+                // Statistics the way they were folded before: by column
+                // name, dividing for the mean after every value.
+                prop_assert_eq!(spec.stats().row_count(), candidates.len());
+                prop_assert_eq!(spec.stats().column_names().len(), schema.numeric_columns().len());
+                for name in schema.numeric_columns() {
+                    let col = schema.require(name).unwrap();
+                    let (mut cnt, mut nul, mut sum, mut mean) = (0usize, 0usize, 0.0f64, 0.0f64);
+                    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+                    for id in &candidates {
+                        match table.require(*id).unwrap().values()[col].as_f64() {
+                            None => nul += 1,
+                            Some(x) => {
+                                cnt += 1;
+                                sum += x;
+                                if x < min { min = x; }
+                                if x > max { max = x; }
+                                mean = sum / cnt as f64;
+                            }
+                        }
+                    }
+                    let got = spec.stats().column(name).unwrap();
+                    prop_assert_eq!(
+                        (got.count, got.nulls, got.min.to_bits(), got.max.to_bits(), got.sum.to_bits(), got.mean.to_bits()),
+                        (cnt, nul, min.to_bits(), max.to_bits(), sum.to_bits(), mean.to_bits()),
+                        "{}: statistics of {}", context, name
+                    );
+                }
+            }
         }
     }
 }

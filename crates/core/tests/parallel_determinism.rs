@@ -175,6 +175,69 @@ fn parallel_view_builds_match_sequential_builds() {
     }
 }
 
+/// A failing fused build reports one error, chosen by position alone:
+/// first failing chunk, then first failing row in candidate order, then
+/// first failing term in interning order — at every thread count and in both
+/// storage modes. (A per-term build would report term 0's first failure
+/// wherever it sat.) Two `MIN`/`MAX` terms over text columns that are NULL
+/// everywhere except one poisoned row each; the analyzer only rejects
+/// `SUM`/`AVG` of text statically, so these reach materialization.
+#[test]
+fn a_failing_fused_build_reports_the_same_error_everywhere() {
+    use minidb::{ColumnType, DbError, Schema, Tuple, Value};
+    use packagebuilder::{ColumnPolicy, PbError};
+
+    const QUERY: &str = "SELECT PACKAGE(R) AS P FROM poisoned R \
+        SUCH THAT COUNT(*) <= 3 AND MIN(P.a) >= 0 AND MAX(P.b) <= 9 MAXIMIZE SUM(P.v)";
+    let schema = Schema::build(&[
+        ("a", ColumnType::Text),
+        ("b", ColumnType::Text),
+        ("v", ColumnType::Float),
+    ]);
+    // (row poisoning term 1 = MIN(a), row poisoning term 2 = MAX(b)) → the
+    // term and value the rule picks.
+    let cases = [
+        // Different chunks: the earlier chunk wins although its term is later.
+        ((5_000, 100), ("MAX", "b100")),
+        ((100, 9_000), ("MIN", "a100")),
+        // Same chunk, different rows: the earlier row wins.
+        ((4_200, 4_100), ("MAX", "b4100")),
+        // Same row: the term interned first wins.
+        ((7_000, 7_000), ("MIN", "a7000")),
+    ];
+    for ((bad_a, bad_b), (func, value)) in cases {
+        let mut table = Table::new("poisoned", schema.clone());
+        for i in 0..10_000usize {
+            let text = |prefix: &str, bad: usize| match i == bad {
+                true => Value::Text(format!("{prefix}{i}")),
+                false => Value::Null,
+            };
+            table
+                .insert(Tuple::new(vec![
+                    text("a", bad_a),
+                    text("b", bad_b),
+                    Value::Float(i as f64),
+                ]))
+                .unwrap();
+        }
+        let analyzed = paql::compile(QUERY, table.schema()).unwrap();
+        let expected = PbError::Db(DbError::TypeError(format!(
+            "expected a numeric value in argument of {func}, got {value}"
+        )));
+        for policy in [ColumnPolicy::resident(), ColumnPolicy::paged(2)] {
+            for threads in THREAD_COUNTS {
+                let err =
+                    PackageSpec::build_with(&analyzed, &table, &policy, ParExec::new(threads))
+                        .expect_err("a text argument cannot be materialized");
+                assert_eq!(
+                    err, expected,
+                    "poison at ({bad_a}, {bad_b}), {threads} threads, {policy:?}"
+                );
+            }
+        }
+    }
+}
+
 /// The exact core under fan-out: parallel branch and bound (batched frontier
 /// solves, merged in batch order — see `lp_solver::branch_bound`) returns
 /// bit-identical packages, objectives, optimality flags *and* node/iteration

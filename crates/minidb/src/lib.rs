@@ -6,8 +6,9 @@
 //! crate provides the same capabilities as a library:
 //!
 //! * typed [`Value`]s, [`Schema`]s, [`Tuple`]s and [`Table`]s,
-//! * a scalar [`expr::Expr`] language with an evaluator (selection predicates,
-//!   i.e. PaQL *base constraints*),
+//! * a scalar [`expr::Expr`] language (selection predicates, i.e. PaQL *base
+//!   constraints*) evaluated through [`eval::BoundExpr`]: bound to a schema
+//!   once, then run against any number of rows,
 //! * relational operators in [`ops`] (scan, filter, project, cross join,
 //!   aggregate, sort, limit) used by the heuristic local search,
 //! * per-column [`stats::ColumnStats`] used by cardinality-based pruning,

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::DbError;
-use crate::eval::{eval, eval_predicate};
+use crate::eval::BoundExpr;
 use crate::expr::Expr;
 use crate::schema::{Column, ColumnType, Schema};
 use crate::table::Table;
@@ -58,9 +58,10 @@ pub fn scan(table: &Table) -> Relation {
 
 /// Filters rows by a predicate (NULL does not qualify).
 pub fn filter(input: &Relation, predicate: &Expr) -> DbResult<Relation> {
+    let predicate = BoundExpr::bind(predicate, &input.schema)?;
     let mut rows = Vec::new();
     for row in &input.rows {
-        if eval_predicate(predicate, &input.schema, row)? {
+        if predicate.eval_predicate(row)? {
             rows.push(row.clone());
         }
     }
@@ -70,11 +71,15 @@ pub fn filter(input: &Relation, predicate: &Expr) -> DbResult<Relation> {
 /// Projects expressions into a new relation. Each output column is named by
 /// the paired string.
 pub fn project(input: &Relation, exprs: &[(String, Expr)]) -> DbResult<Relation> {
+    let bound: Vec<BoundExpr> = exprs
+        .iter()
+        .map(|(_, e)| BoundExpr::bind(e, &input.schema))
+        .collect::<DbResult<_>>()?;
     let mut rows = Vec::with_capacity(input.rows.len());
     for row in &input.rows {
-        let mut out = Vec::with_capacity(exprs.len());
-        for (_, e) in exprs {
-            out.push(eval(e, &input.schema, row)?);
+        let mut out = Vec::with_capacity(bound.len());
+        for e in &bound {
+            out.push(e.eval(row)?.into_owned());
         }
         rows.push(Tuple::new(out));
     }
@@ -194,78 +199,75 @@ pub fn aggregate(
         columns.push(Column::new(a.name.clone(), ty));
     }
 
+    let bound: Vec<Option<BoundExpr>> = aggregates
+        .iter()
+        .map(|a| a.expr.as_ref().map(|e| BoundExpr::bind(e, &input.schema)))
+        .map(Option::transpose)
+        .collect::<DbResult<_>>()?;
     let mut rows = Vec::with_capacity(groups.len());
     for (key, members) in groups {
         let mut out = key.clone();
-        for a in aggregates {
-            out.push(compute_aggregate(a, &input.schema, &members)?);
+        for (a, expr) in aggregates.iter().zip(&bound) {
+            out.push(compute_aggregate(a.func, expr.as_ref(), &members)?);
         }
         rows.push(Tuple::new(out));
     }
     Ok(Relation::new(Schema::new(columns)?, rows))
 }
 
-fn compute_aggregate(a: &Aggregate, schema: &Schema, rows: &[&Tuple]) -> DbResult<Value> {
-    match a.func {
+fn compute_aggregate(func: AggFunc, expr: Option<&BoundExpr>, rows: &[&Tuple]) -> DbResult<Value> {
+    let bound = match (expr, func) {
+        (Some(bound), _) => bound,
+        (None, AggFunc::Count) => return Ok(Value::Int(rows.len() as i64)),
+        (None, _) => {
+            return Err(DbError::EvalError(format!(
+                "{} requires an expression",
+                func.name()
+            )))
+        }
+    };
+    match func {
         AggFunc::Count => {
-            if let Some(e) = &a.expr {
-                let mut n = 0i64;
-                for row in rows {
-                    if !eval(e, schema, row)?.is_null() {
-                        n += 1;
-                    }
+            let mut n = 0i64;
+            for row in rows {
+                if !bound.eval(row)?.is_null() {
+                    n += 1;
                 }
-                Ok(Value::Int(n))
-            } else {
-                Ok(Value::Int(rows.len() as i64))
             }
+            Ok(Value::Int(n))
         }
         AggFunc::Sum | AggFunc::Avg => {
-            let e = a.expr.as_ref().ok_or_else(|| {
-                DbError::EvalError(format!("{} requires an expression", a.func.name()))
-            })?;
             let mut sum = 0.0;
             let mut n = 0usize;
             for row in rows {
-                let v = eval(e, schema, row)?;
-                if let Some(x) = v.as_f64() {
+                if let Some(x) = bound.eval(row)?.as_f64() {
                     sum += x;
                     n += 1;
                 }
             }
             if n == 0 {
                 Ok(Value::Null)
-            } else if a.func == AggFunc::Sum {
+            } else if func == AggFunc::Sum {
                 Ok(Value::Float(sum))
             } else {
                 Ok(Value::Float(sum / n as f64))
             }
         }
         AggFunc::Min | AggFunc::Max => {
-            let e = a.expr.as_ref().ok_or_else(|| {
-                DbError::EvalError(format!("{} requires an expression", a.func.name()))
-            })?;
             let mut best: Option<Value> = None;
             for row in rows {
-                let v = eval(e, schema, row)?;
+                let v = bound.eval(row)?;
                 if v.is_null() {
                     continue;
                 }
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let keep_new = if a.func == AggFunc::Min {
-                            v.total_cmp(&b).is_lt()
-                        } else {
-                            v.total_cmp(&b).is_gt()
-                        };
-                        if keep_new {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
+                let keep_new = match &best {
+                    None => true,
+                    Some(b) if func == AggFunc::Min => v.total_cmp(b).is_lt(),
+                    Some(b) => v.total_cmp(b).is_gt(),
+                };
+                if keep_new {
+                    best = Some(v.into_owned());
+                }
             }
             Ok(best.unwrap_or(Value::Null))
         }

@@ -11,6 +11,7 @@ use crate::error::DbError;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::tuple::Tuple;
+use crate::value::Value;
 use crate::DbResult;
 
 /// Summary statistics of one numeric column over a set of rows.
@@ -43,8 +44,9 @@ impl ColumnStats {
         }
     }
 
-    /// Folds one value into the statistics.
-    pub fn observe(&mut self, v: Option<f64>) {
+    /// Folds one value into everything but `mean`, which
+    /// [`ColumnStats::finish`] sets once after the last value.
+    fn accumulate(&mut self, v: Option<f64>) {
         match v {
             None => self.nulls += 1,
             Some(x) => {
@@ -56,8 +58,14 @@ impl ColumnStats {
                 if x > self.max {
                     self.max = x;
                 }
-                self.mean = self.sum / self.count as f64;
             }
+        }
+    }
+
+    /// Sets `mean` from the accumulated `sum` and `count`.
+    fn finish(&mut self) {
+        if self.count > 0 {
+            self.mean = self.sum / self.count as f64;
         }
     }
 
@@ -89,28 +97,38 @@ impl TableStats {
     /// materializing a row vector. This is the path the engine uses to
     /// profile candidate sets: callers stream `&Tuple` references straight
     /// out of the table instead of cloning every candidate row.
+    ///
+    /// Numeric columns are resolved to positions once; the scan accumulates
+    /// into a vector indexed by those positions — no name lookup per cell —
+    /// and the name map is built once at the end. Each column's values are
+    /// folded in row order (so `sum` has the bits of a sequential sum) and
+    /// `mean` is one division of the final `sum` by the final `count`,
+    /// which is what dividing after every value would have left behind.
     pub fn of_row_refs<'t>(schema: &Schema, rows: impl IntoIterator<Item = &'t Tuple>) -> Self {
-        let mut columns: BTreeMap<String, ColumnStats> = schema
-            .columns()
-            .iter()
-            .filter(|c| c.ty.is_numeric())
-            .map(|c| (c.name.to_ascii_lowercase(), ColumnStats::empty()))
-            .collect();
-        let numeric_idx: Vec<(usize, String)> = schema
+        let numeric: Vec<(usize, &str)> = schema
             .columns()
             .iter()
             .enumerate()
             .filter(|(_, c)| c.ty.is_numeric())
-            .map(|(i, c)| (i, c.name.to_ascii_lowercase()))
+            .map(|(i, c)| (i, c.name.as_str()))
             .collect();
+        let mut stats = vec![ColumnStats::empty(); numeric.len()];
         let mut row_count = 0usize;
         for row in rows {
             row_count += 1;
-            for (idx, name) in &numeric_idx {
-                let v = row.get(*idx).and_then(|v| v.as_f64());
-                columns.get_mut(name).expect("initialized above").observe(v);
+            let values = row.values();
+            for (slot, (idx, _)) in stats.iter_mut().zip(&numeric) {
+                slot.accumulate(values.get(*idx).and_then(Value::as_f64));
             }
         }
+        let columns = numeric
+            .iter()
+            .zip(stats)
+            .map(|((_, name), mut column)| {
+                column.finish();
+                (name.to_ascii_lowercase(), column)
+            })
+            .collect();
         TableStats {
             columns,
             rows: row_count,
@@ -185,6 +203,31 @@ mod tests {
         assert_eq!(cal.sum, 400.0);
         assert_eq!(cal.mean, 200.0);
         assert_eq!(s.row_count(), 3);
+    }
+
+    #[test]
+    fn sum_and_mean_have_the_bits_of_a_row_order_fold() {
+        let schema = Schema::build(&[("tag", ColumnType::Text), ("x", ColumnType::Float)]);
+        let mut t = Table::new("t", schema);
+        let (mut sum, mut count, mut mean) = (0.0f64, 0usize, 0.0f64);
+        for i in 0..1000 {
+            if i % 7 == 3 {
+                t.insert(Tuple::new(vec![Value::Text("n".into()), Value::Null]))
+                    .unwrap();
+                continue;
+            }
+            let x = (i as f64).sin() * 1e3 + 0.1;
+            t.insert(tuple!("v", x)).unwrap();
+            sum += x;
+            count += 1;
+            // The per-value division the positional scan does once.
+            mean = sum / count as f64;
+        }
+        let x = *TableStats::of_table(&t).column("x").unwrap();
+        assert_eq!(x.count, count);
+        assert_eq!(x.nulls, 1000 - count);
+        assert_eq!(x.sum.to_bits(), sum.to_bits());
+        assert_eq!(x.mean.to_bits(), mean.to_bits());
     }
 
     #[test]

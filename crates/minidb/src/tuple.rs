@@ -63,7 +63,7 @@ impl Tuple {
     /// Numeric value by column name (errors on non-numeric columns).
     pub fn get_f64(&self, schema: &Schema, name: &str) -> DbResult<f64> {
         self.get_named(schema, name)?
-            .expect_f64(&format!("column '{name}'"))
+            .expect_f64(format_args!("column '{name}'"))
     }
 
     /// Concatenation of two tuples (used by the cross-join operator).

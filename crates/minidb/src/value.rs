@@ -50,8 +50,9 @@ impl Value {
         }
     }
 
-    /// Numeric view or an error mentioning `ctx`.
-    pub fn expect_f64(&self, ctx: &str) -> DbResult<f64> {
+    /// Numeric view or an error mentioning `ctx` — which is only formatted
+    /// on the error path, so per-cell callers can pass `format_args!`.
+    pub fn expect_f64(&self, ctx: impl fmt::Display) -> DbResult<f64> {
         self.as_f64().ok_or_else(|| {
             DbError::TypeError(format!("expected a numeric value in {ctx}, got {self}"))
         })
@@ -213,8 +214,8 @@ fn numeric_binop(a: &Value, b: &Value, op: &str, f: impl Fn(f64, f64) -> f64) ->
     if a.is_null() || b.is_null() {
         return Ok(Value::Null);
     }
-    let x = a.expect_f64(&format!("operator '{op}'"))?;
-    let y = b.expect_f64(&format!("operator '{op}'"))?;
+    let x = a.expect_f64(format_args!("operator '{op}'"))?;
+    let y = b.expect_f64(format_args!("operator '{op}'"))?;
     let r = f(x, y);
     // Preserve integer-ness when both inputs are integers and the result is
     // exactly representable.
