@@ -20,7 +20,9 @@
 //! genuinely non-linear AVG shapes (AVG vs AVG, AVG objectives) fall back to
 //! enumeration or local search.
 
-use lp_solver::{ConstraintOp, LpError, Problem, Sense, SolverConfig, Status, VarId, VarType};
+use lp_solver::{
+    ConstraintOp, LinExpr, LpError, Problem, Sense, SolverConfig, Status, VarId, VarType,
+};
 use paql::{AggFunc, CmpOp, ObjectiveDirection};
 
 use crate::budget::Budget;
@@ -493,30 +495,22 @@ pub fn translate(view: &CandidateView) -> PbResult<IlpTranslation> {
         ObjectiveDirection::Minimize => Sense::Minimize,
     };
     let mut problem = Problem::new(sense);
-    let vars: Vec<VarId> = view
-        .candidates()
-        .iter()
-        .map(|tid| {
-            problem.add_var(
-                format!("x_{tid}"),
-                VarType::Integer,
-                0.0,
-                view.max_multiplicity() as f64,
-            )
-        })
+    // One unnamed variable per candidate: `x{i}` is generated only if a
+    // diagnostic ever needs it.
+    let max_multiplicity = view.max_multiplicity() as f64;
+    let vars: Vec<VarId> = (0..view.candidate_count())
+        .map(|_| problem.add_unnamed_var(VarType::Integer, 0.0, max_multiplicity))
         .collect();
 
     let constraints = linearize_formula(view)
         .map_err(|r| PbError::Unsupported(format!("cannot translate to ILP: {r}")))?;
     for (idx, lc) in constraints.into_iter().enumerate() {
-        let terms: Vec<(VarId, f64)> = lc
-            .coeffs
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0.0)
-            .map(|(i, &c)| (vars[i], c))
-            .collect();
-        problem.add_constraint_terms(format!("g{idx}"), &terms, lc.op, lc.rhs);
+        // Ascending variables: every term takes `LinExpr`'s append path.
+        let mut expr = LinExpr::new();
+        for (i, &c) in lc.coeffs.iter().enumerate() {
+            expr.add_term(vars[i], c);
+        }
+        problem.add_constraint(format!("g{idx}"), expr, lc.op, lc.rhs);
     }
 
     let objective = linearize_objective(view)

@@ -294,8 +294,7 @@ pub(crate) fn solve_sketch(
     let mut problem = Problem::new(sense);
     let vars: Vec<VarId> = capacities
         .iter()
-        .enumerate()
-        .map(|(p, &cap)| problem.add_var(format!("y_{p}"), VarType::Integer, 0.0, cap as f64))
+        .map(|&cap| problem.add_unnamed_var(VarType::Integer, 0.0, cap as f64))
         .collect();
     for (c, row) in rows.iter().enumerate() {
         let terms: Vec<(VarId, f64)> = means_rows[c]
@@ -560,7 +559,7 @@ fn solve_partition(
     });
     let vars: Vec<VarId> = members
         .iter()
-        .map(|&i| problem.add_var(format!("x_{i}"), VarType::Integer, 0.0, r))
+        .map(|_| problem.add_unnamed_var(VarType::Integer, 0.0, r))
         .collect();
     for (c, row) in ctx.rows.iter().enumerate() {
         let terms: Vec<(VarId, f64)> = members

@@ -2,11 +2,15 @@
 //!
 //! The MILP layer drives the LP relaxation solver of [`crate::simplex`]:
 //! each node tightens the bounds of one integer variable (floor/ceil of its
-//! fractional relaxation value). Child LPs are **warm-started** from their
-//! parent's optimal basis and solved inside a per-thread reusable
-//! [`crate::simplex::LpWorkspace`], so a node costs a few dual-simplex
-//! pivots instead of a full two-phase solve — and none of the `O(n)` tableau
-//! construction a fresh solve would pay.
+//! fractional relaxation value). One [`LpMatrix`] is built per MILP solve and
+//! shared by every worker; each worker owns one [`LpWorkspace`] over it. A
+//! node's bounds are its ancestors' patch chain laid over the workspace's
+//! root bounds, its LP is **warm-started** from its parent's optimal basis,
+//! and what comes back is compact — status, objective, the branching
+//! variable picked from the (at most `m`) basic values, and the dense value
+//! vector only when the relaxation is an incumbent candidate. A node costs a
+//! few dual-simplex pivots and nothing proportional to the variable count
+//! beyond them.
 //!
 //! # Deterministic parallel exploration
 //!
@@ -23,8 +27,10 @@
 //!
 //! Each node stores its **own** LP relaxation bound (solved eagerly when the
 //! node is created), so best-bound ordering and incumbent pruning use the
-//! tight child bound rather than the parent's, and [`Solution::gap`] is
-//! exact when a limit stops the search.
+//! tight child bound rather than the parent's. When a limit stops the search,
+//! [`Solution::gap`] is measured against the best bound of *every* open
+//! subtree: the heap's top and the parents of jobs the limit left unsolved
+//! or unmerged.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -32,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::problem::{Problem, Sense, VarType};
-use crate::simplex::{solve_lp_warm, Basis, LpWorkspace, WarmAttempt};
+use crate::simplex::{Basis, LpMatrix, LpWorkspace};
 use crate::solution::{Solution, Status};
 use crate::{LpError, LpResult, SolverConfig};
 
@@ -44,11 +50,11 @@ const NODE_BATCH: usize = 16;
 
 /// One branching decision: variable `var` was clamped to `[lb, ub]`.
 ///
-/// A node's full bound vector is the root bounds patched by its ancestor
-/// chain (nearest patch wins), materialized only when its LP is solved.
-/// Storing deltas instead of `O(n)` bound vectors keeps a frontier node to a
-/// few dozen bytes, which is what lets the heap hold thousands of nodes on
-/// 20 000-variable package ILPs.
+/// A node's bounds are the root bounds patched by its ancestor chain
+/// (nearest patch wins); the chain is handed to [`LpWorkspace::solve`] as an
+/// overlay and never expanded into a bound vector. Storing deltas keeps a
+/// frontier node to a few dozen bytes, which is what lets the heap hold
+/// thousands of nodes on 20 000-variable package ILPs.
 struct BoundPatch {
     var: usize,
     lb: f64,
@@ -72,20 +78,9 @@ fn effective_bounds(
     root[var]
 }
 
-/// Root bounds with the chain's patches applied (nearest patch per variable
-/// wins).
-fn materialize_bounds(root: &[(f64, f64)], chain: &Option<Arc<BoundPatch>>) -> Vec<(f64, f64)> {
-    let mut bounds = root.to_vec();
-    let mut seen: Vec<usize> = Vec::new();
-    let mut cur = chain.as_deref();
-    while let Some(p) = cur {
-        if !seen.contains(&p.var) {
-            bounds[p.var] = (p.lb, p.ub);
-            seen.push(p.var);
-        }
-        cur = p.parent.as_deref();
-    }
-    bounds
+/// The chain as [`LpWorkspace::solve`] wants it: nearest patch first.
+fn overlay(chain: &Option<Arc<BoundPatch>>) -> impl Iterator<Item = (usize, f64, f64)> + '_ {
+    std::iter::successors(chain.as_deref(), |p| p.parent.as_deref()).map(|p| (p.var, p.lb, p.ub))
 }
 
 /// A frontier node whose LP relaxation has already been solved (eager
@@ -131,62 +126,106 @@ impl Ord for Node {
 }
 
 /// An unsolved child LP: bounds (as a patch chain) plus the parent basis to
-/// warm-start from. Cheap to clone — two `Arc`s and a depth.
+/// warm-start from. Cheap to clone — two `Arc`s, a depth and a bound.
 #[derive(Clone)]
 struct Job {
     chain: Option<Arc<BoundPatch>>,
     warm: Option<Arc<Basis>>,
     depth: u32,
+    /// The parent's bound key: what is known about this subtree until its
+    /// own LP has been solved *and merged*.
+    parent_bound: f64,
 }
 
-type JobResult = LpResult<(Solution, Option<Basis>)>;
+/// What a worker reports about one solved node LP.
+struct NodeOutcome {
+    status: Status,
+    objective: f64,
+    iterations: usize,
+    /// Most fractional integer variable and its relaxation value; `None`
+    /// when the relaxation is integral (or not optimal).
+    branch: Option<(usize, f64)>,
+    /// The dense relaxation solution, present exactly when the merge may
+    /// need it: an integral optimum (incumbent candidate) or an unbounded
+    /// ray.
+    values: Option<Vec<f64>>,
+    basis: Option<Basis>,
+}
 
-/// Solves one job's LP relaxation. Pure function of (problem, root bounds,
-/// config, job) — the determinism guarantee leans on this: `ws` is a
-/// per-thread [`LpWorkspace`] that amortizes tableau construction across the
-/// thousands of node LPs of one solve, and every call fully resets its
-/// mutable state, so *which* worker's workspace solves a job never affects
-/// the result.
-fn solve_job(
+type JobResult = LpResult<NodeOutcome>;
+
+/// What every job of one MILP solve shares.
+struct Shared<'a> {
+    problem: &'a Problem,
+    config: &'a SolverConfig,
+    matrix: &'a LpMatrix,
+    root_bounds: &'a [(f64, f64)],
+}
+
+impl<'a> Shared<'a> {
+    fn workspace(&self) -> LpWorkspace<'a> {
+        LpWorkspace::new(self.matrix, self.root_bounds)
+    }
+}
+
+/// The most fractional integer variable among the basic values of a
+/// relaxation (values nearest `.5` first, ties to the lowest index). Only a
+/// basic variable can be fractional: a nonbasic integer variable rests on a
+/// bound, and integer bounds are integral (rounded inwards at the root,
+/// floor/ceil at every branch).
+pub(crate) fn branch_variable(
     problem: &Problem,
-    config: &SolverConfig,
-    root_bounds: &[(f64, f64)],
-    job: &Job,
-    ws: &mut Option<LpWorkspace>,
-) -> JobResult {
-    let bounds = materialize_bounds(root_bounds, &job.chain);
-    if let (Some(ws), Some(warm)) = (ws.as_mut(), job.warm.as_deref()) {
-        match ws.solve(problem, &bounds, config, warm)? {
-            WarmAttempt::Done(solution, basis) => return Ok((solution, basis)),
-            WarmAttempt::Fallback(spent) => {
-                // The warm start didn't pan out (stale basis or numerical
-                // trouble): re-solve cold, charging the wasted pivots so
-                // iteration counts stay meaningful.
-                let (mut solution, basis) = solve_lp_warm(problem, Some(&bounds), config, None)?;
-                solution.iterations += spent;
-                return Ok((solution, basis));
+    basics: &[(usize, f64)],
+    int_tolerance: f64,
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64, f64)> = None; // (variable, value, score)
+    for &(i, v) in basics {
+        if problem.variables()[i].ty != VarType::Integer {
+            continue;
+        }
+        let frac = (v - v.round()).abs();
+        if frac > int_tolerance {
+            let dist_to_half = (v - v.floor() - 0.5).abs();
+            let score = 0.5 - dist_to_half;
+            if best.map(|(_, _, s)| score > s).unwrap_or(true) {
+                best = Some((i, v, score));
             }
         }
     }
-    solve_lp_warm(problem, Some(&bounds), config, job.warm.as_deref())
+    best.map(|(i, v, _)| (i, v))
+}
+
+/// Solves one job's LP relaxation. Pure function of (shared, job) — the
+/// determinism guarantee leans on this: `ws` is a per-thread [`LpWorkspace`]
+/// whose every solve first undoes whatever the previous one touched, so
+/// *which* worker's workspace solves a job never affects the result.
+fn solve_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobResult {
+    let lp = ws.solve(overlay(&job.chain), job.warm.as_deref(), shared.config)?;
+    let branch = branch_variable(shared.problem, &lp.basics, shared.config.int_tolerance);
+    let values = match lp.status {
+        Status::Unbounded => Some(ws.dense_values()),
+        Status::Optimal if branch.is_none() => Some(ws.dense_values()),
+        _ => None,
+    };
+    Ok(NodeOutcome {
+        status: lp.status,
+        objective: lp.objective,
+        iterations: lp.iterations,
+        branch,
+        values,
+        basis: lp.basis,
+    })
 }
 
 /// [`solve_job`] with a panic guard: a worker panic becomes a numerical
 /// error instead of deadlocking the pool (and the sequential path uses the
 /// same wrapper so both paths behave identically). `AssertUnwindSafe` is
 /// sound for the workspace because every [`LpWorkspace::solve`] starts by
-/// resetting all state a previous (even panicked) call could have left.
-fn run_job(
-    problem: &Problem,
-    config: &SolverConfig,
-    root_bounds: &[(f64, f64)],
-    job: &Job,
-    ws: &mut Option<LpWorkspace>,
-) -> JobResult {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        solve_job(problem, config, root_bounds, job, ws)
-    }))
-    .unwrap_or_else(|_| Err(LpError::Numerical("panic while solving node LP".into())))
+/// restoring every column a previous (even panicked) call touched — the
+/// dirty list names a column before the column changes.
+fn run_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobResult {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| solve_job(shared, job, ws)))
+        .unwrap_or_else(|_| Err(LpError::Numerical("panic while solving node LP".into())))
 }
 
 /// Shared state of the per-solve worker pool. The pool lives for the whole
@@ -203,15 +242,13 @@ struct PoolState {
 }
 
 struct Pool<'a> {
-    problem: &'a Problem,
-    config: &'a SolverConfig,
-    root_bounds: &'a [(f64, f64)],
+    shared: Shared<'a>,
     state: Mutex<PoolState>,
     work: Condvar,
 }
 
 fn worker_loop(pool: &Pool<'_>) {
-    let mut ws = LpWorkspace::new(pool.problem);
+    let mut ws = pool.shared.workspace();
     loop {
         let (idx, job) = {
             let mut st = pool.state.lock().unwrap();
@@ -228,7 +265,7 @@ fn worker_loop(pool: &Pool<'_>) {
             st.next += 1;
             (idx, st.jobs[idx].clone())
         };
-        let r = run_job(pool.problem, pool.config, pool.root_bounds, &job, &mut ws);
+        let r = run_job(&pool.shared, &job, &mut ws);
         let mut st = pool.state.lock().unwrap();
         st.results[idx] = Some(r);
         st.pending -= 1;
@@ -242,11 +279,7 @@ fn worker_loop(pool: &Pool<'_>) {
 /// loop (so `num_threads = T` means `T` solving threads, not `T + 1`), then
 /// waits for the helpers to finish their claimed jobs. `ws` is the *calling
 /// thread's* workspace, owned by the caller so it survives across batches.
-fn solve_batch_pooled(
-    pool: &Pool<'_>,
-    jobs: &[Job],
-    ws: &mut Option<LpWorkspace>,
-) -> Vec<JobResult> {
+fn solve_batch_pooled(pool: &Pool<'_>, jobs: &[Job], ws: &mut LpWorkspace<'_>) -> Vec<JobResult> {
     {
         let mut st = pool.state.lock().unwrap();
         st.jobs = jobs.to_vec();
@@ -267,7 +300,7 @@ fn solve_batch_pooled(
             }
         };
         let Some((idx, job)) = claimed else { break };
-        let r = run_job(pool.problem, pool.config, pool.root_bounds, &job, ws);
+        let r = run_job(&pool.shared, &job, ws);
         let mut st = pool.state.lock().unwrap();
         st.results[idx] = Some(r);
         st.pending -= 1;
@@ -343,6 +376,19 @@ struct SearchState {
     /// The objective can only take integral values (see
     /// [`objective_is_integral`]); bounds are rounded before pruning.
     integral_obj: bool,
+    /// Best bound key among subtrees a limit removed from the heap without
+    /// exploring them: jobs dropped from a truncated batch and jobs whose
+    /// results an interrupt left unmerged. Their parents were popped, so the
+    /// heap no longer vouches for them.
+    lost_bound: Option<f64>,
+}
+
+impl SearchState {
+    /// Records that `job`'s subtree stays unexplored.
+    fn lose(&mut self, job: &Job) {
+        let best = self.lost_bound.unwrap_or(f64::NEG_INFINITY);
+        self.lost_bound = Some(best.max(job.parent_bound));
+    }
 }
 
 /// What merging one solved job decided.
@@ -363,8 +409,7 @@ fn merge_one(
     int_vars: &[usize],
     st: &mut SearchState,
     job: &Job,
-    relax: Solution,
-    basis: Option<Basis>,
+    relax: NodeOutcome,
 ) -> Merged {
     st.nodes += 1;
     st.total_iterations += relax.iterations;
@@ -377,7 +422,7 @@ fn merge_one(
             return Merged::Unbounded(Solution {
                 status: Status::Unbounded,
                 objective: relax.objective,
-                values: relax.values,
+                values: relax.values.unwrap_or_default(),
                 iterations: st.total_iterations,
                 nodes: st.nodes,
                 gap: None,
@@ -398,24 +443,21 @@ fn merge_one(
         }
     }
 
-    // Find the most fractional integer variable (prefer values near .5).
-    let mut branch_var: Option<(usize, f64)> = None;
-    for &i in int_vars {
-        let v = relax.values[i];
-        let frac = (v - v.round()).abs();
-        if frac > config.int_tolerance {
-            let dist_to_half = (v - v.floor() - 0.5).abs();
-            let score = 0.5 - dist_to_half;
-            if branch_var.map(|(_, s)| score > s).unwrap_or(true) {
-                branch_var = Some((i, score));
-            }
+    match (relax.branch, relax.values) {
+        (Some((branch_var, branch_val)), _) => {
+            st.heap.push(Node {
+                chain: job.chain.clone(),
+                bound: bound_key,
+                depth: job.depth,
+                seq: st.next_seq,
+                branch_var,
+                branch_val,
+                basis: relax.basis.map(Arc::new),
+            });
+            st.next_seq += 1;
         }
-    }
-
-    match branch_var {
-        None => {
+        (None, Some(mut values)) => {
             // Integral solution: candidate incumbent.
-            let mut values = relax.values;
             for &i in int_vars {
                 values[i] = values[i].round();
             }
@@ -437,18 +479,8 @@ fn merge_one(
                 });
             }
         }
-        Some((i, _)) => {
-            st.heap.push(Node {
-                chain: job.chain.clone(),
-                bound: bound_key,
-                depth: job.depth,
-                seq: st.next_seq,
-                branch_var: i,
-                branch_val: relax.values[i],
-                basis: basis.map(Arc::new),
-            });
-            st.next_seq += 1;
-        }
+        // `solve_job` attaches the values to every integral optimum.
+        (None, None) => {}
     }
     Merged::Continue
 }
@@ -467,10 +499,17 @@ fn finish(
             sol.nodes = st.nodes;
             if limit_hit {
                 sol.status = Status::LimitReached;
-                // The heap is ordered by bound, so its top is the best open
-                // bound: the incumbent is within `gap` of optimal.
+                // The heap is ordered by bound, so its top is the best bound
+                // still *in* the heap; subtrees the limit cut loose answer
+                // through `lost_bound`. The incumbent is within `gap` of
+                // optimal.
                 let inc_key = key_of(problem, sol.objective);
-                let best_open = st.heap.peek().map(|n| n.bound).unwrap_or(inc_key);
+                let best_open = match (st.heap.peek(), st.lost_bound) {
+                    (Some(top), Some(lost)) => top.bound.max(lost),
+                    (Some(top), None) => top.bound,
+                    (None, Some(lost)) => lost,
+                    (None, None) => inc_key,
+                };
                 sol.gap = Some((best_open - inc_key).max(0.0) / (1.0 + inc_key.abs()));
             } else {
                 sol.status = Status::Optimal;
@@ -515,7 +554,7 @@ pub fn solve_milp_hinted(
     config: &SolverConfig,
     hint: Option<&[f64]>,
 ) -> LpResult<Solution> {
-    problem.validate()?;
+    let matrix = LpMatrix::new(problem)?;
 
     let int_vars: Vec<usize> = problem
         .variables()
@@ -537,6 +576,12 @@ pub fn solve_milp_hinted(
             }
         })
         .collect();
+    let shared = Shared {
+        problem,
+        config,
+        matrix: &matrix,
+        root_bounds: &root_bounds,
+    };
 
     // A batch can never employ more than NODE_BATCH threads. Callers are
     // expected to keep `num_threads = 1` for tiny problems, where a worker
@@ -544,19 +589,15 @@ pub fn solve_milp_hinted(
     let workers = config.num_threads.clamp(1, NODE_BATCH);
 
     if workers <= 1 {
-        let mut ws = LpWorkspace::new(problem);
+        let mut ws = shared.workspace();
         let mut batch = |jobs: &[Job]| -> Vec<JobResult> {
-            jobs.iter()
-                .map(|j| run_job(problem, config, &root_bounds, j, &mut ws))
-                .collect()
+            jobs.iter().map(|j| run_job(&shared, j, &mut ws)).collect()
         };
-        return search(problem, config, hint, &int_vars, &root_bounds, &mut batch);
+        return search(&shared, hint, &int_vars, &mut batch);
     }
 
     let pool = Pool {
-        problem,
-        config,
-        root_bounds: &root_bounds,
+        shared,
         state: Mutex::new(PoolState {
             jobs: Vec::new(),
             results: Vec::new(),
@@ -573,16 +614,9 @@ pub fn solve_milp_hinted(
             let p = &pool;
             s.spawn(move || worker_loop(p));
         }
-        let mut main_ws = LpWorkspace::new(problem);
+        let mut main_ws = pool.shared.workspace();
         let mut batch = |jobs: &[Job]| solve_batch_pooled(&pool, jobs, &mut main_ws);
-        let out = search(
-            problem,
-            config,
-            hint,
-            &int_vars,
-            pool.root_bounds,
-            &mut batch,
-        );
+        let out = search(&pool.shared, hint, &int_vars, &mut batch);
         pool.state.lock().unwrap().shutdown = true;
         pool.work.notify_all();
         out
@@ -593,13 +627,17 @@ pub fn solve_milp_hinted(
 /// sequential and pooled executors; everything that decides *what* is solved
 /// and *how results merge* lives here, identically for both.
 fn search(
-    problem: &Problem,
-    config: &SolverConfig,
+    shared: &Shared<'_>,
     hint: Option<&[f64]>,
     int_vars: &[usize],
-    root_bounds: &[(f64, f64)],
     batch_solve: &mut dyn FnMut(&[Job]) -> Vec<JobResult>,
 ) -> LpResult<Solution> {
+    let Shared {
+        problem,
+        config,
+        root_bounds,
+        ..
+    } = *shared;
     // pb-lint: allow(time-containment) — stats clock only: stamps the
     // solution's solve time; interruption goes through Interrupt's deadline.
     let start = Instant::now();
@@ -610,6 +648,7 @@ fn search(
         nodes: 0,
         next_seq: 0,
         integral_obj: objective_is_integral(problem),
+        lost_bound: None,
     };
     let mut limit_hit = false;
     // Distinguishes a cooperative stop (deadline/cancellation) from an
@@ -642,18 +681,21 @@ fn search(
         chain: None,
         warm: None,
         depth: 0,
+        // Nothing bounds the root until its own relaxation is merged.
+        parent_bound: f64::INFINITY,
     };
     let root_res = batch_solve(std::slice::from_ref(&root_job))
         .pop()
         .ok_or_else(|| LpError::Numerical("batch solver returned no result for the root".into()))?;
     match root_res {
         Err(LpError::Interrupted) => {
+            st.lose(&root_job);
             return finish(problem, st, true, true);
         }
         Err(e) => return Err(e),
-        Ok((relax, basis)) => {
+        Ok(relax) => {
             if let Merged::Unbounded(sol) =
-                merge_one(problem, config, int_vars, &mut st, &root_job, relax, basis)
+                merge_one(problem, config, int_vars, &mut st, &root_job, relax)
             {
                 return Ok(sol);
             }
@@ -713,6 +755,7 @@ fn search(
                     })),
                     warm: node.basis.clone(),
                     depth: node.depth + 1,
+                    parent_bound: node.bound,
                 });
             }
             if up <= ub + 1e-9 {
@@ -725,6 +768,7 @@ fn search(
                     })),
                     warm: node.basis,
                     depth: node.depth + 1,
+                    parent_bound: node.bound,
                 });
             }
         }
@@ -735,24 +779,30 @@ fn search(
         // count at which the limit trips is thread-independent.
         let room = config.max_nodes.saturating_sub(st.nodes);
         if jobs.len() > room {
-            jobs.truncate(room);
+            for dropped in jobs.drain(room..) {
+                st.lose(&dropped);
+            }
             limit_hit = true;
         }
 
         let results = batch_solve(&jobs);
-        for (job, res) in jobs.iter().zip(results) {
+        for (idx, res) in results.into_iter().enumerate() {
             match res {
                 Err(LpError::Interrupted) => {
                     // An interrupted relaxation is a limit, not a failure:
-                    // keep the incumbent found so far.
+                    // keep the incumbent found so far. This job and every
+                    // later one of the batch stay unexplored.
+                    for unmerged in &jobs[idx..] {
+                        st.lose(unmerged);
+                    }
                     limit_hit = true;
                     interrupted = true;
                     break 'outer;
                 }
                 Err(e) => return Err(e),
-                Ok((relax, basis)) => {
+                Ok(relax) => {
                     if let Merged::Unbounded(sol) =
-                        merge_one(problem, config, int_vars, &mut st, job, relax, basis)
+                        merge_one(problem, config, int_vars, &mut st, &jobs[idx], relax)
                     {
                         return Ok(sol);
                     }
@@ -1027,5 +1077,49 @@ mod tests {
         assert_eq!(s.status, Status::LimitReached);
         let gap = s.gap.expect("limit-reached solves report a gap");
         assert!(gap > 0.0, "gap was {gap}");
+    }
+
+    /// Regression: a limit stop used to read the gap off the heap top alone.
+    /// Jobs dropped by the node budget, and batch results an interrupt left
+    /// unmerged, had already popped their parents, so their subtrees — which
+    /// can hold the optimum — vanished from the best-open bound and the
+    /// reported gap fell below the true one.
+    #[test]
+    fn gap_at_a_node_limit_never_understates_the_true_gap() {
+        // An 11-item knapsack on which the old gap came out 80 against a
+        // true 83 at `max_nodes = 8`.
+        let values = [2.0, 5.0, 14.0, 18.0, 7.0, 20.0, 2.0, 16.0, 11.0, 5.0, 18.0];
+        let weights = [2.0, 6.0, 6.0, 3.0, 5.0, 1.0, 9.0, 4.0, 3.0, 2.0, 4.0];
+        let mut p = Problem::new(Sense::Maximize);
+        let vars: Vec<_> = (0..11).map(|i| p.add_binary(format!("x{i}"))).collect();
+        for (i, &v) in vars.iter().enumerate() {
+            p.set_objective_coeff(v, values[i]);
+        }
+        let terms: Vec<_> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, weights[i]))
+            .collect();
+        p.add_constraint_terms("cap", &terms, ConstraintOp::Le, 16.5);
+        let optimum = solve_milp(&p, &cfg()).unwrap().objective;
+        // All-zeros is feasible for a pure packing problem, so every capped
+        // solve has an incumbent to measure from.
+        let hint = vec![0.0; p.num_vars()];
+        let mut capped = 0;
+        for max_nodes in 1..=64 {
+            let mut c = cfg();
+            c.max_nodes = max_nodes;
+            let s = solve_milp_hinted(&p, &c, Some(&hint)).unwrap();
+            let gap = s.gap.expect("MILP solves report a gap");
+            let true_gap = (optimum - s.objective) / (1.0 + s.objective.abs());
+            assert!(
+                gap >= true_gap - 1e-12,
+                "max_nodes={max_nodes}: reported gap {gap} < true gap {true_gap} \
+                 (incumbent {}, optimum {optimum})",
+                s.objective
+            );
+            capped += usize::from(s.status == Status::LimitReached);
+        }
+        assert!(capped >= 8, "only {capped} caps stopped the search early");
     }
 }

@@ -41,7 +41,9 @@ pub fn no_good_cut(
         if !is_binary {
             return Err(LpError::InvalidProblem(format!(
                 "no-good cuts require binary variables; '{}' has bounds [{}, {}]",
-                var.name, var.lb, var.ub
+                problem.var_name(v),
+                var.lb,
+                var.ub
             )));
         }
         if solution.value_rounded(v) >= 1 {

@@ -1,6 +1,5 @@
 //! Linear expressions over decision variables.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
@@ -8,12 +7,16 @@ use crate::problem::VarId;
 
 /// A linear expression `Σ cᵢ·xᵢ + constant`.
 ///
-/// Terms are kept in a `BTreeMap` so that repeated additions of the same
-/// variable merge, and iteration order (hence the built constraint matrix)
-/// is deterministic.
+/// Terms are kept in a `Vec` sorted by variable, so repeated additions of the
+/// same variable merge, and iteration order (hence the built constraint
+/// matrix) is deterministic. Adding variables in ascending order — the way a
+/// translator emits one row over candidates `0..n` — appends in `O(1)` with
+/// no per-term allocation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinExpr {
-    terms: BTreeMap<VarId, f64>,
+    /// `(variable, coefficient)`, strictly ascending by variable, no zero
+    /// coefficients.
+    terms: Vec<(VarId, f64)>,
     constant: f64,
 }
 
@@ -26,7 +29,7 @@ impl LinExpr {
     /// A constant expression.
     pub fn constant(c: f64) -> Self {
         LinExpr {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             constant: c,
         }
     }
@@ -38,12 +41,24 @@ impl LinExpr {
         e
     }
 
-    /// Adds `coeff · var` to the expression.
+    /// Adds `coeff · var` to the expression. A coefficient that sums to zero
+    /// drops the variable.
     pub fn add_term(&mut self, var: VarId, coeff: f64) {
-        let entry = self.terms.entry(var).or_insert(0.0);
-        *entry += coeff;
-        if *entry == 0.0 {
-            self.terms.remove(&var);
+        let at = match self.terms.last() {
+            // Fast path: a variable past every stored one.
+            Some(&(last, _)) if last < var => Err(self.terms.len()),
+            None => Err(0),
+            Some(_) => self.terms.binary_search_by_key(&var, |&(v, _)| v),
+        };
+        match at {
+            Ok(i) => {
+                self.terms[i].1 += coeff;
+                if self.terms[i].1 == 0.0 {
+                    self.terms.remove(i);
+                }
+            }
+            Err(i) if coeff != 0.0 => self.terms.insert(i, (var, coeff)),
+            Err(_) => {}
         }
     }
 
@@ -59,12 +74,14 @@ impl LinExpr {
 
     /// Coefficient of `var` (0.0 when absent).
     pub fn coeff(&self, var: VarId) -> f64 {
-        self.terms.get(&var).copied().unwrap_or(0.0)
+        self.terms
+            .binary_search_by_key(&var, |&(v, _)| v)
+            .map_or(0.0, |i| self.terms[i].1)
     }
 
     /// Iterator over `(variable, coefficient)` pairs in variable order.
     pub fn terms(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
-        self.terms.iter().map(|(v, c)| (*v, *c))
+        self.terms.iter().copied()
     }
 
     /// Number of variables with non-zero coefficients.
@@ -90,11 +107,11 @@ impl LinExpr {
 
     /// Multiplies every coefficient and the constant by `k`.
     pub fn scale(&mut self, k: f64) {
-        for c in self.terms.values_mut() {
+        for (_, c) in self.terms.iter_mut() {
             *c *= k;
         }
         self.constant *= k;
-        self.terms.retain(|_, c| *c != 0.0);
+        self.terms.retain(|&(_, c)| c != 0.0);
     }
 }
 
@@ -152,11 +169,7 @@ impl Mul<f64> for LinExpr {
 
 impl fmt::Display for LinExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut parts: Vec<String> = self
-            .terms
-            .iter()
-            .map(|(v, c)| format!("{c}·x{}", v.index()))
-            .collect();
+        let mut parts: Vec<String> = self.terms.iter().map(|(v, c)| format!("{c}·{v}")).collect();
         if self.constant != 0.0 || parts.is_empty() {
             parts.push(format!("{}", self.constant));
         }
@@ -179,6 +192,24 @@ mod tests {
         assert_eq!(e.coeff(v(0)), 5.0);
         e.add_term(v(0), -5.0);
         assert!(e.is_empty());
+    }
+
+    #[test]
+    fn terms_stay_sorted_whatever_the_insertion_order() {
+        let mut e = LinExpr::new();
+        for i in [4usize, 1, 7, 3, 1, 9, 0] {
+            e.add_term(v(i), 1.0 + i as f64);
+        }
+        e.add_term(v(5), 0.0); // a zero coefficient never lands
+        e.add_term(v(3), -4.0); // …and a cancelled one leaves
+        let terms: Vec<_> = e.terms().map(|(var, c)| (var.index(), c)).collect();
+        assert_eq!(
+            terms,
+            vec![(0, 1.0), (1, 4.0), (4, 5.0), (7, 8.0), (9, 10.0)]
+        );
+        assert_eq!(e.coeff(v(7)), 8.0);
+        assert_eq!(e.coeff(v(3)), 0.0);
+        assert_eq!(e.len(), 5);
     }
 
     #[test]

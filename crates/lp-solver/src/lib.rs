@@ -44,7 +44,7 @@ pub use cuts::no_good_cut;
 pub use error::LpError;
 pub use expr::LinExpr;
 pub use problem::{Constraint, ConstraintOp, Problem, Sense, VarId, VarType, Variable};
-pub use simplex::{solve_lp, solve_lp_warm, Basis, LpWorkspace, WarmAttempt};
+pub use simplex::{solve_lp, solve_lp_warm, Basis, LpMatrix, LpWorkspace, NodeLp};
 pub use solution::{Solution, Status};
 
 /// Result alias for solver operations.

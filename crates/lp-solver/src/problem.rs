@@ -42,7 +42,9 @@ pub enum VarType {
 /// A decision variable.
 #[derive(Debug, Clone)]
 pub struct Variable {
-    /// Human-readable name (used in diagnostics).
+    /// Human-readable name (used in diagnostics). Empty for variables added
+    /// through [`Problem::add_unnamed_var`]; [`Problem::var_name`] then
+    /// supplies `x{index}`.
     pub name: String,
     /// Continuous or integer.
     pub ty: VarType,
@@ -144,6 +146,22 @@ impl Problem {
         });
         self.objective.push(0.0);
         id
+    }
+
+    /// Adds a variable without a name of its own: no string is built until a
+    /// diagnostic asks for one through [`Problem::var_name`]. Translators
+    /// that emit one variable per candidate tuple use this.
+    pub fn add_unnamed_var(&mut self, ty: VarType, lb: f64, ub: f64) -> VarId {
+        self.add_var(String::new(), ty, lb, ub)
+    }
+
+    /// The name diagnostics print for a variable: its own, or `x{index}`
+    /// when it was added unnamed.
+    pub fn var_name(&self, var: VarId) -> String {
+        match self.variables.get(var.index()) {
+            Some(v) if !v.name.is_empty() => v.name.clone(),
+            _ => var.to_string(),
+        }
     }
 
     /// Adds a binary (0/1 integer) variable.
@@ -266,13 +284,21 @@ impl Problem {
             if v.lb > v.ub {
                 return Err(LpError::InvalidProblem(format!(
                     "variable '{}' (x{i}) has lb {} > ub {}",
-                    v.name, v.lb, v.ub
+                    self.var_name(VarId(i)),
+                    v.lb,
+                    v.ub
                 )));
             }
             if v.lb.is_nan() || v.ub.is_nan() {
                 return Err(LpError::InvalidProblem(format!(
                     "variable '{}' (x{i}) has NaN bounds",
-                    v.name
+                    self.var_name(VarId(i))
+                )));
+            }
+            if !self.objective[i].is_finite() {
+                return Err(LpError::InvalidProblem(format!(
+                    "variable '{}' (x{i}) has a non-finite objective coefficient",
+                    self.var_name(VarId(i))
                 )));
             }
         }
@@ -357,6 +383,28 @@ mod tests {
     fn invalid_bounds_rejected() {
         let mut p = Problem::new(Sense::Minimize);
         p.add_var("x", VarType::Continuous, 2.0, 1.0);
+        assert!(matches!(p.validate(), Err(LpError::InvalidProblem(_))));
+    }
+
+    #[test]
+    fn unnamed_variables_get_their_name_when_a_diagnostic_needs_it() {
+        let mut p = Problem::new(Sense::Minimize);
+        let named = p.add_var("budget", VarType::Continuous, 0.0, 1.0);
+        let unnamed = p.add_unnamed_var(VarType::Integer, 3.0, 1.0);
+        assert_eq!(p.var_name(named), "budget");
+        assert_eq!(p.var_name(unnamed), "x1");
+        assert!(p.variables()[1].name.is_empty());
+        let Err(LpError::InvalidProblem(msg)) = p.validate() else {
+            panic!("inverted bounds must be rejected");
+        };
+        assert!(msg.contains("'x1'"), "{msg}");
+    }
+
+    #[test]
+    fn non_finite_objective_coefficients_rejected() {
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x", VarType::Continuous, 0.0, 1.0);
+        p.set_objective_coeff(x, f64::NAN);
         assert!(matches!(p.validate(), Err(LpError::InvalidProblem(_))));
     }
 

@@ -1,32 +1,66 @@
-//! Bounded-variable revised simplex.
+//! Bounded-variable revised simplex on a flat, shared constraint matrix.
 //!
-//! The solver keeps an explicit dense inverse of the basis matrix (size
-//! `m × m`, where `m` is the number of constraint rows). Package ILP
-//! relaxations have a handful of rows and thousands of columns, so iterations
-//! are dominated by pricing (`O(m · n)`), not by basis maintenance.
+//! Package ILP relaxations have a handful of rows (`m`) and thousands of
+//! columns (`n`), so an iteration is dominated by pricing (`O(m · n)`), not by
+//! basis maintenance, and a branch-and-bound node must not pay anything
+//! proportional to `n` beyond the pivots it makes. Three pieces deliver that:
 //!
-//! The implementation is a textbook two-phase method:
+//! * [`LpMatrix`] — the immutable part of an LP, built once per problem and
+//!   shared by reference between branch-and-bound workers: the structural
+//!   coefficients as one dense row-major `m × n` array, costs, right-hand
+//!   sides and slack bounds. Slack and artificial columns are implicit unit
+//!   vectors and take no storage.
+//! * [`LpWorkspace`] — everything a solve mutates, allocated once: flat
+//!   `status`/`lb`/`ub` arrays over the root bounds, the dense `m × m` basis
+//!   inverse, and scratch for duals, the pivot row and pricing chunks. A
+//!   solve applies its bound changes as an **overlay**: every column it
+//!   touches (a branching patch, a status change) goes on a dirty list
+//!   *before* it is mutated, and the next solve resets exactly those columns
+//!   to the root state. Nothing in a node LP scans all `n` columns except
+//!   pricing itself.
+//! * [`NodeLp`] — the compact result of a solve: status, objective,
+//!   iterations, the (at most `m`) basic structural values and the [`Basis`]
+//!   to warm-start children from. Non-basic columns rest on a bound, so the
+//!   basic values are all branch and bound needs to pick a branching
+//!   variable; [`LpWorkspace::dense_values`] materializes the full vector for
+//!   the few nodes that become incumbent candidates.
+//!
+//! # Algorithm
+//!
+//! A textbook two-phase method with native variable bounds:
 //!
 //! 1. every row receives an artificial variable that forms the initial basis;
 //!    phase 1 minimizes the sum of artificials (infeasible if it stays > 0);
 //! 2. phase 2 minimizes the real objective starting from the phase-1 basis.
 //!
-//! Variable bounds are handled natively: nonbasic variables rest at their
-//! lower or upper bound and may "bound flip" without a basis change. Dantzig
-//! pricing is used by default, with a switch to Bland's rule after a long run
-//! of degenerate pivots to guarantee termination.
+//! Nonbasic variables rest at their lower or upper bound and may "bound flip"
+//! without a basis change. Dantzig pricing is used by default, with a switch
+//! to Bland's rule after a long run of degenerate pivots to guarantee
+//! termination.
 //!
-//! # Warm starts
+//! [`LpWorkspace::solve`] optionally starts from a [`Basis`] snapshot of a
+//! previous solve of the *same matrix* with different variable bounds —
+//! exactly the relationship between a branch-and-bound parent and its
+//! children. The warm path installs the snapshot, restores primal feasibility
+//! with a bounded dual simplex (tightening a bound leaves the parent basis
+//! dual feasible but may push one basic value outside its new bound), and
+//! finishes with the ordinary primal loop. Warm starting is a pure
+//! optimization: any mismatch or numerical trouble falls back to the cold
+//! two-phase start **on the same workspace**, so the returned solution is
+//! independent of the supplied basis.
 //!
-//! [`solve_lp_warm`] accepts a [`Basis`] snapshot from a previous solve of
-//! the *same problem shape* with different variable bounds — exactly the
-//! relationship between a branch-and-bound parent and its children. The warm
-//! path installs the snapshot, restores primal feasibility with a bounded
-//! dual simplex (tightening a bound leaves the parent basis dual feasible but
-//! may push one basic value outside its new bound), and finishes with the
-//! ordinary primal loop. Warm starting is a pure optimization: any mismatch
-//! or numerical trouble falls back to the cold two-phase start, so the
-//! returned solution is independent of the supplied basis.
+//! # Floating-point discipline
+//!
+//! Results are gated bit for bit (across thread counts, storage modes and
+//! against recorded pivot sequences), so every kernel accumulates each
+//! column's dot product in ascending row order with separate multiply and
+//! add — no `mul_add`, no reassociation. Pricing computes a chunk of reduced
+//! costs (and pivot-row entries) with row-sweeping loops the compiler can
+//! vectorize *across columns*, which leaves each column's own summation
+//! order untouched, then selects the entering column in a scalar pass in
+//! ascending column order with the tie-breaks written out below. A zero
+//! coefficient stored densely contributes `± 0.0` to a sum, which changes no
+//! value a comparison can see.
 
 // Dense matrix kernels index flat `binv[pos * m + k]` storage; rewriting the
 // row/column loops as iterator chains obscures the linear algebra.
@@ -39,13 +73,30 @@ use crate::{LpResult, SolverConfig};
 
 const PIVOT_TOL: f64 = 1e-10;
 
-/// Where a column currently lives.
+/// Structural columns priced per chunk: the chunk of reduced costs stays in
+/// L1 while the `m` matrix rows stream through it.
+const PRICE_CHUNK: usize = 1024;
+
+/// Where a column currently lives. The basis position of a basic column is
+/// found through [`LpWorkspace::basis`], never through its status, so the
+/// status array stays one byte per column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ColStatus {
-    Basic(usize),
+    Basic,
     AtLower,
     AtUpper,
     Free,
+}
+
+impl ColStatus {
+    /// The direction a nonbasic column may move in: `+1` up from its lower
+    /// bound, `−1` down from its upper, `0` either way — and NaN for a basic
+    /// column, which no comparison accepts. A table lookup, so the pricing
+    /// passes can test movability without branching on the status.
+    #[inline]
+    fn direction(self) -> f64 {
+        [f64::NAN, 1.0, -1.0, 0.0][self as usize]
+    }
 }
 
 /// The nonbasic status a column defaults to given its bounds; snapshots only
@@ -60,8 +111,57 @@ fn default_status(lb: f64, ub: f64) -> ColStatus {
     }
 }
 
-/// A compact snapshot of a simplex basis, used by [`solve_lp_warm`] to start
-/// a solve from a previous optimal basis instead of from scratch.
+/// A reported variable value: numerical excursions clamped back into the
+/// bounds, dust snapped to zero.
+fn settle(v: f64, lb: f64, ub: f64) -> f64 {
+    let mut v = v;
+    if v < lb {
+        v = lb;
+    }
+    if v > ub {
+        v = ub;
+    }
+    if v.abs() < 1e-11 {
+        v = 0.0;
+    }
+    v
+}
+
+/// Where a nonbasic column with this status rests.
+#[inline]
+fn resting_value(status: ColStatus, lb: f64, ub: f64) -> f64 {
+    match status {
+        ColStatus::AtLower => lb,
+        ColStatus::AtUpper => ub,
+        ColStatus::Free | ColStatus::Basic => 0.0,
+    }
+}
+
+/// A column whose bounds leave it no room to move (equality slacks, frozen
+/// artificials, variables a branch fixed): never an entering candidate.
+#[inline]
+fn is_fixed(lb: f64, ub: f64) -> bool {
+    (ub - lb <= 0.0) & lb.is_finite()
+}
+
+/// The ascending union of two ascending index lists.
+fn merge_ascending<'s>(a: &'s [usize], b: &'s [usize]) -> impl Iterator<Item = usize> + 's {
+    let (mut i, mut k) = (0, 0);
+    std::iter::from_fn(move || {
+        let j = match (a.get(i), b.get(k)) {
+            (None, None) => return None,
+            (Some(&x), None) => x,
+            (None, Some(&y)) => y,
+            (Some(&x), Some(&y)) => x.min(y),
+        };
+        i += usize::from(a.get(i) == Some(&j));
+        k += usize::from(b.get(k) == Some(&j));
+        Some(j)
+    })
+}
+
+/// A compact snapshot of a simplex basis, used by [`LpWorkspace::solve`] to
+/// start a solve from a previous optimal basis instead of from scratch.
 ///
 /// The snapshot stores the basic column of every row plus only the nonbasic
 /// columns that do *not* rest at the default bound implied by their bounds
@@ -71,8 +171,8 @@ fn default_status(lb: f64, ub: f64) -> ColStatus {
 /// # Invariants
 ///
 /// * A snapshot only applies to the same problem *shape* (equal row and
-///   column counts); [`solve_lp_warm`] verifies this and falls back to a
-///   cold start on any mismatch.
+///   column counts); a solve verifies this and falls back to a cold start on
+///   any mismatch.
 /// * Statuses are positional ("at lower", "at upper"), not value-based, so a
 ///   snapshot stays valid when bound *values* change — the branch-and-bound
 ///   child relationship.
@@ -102,19 +202,222 @@ enum DualOutcome {
     GaveUp,
 }
 
-/// Internal working representation of the LP.
-struct Tableau {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IterOutcome {
+    Continue,
+    Optimal,
+    Unbounded,
+}
+
+/// The immutable part of an LP: everything about a [`Problem`] that no solve
+/// changes. Built once per problem — once per MILP solve — and shared by
+/// reference between every [`LpWorkspace`] that solves it.
+///
+/// Columns are numbered structural `0..n`, slack `n..n+m` (one per row,
+/// coefficient `+1`), artificial `n+m..n+2m` (one per row, coefficient `±1`
+/// chosen per solve). Only the structural block is stored.
+#[derive(Debug, Clone)]
+pub struct LpMatrix {
+    n: usize,
     m: usize,
-    ncols: usize,
-    #[allow(dead_code)]
-    n_struct: usize,
-    /// Sparse columns: (row, coefficient) pairs.
-    cols: Vec<Vec<(usize, f64)>>,
+    /// Structural coefficients, dense row-major: `a[row * n + j]`.
+    a: Vec<f64>,
+    /// Phase-2 cost of each structural column (the objective, negated for
+    /// maximization: the simplex always minimizes).
+    cost: Vec<f64>,
+    sense: Sense,
+    /// Right-hand side per row.
+    b: Vec<f64>,
+    /// `1 + max |b|`: scales the phase-1 infeasibility tolerance.
+    feas_scale: f64,
+    /// Slack bounds per row (`Le`: `[0, ∞)`, `Ge`: `(−∞, 0]`, `Eq`: `[0, 0]`).
+    slack_lb: Vec<f64>,
+    slack_ub: Vec<f64>,
+    /// Structural columns whose objective coefficient has a clear sign bit;
+    /// decides the sign of an all-zero objective.
+    nonneg_objective: usize,
+}
+
+impl LpMatrix {
+    /// Validates `problem` and lays it out for the simplex kernels.
+    pub fn new(problem: &Problem) -> LpResult<Self> {
+        problem.validate()?;
+        let n = problem.num_vars();
+        let m = problem.num_constraints();
+        let obj_sign = match problem.sense() {
+            Sense::Minimize => 1.0,
+            Sense::Maximize => -1.0,
+        };
+        let mut a = vec![0.0; m * n];
+        let mut b = Vec::with_capacity(m);
+        let mut slack_lb = Vec::with_capacity(m);
+        let mut slack_ub = Vec::with_capacity(m);
+        for (row, c) in problem.constraints().iter().enumerate() {
+            for (v, coeff) in c.expr.terms() {
+                a[row * n + v.index()] = coeff;
+            }
+            b.push(c.rhs);
+            let (lb, ub) = match c.op {
+                ConstraintOp::Le => (0.0, f64::INFINITY),
+                ConstraintOp::Ge => (f64::NEG_INFINITY, 0.0),
+                ConstraintOp::Eq => (0.0, 0.0),
+            };
+            slack_lb.push(lb);
+            slack_ub.push(ub);
+        }
+        // pb-lint: allow(no-nan-unsafe-ordering) — `b` entries are finite by
+        // problem validation; max of absolute values builds a tolerance scale.
+        let feas_scale = 1.0 + b.iter().map(|v| v.abs()).fold(0.0, f64::max);
+        Ok(LpMatrix {
+            n,
+            m,
+            a,
+            cost: problem.objective().iter().map(|c| obj_sign * c).collect(),
+            sense: problem.sense(),
+            b,
+            feas_scale,
+            slack_lb,
+            slack_ub,
+            nonneg_objective: problem
+                .objective()
+                .iter()
+                .filter(|c| !c.is_sign_negative())
+                .count(),
+        })
+    }
+
+    /// Objective coefficient of structural column `j` in the problem's own
+    /// sense (`cost` holds it negated for maximization; negation is exact).
+    fn objective_coeff(&self, j: usize) -> f64 {
+        match self.sense {
+            Sense::Minimize => self.cost[j],
+            Sense::Maximize => -self.cost[j],
+        }
+    }
+
+    /// Calls `f(row, coefficient)` for every non-zero entry of column `j`,
+    /// in ascending row order.
+    #[inline]
+    fn column(&self, art_sign: &[f64], j: usize, mut f: impl FnMut(usize, f64)) {
+        if j < self.n {
+            for row in 0..self.m {
+                let a = self.a[row * self.n + j];
+                if a != 0.0 {
+                    f(row, a);
+                }
+            }
+        } else if j < self.n + self.m {
+            f(j - self.n, 1.0);
+        } else {
+            let row = j - self.n - self.m;
+            f(row, art_sign[row]);
+        }
+    }
+
+    /// `out[k] = c − y · A` for the structural columns `start..start + out.len()`
+    /// (`c` is zero under phase-1 costs).
+    #[inline]
+    fn reduced_costs(&self, phase_one: bool, y: &[f64], start: usize, out: &mut [f64]) {
+        if phase_one {
+            out.fill(0.0);
+        } else {
+            out.copy_from_slice(&self.cost[start..start + out.len()]);
+        }
+        self.add_rows(y, true, start, out);
+    }
+
+    /// `out[k] += coeffs[row] · a[row][start + k]` for every row in ascending
+    /// order: a vectorizable sweep across columns that keeps each column's
+    /// own accumulation in row order. Rows with a zero coefficient add
+    /// `± 0.0` and are skipped.
+    #[inline]
+    fn add_rows(&self, coeffs: &[f64], negate: bool, start: usize, out: &mut [f64]) {
+        for (row, &c) in coeffs.iter().enumerate() {
+            if c == 0.0 {
+                continue;
+            }
+            // `x − c·a` is `x + (−c)·a` bit for bit (negation is exact and
+            // subtraction is addition of the negation).
+            let c = if negate { -c } else { c };
+            let a = &self.a[row * self.n + start..][..out.len()];
+            for (o, &x) in out.iter_mut().zip(a) {
+                *o += c * x;
+            }
+        }
+    }
+}
+
+/// The compact result of one [`LpWorkspace::solve`].
+#[derive(Debug, Clone)]
+pub struct NodeLp {
+    /// `Optimal`, `Infeasible` or `Unbounded`.
+    pub status: Status,
+    /// Objective in the problem's own sense: exactly the value
+    /// `Problem::objective_value` returns on [`LpWorkspace::dense_values`]
+    /// (`±∞` when unbounded, NaN when infeasible).
+    pub objective: f64,
+    /// Simplex pivots spent, a failed warm attempt included.
+    pub iterations: usize,
+    /// `(variable, value)` of every *basic* structural column, ascending by
+    /// variable — at most one per row. Every other structural variable rests
+    /// on one of its bounds (or at zero when free). Empty unless optimal.
+    pub basics: Vec<(usize, f64)>,
+    /// The final basis, for warm-starting further solves. `None` unless
+    /// optimal.
+    pub basis: Option<Basis>,
+}
+
+impl NodeLp {
+    fn status_only(status: Status, iterations: usize) -> Self {
+        NodeLp {
+            status,
+            objective: f64::NAN,
+            iterations,
+            basics: Vec::new(),
+            basis: None,
+        }
+    }
+}
+
+/// A reusable solve workspace over one [`LpMatrix`].
+///
+/// Every node of a branch-and-bound search solves the *same* LP with only a
+/// few structural bounds changed. The workspace owns the root bounds and the
+/// statuses they imply; [`LpWorkspace::solve`] lays a node's bound changes
+/// over them, solves warm or cold on the same preallocated storage, and the
+/// next call undoes exactly what the previous one touched.
+///
+/// **Purity invariant**: a solve's result is a pure function of
+/// `(overlay, warm, config)`. Every column whose bounds or status a solve
+/// changes is pushed on the dirty list *before* the change, so the reset at
+/// the start of the next solve restores the root state even when the
+/// previous solve unwound from a panic half-way; the basis, its inverse,
+/// artificial signs and pivot-state fields are rebuilt by every solve before
+/// they are read. That is what lets the deterministic parallel search hand
+/// workspaces to arbitrary worker threads without affecting results (see
+/// `crate::branch_bound`).
+pub struct LpWorkspace<'a> {
+    mat: &'a LpMatrix,
+    /// Root bounds of every column: structural (as given), slack (from the
+    /// row's direction), artificial (frozen at `[0, 0]`).
+    root_lb: Vec<f64>,
+    root_ub: Vec<f64>,
+    /// Columns whose root-default value is non-zero, ascending.
+    root_nonzero: Vec<usize>,
+    /// Some root bound pair is empty (`lb > ub`): every solve is infeasible.
+    root_empty: bool,
+    // ---- per-solve state, reset through the dirty list ----
     lb: Vec<f64>,
     ub: Vec<f64>,
-    cost: Vec<f64>,
-    b: Vec<f64>,
     status: Vec<ColStatus>,
+    /// Columns whose `lb`/`ub`/`status` may differ from the root state.
+    dirty: Vec<usize>,
+    is_dirty: Vec<bool>,
+    // ---- per-solve state, rebuilt by every solve ----
+    /// Coefficient (`±1`) of each row's artificial column.
+    art_sign: Vec<f64>,
+    /// Phase-1 costs (artificials 1, everything else 0) are active.
+    phase_one: bool,
     basis: Vec<usize>,
     /// Dense row-major m×m basis inverse.
     binv: Vec<f64>,
@@ -123,39 +426,257 @@ struct Tableau {
     iterations: usize,
     use_bland: bool,
     degenerate_run: usize,
+    /// The solution of the last solve when the matrix has no rows.
+    unconstrained: Vec<f64>,
+    // ---- scratch ----
+    y: Vec<f64>,
+    rho: Vec<f64>,
+    w: Vec<f64>,
+    rhs: Vec<f64>,
+    lu: Vec<f64>,
+    dbuf: Vec<f64>,
+    abuf: Vec<f64>,
 }
 
-impl Tableau {
+impl<'a> LpWorkspace<'a> {
+    /// Builds a workspace over `mat` with `root` as the `(lb, ub)` bounds of
+    /// the structural variables.
+    ///
+    /// # Panics
+    ///
+    /// If `root` does not cover every structural variable.
+    pub fn new(mat: &'a LpMatrix, root: &[(f64, f64)]) -> Self {
+        let (n, m) = (mat.n, mat.m);
+        assert_eq!(root.len(), n, "one bound pair per structural variable");
+        let ncols = n + 2 * m;
+        let mut root_lb = Vec::with_capacity(ncols);
+        let mut root_ub = Vec::with_capacity(ncols);
+        for &(lb, ub) in root {
+            root_lb.push(lb);
+            root_ub.push(ub);
+        }
+        root_lb.extend_from_slice(&mat.slack_lb);
+        root_ub.extend_from_slice(&mat.slack_ub);
+        // Canonical artificials: frozen at zero. Only a cold start opens them.
+        root_lb.resize(ncols, 0.0);
+        root_ub.resize(ncols, 0.0);
+        let status: Vec<ColStatus> = root_lb
+            .iter()
+            .zip(&root_ub)
+            .map(|(&lb, &ub)| default_status(lb, ub))
+            .collect();
+        let root_nonzero = (0..ncols)
+            .filter(|&j| resting_value(status[j], root_lb[j], root_ub[j]) != 0.0)
+            .collect();
+        let chunk = PRICE_CHUNK.min(n);
+        LpWorkspace {
+            mat,
+            root_nonzero,
+            root_empty: root.iter().any(|(lb, ub)| lb > ub),
+            lb: root_lb.clone(),
+            ub: root_ub.clone(),
+            root_lb,
+            root_ub,
+            status,
+            dirty: Vec::new(),
+            is_dirty: vec![false; ncols],
+            art_sign: vec![1.0; m],
+            phase_one: false,
+            basis: vec![0; m],
+            binv: vec![0.0; m * m],
+            xb: vec![0.0; m],
+            iterations: 0,
+            use_bland: false,
+            degenerate_run: 0,
+            unconstrained: Vec::new(),
+            y: vec![0.0; m],
+            rho: vec![0.0; m],
+            w: vec![0.0; m],
+            rhs: vec![0.0; m],
+            lu: vec![0.0; m * m],
+            dbuf: vec![0.0; chunk],
+            abuf: vec![0.0; chunk],
+        }
+    }
+
+    /// Solves the LP under the root bounds overlaid with `overlay`:
+    /// `(variable, lb, ub)` bound changes, **nearest first** — the first
+    /// entry naming a variable wins, which is the order a branch-and-bound
+    /// patch chain is walked in. An empty domain (`lb > ub`) is an
+    /// infeasible subproblem, not an error.
+    ///
+    /// With `warm`, the solve starts from that basis (dual-simplex repair,
+    /// then the primal loop) and falls back to the cold two-phase start on
+    /// the same storage when the basis does not fit, the repair stalls or
+    /// the numerics fail; the pivots the attempt spent stay on the iteration
+    /// count.
+    pub fn solve<I>(
+        &mut self,
+        overlay: I,
+        warm: Option<&Basis>,
+        config: &SolverConfig,
+    ) -> LpResult<NodeLp>
+    where
+        I: IntoIterator<Item = (usize, f64, f64)>,
+    {
+        self.reset_to_root();
+        let mut empty = self.root_empty;
+        for (var, lb, ub) in overlay {
+            if var >= self.mat.n {
+                return Err(LpError::UnknownVariable(var));
+            }
+            if self.is_dirty[var] {
+                continue; // a nearer patch already set this variable
+            }
+            self.touch(var);
+            self.lb[var] = lb;
+            self.ub[var] = ub;
+            self.status[var] = default_status(lb, ub);
+            empty |= lb > ub;
+        }
+        self.iterations = 0;
+        if empty {
+            return Ok(NodeLp::status_only(Status::Infeasible, 0));
+        }
+        if self.mat.m == 0 {
+            return Ok(self.solve_unconstrained());
+        }
+        if let Some(basis) = warm {
+            match self.solve_warm(basis, config) {
+                Ok(Some(lp)) => return Ok(lp),
+                // Give-up or numerical trouble: re-solve cold, carrying the
+                // pivots already spent into the iteration budget.
+                Ok(None) | Err(LpError::Numerical(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.solve_cold(config)
+    }
+
+    /// The full structural solution of the last solve (meaningful after an
+    /// `Optimal` or `Unbounded` outcome): `O(n)`, so branch and bound only
+    /// asks for it at incumbent candidates.
+    pub fn dense_values(&self) -> Vec<f64> {
+        let n = self.mat.n;
+        if self.mat.m == 0 {
+            return self.unconstrained.clone();
+        }
+        let mut values: Vec<f64> = (0..n)
+            .map(|j| settle(self.nonbasic_value(j), self.lb[j], self.ub[j]))
+            .collect();
+        for (pos, &j) in self.basis.iter().enumerate() {
+            if j < n {
+                values[j] = settle(self.xb[pos], self.lb[j], self.ub[j]);
+            }
+        }
+        values
+    }
+
+    // ---- overlay bookkeeping ----
+
+    /// Records that column `j` is about to leave its root state. Must be
+    /// called *before* `lb[j]`, `ub[j]` or `status[j]` is written.
+    #[inline]
+    fn touch(&mut self, j: usize) {
+        if !self.is_dirty[j] {
+            self.dirty.push(j);
+            self.is_dirty[j] = true;
+        }
+    }
+
+    #[inline]
+    fn set_status(&mut self, j: usize, s: ColStatus) {
+        self.touch(j);
+        self.status[j] = s;
+    }
+
+    /// Restores every touched column to its root bounds and default status.
+    fn reset_to_root(&mut self) {
+        for &j in &self.dirty {
+            self.lb[j] = self.root_lb[j];
+            self.ub[j] = self.root_ub[j];
+            self.status[j] = default_status(self.root_lb[j], self.root_ub[j]);
+            self.is_dirty[j] = false;
+        }
+        self.dirty.clear();
+    }
+
+    /// Value of nonbasic column `j` (callers skip basic ones: their value
+    /// lives in `xb`).
+    #[inline]
     fn nonbasic_value(&self, j: usize) -> f64 {
-        match self.status[j] {
-            ColStatus::AtLower => self.lb[j],
-            ColStatus::AtUpper => self.ub[j],
-            ColStatus::Free => 0.0,
-            ColStatus::Basic(pos) => self.xb[pos],
+        resting_value(self.status[j], self.lb[j], self.ub[j])
+    }
+
+    /// Cost of column `j` under the active phase.
+    #[inline]
+    fn cost_of(&self, j: usize) -> f64 {
+        if self.phase_one {
+            if j >= self.mat.n + self.mat.m {
+                1.0
+            } else {
+                0.0
+            }
+        } else if j < self.mat.n {
+            self.mat.cost[j]
+        } else {
+            0.0
+        }
+    }
+
+    // ---- linear algebra ----
+
+    /// `rhs = b − N·x_N`, subtracting the nonbasic columns in ascending
+    /// index order. Only a live column — one of the root's non-zero columns
+    /// or a touched one — can contribute: every other column is nonbasic at
+    /// exactly zero.
+    fn nonbasic_rhs(&mut self) {
+        self.dirty.sort_unstable();
+        let Self {
+            mat,
+            rhs,
+            root_nonzero,
+            dirty,
+            status,
+            lb,
+            ub,
+            art_sign,
+            ..
+        } = self;
+        rhs.copy_from_slice(&mat.b);
+        for j in merge_ascending(root_nonzero, dirty) {
+            if status[j] == ColStatus::Basic {
+                continue;
+            }
+            let v = resting_value(status[j], lb[j], ub[j]);
+            if v != 0.0 {
+                mat.column(art_sign, j, |row, a| rhs[row] -= a * v);
+            }
         }
     }
 
     /// Recomputes the basis inverse and basic values from scratch.
     fn refactorize(&mut self) -> LpResult<()> {
-        let m = self.m;
+        let m = self.mat.m;
         // Build the dense basis matrix.
-        let mut mat = vec![0.0; m * m];
+        let lu = &mut self.lu;
+        lu.fill(0.0);
         for (pos, &j) in self.basis.iter().enumerate() {
-            for &(row, a) in &self.cols[j] {
-                mat[row * m + pos] = a;
-            }
+            self.mat
+                .column(&self.art_sign, j, |row, a| lu[row * m + pos] = a);
         }
         // Gauss-Jordan inversion with partial pivoting.
-        let mut inv = vec![0.0; m * m];
+        let inv = &mut self.binv;
+        inv.fill(0.0);
         for i in 0..m {
             inv[i * m + i] = 1.0;
         }
         for col in 0..m {
             // Pivot selection.
             let mut piv = col;
-            let mut best = mat[col * m + col].abs();
+            let mut best = lu[col * m + col].abs();
             for r in col + 1..m {
-                let v = mat[r * m + col].abs();
+                let v = lu[r * m + col].abs();
                 if v > best {
                     best = v;
                     piv = r;
@@ -168,98 +689,75 @@ impl Tableau {
             }
             if piv != col {
                 for k in 0..m {
-                    mat.swap(col * m + k, piv * m + k);
+                    lu.swap(col * m + k, piv * m + k);
                     inv.swap(col * m + k, piv * m + k);
                 }
             }
-            let d = mat[col * m + col];
+            let d = lu[col * m + col];
             for k in 0..m {
-                mat[col * m + k] /= d;
+                lu[col * m + k] /= d;
                 inv[col * m + k] /= d;
             }
             for r in 0..m {
                 if r != col {
-                    let factor = mat[r * m + col];
+                    let factor = lu[r * m + col];
                     if factor != 0.0 {
                         for k in 0..m {
-                            mat[r * m + k] -= factor * mat[col * m + k];
+                            lu[r * m + k] -= factor * lu[col * m + k];
                             inv[r * m + k] -= factor * inv[col * m + k];
                         }
                     }
                 }
             }
         }
-        self.binv = inv;
         self.recompute_basic_values();
         Ok(())
     }
 
     /// xb = B⁻¹ (b − N·x_N).
     fn recompute_basic_values(&mut self) {
-        let m = self.m;
-        let mut rhs = self.b.clone();
-        for j in 0..self.ncols {
-            if let ColStatus::Basic(_) = self.status[j] {
-                continue;
-            }
-            let v = self.nonbasic_value(j);
-            if v != 0.0 {
-                for &(row, a) in &self.cols[j] {
-                    rhs[row] -= a * v;
-                }
-            }
-        }
+        let m = self.mat.m;
+        self.nonbasic_rhs();
         for pos in 0..m {
             let mut acc = 0.0;
             for k in 0..m {
-                acc += self.binv[pos * m + k] * rhs[k];
+                acc += self.binv[pos * m + k] * self.rhs[k];
             }
             self.xb[pos] = acc;
         }
     }
 
-    /// y = c_Bᵀ B⁻¹.
-    fn duals(&self) -> Vec<f64> {
-        let m = self.m;
-        let mut y = vec![0.0; m];
+    /// y = c_Bᵀ B⁻¹, into `self.y`.
+    fn duals(&mut self) {
+        let m = self.mat.m;
+        self.y.fill(0.0);
         for pos in 0..m {
-            let cb = self.cost[self.basis[pos]];
+            let cb = self.cost_of(self.basis[pos]);
             if cb != 0.0 {
                 for k in 0..m {
-                    y[k] += cb * self.binv[pos * m + k];
+                    self.y[k] += cb * self.binv[pos * m + k];
                 }
             }
         }
-        y
     }
 
-    fn reduced_cost(&self, j: usize, y: &[f64]) -> f64 {
-        let mut d = self.cost[j];
-        for &(row, a) in &self.cols[j] {
-            d -= y[row] * a;
-        }
-        d
-    }
-
-    /// w = B⁻¹ A_j.
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        let m = self.m;
-        let mut w = vec![0.0; m];
-        for &(row, a) in &self.cols[j] {
-            if a != 0.0 {
-                for pos in 0..m {
-                    w[pos] += self.binv[pos * m + row] * a;
-                }
+    /// w = B⁻¹ A_j, into `self.w`.
+    fn ftran(&mut self, j: usize) {
+        let m = self.mat.m;
+        let (w, binv) = (&mut self.w, &self.binv);
+        w.fill(0.0);
+        self.mat.column(&self.art_sign, j, |row, a| {
+            for pos in 0..m {
+                w[pos] += binv[pos * m + row] * a;
             }
-        }
-        w
+        });
     }
 
-    /// Rank-one update of B⁻¹ after the column with FTRAN image `w` entered
-    /// the basis at row `pos`.
-    fn update_binv(&mut self, pos: usize, w: &[f64]) -> LpResult<()> {
-        let m = self.m;
-        let piv = w[pos];
+    /// Rank-one update of B⁻¹ after the column with FTRAN image `self.w`
+    /// entered the basis at row `pos`.
+    fn update_binv(&mut self, pos: usize) -> LpResult<()> {
+        let m = self.mat.m;
+        let piv = self.w[pos];
         if piv.abs() <= PIVOT_TOL {
             return Err(LpError::Numerical("pivot element too small".into()));
         }
@@ -267,8 +765,8 @@ impl Tableau {
             self.binv[pos * m + k] /= piv;
         }
         for r in 0..m {
-            if r != pos && w[r].abs() > 0.0 {
-                let factor = w[r];
+            if r != pos && self.w[r].abs() > 0.0 {
+                let factor = self.w[r];
                 for k in 0..m {
                     self.binv[r * m + k] -= factor * self.binv[pos * m + k];
                 }
@@ -277,45 +775,45 @@ impl Tableau {
         Ok(())
     }
 
-    /// Snapshots the current basis. See [`Basis`] for the encoding.
-    fn snapshot(&self) -> Basis {
+    // ---- basis snapshots ----
+
+    /// Snapshots the current basis. See [`Basis`] for the encoding. Only a
+    /// touched column can deviate from its default status.
+    fn snapshot(&mut self) -> Basis {
+        self.dirty.sort_unstable();
         let mut nondefault = Vec::new();
-        for j in 0..self.ncols {
+        for &j in &self.dirty {
             let s = self.status[j];
-            if matches!(s, ColStatus::Basic(_)) {
+            if s == ColStatus::Basic || s == default_status(self.lb[j], self.ub[j]) {
                 continue;
             }
-            if s != default_status(self.lb[j], self.ub[j]) {
-                let code = match s {
-                    ColStatus::AtUpper => 1u8,
-                    ColStatus::Free => 2,
-                    _ => 0,
-                };
-                nondefault.push((j as u32, code));
-            }
+            let code = match s {
+                ColStatus::AtUpper => 1u8,
+                ColStatus::Free => 2,
+                _ => 0,
+            };
+            nondefault.push((j as u32, code));
         }
         Basis {
-            m: self.m as u32,
-            ncols: self.ncols as u32,
+            m: self.mat.m as u32,
+            ncols: self.status.len() as u32,
             basis: self.basis.iter().map(|&j| j as u32).collect(),
             nondefault,
         }
     }
 
-    /// Installs a basis snapshot: statuses are reset to their bound-implied
-    /// defaults, the snapshot's exceptions and basic columns applied, and
-    /// B⁻¹ refactorized. Returns false (leaving the tableau unusable) on any
-    /// mismatch — the caller then solves cold.
+    /// Installs a basis snapshot over the default statuses the overlay left:
+    /// the snapshot's exceptions and basic columns are applied and B⁻¹
+    /// refactorized. Returns false on any mismatch — the caller then solves
+    /// cold.
     fn install(&mut self, warm: &Basis) -> bool {
-        if warm.m as usize != self.m || warm.ncols as usize != self.ncols {
+        let ncols = self.status.len();
+        if warm.m as usize != self.mat.m || warm.ncols as usize != ncols {
             return false;
-        }
-        for j in 0..self.ncols {
-            self.status[j] = default_status(self.lb[j], self.ub[j]);
         }
         for &(j, code) in &warm.nondefault {
             let j = j as usize;
-            if j >= self.ncols {
+            if j >= ncols {
                 return false;
             }
             let s = match code {
@@ -332,19 +830,221 @@ impl Tableau {
                 _ => true,
             };
             if valid {
-                self.status[j] = s;
+                self.set_status(j, s);
             }
         }
         for (pos, &j) in warm.basis.iter().enumerate() {
             let j = j as usize;
-            if j >= self.ncols {
+            if j >= ncols {
                 return false;
             }
             self.basis[pos] = j;
-            self.status[j] = ColStatus::Basic(pos);
+            self.set_status(j, ColStatus::Basic);
         }
         self.refactorize().is_ok()
     }
+
+    // ---- the three solve paths ----
+
+    /// The warm path: install, dual-simplex repair, primal cleanup.
+    /// `Ok(None)` means "re-solve cold".
+    fn solve_warm(&mut self, warm: &Basis, config: &SolverConfig) -> LpResult<Option<NodeLp>> {
+        // Canonical +1 artificials, frozen at zero: the warm basis does not
+        // need the residual-signed feasibility trick of the cold start, and a
+        // fixed sign keeps snapshots portable across nodes.
+        self.art_sign.fill(1.0);
+        self.phase_one = false;
+        self.use_bland = false;
+        self.degenerate_run = 0;
+        if !self.install(warm) {
+            return Ok(None);
+        }
+        match self.dual_simplex(config)? {
+            DualOutcome::GaveUp => Ok(None),
+            DualOutcome::Infeasible => Ok(Some(NodeLp::status_only(
+                Status::Infeasible,
+                self.iterations,
+            ))),
+            DualOutcome::Feasible => {
+                let outcome = self.optimize(config, true)?;
+                Ok(Some(self.node_result(outcome)))
+            }
+        }
+    }
+
+    /// The cold path: two-phase from the slack/artificial basis.
+    fn solve_cold(&mut self, config: &SolverConfig) -> LpResult<NodeLp> {
+        let (n, m) = (self.mat.n, self.mat.m);
+        // A failed warm attempt leaves its statuses behind; the bounds stay.
+        for &j in &self.dirty {
+            self.status[j] = default_status(self.lb[j], self.ub[j]);
+        }
+        self.phase_one = true;
+        self.use_bland = false;
+        self.degenerate_run = 0;
+
+        // Residuals decide the sign of each artificial column so the initial
+        // basis is feasible (artificial value = |residual| ≥ 0).
+        self.nonbasic_rhs();
+        self.binv.fill(0.0);
+        for row in 0..m {
+            let art = n + m + row;
+            let sign = if self.rhs[row] >= 0.0 { 1.0 } else { -1.0 };
+            self.art_sign[row] = sign;
+            self.touch(art);
+            self.lb[art] = 0.0;
+            self.ub[art] = f64::INFINITY;
+            self.status[art] = ColStatus::Basic;
+            self.basis[row] = art;
+            self.binv[row * m + row] = sign; // inverse of diag(sign) is itself
+            self.xb[row] = self.rhs[row].abs();
+        }
+
+        // ---- Phase 1: minimize the sum of artificials ----
+        match self.optimize(config, false)? {
+            IterOutcome::Optimal => {}
+            IterOutcome::Unbounded | IterOutcome::Continue => {
+                return Err(LpError::Numerical("phase-1 reported unbounded".into()))
+            }
+        }
+        let mut infeasibility = 0.0;
+        for pos in 0..m {
+            if self.basis[pos] >= n + m {
+                infeasibility += self.xb[pos].max(0.0);
+            }
+        }
+        if infeasibility > config.tolerance * self.mat.feas_scale * 10.0 {
+            return Ok(NodeLp::status_only(Status::Infeasible, self.iterations));
+        }
+
+        // ---- Phase 2 ----
+        // Freeze artificials at zero and swap in the real objective.
+        for row in 0..m {
+            let art = n + m + row;
+            self.ub[art] = 0.0;
+            if self.status[art] != ColStatus::Basic {
+                self.status[art] = ColStatus::AtLower;
+            }
+        }
+        self.phase_one = false;
+        self.use_bland = false;
+        self.degenerate_run = 0;
+        let outcome = self.optimize(config, true)?;
+        Ok(self.node_result(outcome))
+    }
+
+    /// No constraint rows: push every variable to its favourable bound.
+    fn solve_unconstrained(&mut self) -> NodeLp {
+        let n = self.mat.n;
+        self.unconstrained.clear();
+        for i in 0..n {
+            let (lb, ub) = (self.lb[i], self.ub[i]);
+            // The simplex minimizes `cost`; a negative cost wants the
+            // variable large.
+            let effective = -self.mat.cost[i];
+            let target = if effective > 0.0 {
+                ub
+            } else if effective < 0.0 {
+                lb
+            } else {
+                lb.max(0.0).min(ub)
+            };
+            if target.is_finite() {
+                self.unconstrained.push(target);
+            } else if effective != 0.0 {
+                self.unconstrained.clear();
+                return NodeLp::status_only(Status::Unbounded, 0);
+            } else {
+                self.unconstrained
+                    .push(if lb.is_finite() { lb } else { 0.0 });
+            }
+        }
+        let objective = (0..n)
+            .map(|i| self.mat.objective_coeff(i) * self.unconstrained[i])
+            .sum();
+        NodeLp {
+            status: Status::Optimal,
+            objective,
+            iterations: 0,
+            basics: Vec::new(),
+            basis: None,
+        }
+    }
+
+    /// Packages a finished primal loop as a [`NodeLp`].
+    fn node_result(&mut self, outcome: IterOutcome) -> NodeLp {
+        if outcome == IterOutcome::Unbounded {
+            return NodeLp {
+                status: Status::Unbounded,
+                objective: match self.mat.sense {
+                    Sense::Maximize => f64::INFINITY,
+                    Sense::Minimize => f64::NEG_INFINITY,
+                },
+                iterations: self.iterations,
+                basics: Vec::new(),
+                basis: None,
+            };
+        }
+        let n = self.mat.n;
+        let mut basics: Vec<(usize, f64)> = self
+            .basis
+            .iter()
+            .enumerate()
+            .filter(|&(_, &j)| j < n)
+            .map(|(pos, &j)| (j, settle(self.xb[pos], self.lb[j], self.ub[j])))
+            .collect();
+        basics.sort_unstable_by_key(|&(j, _)| j);
+        NodeLp {
+            status: Status::Optimal,
+            objective: self.objective(&basics),
+            iterations: self.iterations,
+            basics,
+            basis: Some(self.snapshot()),
+        }
+    }
+
+    /// The objective `Σ c_j · x_j` of the current basic solution, bit for bit
+    /// the value a left-to-right sum over all `n` settled values returns
+    /// (`Problem::objective_value` on [`Self::dense_values`]), computed from
+    /// the live columns only.
+    ///
+    /// Every column the walk skips holds exactly `+0.0`, so its term is a
+    /// zero whose sign is that of its coefficient. Zero terms never change a
+    /// non-zero partial sum, and an exact cancellation yields `+0.0`; the one
+    /// thing they decide is whether an all-zero sum comes out as the `−0.0`
+    /// a float `Sum` starts from (every term `−0.0`) or as `+0.0`.
+    fn objective(&mut self, basics: &[(usize, f64)]) -> f64 {
+        self.dirty.sort_unstable();
+        let n = self.mat.n;
+        let mut acc = 0.0;
+        let mut all_neg_zero = true;
+        let mut nonneg_skipped = self.mat.nonneg_objective;
+        // `basics` is ascending and every basic column is live, so the walk
+        // meets the basic columns in `basics` order.
+        let mut basics = basics.iter();
+        for j in merge_ascending(&self.root_nonzero, &self.dirty) {
+            if j >= n {
+                break;
+            }
+            let x = if self.status[j] == ColStatus::Basic {
+                basics.next().map_or(0.0, |&(_, x)| x)
+            } else {
+                settle(self.nonbasic_value(j), self.lb[j], self.ub[j])
+            };
+            let c = self.mat.objective_coeff(j);
+            nonneg_skipped -= usize::from(!c.is_sign_negative());
+            let term = c * x;
+            all_neg_zero &= term == 0.0 && term.is_sign_negative();
+            acc += term;
+        }
+        if all_neg_zero && nonneg_skipped == 0 {
+            -0.0
+        } else {
+            acc
+        }
+    }
+
+    // ---- pivoting ----
 
     /// Bounded-variable dual simplex: restores primal feasibility of a
     /// dual-feasible basis after bound changes (the warm-start repair).
@@ -356,7 +1056,7 @@ impl Tableau {
     /// would overshoot its own opposite bound is bound-flipped instead of
     /// pivoted, exactly like the primal loop's bound flips.
     fn dual_simplex(&mut self, config: &SolverConfig) -> LpResult<DualOutcome> {
-        let m = self.m;
+        let m = self.mat.m;
         // Warm starts need a handful of pivots (one per violated row, plus
         // degeneracy slack); anything more suggests cycling, and the cold
         // fallback is both safer and cheaper than fighting it.
@@ -413,57 +1113,11 @@ impl Tableau {
                 self.refactorize()?;
                 since_refactor = 0;
             }
-            // α_j = (row `pos` of B⁻¹) · A_j for each nonbasic column.
-            let rho: Vec<f64> = self.binv[pos * m..(pos + 1) * m].to_vec();
-            let y = self.duals();
-            let mut entering: Option<(usize, f64)> = None; // (column, |d/α|)
-            for j in 0..self.ncols {
-                let dir = match self.status[j] {
-                    ColStatus::Basic(_) => continue,
-                    ColStatus::AtLower => 1.0,
-                    ColStatus::AtUpper => -1.0,
-                    ColStatus::Free => 0.0,
-                };
-                // Fixed columns (equality slacks, frozen artificials) cannot move.
-                if self.ub[j] - self.lb[j] <= 0.0 && self.lb[j].is_finite() {
-                    continue;
-                }
-                let mut alpha = 0.0;
-                for &(row, a) in &self.cols[j] {
-                    alpha += rho[row] * a;
-                }
-                if alpha.abs() <= PIVOT_TOL {
-                    continue;
-                }
-                // Δxb[pos] = −Δx_j·α_j and Δx_j must respect the column's
-                // movable direction, so eligibility is a sign condition.
-                let eligible = if dir == 0.0 {
-                    true
-                } else if below {
-                    dir * alpha < 0.0
-                } else {
-                    dir * alpha > 0.0
-                };
-                if !eligible {
-                    continue;
-                }
-                let d = self.reduced_cost(j, &y);
-                let ratio = (d / alpha).abs();
-                let better = match entering {
-                    None => true,
-                    Some((bj, best)) => {
-                        ratio < best - 1e-12 || ((ratio - best).abs() <= 1e-12 && j < bj)
-                    }
-                };
-                if better {
-                    entering = Some((j, ratio));
-                }
-            }
-            let Some((q, _)) = entering else {
+            let Some(q) = self.dual_ratio_test(pos, below) else {
                 return Ok(DualOutcome::Infeasible);
             };
-            let w = self.ftran(q);
-            let alpha_q = w[pos];
+            self.ftran(q);
+            let alpha_q = self.w[pos];
             if alpha_q.abs() <= PIVOT_TOL {
                 return Ok(DualOutcome::GaveUp);
             }
@@ -479,83 +1133,186 @@ impl Tableau {
                 }
                 let flip = if step > 0.0 { range } else { -range };
                 for k in 0..m {
-                    self.xb[k] -= flip * w[k];
+                    self.xb[k] -= flip * self.w[k];
                 }
-                self.status[q] = if step > 0.0 {
-                    ColStatus::AtUpper
-                } else {
-                    ColStatus::AtLower
-                };
+                self.set_status(
+                    q,
+                    if step > 0.0 {
+                        ColStatus::AtUpper
+                    } else {
+                        ColStatus::AtLower
+                    },
+                );
                 continue;
             }
             let entering_value = self.nonbasic_value(q) + step;
             for k in 0..m {
-                self.xb[k] -= step * w[k];
+                self.xb[k] -= step * self.w[k];
             }
-            self.status[r] = if below {
-                ColStatus::AtLower
-            } else {
-                ColStatus::AtUpper
-            };
+            self.set_status(
+                r,
+                if below {
+                    ColStatus::AtLower
+                } else {
+                    ColStatus::AtUpper
+                },
+            );
             self.basis[pos] = q;
-            self.status[q] = ColStatus::Basic(pos);
+            self.set_status(q, ColStatus::Basic);
             self.xb[pos] = entering_value;
-            self.update_binv(pos, &w)?;
+            self.update_binv(pos)?;
         }
         Ok(DualOutcome::GaveUp)
     }
 
+    /// The dual ratio test for leaving row `pos`: the nonbasic, movable
+    /// column with the smallest `|d_j / α_j|` whose movement shrinks the
+    /// violation, ties (within 1e-12) to the lowest index. `None` proves the
+    /// subproblem infeasible.
+    fn dual_ratio_test(&mut self, pos: usize, below: bool) -> Option<usize> {
+        let (n, m) = (self.mat.n, self.mat.m);
+        self.rho.copy_from_slice(&self.binv[pos * m..(pos + 1) * m]);
+        self.duals();
+        let Self {
+            mat,
+            status,
+            lb,
+            ub,
+            y,
+            rho,
+            art_sign,
+            abuf,
+            dbuf,
+            ..
+        } = self;
+        // (column, |d/α|)
+        let mut entering: Option<(usize, f64)> = None;
+        // No ratio above this can still win: the incumbent plus the tie
+        // window, with a margin far wider than the division's rounding.
+        let mut bound = f64::INFINITY;
+        // The scan visits every column on every dual pivot, and which way a
+        // column's α points is a coin flip, so the cheap tests are evaluated
+        // without branching and one rarely-taken branch guards the division.
+        let mut consider = |j: usize, alpha: f64, d: f64| {
+            let dir = status[j].direction();
+            // Δxb[pos] = −Δx_j·α_j and Δx_j must respect the column's
+            // movable direction, so eligibility is a sign condition.
+            let toward = if below { -(dir * alpha) } else { dir * alpha };
+            let eligible = !is_fixed(lb[j], ub[j])
+                & (alpha.abs() > PIVOT_TOL)
+                & ((toward > 0.0) | (dir == 0.0));
+            // Written so that a NaN anywhere falls through to the exact test.
+            let hopeless = d.abs() > bound * alpha.abs();
+            if !eligible | hopeless {
+                return;
+            }
+            let ratio = (d / alpha).abs();
+            let better = match entering {
+                None => true,
+                Some((bj, best)) => {
+                    ratio < best - 1e-12 || ((ratio - best).abs() <= 1e-12 && j < bj)
+                }
+            };
+            if better {
+                entering = Some((j, ratio));
+                bound = (ratio + 2e-12) * (1.0 + 1e-9);
+            }
+        };
+        // α_j = (row `pos` of B⁻¹) · A_j and d_j = c_j − y · A_j, a chunk of
+        // structural columns at a time.
+        for start in (0..n).step_by(PRICE_CHUNK) {
+            let len = PRICE_CHUNK.min(n - start);
+            let (alpha, d) = (&mut abuf[..len], &mut dbuf[..len]);
+            alpha.fill(0.0);
+            mat.add_rows(rho, false, start, alpha);
+            mat.reduced_costs(false, y, start, d);
+            for k in 0..len {
+                consider(start + k, alpha[k], d[k]);
+            }
+        }
+        // Slack and artificial columns are unit vectors with zero cost (the
+        // dual simplex only runs on phase-2 costs).
+        for j in n..n + 2 * m {
+            let row = (j - n) % m;
+            let coeff = if j < n + m { 1.0 } else { art_sign[row] };
+            consider(j, 0.0 + rho[row] * coeff, 0.0 - y[row] * coeff);
+        }
+        entering.map(|(q, _)| q)
+    }
+
     /// Chooses an entering column; returns `(column, increasing)` or `None`
     /// when the current basis is optimal for the active cost vector.
-    fn price(&self, tol: f64) -> Option<(usize, bool)> {
-        let y = self.duals();
+    /// Dantzig: the largest `|d_j|` among improving columns, ties to the
+    /// lowest index; Bland: the first improving index.
+    fn price(&mut self, tol: f64) -> Option<(usize, bool)> {
+        let (n, m) = (self.mat.n, self.mat.m);
+        self.duals();
+        let Self {
+            mat,
+            status,
+            lb,
+            ub,
+            y,
+            art_sign,
+            dbuf,
+            phase_one,
+            use_bland,
+            ..
+        } = self;
+        let art_cost = if *phase_one { 1.0 } else { 0.0 };
         let mut best: Option<(usize, bool, f64)> = None;
-        for j in 0..self.ncols {
-            let (can_increase, can_decrease) = match self.status[j] {
-                ColStatus::Basic(_) => (false, false),
-                ColStatus::AtLower => (true, false),
-                ColStatus::AtUpper => (false, true),
-                ColStatus::Free => (true, true),
-            };
-            if !can_increase && !can_decrease {
-                continue;
-            }
-            // Fixed variables (lb == ub) cannot move at all.
-            if self.ub[j] - self.lb[j] <= 0.0 && self.lb[j].is_finite() {
-                continue;
-            }
-            let d = self.reduced_cost(j, &y);
-            let (improving, increasing) = if can_increase && d < -tol {
-                (true, true)
-            } else if can_decrease && d > tol {
-                (true, false)
-            } else {
-                (false, true)
-            };
-            if !improving {
-                continue;
-            }
-            if self.use_bland {
-                // Bland: first improving index.
-                return Some((j, increasing));
+        // Returns true when the search is over (Bland takes the first hit).
+        // Near the optimum almost no column improves, so the improving test
+        // is one branch-free expression and one rarely-taken branch.
+        let mut consider = |j: usize, d: f64| -> bool {
+            let dir = status[j].direction();
+            let increasing = d < -tol;
+            // Up from a lower bound, down from an upper one, either if free.
+            let improving = (increasing & (dir >= 0.0)) | ((d > tol) & (dir <= 0.0));
+            if !improving || is_fixed(lb[j], ub[j]) {
+                return false;
             }
             let score = d.abs();
-            if best.map(|(_, _, s)| score > s).unwrap_or(true) {
+            if *use_bland || best.map(|(_, _, s)| score > s).unwrap_or(true) {
                 best = Some((j, increasing, score));
+            }
+            *use_bland
+        };
+        'search: {
+            // d_j = c_j − y · A_j, a chunk of structural columns at a time.
+            for start in (0..n).step_by(PRICE_CHUNK) {
+                let len = PRICE_CHUNK.min(n - start);
+                let d = &mut dbuf[..len];
+                mat.reduced_costs(*phase_one, y, start, d);
+                for k in 0..len {
+                    if consider(start + k, d[k]) {
+                        break 'search;
+                    }
+                }
+            }
+            for j in n..n + 2 * m {
+                let row = (j - n) % m;
+                let d = if j < n + m {
+                    0.0 - y[row] * 1.0
+                } else {
+                    art_cost - y[row] * art_sign[row]
+                };
+                if consider(j, d) {
+                    break 'search;
+                }
             }
         }
         best.map(|(j, inc, _)| (j, inc))
     }
 
     /// One simplex iteration for the active cost vector.
-    /// Returns `Ok(true)` when an optimum was reached, `Ok(false)` to continue.
     fn iterate(&mut self, tol: f64, phase_two: bool) -> LpResult<IterOutcome> {
         let Some((q, increasing)) = self.price(tol) else {
             return Ok(IterOutcome::Optimal);
         };
-        let m = self.m;
+        let m = self.mat.m;
         let delta = if increasing { 1.0 } else { -1.0 };
-        let w = self.ftran(q);
+        self.ftran(q);
 
         // Ratio test. Basic values move by -t·delta·w.
         let entering_range = self.ub[q] - self.lb[q];
@@ -566,7 +1323,7 @@ impl Tableau {
         };
         let mut leaving: Option<(usize, bool)> = None; // (basis position, hits_lower)
         for pos in 0..m {
-            let wi = w[pos];
+            let wi = self.w[pos];
             if wi.abs() <= PIVOT_TOL {
                 continue;
             }
@@ -590,20 +1347,22 @@ impl Tableau {
                 }
             };
             let limit = limit.max(0.0);
-            if limit < t_max - 1e-12 {
-                t_max = limit;
-                leaving = Some((pos, hits_lower));
-            } else if leaving.is_some() && (limit - t_max).abs() <= 1e-12 {
-                // Tie-break by smallest column index (helps against cycling).
-                // pb-lint: allow(no-panic-in-solver-paths) — invariant:
-                // guarded by `leaving.is_some()` in the branch condition.
-                let (cur_pos, _) = leaving.unwrap();
-                if self.basis[pos] < self.basis[cur_pos] {
+            match leaving {
+                _ if limit < t_max - 1e-12 => {
+                    t_max = limit;
                     leaving = Some((pos, hits_lower));
                 }
-            } else if leaving.is_none() && limit <= t_max {
-                t_max = limit;
-                leaving = Some((pos, hits_lower));
+                // Tie-break by smallest column index (helps against cycling).
+                Some((cur_pos, _))
+                    if (limit - t_max).abs() <= 1e-12 && self.basis[pos] < self.basis[cur_pos] =>
+                {
+                    leaving = Some((pos, hits_lower));
+                }
+                None if limit <= t_max => {
+                    t_max = limit;
+                    leaving = Some((pos, hits_lower));
+                }
+                _ => {}
             }
         }
 
@@ -619,7 +1378,7 @@ impl Tableau {
 
         if t_max <= tol {
             self.degenerate_run += 1;
-            if self.degenerate_run > 2 * (self.m + self.ncols) {
+            if self.degenerate_run > 2 * (m + self.status.len()) {
                 self.use_bland = true;
             }
         } else {
@@ -629,37 +1388,41 @@ impl Tableau {
         // Apply the step to basic values.
         if t_max > 0.0 {
             for pos in 0..m {
-                self.xb[pos] -= t_max * delta * w[pos];
+                self.xb[pos] -= t_max * delta * self.w[pos];
             }
         }
 
         match leaving {
             None => {
                 // Bound flip of the entering variable: no basis change.
-                self.status[q] = if increasing {
-                    ColStatus::AtUpper
-                } else {
-                    ColStatus::AtLower
-                };
-                Ok(IterOutcome::Continue)
+                self.set_status(
+                    q,
+                    if increasing {
+                        ColStatus::AtUpper
+                    } else {
+                        ColStatus::AtLower
+                    },
+                );
             }
             Some((pos, hits_lower)) => {
                 let entering_value = self.nonbasic_value(q) + delta * t_max;
-                let leaving_col = self.basis[pos];
-                self.status[leaving_col] = if hits_lower {
-                    ColStatus::AtLower
-                } else {
-                    ColStatus::AtUpper
-                };
-                // Snap the leaving variable's value onto its bound exactly by
-                // construction (it is nonbasic now, so its value is implied).
+                // The leaving variable is nonbasic now, so its value is its
+                // bound exactly by construction.
+                self.set_status(
+                    self.basis[pos],
+                    if hits_lower {
+                        ColStatus::AtLower
+                    } else {
+                        ColStatus::AtUpper
+                    },
+                );
                 self.basis[pos] = q;
-                self.status[q] = ColStatus::Basic(pos);
+                self.set_status(q, ColStatus::Basic);
                 self.xb[pos] = entering_value;
-                self.update_binv(pos, &w)?;
-                Ok(IterOutcome::Continue)
+                self.update_binv(pos)?;
             }
         }
+        Ok(IterOutcome::Continue)
     }
 
     /// Runs the simplex loop until the active cost vector is optimal.
@@ -690,19 +1453,11 @@ impl Tableau {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IterOutcome {
-    Continue,
-    Optimal,
-    Unbounded,
-}
-
 /// Solves the LP relaxation of `problem` (integrality is ignored here; the
 /// branch-and-bound layer re-imposes it).
 ///
 /// `bound_overrides`, when given, replaces the `(lb, ub)` bounds of the
-/// structural variables — this is how branch and bound tightens bounds per
-/// node without copying the whole problem.
+/// structural variables.
 pub fn solve_lp(
     problem: &Problem,
     bound_overrides: Option<&[(f64, f64)]>,
@@ -713,491 +1468,48 @@ pub fn solve_lp(
 
 /// [`solve_lp`] plus warm starting: optionally resumes from a [`Basis`]
 /// snapshot of a previous solve and returns the final basis alongside the
-/// solution so the caller can chain further warm starts (branch and bound
-/// hands each child its parent's basis).
-///
-/// The warm path skips phase 1 entirely: it installs the snapshot, repairs
-/// primal feasibility with the dual simplex (a parent-optimal basis stays
-/// *dual* feasible when bounds tighten) and finishes with the ordinary
-/// primal loop. Shape mismatches, a dual-simplex give-up or numerical
-/// trouble all fall back to the cold two-phase start, so the returned
-/// solution does not depend on the supplied basis — only the iteration
-/// count does.
+/// solution so the caller can chain further warm starts. A thin wrapper: one
+/// [`LpMatrix`], one [`LpWorkspace::solve`]. The returned solution does not
+/// depend on the supplied basis — only the iteration count does.
 pub fn solve_lp_warm(
     problem: &Problem,
     bound_overrides: Option<&[(f64, f64)]>,
     config: &SolverConfig,
     warm: Option<&Basis>,
 ) -> LpResult<(Solution, Option<Basis>)> {
-    problem.validate()?;
-    if let Some(b) = bound_overrides {
-        if b.len() != problem.num_vars() {
+    let mat = LpMatrix::new(problem)?;
+    let own_bounds: Vec<(f64, f64)>;
+    let root = match bound_overrides {
+        Some(b) if b.len() != problem.num_vars() => {
             return Err(LpError::InvalidProblem(format!(
                 "bound override length {} does not match variable count {}",
                 b.len(),
                 problem.num_vars()
             )));
         }
-        for (lb, ub) in b.iter() {
-            if lb > ub {
-                // An empty domain at a branch-and-bound node is simply an
-                // infeasible subproblem, not a malformed input.
-                return Ok((Solution::status_only(Status::Infeasible), None));
-            }
-        }
-    }
-
-    let n = problem.num_vars();
-    let m = problem.num_constraints();
-
-    let var_bounds = |i: usize| -> (f64, f64) {
-        match bound_overrides {
-            Some(b) => b[i],
-            None => {
-                let v = &problem.variables()[i];
-                (v.lb, v.ub)
-            }
+        Some(b) => b,
+        None => {
+            own_bounds = problem.variables().iter().map(|v| (v.lb, v.ub)).collect();
+            &own_bounds
         }
     };
-
-    // Trivial case: no constraints. Push every variable to its favourable bound.
-    if m == 0 {
-        return solve_unconstrained(problem, bound_overrides, config).map(|s| (s, None));
-    }
-
-    // Internal objective is always minimization.
-    let obj_sign = match problem.sense() {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
+    let mut ws = LpWorkspace::new(&mat, root);
+    let lp = ws.solve(std::iter::empty(), warm, config)?;
+    let values = match lp.status {
+        Status::Optimal | Status::Unbounded => ws.dense_values(),
+        _ => Vec::new(),
     };
-    let ncols = n + m + m; // structural + slack + artificial
-
-    // ---- Warm path ----
-    let mut warm_spent = 0usize;
-    if let Some(wb) = warm {
-        if wb.m as usize == m && wb.ncols as usize == ncols {
-            let mut tab = build_shell(problem, &var_bounds);
-            // Canonical +1 artificials, frozen at zero: the warm basis does
-            // not need the residual-signed feasibility trick of the cold
-            // start, and a fixed sign keeps snapshots portable across nodes.
-            for row in 0..m {
-                let art = n + m + row;
-                tab.cols[art].push((row, 1.0));
-                tab.lb[art] = 0.0;
-                tab.ub[art] = 0.0;
-            }
-            for i in 0..n {
-                tab.cost[i] = obj_sign * problem.objective()[i];
-            }
-            if tab.install(wb) {
-                let attempt: LpResult<Option<(Solution, Option<Basis>)>> =
-                    (|| match tab.dual_simplex(config)? {
-                        DualOutcome::GaveUp => Ok(None),
-                        DualOutcome::Infeasible => {
-                            let mut s = Solution::status_only(Status::Infeasible);
-                            s.iterations = tab.iterations;
-                            Ok(Some((s, None)))
-                        }
-                        DualOutcome::Feasible => {
-                            let outcome = tab.optimize(config, true)?;
-                            Ok(Some(extract(problem, &var_bounds, &tab, outcome)))
-                        }
-                    })();
-                match attempt {
-                    Ok(Some(out)) => return Ok(out),
-                    // Give-up or numerical trouble: re-solve cold, carrying
-                    // the pivots already spent into the iteration budget.
-                    Ok(None) => warm_spent = tab.iterations,
-                    Err(LpError::Numerical(_)) => warm_spent = tab.iterations,
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    // ---- Cold path: two-phase from scratch ----
-    let mut tab = build_shell(problem, &var_bounds);
-    tab.iterations = warm_spent;
-
-    // Residuals decide the sign of each artificial column so the initial
-    // basis is feasible (artificial value = |residual| ≥ 0).
-    let mut residual = tab.b.clone();
-    #[allow(clippy::needless_range_loop)]
-    for j in 0..n + m {
-        let v = match tab.status[j] {
-            ColStatus::AtLower => tab.lb[j],
-            ColStatus::AtUpper => tab.ub[j],
-            _ => 0.0,
-        };
-        if v != 0.0 {
-            for &(row, a) in &tab.cols[j] {
-                residual[row] -= a * v;
-            }
-        }
-    }
-    for row in 0..m {
-        let art = n + m + row;
-        let sign = if residual[row] >= 0.0 { 1.0 } else { -1.0 };
-        tab.cols[art].push((row, sign));
-        tab.lb[art] = 0.0;
-        tab.ub[art] = f64::INFINITY;
-        tab.basis[row] = art;
-        tab.status[art] = ColStatus::Basic(row);
-        tab.binv[row * m + row] = sign; // inverse of diag(sign) is itself
-        tab.xb[row] = residual[row].abs();
-    }
-
-    // Phase-1 cost: sum of artificials.
-    for row in 0..m {
-        tab.cost[n + m + row] = 1.0;
-    }
-
-    // ---- Phase 1 ----
-    match tab.optimize(config, false)? {
-        IterOutcome::Optimal => {}
-        IterOutcome::Unbounded => {
-            return Err(LpError::Numerical("phase-1 reported unbounded".into()))
-        }
-        // pb-lint: allow(no-panic-in-solver-paths) — invariant: the
-        // iteration loop only returns Optimal or Unbounded; Continue keeps
-        // iterating and never escapes.
-        IterOutcome::Continue => unreachable!(),
-    }
-    let infeasibility: f64 = (0..tab.m)
-        .map(|pos| {
-            let j = tab.basis[pos];
-            if j >= n + m {
-                tab.xb[pos].max(0.0)
-            } else {
-                0.0
-            }
-        })
-        .sum();
-    // pb-lint: allow(no-nan-unsafe-ordering) — `b` entries are finite by
-    // problem validation; max of absolute values builds a tolerance scale.
-    let feas_scale = 1.0 + tab.b.iter().map(|v| v.abs()).fold(0.0, f64::max);
-    if infeasibility > config.tolerance * feas_scale * 10.0 {
-        let mut s = Solution::status_only(Status::Infeasible);
-        s.iterations = tab.iterations;
-        return Ok((s, None));
-    }
-
-    // ---- Phase 2 ----
-    // Freeze artificials at zero and swap in the real objective.
-    for row in 0..m {
-        let art = n + m + row;
-        tab.ub[art] = 0.0;
-        if !matches!(tab.status[art], ColStatus::Basic(_)) {
-            tab.status[art] = ColStatus::AtLower;
-        }
-    }
-    tab.cost = vec![0.0; ncols];
-    for i in 0..n {
-        tab.cost[i] = obj_sign * problem.objective()[i];
-    }
-    tab.use_bland = false;
-    tab.degenerate_run = 0;
-
-    let outcome = tab.optimize(config, true)?;
-    Ok(extract(problem, &var_bounds, &tab, outcome))
-}
-
-/// Outcome of one [`LpWorkspace::solve`] attempt.
-pub enum WarmAttempt {
-    /// The warm solve finished; solution and next-warm-start basis inside.
-    Done(Solution, Option<Basis>),
-    /// The warm attempt gave up (basis mismatch, dual-simplex stall or
-    /// numerical trouble) after spending this many pivots; the caller should
-    /// re-solve cold and add the spent pivots to its iteration count.
-    Fallback(usize),
-}
-
-/// A reusable warm-solve workspace for branch and bound.
-///
-/// Every node of a branch-and-bound search solves the *same* LP with only
-/// the structural variable bounds changed, yet [`solve_lp_warm`] rebuilds
-/// the whole tableau shell per call — for package ILPs with thousands of
-/// columns that rebuild (one heap-allocated sparse column per variable)
-/// costs more than the handful of warm pivots it feeds. The workspace
-/// builds the shell once — columns, costs, right-hand sides, canonical
-/// frozen artificials — and each [`LpWorkspace::solve`] only rewrites the
-/// structural bounds in place before installing the caller's basis.
-///
-/// **Purity invariant**: a solve's result is a pure function of
-/// `(bounds, warm, config)`. The basis install resets every column
-/// status, rebuilds the basis and refactorizes, and the pivot-state fields
-/// (`iterations`, `use_bland`, `degenerate_run`) are reset per call, so no
-/// state leaks between solves — which is what lets the deterministic
-/// parallel search hand workspaces to arbitrary worker threads without
-/// affecting results (see `crate::branch_bound`).
-pub struct LpWorkspace {
-    tab: Tableau,
-}
-
-impl LpWorkspace {
-    /// Builds the shell for `problem`. Returns `None` for problems without
-    /// constraint rows (those take the trivial unconstrained path and never
-    /// benefit from reuse).
-    pub fn new(problem: &Problem) -> Option<Self> {
-        let n = problem.num_vars();
-        let m = problem.num_constraints();
-        if m == 0 {
-            return None;
-        }
-        let var_bounds = |i: usize| {
-            let v = &problem.variables()[i];
-            (v.lb, v.ub)
-        };
-        let mut tab = build_shell(problem, &var_bounds);
-        // Canonical +1 artificials frozen at zero, exactly as the warm path
-        // of [`solve_lp_warm`] builds them — snapshots are interchangeable
-        // between the two.
-        for row in 0..m {
-            let art = n + m + row;
-            tab.cols[art].push((row, 1.0));
-            tab.lb[art] = 0.0;
-            tab.ub[art] = 0.0;
-        }
-        let obj_sign = match problem.sense() {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
-        for i in 0..n {
-            tab.cost[i] = obj_sign * problem.objective()[i];
-        }
-        Some(LpWorkspace { tab })
-    }
-
-    /// Warm-solves `problem` under `bounds` from the basis `warm`, reusing
-    /// the prebuilt shell. Behaviour (statuses, pivots, results) is
-    /// identical to the warm path of [`solve_lp_warm`]; only the shell
-    /// construction is skipped. `bounds` must cover every structural
-    /// variable and `problem` must be the one the workspace was built for.
-    pub fn solve(
-        &mut self,
-        problem: &Problem,
-        bounds: &[(f64, f64)],
-        config: &SolverConfig,
-        warm: &Basis,
-    ) -> LpResult<WarmAttempt> {
-        let n = problem.num_vars();
-        if bounds.len() != n {
-            return Err(LpError::InvalidProblem(format!(
-                "bound override length {} does not match variable count {}",
-                bounds.len(),
-                n
-            )));
-        }
-        for (lb, ub) in bounds.iter() {
-            if lb > ub {
-                return Ok(WarmAttempt::Done(
-                    Solution::status_only(Status::Infeasible),
-                    None,
-                ));
-            }
-        }
-        let tab = &mut self.tab;
-        for (i, &(lb, ub)) in bounds.iter().enumerate() {
-            tab.lb[i] = lb;
-            tab.ub[i] = ub;
-        }
-        tab.iterations = 0;
-        tab.use_bland = false;
-        tab.degenerate_run = 0;
-        if !tab.install(warm) {
-            return Ok(WarmAttempt::Fallback(tab.iterations));
-        }
-        let attempt: LpResult<Option<(Solution, Option<Basis>)>> =
-            (|| match tab.dual_simplex(config)? {
-                DualOutcome::GaveUp => Ok(None),
-                DualOutcome::Infeasible => {
-                    let mut s = Solution::status_only(Status::Infeasible);
-                    s.iterations = tab.iterations;
-                    Ok(Some((s, None)))
-                }
-                DualOutcome::Feasible => {
-                    let outcome = tab.optimize(config, true)?;
-                    Ok(Some(extract(problem, &|i| bounds[i], tab, outcome)))
-                }
-            })();
-        match attempt {
-            Ok(Some((s, b))) => Ok(WarmAttempt::Done(s, b)),
-            Ok(None) => Ok(WarmAttempt::Fallback(tab.iterations)),
-            Err(LpError::Numerical(_)) => Ok(WarmAttempt::Fallback(tab.iterations)),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Builds the tableau shell shared by the warm and cold paths: structural
-/// and slack columns with their bounds and default statuses, empty
-/// artificial columns (each path fills those in its own way), zero costs.
-fn build_shell(problem: &Problem, var_bounds: &dyn Fn(usize) -> (f64, f64)) -> Tableau {
-    let n = problem.num_vars();
-    let m = problem.num_constraints();
-    let ncols = n + m + m;
-    let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ncols];
-    let mut lb = vec![0.0; ncols];
-    let mut ub = vec![f64::INFINITY; ncols];
-    let mut b = vec![0.0; m];
-
-    for i in 0..n {
-        let (l, u) = var_bounds(i);
-        lb[i] = l;
-        ub[i] = u;
-    }
-    for (row, c) in problem.constraints().iter().enumerate() {
-        b[row] = c.rhs;
-        for (v, a) in c.expr.terms() {
-            if a != 0.0 {
-                cols[v.index()].push((row, a));
-            }
-        }
-        let slack = n + row;
-        cols[slack].push((row, 1.0));
-        match c.op {
-            ConstraintOp::Le => {
-                lb[slack] = 0.0;
-                ub[slack] = f64::INFINITY;
-            }
-            ConstraintOp::Ge => {
-                lb[slack] = f64::NEG_INFINITY;
-                ub[slack] = 0.0;
-            }
-            ConstraintOp::Eq => {
-                lb[slack] = 0.0;
-                ub[slack] = 0.0;
-            }
-        }
-    }
-
-    let mut status = vec![ColStatus::Free; ncols];
-    #[allow(clippy::needless_range_loop)]
-    for j in 0..n + m {
-        status[j] = default_status(lb[j], ub[j]);
-    }
-
-    Tableau {
-        m,
-        ncols,
-        n_struct: n,
-        cols,
-        lb,
-        ub,
-        cost: vec![0.0; ncols],
-        b,
-        status,
-        basis: vec![0usize; m],
-        binv: vec![0.0; m * m],
-        xb: vec![0.0; m],
-        iterations: 0,
-        use_bland: false,
-        degenerate_run: 0,
-    }
-}
-
-/// Extracts the structural solution and a basis snapshot from a finished
-/// tableau.
-fn extract(
-    problem: &Problem,
-    var_bounds: &dyn Fn(usize) -> (f64, f64),
-    tab: &Tableau,
-    outcome: IterOutcome,
-) -> (Solution, Option<Basis>) {
-    let n = problem.num_vars();
-    let mut values = vec![0.0; n];
-    for (j, v) in values.iter_mut().enumerate() {
-        *v = tab.nonbasic_value(j);
-    }
-    // Clamp tiny numerical excursions back into the variable bounds.
-    for (i, v) in values.iter_mut().enumerate() {
-        let (l, u) = var_bounds(i);
-        if *v < l {
-            *v = l;
-        }
-        if *v > u {
-            *v = u;
-        }
-        if v.abs() < 1e-11 {
-            *v = 0.0;
-        }
-    }
-
-    match outcome {
-        IterOutcome::Unbounded => (
-            Solution {
-                status: Status::Unbounded,
-                objective: match problem.sense() {
-                    Sense::Maximize => f64::INFINITY,
-                    Sense::Minimize => f64::NEG_INFINITY,
-                },
-                values,
-                iterations: tab.iterations,
-                nodes: 0,
-                gap: None,
-            },
-            None,
-        ),
-        _ => {
-            let objective = problem.objective_value(&values);
-            (
-                Solution {
-                    status: Status::Optimal,
-                    objective,
-                    values,
-                    iterations: tab.iterations,
-                    nodes: 0,
-                    gap: None,
-                },
-                Some(tab.snapshot()),
-            )
-        }
-    }
-}
-
-/// Handles problems with zero constraint rows.
-fn solve_unconstrained(
-    problem: &Problem,
-    bound_overrides: Option<&[(f64, f64)]>,
-    _config: &SolverConfig,
-) -> LpResult<Solution> {
-    let n = problem.num_vars();
-    let mut values = vec![0.0; n];
-    for i in 0..n {
-        let (lb, ub) = match bound_overrides {
-            Some(b) => b[i],
-            None => (problem.variables()[i].lb, problem.variables()[i].ub),
-        };
-        let c = problem.objective()[i];
-        let effective = match problem.sense() {
-            Sense::Maximize => c,
-            Sense::Minimize => -c,
-        };
-        // Push towards the bound that improves the objective.
-        let target = if effective > 0.0 {
-            ub
-        } else if effective < 0.0 {
-            lb
-        } else {
-            lb.max(0.0).min(ub)
-        };
-        if !target.is_finite() {
-            if effective != 0.0 {
-                return Ok(Solution::status_only(Status::Unbounded));
-            }
-            values[i] = if lb.is_finite() { lb } else { 0.0 };
-        } else {
-            values[i] = target;
-        }
-    }
-    Ok(Solution {
-        status: Status::Optimal,
-        objective: problem.objective_value(&values),
-        values,
-        iterations: 0,
-        nodes: 0,
-        gap: None,
-    })
+    Ok((
+        Solution {
+            status: lp.status,
+            objective: lp.objective,
+            values,
+            iterations: lp.iterations,
+            nodes: 0,
+            gap: None,
+        },
+        lp.basis,
+    ))
 }
 
 /// Convenience used by tests: true when every integer variable of `problem`
@@ -1421,5 +1733,236 @@ mod tests {
         p.add_var("y", VarType::Continuous, 0.0, 5.0);
         assert!(is_integral(&p, &[2.0000000001, 3.7], 1e-6));
         assert!(!is_integral(&p, &[2.5, 3.7], 1e-6));
+    }
+
+    /// A 30-variable, 3-row packing LP with a fractional optimum: integer
+    /// variables in `[lo, 3]`, objective coefficients of `sign`.
+    fn packing(lo: f64, sign: f64, sense: Sense) -> Problem {
+        let mut p = Problem::new(sense);
+        let vars: Vec<_> = (0..30)
+            .map(|i| p.add_var(format!("x{i}"), VarType::Integer, lo, 3.0))
+            .collect();
+        for (i, &v) in vars.iter().enumerate() {
+            p.set_objective_coeff(
+                v,
+                sign * (1.0 + ((i * 7) % 11) as f64 + 0.25 * (i % 3) as f64),
+            );
+        }
+        let weight: Vec<_> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, 2.0 + ((i * 5) % 9) as f64))
+            .collect();
+        let bulk: Vec<_> = vars
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 4 != 1) // zero coefficients in a dense row
+            .map(|(i, &v)| (v, 1.0 + ((i * 3) % 5) as f64))
+            .collect();
+        let count: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+        p.add_constraint_terms("weight", &weight, ConstraintOp::Le, 41.5 + 30.0 * lo * 6.0);
+        p.add_constraint_terms("bulk", &bulk, ConstraintOp::Ge, 7.3);
+        p.add_constraint_terms("count", &count, ConstraintOp::Le, 9.0 + 30.0 * lo);
+        p
+    }
+
+    fn root_of(p: &Problem) -> Vec<(f64, f64)> {
+        p.variables().iter().map(|v| (v.lb, v.ub)).collect()
+    }
+
+    /// Everything observable about a solve, as bit patterns.
+    fn fingerprint(
+        ws: &LpWorkspace<'_>,
+        lp: &NodeLp,
+    ) -> (Status, u64, usize, Vec<(usize, u64)>, Vec<u64>) {
+        (
+            lp.status,
+            lp.objective.to_bits(),
+            lp.iterations,
+            lp.basics.iter().map(|&(j, v)| (j, v.to_bits())).collect(),
+            ws.dense_values().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn a_workspace_solving_a_b_a_returns_the_same_a() {
+        let p = packing(0.0, 1.0, Sense::Maximize);
+        let mat = LpMatrix::new(&p).unwrap();
+        let root = root_of(&p);
+        let mut ws = LpWorkspace::new(&mat, &root);
+        let parent = ws.solve([], None, &cfg()).unwrap();
+        let basis = parent.basis.clone().expect("optimal solves return a basis");
+        let &(var, val) = parent
+            .basics
+            .iter()
+            .find(|(_, v)| v.fract() != 0.0)
+            .expect("the relaxation is fractional");
+        // A: branch down on the fractional variable, warm.
+        let job_a = [(var, 0.0, val.floor())];
+        let first = ws.solve(job_a, Some(&basis), &cfg()).unwrap();
+        let first = fingerprint(&ws, &first);
+        // B: a deeper node that shadows A's patch, takes away two columns A
+        // uses, forces one it leaves at zero, and solves cold.
+        let a_values = ws.dense_values();
+        let used: Vec<usize> = (0..30).filter(|&j| j != var && a_values[j] > 0.0).collect();
+        let unused = (0..30).find(|&j| a_values[j] == 0.0).unwrap();
+        let job_b = [
+            (var, val.ceil(), 3.0),
+            (used[0], 0.0, 0.0),
+            (var, 0.0, 0.0),
+            (used[1], 0.0, 0.0),
+            (unused, 1.0, 3.0),
+        ];
+        let other = ws.solve(job_b, None, &cfg()).unwrap();
+        assert_ne!(
+            fingerprint(&ws, &other),
+            first,
+            "B must disturb the workspace"
+        );
+        let again = ws.solve(job_a, Some(&basis), &cfg()).unwrap();
+        assert_eq!(fingerprint(&ws, &again), first);
+        // …and a workspace that never saw B agrees.
+        let mut fresh = LpWorkspace::new(&mat, &root);
+        let reference = fresh.solve(job_a, Some(&basis), &cfg()).unwrap();
+        assert_eq!(fingerprint(&fresh, &reference), first);
+    }
+
+    #[test]
+    fn a_warm_solve_equals_the_cold_solve_of_the_same_bounds() {
+        let p = packing(0.0, 1.0, Sense::Maximize);
+        let mat = LpMatrix::new(&p).unwrap();
+        let root = root_of(&p);
+        let mut ws = LpWorkspace::new(&mat, &root);
+        let parent = ws.solve([], None, &cfg()).unwrap();
+        let basis = parent.basis.clone().unwrap();
+        for &(var, val) in &parent.basics {
+            for patch in [(var, 0.0, val.floor()), (var, val.ceil(), 3.0)] {
+                let warm = ws.solve([patch], Some(&basis), &cfg()).unwrap();
+                let warm_values = ws.dense_values();
+                let cold = ws.solve([patch], None, &cfg()).unwrap();
+                assert_eq!(warm.status, cold.status, "{patch:?}");
+                assert!(warm.iterations <= cold.iterations, "{patch:?}");
+                if cold.status.is_optimal() {
+                    assert!(
+                        (warm.objective - cold.objective).abs() < 1e-9,
+                        "{patch:?}: warm {} vs cold {}",
+                        warm.objective,
+                        cold.objective
+                    );
+                    assert!(p.is_feasible(&warm_values, 1e-7), "{patch:?}");
+                }
+            }
+        }
+        // A basis of the wrong shape falls through to the same cold solve.
+        let other = packing(0.0, 1.0, Sense::Minimize);
+        let mut smaller = other.clone();
+        smaller.pop_constraint();
+        let (_, foreign) = solve_lp_warm(&smaller, None, &cfg(), None).unwrap();
+        let cold = ws.solve([], None, &cfg()).unwrap();
+        let cold = fingerprint(&ws, &cold);
+        let misfit = ws.solve([], foreign.as_ref(), &cfg()).unwrap();
+        assert_eq!(fingerprint(&ws, &misfit), cold);
+    }
+
+    /// The `O(n)` scan the compact node result replaced: most fractional
+    /// integer variable over the whole dense vector.
+    fn dense_branch_variable(p: &Problem, values: &[f64], tol: f64) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, v) in p.variables().iter().enumerate() {
+            if v.ty != VarType::Integer {
+                continue;
+            }
+            let x = values[i];
+            if (x - x.round()).abs() > tol {
+                let score = 0.5 - (x - x.floor() - 0.5).abs();
+                if best.map(|(_, s)| score > s).unwrap_or(true) {
+                    best = Some((i, score));
+                }
+            }
+        }
+        best.map(|(i, _)| (i, values[i]))
+    }
+
+    fn assert_sparse_equals_dense(p: &Problem, overlay: &[(usize, f64, f64)]) -> NodeLp {
+        let mat = LpMatrix::new(p).unwrap();
+        let root = root_of(p);
+        let mut ws = LpWorkspace::new(&mat, &root);
+        let lp = ws.solve(overlay.iter().copied(), None, &cfg()).unwrap();
+        assert!(lp.status.is_optimal());
+        let dense = ws.dense_values();
+        assert_eq!(
+            lp.objective.to_bits(),
+            p.objective_value(&dense).to_bits(),
+            "sparse objective {} vs dense {}",
+            lp.objective,
+            p.objective_value(&dense)
+        );
+        assert_eq!(
+            crate::branch_bound::branch_variable(p, &lp.basics, 1e-6),
+            dense_branch_variable(p, &dense, 1e-6)
+        );
+        for &(j, v) in &lp.basics {
+            assert_eq!(v.to_bits(), dense[j].to_bits());
+        }
+        lp
+    }
+
+    #[test]
+    fn the_sparse_node_result_equals_the_dense_extract() {
+        // A fractional optimum, with and without patches.
+        let p = packing(0.0, 1.0, Sense::Maximize);
+        let lp = assert_sparse_equals_dense(&p, &[]);
+        assert!(lp.basics.iter().any(|(_, v)| v.fract() != 0.0));
+        assert_sparse_equals_dense(&p, &[(4, 1.0, 3.0), (17, 0.0, 0.0), (9, 2.0, 2.0)]);
+        assert_sparse_equals_dense(&packing(0.0, 1.0, Sense::Minimize), &[]);
+
+        // A root with non-zero lower bounds: every column rests off zero.
+        let lifted = packing(1.0, 1.0, Sense::Maximize);
+        let lp = assert_sparse_equals_dense(&lifted, &[]);
+        assert!(lp.objective > 30.0);
+        assert_sparse_equals_dense(&lifted, &[(2, 2.0, 3.0)]);
+
+        // All-zero solutions. Every term of the dense sum is a signed zero:
+        // `−c · 0.0` is `−0.0`, and a float `Sum` starts from `−0.0`, so the
+        // objective is `−0.0` exactly when every coefficient is negative.
+        let mut zero = Problem::new(Sense::Maximize);
+        let vars: Vec<_> = (0..6).map(|i| zero.add_binary(format!("z{i}"))).collect();
+        for &v in &vars {
+            zero.set_objective_coeff(v, -2.0);
+        }
+        let ones: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+        zero.add_constraint_terms("cap", &ones, ConstraintOp::Le, 3.0);
+        let lp = assert_sparse_equals_dense(&zero, &[]);
+        assert_eq!(lp.objective.to_bits(), (-0.0f64).to_bits());
+        // One non-negative coefficient anywhere flips it to `+0.0`…
+        zero.set_objective_coeff(vars[4], 0.0);
+        let lp = assert_sparse_equals_dense(&zero, &[]);
+        assert_eq!(lp.objective.to_bits(), 0.0f64.to_bits());
+        // …and so does a patched column that rests on a non-zero bound with a
+        // zero coefficient, while the rest stay at zero.
+        let lp = assert_sparse_equals_dense(&zero, &[(4, 1.0, 1.0)]);
+        assert_eq!(lp.objective.to_bits(), 0.0f64.to_bits());
+        zero.set_objective_coeff(vars[4], -0.0);
+        let lp = assert_sparse_equals_dense(&zero, &[(4, 1.0, 1.0)]);
+        assert_eq!(lp.objective.to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn empty_domains_and_unknown_variables_in_an_overlay() {
+        let p = packing(0.0, 1.0, Sense::Maximize);
+        let mat = LpMatrix::new(&p).unwrap();
+        let mut ws = LpWorkspace::new(&mat, &root_of(&p));
+        let lp = ws.solve([(3, 2.0, 1.0)], None, &cfg()).unwrap();
+        assert_eq!(lp.status, Status::Infeasible);
+        assert_eq!(lp.iterations, 0);
+        // A shadowed empty patch is not the node's domain.
+        let lp = ws
+            .solve([(3, 0.0, 1.0), (3, 2.0, 1.0)], None, &cfg())
+            .unwrap();
+        assert!(lp.status.is_optimal());
+        assert!(matches!(
+            ws.solve([(30, 0.0, 1.0)], None, &cfg()),
+            Err(LpError::UnknownVariable(30))
+        ));
     }
 }

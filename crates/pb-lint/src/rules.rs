@@ -13,6 +13,7 @@
 //! | [`time-containment`](TimeContainment) | `Instant::now()` belongs to `budget.rs` (the cooperative deadline substrate); any other production site is reporting-only and must say so. | production code |
 //! | [`unsafe-audit`](UnsafeAudit) | Every `unsafe` site carries a `SAFETY:` comment (or a `# Safety` doc section for `unsafe fn`). | everywhere |
 //! | [`no-panic-in-solver-paths`](NoPanicInSolverPaths) | Solver-reachable code returns `PbError::Internal` instead of panicking; `Mutex`-poison `unwrap`s are exempt (poisoning only follows another panic). | solver paths |
+//! | [`no-fused-multiply-add`](NoFusedMultiplyAdd) | `mul_add` rounds once where `a * b + c` rounds twice, and lowers to a hardware FMA or a libm call depending on the host; either way the bits the identity gates compare move. | `crates/core`, `crates/lp-solver` |
 //!
 //! A site that genuinely needs an exception carries an allow annotation
 //! **with a written justification** on the flagged line or the comment
@@ -104,6 +105,7 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(TimeContainment),
         Box::new(UnsafeAudit),
         Box::new(NoPanicInSolverPaths),
+        Box::new(NoFusedMultiplyAdd),
     ]
 }
 
@@ -628,6 +630,55 @@ impl Rule for NoPanicInSolverPaths {
                 if find_bounded(n, pat).is_some() {
                     out.push(mk(self, ctx, line, format!("`{}..)` in solver path", pat)));
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rule 7: no-fused-multiply-add
+// ---------------------------------------------------------------------------
+
+/// Bans `mul_add` in the engine and the LP solver.
+///
+/// `a.mul_add(b, c)` computes `a·b + c` with **one** rounding; `a * b + c`
+/// rounds twice. The two differ in the last bit often enough that a single
+/// fused accumulation moves a simplex pivot, and with it a node count, an
+/// incumbent and every bit-identity gate downstream (thread counts, storage
+/// modes, the recorded pivot sequences of `ilp_golden.rs`). It is also
+/// host-dependent — a hardware FMA where the target has one, a software
+/// routine elsewhere — so two machines would stop agreeing with each other.
+/// rustc never contracts `a * b + c` on its own; this rule keeps the
+/// explicit form out.
+pub struct NoFusedMultiplyAdd;
+
+/// Crates whose floating-point results are gated bit for bit.
+const BIT_EXACT_CRATES: &[&str] = &["crates/core/", "crates/lp-solver/"];
+
+impl Rule for NoFusedMultiplyAdd {
+    fn id(&self) -> &'static str {
+        "no-fused-multiply-add"
+    }
+    fn summary(&self) -> &'static str {
+        "mul_add rounds differently from a * b + c and differs by host; write the two-step form"
+    }
+    fn hint(&self) -> &'static str {
+        "write `a * b + c`: the bit-identity gates rely on two roundings, \
+         on every host"
+    }
+    fn applies(&self, ctx: &FileCtx) -> bool {
+        ctx.class != FileClass::Test && BIT_EXACT_CRATES.iter().any(|c| ctx.rel.starts_with(c))
+    }
+    fn check(&self, ctx: &FileCtx, out: &mut Vec<Finding>) {
+        for (idx, n) in ctx.norm.iter().enumerate() {
+            let line = idx + 1;
+            if ctx.live(line) && find_bounded(n, "mul_add(").is_some() {
+                out.push(mk(
+                    self,
+                    ctx,
+                    line,
+                    "`mul_add(..)` fuses the multiply and the add".to_string(),
+                ));
             }
         }
     }

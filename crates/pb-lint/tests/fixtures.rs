@@ -129,6 +129,27 @@ fn no_panic_spares_poison_idiom_annotations_and_asserts() {
 }
 
 #[test]
+fn no_fused_multiply_add_fires_on_method_and_path_calls() {
+    let lines = hits(
+        include_str!("fixtures/no_fused_multiply_add_bad.rs"),
+        "no-fused-multiply-add",
+    );
+    assert_eq!(lines, vec![3, 7]);
+}
+
+#[test]
+fn no_fused_multiply_add_spares_the_two_step_form_and_other_crates() {
+    assert_silent(include_str!("fixtures/no_fused_multiply_add_good.rs"), REL);
+    // Only the bit-exact crates are in scope: the bench harness may fuse.
+    let findings = analyze_source(
+        "crates/bench/src/bin/harness.rs",
+        FileClass::Bench,
+        include_str!("fixtures/no_fused_multiply_add_bad.rs"),
+    );
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn solver_only_rules_skip_infra_files() {
     // The panic fixture fires on a solver path but not in infra code, where
     // panicking on corruption is legitimate.
