@@ -269,11 +269,11 @@ fn eval_throughput() {
 
 /// The cold build path of `EVAL`, stage by stage: what a query pays the
 /// first time it touches a relation (or after every append). `scan` is the
-/// base-predicate pass over the table (absent without a `WHERE`), `stats`
-/// the candidate statistics
-/// (`cells` = candidates × numeric columns; single-threaded by design),
-/// `materialize` the fused term-column pass (`cells` = candidates × terms,
-/// including fetching the candidate rows). Each stage is timed on its own,
+/// base predicate's chunk form over the table's column vectors (absent
+/// without a `WHERE`), `stats` the candidate statistics folded from the
+/// typed vectors (`cells` = candidates × numeric columns; single-threaded
+/// by design), `materialize` the fused term-column pass, chunk form straight
+/// into the columns (`cells` = candidates × terms). Each stage is timed on its own,
 /// best of several runs, at 1 and 2 executor threads. Returns the
 /// `cold_build` rows of `BENCH_eval.json`.
 fn cold_build_throughput() -> Vec<String> {
@@ -355,17 +355,10 @@ fn cold_build_throughput() -> Vec<String> {
         let query = paql::compile(text, table.schema()).unwrap().query;
         let candidates =
             base_candidates_par(table, query.where_clause.as_ref(), ParExec::sequential()).unwrap();
-        let rows: Vec<&minidb::Tuple> = candidates
-            .iter()
-            .map(|id| table.require(*id).unwrap())
-            .collect();
-        let stats = TableStats::of_row_refs(table.schema(), rows.iter().copied());
+        let stats = TableStats::of_ids(table, &candidates).unwrap();
         let numeric = table.schema().numeric_columns().len();
-        let stats_rate = best_rate(rows.len() * numeric, || {
-            std::hint::black_box(TableStats::of_row_refs(
-                table.schema(),
-                rows.iter().copied(),
-            ));
+        let stats_rate = best_rate(candidates.len() * numeric, || {
+            std::hint::black_box(TableStats::of_ids(table, &candidates).unwrap());
         });
         for threads in [1usize, 2] {
             let par = ParExec::new(threads);

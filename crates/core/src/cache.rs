@@ -323,9 +323,10 @@ struct TermBank {
     candidates: Vec<TupleId>,
     stats: TableStats,
     term_keys: Vec<AggCall>,
-    /// `Arc`ed so a hit-path snapshot is a refcount bump per column, not a
-    /// deep copy of every column the bank has ever materialized; the data is
-    /// copied exactly once per view, for the columns the view actually uses.
+    /// `Arc`ed so a hit-path snapshot is a refcount bump per column the bank
+    /// has ever materialized. A view takes its own [`TermColumn`] of the
+    /// columns it uses — the per-chunk metadata by copy, the resident
+    /// payload (or spill pages) shared with the bank, never copied.
     columns: Vec<Arc<TermColumn>>,
     /// Partition memos per term *signature* (the bank column indices a view
     /// uses, in the view's order). Partitioning splits along a view's term
@@ -503,9 +504,8 @@ impl ViewCache {
     ) -> PbResult<CandidateView> {
         let key = ViewKey::of(table, query.where_clause.as_ref());
 
-        // Phase 1 — snapshot the bank (if any) under the lock. Column
-        // vectors are cloned here; that is a plain memcpy, orders of
-        // magnitude cheaper than the evaluation they replace.
+        // Phase 1 — snapshot the bank (if any) under the lock: refcount
+        // bumps, no column payload is copied.
         let snapshot = {
             let mut inner = self.lock();
             if inner.capacity == 0 {
@@ -693,8 +693,8 @@ impl fmt::Debug for ViewCache {
     }
 }
 
-/// Copies `view`'s columns that the bank does not have yet into the bank and
-/// returns the view's term signature (its columns as bank indices, in view
+/// Banks `view`'s columns that the bank does not have yet (sharing their
+/// payload with the view) and returns the view's term signature (its columns as bank indices, in view
 /// order) — the key under which views may share a [`PartitionMemo`].
 fn adopt_columns(bank: &mut TermBank, view: &CandidateView) -> Vec<usize> {
     view.term_keys()
@@ -911,7 +911,7 @@ mod tests {
         let query = parse(MEAL).unwrap();
         cache.view_for(&query, &t).unwrap();
         // Mutate: the fingerprint moves, the old bank can never match.
-        let extra = t.rows()[0].clone();
+        let extra = t.require(TupleId(0)).unwrap().to_tuple();
         t.insert(extra).unwrap();
         let v = cache.view_for(&query, &t).unwrap();
         assert_eq!(cache.stats().hits, 0);

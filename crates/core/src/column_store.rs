@@ -340,25 +340,20 @@ impl SpillStore {
         self.pages.fetch_add(pages, Ordering::Relaxed)
     }
 
-    /// Writes one column chunk (`coeffs` and `included` of equal length, at
-    /// most [`CHUNK_WIDTH`]; tail chunks are zero-padded to a full page) to
-    /// a page obtained from [`SpillStore::reserve`]. Pages are written once.
-    pub fn write_chunk(&self, page: u64, coeffs: &[f64], included: &[bool]) -> io::Result<()> {
-        assert_eq!(coeffs.len(), included.len());
+    /// Writes one column chunk (at most [`CHUNK_WIDTH`] coefficients, zero-
+    /// padded to a full page, and the chunk's [`MASK_WORDS_PER_CHUNK`]
+    /// inclusion-mask words, laid out as the module docs describe) to a
+    /// page obtained from [`SpillStore::reserve`]. Pages are written once.
+    pub fn write_chunk(&self, page: u64, coeffs: &[f64], mask: &[u64]) -> io::Result<()> {
         assert!(coeffs.len() <= CHUNK_WIDTH);
+        assert_eq!(mask.len(), MASK_WORDS_PER_CHUNK);
         assert!(page < self.page_count(), "page {page} was never reserved");
         let mut buf = vec![0u8; PAGE_BYTES];
         for (i, &c) in coeffs.iter().enumerate() {
             buf[i * 8..i * 8 + 8].copy_from_slice(&c.to_ne_bytes());
         }
         let mask_base = CHUNK_WIDTH * 8;
-        let mut words = [0u64; MASK_WORDS_PER_CHUNK];
-        for (i, &inc) in included.iter().enumerate() {
-            if inc {
-                words[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        for (w, &word) in words.iter().enumerate() {
+        for (w, &word) in mask.iter().enumerate() {
             buf[mask_base + w * 8..mask_base + w * 8 + 8].copy_from_slice(&word.to_ne_bytes());
         }
         let mut file = self.lock_file();
@@ -370,9 +365,9 @@ impl SpillStore {
 
     /// Reserves the next page and writes one chunk to it, returning the
     /// page id.
-    pub fn append_chunk(&self, coeffs: &[f64], included: &[bool]) -> io::Result<u64> {
+    pub fn append_chunk(&self, coeffs: &[f64], mask: &[u64]) -> io::Result<u64> {
         let page = self.reserve(1);
-        self.write_chunk(page, coeffs, included)?;
+        self.write_chunk(page, coeffs, mask)?;
         Ok(page)
     }
 
@@ -492,6 +487,15 @@ mod tests {
     use super::*;
     use crate::par::ParExec;
 
+    /// Inclusion flags as a page's mask words.
+    fn pack_mask(included: &[bool]) -> [u64; MASK_WORDS_PER_CHUNK] {
+        let mut words = [0u64; MASK_WORDS_PER_CHUNK];
+        for (i, &inc) in included.iter().enumerate() {
+            words[i / 64] |= u64::from(inc) << (i % 64);
+        }
+        words
+    }
+
     /// A recognizable chunk: element `i` of chunk `c` holds `c·W + i`, odd
     /// elements included — plus a few adversarial bit patterns in chunk 0.
     fn test_chunk(c: usize, len: usize) -> (Vec<f64>, Vec<bool>) {
@@ -512,7 +516,7 @@ mod tests {
         for c in 0..3usize {
             let len = if c == 2 { 100 } else { CHUNK_WIDTH };
             let (coeffs, included) = test_chunk(c, len);
-            let page = store.append_chunk(&coeffs, &included).unwrap();
+            let page = store.append_chunk(&coeffs, &pack_mask(&included)).unwrap();
             assert_eq!(page, c as u64);
             let guard = store.read(page);
             for (i, &x) in coeffs.iter().enumerate() {
@@ -531,7 +535,7 @@ mod tests {
         let store = SpillStore::create(2).unwrap();
         for c in 0..4usize {
             let (coeffs, included) = test_chunk(c, CHUNK_WIDTH);
-            store.append_chunk(&coeffs, &included).unwrap();
+            store.append_chunk(&coeffs, &pack_mask(&included)).unwrap();
         }
         // Cold reads: all misses; pages 0 and 1 then resident.
         store.read(0);
@@ -556,7 +560,7 @@ mod tests {
         let store = SpillStore::create(2).unwrap();
         for c in 0..4usize {
             let (coeffs, included) = test_chunk(c, CHUNK_WIDTH);
-            store.append_chunk(&coeffs, &included).unwrap();
+            store.append_chunk(&coeffs, &pack_mask(&included)).unwrap();
         }
         let g0 = store.read(0);
         let g1 = store.read(1);
@@ -584,7 +588,7 @@ mod tests {
         let chunks = 16usize;
         for c in 0..chunks {
             let (coeffs, included) = test_chunk(c, CHUNK_WIDTH);
-            store.append_chunk(&coeffs, &included).unwrap();
+            store.append_chunk(&coeffs, &pack_mask(&included)).unwrap();
         }
         let par = ParExec::new(8);
         let sums = par.run_chunks(chunks * CHUNK_WIDTH, |c, range| {
@@ -617,7 +621,7 @@ mod tests {
     fn spill_file_is_cleaned_up_on_drop() {
         let store = SpillStore::create(2).unwrap();
         let (coeffs, included) = test_chunk(0, 64);
-        store.append_chunk(&coeffs, &included).unwrap();
+        store.append_chunk(&coeffs, &pack_mask(&included)).unwrap();
         let path = store.path().to_path_buf();
         assert!(path.exists(), "spill file must exist while the store lives");
         // A pinned guard does not keep the *file* alive — only the frame.

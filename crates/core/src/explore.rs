@@ -177,8 +177,7 @@ impl ExplorationSession {
             let mut numeric: Vec<f64> = Vec::new();
             let mut texts: BTreeSet<String> = BTreeSet::new();
             for &t in &self.locked {
-                let row = table.require(t)?;
-                let v = row.get_named(schema, &col.name)?;
+                let v = table.require(t)?.get_named(&col.name)?;
                 if v.is_null() {
                     continue;
                 }

@@ -234,7 +234,7 @@ pub fn random_cardinality(view: &CandidateView, rng: &mut StdRng) -> u64 {
 mod tests {
     use super::*;
     use crate::column_store::SpillStore;
-    use crate::par::{chunk_count, chunk_range};
+    use crate::par::chunk_count;
     use crate::spec::PackageSpec;
     use crate::view::ColumnSink;
     use datagen::{recipes, Seed};
@@ -363,7 +363,6 @@ mod tests {
         table: &Table,
         stores: &[Option<Arc<SpillStore>>],
     ) -> CandidateView {
-        let n = view.candidate_count();
         CandidateView::assemble(
             table,
             view.candidates().to_vec(),
@@ -377,13 +376,11 @@ mod tests {
                 let Some(store) = &stores[t] else {
                     return Some(column.clone());
                 };
-                let mut sink = ColumnSink::paged(column.func, Arc::clone(store), column.len());
-                let (coeffs, included) = (column.coeffs_vec(), column.included_vec());
-                for c in 0..chunk_count(n) {
-                    let r = chunk_range(c, n);
-                    sink.push_chunk(&coeffs[r.clone()], &included[r]).unwrap();
-                }
-                Some(sink.finish())
+                let sink = ColumnSink::paged(column.func, Arc::clone(store), column.len());
+                Some(
+                    sink.fill_from(&column.coeffs_vec(), &column.included_vec())
+                        .unwrap(),
+                )
             },
         )
         .unwrap()

@@ -876,22 +876,21 @@ mod tests {
         let (pkg, _) = &out.packages[0];
         assert!(spec.is_valid(pkg).unwrap());
         // Verify the 30% constraint numerically.
-        let schema = t.schema();
         let total: f64 = pkg
             .members()
-            .map(|(tid, m)| t.require(tid).unwrap().get_f64(schema, "price").unwrap() * m as f64)
+            .map(|(tid, m)| t.value_f64(tid, "price").unwrap() * m as f64)
             .sum();
         let tech: f64 = pkg
             .members()
             .filter(|(tid, _)| {
                 t.require(*tid)
                     .unwrap()
-                    .get_named(schema, "sector")
+                    .get_named("sector")
                     .unwrap()
                     .to_string()
                     == "technology"
             })
-            .map(|(tid, m)| t.require(tid).unwrap().get_f64(schema, "price").unwrap() * m as f64)
+            .map(|(tid, m)| t.value_f64(tid, "price").unwrap() * m as f64)
             .sum();
         assert!(total <= 50_000.0 + 1e-6);
         assert!(tech >= 0.3 * total - 1e-6);
@@ -1036,12 +1035,11 @@ mod tests {
         assert!(spec.is_valid(pkg).unwrap());
         assert!(spec.is_valid_interpreted(pkg).unwrap());
         // The FILTERed term's subset is genuinely non-empty.
-        let schema = table.schema();
         assert!(pkg.members().any(|(tid, _)| {
             table
                 .require(tid)
                 .unwrap()
-                .get_named(schema, "grp")
+                .get_named("grp")
                 .unwrap()
                 .to_string()
                 == "g01"

@@ -132,14 +132,14 @@ impl Package {
         for (tid, mult) in self.members() {
             let tuple = table.require(tid)?;
             if let Some(filter) = &filter {
-                if !filter.eval_predicate(tuple)? {
+                if !filter.eval_predicate(&tuple)? {
                     continue;
                 }
             }
             let value = match &arg {
                 None => None,
                 Some(arg) => {
-                    let v = arg.eval(tuple)?;
+                    let v = arg.eval(&tuple)?;
                     if v.is_null() {
                         // NULL contributions are skipped for SUM/AVG/MIN/MAX
                         // and for COUNT(expr), matching SQL.

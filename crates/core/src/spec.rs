@@ -21,10 +21,11 @@ pub fn base_candidates(table: &Table, where_clause: Option<&Expr>) -> PbResult<V
 }
 
 /// [`base_candidates`] with the predicate scan fanned out over `par` in
-/// fixed-width row chunks. Per-chunk match lists concatenate in chunk order
-/// (and tuple ids are insertion indices), so the candidate list — and any
-/// evaluation error: first failing chunk, first failing row — is identical
-/// at every thread count.
+/// fixed-width row chunks, each evaluated in the predicate's chunk form
+/// straight over the table's column vectors. Per-chunk match lists
+/// concatenate in chunk order (and tuple ids are insertion indices), so the
+/// candidate list — and any evaluation error: first failing chunk, first
+/// failing row — is identical at every thread count.
 pub fn base_candidates_par(
     table: &Table,
     where_clause: Option<&Expr>,
@@ -32,18 +33,15 @@ pub fn base_candidates_par(
 ) -> PbResult<Vec<TupleId>> {
     let pred = match where_clause {
         None => return Ok(table.iter().map(|(id, _)| id).collect()),
-        Some(pred) => pred,
+        Some(pred) => BoundExpr::bind(pred, table.schema())?,
     };
-    let rows = table.rows();
-    let pred = BoundExpr::bind(pred, table.schema())?;
-    let chunks = par.run_chunks(rows.len(), |_, range| -> PbResult<Vec<TupleId>> {
-        let mut matched = Vec::new();
-        for i in range {
-            if pred.eval_predicate(&rows[i])? {
-                matched.push(TupleId(i as u32));
-            }
-        }
-        Ok(matched)
+    let chunks = par.run_chunks(table.len(), |_, range| -> PbResult<Vec<TupleId>> {
+        let verdicts = pred.eval_predicate_chunk(&table.select_run(range.clone())?)?;
+        Ok(range
+            .zip(verdicts)
+            .filter(|(_, qualifies)| *qualifies)
+            .map(|(row, _)| TupleId(row as u32))
+            .collect())
     });
     let mut candidates = Vec::new();
     for chunk in chunks {
@@ -81,9 +79,9 @@ pub struct PackageSpec<'a> {
 }
 
 impl<'a> PackageSpec<'a> {
-    /// Builds a spec from an analyzed query and its base table. The
-    /// candidate rows are profiled and lowered into the columnar view in the
-    /// same pass, borrowing rows straight from the table (no clones).
+    /// Builds a spec from an analyzed query and its base table: the base
+    /// predicate, the candidate statistics and the view's term columns are
+    /// all computed from the table's column vectors, a chunk at a time.
     pub fn build(analyzed: &AnalyzedQuery, table: &'a Table) -> PbResult<Self> {
         Self::build_par(analyzed, table, ParExec::sequential())
     }
@@ -236,11 +234,11 @@ impl<'a> PackageSpec<'a> {
 
     /// Restricts the spec to a subset of its candidates (used by adaptive
     /// exploration to narrow the search space after user feedback). The view
-    /// is rebuilt over the surviving candidates — statistics and columns are
-    /// streamed from borrowed rows — on the caller's executor and under the
-    /// caller's [`ColumnPolicy`], like every other build: the engine passes
-    /// its configured ones, so a narrowed view is paged exactly when a fresh
-    /// build of the same size would be.
+    /// is rebuilt over the surviving candidates — statistics and columns
+    /// gathered from the table's column vectors — on the caller's executor
+    /// and under the caller's [`ColumnPolicy`], like every other build: the
+    /// engine passes its configured ones, so a narrowed view is paged
+    /// exactly when a fresh build of the same size would be.
     pub fn restrict_candidates(
         &self,
         keep: impl Fn(TupleId) -> bool,
@@ -296,11 +294,7 @@ mod tests {
         assert!(spec.candidate_count() > 0);
         assert!(spec.candidate_count() < 200);
         for id in &spec.candidates {
-            let v = t
-                .require(*id)
-                .unwrap()
-                .get_named(t.schema(), "gluten")
-                .unwrap();
+            let v = t.require(*id).unwrap().get_named("gluten").unwrap();
             assert_eq!(v.to_string(), "free");
         }
         assert_eq!(spec.view().candidates(), spec.candidates.as_slice());

@@ -99,8 +99,7 @@ fn suggest_for_cell(
     column: &str,
 ) -> PbResult<Vec<Suggestion>> {
     let ty = column_type(table, column)?;
-    let row = table.require(tuple)?;
-    let value = row.get_named(table.schema(), column)?;
+    let value = table.require(tuple)?.get_named(column)?;
     let mut out = Vec::new();
     if ty.is_numeric() {
         let v = value.expect_f64("highlighted cell")?;

@@ -4,8 +4,10 @@
 //! per tuple against the base table — an expression-tree walk per member per
 //! neighbour per move. The view replaces that with a **columnar**
 //! representation built once per query, in one fused pass over the candidate
-//! rows (`materialize_chunk`: every term's filter and argument bound once
-//! as a [`minidb::eval::BoundExpr`], every row visited once):
+//! set (`materialize_chunk`: every term's filter and argument bound once as
+//! a [`minidb::eval::BoundExpr`] and evaluated in its chunk form, 4096
+//! candidates at a time, from the base table's typed column vectors straight
+//! into the term columns' own buffers or pages):
 //!
 //! * for every distinct aggregate term referenced by the `SUCH THAT` formula
 //!   or the objective, a dense `f64` column over the candidate set (the
@@ -47,11 +49,12 @@
 //! partition size, seed) — including across cached queries.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use minidb::eval::BoundExpr;
 use minidb::stats::TableStats;
-use minidb::{Expr, Schema, Table, Tuple, TupleId};
+use minidb::table::Selection;
+use minidb::{Expr, Schema, Table, TupleId};
 use paql::ast::GlobalArithOp;
 use paql::{AggCall, AggFunc, CmpOp, GlobalExpr, GlobalFormula, Objective, ObjectiveDirection};
 
@@ -69,18 +72,6 @@ pub use scan::{ChunkScores, MoveScan, ScanChunk};
 /// Penalty for constraints whose sides cannot be evaluated (NULL aggregate),
 /// identical to the interpreted path's constant.
 const UNEVALUABLE_PENALTY: f64 = 1e9;
-
-/// Chunk buffers (one coefficient/inclusion pair per chunk per fused term)
-/// a materialization segment may hold at once: ~1.2 MB. Segments bound the
-/// *transient* memory of a build — evaluated chunks are pushed into their
-/// [`ColumnSink`]s (spilled, for paged columns) before the next segment is
-/// evaluated — and keep it small enough that each segment's buffers are the
-/// previous segment's, recycled by the allocator and still cache-resident
-/// when they are copied out, rather than freshly faulted pages (128-chunk
-/// segments spent a quarter of a 200 000-row build on first-touch faults).
-/// Segment starts are multiples of [`crate::par::CHUNK_WIDTH`], so
-/// segmentation never moves a chunk boundary and results stay bit-identical.
-const BUILD_SEGMENT_CHUNKS: usize = 32;
 
 /// Precomputed aggregates of one [`crate::par::CHUNK_WIDTH`]-wide chunk of a
 /// [`TermColumn`], over the chunk's *included* entries only.
@@ -107,11 +98,16 @@ pub struct ChunkMeta {
 /// resident either way — only the coefficient/mask bytes move.
 #[derive(Debug, Clone)]
 enum ColumnData {
-    /// Today's dense in-memory layout: one contiguous coefficient vector and
-    /// a chunk-aligned inclusion bitmask (chunk `c` owns words
+    /// The dense in-memory layout: one contiguous coefficient vector and a
+    /// chunk-aligned inclusion bitmask (chunk `c` owns words
     /// `c · MASK_WORDS_PER_CHUNK ..`, padded at the tail so every chunk's
-    /// words are full-width — the same shape a spill page has).
-    Resident { coeffs: Vec<f64>, mask: Vec<u64> },
+    /// words are full-width — the same shape a spill page has). Shared, not
+    /// copied, by every clone of the column: a view and the cache bank that
+    /// adopts its columns hold the same vectors.
+    Resident {
+        coeffs: Arc<Vec<f64>>,
+        mask: Arc<Vec<u64>>,
+    },
     /// Chunks spilled to a [`SpillStore`]: chunk `c` is page `first_page + c`
     /// of the (possibly shared) store, faulted in through its buffer pool.
     Paged {
@@ -144,10 +140,10 @@ enum ColumnData {
 ///   moves bytes without touching values or boundaries, in both storage
 ///   modes.
 ///
-/// Columns are immutable after construction (a [`ColumnSink`] computes the
-/// metadata chunk by chunk as the column is materialized; paged chunks are
-/// written to the spill file exactly once and never written back); the cache
-/// shares them by `Arc` across queries.
+/// Columns are immutable after construction (a [`ColumnSink`]'s
+/// [`ChunkSlot`]s compute the metadata chunk by chunk as the column is
+/// materialized; paged chunks are written to the spill file exactly once and
+/// never written back); the cache shares them by `Arc` across queries.
 #[derive(Debug, Clone)]
 pub struct TermColumn {
     /// The aggregate function.
@@ -239,18 +235,12 @@ impl TermColumn {
     /// vectors, computing the per-chunk metadata. ([`ColumnSink`] is the
     /// general constructor; this is the convenience wrapper around it.)
     pub fn new(func: AggFunc, coeffs: Vec<f64>, included: Vec<bool>) -> Self {
-        assert_eq!(coeffs.len(), included.len());
-        let n = coeffs.len();
-        let mut sink = ColumnSink::resident(func, n);
-        for c in 0..chunk_count(n) {
-            let r = chunk_range(c, n);
-            sink.push_chunk(&coeffs[r.clone()], &included[r])
-                // pb-lint: allow(no-panic-in-solver-paths) — invariant: a
-                // resident sink does no I/O, and the error arm exists only
-                // for the paged variant.
-                .expect("resident sink cannot fail");
-        }
-        sink.finish()
+        ColumnSink::resident(func, coeffs.len())
+            .fill_from(&coeffs, &included)
+            // pb-lint: allow(no-panic-in-solver-paths) — invariant: a
+            // resident sink does no I/O, and the error arm exists only
+            // for the paged variant.
+            .expect("resident sink cannot fail")
     }
 
     /// Number of candidates (elements) in the column.
@@ -353,7 +343,7 @@ impl TermColumn {
     /// scan loops take before falling back to chunk cursors.
     pub fn resident_coeffs(&self) -> Option<&[f64]> {
         match &self.data {
-            ColumnData::Resident { coeffs, .. } => Some(coeffs),
+            ColumnData::Resident { coeffs, .. } => Some(coeffs.as_slice()),
             ColumnData::Paged { .. } => None,
         }
     }
@@ -498,16 +488,17 @@ impl TermColumn {
     }
 }
 
-/// Incremental [`TermColumn`] builder: chunks are pushed in chunk order (all
-/// full-width except possibly the last) and land either in resident vectors
-/// or in a [`SpillStore`]. The per-chunk [`ChunkMeta`] is computed here,
-/// from the chunk buffer, *before* the payload is stored — the same values
-/// in both modes, which is half of the paged-vs-resident determinism
-/// contract (the other half being fixed chunk boundaries).
+/// [`TermColumn`] builder: the column's storage — resident vectors, or
+/// reserved pages of a [`SpillStore`] — is laid out up front for a known
+/// length, and [`ColumnSink::chunk_slots`] hands out one [`ChunkSlot`] per
+/// fixed-width chunk. Chunks are filled in place, in any order and from any
+/// thread; the per-chunk [`ChunkMeta`] is computed by the slot, from the
+/// chunk's lanes, *before* the payload is stored — the same values in both
+/// modes, which is half of the paged-vs-resident determinism contract (the
+/// other half being fixed chunk boundaries).
 pub struct ColumnSink {
     func: AggFunc,
     len: usize,
-    chunks: Vec<ChunkMeta>,
     mode: SinkMode,
 }
 
@@ -516,24 +507,111 @@ enum SinkMode {
         coeffs: Vec<f64>,
         mask: Vec<u64>,
     },
-    /// Chunk `c` goes to page `first_page + c` of the `pages` reserved.
+    /// Chunk `c` goes to page `first_page + c`.
     Paged {
         store: Arc<SpillStore>,
         first_page: u64,
-        pages: u64,
     },
 }
 
+/// One chunk of a column under construction: where its coefficient lanes
+/// and inclusion-mask words go.
+pub struct ChunkSlot<'s> {
+    len: usize,
+    target: SlotTarget<'s>,
+}
+
+enum SlotTarget<'s> {
+    /// The chunk's own range of the resident vectors.
+    Resident {
+        coeffs: &'s mut [f64],
+        mask: &'s mut [u64],
+    },
+    /// A reserved page, written once from a page-shaped scratch buffer.
+    Paged { store: &'s SpillStore, page: u64 },
+}
+
+impl ChunkSlot<'_> {
+    /// Hands `fill` the chunk's coefficient lanes (all zero) and one
+    /// inclusion flag per lane (all false) to write in place, then packs
+    /// the flags into the chunk's mask words, summarizes the included lanes
+    /// into the chunk's [`ChunkMeta`] (in lane order) and, for a paged
+    /// column, writes the page.
+    pub fn fill(
+        self,
+        fill: impl FnOnce(&mut [f64], &mut [bool]) -> PbResult<()>,
+    ) -> PbResult<ChunkMeta> {
+        let mut included = vec![false; self.len];
+        match self.target {
+            SlotTarget::Resident { coeffs, mask } => {
+                fill(coeffs, &mut included)?;
+                Ok(seal_chunk(coeffs, &included, mask))
+            }
+            SlotTarget::Paged { store, page } => {
+                let mut coeffs = vec![0.0; self.len];
+                let mut mask = [0u64; MASK_WORDS_PER_CHUNK];
+                fill(&mut coeffs, &mut included)?;
+                let meta = seal_chunk(&coeffs, &included, &mut mask);
+                store
+                    .write_chunk(page, &coeffs, &mask)
+                    .map_err(|e| PbError::Internal(format!("column spill write: {e}")))?;
+                Ok(meta)
+            }
+        }
+    }
+}
+
+/// Packs a chunk's inclusion flags into its (zeroed) mask words and folds
+/// the included coefficients, in lane order, into its [`ChunkMeta`].
+fn seal_chunk(coeffs: &[f64], included: &[bool], mask: &mut [u64]) -> ChunkMeta {
+    let mut meta = ChunkMeta {
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        included: 0,
+    };
+    for ((coeffs, included), word) in coeffs.chunks(64).zip(included.chunks(64)).zip(mask) {
+        for (i, &inc) in included.iter().enumerate() {
+            *word |= u64::from(inc) << i;
+        }
+        meta.included += word.count_ones();
+        // `min`/`max` are NaN-aware and slow to chain, and the running
+        // extrema are never NaN: a lane can only move one if it is at or
+        // beyond it with different bits. Extrema only tighten, so a word
+        // none of whose lanes passes that test against the extrema it
+        // starts from just adds up, in lane order.
+        let moves = |c: f64, meta: &ChunkMeta| {
+            (c <= meta.min && c.to_bits() != meta.min.to_bits())
+                || (c >= meta.max && c.to_bits() != meta.max.to_bits())
+        };
+        if *word == u64::MAX && !coeffs.iter().any(|&c| moves(c, &meta)) {
+            coeffs.iter().for_each(|&c| meta.sum += c);
+            continue;
+        }
+        // Set bits, lowest first: one iteration per included lane.
+        let mut rest = *word;
+        while rest != 0 {
+            let c = coeffs[rest.trailing_zeros() as usize];
+            meta.sum += c;
+            if moves(c, &meta) {
+                meta.min = meta.min.min(c);
+                meta.max = meta.max.max(c);
+            }
+            rest &= rest - 1;
+        }
+    }
+    meta
+}
+
 impl ColumnSink {
-    /// A sink building a resident column (capacity hint in elements).
-    pub fn resident(func: AggFunc, capacity: usize) -> Self {
+    /// A sink building a resident column of `len` elements.
+    pub fn resident(func: AggFunc, len: usize) -> Self {
         ColumnSink {
             func,
-            len: 0,
-            chunks: Vec::with_capacity(chunk_count(capacity)),
+            len,
             mode: SinkMode::Resident {
-                coeffs: Vec::with_capacity(capacity),
-                mask: Vec::with_capacity(chunk_count(capacity) * MASK_WORDS_PER_CHUNK),
+                coeffs: vec![0.0; len],
+                mask: vec![0; chunk_count(len) * MASK_WORDS_PER_CHUNK],
             },
         }
     }
@@ -541,96 +619,87 @@ impl ColumnSink {
     /// A sink spilling a column of `len` elements to `store` (one view build
     /// shares one store across all its columns — and its buffer pool with
     /// every reader). The column's pages are reserved here, consecutively,
-    /// so the fused build can push chunks of several columns interleaved.
+    /// so the fused build can write chunks of several columns interleaved.
     pub fn paged(func: AggFunc, store: Arc<SpillStore>, len: usize) -> Self {
-        let pages = chunk_count(len) as u64;
         ColumnSink {
             func,
-            len: 0,
-            chunks: Vec::with_capacity(pages as usize),
+            len,
             mode: SinkMode::Paged {
-                first_page: store.reserve(pages),
-                pages,
+                first_page: store.reserve(chunk_count(len) as u64),
                 store,
             },
         }
     }
 
-    /// Appends the next chunk (in chunk order; every chunk before the last
-    /// must be exactly [`crate::par::CHUNK_WIDTH`] elements).
-    pub fn push_chunk(&mut self, coeffs: &[f64], included: &[bool]) -> PbResult<()> {
-        assert_eq!(coeffs.len(), included.len());
-        assert!(coeffs.len() <= CHUNK_WIDTH);
-        assert_eq!(
-            self.len % CHUNK_WIDTH,
-            0,
-            "chunks must be pushed in order, full-width except the last"
-        );
-        let mut meta = ChunkMeta {
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            included: 0,
-        };
-        for (i, &inc) in included.iter().enumerate() {
-            if inc {
-                meta.sum += coeffs[i];
-                meta.min = meta.min.min(coeffs[i]);
-                meta.max = meta.max.max(coeffs[i]);
-                meta.included += 1;
-            }
-        }
-        self.chunks.push(meta);
-        self.len += coeffs.len();
+    /// The column's chunks, in chunk order (all
+    /// [`crate::par::CHUNK_WIDTH`] wide except possibly the last). Every
+    /// slot must be [`ChunkSlot::fill`]ed exactly once before
+    /// [`ColumnSink::finish`].
+    pub fn chunk_slots(&mut self) -> Vec<ChunkSlot<'_>> {
+        let len = self.len;
+        let slot_len = |c: usize| chunk_range(c, len).len();
         match &mut self.mode {
-            SinkMode::Resident { coeffs: out, mask } => {
-                out.extend_from_slice(coeffs);
-                let mut words = [0u64; MASK_WORDS_PER_CHUNK];
-                for (i, &inc) in included.iter().enumerate() {
-                    if inc {
-                        words[i / 64] |= 1u64 << (i % 64);
-                    }
-                }
-                mask.extend_from_slice(&words);
-            }
-            SinkMode::Paged {
-                store,
-                first_page,
-                pages,
-            } => {
-                let c = self.chunks.len() as u64 - 1;
-                assert!(c < *pages, "more chunks pushed than the sink reserved");
-                store
-                    .write_chunk(*first_page + c, coeffs, included)
-                    .map_err(|e| PbError::Internal(format!("column spill write: {e}")))?;
-            }
+            SinkMode::Resident { coeffs, mask } => coeffs
+                .chunks_mut(CHUNK_WIDTH)
+                .zip(mask.chunks_mut(MASK_WORDS_PER_CHUNK))
+                .map(|(coeffs, mask)| ChunkSlot {
+                    len: coeffs.len(),
+                    target: SlotTarget::Resident { coeffs, mask },
+                })
+                .collect(),
+            SinkMode::Paged { store, first_page } => (0..chunk_count(len))
+                .map(|c| ChunkSlot {
+                    len: slot_len(c),
+                    target: SlotTarget::Paged {
+                        store,
+                        page: *first_page + c as u64,
+                    },
+                })
+                .collect(),
         }
-        Ok(())
     }
 
-    /// Seals the column.
-    pub fn finish(self) -> TermColumn {
+    /// Seals the column; `chunks` is what [`ChunkSlot::fill`] returned for
+    /// each chunk, in chunk order.
+    pub fn finish(self, chunks: Vec<ChunkMeta>) -> TermColumn {
+        assert_eq!(
+            chunks.len(),
+            chunk_count(self.len),
+            "a column is sealed with one ChunkMeta per chunk"
+        );
         let data = match self.mode {
-            SinkMode::Resident { coeffs, mask } => ColumnData::Resident { coeffs, mask },
-            SinkMode::Paged {
-                store,
-                first_page,
-                pages,
-            } => {
-                assert_eq!(
-                    self.chunks.len() as u64,
-                    pages,
-                    "a paged column must be pushed to the length it reserved"
-                );
-                ColumnData::Paged { store, first_page }
-            }
+            SinkMode::Resident { coeffs, mask } => ColumnData::Resident {
+                coeffs: Arc::new(coeffs),
+                mask: Arc::new(mask),
+            },
+            SinkMode::Paged { store, first_page } => ColumnData::Paged { store, first_page },
         };
         TermColumn {
             func: self.func,
             len: self.len,
             data,
-            chunks: self.chunks,
+            chunks,
         }
+    }
+
+    /// Fills every chunk from dense coefficient and inclusion vectors of the
+    /// sink's length and seals the column.
+    pub fn fill_from(mut self, coeffs: &[f64], included: &[bool]) -> PbResult<TermColumn> {
+        assert_eq!((coeffs.len(), included.len()), (self.len, self.len));
+        let chunks = self
+            .chunk_slots()
+            .into_iter()
+            .enumerate()
+            .map(|(c, slot)| {
+                let r = chunk_range(c, coeffs.len());
+                slot.fill(|lanes, flags| {
+                    lanes.copy_from_slice(&coeffs[r.clone()]);
+                    flags.copy_from_slice(&included[r]);
+                    Ok(())
+                })
+            })
+            .collect::<PbResult<_>>()?;
+        Ok(self.finish(chunks))
     }
 }
 
@@ -783,14 +852,8 @@ impl CandidateView {
         policy: &ColumnPolicy,
         par: ParExec,
     ) -> PbResult<Self> {
-        let rows: Vec<&Tuple> = candidates
-            .iter()
-            .map(|id| table.require(*id))
-            .collect::<Result<_, _>>()?;
-        let stats = TableStats::of_row_refs(table.schema(), rows.iter().copied());
-        // The prefetched rows ride along so column materialization does not
-        // fetch them a second time.
-        Self::assemble_impl(
+        let stats = TableStats::of_ids(table, &candidates)?;
+        Self::assemble_par_with(
             table,
             candidates,
             stats,
@@ -798,7 +861,6 @@ impl CandidateView {
             formula,
             objective,
             |_| None,
-            Some(rows),
             policy,
             par,
         )
@@ -884,37 +946,8 @@ impl CandidateView {
         policy: &ColumnPolicy,
         par: ParExec,
     ) -> PbResult<Self> {
-        Self::assemble_impl(
-            table,
-            candidates,
-            stats,
-            max_multiplicity,
-            formula,
-            objective,
-            column_source,
-            None,
-            policy,
-            par,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_impl<'t>(
-        table: &'t Table,
-        candidates: Vec<TupleId>,
-        stats: TableStats,
-        max_multiplicity: u32,
-        formula: Option<GlobalFormula>,
-        objective: Option<Objective>,
-        column_source: impl FnMut(&AggCall) -> Option<TermColumn>,
-        prefetched: Option<Vec<&'t Tuple>>,
-        policy: &ColumnPolicy,
-        par: ParExec,
-    ) -> PbResult<Self> {
-        // Candidate rows are only fetched when some column must actually be
-        // materialized (and `build` hands down the `prefetched` rows it
-        // already fetched for statistics) — on a full cache hit the table
-        // is never touched.
+        // The table is only read when some column must actually be
+        // materialized — on a full cache hit it is never touched.
 
         // Collect the distinct aggregate terms of the formula and objective.
         let mut term_keys: Vec<AggCall> = Vec::new();
@@ -975,30 +1008,22 @@ impl CandidateView {
 
         // Materialize every term the source does not already have (a cache
         // hit on that term), all of them in **one fused pass** over the
-        // candidate rows. The pass fans out over fixed-width candidate
-        // chunks: each chunk evaluates its rows into chunk-local buffers,
-        // one pair per missing term, and the buffers are pushed into the
-        // terms' [`ColumnSink`]s in chunk order — disjoint fixed ranges, so
-        // the columns (and any evaluation error, see [`materialize_chunk`])
-        // are identical at every thread count and storage mode.
+        // candidate set. The pass fans out over fixed-width candidate
+        // chunks: a chunk task takes every missing term's [`ChunkSlot`] for
+        // its chunk and evaluates the terms straight into them — disjoint
+        // fixed ranges of the sinks' own storage, so the columns (and any
+        // evaluation error, see [`materialize_chunk`]) are identical at
+        // every thread count and storage mode, and no chunk is copied
+        // between evaluation and column.
         //
         // The storage decision is made once, view-level, over the columns
         // this assembly actually has to build (source-adopted columns keep
         // their mode): if their estimated footprint exceeds the policy's
-        // budget, all of them spill to one shared store. The pass runs in
-        // bounded segments so the transient chunk buffers — not just the
-        // finished columns — stay small.
+        // budget, all of them spill to one shared store.
         let mut terms: Vec<Option<TermColumn>> = term_keys.iter().map(column_source).collect();
         let missing: Vec<usize> = (0..terms.len()).filter(|&t| terms[t].is_none()).collect();
         if !missing.is_empty() {
             let n = candidates.len();
-            let rows = match prefetched {
-                Some(rows) => rows,
-                None => candidates
-                    .iter()
-                    .map(|id| table.require(*id))
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
             let fused = FusedTerms::bind(missing.iter().map(|&t| &term_keys[t]), table.schema())?;
             let store = if policy.wants_paged(missing.len(), n) {
                 Some(
@@ -1015,27 +1040,36 @@ impl CandidateView {
                     None => ColumnSink::resident(term_keys[t].func, n),
                 })
                 .collect();
-            // A segment holds one buffer pair per (chunk, fused term), so
-            // its width shrinks with the number of terms — but never below
-            // a chunk per executor thread. Segment starts are multiples of
-            // CHUNK_WIDTH, so the chunks a segment fans out are exactly the
-            // columns' global chunks.
-            let seg = (BUILD_SEGMENT_CHUNKS / missing.len()).max(par.threads()) * CHUNK_WIDTH;
-            let mut start = 0;
-            while start < n {
-                let end = (start + seg).min(n);
-                let chunks = par.run_chunks(end - start, |_, range| {
-                    materialize_chunk(&fused, &rows[start + range.start..start + range.end])
-                });
-                for chunk in chunks {
-                    for (sink, (coeffs, included)) in sinks.iter_mut().zip(chunk?) {
-                        sink.push_chunk(&coeffs, &included)?;
-                    }
+            // Chunk `c`'s slots, one per missing term; the task that runs
+            // chunk `c` takes them.
+            let mut slots: Vec<Vec<ChunkSlot<'_>>> = (0..chunk_count(n))
+                .map(|_| Vec::with_capacity(sinks.len()))
+                .collect();
+            for sink in &mut sinks {
+                for (of_chunk, slot) in slots.iter_mut().zip(sink.chunk_slots()) {
+                    of_chunk.push(slot);
                 }
-                start = end;
             }
-            for (t, sink) in missing.into_iter().zip(sinks) {
-                terms[t] = Some(sink.finish());
+            let slots: Vec<Mutex<Option<Vec<ChunkSlot<'_>>>>> =
+                slots.into_iter().map(|s| Mutex::new(Some(s))).collect();
+            let built = par.run_chunks(n, |c, range| {
+                let slots = slots[c].lock().unwrap().take().ok_or_else(|| {
+                    PbError::Internal(format!("chunk {c} was materialized twice"))
+                })?;
+                materialize_chunk(&fused, table, &candidates[range], slots)
+            });
+            drop(slots);
+            let mut metas: Vec<Vec<ChunkMeta>> = sinks
+                .iter()
+                .map(|_| Vec::with_capacity(built.len()))
+                .collect();
+            for chunk in built {
+                for (of_term, meta) in metas.iter_mut().zip(chunk?) {
+                    of_term.push(meta);
+                }
+            }
+            for ((t, sink), metas) in missing.into_iter().zip(sinks).zip(metas) {
+                terms[t] = Some(sink.finish(metas));
             }
         }
         let terms: Vec<TermColumn> = terms.into_iter().flatten().collect();
@@ -1279,14 +1313,106 @@ impl FusedTerms {
     }
 }
 
-/// Evaluates one fixed-width chunk of candidate rows for **all** the fused
-/// terms at once, into one chunk-local `(coefficients, inclusion)` buffer
-/// pair per term (pushed to the terms' sinks in chunk order by the caller —
-/// see [`CandidateView::assemble_par`]). Each row is visited once: every
-/// distinct `FILTER` predicate is evaluated at most once per row and shared
-/// by the terms that carry it, and a term's argument is evaluated only for
-/// rows its filter lets in. Pure per-row work, which is what makes the chunk
-/// fan-out deterministic.
+/// One distinct `FILTER`'s verdict over a chunk.
+struct Passed {
+    /// The verdict per lane.
+    flags: Vec<bool>,
+    /// The lanes it lets in, ascending, and their candidates.
+    lanes: Vec<usize>,
+    ids: Vec<TupleId>,
+}
+
+impl Passed {
+    fn of(flags: Vec<bool>, ids: &[TupleId]) -> Passed {
+        // Branch-free compaction: every lane is written to the next free
+        // place, which only a passing lane then claims.
+        let mut lanes = vec![0; ids.len()];
+        let mut kept = vec![TupleId(0); ids.len()];
+        let mut k = 0;
+        for (i, (&flag, &id)) in flags.iter().zip(ids).enumerate() {
+            lanes[k] = i;
+            kept[k] = id;
+            k += usize::from(flag);
+        }
+        lanes.truncate(k);
+        kept.truncate(k);
+        Passed {
+            flags,
+            lanes,
+            ids: kept,
+        }
+    }
+}
+
+impl FusedTerm {
+    /// Writes one chunk of the term's column: `coeffs[i]` and `included[i]`
+    /// for lane `i` of `sel`. `pass` is the term's filter verdict, `None`
+    /// without a filter; both buffers arrive zeroed, and excluded lanes are
+    /// left (or put back) at zero.
+    fn fill(
+        &self,
+        sel: &Selection<'_>,
+        pass: Option<&Passed>,
+        coeffs: &mut [f64],
+        included: &mut [bool],
+    ) -> PbResult<()> {
+        // Only a filter that turns some lane away narrows anything.
+        let pass = pass.filter(|pass| pass.lanes.len() < sel.len());
+        // COUNT counts included members: its linear coefficient is 1, not
+        // its argument's value.
+        let count = self.func == AggFunc::Count;
+        let Some(arg) = &self.arg else {
+            // COUNT(*): every filtered-in member contributes 1.
+            match pass {
+                None => included.fill(true),
+                Some(pass) => included.copy_from_slice(&pass.flags),
+            }
+            for (c, &inc) in coeffs.iter_mut().zip(&*included) {
+                *c = if inc { 1.0 } else { 0.0 };
+            }
+            return Ok(());
+        };
+        // NULL arguments are skipped for every aggregate (COUNT(expr)
+        // included), matching SQL.
+        let ctx = format_args!("argument of {}", self.func.name());
+        match pass {
+            None => {
+                arg.eval_f64_chunk(sel, ctx, coeffs, included)?;
+                for (c, &inc) in coeffs.iter_mut().zip(&*included) {
+                    *c = match (inc, count) {
+                        (false, _) => 0.0,
+                        (true, true) => 1.0,
+                        (true, false) => *c,
+                    };
+                }
+            }
+            // The argument is evaluated on the lanes the filter lets in and
+            // on no other — a row the filter excludes cannot fail the build.
+            Some(pass) => {
+                let mut vals = vec![0.0; pass.ids.len()];
+                let mut valid = vec![false; pass.ids.len()];
+                let narrowed = sel.table().select(&pass.ids)?;
+                arg.eval_f64_chunk(&narrowed, ctx, &mut vals, &mut valid)?;
+                for ((&i, value), valid) in pass.lanes.iter().zip(vals).zip(valid) {
+                    if valid {
+                        coeffs[i] = if count { 1.0 } else { value };
+                        included[i] = true;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Evaluates one fixed-width chunk of candidates (`ids`) for **all** the
+/// fused terms at once, each term straight into its [`ChunkSlot`] (one per
+/// term, in term order), and returns the terms' [`ChunkMeta`]s for the
+/// chunk. Everything runs in [`BoundExpr`]'s chunk form over the base
+/// table's column vectors: every distinct `FILTER` predicate is evaluated
+/// at most once per chunk and shared by the terms that carry it, and a
+/// term's argument is evaluated only on the lanes its filter lets in. Pure
+/// per-chunk work, which is what makes the chunk fan-out deterministic.
 ///
 /// # Error order
 ///
@@ -1296,55 +1422,63 @@ impl FusedTerms {
 /// filter before its argument; a shared filter fails on behalf of the first
 /// term that carries it). Chunk boundaries are fixed and the caller reads
 /// chunk results in chunk order, so the reported error is the same at every
-/// thread count and in both storage modes.
-fn materialize_chunk(fused: &FusedTerms, rows: &[&Tuple]) -> PbResult<Vec<(Vec<f64>, Vec<bool>)>> {
-    let mut out: Vec<(Vec<f64>, Vec<bool>)> = fused
-        .terms
-        .iter()
-        .map(|_| (vec![0.0; rows.len()], vec![false; rows.len()]))
-        .collect();
-    // This row's verdict per distinct filter, filled in on first use.
-    let mut passes: Vec<Option<bool>> = vec![None; fused.filters.len()];
-    for (i, tuple) in rows.iter().enumerate() {
-        passes.fill(None);
-        for (term, (coeffs, included)) in fused.terms.iter().zip(&mut out) {
-            if let Some(slot) = term.filter {
-                let pass = match passes[slot] {
-                    Some(pass) => pass,
-                    None => {
-                        let pass = fused.filters[slot].eval_predicate(tuple)?;
-                        passes[slot] = Some(pass);
-                        pass
+/// thread count and in both storage modes. Within the chunk the order is
+/// established by [`first_error`], only once something has failed.
+fn materialize_chunk(
+    fused: &FusedTerms,
+    table: &Table,
+    ids: &[TupleId],
+    slots: Vec<ChunkSlot<'_>>,
+) -> PbResult<Vec<ChunkMeta>> {
+    let columnwise = || -> PbResult<Vec<ChunkMeta>> {
+        let sel = table.select(ids)?;
+        // This chunk's verdict per distinct filter, filled in on first use.
+        let mut passed: Vec<Option<Passed>> = fused.filters.iter().map(|_| None).collect();
+        let mut metas = Vec::with_capacity(slots.len());
+        for (term, slot) in fused.terms.iter().zip(slots) {
+            let pass = match term.filter {
+                None => None,
+                Some(f) => {
+                    if passed[f].is_none() {
+                        let flags = fused.filters[f].eval_predicate_chunk(&sel)?;
+                        passed[f] = Some(Passed::of(flags, ids));
                     }
-                };
-                if !pass {
+                    passed[f].as_ref()
+                }
+            };
+            metas.push(slot.fill(|coeffs, included| term.fill(&sel, pass, coeffs, included))?);
+        }
+        Ok(metas)
+    };
+    columnwise().map_err(|e| first_error(fused, table, ids).unwrap_or(e))
+}
+
+/// The evaluation error a failing chunk reports (see [`materialize_chunk`]):
+/// the chunk again, one candidate at a time in candidate order and, for each
+/// candidate, term by term — one-lane selections through the same chunk
+/// form — up to the first evaluation that fails. `None` when no evaluation
+/// does (the chunk failed on its spill write).
+fn first_error(fused: &FusedTerms, table: &Table, ids: &[TupleId]) -> Option<PbError> {
+    let probe = |id: &TupleId| -> PbResult<()> {
+        let sel = table.select(std::slice::from_ref(id))?;
+        let mut passes: Vec<Option<bool>> = vec![None; fused.filters.len()];
+        for term in &fused.terms {
+            if let Some(f) = term.filter {
+                if passes[f].is_none() {
+                    passes[f] = Some(fused.filters[f].eval_predicate_chunk(&sel)?[0]);
+                }
+                if passes[f] == Some(false) {
                     continue;
                 }
             }
-            let Some(arg) = &term.arg else {
-                // COUNT(*): every filtered-in member contributes 1.
-                coeffs[i] = 1.0;
-                included[i] = true;
-                continue;
-            };
-            let v = arg.eval(tuple)?;
-            if v.is_null() {
-                // NULL arguments are skipped for every aggregate
-                // (COUNT(expr) included), matching SQL.
-                continue;
+            if let Some(arg) = &term.arg {
+                let ctx = format_args!("argument of {}", term.func.name());
+                arg.eval_f64_chunk(&sel, ctx, &mut [0.0], &mut [false])?;
             }
-            let value = v.expect_f64(format_args!("argument of {}", term.func.name()))?;
-            // COUNT(expr) counts included members: its linear coefficient
-            // is 1, not the argument's value.
-            coeffs[i] = if term.func == AggFunc::Count {
-                1.0
-            } else {
-                value
-            };
-            included[i] = true;
         }
-    }
-    Ok(out)
+        Ok(())
+    };
+    ids.iter().find_map(|id| probe(id).err())
 }
 
 /// Incremental package accumulator over a [`CandidateView`].

@@ -63,8 +63,8 @@ fn close(a: f64, b: f64) -> bool {
 fn with_nulls(table: &Table, column: &str) -> Table {
     let col = table.schema().require(column).unwrap();
     let mut out = Table::new(table.name(), table.schema().clone());
-    for (i, row) in table.rows().iter().enumerate() {
-        let mut values = row.values().to_vec();
+    for (i, row) in table.rows().enumerate() {
+        let mut values = row.values();
         if i % 3 == 1 {
             values[col] = Value::Null;
         }
@@ -333,7 +333,7 @@ fn reference_term_column(
     let mut coeffs = vec![0.0; candidates.len()];
     let mut included = vec![false; candidates.len()];
     for (i, id) in candidates.iter().enumerate() {
-        let tuple = table.require(*id).unwrap();
+        let tuple = &table.require(*id).unwrap().to_tuple();
         if let Some(filter) = &call.filter {
             if !reference_eval::eval_predicate(filter, schema, tuple).unwrap() {
                 continue;
@@ -418,7 +418,7 @@ proptest! {
             .iter()
             .filter(|(_, row)| match &analyzed.query.where_clause {
                 None => true,
-                Some(pred) => reference_eval::eval_predicate(pred, schema, row).unwrap(),
+                Some(pred) => reference_eval::eval_predicate(pred, schema, &row.to_tuple()).unwrap(),
             })
             .map(|(id, _)| id)
             .collect();

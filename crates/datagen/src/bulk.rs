@@ -65,10 +65,9 @@ mod tests {
     #[test]
     fn costs_and_utilities_stay_in_their_documented_ranges() {
         let t = bulk_orders(500, Seed(3));
-        let s = t.schema();
         for row in t.rows() {
-            let c = row.get_f64(s, "unit_cost").unwrap();
-            let u = row.get_f64(s, "utility").unwrap();
+            let c = row.get_f64("unit_cost").unwrap();
+            let u = row.get_f64("utility").unwrap();
             assert!((1.0..=3.0).contains(&c), "cost {c}");
             assert!((0.5..=10.0).contains(&u), "utility {u}");
         }
@@ -80,12 +79,7 @@ mod tests {
         // feasible at every gauntlet size; sizes are prefix-stable so the
         // smallest size is the binding check.
         let t = bulk_orders(2000, Seed(20140901));
-        let s = t.schema();
-        let mut costs: Vec<f64> = t
-            .rows()
-            .iter()
-            .map(|r| r.get_f64(s, "unit_cost").unwrap())
-            .collect();
+        let mut costs: Vec<f64> = t.rows().map(|r| r.get_f64("unit_cost").unwrap()).collect();
         costs.sort_by(f64::total_cmp);
         let cheapest_1000: f64 = costs.iter().take(1000).sum();
         assert!(

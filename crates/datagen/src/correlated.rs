@@ -72,11 +72,10 @@ mod tests {
     #[test]
     fn payoffs_track_and_oppose_cost_as_documented() {
         let t = assets(400, Seed(6));
-        let s = t.schema();
         for row in t.rows() {
-            let cost = row.get_f64(s, "cost").unwrap();
-            let corr = row.get_f64(s, "payoff_corr").unwrap();
-            let anti = row.get_f64(s, "payoff_anti").unwrap();
+            let cost = row.get_f64("cost").unwrap();
+            let corr = row.get_f64("payoff_corr").unwrap();
+            let anti = row.get_f64("payoff_anti").unwrap();
             assert!(
                 corr >= cost * 0.9 - 0.01 && corr <= cost * 1.1 + 0.01,
                 "corr {corr} vs cost {cost}"
@@ -92,9 +91,8 @@ mod tests {
     fn densities_cluster_near_one_in_the_correlated_arm() {
         // Near-constant value/weight density is what makes the instance hard.
         let t = assets(400, Seed(7));
-        let s = t.schema();
         for row in t.rows() {
-            let d = row.get_f64(s, "payoff_corr").unwrap() / row.get_f64(s, "cost").unwrap();
+            let d = row.get_f64("payoff_corr").unwrap() / row.get_f64("cost").unwrap();
             assert!((0.89..=1.11).contains(&d), "density {d}");
         }
     }

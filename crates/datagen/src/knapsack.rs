@@ -77,50 +77,43 @@ pub fn knapsack_rows(n: usize, seed: Seed) -> impl Iterator<Item = Tuple> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minidb::RowView;
 
-    fn kind_of<'a>(row: &'a Tuple, s: &Schema) -> &'a Value {
-        row.get_named(s, "kind").unwrap()
+    fn kind_of(row: &RowView<'_>) -> Value {
+        row.get_named("kind").unwrap()
     }
 
     #[test]
     fn populations_are_separated_as_documented() {
         let t = knapsack_items(400, Seed(1));
-        let s = t.schema();
         let planted_tag = Value::Text("planted".into());
         for row in t.rows() {
-            let w = row.get_f64(s, "weight").unwrap();
-            if kind_of(row, s) == &planted_tag {
+            let w = row.get_f64("weight").unwrap();
+            if kind_of(&row) == planted_tag {
                 assert!((19.5..=20.5).contains(&w), "planted weight {w}");
             } else {
                 assert!((32.5..=70.5).contains(&w), "decoy weight {w}");
             }
         }
-        let planted = t
-            .rows()
-            .iter()
-            .filter(|r| kind_of(r, s) == &planted_tag)
-            .count();
+        let planted = t.rows().filter(|r| kind_of(r) == planted_tag).count();
         assert_eq!(planted, 400 / PLANT_STRIDE);
     }
 
     #[test]
     fn five_planted_items_fit_the_window_and_five_decoys_overshoot() {
         let t = knapsack_items(200, Seed(2));
-        let s = t.schema();
         let planted_tag = Value::Text("planted".into());
         let planted: Vec<f64> = t
             .rows()
-            .iter()
-            .filter(|r| kind_of(r, s) == &planted_tag)
-            .map(|r| r.get_f64(s, "weight").unwrap())
+            .filter(|r| kind_of(r) == planted_tag)
+            .map(|r| r.get_f64("weight").unwrap())
             .collect();
         let any_five: f64 = planted.iter().take(5).sum();
         assert!((98.0..=102.0).contains(&any_five), "planted sum {any_five}");
         let mut decoys: Vec<f64> = t
             .rows()
-            .iter()
-            .filter(|r| kind_of(r, s) != &planted_tag)
-            .map(|r| r.get_f64(s, "weight").unwrap())
+            .filter(|r| kind_of(r) != planted_tag)
+            .map(|r| r.get_f64("weight").unwrap())
             .collect();
         decoys.sort_by(f64::total_cmp);
         let lightest_five: f64 = decoys.iter().take(5).sum();

@@ -77,6 +77,7 @@ pub fn standard_catalog(seed: Seed) -> Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minidb::ops::scan;
 
     #[test]
     fn standard_catalog_contains_all_relations() {
@@ -99,8 +100,8 @@ mod tests {
         let a = recipes(50, Seed(7));
         let b = recipes(50, Seed(7));
         let c = recipes(50, Seed(8));
-        assert_eq!(a.rows(), b.rows());
-        assert_ne!(a.rows(), c.rows());
+        assert_eq!(scan(&a).rows, scan(&b).rows);
+        assert_ne!(scan(&a).rows, scan(&c).rows);
     }
 
     #[test]
@@ -117,56 +118,52 @@ mod tests {
         // generator, not a reimplementation that could drift.
         let s = Seed(9);
         assert_eq!(
-            recipe_rows(40, s).collect::<Vec<_>>().as_slice(),
-            recipes(40, s).rows()
+            recipe_rows(40, s).collect::<Vec<_>>(),
+            scan(&recipes(40, s)).rows
         );
         assert_eq!(
-            stock_rows(40, s).collect::<Vec<_>>().as_slice(),
-            stocks(40, s).rows()
+            stock_rows(40, s).collect::<Vec<_>>(),
+            scan(&stocks(40, s)).rows
         );
         assert_eq!(
-            travel_option_rows(10, 12, 14, s)
-                .collect::<Vec<_>>()
-                .as_slice(),
-            travel_options(10, 12, 14, s).rows()
+            travel_option_rows(10, 12, 14, s).collect::<Vec<_>>(),
+            scan(&travel_options(10, 12, 14, s)).rows
         );
         assert_eq!(
-            uniform_rows(40, 1.0, 2.0, s).collect::<Vec<_>>().as_slice(),
-            uniform_table("t", 40, 1.0, 2.0, s).rows()
+            uniform_rows(40, 1.0, 2.0, s).collect::<Vec<_>>(),
+            scan(&uniform_table("t", 40, 1.0, 2.0, s)).rows
         );
         assert_eq!(
-            zipf_rows(40, 1.1, 1.0, 9.0, s)
-                .collect::<Vec<_>>()
-                .as_slice(),
-            zipf_table("t", 40, 1.1, 1.0, 9.0, s).rows()
+            zipf_rows(40, 1.1, 1.0, 9.0, s).collect::<Vec<_>>(),
+            scan(&zipf_table("t", 40, 1.1, 1.0, 9.0, s)).rows
         );
         assert_eq!(
-            knapsack_rows(40, s).collect::<Vec<_>>().as_slice(),
-            knapsack_items(40, s).rows()
+            knapsack_rows(40, s).collect::<Vec<_>>(),
+            scan(&knapsack_items(40, s)).rows
         );
         assert_eq!(
-            bulk_rows(40, s).collect::<Vec<_>>().as_slice(),
-            bulk_orders(40, s).rows()
+            bulk_rows(40, s).collect::<Vec<_>>(),
+            scan(&bulk_orders(40, s)).rows
         );
         assert_eq!(
-            metrics_rows(40, s).collect::<Vec<_>>().as_slice(),
-            metrics_table(40, s).rows()
+            metrics_rows(40, s).collect::<Vec<_>>(),
+            scan(&metrics_table(40, s)).rows
         );
         assert_eq!(
-            wide_rows(40, s).collect::<Vec<_>>().as_slice(),
-            wide_table(40, s).rows()
+            wide_rows(40, s).collect::<Vec<_>>(),
+            scan(&wide_table(40, s)).rows
         );
         assert_eq!(
-            asset_rows(40, s).collect::<Vec<_>>().as_slice(),
-            assets(40, s).rows()
+            asset_rows(40, s).collect::<Vec<_>>(),
+            scan(&assets(40, s)).rows
         );
         assert_eq!(
-            lineitem_rows(40, s).collect::<Vec<_>>().as_slice(),
-            lineitem(40, s).rows()
+            lineitem_rows(40, s).collect::<Vec<_>>(),
+            scan(&lineitem(40, s)).rows
         );
         assert_eq!(
-            travel_mix_rows(40, s).collect::<Vec<_>>().as_slice(),
-            travel_mix(40, s).rows()
+            travel_mix_rows(40, s).collect::<Vec<_>>(),
+            scan(&travel_mix(40, s)).rows
         );
     }
 

@@ -77,12 +77,11 @@ mod tests {
     #[test]
     fn quantities_prices_and_rates_stay_in_tpch_ranges() {
         let t = lineitem(600, Seed(8));
-        let s = t.schema();
         for row in t.rows() {
-            let q = row.get_f64(s, "l_quantity").unwrap();
-            let p = row.get_f64(s, "l_extendedprice").unwrap();
-            let d = row.get_f64(s, "l_discount").unwrap();
-            let tax = row.get_f64(s, "l_tax").unwrap();
+            let q = row.get_f64("l_quantity").unwrap();
+            let p = row.get_f64("l_extendedprice").unwrap();
+            let d = row.get_f64("l_discount").unwrap();
+            let tax = row.get_f64("l_tax").unwrap();
             assert!(
                 (1.0..=50.0).contains(&q) && q.fract() == 0.0,
                 "quantity {q}"
@@ -94,15 +93,25 @@ mod tests {
     }
 
     #[test]
+    fn rows_cost_their_typed_cells_and_nothing_per_row() {
+        // The layout guard, as a count rather than a timing: five 8-byte
+        // numbers, two 4-byte dictionary codes and seven NULL bits a row,
+        // plus two dictionaries of 3 and 7 short strings. A row store of
+        // 32-byte values behind a per-row vector was over 250 B/row.
+        let n = 10_000;
+        let bytes = lineitem(n, Seed(10)).approx_bytes();
+        assert!(bytes >= n * (5 * 8 + 2 * 4));
+        assert!(bytes <= n * 64, "{} B/row", bytes as f64 / n as f64);
+    }
+
+    #[test]
     fn return_flags_cover_all_three_classes() {
         let t = lineitem(600, Seed(9));
-        let s = t.schema();
         for flag in ["A", "N", "R"] {
             let tag = Value::Text(flag.into());
             assert!(
                 t.rows()
-                    .iter()
-                    .any(|r| r.get_named(s, "l_returnflag").unwrap() == &tag),
+                    .any(|r| r.get_named("l_returnflag").unwrap() == tag),
                 "no rows flagged {flag}"
             );
         }

@@ -68,10 +68,9 @@ mod tests {
     #[test]
     fn every_metric_stays_inside_its_window_support() {
         let t = metrics_table(300, Seed(4));
-        let s = t.schema();
         for row in t.rows() {
             for name in metric_names() {
-                let v = row.get_f64(s, &name).unwrap();
+                let v = row.get_f64(&name).unwrap();
                 assert!((0.0..=10.0).contains(&v), "{name} = {v}");
             }
         }

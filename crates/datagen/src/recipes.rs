@@ -204,7 +204,6 @@ mod tests {
         );
         let gluten_free = t
             .rows()
-            .iter()
             .filter(|r| r.values()[11] == Value::Text("free".into()))
             .count();
         assert!(
@@ -216,12 +215,11 @@ mod tests {
     #[test]
     fn macros_are_consistent_with_calories() {
         let t = recipes(200, Seed(3));
-        let s = t.schema();
         for row in t.rows() {
-            let cal = row.get_f64(s, "calories").unwrap();
-            let protein = row.get_f64(s, "protein").unwrap();
-            let fat = row.get_f64(s, "fat").unwrap();
-            let carbs = row.get_f64(s, "carbs").unwrap();
+            let cal = row.get_f64("calories").unwrap();
+            let protein = row.get_f64("protein").unwrap();
+            let fat = row.get_f64("fat").unwrap();
+            let carbs = row.get_f64("carbs").unwrap();
             let reconstructed = protein * 4.0 + fat * 9.0 + carbs * 4.0;
             assert!(
                 (reconstructed - cal).abs() < 0.2 * cal + 20.0,

@@ -560,6 +560,7 @@ pub fn scenario(name: &str) -> Option<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minidb::ops::scan;
 
     #[test]
     fn names_and_labels_are_unique_and_sizes_ascend() {
@@ -597,16 +598,12 @@ mod tests {
             let large = (s.build)(48, Seed(99));
             assert_eq!(small.name(), s.relation, "{}: relation mismatch", s.name);
             assert_eq!(
-                small.rows(),
-                &large.rows()[..small.rows().len()],
+                scan(&small).rows,
+                &scan(&large).rows[..small.len()],
                 "{}: builder is not prefix-stable",
                 s.name
             );
-            assert!(
-                !small.rows().is_empty(),
-                "{}: builder returned no rows",
-                s.name
-            );
+            assert!(!small.is_empty(), "{}: builder returned no rows", s.name);
         }
     }
 

@@ -95,7 +95,6 @@ mod tests {
         let t = stocks(1000, Seed(2));
         let tech = t
             .rows()
-            .iter()
             .filter(|r| r.values()[2] == Value::Text("technology".into()))
             .count();
         assert!(tech > 200 && tech < 450, "tech lots: {tech}");
@@ -115,10 +114,9 @@ mod tests {
     #[test]
     fn return_is_positive_and_bounded_by_price() {
         let t = stocks(200, Seed(4));
-        let s = t.schema();
         for row in t.rows() {
-            let price = row.get_f64(s, "price").unwrap();
-            let ret = row.get_f64(s, "expected_return").unwrap();
+            let price = row.get_f64("price").unwrap();
+            let ret = row.get_f64("expected_return").unwrap();
             assert!(ret > 0.0);
             assert!(ret < price * 0.3);
         }

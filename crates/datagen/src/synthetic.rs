@@ -96,12 +96,7 @@ mod tests {
     #[test]
     fn zipf_is_skewed_towards_the_light_end() {
         let t = zipf_table("t", 2000, 1.2, 1.0, 1000.0, Seed(2));
-        let s = t.schema();
-        let below_mid = t
-            .rows()
-            .iter()
-            .filter(|r| r.get_f64(s, "w").unwrap() < 500.0)
-            .count();
+        let below_mid = t.rows().filter(|r| r.get_f64("w").unwrap() < 500.0).count();
         assert!(
             below_mid > 1200,
             "zipf table should be skewed, got {below_mid}/2000 below midpoint"

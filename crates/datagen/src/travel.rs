@@ -336,7 +336,6 @@ mod tests {
         let s = t.schema();
         let kinds: Vec<String> = t
             .rows()
-            .iter()
             .map(|r| r.values()[s.index_of("kind").unwrap()].to_string())
             .collect();
         assert_eq!(kinds.iter().filter(|k| *k == "flight").count(), 5);
@@ -348,18 +347,15 @@ mod tests {
     fn budget_vacations_are_feasible() {
         // The intro scenario: flights + hotels under $2,000 combined must exist.
         let t = travel_options(200, 200, 50, Seed(3));
-        let s = t.schema();
         let cheapest_flight = t
             .rows()
-            .iter()
             .filter(|r| r.values()[1] == Value::Text("flight".into()))
-            .map(|r| r.get_f64(s, "price").unwrap())
+            .map(|r| r.get_f64("price").unwrap())
             .fold(f64::INFINITY, f64::min);
         let cheapest_hotel = t
             .rows()
-            .iter()
             .filter(|r| r.values()[1] == Value::Text("hotel".into()))
-            .map(|r| r.get_f64(s, "price").unwrap())
+            .map(|r| r.get_f64("price").unwrap())
             .fold(f64::INFINITY, f64::min);
         assert!(
             cheapest_flight + cheapest_hotel < 2000.0,

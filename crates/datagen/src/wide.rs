@@ -79,14 +79,13 @@ mod tests {
     #[test]
     fn groups_cycle_and_values_stay_nonnegative() {
         let t = wide_table(64, Seed(5));
-        let s = t.schema();
-        for (i, row) in t.rows().iter().enumerate() {
+        for (i, row) in t.rows().enumerate() {
             assert_eq!(
-                row.get_named(s, "grp").unwrap(),
-                &Value::Text(format!("g{:02}", i % WIDE_GROUPS))
+                row.get_named("grp").unwrap(),
+                Value::Text(format!("g{:02}", i % WIDE_GROUPS))
             );
             for name in wide_names().iter().take(5) {
-                let v = row.get_f64(s, name).unwrap();
+                let v = row.get_f64(name).unwrap();
                 assert!((0.0..=100.0).contains(&v), "{name} = {v}");
             }
         }

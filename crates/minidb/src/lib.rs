@@ -5,10 +5,14 @@
 //! the local-search replacement query to a full DBMS reached over SQL; this
 //! crate provides the same capabilities as a library:
 //!
-//! * typed [`Value`]s, [`Schema`]s, [`Tuple`]s and [`Table`]s,
+//! * typed [`Value`]s, [`Schema`]s and [`Tuple`]s, and [`Table`]s that store
+//!   them **by column** — one typed vector per column, text as dictionary
+//!   codes, a NULL bit per cell; a [`Tuple`] is how a row goes in, a
+//!   [`RowView`] how one is read back,
 //! * a scalar [`expr::Expr`] language (selection predicates, i.e. PaQL *base
 //!   constraints*) evaluated through [`eval::BoundExpr`]: bound to a schema
-//!   once, then run against any number of rows,
+//!   once, then run a row at a time or — over a table's columns — a chunk of
+//!   rows at a time,
 //! * relational operators in [`ops`] (scan, filter, project, cross join,
 //!   aggregate, sort, limit) used by the heuristic local search,
 //! * per-column [`stats::ColumnStats`] used by cardinality-based pruning,
@@ -16,9 +20,14 @@
 //!
 //! The engine is deliberately single-node and in-memory: package queries in
 //! the paper operate on the (usually small) relation that survives the base
-//! constraints, so an in-memory row store exercises the relevant code paths.
+//! constraints, so an in-memory store exercises the relevant code paths. It
+//! is columnar because everything the package engine asks of a relation —
+//! evaluate a predicate over every row, profile the candidates, lower an
+//! aggregate's argument to a column of numbers — reads a few columns of
+//! many rows.
 
 pub mod catalog;
+mod column;
 pub mod csv;
 pub mod error;
 pub mod eval;
@@ -34,7 +43,7 @@ pub use catalog::Catalog;
 pub use error::DbError;
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use schema::{Column, ColumnType, Schema};
-pub use table::Table;
+pub use table::{RowView, Selection, Table};
 pub use tuple::{Tuple, TupleId};
 pub use value::Value;
 

@@ -53,7 +53,10 @@ impl Relation {
 
 /// Scans a table into a relation.
 pub fn scan(table: &Table) -> Relation {
-    Relation::new(table.schema().clone(), table.rows().to_vec())
+    Relation::new(
+        table.schema().clone(),
+        table.rows().map(|row| row.to_tuple()).collect(),
+    )
 }
 
 /// Filters rows by a predicate (NULL does not qualify).
@@ -181,15 +184,9 @@ pub fn aggregate(
         groups.insert(Vec::new(), Vec::new());
     }
 
-    let mut columns: Vec<Column> = group_by
+    let mut columns: Vec<Column> = group_idx
         .iter()
-        .map(|g| {
-            input
-                .schema
-                .column(g)
-                .cloned()
-                .expect("group key resolved above")
-        })
+        .map(|&i| input.schema.columns()[i].clone())
         .collect();
     for a in aggregates {
         let ty = match a.func {
@@ -230,7 +227,7 @@ fn compute_aggregate(func: AggFunc, expr: Option<&BoundExpr>, rows: &[&Tuple]) -
         AggFunc::Count => {
             let mut n = 0i64;
             for row in rows {
-                if !bound.eval(row)?.is_null() {
+                if !bound.eval(*row)?.is_null() {
                     n += 1;
                 }
             }
@@ -240,7 +237,7 @@ fn compute_aggregate(func: AggFunc, expr: Option<&BoundExpr>, rows: &[&Tuple]) -
             let mut sum = 0.0;
             let mut n = 0usize;
             for row in rows {
-                if let Some(x) = bound.eval(row)?.as_f64() {
+                if let Some(x) = bound.eval(*row)?.as_f64() {
                     sum += x;
                     n += 1;
                 }
@@ -256,7 +253,7 @@ fn compute_aggregate(func: AggFunc, expr: Option<&BoundExpr>, rows: &[&Tuple]) -
         AggFunc::Min | AggFunc::Max => {
             let mut best: Option<Value> = None;
             for row in rows {
-                let v = bound.eval(row)?;
+                let v = bound.eval(*row)?;
                 if v.is_null() {
                     continue;
                 }

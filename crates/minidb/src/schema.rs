@@ -97,6 +97,9 @@ impl Schema {
     /// Builder-style helper used heavily in tests and generators.
     pub fn build(cols: &[(&str, ColumnType)]) -> Self {
         Schema::new(cols.iter().map(|(n, t)| Column::new(*n, *t)).collect())
+            // pb-lint: allow(no-panic-in-solver-paths) — invariant: callers
+            // pass column lists written in the program text; a duplicate
+            // name there is a bug, caught the first time the line runs.
             .expect("static schema definitions must not contain duplicates")
     }
 

@@ -7,11 +7,10 @@
 
 use std::collections::BTreeMap;
 
+use crate::column::{ColumnData, ColumnVec};
 use crate::error::DbError;
-use crate::schema::Schema;
-use crate::table::Table;
-use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::table::{Selection, Table};
+use crate::tuple::TupleId;
 use crate::DbResult;
 
 /// Summary statistics of one numeric column over a set of rows.
@@ -46,6 +45,7 @@ impl ColumnStats {
 
     /// Folds one value into everything but `mean`, which
     /// [`ColumnStats::finish`] sets once after the last value.
+    #[inline]
     fn accumulate(&mut self, v: Option<f64>) {
         match v {
             None => self.nulls += 1,
@@ -75,6 +75,24 @@ impl ColumnStats {
     }
 }
 
+/// One column's values over the selected rows, folded in selection order.
+fn fold_column<T: Copy>(
+    sel: &Selection<'_>,
+    column: &ColumnVec,
+    values: &[T],
+    to_f64: impl Fn(T) -> f64,
+) -> ColumnStats {
+    let mut stats = ColumnStats::empty();
+    if column.has_no_nulls() {
+        sel.for_each(values, |_, x| stats.accumulate(Some(to_f64(x))));
+    } else {
+        sel.for_each(values, |row, x| {
+            stats.accumulate((!column.is_null(row)).then(|| to_f64(x)));
+        });
+    }
+    stats
+}
+
 /// Statistics for all numeric columns of a relation.
 #[derive(Debug, Clone, Default)]
 pub struct TableStats {
@@ -85,53 +103,44 @@ pub struct TableStats {
 impl TableStats {
     /// Computes statistics over all rows of `table`.
     pub fn of_table(table: &Table) -> Self {
-        Self::of_row_refs(table.schema(), table.rows().iter())
+        Self::fold(&table.select_all())
     }
 
-    /// Computes statistics over an explicit row slice.
-    pub fn of_rows(schema: &Schema, rows: &[Tuple]) -> Self {
-        Self::of_row_refs(schema, rows.iter())
-    }
-
-    /// Computes statistics over borrowed rows in one pass, without
-    /// materializing a row vector. This is the path the engine uses to
-    /// profile candidate sets: callers stream `&Tuple` references straight
-    /// out of the table instead of cloning every candidate row.
+    /// Computes statistics over the listed rows of `table` — how the engine
+    /// profiles a candidate set. Errors on the first id the table does not
+    /// have.
     ///
-    /// Numeric columns are resolved to positions once; the scan accumulates
-    /// into a vector indexed by those positions — no name lookup per cell —
-    /// and the name map is built once at the end. Each column's values are
-    /// folded in row order (so `sum` has the bits of a sequential sum) and
+    /// Each numeric column is folded on its own, straight from its typed
+    /// vector, in list order (so `sum` has the bits of a sequential sum);
     /// `mean` is one division of the final `sum` by the final `count`,
     /// which is what dividing after every value would have left behind.
-    pub fn of_row_refs<'t>(schema: &Schema, rows: impl IntoIterator<Item = &'t Tuple>) -> Self {
-        let numeric: Vec<(usize, &str)> = schema
+    /// Names are resolved once, when the result map is built.
+    pub fn of_ids(table: &Table, ids: &[TupleId]) -> DbResult<Self> {
+        Ok(Self::fold(&table.select(ids)?))
+    }
+
+    fn fold(sel: &Selection<'_>) -> Self {
+        let table = sel.table();
+        let columns = table
+            .schema()
             .columns()
             .iter()
             .enumerate()
             .filter(|(_, c)| c.ty.is_numeric())
-            .map(|(i, c)| (i, c.name.as_str()))
-            .collect();
-        let mut stats = vec![ColumnStats::empty(); numeric.len()];
-        let mut row_count = 0usize;
-        for row in rows {
-            row_count += 1;
-            let values = row.values();
-            for (slot, (idx, _)) in stats.iter_mut().zip(&numeric) {
-                slot.accumulate(values.get(*idx).and_then(Value::as_f64));
-            }
-        }
-        let columns = numeric
-            .iter()
-            .zip(stats)
-            .map(|((_, name), mut column)| {
-                column.finish();
-                (name.to_ascii_lowercase(), column)
+            .filter_map(|(idx, c)| {
+                let column = table.column(idx)?;
+                let mut stats = match column.data() {
+                    ColumnData::Float(v) => fold_column(sel, column, v, |x| x),
+                    ColumnData::Int(v) => fold_column(sel, column, v, |x| x as f64),
+                    _ => return None,
+                };
+                stats.finish();
+                Some((c.name.to_ascii_lowercase(), stats))
             })
             .collect();
         TableStats {
             columns,
-            rows: row_count,
+            rows: sel.len(),
         }
     }
 
@@ -162,9 +171,10 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnType;
-    use crate::tuple;
+    use crate::schema::{ColumnType, Schema};
+    use crate::tuple::Tuple;
     use crate::value::Value;
+    use crate::{tuple, TupleId};
 
     fn table() -> Table {
         let schema = Schema::build(&[
@@ -233,16 +243,19 @@ mod tests {
     #[test]
     fn borrowed_row_stats_match_owned_rows() {
         let t = table();
-        let owned = TableStats::of_rows(t.schema(), t.rows());
-        let subset: Vec<&Tuple> = t.rows().iter().take(2).collect();
-        let borrowed = TableStats::of_row_refs(t.schema(), subset);
-        assert_eq!(owned.row_count(), 3);
-        assert_eq!(borrowed.row_count(), 2);
-        assert_eq!(borrowed.column("calories").unwrap().max, 300.0);
+        let all: Vec<TupleId> = t.iter().map(|(id, _)| id).collect();
+        let listed = TableStats::of_ids(&t, &all).unwrap();
+        // Any list, in list order: here the first two rows, backwards.
+        let subset = TableStats::of_ids(&t, &[TupleId(1), TupleId(0)]).unwrap();
+        assert_eq!(listed.row_count(), 3);
+        assert_eq!(subset.row_count(), 2);
+        assert_eq!(subset.column("calories").unwrap().max, 300.0);
         assert_eq!(
-            owned.column("calories").unwrap().sum,
-            TableStats::of_table(&t).column("calories").unwrap().sum
+            listed.column("calories").unwrap(),
+            TableStats::of_table(&t).column("calories").unwrap()
         );
+        assert!(TableStats::of_ids(&t, &[TupleId(0), TupleId(3)]).is_err());
+        assert_eq!(TableStats::of_ids(&t, &[]).unwrap().row_count(), 0);
     }
 
     #[test]

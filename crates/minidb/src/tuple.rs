@@ -44,6 +44,11 @@ impl Tuple {
         &self.values
     }
 
+    /// The values, by move.
+    pub fn into_values(self) -> Vec<Value> {
+        self.values
+    }
+
     /// Number of fields.
     pub fn arity(&self) -> usize {
         self.values.len()

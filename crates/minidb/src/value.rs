@@ -123,12 +123,12 @@ impl Value {
             return None;
         }
         Some(match (self, other) {
-            (a, b) if a.is_numeric() && b.is_numeric() => {
-                (a.as_f64().unwrap() - b.as_f64().unwrap()).abs() == 0.0
-            }
             (Value::Text(a), Value::Text(b)) => a == b,
             (Value::Bool(a), Value::Bool(b)) => a == b,
-            _ => false,
+            (a, b) => match (a.numeric(), b.numeric()) {
+                (Some(x), Some(y)) => num_eq(x, y),
+                _ => false,
+            },
         })
     }
 
@@ -143,28 +143,18 @@ impl Value {
             return None;
         }
         match (self, other) {
-            (a, b) if a.is_numeric() && b.is_numeric() => {
-                let x = a.as_f64().unwrap();
-                let y = b.as_f64().unwrap();
-                Some(match (x.is_nan(), y.is_nan()) {
-                    (true, true) => Ordering::Equal,
-                    (true, false) => Ordering::Greater,
-                    (false, true) => Ordering::Less,
-                    // Plain IEEE compare keeps `-0.0 == 0.0` (which
-                    // `total_cmp` would break for SQL equality).
-                    (false, false) => {
-                        if x < y {
-                            Ordering::Less
-                        } else if x > y {
-                            Ordering::Greater
-                        } else {
-                            Ordering::Equal
-                        }
-                    }
-                })
-            }
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+            (a, b) => Some(num_cmp(a.numeric()?, b.numeric()?)),
+        }
+    }
+
+    /// The `f64` of an `Int` or `Float` — unlike [`Value::as_f64`], booleans
+    /// do not count: comparisons only treat numbers as numbers.
+    fn numeric(&self) -> Option<f64> {
+        match self {
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(*f),
             _ => None,
         }
     }
@@ -192,22 +182,58 @@ impl Value {
         }
         let a = self.expect_f64("division")?;
         let b = other.expect_f64("division")?;
-        if b == 0.0 {
-            Ok(Value::Null)
-        } else {
-            Ok(Value::Float(a / b))
-        }
+        Ok(num_div(a, b).map_or(Value::Null, Value::Float))
     }
 
-    /// Unary negation.
+    /// Unary negation. An `Int` stays an `Int` unless its negation does not
+    /// fit (`i64::MIN`), which becomes the `Float` of the same number.
     pub fn neg(&self) -> DbResult<Value> {
         match self {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => Ok(i
+                .checked_neg()
+                .map_or(Value::Float(-(*i as f64)), Value::Int)),
             Value::Float(f) => Ok(Value::Float(-f)),
             other => Err(DbError::TypeError(format!("cannot negate {other}"))),
         }
     }
+}
+
+/// Numeric SQL equality on the `f64` views — the one definition behind
+/// [`Value::sql_eq`] and the column kernels of [`crate::eval`]. Kept in this
+/// exact form: `inf = inf` and `NaN = NaN` are false under it, `-0.0 = 0.0`
+/// true.
+#[inline]
+pub(crate) fn num_eq(a: f64, b: f64) -> bool {
+    (a - b).abs() == 0.0
+}
+
+/// Numeric SQL ordering on the `f64` views, total over NaN (see
+/// [`Value::sql_cmp`]); shared with the column kernels like [`num_eq`].
+#[inline]
+pub(crate) fn num_cmp(x: f64, y: f64) -> Ordering {
+    match (x.is_nan(), y.is_nan()) {
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Greater,
+        (false, true) => Ordering::Less,
+        // Plain IEEE compare keeps `-0.0 == 0.0` (which `total_cmp` would
+        // break for SQL equality).
+        (false, false) => {
+            if x < y {
+                Ordering::Less
+            } else if x > y {
+                Ordering::Greater
+            } else {
+                Ordering::Equal
+            }
+        }
+    }
+}
+
+/// `a / b`, or `None` (SQL NULL) when `b` is zero of either sign.
+#[inline]
+pub(crate) fn num_div(a: f64, b: f64) -> Option<f64> {
+    (b != 0.0).then(|| a / b)
 }
 
 fn numeric_binop(a: &Value, b: &Value, op: &str, f: impl Fn(f64, f64) -> f64) -> DbResult<Value> {
@@ -217,17 +243,20 @@ fn numeric_binop(a: &Value, b: &Value, op: &str, f: impl Fn(f64, f64) -> f64) ->
     let x = a.expect_f64(format_args!("operator '{op}'"))?;
     let y = b.expect_f64(format_args!("operator '{op}'"))?;
     let r = f(x, y);
-    // Preserve integer-ness when both inputs are integers and the result is
-    // exactly representable.
-    if matches!(a, Value::Int(_))
-        && matches!(b, Value::Int(_))
-        && r.fract() == 0.0
-        && r.abs() < 2f64.powi(53)
-    {
-        Ok(Value::Int(r as i64))
-    } else {
-        Ok(Value::Float(r))
-    }
+    let both_int = matches!(a, Value::Int(_)) && matches!(b, Value::Int(_));
+    Ok(match int_result(r) {
+        Some(i) if both_int => Value::Int(i),
+        _ => Value::Float(r),
+    })
+}
+
+/// The integer an arithmetic result over two `Int`s stays: integer-ness is
+/// preserved when the result is exactly representable. Shared with the
+/// column kernels — the one place an `Int` result differs from its `f64`
+/// (a `-0.0` becomes `0`).
+#[inline]
+pub(crate) fn int_result(r: f64) -> Option<i64> {
+    (r.fract() == 0.0 && r.abs() < 2f64.powi(53)).then_some(r as i64)
 }
 
 impl PartialEq for Value {

@@ -12,8 +12,8 @@
 //! | [`thread-containment`](ThreadContainment) | All threading lives in `par.rs`, `portfolio.rs` and the B&B pool — the three places whose merge discipline makes results thread-count-independent. | everywhere except tests |
 //! | [`time-containment`](TimeContainment) | `Instant::now()` belongs to `budget.rs` (the cooperative deadline substrate); any other production site is reporting-only and must say so. | production code |
 //! | [`unsafe-audit`](UnsafeAudit) | Every `unsafe` site carries a `SAFETY:` comment (or a `# Safety` doc section for `unsafe fn`). | everywhere |
-//! | [`no-panic-in-solver-paths`](NoPanicInSolverPaths) | Solver-reachable code returns `PbError::Internal` instead of panicking; `Mutex`-poison `unwrap`s are exempt (poisoning only follows another panic). | solver paths |
-//! | [`no-fused-multiply-add`](NoFusedMultiplyAdd) | `mul_add` rounds once where `a * b + c` rounds twice, and lowers to a hardware FMA or a libm call depending on the host; either way the bits the identity gates compare move. | `crates/core`, `crates/lp-solver` |
+//! | [`no-panic-in-solver-paths`](NoPanicInSolverPaths) | Solver-reachable code returns `PbError::Internal` instead of panicking; `Mutex`-poison `unwrap`s are exempt (poisoning only follows another panic). | solver paths, `crates/minidb/src` |
+//! | [`no-fused-multiply-add`](NoFusedMultiplyAdd) | `mul_add` rounds once where `a * b + c` rounds twice, and lowers to a hardware FMA or a libm call depending on the host; either way the bits the identity gates compare move. | `crates/core`, `crates/lp-solver`, `crates/minidb` |
 //!
 //! A site that genuinely needs an exception carries an allow annotation
 //! **with a written justification** on the flagged line or the comment
@@ -578,7 +578,15 @@ impl Rule for UnsafeAudit {
 /// thread already panicked, and re-raising is the correct containment.
 /// `assert!`/`debug_assert!` stay allowed: they are deliberate invariant
 /// checks, not accidental panics.
+///
+/// The relational substrate is in scope too, though the rest of its rule
+/// set stays infra-grade: every cold build runs `minidb`'s column kernels
+/// and row evaluator on the caller's thread, so a panic there is a panic in
+/// the middle of a query.
 pub struct NoPanicInSolverPaths;
+
+/// Source tree outside the solver-path class that the panic rule covers.
+const PANIC_FREE_SUBSTRATE: &str = "crates/minidb/src/";
 
 impl Rule for NoPanicInSolverPaths {
     fn id(&self) -> &'static str {
@@ -593,7 +601,7 @@ impl Rule for NoPanicInSolverPaths {
          stating the invariant"
     }
     fn applies(&self, ctx: &FileCtx) -> bool {
-        ctx.class.is_solver()
+        ctx.class.is_solver() || ctx.rel.starts_with(PANIC_FREE_SUBSTRATE)
     }
     fn check(&self, ctx: &FileCtx, out: &mut Vec<Finding>) {
         for (idx, n) in ctx.norm.iter().enumerate() {
@@ -639,7 +647,8 @@ impl Rule for NoPanicInSolverPaths {
 // Rule 7: no-fused-multiply-add
 // ---------------------------------------------------------------------------
 
-/// Bans `mul_add` in the engine and the LP solver.
+/// Bans `mul_add` in the engine, the LP solver and the relational substrate
+/// (whose column kernels compute the coefficients the engine gates).
 ///
 /// `a.mul_add(b, c)` computes `a·b + c` with **one** rounding; `a * b + c`
 /// rounds twice. The two differ in the last bit often enough that a single
@@ -653,7 +662,7 @@ impl Rule for NoPanicInSolverPaths {
 pub struct NoFusedMultiplyAdd;
 
 /// Crates whose floating-point results are gated bit for bit.
-const BIT_EXACT_CRATES: &[&str] = &["crates/core/", "crates/lp-solver/"];
+const BIT_EXACT_CRATES: &[&str] = &["crates/core/", "crates/lp-solver/", "crates/minidb/"];
 
 impl Rule for NoFusedMultiplyAdd {
     fn id(&self) -> &'static str {

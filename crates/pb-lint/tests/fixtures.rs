@@ -129,6 +129,35 @@ fn no_panic_spares_poison_idiom_annotations_and_asserts() {
 }
 
 #[test]
+fn no_panic_covers_the_relational_substrate_but_not_its_tests() {
+    // minidb's column kernels run inside every cold build: its sources are
+    // held to the solver paths' panic rule although the crate is infra.
+    let lines: Vec<usize> = analyze_source(
+        "crates/minidb/src/eval.rs",
+        FileClass::Infra,
+        include_str!("fixtures/no_panic_in_solver_paths_bad.rs"),
+    )
+    .into_iter()
+    .filter(|f| f.rule == "no-panic-in-solver-paths")
+    .map(|f| f.line)
+    .collect();
+    assert_eq!(lines, vec![3, 4, 6, 9]);
+    // Annotated invariants, the poison idiom and asserts stay legal there.
+    let findings = analyze_source(
+        "crates/minidb/src/column.rs",
+        FileClass::Infra,
+        include_str!("fixtures/no_panic_in_solver_paths_good.rs"),
+    );
+    assert!(findings.is_empty(), "{findings:?}");
+    let findings = analyze_source(
+        "crates/minidb/tests/proptests.rs",
+        FileClass::Test,
+        include_str!("fixtures/no_panic_in_solver_paths_bad.rs"),
+    );
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn no_fused_multiply_add_fires_on_method_and_path_calls() {
     let lines = hits(
         include_str!("fixtures/no_fused_multiply_add_bad.rs"),
@@ -140,6 +169,17 @@ fn no_fused_multiply_add_fires_on_method_and_path_calls() {
 #[test]
 fn no_fused_multiply_add_spares_the_two_step_form_and_other_crates() {
     assert_silent(include_str!("fixtures/no_fused_multiply_add_good.rs"), REL);
+    // The column kernels that compute gated coefficients live in minidb.
+    let lines: Vec<usize> = analyze_source(
+        "crates/minidb/src/eval.rs",
+        FileClass::Infra,
+        include_str!("fixtures/no_fused_multiply_add_bad.rs"),
+    )
+    .into_iter()
+    .filter(|f| f.rule == "no-fused-multiply-add")
+    .map(|f| f.line)
+    .collect();
+    assert_eq!(lines, vec![3, 7]);
     // Only the bit-exact crates are in scope: the bench harness may fuse.
     let findings = analyze_source(
         "crates/bench/src/bin/harness.rs",
@@ -154,7 +194,7 @@ fn solver_only_rules_skip_infra_files() {
     // The panic fixture fires on a solver path but not in infra code, where
     // panicking on corruption is legitimate.
     let findings = analyze_source(
-        "crates/minidb/src/value.rs",
+        "crates/core/src/column_store.rs",
         FileClass::Infra,
         include_str!("fixtures/no_panic_in_solver_paths_bad.rs"),
     );

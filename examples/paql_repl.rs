@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Commands:
-//!   \tables            list relations
+//!   \tables            list relations with their row counts and sizes
 //!   \schema <table>    show a relation's schema
 //!   \sample <table>    show the first rows of a relation
 //!   \quit              exit
@@ -74,7 +74,20 @@ fn handle_command(engine: &PackageEngine, command: &str) -> bool {
     let mut parts = command.split_whitespace();
     match parts.next() {
         Some("\\quit") | Some("\\q") => return true,
-        Some("\\tables") => println!("{}", engine.catalog().table_names().join("\n")),
+        Some("\\tables") => {
+            for name in engine.catalog().table_names() {
+                if let Some(t) = engine.catalog().table(name) {
+                    // Typed column vectors, NULL bitmaps and dictionaries.
+                    let bytes = t.approx_bytes();
+                    println!(
+                        "{name:<16} {:>8} rows  {:>9.1} KiB  ({:.1} B/row)",
+                        t.len(),
+                        bytes as f64 / 1024.0,
+                        bytes as f64 / t.len().max(1) as f64
+                    );
+                }
+            }
+        }
         Some("\\schema") => match parts.next().and_then(|t| engine.catalog().table(t)) {
             Some(t) => println!("{} {}", t.name(), t.schema()),
             None => println!("usage: \\schema <table>"),

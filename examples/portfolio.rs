@@ -33,11 +33,10 @@ fn main() {
     println!("{}", result.describe(table));
 
     // Show the composition of every returned portfolio.
-    let schema = table.schema();
     for (rank, pkg) in result.packages.iter().enumerate() {
         let total: f64 = pkg
             .members()
-            .map(|(id, m)| table.require(id).unwrap().get_f64(schema, "price").unwrap() * m as f64)
+            .map(|(id, m)| table.value_f64(id, "price").unwrap() * m as f64)
             .sum();
         let tech: f64 = pkg
             .members()
@@ -45,12 +44,12 @@ fn main() {
                 table
                     .require(*id)
                     .unwrap()
-                    .get_named(schema, "sector")
+                    .get_named("sector")
                     .unwrap()
                     .to_string()
                     == "technology"
             })
-            .map(|(id, m)| table.require(id).unwrap().get_f64(schema, "price").unwrap() * m as f64)
+            .map(|(id, m)| table.value_f64(id, "price").unwrap() * m as f64)
             .sum();
         let ret = result.objectives[rank].unwrap_or(f64::NAN);
         println!(

@@ -23,13 +23,12 @@ fn meal_planner_scenario_finds_a_valid_optimal_plan() {
 
     // Re-verify every constraint directly against the raw table.
     let table = engine.catalog().table("recipes").unwrap();
-    let schema = table.schema();
     let mut calories = 0.0;
     for (tid, mult) in plan.members() {
         assert_eq!(mult, 1, "default REPEAT allows each recipe once");
         let row = table.require(tid).unwrap();
-        assert_eq!(row.get_named(schema, "gluten").unwrap().to_string(), "free");
-        calories += row.get_f64(schema, "calories").unwrap();
+        assert_eq!(row.get_named("gluten").unwrap().to_string(), "free");
+        calories += row.get_f64("calories").unwrap();
     }
     assert!(
         (2000.0..=2500.0).contains(&calories),
@@ -54,21 +53,20 @@ fn vacation_planner_scenario_respects_the_budget_and_kind_constraints() {
         .unwrap();
     let package = result.best().expect("a budget vacation exists");
     let table = engine.catalog().table("travel_options").unwrap();
-    let schema = table.schema();
     let mut flights = 0;
     let mut hotels = 0;
     let mut cars = 0;
     let mut core_price = 0.0;
     for (tid, _) in package.members() {
         let row = table.require(tid).unwrap();
-        match row.get_named(schema, "kind").unwrap().to_string().as_str() {
+        match row.get_named("kind").unwrap().to_string().as_str() {
             "flight" => {
                 flights += 1;
-                core_price += row.get_f64(schema, "price").unwrap();
+                core_price += row.get_f64("price").unwrap();
             }
             "hotel" => {
                 hotels += 1;
-                core_price += row.get_f64(schema, "price").unwrap();
+                core_price += row.get_f64("price").unwrap();
             }
             "car" => cars += 1,
             other => panic!("unexpected kind {other}"),
@@ -99,10 +97,9 @@ fn portfolio_scenario_enforces_the_technology_share() {
         .unwrap();
     let package = result.best().expect("a feasible portfolio exists");
     let table = engine.catalog().table("stocks").unwrap();
-    let schema = table.schema();
     let total: f64 = package
         .members()
-        .map(|(id, _)| table.require(id).unwrap().get_f64(schema, "price").unwrap())
+        .map(|(id, _)| table.value_f64(id, "price").unwrap())
         .sum();
     let tech: f64 = package
         .members()
@@ -110,12 +107,12 @@ fn portfolio_scenario_enforces_the_technology_share() {
             table
                 .require(*id)
                 .unwrap()
-                .get_named(schema, "sector")
+                .get_named("sector")
                 .unwrap()
                 .to_string()
                 == "technology"
         })
-        .map(|(id, _)| table.require(id).unwrap().get_f64(schema, "price").unwrap())
+        .map(|(id, _)| table.value_f64(id, "price").unwrap())
         .sum();
     assert!(total <= 50_000.0 + 1e-6);
     assert!(tech >= 0.3 * total - 1e-6);
