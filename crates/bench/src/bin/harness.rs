@@ -884,7 +884,7 @@ fn bnb_exact_core() -> bool {
     use packagebuilder::config::default_num_threads;
     let mut all_identical = true;
     println!("## BNB — parallel branch & bound with warm starts across threads × n (meal plan)\n");
-    let widths = [6, 16, 8, 12, 14, 10, 12];
+    let widths = [6, 16, 8, 12, 14, 10, 10, 12];
     print_header(
         &[
             "n",
@@ -893,6 +893,7 @@ fn bnb_exact_core() -> bool {
             "time (ms)",
             "objective",
             "optimal?",
+            "cold LPs",
             "identical",
         ],
         &widths,
@@ -922,13 +923,15 @@ fn bnb_exact_core() -> bool {
                     .unwrap_or_else(|| "-".into()),
                 "no".into(),
                 "-".into(),
+                "-".into(),
             ],
             &widths,
         );
         json_rows.push(format!(
             "    {{\"n\": {n}, \"strategy\": \"sketch-refine\", \"threads\": 1, \
              \"ms\": {:.3}, \"objective\": {}, \"optimal\": false, \
-             \"nodes\": {}, \"iterations\": {}, \"identical\": true}}",
+             \"nodes\": {}, \"iterations\": {}, \"cold_solves\": null, \
+             \"identical\": true}}",
             sketch_time.as_secs_f64() * 1e3,
             sketch_obj
                 .map(|o| format!("{o:.3}"))
@@ -939,20 +942,39 @@ fn bnb_exact_core() -> bool {
 
         // The exact solve across the thread grid; 1 thread is the reference
         // every wider run must reproduce down to the counters.
-        type Fingerprint = (Option<u64>, Option<Package>, bool, u64, u64);
+        type Fingerprint = (Option<u64>, Option<Package>, bool, u64, u64, Option<usize>);
         let mut reference: Option<(Fingerprint, std::time::Duration, Option<f64>)> = None;
+        // The engine's stats do not carry `Solution::cold_solves`, so the
+        // same ILP also goes to lp-solver directly, outside the timed run.
+        let table = recipe_table(n);
+        let analyzed = paql::compile(MEAL_PLAN_QUERY, table.schema()).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let problem = packagebuilder::ilp::translate(spec.view()).unwrap().problem;
         for &threads in &thread_grid {
             let mut engine = recipe_engine(n, Strategy::Ilp);
             engine.config_mut().num_threads = threads;
             let t0 = Instant::now();
             let r = run(&engine, MEAL_PLAN_QUERY);
             let elapsed = t0.elapsed();
+            let config = SolverConfig {
+                num_threads: threads,
+                ..engine.config().solver.clone()
+            };
+            // `None` (and a failed identity gate) if the direct solve is not
+            // the solve the engine ran.
+            let cold_solves = lp_solver::solve(&problem, &config)
+                .ok()
+                .filter(|s| {
+                    (s.nodes as u64, s.iterations as u64) == (r.stats.nodes, r.stats.iterations)
+                })
+                .map(|s| s.cold_solves);
             let fp: Fingerprint = (
                 r.best_objective().map(f64::to_bits),
                 r.best().cloned(),
                 r.optimal,
                 r.stats.nodes,
                 r.stats.iterations,
+                cold_solves,
             );
             let identical = match &reference {
                 None => {
@@ -960,7 +982,7 @@ fn bnb_exact_core() -> bool {
                     true
                 }
                 Some((reference, ..)) => *reference == fp,
-            };
+            } && cold_solves.is_some();
             all_identical &= identical;
             print_row(
                 &[
@@ -972,6 +994,7 @@ fn bnb_exact_core() -> bool {
                         .map(|o| format!("{o:.1}"))
                         .unwrap_or_else(|| "-".into()),
                     if r.optimal { "yes".into() } else { "no".into() },
+                    cold_solves.map_or("?".into(), |c| c.to_string()),
                     if identical {
                         "identical".into()
                     } else {
@@ -983,7 +1006,8 @@ fn bnb_exact_core() -> bool {
             json_rows.push(format!(
                 "    {{\"n\": {n}, \"strategy\": \"ilp\", \"threads\": {threads}, \
                  \"ms\": {:.3}, \"objective\": {}, \"optimal\": {}, \
-                 \"nodes\": {}, \"iterations\": {}, \"identical\": {identical}}}",
+                 \"nodes\": {}, \"iterations\": {}, \"cold_solves\": {}, \
+                 \"identical\": {identical}}}",
                 elapsed.as_secs_f64() * 1e3,
                 r.best_objective()
                     .map(|o| format!("{o:.3}"))
@@ -991,6 +1015,7 @@ fn bnb_exact_core() -> bool {
                 r.optimal,
                 r.stats.nodes,
                 r.stats.iterations,
+                cold_solves.map_or("null".into(), |c| c.to_string()),
             ));
         }
         // Verdict: exact-vs-approximate latency and the objective gap the
@@ -1010,6 +1035,7 @@ fn bnb_exact_core() -> bool {
                         ilp_time.as_secs_f64() / sketch_time.as_secs_f64().max(1e-9)
                     ),
                     gap,
+                    "-".into(),
                     "-".into(),
                     if all_identical {
                         "identical".into()

@@ -12,18 +12,35 @@
 //! few dual-simplex pivots and nothing proportional to the variable count
 //! beyond them.
 //!
+//! # A job is the expansion of a node
+//!
+//! The two children of a node are not two LPs that happen to be alike. The
+//! branching variable is fractional in the parent's optimum, hence basic in
+//! the basis both children warm-start from, and a basic column's bounds enter
+//! nothing a solve computes before its first pivot except the direction that
+//! variable is pushed in: not the right-hand side, not the basis inverse, the
+//! basic values, the duals, the pivot row or a single reduced cost. Siblings
+//! **share everything a basic column's bound cannot change**, so the unit of
+//! work is the expansion of one popped node
+//! ([`LpWorkspace::solve_children`]): the worker lays the node's chain,
+//! installs and refactorizes its basis and evaluates the first dual ratio
+//! test for both directions once, solves the down child, restores the
+//! checkpointed inverse and solves the up child. Each child's result is,
+//! bit for bit, what a solve of its own would return.
+//!
 //! # Deterministic parallel exploration
 //!
 //! Nodes are explored best-bound-first in **fixed-size batches** of
 //! `NODE_BATCH` child LPs: the search pops frontier nodes in heap order,
-//! expands them into child jobs, solves every job's LP relaxation (on up to
+//! makes each an expansion job, solves every job's LP relaxations (on up to
 //! [`SolverConfig::num_threads`] threads), and merges the results — children
-//! pushed, incumbents updated, bounds pruned — **in job order**. Batch
-//! composition and merge order never depend on the thread count (the same
-//! chunk-order discipline as the engine's data-parallel scans), so the same
-//! problem + config yields bit-identical solutions, node counts and
+//! pushed, incumbents updated, bounds pruned — **in job order**, down before
+//! up. Batch composition and merge order never depend on the thread count
+//! (the same chunk-order discipline as the engine's data-parallel scans), so
+//! the same problem + config yields bit-identical solutions, node counts and
 //! iteration counts at every `num_threads`, including 1, where the batch is
-//! simply solved inline with no thread machinery at all.
+//! simply solved inline with no thread machinery at all. A node budget that
+//! runs out between the two children of a node leaves a one-child expansion.
 //!
 //! Each node stores its **own** LP relaxation bound (solved eagerly when the
 //! node is created), so best-bound ordering and incumbent pruning use the
@@ -38,11 +55,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::problem::{Problem, Sense, VarType};
-use crate::simplex::{Basis, LpMatrix, LpWorkspace};
+use crate::simplex::{Basis, LpMatrix, LpWorkspace, NodeLp};
 use crate::solution::{Solution, Status};
 use crate::{LpError, LpResult, SolverConfig};
 
-/// Number of child LPs gathered into one frontier batch. A fixed constant —
+/// Number of child LPs gathered into one frontier batch (half as many
+/// expansions). A fixed constant —
 /// never derived from the thread count — because batch boundaries are part
 /// of the determinism contract: they decide which nodes are solved before
 /// the incumbent can prune, and therefore the node count.
@@ -125,16 +143,60 @@ impl Ord for Node {
     }
 }
 
-/// An unsolved child LP: bounds (as a patch chain) plus the parent basis to
-/// warm-start from. Cheap to clone — two `Arc`s, a depth and a bound.
+/// The expansion of one popped node: the child LPs still to solve, which
+/// share the node's patch chain and its basis to warm-start from and differ
+/// in the bounds of the branching variable alone — see
+/// [`LpWorkspace::solve_children`] for what a worker makes of that. Cheap to
+/// clone: two `Arc`s and a few numbers.
 #[derive(Clone)]
 struct Job {
+    /// The popped node's own chain.
     chain: Option<Arc<BoundPatch>>,
     warm: Option<Arc<Basis>>,
+    /// Depth of the LPs this job solves.
     depth: u32,
-    /// The parent's bound key: what is known about this subtree until its
-    /// own LP has been solved *and merged*.
+    /// The popped node's bound key: what is known about its subtrees until
+    /// their own LPs have been solved *and merged*.
     parent_bound: f64,
+    /// `None` is the root job: one LP, the chain as it stands.
+    branch: Option<Branch>,
+}
+
+/// The branching variable of an expansion and its `(lb, ub)` in each of the
+/// first `len` child LPs, down before up.
+#[derive(Clone, Copy)]
+struct Branch {
+    var: usize,
+    bounds: [(f64, f64); 2],
+    len: usize,
+}
+
+impl Branch {
+    fn push(&mut self, bounds: (f64, f64)) {
+        self.bounds[self.len] = bounds;
+        self.len += 1;
+    }
+}
+
+impl Job {
+    /// LPs this job solves.
+    fn lps(&self) -> usize {
+        self.branch.map_or(1, |b| b.len)
+    }
+
+    /// The patch chain of the job's `k`-th LP.
+    fn chain_of(&self, k: usize) -> Option<Arc<BoundPatch>> {
+        let Some(branch) = self.branch else {
+            return self.chain.clone();
+        };
+        let (lb, ub) = branch.bounds[k];
+        Some(Arc::new(BoundPatch {
+            var: branch.var,
+            lb,
+            ub,
+            parent: self.chain.clone(),
+        }))
+    }
 }
 
 /// What a worker reports about one solved node LP.
@@ -150,9 +212,12 @@ struct NodeOutcome {
     /// ray.
     values: Option<Vec<f64>>,
     basis: Option<Basis>,
+    /// The LP ended in the cold two-phase path.
+    cold: bool,
 }
 
-type JobResult = LpResult<NodeOutcome>;
+/// One result per LP of a job, in the job's order.
+type JobResult = Vec<LpResult<NodeOutcome>>;
 
 /// What every job of one MILP solve shares.
 struct Shared<'a> {
@@ -195,37 +260,58 @@ pub(crate) fn branch_variable(
     best.map(|(i, v, _)| (i, v))
 }
 
-/// Solves one job's LP relaxation. Pure function of (shared, job) — the
-/// determinism guarantee leans on this: `ws` is a per-thread [`LpWorkspace`]
-/// whose every solve first undoes whatever the previous one touched, so
-/// *which* worker's workspace solves a job never affects the result.
+/// Solves the LP relaxations of one job. Pure function of (shared, job) —
+/// the determinism guarantee leans on this: `ws` is a per-thread
+/// [`LpWorkspace`] whose every solve first undoes whatever the previous one
+/// touched, so *which* worker's workspace solves a job never affects the
+/// result.
 fn solve_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobResult {
-    let lp = ws.solve(overlay(&job.chain), job.warm.as_deref(), shared.config)?;
-    let branch = branch_variable(shared.problem, &lp.basics, shared.config.int_tolerance);
-    let values = match lp.status {
-        Status::Unbounded => Some(ws.dense_values()),
-        Status::Optimal if branch.is_none() => Some(ws.dense_values()),
-        _ => None,
+    let outcome = |ws: &LpWorkspace<'_>, lp: NodeLp| {
+        let branch = branch_variable(shared.problem, &lp.basics, shared.config.int_tolerance);
+        let values = match lp.status {
+            Status::Unbounded => Some(ws.dense_values()),
+            Status::Optimal if branch.is_none() => Some(ws.dense_values()),
+            _ => None,
+        };
+        NodeOutcome {
+            status: lp.status,
+            objective: lp.objective,
+            iterations: lp.iterations,
+            branch,
+            values,
+            basis: lp.basis,
+            cold: lp.cold,
+        }
     };
-    Ok(NodeOutcome {
-        status: lp.status,
-        objective: lp.objective,
-        iterations: lp.iterations,
-        branch,
-        values,
-        basis: lp.basis,
-    })
+    let (chain, warm) = (overlay(&job.chain), job.warm.as_deref());
+    match &job.branch {
+        None => {
+            let lp = ws.solve(chain, warm, shared.config);
+            vec![lp.map(|lp| outcome(ws, lp))]
+        }
+        Some(b) => ws.solve_children(
+            chain,
+            warm,
+            b.var,
+            &b.bounds[..b.len],
+            shared.config,
+            outcome,
+        ),
+    }
 }
 
 /// [`solve_job`] with a panic guard: a worker panic becomes a numerical
 /// error instead of deadlocking the pool (and the sequential path uses the
 /// same wrapper so both paths behave identically). `AssertUnwindSafe` is
-/// sound for the workspace because every [`LpWorkspace::solve`] starts by
-/// restoring every column a previous (even panicked) call touched — the
-/// dirty list names a column before the column changes.
+/// sound for the workspace because every solve starts by restoring every
+/// column a previous (even panicked) call touched — the dirty list names a
+/// column before the column changes.
 fn run_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobResult {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| solve_job(shared, job, ws)))
-        .unwrap_or_else(|_| Err(LpError::Numerical("panic while solving node LP".into())))
+        .unwrap_or_else(|_| {
+            let panicked = || Err(LpError::Numerical("panic while solving node LP".into()));
+            (0..job.lps()).map(|_| panicked()).collect()
+        })
 }
 
 /// Shared state of the per-solve worker pool. The pool lives for the whole
@@ -372,6 +458,7 @@ struct SearchState {
     incumbent: Option<Solution>,
     total_iterations: usize,
     nodes: usize,
+    cold_solves: usize,
     next_seq: u64,
     /// The objective can only take integral values (see
     /// [`objective_is_integral`]); bounds are rounded before pruning.
@@ -384,14 +471,14 @@ struct SearchState {
 }
 
 impl SearchState {
-    /// Records that `job`'s subtree stays unexplored.
+    /// Records that a subtree of `job` stays unexplored.
     fn lose(&mut self, job: &Job) {
         let best = self.lost_bound.unwrap_or(f64::NEG_INFINITY);
         self.lost_bound = Some(best.max(job.parent_bound));
     }
 }
 
-/// What merging one solved job decided.
+/// What merging one solved LP decided.
 enum Merged {
     /// Keep going (child pushed, incumbent updated, or node pruned/infeasible).
     Continue,
@@ -399,20 +486,21 @@ enum Merged {
     Unbounded(Solution),
 }
 
-/// Merges one solved relaxation into the search state, in job order. This is
-/// the *only* place children are pushed and incumbents updated, which is
-/// what pins the exploration sequence regardless of which thread solved the
-/// LP.
+/// Merges one solved relaxation — the `k`-th LP of `job` — into the search
+/// state, in job order and within a job down before up. This is the *only*
+/// place children are pushed and incumbents updated, which is what pins the
+/// exploration sequence regardless of which thread solved the LP.
 fn merge_one(
     problem: &Problem,
     config: &SolverConfig,
     int_vars: &[usize],
     st: &mut SearchState,
-    job: &Job,
+    (job, k): (&Job, usize),
     relax: NodeOutcome,
 ) -> Merged {
     st.nodes += 1;
     st.total_iterations += relax.iterations;
+    st.cold_solves += usize::from(relax.cold);
     match relax.status {
         Status::Infeasible => return Merged::Continue,
         Status::Unbounded => {
@@ -425,6 +513,7 @@ fn merge_one(
                 values: relax.values.unwrap_or_default(),
                 iterations: st.total_iterations,
                 nodes: st.nodes,
+                cold_solves: st.cold_solves,
                 gap: None,
             });
         }
@@ -446,7 +535,7 @@ fn merge_one(
     match (relax.branch, relax.values) {
         (Some((branch_var, branch_val)), _) => {
             st.heap.push(Node {
-                chain: job.chain.clone(),
+                chain: job.chain_of(k),
                 bound: bound_key,
                 depth: job.depth,
                 seq: st.next_seq,
@@ -475,6 +564,7 @@ fn merge_one(
                     values,
                     iterations: 0,
                     nodes: 0,
+                    cold_solves: 0,
                     gap: None,
                 });
             }
@@ -497,6 +587,7 @@ fn finish(
         Some(mut sol) => {
             sol.iterations = st.total_iterations;
             sol.nodes = st.nodes;
+            sol.cold_solves = st.cold_solves;
             if limit_hit {
                 sol.status = Status::LimitReached;
                 // The heap is ordered by bound, so its top is the best bound
@@ -529,6 +620,7 @@ fn finish(
                     values: Vec::new(),
                     iterations: st.total_iterations,
                     nodes: st.nodes,
+                    cold_solves: st.cold_solves,
                     gap: None,
                 })
             }
@@ -646,6 +738,7 @@ fn search(
         incumbent: None,
         total_iterations: 0,
         nodes: 0,
+        cold_solves: 0,
         next_seq: 0,
         integral_obj: objective_is_integral(problem),
         lost_bound: None,
@@ -670,6 +763,7 @@ fn search(
                     values,
                     iterations: 0,
                     nodes: 0,
+                    cold_solves: 0,
                     gap: None,
                 });
             }
@@ -683,9 +777,11 @@ fn search(
         depth: 0,
         // Nothing bounds the root until its own relaxation is merged.
         parent_bound: f64::INFINITY,
+        branch: None,
     };
     let root_res = batch_solve(std::slice::from_ref(&root_job))
         .pop()
+        .and_then(|mut lps| lps.pop())
         .ok_or_else(|| LpError::Numerical("batch solver returned no result for the root".into()))?;
     match root_res {
         Err(LpError::Interrupted) => {
@@ -695,7 +791,7 @@ fn search(
         Err(e) => return Err(e),
         Ok(relax) => {
             if let Merged::Unbounded(sol) =
-                merge_one(problem, config, int_vars, &mut st, &root_job, relax)
+                merge_one(problem, config, int_vars, &mut st, (&root_job, 0), relax)
             {
                 return Ok(sol);
             }
@@ -731,9 +827,10 @@ fn search(
             }
         }
 
-        // Gather one batch of child jobs in deterministic heap order.
-        let mut jobs: Vec<Job> = Vec::with_capacity(NODE_BATCH);
-        while jobs.len() + 2 <= NODE_BATCH {
+        // Gather one batch of expansions in deterministic heap order.
+        let mut jobs: Vec<Job> = Vec::with_capacity(NODE_BATCH / 2);
+        let mut lps = 0;
+        while lps + 2 <= NODE_BATCH {
             let Some(node) = st.heap.pop() else { break };
             // Prune at pop: the incumbent may have improved since the push.
             if let Some(inc) = &st.incumbent {
@@ -745,66 +842,70 @@ fn search(
             let v = node.branch_val;
             let down = v.floor();
             let up = v.ceil();
+            let mut branch = Branch {
+                var: node.branch_var,
+                bounds: [(0.0, 0.0); 2],
+                len: 0,
+            };
             if down >= lb - 1e-9 {
-                jobs.push(Job {
-                    chain: Some(Arc::new(BoundPatch {
-                        var: node.branch_var,
-                        lb,
-                        ub: down,
-                        parent: node.chain.clone(),
-                    })),
-                    warm: node.basis.clone(),
-                    depth: node.depth + 1,
-                    parent_bound: node.bound,
-                });
+                branch.push((lb, down));
             }
             if up <= ub + 1e-9 {
-                jobs.push(Job {
-                    chain: Some(Arc::new(BoundPatch {
-                        var: node.branch_var,
-                        lb: up,
-                        ub,
-                        parent: node.chain,
-                    })),
-                    warm: node.basis,
-                    depth: node.depth + 1,
-                    parent_bound: node.bound,
-                });
+                branch.push((up, ub));
             }
+            if branch.len == 0 {
+                continue;
+            }
+            lps += branch.len;
+            jobs.push(Job {
+                chain: node.chain,
+                warm: node.basis,
+                depth: node.depth + 1,
+                parent_bound: node.bound,
+                branch: Some(branch),
+            });
         }
         if jobs.is_empty() {
             continue;
         }
         // Never start more LPs than the node budget allows, so the node
-        // count at which the limit trips is thread-independent.
-        let room = config.max_nodes.saturating_sub(st.nodes);
-        if jobs.len() > room {
-            for dropped in jobs.drain(room..) {
-                st.lose(&dropped);
+        // count at which the limit trips is thread-independent. A cut between
+        // the two children of a node leaves a one-child expansion.
+        let mut room = config.max_nodes.saturating_sub(st.nodes);
+        for job in &mut jobs {
+            if job.lps() > room {
+                st.lose(job);
+                limit_hit = true;
+                if let Some(branch) = &mut job.branch {
+                    branch.len = room;
+                }
             }
-            limit_hit = true;
+            room -= job.lps();
         }
+        jobs.retain(|job| job.lps() > 0);
 
         let results = batch_solve(&jobs);
-        for (idx, res) in results.into_iter().enumerate() {
-            match res {
-                Err(LpError::Interrupted) => {
-                    // An interrupted relaxation is a limit, not a failure:
-                    // keep the incumbent found so far. This job and every
-                    // later one of the batch stay unexplored.
-                    for unmerged in &jobs[idx..] {
-                        st.lose(unmerged);
+        for (idx, (job, lps)) in jobs.iter().zip(results).enumerate() {
+            for (k, res) in lps.into_iter().enumerate() {
+                match res {
+                    Err(LpError::Interrupted) => {
+                        // An interrupted relaxation is a limit, not a
+                        // failure: keep the incumbent found so far. This LP
+                        // and every later one of the batch stay unexplored.
+                        for unmerged in &jobs[idx..] {
+                            st.lose(unmerged);
+                        }
+                        limit_hit = true;
+                        interrupted = true;
+                        break 'outer;
                     }
-                    limit_hit = true;
-                    interrupted = true;
-                    break 'outer;
-                }
-                Err(e) => return Err(e),
-                Ok(relax) => {
-                    if let Merged::Unbounded(sol) =
-                        merge_one(problem, config, int_vars, &mut st, &jobs[idx], relax)
-                    {
-                        return Ok(sol);
+                    Err(e) => return Err(e),
+                    Ok(relax) => {
+                        if let Merged::Unbounded(sol) =
+                            merge_one(problem, config, int_vars, &mut st, (job, k), relax)
+                        {
+                            return Ok(sol);
+                        }
                     }
                 }
             }
@@ -1035,7 +1136,11 @@ mod tests {
             assert_eq!(s.values, reference.values, "threads={threads}");
             assert_eq!(s.nodes, reference.nodes, "threads={threads}");
             assert_eq!(s.iterations, reference.iterations, "threads={threads}");
+            assert_eq!(s.cold_solves, reference.cold_solves, "threads={threads}");
         }
+        // The root has no basis to start from; its descendants here all
+        // repair their parent's.
+        assert_eq!(reference.cold_solves, 1);
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //!   sides and slack bounds. Slack and artificial columns are implicit unit
 //!   vectors and take no storage.
 //! * [`LpWorkspace`] — everything a solve mutates, allocated once: flat
-//!   `status`/`lb`/`ub` arrays over the root bounds, the dense `m × m` basis
-//!   inverse, and scratch for duals, the pivot row and pricing chunks. A
-//!   solve applies its bound changes as an **overlay**: every column it
+//!   `status`/`lb`/`ub` arrays over the root bounds plus the one value per
+//!   column the entering-column selects read of them, the dense `m × m`
+//!   basis inverse, and scratch for duals, the pivot row and pricing chunks.
+//!   A solve applies its bound changes as an **overlay**: every column it
 //!   touches (a branching patch, a status change) goes on a dirty list
 //!   *before* it is mutated, and the next solve resets exactly those columns
 //!   to the root state. Nothing in a node LP scans all `n` columns except
-//!   pricing itself.
+//!   pricing itself. [`LpWorkspace::solve_children`] solves the children of
+//!   one branch-and-bound node from one overlay, one installed basis and one
+//!   first ratio test.
 //! * [`NodeLp`] — the compact result of a solve: status, objective,
 //!   iterations, the (at most `m`) basic structural values and the [`Basis`]
 //!   to warm-start children from. Non-basic columns rest on a bound, so the
@@ -57,10 +60,26 @@
 //! add — no `mul_add`, no reassociation. Pricing computes a chunk of reduced
 //! costs (and pivot-row entries) with row-sweeping loops the compiler can
 //! vectorize *across columns*, which leaves each column's own summation
-//! order untouched, then selects the entering column in a scalar pass in
-//! ascending column order with the tie-breaks written out below. A zero
-//! coefficient stored densely contributes `± 0.0` to a sum, which changes no
-//! value a comparison can see.
+//! order untouched. A zero coefficient stored densely contributes `± 0.0` to
+//! a sum, which changes no value a comparison can see.
+//!
+//! # Selecting from a block mask
+//!
+//! The entering column is then chosen in ascending column order with the
+//! tie-breaks written out in `RatioPick` and `PricePick`. The exact
+//! per-column test needs a column's status and both bounds; all it needs
+//! *of* them is the direction the column may move in, so the workspace keeps
+//! that as one `f64` per column (NaN when the column is basic or fixed — no
+//! comparison accepts it), written wherever a status or bound is. A select
+//! tests `SELECT_BLOCK` columns at once, without a branch, against its
+//! threshold **as it stood when the block was entered** — the ratio bound of
+//! the dual test, the best `|d|` under Dantzig — skips the block if no lane
+//! passes, and otherwise runs the exact test, with the current threshold,
+//! over the block. The invariant that makes this bit-identical to testing
+//! every column: a threshold only ever tightens, so the block test rejects
+//! only lanes the exact test would reject (NaN lanes fall through both the
+//! same way). The per-column loops this replaced live on as the oracle of
+//! the select property tests at the bottom of this file.
 
 // Dense matrix kernels index flat `binv[pos * m + k]` storage; rewriting the
 // row/column loops as iterator chains obscures the linear algebra.
@@ -76,6 +95,12 @@ const PIVOT_TOL: f64 = 1e-10;
 /// Structural columns priced per chunk: the chunk of reduced costs stays in
 /// L1 while the `m` matrix rows stream through it.
 const PRICE_CHUNK: usize = 1024;
+
+/// Columns per select block: the entering-column selects decide a block at a
+/// time, branch-free, whether any of its columns can still win, and look at
+/// single columns only in a block that keeps one. A divisor of
+/// `PRICE_CHUNK`, so only a scan's last block can be partial.
+const SELECT_BLOCK: usize = 16;
 
 /// Where a column currently lives. The basis position of a basic column is
 /// found through [`LpWorkspace::basis`], never through its status, so the
@@ -144,6 +169,18 @@ fn is_fixed(lb: f64, ub: f64) -> bool {
     (ub - lb <= 0.0) & lb.is_finite()
 }
 
+/// What the entering-column selects know about a column: the direction it
+/// may move in ([`ColStatus::direction`]), or NaN when it cannot enter at
+/// all — basic, or fixed by its bounds.
+#[inline]
+fn movable(status: ColStatus, lb: f64, ub: f64) -> f64 {
+    if is_fixed(lb, ub) {
+        f64::NAN
+    } else {
+        status.direction()
+    }
+}
+
 /// The ascending union of two ascending index lists.
 fn merge_ascending<'s>(a: &'s [usize], b: &'s [usize]) -> impl Iterator<Item = usize> + 's {
     let (mut i, mut k) = (0, 0);
@@ -179,7 +216,7 @@ fn merge_ascending<'s>(a: &'s [usize], b: &'s [usize]) -> impl Iterator<Item = u
 /// * Warm starting never changes the optimum, only the iteration count: the
 ///   dual-simplex repair either succeeds, proves the subproblem infeasible,
 ///   or gives up and re-solves cold.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     m: u32,
     ncols: u32,
@@ -207,6 +244,171 @@ enum IterOutcome {
     Continue,
     Optimal,
     Unbounded,
+}
+
+/// Calls `block(offset of its first lane, its lanes)` for every
+/// [`SELECT_BLOCK`] lanes of `K` parallel slices, in ascending order, until
+/// one call returns true. The last, partial block is padded with NaN, which
+/// no select keeps.
+#[inline]
+fn for_each_block<const K: usize>(
+    lanes: [&[f64]; K],
+    mut block: impl FnMut(usize, [&[f64; SELECT_BLOCK]; K]) -> bool,
+) -> bool {
+    let split = lanes.map(|lane| lane.as_chunks::<SELECT_BLOCK>());
+    let full = split[0].0.len();
+    for b in 0..full {
+        if block(b * SELECT_BLOCK, split.map(|(blocks, _)| &blocks[b])) {
+            return true;
+        }
+    }
+    let rest = split[0].1.len();
+    if rest == 0 {
+        return false;
+    }
+    let mut padded = [[f64::NAN; SELECT_BLOCK]; K];
+    for (pad, (_, tail)) in padded.iter_mut().zip(split) {
+        pad[..rest].copy_from_slice(tail);
+    }
+    block(full * SELECT_BLOCK, padded.each_ref())
+}
+
+/// One direction of a dual ratio test: the nonbasic, movable column with the
+/// smallest `|d_j / α_j|` whose movement shrinks the leaving row's violation,
+/// ties (within 1e-12) to the lowest index.
+#[derive(Debug, Clone, Copy)]
+struct RatioPick {
+    /// The leaving basic value sits below its lower bound (else above its
+    /// upper one).
+    below: bool,
+    /// `(column, |d/α|)` of the best column so far.
+    entering: Option<(usize, f64)>,
+    /// No ratio above this can still win: the incumbent plus the tie window,
+    /// with a margin far wider than the division's rounding. It only ever
+    /// tightens, which is what makes the block mask of [`Self::scan`]
+    /// conservative.
+    bound: f64,
+}
+
+impl RatioPick {
+    fn new(below: bool) -> Self {
+        RatioPick {
+            below,
+            entering: None,
+            bound: f64::INFINITY,
+        }
+    }
+
+    /// Cannot be ruled out against `bound`: movable towards the violated
+    /// bound over a usable pivot, and not hopeless. `Δxb[pos] = −Δx_j·α_j`
+    /// and `Δx_j` must respect the column's movable direction, so
+    /// eligibility is a sign condition; the hopeless test is written so that
+    /// a NaN anywhere falls through to the division.
+    #[inline]
+    fn keeps(&self, bound: f64, alpha: f64, d: f64, dir: f64) -> bool {
+        let toward = if self.below {
+            -(dir * alpha)
+        } else {
+            dir * alpha
+        };
+        let eligible = (alpha.abs() > PIVOT_TOL) & ((toward > 0.0) | (dir == 0.0));
+        let hopeless = d.abs() > bound * alpha.abs();
+        eligible & !hopeless
+    }
+
+    /// The exact test of one column against the best so far.
+    #[inline]
+    fn consider(&mut self, j: usize, alpha: f64, d: f64, dir: f64) {
+        if !self.keeps(self.bound, alpha, d, dir) {
+            return;
+        }
+        let ratio = (d / alpha).abs();
+        let better = match self.entering {
+            None => true,
+            Some((bj, best)) => ratio < best - 1e-12 || ((ratio - best).abs() <= 1e-12 && j < bj),
+        };
+        if better {
+            self.entering = Some((j, ratio));
+            self.bound = (ratio + 2e-12) * (1.0 + 1e-9);
+        }
+    }
+
+    /// Considers the columns `start..start + alpha.len()` in ascending order.
+    /// Every dual pivot visits every column and which way a column's α
+    /// points is a coin flip, so a block is first tested as a whole, without
+    /// a branch, against the bound *as it stood at block entry*: the bound
+    /// only tightens, so a lane that test rejects the exact test rejects
+    /// too, and a block that keeps no lane is skipped.
+    fn scan(&mut self, start: usize, alpha: &[f64], d: &[f64], dir: &[f64]) {
+        for_each_block([alpha, d, dir], |at, [alpha, d, dir]| {
+            let bound = self.bound;
+            let mut any = false;
+            for k in 0..SELECT_BLOCK {
+                any |= self.keeps(bound, alpha[k], d[k], dir[k]);
+            }
+            if any {
+                for k in 0..SELECT_BLOCK {
+                    self.consider(start + at + k, alpha[k], d[k], dir[k]);
+                }
+            }
+            false
+        });
+    }
+}
+
+/// The pricing select: the improving column with the largest `|d_j|`, ties
+/// to the lowest index (Dantzig), or the first improving one (Bland).
+#[derive(Debug, Clone, Copy)]
+struct PricePick {
+    tol: f64,
+    bland: bool,
+    /// `(column, increasing, |d|)` of the best column so far.
+    best: Option<(usize, bool, f64)>,
+}
+
+impl PricePick {
+    /// Improving — up from a lower bound, down from an upper one, either if
+    /// free — and, under Dantzig, above `floor`.
+    #[inline]
+    fn keeps(&self, floor: f64, d: f64, dir: f64) -> bool {
+        (((d < -self.tol) & (dir >= 0.0)) | ((d > self.tol) & (dir <= 0.0))) & (d.abs() > floor)
+    }
+
+    /// The score a column must beat: the best so far under Dantzig, none
+    /// under Bland or before the first hit. It only ever rises.
+    #[inline]
+    fn floor(&self) -> f64 {
+        match self.best {
+            Some((_, _, score)) if !self.bland => score,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// The exact test of one column; true when the search is over (Bland
+    /// takes the first hit).
+    #[inline]
+    fn consider(&mut self, j: usize, d: f64, dir: f64) -> bool {
+        if !self.keeps(self.floor(), d, dir) {
+            return false;
+        }
+        self.best = Some((j, d < -self.tol, d.abs()));
+        self.bland
+    }
+
+    /// Considers the columns `start..start + d.len()` in ascending order;
+    /// true when the search is over. Near the optimum almost no column
+    /// improves, so a block is tested as a whole against the floor at block
+    /// entry, exactly as in [`RatioPick::scan`].
+    fn scan(&mut self, start: usize, d: &[f64], dir: &[f64]) -> bool {
+        for_each_block([d, dir], |at, [d, dir]| {
+            let floor = self.floor();
+            let mut any = false;
+            for k in 0..SELECT_BLOCK {
+                any |= self.keeps(floor, d[k], dir[k]);
+            }
+            any && (0..SELECT_BLOCK).any(|k| self.consider(start + at + k, d[k], dir[k]))
+        })
+    }
 }
 
 /// The immutable part of an LP: everything about a [`Problem`] that no solve
@@ -365,6 +567,9 @@ pub struct NodeLp {
     /// The final basis, for warm-starting further solves. `None` unless
     /// optimal.
     pub basis: Option<Basis>,
+    /// The solve ended in the cold two-phase path: it was given no basis, or
+    /// the warm attempt did not fit, stalled or failed numerically.
+    pub cold: bool,
 }
 
 impl NodeLp {
@@ -375,8 +580,21 @@ impl NodeLp {
             iterations,
             basics: Vec::new(),
             basis: None,
+            cold: false,
         }
     }
+}
+
+/// The first dual ratio test of a node's children, evaluated once from the
+/// state they share (see [`LpWorkspace::solve_children`]).
+#[derive(Debug, Clone, Copy)]
+struct FirstTest {
+    /// Basis position of the branching variable.
+    pos: usize,
+    /// The entering column for a violation above the upper bound (`[0]`) and
+    /// below the lower one (`[1]`); the outer `None` is "not evaluated", the
+    /// inner one "no column: infeasible".
+    entering: [Option<Option<usize>>; 2],
 }
 
 /// A reusable solve workspace over one [`LpMatrix`].
@@ -398,10 +616,9 @@ impl NodeLp {
 /// `crate::branch_bound`).
 pub struct LpWorkspace<'a> {
     mat: &'a LpMatrix,
-    /// Root bounds of every column: structural (as given), slack (from the
-    /// row's direction), artificial (frozen at `[0, 0]`).
-    root_lb: Vec<f64>,
-    root_ub: Vec<f64>,
+    /// Root `(lb, ub)` of the structural columns, as given and shared by
+    /// every worker; see [`Self::root_bounds`] for the other columns.
+    root: &'a [(f64, f64)],
     /// Columns whose root-default value is non-zero, ascending.
     root_nonzero: Vec<usize>,
     /// Some root bound pair is empty (`lb > ub`): every solve is infeasible.
@@ -410,9 +627,20 @@ pub struct LpWorkspace<'a> {
     lb: Vec<f64>,
     ub: Vec<f64>,
     status: Vec<ColStatus>,
+    /// [`movable`] of every column: all the entering-column selects read of
+    /// the three arrays above, kept in step by [`Self::set_col`].
+    dir: Vec<f64>,
     /// Columns whose `lb`/`ub`/`status` may differ from the root state.
     dirty: Vec<usize>,
     is_dirty: Vec<bool>,
+    // ---- the state the children of one node share ----
+    /// `(column, lb, ub, status)` before every column write since the
+    /// children's shared state was reached, while another child will need
+    /// it back.
+    undo: Vec<(usize, f64, f64, ColStatus)>,
+    logging: bool,
+    /// `binv` then `xb` of the shared warm basis.
+    saved: Vec<f64>,
     // ---- per-solve state, rebuilt by every solve ----
     /// Coefficient (`±1`) of each row's artificial column.
     art_sign: Vec<f64>,
@@ -445,41 +673,36 @@ impl<'a> LpWorkspace<'a> {
     /// # Panics
     ///
     /// If `root` does not cover every structural variable.
-    pub fn new(mat: &'a LpMatrix, root: &[(f64, f64)]) -> Self {
+    pub fn new(mat: &'a LpMatrix, root: &'a [(f64, f64)]) -> Self {
         let (n, m) = (mat.n, mat.m);
         assert_eq!(root.len(), n, "one bound pair per structural variable");
         let ncols = n + 2 * m;
-        let mut root_lb = Vec::with_capacity(ncols);
-        let mut root_ub = Vec::with_capacity(ncols);
-        for &(lb, ub) in root {
-            root_lb.push(lb);
-            root_ub.push(ub);
-        }
-        root_lb.extend_from_slice(&mat.slack_lb);
-        root_ub.extend_from_slice(&mat.slack_ub);
-        // Canonical artificials: frozen at zero. Only a cold start opens them.
-        root_lb.resize(ncols, 0.0);
-        root_ub.resize(ncols, 0.0);
-        let status: Vec<ColStatus> = root_lb
-            .iter()
-            .zip(&root_ub)
-            .map(|(&lb, &ub)| default_status(lb, ub))
-            .collect();
+        let (lb, ub): (Vec<f64>, Vec<f64>) =
+            (0..ncols).map(|j| Self::root_bounds(mat, root, j)).unzip();
+        let status: Vec<ColStatus> = (0..ncols).map(|j| default_status(lb[j], ub[j])).collect();
         let root_nonzero = (0..ncols)
-            .filter(|&j| resting_value(status[j], root_lb[j], root_ub[j]) != 0.0)
+            .filter(|&j| resting_value(status[j], lb[j], ub[j]) != 0.0)
             .collect();
-        let chunk = PRICE_CHUNK.min(n);
+        let dir = (0..ncols)
+            .map(|j| movable(status[j], lb[j], ub[j]))
+            .collect();
+        // A pricing chunk of structural columns, or all the slack and
+        // artificial ones.
+        let chunk = PRICE_CHUNK.min(n).max(2 * m);
         LpWorkspace {
             mat,
+            root,
             root_nonzero,
             root_empty: root.iter().any(|(lb, ub)| lb > ub),
-            lb: root_lb.clone(),
-            ub: root_ub.clone(),
-            root_lb,
-            root_ub,
+            lb,
+            ub,
             status,
+            dir,
             dirty: Vec::new(),
             is_dirty: vec![false; ncols],
+            undo: Vec::new(),
+            logging: false,
+            saved: vec![0.0; m * m + m],
             art_sign: vec![1.0; m],
             phase_one: false,
             basis: vec![0; m],
@@ -519,38 +742,88 @@ impl<'a> LpWorkspace<'a> {
     where
         I: IntoIterator<Item = (usize, f64, f64)>,
     {
-        self.reset_to_root();
-        let mut empty = self.root_empty;
-        for (var, lb, ub) in overlay {
-            if var >= self.mat.n {
-                return Err(LpError::UnknownVariable(var));
+        let empty = self.lay(overlay, None)?;
+        if let Some(lp) = self.trivial(empty) {
+            return Ok(lp);
+        }
+        let installed = warm.is_some_and(|basis| self.install(basis));
+        self.run(installed, None, config)
+    }
+
+    /// Solves the children of one branch-and-bound node: for every
+    /// `(lb, ub)` of `children`, in order, exactly the LP
+    /// `solve([(var, lb, ub)] ++ overlay, warm)` — same status, objective
+    /// bits, iterations, basic values and basis as that call on a fresh
+    /// workspace — and hands each finished LP to `each` while the workspace
+    /// still holds its solution (for [`Self::dense_values`]).
+    ///
+    /// The children differ in the bounds of `var` alone, and `var` — the
+    /// fractional variable the parent branched on — is basic in the
+    /// parent's basis, so nothing up to their first pivot can tell them
+    /// apart except the direction `var` is pushed in: a basic column's
+    /// bounds enter neither the right-hand side nor the basis inverse, the
+    /// duals, the pivot row or any reduced cost. The overlay is therefore
+    /// laid and the basis installed and refactorized **once**; `B⁻¹` and
+    /// `x_B` are checkpointed; the first dual ratio test on `var`'s row is
+    /// evaluated for every direction the children need in one sweep over
+    /// the columns; and each child after the first starts from the restored
+    /// checkpoint, every column write of its predecessor undone. A child
+    /// still picks its own leaving row and takes the shared test's column
+    /// only if that row is `var`'s. When `warm` is absent, does not fit or
+    /// does not hold `var` basic, the children share the overlay only.
+    ///
+    /// An error that concerns the whole node (an unknown variable) is
+    /// returned for every child.
+    pub fn solve_children<I, T>(
+        &mut self,
+        overlay: I,
+        warm: Option<&Basis>,
+        var: usize,
+        children: &[(f64, f64)],
+        config: &SolverConfig,
+        mut each: impl FnMut(&Self, NodeLp) -> T,
+    ) -> Vec<LpResult<T>>
+    where
+        I: IntoIterator<Item = (usize, f64, f64)>,
+    {
+        let laid = if var < self.mat.n {
+            self.lay(overlay, Some(var))
+        } else {
+            Err(LpError::UnknownVariable(var))
+        };
+        let empty = match laid {
+            Ok(empty) => empty,
+            Err(e) => return children.iter().map(|_| Err(e.clone())).collect(),
+        };
+        let first = match warm {
+            Some(basis) if !empty && self.mat.m > 0 => self.install_shared(basis, var, children),
+            _ => None,
+        };
+        // The basis the children share installed, if they share one.
+        let shared = warm.filter(|_| first.is_some());
+        let mut results = Vec::with_capacity(children.len());
+        for (i, &(lb, ub)) in children.iter().enumerate() {
+            if i > 0 {
+                self.rewind(shared);
             }
-            if self.is_dirty[var] {
-                continue; // a nearer patch already set this variable
-            }
-            self.touch(var);
-            self.lb[var] = lb;
-            self.ub[var] = ub;
-            self.status[var] = default_status(lb, ub);
-            empty |= lb > ub;
+            self.logging = i + 1 < children.len();
+            let status = match shared {
+                Some(_) => ColStatus::Basic,
+                None => default_status(lb, ub),
+            };
+            self.set_col(var, lb, ub, status);
+            let lp = match self.trivial(empty || lb > ub) {
+                Some(lp) => Ok(lp),
+                None => {
+                    let installed =
+                        shared.is_some() || warm.is_some_and(|basis| self.install(basis));
+                    self.run(installed, first, config)
+                }
+            };
+            results.push(lp.map(|lp| each(self, lp)));
         }
-        self.iterations = 0;
-        if empty {
-            return Ok(NodeLp::status_only(Status::Infeasible, 0));
-        }
-        if self.mat.m == 0 {
-            return Ok(self.solve_unconstrained());
-        }
-        if let Some(basis) = warm {
-            match self.solve_warm(basis, config) {
-                Ok(Some(lp)) => return Ok(lp),
-                // Give-up or numerical trouble: re-solve cold, carrying the
-                // pivots already spent into the iteration budget.
-                Ok(None) | Err(LpError::Numerical(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.solve_cold(config)
+        self.logging = false;
+        results
     }
 
     /// The full structural solution of the last solve (meaningful after an
@@ -574,6 +847,43 @@ impl<'a> LpWorkspace<'a> {
 
     // ---- overlay bookkeeping ----
 
+    /// Resets the workspace to the root state and lays `overlay` over it,
+    /// nearest patch first. `shadow` names a variable whose patches a nearer
+    /// one — the caller's — overrides. True when some domain is empty.
+    fn lay<I>(&mut self, overlay: I, shadow: Option<usize>) -> LpResult<bool>
+    where
+        I: IntoIterator<Item = (usize, f64, f64)>,
+    {
+        self.reset_to_root();
+        if let Some(var) = shadow {
+            self.touch(var);
+        }
+        let mut empty = self.root_empty;
+        for (var, lb, ub) in overlay {
+            if var >= self.mat.n {
+                return Err(LpError::UnknownVariable(var));
+            }
+            if self.is_dirty[var] {
+                continue; // a nearer patch already set this variable
+            }
+            self.set_col(var, lb, ub, default_status(lb, ub));
+            empty |= lb > ub;
+        }
+        Ok(empty)
+    }
+
+    /// The LPs that need no pivot: an empty domain, or no rows at all.
+    fn trivial(&mut self, empty: bool) -> Option<NodeLp> {
+        self.iterations = 0;
+        if empty {
+            Some(NodeLp::status_only(Status::Infeasible, 0))
+        } else if self.mat.m == 0 {
+            Some(self.solve_unconstrained())
+        } else {
+            None
+        }
+    }
+
     /// Records that column `j` is about to leave its root state. Must be
     /// called *before* `lb[j]`, `ub[j]` or `status[j]` is written.
     #[inline]
@@ -584,21 +894,75 @@ impl<'a> LpWorkspace<'a> {
         }
     }
 
+    /// The one place a solve writes a column's bounds or status.
+    #[inline]
+    fn set_col(&mut self, j: usize, lb: f64, ub: f64, status: ColStatus) {
+        self.touch(j);
+        if self.logging {
+            self.undo.push((j, self.lb[j], self.ub[j], self.status[j]));
+        }
+        self.lb[j] = lb;
+        self.ub[j] = ub;
+        self.status[j] = status;
+        self.dir[j] = movable(status, lb, ub);
+    }
+
     #[inline]
     fn set_status(&mut self, j: usize, s: ColStatus) {
-        self.touch(j);
-        self.status[j] = s;
+        self.set_col(j, self.lb[j], self.ub[j], s);
+    }
+
+    /// Root bounds of column `j`: structural (as given), slack (from the
+    /// row's direction), artificial (frozen at `[0, 0]`: only a cold start
+    /// opens them).
+    fn root_bounds(mat: &LpMatrix, root: &[(f64, f64)], j: usize) -> (f64, f64) {
+        let (n, m) = (mat.n, mat.m);
+        if j < n {
+            root[j]
+        } else if j < n + m {
+            (mat.slack_lb[j - n], mat.slack_ub[j - n])
+        } else {
+            (0.0, 0.0)
+        }
     }
 
     /// Restores every touched column to its root bounds and default status.
     fn reset_to_root(&mut self) {
         for &j in &self.dirty {
-            self.lb[j] = self.root_lb[j];
-            self.ub[j] = self.root_ub[j];
-            self.status[j] = default_status(self.root_lb[j], self.root_ub[j]);
+            let (lb, ub) = Self::root_bounds(self.mat, self.root, j);
+            self.lb[j] = lb;
+            self.ub[j] = ub;
+            self.status[j] = default_status(lb, ub);
+            self.dir[j] = movable(self.status[j], lb, ub);
             self.is_dirty[j] = false;
         }
         self.dirty.clear();
+        // A solve that unwound from a panic between two children of a node
+        // may have left these behind.
+        self.undo.clear();
+        self.logging = false;
+    }
+
+    /// Undoes every column write since the children's shared state was
+    /// reached, newest first, and — when they share `warm`'s installed basis
+    /// — restores that basis, its inverse and its basic values. The undone
+    /// columns stay on the dirty list: it is allowed to be a superset.
+    fn rewind(&mut self, warm: Option<&Basis>) {
+        while let Some((j, lb, ub, status)) = self.undo.pop() {
+            self.lb[j] = lb;
+            self.ub[j] = ub;
+            self.status[j] = status;
+            self.dir[j] = movable(status, lb, ub);
+        }
+        if let Some(warm) = warm {
+            let mm = self.binv.len();
+            self.art_sign.fill(1.0);
+            for (pos, &j) in warm.basis.iter().enumerate() {
+                self.basis[pos] = j as usize;
+            }
+            self.binv.copy_from_slice(&self.saved[..mm]);
+            self.xb.copy_from_slice(&self.saved[mm..]);
+        }
     }
 
     /// Value of nonbasic column `j` (callers skip basic ones: their value
@@ -777,36 +1141,17 @@ impl<'a> LpWorkspace<'a> {
 
     // ---- basis snapshots ----
 
-    /// Snapshots the current basis. See [`Basis`] for the encoding. Only a
-    /// touched column can deviate from its default status.
-    fn snapshot(&mut self) -> Basis {
-        self.dirty.sort_unstable();
-        let mut nondefault = Vec::new();
-        for &j in &self.dirty {
-            let s = self.status[j];
-            if s == ColStatus::Basic || s == default_status(self.lb[j], self.ub[j]) {
-                continue;
-            }
-            let code = match s {
-                ColStatus::AtUpper => 1u8,
-                ColStatus::Free => 2,
-                _ => 0,
-            };
-            nondefault.push((j as u32, code));
-        }
-        Basis {
-            m: self.mat.m as u32,
-            ncols: self.status.len() as u32,
-            basis: self.basis.iter().map(|&j| j as u32).collect(),
-            nondefault,
-        }
-    }
-
     /// Installs a basis snapshot over the default statuses the overlay left:
     /// the snapshot's exceptions and basic columns are applied and B⁻¹
     /// refactorized. Returns false on any mismatch — the caller then solves
     /// cold.
     fn install(&mut self, warm: &Basis) -> bool {
+        // Canonical +1 artificials, frozen at zero: the warm basis does not
+        // need the residual-signed feasibility trick of the cold start, and a
+        // fixed sign keeps snapshots portable across nodes.
+        self.art_sign.fill(1.0);
+        // Everything on the warm path prices with the real objective.
+        self.phase_one = false;
         let ncols = self.status.len();
         if warm.m as usize != self.mat.m || warm.ncols as usize != ncols {
             return false;
@@ -844,22 +1189,79 @@ impl<'a> LpWorkspace<'a> {
         self.refactorize().is_ok()
     }
 
-    // ---- the three solve paths ----
+    /// [`Self::install`] for the children of one node, which all hold `var`
+    /// basic: checkpoints the inverse and the basic values and evaluates the
+    /// first ratio test on `var`'s row for every direction `children` push
+    /// it in. `None` when the children cannot share the basis.
+    fn install_shared(
+        &mut self,
+        warm: &Basis,
+        var: usize,
+        children: &[(f64, f64)],
+    ) -> Option<FirstTest> {
+        let pos = warm.basis.iter().position(|&j| j as usize == var)?;
+        if !self.install(warm) {
+            return None;
+        }
+        let mm = self.binv.len();
+        self.saved[..mm].copy_from_slice(&self.binv);
+        self.saved[mm..].copy_from_slice(&self.xb);
+        let x = self.xb[pos];
+        let pushed = |below: bool| {
+            children
+                .iter()
+                .any(|&(lb, ub)| if below { x < lb } else { x > ub })
+        };
+        let mut picks: Vec<RatioPick> = [false, true]
+            .into_iter()
+            .filter(|&below| pushed(below))
+            .map(RatioPick::new)
+            .collect();
+        if !picks.is_empty() {
+            self.dual_ratio_test(pos, &mut picks);
+        }
+        let mut entering = [None; 2];
+        for pick in &picks {
+            entering[usize::from(pick.below)] = Some(pick.entering.map(|(q, _)| q));
+        }
+        Some(FirstTest { pos, entering })
+    }
 
-    /// The warm path: install, dual-simplex repair, primal cleanup.
-    /// `Ok(None)` means "re-solve cold".
-    fn solve_warm(&mut self, warm: &Basis, config: &SolverConfig) -> LpResult<Option<NodeLp>> {
-        // Canonical +1 artificials, frozen at zero: the warm basis does not
-        // need the residual-signed feasibility trick of the cold start, and a
-        // fixed sign keeps snapshots portable across nodes.
-        self.art_sign.fill(1.0);
+    // ---- the solve paths ----
+
+    /// Solves from the bounds as laid: the warm path when a basis is
+    /// installed, the cold one otherwise or when the warm one gives up or
+    /// hits numerical trouble — on the same storage, carrying the pivots
+    /// already spent into the iteration budget.
+    fn run(
+        &mut self,
+        installed: bool,
+        first: Option<FirstTest>,
+        config: &SolverConfig,
+    ) -> LpResult<NodeLp> {
+        if installed {
+            match self.solve_warm(first, config) {
+                Ok(Some(lp)) => return Ok(lp),
+                Ok(None) | Err(LpError::Numerical(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let mut lp = self.solve_cold(config)?;
+        lp.cold = true;
+        Ok(lp)
+    }
+
+    /// The warm path from an installed basis: dual-simplex repair, primal
+    /// cleanup. `Ok(None)` means "re-solve cold".
+    fn solve_warm(
+        &mut self,
+        first: Option<FirstTest>,
+        config: &SolverConfig,
+    ) -> LpResult<Option<NodeLp>> {
         self.phase_one = false;
         self.use_bland = false;
         self.degenerate_run = 0;
-        if !self.install(warm) {
-            return Ok(None);
-        }
-        match self.dual_simplex(config)? {
+        match self.dual_simplex(first, config)? {
             DualOutcome::GaveUp => Ok(None),
             DualOutcome::Infeasible => Ok(Some(NodeLp::status_only(
                 Status::Infeasible,
@@ -876,8 +1278,9 @@ impl<'a> LpWorkspace<'a> {
     fn solve_cold(&mut self, config: &SolverConfig) -> LpResult<NodeLp> {
         let (n, m) = (self.mat.n, self.mat.m);
         // A failed warm attempt leaves its statuses behind; the bounds stay.
-        for &j in &self.dirty {
-            self.status[j] = default_status(self.lb[j], self.ub[j]);
+        for i in 0..self.dirty.len() {
+            let j = self.dirty[i];
+            self.set_status(j, default_status(self.lb[j], self.ub[j]));
         }
         self.phase_one = true;
         self.use_bland = false;
@@ -891,10 +1294,7 @@ impl<'a> LpWorkspace<'a> {
             let art = n + m + row;
             let sign = if self.rhs[row] >= 0.0 { 1.0 } else { -1.0 };
             self.art_sign[row] = sign;
-            self.touch(art);
-            self.lb[art] = 0.0;
-            self.ub[art] = f64::INFINITY;
-            self.status[art] = ColStatus::Basic;
+            self.set_col(art, 0.0, f64::INFINITY, ColStatus::Basic);
             self.basis[row] = art;
             self.binv[row * m + row] = sign; // inverse of diag(sign) is itself
             self.xb[row] = self.rhs[row].abs();
@@ -921,10 +1321,11 @@ impl<'a> LpWorkspace<'a> {
         // Freeze artificials at zero and swap in the real objective.
         for row in 0..m {
             let art = n + m + row;
-            self.ub[art] = 0.0;
-            if self.status[art] != ColStatus::Basic {
-                self.status[art] = ColStatus::AtLower;
-            }
+            let status = match self.status[art] {
+                ColStatus::Basic => ColStatus::Basic,
+                _ => ColStatus::AtLower,
+            };
+            self.set_col(art, 0.0, 0.0, status);
         }
         self.phase_one = false;
         self.use_bland = false;
@@ -968,10 +1369,24 @@ impl<'a> LpWorkspace<'a> {
             iterations: 0,
             basics: Vec::new(),
             basis: None,
+            cold: false,
         }
     }
 
     /// Packages a finished primal loop as a [`NodeLp`].
+    ///
+    /// The objective `Σ c_j · x_j` is, bit for bit, the value a left-to-right
+    /// sum over all `n` settled values returns (`Problem::objective_value`
+    /// on [`Self::dense_values`]), computed from the live columns only — in
+    /// the same ascending walk that collects the basis snapshot's exceptions
+    /// (see [`Basis`]; only a touched column can deviate from its default
+    /// status).
+    ///
+    /// Every column the walk skips holds exactly `+0.0`, so its term is a
+    /// zero whose sign is that of its coefficient. Zero terms never change a
+    /// non-zero partial sum, and an exact cancellation yields `+0.0`; the one
+    /// thing they decide is whether an all-zero sum comes out as the `−0.0`
+    /// a float `Sum` starts from (every term `−0.0`) or as `+0.0`.
     fn node_result(&mut self, outcome: IterOutcome) -> NodeLp {
         if outcome == IterOutcome::Unbounded {
             return NodeLp {
@@ -983,64 +1398,65 @@ impl<'a> LpWorkspace<'a> {
                 iterations: self.iterations,
                 basics: Vec::new(),
                 basis: None,
+                cold: false,
             };
         }
         let n = self.mat.n;
-        let mut basics: Vec<(usize, f64)> = self
-            .basis
-            .iter()
-            .enumerate()
-            .filter(|&(_, &j)| j < n)
-            .map(|(pos, &j)| (j, settle(self.xb[pos], self.lb[j], self.ub[j])))
-            .collect();
-        basics.sort_unstable_by_key(|&(j, _)| j);
-        NodeLp {
-            status: Status::Optimal,
-            objective: self.objective(&basics),
-            iterations: self.iterations,
-            basics,
-            basis: Some(self.snapshot()),
+        let mut basics = Vec::with_capacity(self.mat.m);
+        for (pos, &j) in self.basis.iter().enumerate() {
+            if j < n {
+                basics.push((j, settle(self.xb[pos], self.lb[j], self.ub[j])));
+            }
         }
-    }
-
-    /// The objective `Σ c_j · x_j` of the current basic solution, bit for bit
-    /// the value a left-to-right sum over all `n` settled values returns
-    /// (`Problem::objective_value` on [`Self::dense_values`]), computed from
-    /// the live columns only.
-    ///
-    /// Every column the walk skips holds exactly `+0.0`, so its term is a
-    /// zero whose sign is that of its coefficient. Zero terms never change a
-    /// non-zero partial sum, and an exact cancellation yields `+0.0`; the one
-    /// thing they decide is whether an all-zero sum comes out as the `−0.0`
-    /// a float `Sum` starts from (every term `−0.0`) or as `+0.0`.
-    fn objective(&mut self, basics: &[(usize, f64)]) -> f64 {
+        basics.sort_unstable_by_key(|&(j, _)| j);
         self.dirty.sort_unstable();
-        let n = self.mat.n;
+        let mut nondefault = Vec::new();
         let mut acc = 0.0;
         let mut all_neg_zero = true;
         let mut nonneg_skipped = self.mat.nonneg_objective;
         // `basics` is ascending and every basic column is live, so the walk
         // meets the basic columns in `basics` order.
-        let mut basics = basics.iter();
+        let mut next_basic = basics.iter();
         for j in merge_ascending(&self.root_nonzero, &self.dirty) {
-            if j >= n {
-                break;
+            let status = self.status[j];
+            if j < n {
+                let x = if status == ColStatus::Basic {
+                    next_basic.next().map_or(0.0, |&(_, x)| x)
+                } else {
+                    settle(self.nonbasic_value(j), self.lb[j], self.ub[j])
+                };
+                let c = self.mat.objective_coeff(j);
+                nonneg_skipped -= usize::from(!c.is_sign_negative());
+                let term = c * x;
+                all_neg_zero &= term == 0.0 && term.is_sign_negative();
+                acc += term;
             }
-            let x = if self.status[j] == ColStatus::Basic {
-                basics.next().map_or(0.0, |&(_, x)| x)
-            } else {
-                settle(self.nonbasic_value(j), self.lb[j], self.ub[j])
+            let code = match status {
+                ColStatus::Basic => continue,
+                ColStatus::AtLower => 0u8,
+                ColStatus::AtUpper => 1,
+                ColStatus::Free => 2,
             };
-            let c = self.mat.objective_coeff(j);
-            nonneg_skipped -= usize::from(!c.is_sign_negative());
-            let term = c * x;
-            all_neg_zero &= term == 0.0 && term.is_sign_negative();
-            acc += term;
+            if status != default_status(self.lb[j], self.ub[j]) {
+                nondefault.push((j as u32, code));
+            }
         }
-        if all_neg_zero && nonneg_skipped == 0 {
-            -0.0
-        } else {
-            acc
+        NodeLp {
+            status: Status::Optimal,
+            objective: if all_neg_zero && nonneg_skipped == 0 {
+                -0.0
+            } else {
+                acc
+            },
+            iterations: self.iterations,
+            basics,
+            basis: Some(Basis {
+                m: self.mat.m as u32,
+                ncols: self.status.len() as u32,
+                basis: self.basis.iter().map(|&j| j as u32).collect(),
+                nondefault,
+            }),
+            cold: false,
         }
     }
 
@@ -1055,7 +1471,14 @@ impl<'a> LpWorkspace<'a> {
     /// violation), which preserves dual feasibility. An entering column that
     /// would overshoot its own opposite bound is bound-flipped instead of
     /// pivoted, exactly like the primal loop's bound flips.
-    fn dual_simplex(&mut self, config: &SolverConfig) -> LpResult<DualOutcome> {
+    ///
+    /// `first` is the first ratio test as the node's children share it; it
+    /// answers this solve's first test if that is on the same row.
+    fn dual_simplex(
+        &mut self,
+        mut first: Option<FirstTest>,
+        config: &SolverConfig,
+    ) -> LpResult<DualOutcome> {
         let m = self.mat.m;
         // Warm starts need a handful of pivots (one per violated row, plus
         // degeneracy slack); anything more suggests cycling, and the cold
@@ -1113,7 +1536,16 @@ impl<'a> LpWorkspace<'a> {
                 self.refactorize()?;
                 since_refactor = 0;
             }
-            let Some(q) = self.dual_ratio_test(pos, below) else {
+            let shared = first
+                .take()
+                .filter(|f| f.pos == pos)
+                .and_then(|f| f.entering[usize::from(below)]);
+            let entering = shared.unwrap_or_else(|| {
+                let mut pick = [RatioPick::new(below)];
+                self.dual_ratio_test(pos, &mut pick);
+                pick[0].entering.map(|(q, _)| q)
+            });
+            let Some(q) = entering else {
                 return Ok(DualOutcome::Infeasible);
             };
             self.ftran(q);
@@ -1165,19 +1597,18 @@ impl<'a> LpWorkspace<'a> {
         Ok(DualOutcome::GaveUp)
     }
 
-    /// The dual ratio test for leaving row `pos`: the nonbasic, movable
-    /// column with the smallest `|d_j / α_j|` whose movement shrinks the
-    /// violation, ties (within 1e-12) to the lowest index. `None` proves the
+    /// The dual ratio test for leaving row `pos`, for every direction of
+    /// `picks` in one sweep over the columns: α, `d` and the movable
+    /// directions do not depend on which way the row's basic value is pushed,
+    /// only the select does. A pick left without a column proves its
     /// subproblem infeasible.
-    fn dual_ratio_test(&mut self, pos: usize, below: bool) -> Option<usize> {
+    fn dual_ratio_test(&mut self, pos: usize, picks: &mut [RatioPick]) {
         let (n, m) = (self.mat.n, self.mat.m);
         self.rho.copy_from_slice(&self.binv[pos * m..(pos + 1) * m]);
         self.duals();
         let Self {
             mat,
-            status,
-            lb,
-            ub,
+            dir,
             y,
             rho,
             art_sign,
@@ -1185,39 +1616,6 @@ impl<'a> LpWorkspace<'a> {
             dbuf,
             ..
         } = self;
-        // (column, |d/α|)
-        let mut entering: Option<(usize, f64)> = None;
-        // No ratio above this can still win: the incumbent plus the tie
-        // window, with a margin far wider than the division's rounding.
-        let mut bound = f64::INFINITY;
-        // The scan visits every column on every dual pivot, and which way a
-        // column's α points is a coin flip, so the cheap tests are evaluated
-        // without branching and one rarely-taken branch guards the division.
-        let mut consider = |j: usize, alpha: f64, d: f64| {
-            let dir = status[j].direction();
-            // Δxb[pos] = −Δx_j·α_j and Δx_j must respect the column's
-            // movable direction, so eligibility is a sign condition.
-            let toward = if below { -(dir * alpha) } else { dir * alpha };
-            let eligible = !is_fixed(lb[j], ub[j])
-                & (alpha.abs() > PIVOT_TOL)
-                & ((toward > 0.0) | (dir == 0.0));
-            // Written so that a NaN anywhere falls through to the exact test.
-            let hopeless = d.abs() > bound * alpha.abs();
-            if !eligible | hopeless {
-                return;
-            }
-            let ratio = (d / alpha).abs();
-            let better = match entering {
-                None => true,
-                Some((bj, best)) => {
-                    ratio < best - 1e-12 || ((ratio - best).abs() <= 1e-12 && j < bj)
-                }
-            };
-            if better {
-                entering = Some((j, ratio));
-                bound = (ratio + 2e-12) * (1.0 + 1e-9);
-            }
-        };
         // α_j = (row `pos` of B⁻¹) · A_j and d_j = c_j − y · A_j, a chunk of
         // structural columns at a time.
         for start in (0..n).step_by(PRICE_CHUNK) {
@@ -1226,18 +1624,22 @@ impl<'a> LpWorkspace<'a> {
             alpha.fill(0.0);
             mat.add_rows(rho, false, start, alpha);
             mat.reduced_costs(false, y, start, d);
-            for k in 0..len {
-                consider(start + k, alpha[k], d[k]);
+            for pick in picks.iter_mut() {
+                pick.scan(start, alpha, d, &dir[start..start + len]);
             }
         }
         // Slack and artificial columns are unit vectors with zero cost (the
         // dual simplex only runs on phase-2 costs).
-        for j in n..n + 2 * m {
-            let row = (j - n) % m;
-            let coeff = if j < n + m { 1.0 } else { art_sign[row] };
-            consider(j, 0.0 + rho[row] * coeff, 0.0 - y[row] * coeff);
+        let (alpha, d) = (&mut abuf[..2 * m], &mut dbuf[..2 * m]);
+        for k in 0..2 * m {
+            let row = k % m;
+            let coeff = if k < m { 1.0 } else { art_sign[row] };
+            alpha[k] = 0.0 + rho[row] * coeff;
+            d[k] = 0.0 - y[row] * coeff;
         }
-        entering.map(|(q, _)| q)
+        for pick in picks.iter_mut() {
+            pick.scan(n, alpha, d, &dir[n..]);
+        }
     }
 
     /// Chooses an entering column; returns `(column, increasing)` or `None`
@@ -1249,9 +1651,7 @@ impl<'a> LpWorkspace<'a> {
         self.duals();
         let Self {
             mat,
-            status,
-            lb,
-            ub,
+            dir,
             y,
             art_sign,
             dbuf,
@@ -1259,50 +1659,29 @@ impl<'a> LpWorkspace<'a> {
             use_bland,
             ..
         } = self;
-        let art_cost = if *phase_one { 1.0 } else { 0.0 };
-        let mut best: Option<(usize, bool, f64)> = None;
-        // Returns true when the search is over (Bland takes the first hit).
-        // Near the optimum almost no column improves, so the improving test
-        // is one branch-free expression and one rarely-taken branch.
-        let mut consider = |j: usize, d: f64| -> bool {
-            let dir = status[j].direction();
-            let increasing = d < -tol;
-            // Up from a lower bound, down from an upper one, either if free.
-            let improving = (increasing & (dir >= 0.0)) | ((d > tol) & (dir <= 0.0));
-            if !improving || is_fixed(lb[j], ub[j]) {
-                return false;
-            }
-            let score = d.abs();
-            if *use_bland || best.map(|(_, _, s)| score > s).unwrap_or(true) {
-                best = Some((j, increasing, score));
-            }
-            *use_bland
+        let mut pick = PricePick {
+            tol,
+            bland: *use_bland,
+            best: None,
         };
-        'search: {
-            // d_j = c_j − y · A_j, a chunk of structural columns at a time.
-            for start in (0..n).step_by(PRICE_CHUNK) {
-                let len = PRICE_CHUNK.min(n - start);
-                let d = &mut dbuf[..len];
-                mat.reduced_costs(*phase_one, y, start, d);
-                for k in 0..len {
-                    if consider(start + k, d[k]) {
-                        break 'search;
-                    }
-                }
+        // d_j = c_j − y · A_j, a chunk of structural columns at a time, then
+        // the slack and artificial columns.
+        let found = (0..n).step_by(PRICE_CHUNK).any(|start| {
+            let len = PRICE_CHUNK.min(n - start);
+            let d = &mut dbuf[..len];
+            mat.reduced_costs(*phase_one, y, start, d);
+            pick.scan(start, d, &dir[start..start + len])
+        });
+        if !found {
+            let art_cost = if *phase_one { 1.0 } else { 0.0 };
+            let d = &mut dbuf[..2 * m];
+            for row in 0..m {
+                d[row] = 0.0 - y[row] * 1.0;
+                d[m + row] = art_cost - y[row] * art_sign[row];
             }
-            for j in n..n + 2 * m {
-                let row = (j - n) % m;
-                let d = if j < n + m {
-                    0.0 - y[row] * 1.0
-                } else {
-                    art_cost - y[row] * art_sign[row]
-                };
-                if consider(j, d) {
-                    break 'search;
-                }
-            }
+            pick.scan(n, d, &dir[n..]);
         }
-        best.map(|(j, inc, _)| (j, inc))
+        pick.best.map(|(j, increasing, _)| (j, increasing))
     }
 
     /// One simplex iteration for the active cost vector.
@@ -1506,6 +1885,7 @@ pub fn solve_lp_warm(
             values,
             iterations: lp.iterations,
             nodes: 0,
+            cold_solves: usize::from(lp.cold),
             gap: None,
         },
         lp.basis,
@@ -1951,7 +2331,8 @@ mod tests {
     fn empty_domains_and_unknown_variables_in_an_overlay() {
         let p = packing(0.0, 1.0, Sense::Maximize);
         let mat = LpMatrix::new(&p).unwrap();
-        let mut ws = LpWorkspace::new(&mat, &root_of(&p));
+        let root = root_of(&p);
+        let mut ws = LpWorkspace::new(&mat, &root);
         let lp = ws.solve([(3, 2.0, 1.0)], None, &cfg()).unwrap();
         assert_eq!(lp.status, Status::Infeasible);
         assert_eq!(lp.iterations, 0);
@@ -1964,5 +2345,314 @@ mod tests {
             ws.solve([(30, 0.0, 1.0)], None, &cfg()),
             Err(LpError::UnknownVariable(30))
         ));
+        // The same through an expansion: a child's bounds shadow the chain's
+        // patch of the branching variable, an empty child is infeasible on
+        // its own, and an unknown variable fails every child.
+        let statuses = |ws: &mut LpWorkspace<'_>, overlay: [(usize, f64, f64); 1], var| {
+            ws.solve_children(
+                overlay,
+                None,
+                var,
+                &[(0.0, 1.0), (2.0, 1.0), (1.0, 3.0)],
+                &cfg(),
+                |_, lp| (lp.status, lp.iterations > 0),
+            )
+        };
+        assert_eq!(
+            statuses(&mut ws, [(3, 2.0, 1.0)], 3),
+            [
+                Ok((Status::Optimal, true)),
+                Ok((Status::Infeasible, false)),
+                Ok((Status::Optimal, true))
+            ]
+        );
+        assert_eq!(
+            statuses(&mut ws, [(4, 2.0, 1.0)], 3),
+            vec![Ok((Status::Infeasible, false)); 3]
+        );
+        assert_eq!(
+            statuses(&mut ws, [(30, 0.0, 1.0)], 3),
+            vec![Err(LpError::UnknownVariable(30)); 3]
+        );
+        assert_eq!(
+            statuses(&mut ws, [(3, 0.0, 1.0)], 30),
+            vec![Err(LpError::UnknownVariable(30)); 3]
+        );
+    }
+
+    // ---- the block-mask selects against the per-column loops they replaced ----
+
+    /// The select of the dual ratio test as it ran before the block mask:
+    /// one scalar test per column over `status`/`lb`/`ub`.
+    fn reference_ratio_select(
+        status: &[ColStatus],
+        lb: &[f64],
+        ub: &[f64],
+        alpha: &[f64],
+        d: &[f64],
+        below: bool,
+    ) -> Option<usize> {
+        let mut entering: Option<(usize, f64)> = None;
+        let mut bound = f64::INFINITY;
+        let mut consider = |j: usize, alpha: f64, d: f64| {
+            let dir = status[j].direction();
+            let toward = if below { -(dir * alpha) } else { dir * alpha };
+            let eligible = !is_fixed(lb[j], ub[j])
+                & (alpha.abs() > PIVOT_TOL)
+                & ((toward > 0.0) | (dir == 0.0));
+            let hopeless = d.abs() > bound * alpha.abs();
+            if !eligible | hopeless {
+                return;
+            }
+            let ratio = (d / alpha).abs();
+            let better = match entering {
+                None => true,
+                Some((bj, best)) => {
+                    ratio < best - 1e-12 || ((ratio - best).abs() <= 1e-12 && j < bj)
+                }
+            };
+            if better {
+                entering = Some((j, ratio));
+                bound = (ratio + 2e-12) * (1.0 + 1e-9);
+            }
+        };
+        for j in 0..alpha.len() {
+            consider(j, alpha[j], d[j]);
+        }
+        entering.map(|(q, _)| q)
+    }
+
+    /// The pricing select as it ran before the block mask.
+    fn reference_price_select(
+        status: &[ColStatus],
+        lb: &[f64],
+        ub: &[f64],
+        d: &[f64],
+        tol: f64,
+        use_bland: bool,
+    ) -> Option<(usize, bool)> {
+        let mut best: Option<(usize, bool, f64)> = None;
+        let mut consider = |j: usize, d: f64| -> bool {
+            let dir = status[j].direction();
+            let increasing = d < -tol;
+            let improving = (increasing & (dir >= 0.0)) | ((d > tol) & (dir <= 0.0));
+            if !improving || is_fixed(lb[j], ub[j]) {
+                return false;
+            }
+            let score = d.abs();
+            if use_bland || best.map(|(_, _, s)| score > s).unwrap_or(true) {
+                best = Some((j, increasing, score));
+            }
+            use_bland
+        };
+        for j in 0..d.len() {
+            if consider(j, d[j]) {
+                break;
+            }
+        }
+        best.map(|(j, inc, _)| (j, inc))
+    }
+
+    /// The production selects the way `dual_ratio_test` and `price` drive
+    /// them: the first `n` lanes a pricing chunk at a time, the rest (the
+    /// slack and artificial columns) in one more scan.
+    fn mask_ratio_select(
+        n: usize,
+        alpha: &[f64],
+        d: &[f64],
+        dir: &[f64],
+        below: bool,
+    ) -> Option<usize> {
+        let mut pick = RatioPick::new(below);
+        for start in (0..n).step_by(PRICE_CHUNK) {
+            let end = (start + PRICE_CHUNK).min(n);
+            pick.scan(start, &alpha[start..end], &d[start..end], &dir[start..end]);
+        }
+        pick.scan(n, &alpha[n..], &d[n..], &dir[n..]);
+        pick.entering.map(|(q, _)| q)
+    }
+
+    fn mask_price_select(
+        n: usize,
+        d: &[f64],
+        dir: &[f64],
+        tol: f64,
+        bland: bool,
+    ) -> Option<(usize, bool)> {
+        let mut pick = PricePick {
+            tol,
+            bland,
+            best: None,
+        };
+        let found = (0..n).step_by(PRICE_CHUNK).any(|start| {
+            let end = (start + PRICE_CHUNK).min(n);
+            pick.scan(start, &d[start..end], &dir[start..end])
+        });
+        if !found {
+            pick.scan(n, &d[n..], &dir[n..]);
+        }
+        pick.best.map(|(j, inc, _)| (j, inc))
+    }
+
+    /// SplitMix64: the lane generator of the select properties.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        fn pick(&mut self, palette: &[f64]) -> f64 {
+            palette[self.below(palette.len())]
+        }
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+        fn sign(&mut self) -> f64 {
+            [1.0, -1.0][self.below(2)]
+        }
+    }
+
+    /// Every status over every kind of bound pair: ordinary, fixed, free,
+    /// half-open.
+    fn random_columns(mix: &mut Mix, len: usize) -> (Vec<ColStatus>, Vec<f64>, Vec<f64>, Vec<f64>) {
+        const INF: f64 = f64::INFINITY;
+        let bounds = [
+            (0.0, 1.0),
+            (0.0, 0.0),
+            (1.0, 1.0),
+            (-INF, INF),
+            (0.0, INF),
+            (-INF, 0.0),
+            (-1.0, 1.0),
+            (0.0, 3.0),
+        ];
+        let statuses = [
+            ColStatus::Basic,
+            ColStatus::AtLower,
+            ColStatus::AtUpper,
+            ColStatus::Free,
+        ];
+        // A sparse draw leaves most columns basic or fixed, the way a block
+        // deep in a branch-and-bound tree looks.
+        let sparse = mix.below(4) == 0;
+        let (mut status, mut lb, mut ub) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..len {
+            let (l, u) = if sparse && mix.below(8) != 0 {
+                (0.0, 0.0)
+            } else {
+                bounds[mix.below(bounds.len())]
+            };
+            status.push(statuses[mix.below(4)]);
+            lb.push(l);
+            ub.push(u);
+        }
+        let dir = (0..len).map(|j| movable(status[j], lb[j], ub[j])).collect();
+        (status, lb, ub, dir)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 1500, .. proptest::ProptestConfig::default() })]
+
+        /// The block-mask ratio select returns the column the per-column
+        /// loop returned, on lanes of every shape: NaN, ±inf, ±0 and
+        /// sub-tolerance pivots; ratios that fall along the scan, so the
+        /// bound tightens inside blocks; ratios tied inside and just outside
+        /// the 1e-12 window; lengths that are no multiple of the block or of
+        /// the pricing chunk; both directions.
+        #[test]
+        fn the_block_mask_ratio_select_equals_the_per_column_loop(
+            seed in 0u64..u64::MAX,
+            len in 0usize..2600,
+            tail in 0usize..40,
+            shape in 0usize..4,
+            below in proptest::prop::bool::ANY,
+        ) {
+            let mut mix = Mix(seed);
+            let (status, lb, ub, dir) = random_columns(&mut mix, len);
+            let specials = [
+                f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0,
+                PIVOT_TOL, -PIVOT_TOL, 0.5e-10, -0.5e-10, 1.000_000_1e-10,
+            ];
+            let (mut alpha, mut d) = (Vec::new(), Vec::new());
+            for k in 0..len {
+                let (a, dd) = match shape {
+                    // Chaotic: a third of the lanes hold a special value.
+                    0 => {
+                        let a = if mix.below(3) == 0 { mix.pick(&specials) } else { mix.sign() * (0.1 + 10.0 * mix.unit()) };
+                        let dd = if mix.below(3) == 0 { mix.pick(&specials) } else { mix.sign() * 5.0 * mix.unit() };
+                        (a, dd)
+                    }
+                    // Falling ratios: new minima all along the scan.
+                    1 => {
+                        let a = mix.sign() * (0.5 + 1.5 * mix.unit());
+                        let ratio = 10.0 * (1.0 - k as f64 / len as f64) * (0.9 + 0.2 * mix.unit());
+                        (a, mix.sign() * ratio * a.abs())
+                    }
+                    // Ties: ratios a quarter of the window apart (exact:
+                    // the pivots are powers of two).
+                    2 => {
+                        let a = mix.sign() * [0.5, 1.0, 2.0][mix.below(3)];
+                        let ratio = 1.0 + (mix.below(17) as f64 - 8.0) * 0.25e-12;
+                        (a, mix.sign() * ratio * a.abs())
+                    }
+                    // Mostly unusable pivots.
+                    _ => {
+                        let a = if mix.below(6) == 0 { mix.sign() * (0.1 + mix.unit()) } else { mix.pick(&specials) };
+                        (a, mix.sign() * mix.unit())
+                    }
+                };
+                alpha.push(a);
+                d.push(dd);
+            }
+            let n = len.saturating_sub(tail);
+            let want = reference_ratio_select(&status, &lb, &ub, &alpha, &d, below);
+            let got = mask_ratio_select(n, &alpha, &d, &dir, below);
+            proptest::prop_assert_eq!(got, want, "seed {} len {} tail {} shape {} below {}", seed, len, tail, shape, below);
+        }
+
+        /// The block-mask pricing select returns the `(column, direction)`
+        /// the per-column loop returned: Dantzig and Bland, reduced costs
+        /// at and around ±tol, NaN, ±inf and ±0, scores that rise along the
+        /// scan, exact score ties, phase-1-like costs (mostly zero).
+        #[test]
+        fn the_block_mask_pricing_select_equals_the_per_column_loop(
+            seed in 0u64..u64::MAX,
+            len in 0usize..2600,
+            tail in 0usize..40,
+            shape in 0usize..4,
+            bland in proptest::prop::bool::ANY,
+        ) {
+            let tol = 1e-7;
+            let mut mix = Mix(seed);
+            let (status, lb, ub, dir) = random_columns(&mut mix, len);
+            let specials = [
+                f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, tol, -tol,
+                tol * (1.0 + f64::EPSILON), -tol * (1.0 + f64::EPSILON),
+                tol * (1.0 - f64::EPSILON), -tol * (1.0 - f64::EPSILON),
+            ];
+            let d: Vec<f64> = (0..len)
+                .map(|k| match shape {
+                    0 => if mix.below(3) == 0 { mix.pick(&specials) } else { mix.sign() * 3.0 * mix.unit() },
+                    // Rising scores: new maxima all along the scan.
+                    1 => mix.sign() * (tol + 5.0 * (k as f64 / len as f64) * (0.9 + 0.2 * mix.unit())),
+                    // Exact ties between a few scores.
+                    2 => mix.sign() * [1.0, 1.0 + f64::EPSILON, 2.0][mix.below(3)],
+                    // Phase-1-like: nearly every reduced cost is zero.
+                    _ => if mix.below(40) == 0 { 1.0 - 2.0 * mix.unit() } else { mix.pick(&[0.0, -0.0]) },
+                })
+                .collect();
+            let n = len.saturating_sub(tail);
+            let want = reference_price_select(&status, &lb, &ub, &d, tol, bland);
+            let got = mask_price_select(n, &d, &dir, tol, bland);
+            proptest::prop_assert_eq!(got, want, "seed {} len {} tail {} shape {} bland {}", seed, len, tail, shape, bland);
+        }
     }
 }

@@ -56,6 +56,10 @@ pub struct Solution {
     pub iterations: usize,
     /// Branch-and-bound nodes explored (0 for pure LPs).
     pub nodes: usize,
+    /// LP solves that ended in the cold two-phase path, the root included:
+    /// what the warm starts did *not* save. Deterministic, like
+    /// `iterations`.
+    pub cold_solves: usize,
     /// Relative optimality gap, reported by MILP solves: `0.0` when the
     /// search proved optimality, `(best bound − incumbent) / (1 + |incumbent|)`
     /// when a limit stopped it early, `None` for pure LP solves (where the
@@ -72,6 +76,7 @@ impl Solution {
             values: Vec::new(),
             iterations: 0,
             nodes: 0,
+            cold_solves: 0,
             gap: None,
         }
     }
@@ -130,6 +135,7 @@ mod tests {
             values: vec![0.0, 0.9999999, 2.0000001, 1e-9],
             iterations: 0,
             nodes: 0,
+            cold_solves: 0,
             gap: None,
         };
         assert_eq!(s.nonzero_rounded(), vec![(1, 1), (2, 2)]);

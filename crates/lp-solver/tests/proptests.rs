@@ -1,8 +1,8 @@
 //! Property-based tests for the LP/MILP solver.
 
 use lp_solver::{
-    solve, solve_lp, solve_lp_warm, solve_milp, Basis, ConstraintOp, LpMatrix, LpResult,
-    LpWorkspace, NodeLp, Problem, Sense, SolverConfig, Status, VarType,
+    solve, solve_lp, solve_lp_warm, solve_milp, solve_milp_hinted, Basis, ConstraintOp, LpMatrix,
+    LpResult, LpWorkspace, NodeLp, Problem, Sense, SolverConfig, Status, VarType,
 };
 use proptest::prelude::*;
 
@@ -75,8 +75,17 @@ fn mixed_problem(
     p
 }
 
-/// Status, objective bits, iterations, basic values and dense values.
-type Observed = (Status, u64, usize, Vec<(usize, u64)>, Vec<u64>);
+/// Status, objective bits, iterations, basic values, dense values, the
+/// final basis and whether the solve ended cold.
+type Observed = (
+    Status,
+    u64,
+    usize,
+    Vec<(usize, u64)>,
+    Vec<u64>,
+    Option<Basis>,
+    bool,
+);
 
 /// Everything observable about one workspace solve, as bit patterns.
 fn observe(ws: &LpWorkspace<'_>, lp: LpResult<NodeLp>) -> Result<Observed, String> {
@@ -91,7 +100,206 @@ fn observe(ws: &LpWorkspace<'_>, lp: LpResult<NodeLp>) -> Result<Observed, Strin
         lp.iterations,
         lp.basics.iter().map(|&(j, v)| (j, v.to_bits())).collect(),
         values.iter().map(|v| v.to_bits()).collect(),
+        lp.basis,
+        lp.cold,
     ))
+}
+
+/// An optimal node LP that can be expanded: its patch chain (nearest
+/// first), its basis and its basic values.
+#[derive(Clone)]
+struct Open {
+    chain: Vec<(usize, f64, f64)>,
+    basis: Basis,
+    basics: Vec<(usize, f64)>,
+}
+
+/// What the expansions of [`check_expansions`] ran into.
+#[derive(Debug, Default)]
+struct Tally {
+    expansions: usize,
+    /// Two children on a shared basis, the first of which ended cold.
+    cold_first_child: usize,
+    /// A child the first dual ratio test proved infeasible.
+    infeasible_at_the_first_test: usize,
+    single_child: usize,
+    /// Children warm-started from the grandparent's basis: the parent's own
+    /// branching row is violated too, so the largest violation decides
+    /// whether a child's first leaving row is the branching row.
+    two_violated_rows: usize,
+    /// A first child whose bounds do not cut the branching variable at all.
+    uncut_first_child: usize,
+}
+
+/// Walks the branch-and-bound tree of `p` breadth-first for up to `limit`
+/// expansions and checks each one: `solve_children` on one long-lived
+/// workspace against one `solve` per child on a fresh workspace, every
+/// observable bit. The shape of the expansion rotates with its index: the
+/// floor/ceil pair, either child alone, a first child that leaves the
+/// variable uncut, the pair from a stale (grandparent) basis, three children
+/// with an empty domain among them.
+fn check_expansions(p: &Problem, limit: usize, tally: &mut Tally) -> Result<(), String> {
+    let mat = LpMatrix::new(p).unwrap();
+    let root: Vec<(f64, f64)> = p.variables().iter().map(|v| (v.lb, v.ub)).collect();
+    let bounds_under = |chain: &[(usize, f64, f64)], var: usize| {
+        chain
+            .iter()
+            .find(|patch| patch.0 == var)
+            .map_or(root[var], |&(_, lb, ub)| (lb, ub))
+    };
+    let mut reused = LpWorkspace::new(&mat, &root);
+    let lp = reused.solve([], None, &cfg()).map_err(|e| e.to_string())?;
+    let mut queue = std::collections::VecDeque::new();
+    if let Some(basis) = lp.basis {
+        let open = Open {
+            chain: Vec::new(),
+            basis,
+            basics: lp.basics,
+        };
+        queue.push_back((open, None::<Open>));
+    }
+    let mut index = 0;
+    while let Some((node, parent)) = queue.pop_front() {
+        if index == limit {
+            break;
+        }
+        let Some(&(var, val)) = node.basics.iter().find(|(_, v)| v.fract() != 0.0) else {
+            continue;
+        };
+        let (lb, ub) = bounds_under(&node.chain, var);
+        let (down, up) = ((lb, val.floor()), (val.ceil(), ub));
+        let mut warm = &node;
+        let mut branch = (var, vec![down, up]);
+        match index % 6 {
+            1 => branch.1 = vec![down],
+            2 => branch.1 = vec![up],
+            3 => branch.1 = vec![(lb, ub), up],
+            4 => {
+                // Another variable the grandparent's basis holds basic, cut
+                // on both sides of the value it had there.
+                let other = parent.as_ref().and_then(|grand| {
+                    let &(v, x) = grand.basics.iter().find(|&&(v, _)| v != node.chain[0].0)?;
+                    Some((grand, v, x))
+                });
+                if let Some((grand, v, x)) = other {
+                    let (lb, ub) = bounds_under(&node.chain, v);
+                    let (lo, hi) = if x.fract() == 0.0 {
+                        (x - 1.0, x + 1.0)
+                    } else {
+                        (x.floor(), x.ceil())
+                    };
+                    warm = grand;
+                    branch = (v, vec![(lb, lo), (hi, ub)]);
+                    tally.two_violated_rows += 1;
+                }
+            }
+            5 => branch.1 = vec![down, (1.0, 0.0), up, (val.floor(), val.floor())],
+            _ => {}
+        }
+        let (var, children) = branch;
+        index += 1;
+        tally.expansions += 1;
+        tally.single_child += usize::from(children.len() == 1);
+        tally.uncut_first_child += usize::from(children[0] == (lb, ub));
+
+        let chain = || node.chain.iter().copied();
+        let mut child_basics = Vec::new();
+        let got = reused.solve_children(
+            chain(),
+            Some(&warm.basis),
+            var,
+            &children,
+            &cfg(),
+            |ws, lp| {
+                child_basics.push(lp.basics.clone());
+                observe(ws, Ok(lp))
+            },
+        );
+        let got: Vec<_> = got
+            .into_iter()
+            .map(|r| r.map_err(|e| e.to_string()).and_then(|o| o))
+            .collect();
+        let want: Vec<_> = children
+            .iter()
+            .map(|&(lb, ub)| {
+                let mut fresh = LpWorkspace::new(&mat, &root);
+                let overlay = std::iter::once((var, lb, ub)).chain(chain());
+                let lp = fresh.solve(overlay, Some(&warm.basis), &cfg());
+                observe(&fresh, lp)
+            })
+            .collect();
+        if got != want {
+            return Err(format!(
+                "expansion {index}: children {children:?} of variable {var} under {:?}:\n\
+                 expanded once: {got:?}\nsolved apart:  {want:?}",
+                node.chain
+            ));
+        }
+
+        let mut basics = child_basics.into_iter();
+        for (k, child) in want.iter().enumerate() {
+            let Ok((status, _, iterations, _, _, basis, cold)) = child else {
+                continue;
+            };
+            let basics = basics.next().expect("one LP per successful child");
+            tally.cold_first_child += usize::from(children.len() > 1 && k == 0 && *cold);
+            tally.infeasible_at_the_first_test +=
+                usize::from(*status == Status::Infeasible && *iterations == 1 && !cold);
+            // Every child that cut something and came out optimal is a node
+            // to expand in its turn.
+            if let (Some(basis), true) = (basis, children[k] != (lb, ub)) {
+                let mut chain = vec![(var, children[k].0, children[k].1)];
+                chain.extend(node.chain.iter().filter(|patch| patch.0 != var));
+                let open = Open {
+                    chain,
+                    basis: basis.clone(),
+                    basics,
+                };
+                queue.push_back((open, Some(node.clone())));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A 30-item knapsack with a one-unit weight window and a fixed count: a
+/// few hundred nodes, with children that go infeasible and warm starts that
+/// stall into the cold path among them.
+fn window_knapsack() -> Problem {
+    let mut p = Problem::new(Sense::Maximize);
+    let vars: Vec<_> = (0..30).map(|i| p.add_binary(format!("x{i}"))).collect();
+    for (i, &v) in vars.iter().enumerate() {
+        p.set_objective_coeff(v, 10.0 + ((i * 7) % 23) as f64);
+    }
+    let weights: Vec<_> = vars
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (v, 5.0 + ((i * 11) % 19) as f64))
+        .collect();
+    let ones: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+    p.add_constraint_terms("lo", &weights, ConstraintOp::Ge, 99.5);
+    p.add_constraint_terms("hi", &weights, ConstraintOp::Le, 100.5);
+    p.add_constraint_terms("count", &ones, ConstraintOp::Eq, 8.0);
+    p
+}
+
+/// Expanding a node once — overlay, install and refactorization shared, the
+/// first ratio test evaluated for both directions, the second child started
+/// from the restored checkpoint — returns what one solve per child on fresh
+/// workspaces returns, on a tree that holds every situation the sharing has
+/// to survive.
+#[test]
+fn expanding_a_node_once_equals_one_fresh_solve_per_child() {
+    let mut tally = Tally::default();
+    check_expansions(&window_knapsack(), 400, &mut tally).unwrap();
+    assert!(
+        tally.cold_first_child >= 2
+            && tally.infeasible_at_the_first_test >= 3
+            && tally.single_child >= 10
+            && tally.two_violated_rows >= 10
+            && tally.uncut_first_child >= 10,
+        "the tree no longer exercises every case: {tally:?}"
+    );
 }
 
 proptest! {
@@ -177,6 +385,22 @@ proptest! {
             // Chain later warm starts from the last optimal basis.
             last_basis = next_basis.or(last_basis);
         }
+    }
+
+    /// [`check_expansions`] on the trees of random small problems with mixed
+    /// rows, zero coefficients, fixed and signed columns.
+    #[test]
+    fn expanding_a_node_once_equals_one_fresh_solve_per_child_on_mixed_problems(
+        kinds in prop::collection::vec(0usize..5, 3..8),
+        costs in prop::collection::vec(-5.0f64..5.0, 3..8),
+        rows in prop::collection::vec(prop::collection::vec(0usize..8, 3..8), 1..5),
+        ops in prop::collection::vec(0usize..3, 1..5),
+        slacks in prop::collection::vec(0.0f64..3.0, 1..5),
+        anchor in prop::collection::vec(0usize..3, 3..8),
+    ) {
+        let p = mixed_problem(VarType::Integer, &kinds, &costs, &rows, &ops, &slacks, &anchor);
+        let outcome = check_expansions(&p, 24, &mut Tally::default());
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 
     /// Random small MILPs with mixed rows, zero coefficients, fixed and
@@ -347,5 +571,137 @@ proptest! {
         let base = solve_lp(&build(1.0), None, &cfg()).unwrap();
         let scaled = solve_lp(&build(scale), None, &cfg()).unwrap();
         prop_assert!((scaled.objective - scale * base.objective).abs() < 1e-6 * (1.0 + scale));
+    }
+}
+
+/// `(max_nodes, status, objective bits, nodes, iterations, gap bits)` of the
+/// hinted 11-item knapsack of `gap_at_a_node_limit_never_understates_the_true_gap`
+/// at every node cap from 1 to 64.
+type CapRow = (usize, &'static str, u64, usize, usize, u64);
+
+#[rustfmt::skip]
+const NODE_CAP_SWEEP: &[CapRow] = &[
+    (1, "limit", 0x0000000000000000, 1, 14, 0x4055800000000000),
+    (2, "limit", 0x0000000000000000, 2, 16, 0x4055800000000000),
+    (3, "limit", 0x0000000000000000, 3, 18, 0x4055800000000000),
+    (4, "limit", 0x0000000000000000, 4, 20, 0x4055800000000000),
+    (5, "limit", 0x0000000000000000, 5, 23, 0x4055800000000000),
+    (6, "limit", 0x0000000000000000, 6, 25, 0x4055800000000000),
+    (7, "limit", 0x0000000000000000, 7, 27, 0x4055800000000000),
+    (8, "limit", 0x0000000000000000, 8, 29, 0x4055800000000000),
+    (9, "limit", 0x0000000000000000, 9, 31, 0x4055400000000000),
+    (10, "limit", 0x0000000000000000, 10, 33, 0x4055400000000000),
+    (11, "limit", 0x0000000000000000, 11, 36, 0x4055400000000000),
+    (12, "limit", 0x0000000000000000, 12, 38, 0x4055400000000000),
+    (13, "limit", 0x0000000000000000, 13, 40, 0x4055400000000000),
+    (14, "limit", 0x0000000000000000, 14, 42, 0x4055400000000000),
+    (15, "limit", 0x0000000000000000, 15, 44, 0x4055400000000000),
+    (16, "limit", 0x0000000000000000, 16, 46, 0x4055400000000000),
+    (17, "limit", 0x0000000000000000, 17, 48, 0x4055400000000000),
+    (18, "limit", 0x0000000000000000, 18, 50, 0x4055400000000000),
+    (19, "limit", 0x0000000000000000, 19, 52, 0x4055400000000000),
+    (20, "limit", 0x0000000000000000, 20, 54, 0x4055400000000000),
+    (21, "limit", 0x0000000000000000, 21, 56, 0x4055400000000000),
+    (22, "limit", 0x0000000000000000, 22, 59, 0x4055400000000000),
+    (23, "limit", 0x0000000000000000, 23, 61, 0x4055400000000000),
+    (24, "limit", 0x0000000000000000, 24, 63, 0x4055400000000000),
+    (25, "limit", 0x0000000000000000, 25, 65, 0x4055400000000000),
+    (26, "limit", 0x0000000000000000, 26, 67, 0x4055400000000000),
+    (27, "limit", 0x0000000000000000, 27, 69, 0x4055400000000000),
+    (28, "limit", 0x0000000000000000, 28, 72, 0x4055400000000000),
+    (29, "limit", 0x0000000000000000, 29, 74, 0x4055400000000000),
+    (30, "limit", 0x0000000000000000, 30, 76, 0x4055400000000000),
+    (31, "limit", 0x0000000000000000, 31, 78, 0x4055400000000000),
+    (32, "limit", 0x0000000000000000, 32, 80, 0x4055400000000000),
+    (33, "limit", 0x0000000000000000, 33, 82, 0x4055000000000000),
+    (34, "limit", 0x0000000000000000, 34, 84, 0x4055000000000000),
+    (35, "limit", 0x0000000000000000, 35, 87, 0x4054c00000000000),
+    (36, "limit", 0x0000000000000000, 36, 89, 0x4054c00000000000),
+    (37, "limit", 0x0000000000000000, 37, 91, 0x4054c00000000000),
+    (38, "limit", 0x0000000000000000, 38, 93, 0x4054c00000000000),
+    (39, "limit", 0x0000000000000000, 39, 96, 0x4054c00000000000),
+    (40, "limit", 0x0000000000000000, 40, 98, 0x4054c00000000000),
+    (41, "limit", 0x0000000000000000, 41, 100, 0x4054c00000000000),
+    (42, "limit", 0x0000000000000000, 42, 102, 0x4054c00000000000),
+    (43, "limit", 0x0000000000000000, 43, 104, 0x4054c00000000000),
+    (44, "limit", 0x0000000000000000, 44, 106, 0x4054c00000000000),
+    (45, "limit", 0x0000000000000000, 45, 108, 0x4054c00000000000),
+    (46, "limit", 0x0000000000000000, 46, 110, 0x4054c00000000000),
+    (47, "limit", 0x0000000000000000, 47, 112, 0x4054c00000000000),
+    (48, "limit", 0x4054c00000000000, 48, 114, 0x0000000000000000),
+    (49, "limit", 0x4054c00000000000, 49, 118, 0x0000000000000000),
+    (50, "limit", 0x4054c00000000000, 50, 120, 0x0000000000000000),
+    (51, "limit", 0x4054c00000000000, 51, 122, 0x0000000000000000),
+    (52, "limit", 0x4054c00000000000, 52, 124, 0x0000000000000000),
+    (53, "limit", 0x4054c00000000000, 53, 128, 0x0000000000000000),
+    (54, "limit", 0x4054c00000000000, 54, 130, 0x0000000000000000),
+    (55, "limit", 0x4054c00000000000, 55, 131, 0x0000000000000000),
+    (56, "limit", 0x4054c00000000000, 56, 133, 0x0000000000000000),
+    (57, "limit", 0x4054c00000000000, 57, 135, 0x0000000000000000),
+    (58, "limit", 0x4054c00000000000, 58, 137, 0x0000000000000000),
+    (59, "limit", 0x4054c00000000000, 59, 139, 0x0000000000000000),
+    (60, "limit", 0x4054c00000000000, 60, 141, 0x0000000000000000),
+    (61, "limit", 0x4054c00000000000, 61, 143, 0x0000000000000000),
+    (62, "limit", 0x4054c00000000000, 62, 146, 0x0000000000000000),
+    (63, "limit", 0x4054c00000000000, 63, 148, 0x0000000000000000),
+    (64, "optimal", 0x4054c00000000000, 63, 148, 0x0000000000000000),
+];
+
+/// A node cap can cut a batch anywhere, also between the two children of one
+/// popped node. Whatever the cap, the search solves the same LPs in the same
+/// order, on one thread and on two: the rows were recorded with one job per
+/// child LP, before a job became the expansion of a node.
+#[test]
+fn a_node_cap_cuts_the_search_at_the_same_lp_whatever_the_batch_shape() {
+    let values = [2.0, 5.0, 14.0, 18.0, 7.0, 20.0, 2.0, 16.0, 11.0, 5.0, 18.0];
+    let weights = [2.0, 6.0, 6.0, 3.0, 5.0, 1.0, 9.0, 4.0, 3.0, 2.0, 4.0];
+    let mut p = Problem::new(Sense::Maximize);
+    let vars: Vec<_> = (0..11).map(|i| p.add_binary(format!("x{i}"))).collect();
+    for (i, &v) in vars.iter().enumerate() {
+        p.set_objective_coeff(v, values[i]);
+    }
+    let terms: Vec<_> = vars
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (v, weights[i]))
+        .collect();
+    p.add_constraint_terms("cap", &terms, ConstraintOp::Le, 16.5);
+    let hint = vec![0.0; p.num_vars()];
+    for threads in [1usize, 2] {
+        let actual: Vec<CapRow> = (1..=64)
+            .map(|max_nodes| {
+                let config = SolverConfig {
+                    max_nodes,
+                    num_threads: threads,
+                    ..cfg()
+                };
+                let s = solve_milp_hinted(&p, &config, Some(&hint)).unwrap();
+                let status = match s.status {
+                    Status::Optimal => "optimal",
+                    Status::LimitReached => "limit",
+                    other => panic!("max_nodes={max_nodes}: unexpected status {other:?}"),
+                };
+                let gap = s.gap.expect("MILP solves report a gap");
+                (
+                    max_nodes,
+                    status,
+                    s.objective.to_bits(),
+                    s.nodes,
+                    s.iterations,
+                    gap.to_bits(),
+                )
+            })
+            .collect();
+        if actual != NODE_CAP_SWEEP {
+            let table: String = actual
+                .iter()
+                .map(|(cap, status, obj, nodes, iters, gap)| {
+                    format!(
+                        "    ({cap}, {status:?}, {obj:#018x}, {nodes}, {iters}, {gap:#018x}),\n"
+                    )
+                })
+                .collect();
+            panic!("threads={threads}: the node-cap sweep moved; actual rows:\n{table}");
+        }
     }
 }
