@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use packagebuilder::enumerate::{enumerate, EnumerationOptions};
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use pb_bench::{recipe_table, MEAL_PLAN_QUERY_NO_FILTER};
 use std::hint::black_box;
 
@@ -16,7 +16,7 @@ fn bench_pruning(c: &mut Criterion) {
     for &n in &[12usize, 16, 20] {
         let table = recipe_table(n);
         let analyzed = paql::compile(MEAL_PLAN_QUERY_NO_FILTER, table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         group.bench_with_input(BenchmarkId::new("exhaustive", n), &n, |b, _| {
             b.iter(|| {
                 black_box(

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use packagebuilder::local_search::{local_search, single_replacement_query, LocalSearchOptions};
 use packagebuilder::package::Package;
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use pb_bench::{recipe_table, MEAL_PLAN_QUERY_NO_FILTER};
 use std::hint::black_box;
 
@@ -18,7 +18,7 @@ fn bench_replacement(c: &mut Criterion) {
     for &n in &[100usize, 400, 1600] {
         let table = recipe_table(n);
         let analyzed = paql::compile(MEAL_PLAN_QUERY_NO_FILTER, table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         // Pick the three recipes closest to 900 kcal: the package lands a few
         // hundred calories over the 2,500 budget, so single-tuple repairs exist
         // (mirroring the paper's 3,000-calorie example).
@@ -57,7 +57,7 @@ fn bench_replacement(c: &mut Criterion) {
     // Local search k = 1 vs k = 2 at a fixed size.
     let table = recipe_table(200);
     let analyzed = paql::compile(MEAL_PLAN_QUERY_NO_FILTER, table.schema()).unwrap();
-    let spec = PackageSpec::build(&analyzed, &table).unwrap();
+    let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
     for k in [1usize, 2] {
         group.bench_with_input(BenchmarkId::new("local_search_k", k), &k, |b, &k| {
             b.iter(|| {

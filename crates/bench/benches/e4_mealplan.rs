@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use packagebuilder::config::Strategy;
 use packagebuilder::ilp::translate;
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use pb_bench::{recipe_engine, recipe_table, run, MEAL_PLAN_QUERY};
 use std::hint::black_box;
 
@@ -22,7 +22,7 @@ fn bench_mealplan(c: &mut Criterion) {
 
         let table = recipe_table(n);
         let analyzed = paql::compile(MEAL_PLAN_QUERY, table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         group.bench_with_input(BenchmarkId::new("ilp_translation_only", n), &n, |b, _| {
             b.iter(|| black_box(translate(spec.view()).unwrap().problem.num_constraints()))
         });

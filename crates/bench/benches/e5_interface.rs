@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use minidb::TupleId;
 use packagebuilder::package::Package;
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::suggest::{suggest, Highlight};
 use packagebuilder::summary::summarize;
 use pb_bench::{recipe_table, MEAL_PLAN_QUERY};
@@ -61,7 +61,7 @@ fn bench_interface(c: &mut Criterion) {
     // 2-D summary over m candidate packages.
     let table = recipe_table(2_000);
     let analyzed = paql::compile(MEAL_PLAN_QUERY, table.schema()).unwrap();
-    let spec = PackageSpec::build(&analyzed, &table).unwrap();
+    let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
     for &m in &[100usize, 1_000, 10_000] {
         let packages: Vec<Package> = (0..m)
             .map(|i| {

@@ -12,7 +12,7 @@ use packagebuilder::diversity::select_diverse;
 use packagebuilder::enumerate::{enumerate, EnumerationOptions};
 use packagebuilder::ilp::solve_ilp;
 use packagebuilder::package::Package;
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use pb_bench::recipe_table;
 use std::hint::black_box;
 
@@ -25,7 +25,7 @@ fn bench_multiple(c: &mut Criterion) {
 
     let table = recipe_table(200);
     let analyzed = paql::compile(QUERY, table.schema()).unwrap();
-    let spec = PackageSpec::build(&analyzed, &table).unwrap();
+    let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
 
     for &p in &[1usize, 5, 10, 20] {
         group.bench_with_input(BenchmarkId::new("ilp_with_cuts", p), &p, |b, &p| {
@@ -49,7 +49,7 @@ fn bench_multiple(c: &mut Criterion) {
     // pool generation cheap; the measured part is the selection).
     let small = recipe_table(18);
     let analyzed = paql::compile(QUERY, small.schema()).unwrap();
-    let small_spec = PackageSpec::build(&analyzed, &small).unwrap();
+    let small_spec = PackageSpec::build(&analyzed, &small, &BuildCtx::default()).unwrap();
     let pool: Vec<Package> = enumerate(
         small_spec.view(),
         EnumerationOptions {

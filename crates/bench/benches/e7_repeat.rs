@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use packagebuilder::config::Strategy;
 use packagebuilder::enumerate::{enumerate, EnumerationOptions};
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use pb_bench::{recipe_engine, recipe_table, run};
 use std::hint::black_box;
 
@@ -37,7 +37,7 @@ fn bench_repeat(c: &mut Criterion) {
     for &k in &[1u32, 2, 3] {
         let q = repeat_query(k);
         let analyzed = paql::compile(&q, table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         group.bench_with_input(BenchmarkId::new("enumeration_repeat", k), &k, |b, _| {
             b.iter(|| {
                 black_box(

@@ -20,7 +20,7 @@ use std::time::Instant;
 use lp_solver::SolverConfig;
 use minidb::TupleId;
 use packagebuilder::budget::Budget;
-use packagebuilder::config::Strategy;
+use packagebuilder::config::{EngineConfig, Strategy};
 use packagebuilder::diversity::{diversity_score, select_diverse};
 use packagebuilder::enumerate::{enumerate, EnumerationOptions};
 use packagebuilder::explore::ExplorationSession;
@@ -28,7 +28,7 @@ use packagebuilder::ilp::solve_ilp;
 use packagebuilder::local_search::{local_search, single_replacement_query, LocalSearchOptions};
 use packagebuilder::package::Package;
 use packagebuilder::pruning::{derive_bounds, search_space};
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::suggest::{suggest, Highlight};
 use packagebuilder::summary::summarize;
 use pb_bench::{
@@ -126,6 +126,15 @@ fn main() {
     }
 }
 
+/// Whether the out-of-band tier `name` (a `PB_…_LARGE`-style switch) was
+/// asked for with `name=1`.
+// A harness switch, not engine configuration: the one read clippy.toml
+// tolerates beside `config::env_defaults`.
+#[allow(clippy::disallowed_methods)]
+fn opted_in(name: &str) -> bool {
+    std::env::var(name).as_deref() == Ok("1")
+}
+
 /// Runs `f` repeatedly until ~0.2 s has elapsed and returns calls/second.
 fn rate(mut f: impl FnMut() -> usize) -> f64 {
     let budget = std::time::Duration::from_millis(200);
@@ -181,7 +190,7 @@ fn eval_throughput() {
     for n in [500usize, 2_000, 8_000, 120_000] {
         let table = recipe_table(n);
         let analyzed = paql::compile(MEAL_PLAN_QUERY_NO_FILTER, table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         let formula = spec.formula.clone().expect("meal query has a formula");
         let objective = spec.objective.clone().expect("meal query has an objective");
         let packages: Vec<Package> = (0..64)
@@ -218,13 +227,12 @@ fn eval_throughput() {
         let delta = delta_rate(&state, member);
         let scan = scan_rate(&state, member);
 
-        let paged_spec = PackageSpec::build_with(
-            &analyzed,
-            &table,
-            &ColumnPolicy::paged(16),
-            ParExec::sequential(),
-        )
-        .unwrap();
+        let paged_ctx = BuildCtx {
+            par: ParExec::sequential(),
+            policy: ColumnPolicy::paged(16),
+            cache: None,
+        };
+        let paged_spec = PackageSpec::build(&analyzed, &table, &paged_ctx).unwrap();
         let paged_state = paged_spec.view().project(&packages[0]).unwrap();
         let delta_paged = delta_rate(&paged_state, member);
         let scan_paged = scan_rate(&paged_state, member);
@@ -372,17 +380,19 @@ fn cold_build_throughput() -> Vec<String> {
                 Some(rate) => (format!("{rate:.0}"), format!("{rate:.1}")),
                 None => ("-".to_string(), "null".to_string()),
             };
+            let ctx = BuildCtx {
+                par,
+                policy: ColumnPolicy::resident(),
+                cache: None,
+            };
             let build = || {
-                CandidateView::assemble_par_with(
+                CandidateView::assemble(
                     table,
                     candidates.clone(),
                     stats.clone(),
-                    query.max_multiplicity(),
-                    query.such_that.clone(),
-                    query.objective.clone(),
+                    &query,
                     |_| None,
-                    &ColumnPolicy::resident(),
-                    par,
+                    &ctx,
                 )
                 .unwrap()
             };
@@ -773,7 +783,6 @@ fn cache_reuse() -> bool {
 /// false when any parallel run's package differs from the sequential
 /// reference.
 fn parallel_scaling() -> bool {
-    use packagebuilder::config::default_num_threads;
     let mut all_identical = true;
     println!("## PARALLEL — chunked fan-out across threads × n (meal plan)\n");
     let widths = [6, 16, 8, 12, 14, 12];
@@ -788,7 +797,7 @@ fn parallel_scaling() -> bool {
         ],
         &widths,
     );
-    let host = default_num_threads();
+    let host = EngineConfig::default().num_threads;
     let mut thread_grid: Vec<usize> = vec![1, 2];
     if host > 2 {
         thread_grid.push(host);
@@ -881,7 +890,6 @@ fn parallel_scaling() -> bool {
 /// machine-readable baseline. Returns false when any multi-thread run
 /// differs from its 1-thread reference.
 fn bnb_exact_core() -> bool {
-    use packagebuilder::config::default_num_threads;
     let mut all_identical = true;
     println!("## BNB — parallel branch & bound with warm starts across threads × n (meal plan)\n");
     let widths = [6, 16, 8, 12, 14, 10, 10, 12];
@@ -898,7 +906,7 @@ fn bnb_exact_core() -> bool {
         ],
         &widths,
     );
-    let host = default_num_threads();
+    let host = EngineConfig::default().num_threads;
     let mut thread_grid: Vec<usize> = vec![1, 2];
     if host > 2 {
         thread_grid.push(host);
@@ -948,7 +956,7 @@ fn bnb_exact_core() -> bool {
         // same ILP also goes to lp-solver directly, outside the timed run.
         let table = recipe_table(n);
         let analyzed = paql::compile(MEAL_PLAN_QUERY, table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         let problem = packagebuilder::ilp::translate(spec.view()).unwrap().problem;
         for &threads in &thread_grid {
             let mut engine = recipe_engine(n, Strategy::Ilp);
@@ -1194,7 +1202,7 @@ fn paged_out_of_core() -> bool {
     // The flagship out-of-core row, opt-in because datagen alone takes a
     // while at this scale: 10^7 rows via sketch→refine, pool under 25% of
     // even the worst-case column footprint.
-    if std::env::var("PB_PAGED_LARGE").map(|v| v == "1") == Ok(true) {
+    if opted_in("PB_PAGED_LARGE") {
         let n = 10_000_000usize;
         let pool = 3 * chunk_count(n) / 16;
         let (r, elapsed, counters) = solve(n, Strategy::SketchRefine, Some(pool));
@@ -1325,7 +1333,7 @@ fn shade_scaling() -> bool {
         ));
     };
 
-    let large = std::env::var("PB_SHADE_LARGE").map(|v| v == "1") == Ok(true);
+    let large = opted_in("PB_SHADE_LARGE");
     for n in [20_000usize, 120_000, 1_000_000] {
         let (g, g_time) = solve(n, Strategy::Greedy, 1, None);
         emit(n, "greedy", 1, &g, g_time, "-".into(), true);
@@ -1383,7 +1391,7 @@ fn shade_scaling() -> bool {
         let pool = 3 * chunk_count(n) / 16;
         let (g, g_time) = solve(n, Strategy::Greedy, 8, Some(pool));
         emit(n, "greedy", 8, &g, g_time, "-".into(), true);
-        if std::env::var("PB_SHADE_FLAT").map(|v| v == "1") == Ok(true) {
+        if opted_in("PB_SHADE_FLAT") {
             let (f, f_time) = solve(n, Strategy::SketchRefine, 8, Some(pool));
             emit(n, "sketch-refine", 8, &f, f_time, vs_greedy(&f, &g), true);
         }
@@ -1434,7 +1442,7 @@ fn e1_pruning() {
     for n in [12usize, 16, 20, 24] {
         let table = recipe_table(n);
         let analyzed = paql::compile(MEAL_PLAN_QUERY_NO_FILTER, table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         let bounds = derive_bounds(spec.view());
         let space = search_space(spec.view(), &bounds);
         let pruned = enumerate(
@@ -1566,7 +1574,7 @@ fn e3_replacement() {
     for n in [100usize, 400, 1600, 6400] {
         let table = recipe_table(n);
         let analyzed = paql::compile(MEAL_PLAN_QUERY_NO_FILTER, table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         // Pick the three recipes closest to 900 kcal: the package lands a few
         // hundred calories over the 2,500 budget, so single-tuple repairs exist
         // (mirroring the paper's 3,000-calorie example).
@@ -1604,7 +1612,7 @@ fn e3_replacement() {
     // Local search with k = 1 vs k = 2 at fixed n: neighbourhood blow-up.
     let table = recipe_table(300);
     let analyzed = paql::compile(MEAL_PLAN_QUERY_NO_FILTER, table.schema()).unwrap();
-    let spec = PackageSpec::build(&analyzed, &table).unwrap();
+    let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
     for k in [1usize, 2] {
         let t0 = Instant::now();
         let out = local_search(
@@ -1734,7 +1742,7 @@ fn e5_interface() {
     );
     let table = recipe_table(2_000);
     let analyzed = paql::compile(MEAL_PLAN_QUERY, table.schema()).unwrap();
-    let spec = PackageSpec::build(&analyzed, &table).unwrap();
+    let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
     for m in [100usize, 1_000, 10_000] {
         let packages: Vec<Package> = (0..m)
             .map(|i| {
@@ -1771,7 +1779,7 @@ fn e6_multiple() {
     let q = "SELECT PACKAGE(R) AS P FROM recipes R \
              SUCH THAT COUNT(*) = 2 AND SUM(P.calories) <= 1500 MAXIMIZE SUM(P.protein)";
     let analyzed = paql::compile(q, table.schema()).unwrap();
-    let spec = PackageSpec::build(&analyzed, &table).unwrap();
+    let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
     for p in [1usize, 5, 10, 20] {
         let t0 = Instant::now();
         let out = solve_ilp(
@@ -1794,7 +1802,7 @@ fn e6_multiple() {
     // Diversity: top-k by objective vs max-min diverse selection.
     let small = recipe_table(18);
     let analyzed = paql::compile(q, small.schema()).unwrap();
-    let small_spec = PackageSpec::build(&analyzed, &small).unwrap();
+    let small_spec = PackageSpec::build(&analyzed, &small, &BuildCtx::default()).unwrap();
     let pool: Vec<Package> = enumerate(
         small_spec.view(),
         EnumerationOptions {
@@ -2031,7 +2039,7 @@ fn gauntlet(smoke: bool) -> bool {
         // mirroring the paged bench's `PB_PAGED_LARGE`.
         if !smoke && scenario.name == "lineitem" {
             sizes.push(1_000_000);
-            if std::env::var("PB_GAUNTLET_LARGE").map(|v| v == "1") == Ok(true) {
+            if opted_in("PB_GAUNTLET_LARGE") {
                 sizes.push(10_000_000);
             }
         }
@@ -2043,8 +2051,10 @@ fn gauntlet(smoke: bool) -> bool {
                 let table = (scenario.build)(n, Seed(BENCH_SEED));
                 let spec = match paql::compile(&q.text, table.schema())
                     .map_err(|e| e.to_string())
-                    .and_then(|a| PackageSpec::build(&a, &table).map_err(|e| e.to_string()))
-                {
+                    .and_then(|a| {
+                        PackageSpec::build(&a, &table, &BuildCtx::default())
+                            .map_err(|e| e.to_string())
+                    }) {
                     Ok(s) => s,
                     Err(e) => {
                         failures.push(format!(

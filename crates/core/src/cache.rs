@@ -5,17 +5,18 @@
 //! objectives — a meal planner re-solving per user, a portfolio screener
 //! re-running per rebalance. SketchRefine (PVLDB 2016) and Progressive
 //! Shading (2023) both amortize an *offline* partitioning across such
-//! queries; this module extends that idea to everything
-//! [`crate::spec::PackageSpec::build`] used to recompute per query:
+//! queries; this module extends that idea to everything a cold
+//! [`crate::spec::PackageSpec::build`] recomputes per query:
 //!
-//! * **[`ViewCache`]** — an LRU cache of *term banks*, keyed by
-//!   `(relation fingerprint, normalized base predicate)`. A bank holds the
-//!   candidate tuple list, candidate statistics, and every term column
-//!   (coefficients + inclusion mask) any past query over that key has
-//!   materialized. Lookups reuse by **subset**, not exact match: a query
-//!   whose aggregate terms are all in the bank builds its view without
-//!   touching the base table at all, and a query that adds terms pays only
-//!   for the missing columns (the bank then grows to cover them).
+//! * **[`ViewCache`]** — what a build whose [`crate::spec::BuildCtx`] names
+//!   a `cache` goes through ([`ViewCache::view_for`]): an LRU cache of *term
+//!   banks*, keyed by `(relation fingerprint, normalized base predicate)`.
+//!   A bank holds the candidate tuple list, candidate statistics, and every
+//!   term column (coefficients + inclusion mask) any past query over that
+//!   key has materialized. Lookups reuse by **subset**, not exact match: a
+//!   query whose aggregate terms are all in the bank builds its view
+//!   without touching the base table at all, and a query that adds terms
+//!   pays only for the missing columns (the bank then grows to cover them).
 //! * **[`PartitionMemo`]** — a shared memo of sketch→refine partitionings,
 //!   keyed by `(max_partition_size, seed)`. Every
 //!   [`CandidateView`] carries one; views assembled from the same bank (and
@@ -71,7 +72,7 @@ use crate::par::ParExec;
 use crate::partition::{
     build_partition_tree, partition_view_budgeted, PartitionTree, Partitioning,
 };
-use crate::spec::base_candidates_par;
+use crate::spec::{cold_view, BuildCtx};
 use crate::view::{CandidateView, TermColumn};
 use crate::PbResult;
 
@@ -463,44 +464,22 @@ impl ViewCache {
     /// view is bit-identical to a cold [`CandidateView::build`] — see the
     /// module docs.
     ///
+    /// Whatever has to be computed — the whole cold build on a miss, the
+    /// missing term columns on a hit — runs on `ctx`'s executor and under
+    /// its storage policy (`ctx.cache` is not consulted: this cache is the
+    /// cache). Banked columns keep the mode they were built with; neither
+    /// thread count nor storage mode changes a view, so hits primed under
+    /// one context serve queries running under another.
+    ///
     /// The cache lock is held only to snapshot and to write back — never
     /// across candidate evaluation or column materialization — so engines
     /// sharing a cache do not serialize their (potentially expensive) cold
     /// builds behind one another.
-    pub fn view_for(&self, query: &PaqlQuery, table: &Table) -> PbResult<CandidateView> {
-        self.view_for_par(query, table, ParExec::sequential())
-    }
-
-    /// [`ViewCache::view_for`] with candidate evaluation and cache-miss
-    /// column materialization fanned out over `par` (the engine passes its
-    /// configured executor here). Thread count never changes the resulting
-    /// view, so warm hits primed at any `par` serve every other.
-    pub fn view_for_par(
+    pub fn view_for(
         &self,
         query: &PaqlQuery,
         table: &Table,
-        par: ParExec,
-    ) -> PbResult<CandidateView> {
-        self.view_for_with(
-            query,
-            table,
-            &crate::column_store::ColumnPolicy::default(),
-            par,
-        )
-    }
-
-    /// [`ViewCache::view_for_par`] under an explicit
-    /// [`crate::column_store::ColumnPolicy`] governing whether cache-miss
-    /// columns are built resident or paged (see
-    /// [`CandidateView::build_par_with`]). Banked columns keep the storage
-    /// mode they were built with — storage mode never changes any result, so
-    /// hits primed under one policy serve queries running under another.
-    pub fn view_for_with(
-        &self,
-        query: &PaqlQuery,
-        table: &Table,
-        policy: &crate::column_store::ColumnPolicy,
-        par: ParExec,
+        ctx: &BuildCtx<'_>,
     ) -> PbResult<CandidateView> {
         let key = ViewKey::of(table, query.where_clause.as_ref());
 
@@ -511,16 +490,7 @@ impl ViewCache {
             if inner.capacity == 0 {
                 // Disabled: behave exactly like the uncached path.
                 drop(inner);
-                let candidates = base_candidates_par(table, query.where_clause.as_ref(), par)?;
-                return CandidateView::build_par_with(
-                    table,
-                    candidates,
-                    query.max_multiplicity(),
-                    query.such_that.clone(),
-                    query.objective.clone(),
-                    policy,
-                    par,
-                );
+                return cold_view(query, table, ctx);
             }
             match inner.entries.iter().position(|(k, _)| *k == key) {
                 Some(pos) => {
@@ -547,13 +517,11 @@ impl ViewCache {
         let (mut view, reused) = match snapshot {
             Some((candidates, stats, term_keys, columns)) => {
                 let mut reused = 0u64;
-                let view = CandidateView::assemble_par_with(
+                let view = CandidateView::assemble(
                     table,
                     candidates,
                     stats,
-                    query.max_multiplicity(),
-                    query.such_that.clone(),
-                    query.objective.clone(),
+                    query,
                     |call: &AggCall| {
                         let col = term_keys
                             .iter()
@@ -562,24 +530,11 @@ impl ViewCache {
                         reused += col.is_some() as u64;
                         col
                     },
-                    policy,
-                    par,
+                    ctx,
                 )?;
                 (view, reused)
             }
-            None => {
-                let candidates = base_candidates_par(table, query.where_clause.as_ref(), par)?;
-                let view = CandidateView::build_par_with(
-                    table,
-                    candidates,
-                    query.max_multiplicity(),
-                    query.such_that.clone(),
-                    query.objective.clone(),
-                    policy,
-                    par,
-                )?;
-                (view, 0)
-            }
+            None => (cold_view(query, table, ctx)?, 0),
         };
 
         // Phase 3 — write back under the lock: grow (or create) the bank
@@ -716,7 +671,8 @@ fn adopt_columns(bank: &mut TermBank, view: &CandidateView) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::base_candidates;
+    use crate::column_store::ColumnPolicy;
+    use crate::spec::base_candidates_par;
     use datagen::{recipes, Seed};
     use paql::parse;
 
@@ -726,22 +682,20 @@ mod tests {
     fn view_pair(cache: &ViewCache, table: &Table, q: &str) -> (CandidateView, CandidateView) {
         let query = parse(q).unwrap();
         (
-            cache.view_for(&query, table).unwrap(),
-            cache.view_for(&query, table).unwrap(),
+            cache.view_for(&query, table, &BuildCtx::default()).unwrap(),
+            cache.view_for(&query, table, &BuildCtx::default()).unwrap(),
         )
     }
 
     /// A build pinned to resident storage, so byte-budget arithmetic in the
     /// tests below is exact regardless of the `PB_COLUMN_BUDGET` environment.
     fn view_resident(cache: &ViewCache, query: &PaqlQuery, table: &Table) -> CandidateView {
-        cache
-            .view_for_with(
-                query,
-                table,
-                &crate::column_store::ColumnPolicy::resident(),
-                ParExec::sequential(),
-            )
-            .unwrap()
+        let ctx = BuildCtx {
+            par: ParExec::sequential(),
+            policy: ColumnPolicy::resident(),
+            cache: None,
+        };
+        cache.view_for(query, table, &ctx).unwrap()
     }
 
     #[test]
@@ -838,20 +792,10 @@ mod tests {
         let cache = ViewCache::new(4);
         let query = parse(MEAL).unwrap();
         let warm = {
-            cache.view_for(&query, &t).unwrap(); // prime
-            cache.view_for(&query, &t).unwrap()
+            cache.view_for(&query, &t, &BuildCtx::default()).unwrap(); // prime
+            cache.view_for(&query, &t, &BuildCtx::default()).unwrap()
         };
-        let cold = {
-            let candidates = base_candidates(&t, query.where_clause.as_ref()).unwrap();
-            CandidateView::build(
-                &t,
-                candidates,
-                query.max_multiplicity(),
-                query.such_that.clone(),
-                query.objective.clone(),
-            )
-            .unwrap()
-        };
+        let cold = cold_view(&query, &t, &BuildCtx::default()).unwrap();
         assert_eq!(warm.candidates(), cold.candidates());
         assert_eq!(warm.term_keys(), cold.term_keys());
         for (w, c) in warm.terms().iter().zip(cold.terms()) {
@@ -870,8 +814,8 @@ mod tests {
         )
         .unwrap();
         let wide = parse(MEAL).unwrap();
-        cache.view_for(&narrow, &t).unwrap();
-        let v = cache.view_for(&wide, &t).unwrap();
+        cache.view_for(&narrow, &t, &BuildCtx::default()).unwrap();
+        let v = cache.view_for(&wide, &t, &BuildCtx::default()).unwrap();
         assert_eq!(v.terms().len(), 3);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -880,7 +824,7 @@ mod tests {
         assert_eq!(stats.columns_reused, 2);
         assert_eq!(stats.columns_built, 3);
         // The narrower query now reuses the grown bank wholesale.
-        cache.view_for(&narrow, &t).unwrap();
+        cache.view_for(&narrow, &t, &BuildCtx::default()).unwrap();
         assert_eq!(cache.stats().columns_reused, 4);
         assert_eq!(cache.stats().columns_built, 3);
     }
@@ -909,15 +853,16 @@ mod tests {
         let mut t = recipes(100, Seed(5));
         let cache = ViewCache::new(4);
         let query = parse(MEAL).unwrap();
-        cache.view_for(&query, &t).unwrap();
+        cache.view_for(&query, &t, &BuildCtx::default()).unwrap();
         // Mutate: the fingerprint moves, the old bank can never match.
         let extra = t.require(TupleId(0)).unwrap().to_tuple();
         t.insert(extra).unwrap();
-        let v = cache.view_for(&query, &t).unwrap();
+        let v = cache.view_for(&query, &t, &BuildCtx::default()).unwrap();
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(v.candidates().len() as u64, {
-            let fresh = base_candidates(&t, query.where_clause.as_ref()).unwrap();
+            let fresh = base_candidates_par(&t, query.where_clause.as_ref(), ParExec::sequential())
+                .unwrap();
             fresh.len() as u64
         });
     }
@@ -935,11 +880,19 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        cache.view_for(&queries[0], &t).unwrap();
-        cache.view_for(&queries[1], &t).unwrap();
-        cache.view_for(&queries[2], &t).unwrap(); // evicts queries[0]
+        cache
+            .view_for(&queries[0], &t, &BuildCtx::default())
+            .unwrap();
+        cache
+            .view_for(&queries[1], &t, &BuildCtx::default())
+            .unwrap();
+        cache
+            .view_for(&queries[2], &t, &BuildCtx::default())
+            .unwrap(); // evicts queries[0]
         assert_eq!(cache.len(), 2);
-        cache.view_for(&queries[0], &t).unwrap();
+        cache
+            .view_for(&queries[0], &t, &BuildCtx::default())
+            .unwrap();
         assert_eq!(cache.stats().misses, 4, "evicted entry rebuilt");
     }
 
@@ -948,14 +901,14 @@ mod tests {
         let t = recipes(50, Seed(7));
         let cache = ViewCache::new(4);
         let query = parse(MEAL).unwrap();
-        cache.view_for(&query, &t).unwrap();
+        cache.view_for(&query, &t, &BuildCtx::default()).unwrap();
         assert_eq!(cache.len(), 1);
         cache.invalidate_relation("RECIPES");
         assert!(cache.is_empty());
 
         let disabled = ViewCache::new(0);
-        disabled.view_for(&query, &t).unwrap();
-        disabled.view_for(&query, &t).unwrap();
+        disabled.view_for(&query, &t, &BuildCtx::default()).unwrap();
+        disabled.view_for(&query, &t, &BuildCtx::default()).unwrap();
         assert!(disabled.is_empty());
         assert_eq!(disabled.stats().hits, 0);
     }

@@ -83,32 +83,6 @@ pub const DEFAULT_POOL_PAGES: usize = 1024;
 /// policies clamp up to it.
 pub const MIN_POOL_PAGES: usize = 2;
 
-/// The default resident budget: the `PB_COLUMN_BUDGET` environment variable
-/// (bytes; `0` forces every column through the paged path — the CI stress
-/// leg) when set, otherwise [`DEFAULT_COLUMN_MEMORY_BUDGET`].
-pub fn default_column_memory_budget() -> usize {
-    match std::env::var("PB_COLUMN_BUDGET")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(b) => b,
-        None => DEFAULT_COLUMN_MEMORY_BUDGET,
-    }
-}
-
-/// The default buffer-pool capacity in pages: the `PB_POOL_PAGES`
-/// environment variable when set to a positive integer (clamped to
-/// [`MIN_POOL_PAGES`]), otherwise [`DEFAULT_POOL_PAGES`].
-pub fn default_pool_pages() -> usize {
-    match std::env::var("PB_POOL_PAGES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(p) if p >= 1 => p.max(MIN_POOL_PAGES),
-        _ => DEFAULT_POOL_PAGES,
-    }
-}
-
 /// Bytes one column of `len` candidates occupies (coefficients plus
 /// chunk-aligned inclusion-mask words) — the unit both the paged-mode
 /// decision and the [`crate::cache::ViewCache`] byte accounting use.
@@ -121,11 +95,12 @@ pub fn column_bytes(len: usize) -> usize {
 ///
 /// The decision is made once per view over the *estimated total* column
 /// bytes (`#terms × `[`column_bytes`]`(n)`), so all columns one build
-/// materializes share a mode — and a store. [`ColumnPolicy::default`] reads
-/// the `PB_COLUMN_BUDGET` / `PB_POOL_PAGES` environment overrides, which is
-/// how the CI stress leg forces the whole test suite through 4-page pools;
-/// [`crate::config::EngineConfig`] carries an explicit policy
-/// ([`crate::config::EngineConfig::column_memory_budget`]).
+/// materializes share a mode — and a store. A policy reaches a build as the
+/// `policy` of its [`crate::spec::BuildCtx`], always written down by someone
+/// (the engine writes [`crate::config::EngineConfig`]'s `column_memory_budget`
+/// and `pool_pages`). This module never reads the environment:
+/// `PB_COLUMN_BUDGET` / `PB_POOL_PAGES` are only the defaults of those two
+/// fields ([`crate::config::env_defaults`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnPolicy {
     /// Estimated column bytes above which a build goes paged.
@@ -135,14 +110,6 @@ pub struct ColumnPolicy {
 }
 
 impl ColumnPolicy {
-    /// The environment-derived policy (`PB_COLUMN_BUDGET`, `PB_POOL_PAGES`).
-    pub fn from_env() -> Self {
-        ColumnPolicy {
-            memory_budget: default_column_memory_budget(),
-            pool_pages: default_pool_pages(),
-        }
-    }
-
     /// Always-resident storage (today's layout, zero-cost path).
     pub fn resident() -> Self {
         ColumnPolicy {
@@ -165,12 +132,6 @@ impl ColumnPolicy {
     /// nothing to spill.
     pub fn wants_paged(&self, terms: usize, len: usize) -> bool {
         len > 0 && terms > 0 && terms.saturating_mul(column_bytes(len)) > self.memory_budget
-    }
-}
-
-impl Default for ColumnPolicy {
-    fn default() -> Self {
-        ColumnPolicy::from_env()
     }
 }
 

@@ -4,6 +4,10 @@ use std::time::Duration;
 
 use lp_solver::SolverConfig;
 
+use crate::column_store::{
+    ColumnPolicy, DEFAULT_COLUMN_MEMORY_BUDGET, DEFAULT_POOL_PAGES, MIN_POOL_PAGES,
+};
+
 /// Which evaluation strategy to use for a package query.
 ///
 /// The paper's engine "heuristically combines all of them to efficiently
@@ -152,17 +156,14 @@ pub struct EngineConfig {
     /// [`Strategy::Portfolio`] (or [`Strategy::Ilp`]) keeps
     /// [`EngineConfig::solver`]'s own limits.
     pub auto_exact_node_cap: usize,
-    /// Whether the engine routes view construction through its
-    /// [`crate::cache::ViewCache`], reusing materialized columns, candidate
-    /// statistics and sketch→refine partitionings across repeated queries on
-    /// the same relation and base predicate. Safe to leave on: cache keys
-    /// embed the relation's [`minidb::Table::fingerprint`], so a mutated
-    /// relation can never serve a stale view, and cache hits are
-    /// bit-identical to cold builds.
-    pub cache: bool,
-    /// How many `(relation, base predicate)` banks the engine's view cache
-    /// retains (least-recently-used eviction). 0 disables storage entirely;
-    /// the capacity is read when the engine is constructed.
+    /// How many `(relation, base predicate)` banks the engine's
+    /// [`crate::cache::ViewCache`] retains (least-recently-used eviction),
+    /// reusing materialized columns, candidate statistics and sketch→refine
+    /// partitionings across repeated queries. Keys embed the relation's
+    /// [`minidb::Table::fingerprint`], so a mutated relation can never serve
+    /// a stale view, and hits are bit-identical to cold builds. 0 turns the
+    /// cache off (every build is cold and nothing is counted); the capacity
+    /// is read when the engine is constructed.
     pub view_cache_capacity: usize,
     /// The resident budget, in bytes, for one view build's freshly
     /// materialized term columns. At or below the budget the columns stay
@@ -170,16 +171,15 @@ pub struct EngineConfig {
     /// through a fixed-size buffer pool (see [`crate::column_store`]), so a
     /// view over 10^7+ rows evaluates in bounded memory. `0` forces every
     /// build out-of-core. Storage mode never changes results — solutions are
-    /// bit-identical either way. Defaults to
-    /// [`crate::column_store::default_column_memory_budget`] (the
-    /// `PB_COLUMN_BUDGET` environment variable, else 1 GiB).
+    /// bit-identical either way. Defaults to the `PB_COLUMN_BUDGET`
+    /// environment variable, else 1 GiB ([`env_defaults`]).
     pub column_memory_budget: usize,
     /// Buffer-pool capacity, in pages (one page = one 4096-row column chunk
     /// plus its inclusion mask, ~32 KiB), for columns that spill under
     /// [`EngineConfig::column_memory_budget`]. Clamped to at least
-    /// [`crate::column_store::MIN_POOL_PAGES`]. Defaults to
-    /// [`crate::column_store::default_pool_pages`] (the `PB_POOL_PAGES`
-    /// environment variable, else 1024 pages ≈ 32 MiB).
+    /// [`crate::column_store::MIN_POOL_PAGES`]. Defaults to the
+    /// `PB_POOL_PAGES` environment variable, else 1024 pages ≈ 32 MiB
+    /// ([`env_defaults`]).
     pub pool_pages: usize,
     /// The engine's **shared thread budget**: how many threads one query
     /// evaluation may use in total, across both portfolio racing *and*
@@ -189,30 +189,56 @@ pub struct EngineConfig {
     /// ([`crate::par::ParExec::split`]), so workers and their inner loops
     /// never oversubscribe the host together.
     ///
-    /// Defaults to [`default_num_threads`]:
-    /// `std::thread::available_parallelism()`, overridable with the
-    /// `PB_THREADS` environment variable. Results are bit-identical at
-    /// every value — this knob trades wall-clock for cores, never answers.
+    /// Defaults to `std::thread::available_parallelism()`, overridable with
+    /// the `PB_THREADS` environment variable ([`env_defaults`]). Results are
+    /// bit-identical at every value — this knob trades wall-clock for
+    /// cores, never answers.
     pub num_threads: usize,
 }
 
-/// The engine's default thread budget: the `PB_THREADS` environment
-/// variable when set to a positive integer, otherwise
-/// `std::thread::available_parallelism()` (1 when even that is unknown).
+/// The process environment's say in the defaults, and the only place the
+/// crate reads it: the thread budget from `PB_THREADS` (else
+/// `std::thread::available_parallelism()`, 1 when even that is unknown) and
+/// the column storage policy from `PB_COLUMN_BUDGET` (bytes, else 1 GiB;
+/// `0` forces every column build out of core) and `PB_POOL_PAGES` (raised
+/// to [`MIN_POOL_PAGES`], else 1024). A value that does not parse, and a
+/// zero thread or page count, counts as unset.
 ///
-/// `PB_THREADS=1` forces fully sequential evaluation — the CI matrix runs
-/// the whole test suite that way to pin the guarantee that thread count
-/// never changes results.
-pub fn default_num_threads() -> usize {
-    match std::env::var("PB_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(t) if t >= 1 => t,
-        _ => std::thread::available_parallelism()
+/// [`EngineConfig::default`] and [`crate::spec::BuildCtx::default`] start
+/// from these — how the CI legs `PB_THREADS=1` and `PB_COLUMN_BUDGET=0
+/// PB_POOL_PAGES=4` push the whole test suite down the sequential and the
+/// paged paths — and any value written into either wins over them.
+// The one environment reader clippy.toml points at: configuration enters
+// here and travels on as values.
+#[allow(clippy::disallowed_methods)]
+pub fn env_defaults() -> (usize, ColumnPolicy) {
+    let var = |name: &str| std::env::var(name).ok();
+    parse_env_defaults(
+        var("PB_THREADS").as_deref(),
+        var("PB_COLUMN_BUDGET").as_deref(),
+        var("PB_POOL_PAGES").as_deref(),
+    )
+}
+
+/// [`env_defaults`] over the three variables' values (`None` = unset).
+fn parse_env_defaults(
+    threads: Option<&str>,
+    column_budget: Option<&str>,
+    pool_pages: Option<&str>,
+) -> (usize, ColumnPolicy) {
+    let number = |text: Option<&str>| text.and_then(|v| v.trim().parse::<usize>().ok());
+    let num_threads = number(threads).filter(|&t| t >= 1).unwrap_or_else(|| {
+        std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1),
-    }
+            .unwrap_or(1)
+    });
+    let policy = ColumnPolicy {
+        memory_budget: number(column_budget).unwrap_or(DEFAULT_COLUMN_MEMORY_BUDGET),
+        pool_pages: number(pool_pages)
+            .filter(|&p| p >= 1)
+            .map_or(DEFAULT_POOL_PAGES, |p| p.max(MIN_POOL_PAGES)),
+    };
+    (num_threads, policy)
 }
 
 /// The default portfolio worker set for a host with `num_threads` threads.
@@ -238,7 +264,7 @@ pub fn default_portfolio_workers(num_threads: usize) -> Vec<Strategy> {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        let num_threads = default_num_threads();
+        let (num_threads, policy) = env_defaults();
         EngineConfig {
             strategy: Strategy::Auto,
             num_packages: 1,
@@ -258,10 +284,9 @@ impl Default for EngineConfig {
             shade_fanout: 64,
             shade_leaf_size: 64,
             auto_exact_node_cap: 20_000,
-            cache: true,
             view_cache_capacity: crate::cache::DEFAULT_VIEW_CACHE_CAPACITY,
-            column_memory_budget: crate::column_store::default_column_memory_budget(),
-            pool_pages: crate::column_store::default_pool_pages(),
+            column_memory_budget: policy.memory_budget,
+            pool_pages: policy.pool_pages,
             num_threads,
         }
     }
@@ -295,14 +320,8 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables the cross-query view cache.
-    pub fn with_cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Sets the view cache capacity (entries; 0 disables storage). Applied
-    /// when an engine is constructed from this configuration.
+    /// Sets the view cache capacity (entries; 0 turns the cache off).
+    /// Applied when an engine is constructed from this configuration.
     pub fn with_view_cache_capacity(mut self, capacity: usize) -> Self {
         self.view_cache_capacity = capacity;
         self
@@ -350,6 +369,32 @@ mod tests {
             c.portfolio_workers,
             default_portfolio_workers(c.num_threads)
         );
+    }
+
+    #[test]
+    fn the_environment_parser_falls_back_to_the_defaults() {
+        let parse = parse_env_defaults;
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let unset = (
+            host,
+            ColumnPolicy {
+                memory_budget: 1 << 30,
+                pool_pages: 1024,
+            },
+        );
+        assert_eq!(parse(None, None, None), unset);
+        // Set values win, whitespace trimmed; a zero budget forces paging
+        // and a pool below the floor is raised to it.
+        let forced = ColumnPolicy {
+            memory_budget: 0,
+            pool_pages: MIN_POOL_PAGES,
+        };
+        assert_eq!(parse(Some(" 4 "), Some("0"), Some("1")), (4, forced));
+        // Anything else is the default, never a panic ("0" is a budget).
+        for junk in ["0", "-1", "abc", ""] {
+            let budget = Some(junk).filter(|&j| j != "0");
+            assert_eq!(parse(Some(junk), budget, Some(junk)), unset, "{junk:?}");
+        }
     }
 
     #[test]

@@ -14,13 +14,15 @@ use minidb::Catalog;
 use paql::{analyze, parse, AnalyzedQuery, PaqlQuery};
 
 use crate::cache::ViewCache;
+use crate::column_store::ColumnPolicy;
 use crate::config::{EngineConfig, Strategy};
 use crate::error::PbError;
 use crate::ilp::linearization_obstacle;
+use crate::par::ParExec;
 use crate::pruning::derive_bounds;
 use crate::result::PackageResult;
 use crate::solver::{solver_for, SolveOptions, Solver};
-use crate::spec::PackageSpec;
+use crate::spec::{BuildCtx, PackageSpec};
 use crate::PbResult;
 
 /// One fully-resolved execution plan: the solver to run and its options.
@@ -128,8 +130,7 @@ impl PackageEngine {
         self.execute(&query)
     }
 
-    /// Analyzes and evaluates an already-parsed query (through the view
-    /// cache when [`EngineConfig::cache`] is on).
+    /// Analyzes and evaluates an already-parsed query.
     pub fn execute(&self, query: &PaqlQuery) -> PbResult<PackageResult> {
         let spec = self.build_spec(query)?;
         self.execute_spec(&spec)
@@ -148,29 +149,27 @@ impl PackageEngine {
             .ok_or_else(|| PbError::UnknownRelation(query.relation.clone()))
     }
 
-    /// The column storage policy and chunk executor every view build of
-    /// this engine runs under, from its configuration.
-    pub(crate) fn build_context(&self) -> (crate::column_store::ColumnPolicy, crate::par::ParExec) {
-        let policy = crate::column_store::ColumnPolicy {
-            memory_budget: self.config.column_memory_budget,
-            pool_pages: self.config.pool_pages,
-        };
-        (policy, crate::par::ParExec::new(self.config.num_threads))
+    /// The context every view build of this engine runs in: its thread
+    /// budget, its column storage policy and its view cache.
+    pub(crate) fn build_context(&self) -> BuildCtx<'_> {
+        BuildCtx {
+            par: ParExec::new(self.config.num_threads),
+            policy: ColumnPolicy {
+                memory_budget: self.config.column_memory_budget,
+                pool_pages: self.config.pool_pages,
+            },
+            cache: Some(&self.cache),
+        }
     }
 
     /// Builds the executable spec for a query (exposed for the interface
-    /// layers: exploration, suggestion, summaries). Routed through the view
-    /// cache when [`EngineConfig::cache`] is on, so repeated builds reuse
-    /// materialized columns and partitionings.
+    /// layers: exploration, suggestion, summaries), through the engine's
+    /// view cache, so repeated builds reuse materialized columns and
+    /// partitionings.
     pub fn build_spec<'a>(&'a self, query: &PaqlQuery) -> PbResult<PackageSpec<'a>> {
         let analyzed = self.analyze(query)?;
         let table = self.relation(&analyzed.query)?;
-        let (policy, par) = self.build_context();
-        if self.config.cache {
-            PackageSpec::build_cached_with(&analyzed, table, &self.cache, &policy, par)
-        } else {
-            PackageSpec::build_with(&analyzed, table, &policy, par)
-        }
+        PackageSpec::build(&analyzed, table, &self.build_context())
     }
 
     /// Evaluates a spec with the configured strategy.

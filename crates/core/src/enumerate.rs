@@ -397,7 +397,7 @@ pub fn enumerate(view: &CandidateView, opts: EnumerationOptions) -> PbResult<Enu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::PackageSpec;
+    use crate::spec::{BuildCtx, PackageSpec};
     use datagen::{recipes, uniform_table, Seed};
     use lp_solver::SolverConfig;
     use minidb::Table;
@@ -405,7 +405,7 @@ mod tests {
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table).unwrap()
+        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
     }
 
     const SMALL_QUERY: &str = "SELECT PACKAGE(T) AS P FROM t T \

@@ -99,14 +99,16 @@ impl ExplorationSession {
 
     /// The query's spec with the rejected tuples removed from the candidate
     /// pool (locked tuples stay candidates; [`ExplorationSession::refine`]
-    /// forces them into the package). The narrowed view is rebuilt on the
-    /// engine's executor and under its column policy.
+    /// forces them into the package). The narrowed view is rebuilt in the
+    /// engine's build context.
     fn narrowed_spec<'e>(&self, engine: &'e PackageEngine) -> PbResult<PackageSpec<'e>> {
         let spec = engine.build_spec(&self.query)?;
         // Probed once per candidate: flatten the set to a sorted vector.
         let rejected: Vec<TupleId> = self.rejected.iter().copied().collect();
-        let (policy, par) = engine.build_context();
-        spec.restrict_candidates(|t| rejected.binary_search(&t).is_err(), &policy, par)
+        spec.restrict_candidates(
+            |t| rejected.binary_search(&t).is_err(),
+            &engine.build_context(),
+        )
     }
 
     /// Produces a new sample that keeps every locked tuple, avoids rejected
@@ -224,6 +226,8 @@ impl ExplorationSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
+    use crate::config::EngineConfig;
     use datagen::{recipes, Seed};
     use minidb::Catalog;
 
@@ -239,22 +243,41 @@ mod tests {
     #[test]
     fn the_narrowed_view_is_stored_as_the_engine_is_configured() {
         // Whatever PB_COLUMN_BUDGET says in the environment, the engine's
-        // own budget decides where the narrowed view's columns live.
+        // own budget decides where freshly built columns live — on every
+        // route into the one build function.
+        let mut catalog = Catalog::new();
+        catalog.register(recipes(300, Seed(6)));
         for (budget, paged) in [(0usize, true), (usize::MAX, false)] {
-            let mut engine = engine(300, 6);
-            engine.config_mut().column_memory_budget = budget;
-            let mut session = ExplorationSession::new(paql::parse(MEAL_QUERY).unwrap());
+            let config = EngineConfig::default().with_column_memory_budget(budget);
+            let engine = PackageEngine::with_config(catalog.clone(), config.clone());
+            let query = paql::parse(MEAL_QUERY).unwrap();
+
+            // A cache miss builds every column.
+            let missed = engine.build_spec(&query).unwrap();
+            assert_eq!(missed.view().is_paged(), paged, "miss");
+            // A hit on the same base predicate materializes only its new
+            // term, SUM(fat).
+            let wider = MEAL_QUERY.replace("MAXIMIZE", "AND SUM(P.fat) <= 90 MAXIMIZE");
+            let hit = engine.build_spec(&paql::parse(&wider).unwrap()).unwrap();
+            let stats = engine.view_cache().stats();
+            assert_eq!((stats.misses, stats.hits), (1, 1));
+            assert_eq!((stats.columns_reused, stats.columns_built), (3, 4));
+            let mut columns = hit.view().terms().iter();
+            assert!(columns.all(|t| t.is_paged() == paged), "hit + one new term");
+            // A zero-capacity cache builds cold.
+            let uncached =
+                PackageEngine::with_config(catalog.clone(), config.with_view_cache_capacity(0));
+            let cold = uncached.build_spec(&query).unwrap();
+            assert_eq!(cold.view().is_paged(), paged, "capacity 0");
+            assert_eq!(uncached.view_cache().stats(), CacheStats::default());
+
+            // And the narrowed view of an exploration session.
+            let mut session = ExplorationSession::new(query);
             let first = session.sample(&engine).unwrap();
             session.reject(first.best().unwrap().tuple_ids()[0]);
             let narrowed = session.narrowed_spec(&engine).unwrap();
-            assert_eq!(narrowed.view().is_paged(), paged);
-            assert_eq!(
-                narrowed.candidate_count() + 1,
-                engine
-                    .build_spec(session.query())
-                    .unwrap()
-                    .candidate_count()
-            );
+            assert_eq!(narrowed.view().is_paged(), paged, "restrict_candidates");
+            assert_eq!(narrowed.candidate_count() + 1, missed.candidate_count());
         }
     }
 

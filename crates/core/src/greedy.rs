@@ -235,7 +235,7 @@ mod tests {
     use super::*;
     use crate::column_store::SpillStore;
     use crate::par::chunk_count;
-    use crate::spec::PackageSpec;
+    use crate::spec::{BuildCtx, PackageSpec};
     use crate::view::ColumnSink;
     use datagen::{recipes, Seed};
     use minidb::Table;
@@ -245,7 +245,7 @@ mod tests {
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table).unwrap()
+        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
     }
 
     #[test]
@@ -355,21 +355,16 @@ mod tests {
         }
     }
 
-    /// Rebuilds `view` with term `t`'s column spilled to `stores[t]` (terms
-    /// with `None` stay as they are), so a test can watch one term's page
-    /// requests on a store nothing else touches.
-    fn respill(
-        view: &CandidateView,
-        table: &Table,
-        stores: &[Option<Arc<SpillStore>>],
-    ) -> CandidateView {
+    /// Rebuilds `spec`'s view with term `t`'s column spilled to `stores[t]`
+    /// (terms with `None` stay as they are), so a test can watch one term's
+    /// page requests on a store nothing else touches.
+    fn respill(spec: &PackageSpec<'_>, stores: &[Option<Arc<SpillStore>>]) -> CandidateView {
+        let view = spec.view();
         CandidateView::assemble(
-            table,
+            spec.table,
             view.candidates().to_vec(),
             view.stats().clone(),
-            view.max_multiplicity(),
-            view.formula().cloned(),
-            view.objective().cloned(),
+            &spec.query,
             |call| {
                 let t = view.term_keys().iter().position(|k| k == call).unwrap();
                 let column = &view.terms()[t];
@@ -382,6 +377,7 @@ mod tests {
                         .unwrap(),
                 )
             },
+            &BuildCtx::default(),
         )
         .unwrap()
     }
@@ -411,7 +407,7 @@ mod tests {
         let store = SpillStore::create(4).unwrap();
         let mut stores = vec![None; spec.view().terms().len()];
         stores[objective_term] = Some(Arc::clone(&store));
-        let view = respill(spec.view(), &t, &stores);
+        let view = respill(&spec, &stores);
 
         let mut rng = StdRng::seed_from_u64(1);
         let start = starting_package(&view, StartHeuristic::Greedy, &mut rng);
@@ -438,7 +434,7 @@ mod tests {
         let spec = spec_for(&t, PAGED_MEAL_QUERY);
         let terms = spec.view().terms().len();
         let store = SpillStore::create(4).unwrap();
-        let view = respill(spec.view(), &t, &vec![Some(Arc::clone(&store)); terms]);
+        let view = respill(&spec, &vec![Some(Arc::clone(&store)); terms]);
 
         let mut rng = StdRng::seed_from_u64(2);
         let start = starting_package(&view, StartHeuristic::Greedy, &mut rng);

@@ -678,14 +678,14 @@ pub fn solve_ilp_par(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::PackageSpec;
+    use crate::spec::{BuildCtx, PackageSpec};
     use datagen::{recipes, stocks, Seed};
     use minidb::Table;
     use paql::compile;
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table).unwrap()
+        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
     }
 
     #[test]

@@ -12,13 +12,15 @@
 //! dispatch seam:
 //!
 //! * **[`view`] — the columnar evaluation core.** [`spec::PackageSpec::build`]
-//!   lowers a query onto a [`view::CandidateView`]: for every aggregate term
-//!   in the `SUCH THAT` formula or objective, a dense `f64` coefficient
-//!   column over the candidate set (with `FILTER` predicates and NULLs folded
-//!   into an inclusion mask), plus the formula/objective recompiled against
-//!   term indices. Objective values, constraint slack and violations become
-//!   dot products; [`view::ViewState`] scores swap/add/drop moves by delta
-//!   (`O(#terms)` per move) instead of re-aggregating packages.
+//!   — the one way in; a [`spec::BuildCtx`] names its executor, storage
+//!   policy and cache — lowers a query onto a [`view::CandidateView`]: for
+//!   every aggregate term in the `SUCH THAT` formula or objective, a dense
+//!   `f64` coefficient column over the candidate set (with `FILTER`
+//!   predicates and NULLs folded into an inclusion mask), plus the
+//!   formula/objective recompiled against term indices. Objective values,
+//!   constraint slack and violations become dot products;
+//!   [`view::ViewState`] scores swap/add/drop moves by delta (`O(#terms)`
+//!   per move) instead of re-aggregating packages.
 //! * **[`solver`] — the unified strategy interface.** `Solver::solve(&view,
 //!   &opts)` is implemented by [`solver::IlpSolver`] (Section 7 translation,
 //!   [`ilp`]), [`solver::EnumerationSolver`] (Section 4 generate-and-validate
@@ -68,13 +70,14 @@
 //!   chunk is also the paging unit: above
 //!   [`config::EngineConfig::column_memory_budget`] a view's term columns
 //!   are written chunk by chunk to a temporary spill file and scanned back
-//!   through a small LRU buffer pool ([`config::EngineConfig::pool_pages`],
-//!   env overrides `PB_COLUMN_BUDGET` / `PB_POOL_PAGES`), while per-chunk
-//!   metadata stays resident for pruning and bounds. Storage mode is
-//!   invisible to every consumer: paged solves are bit-identical to
-//!   resident ones — same packages, objectives and counters — at every
-//!   thread count (`tests/paged_determinism.rs`), so candidate sets far
-//!   beyond RAM stream through a fixed number of page frames.
+//!   through a small LRU buffer pool ([`config::EngineConfig::pool_pages`];
+//!   both default from `PB_COLUMN_BUDGET` / `PB_POOL_PAGES`, read only by
+//!   [`config::env_defaults`]), while per-chunk metadata stays resident for
+//!   pruning and bounds. Storage mode is invisible to every consumer: paged
+//!   solves are bit-identical to resident ones — same packages, objectives
+//!   and counters — at every thread count (`tests/paged_determinism.rs`),
+//!   so candidate sets far beyond RAM stream through a fixed number of page
+//!   frames.
 //! * **[`cache`] — cross-query reuse.** Real workloads repeat the same
 //!   relation + base predicate with varying constraints; the engine's
 //!   [`cache::ViewCache`] banks materialized term columns, candidate
@@ -153,7 +156,7 @@ pub use result::{EvalStats, PackageResult, StrategyUsed};
 pub use shading::ProgressiveShadingSolver;
 pub use sketch_refine::SketchRefineSolver;
 pub use solver::{SolveOptions, SolveOutcome, Solver};
-pub use spec::PackageSpec;
+pub use spec::{BuildCtx, PackageSpec};
 pub use view::{CandidateView, ViewState};
 
 /// Result alias for engine operations.

@@ -446,14 +446,17 @@ fn split_points(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::PackageSpec;
+    use crate::spec::{BuildCtx, PackageSpec};
     use datagen::{recipes, Seed};
     use minidb::Table;
     use paql::compile;
 
     fn view_for(table: &Table, q: &str) -> CandidateView {
         let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table).unwrap().view().clone()
+        PackageSpec::build(&analyzed, table, &BuildCtx::default())
+            .unwrap()
+            .view()
+            .clone()
     }
 
     const QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R \
@@ -541,7 +544,7 @@ mod tests {
             t.schema(),
         )
         .unwrap();
-        let spec = PackageSpec::build(&analyzed, &t).unwrap();
+        let spec = PackageSpec::build(&analyzed, &t, &BuildCtx::default()).unwrap();
         let p = partition_view(spec.view(), 16, 0);
         assert!(p.is_empty());
     }

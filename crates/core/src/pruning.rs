@@ -356,14 +356,14 @@ fn log2_add(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::PackageSpec;
+    use crate::spec::{BuildCtx, PackageSpec};
     use datagen::{uniform_table, Seed};
     use minidb::Table;
     use paql::compile;
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table).unwrap()
+        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
     }
 
     #[test]

@@ -326,14 +326,14 @@ fn shade_and_refine(
 mod tests {
     use super::*;
     use crate::par::ParExec;
-    use crate::spec::PackageSpec;
+    use crate::spec::{BuildCtx, PackageSpec};
     use datagen::{recipes, Seed};
     use minidb::Table;
     use paql::compile;
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table).unwrap()
+        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
     }
 
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \

@@ -1,4 +1,5 @@
-//! The validated, executable form of a package query.
+//! The validated, executable form of a package query, and the one way to
+//! build it: [`PackageSpec::build`] under a [`BuildCtx`].
 
 use minidb::eval::BoundExpr;
 use minidb::stats::TableStats;
@@ -12,20 +13,52 @@ use crate::par::ParExec;
 use crate::view::CandidateView;
 use crate::PbResult;
 
+/// The three choices every view build makes, in the one value they travel
+/// in: the chunk executor the scan and the column materialization fan out
+/// over, where freshly built columns live, and the cache to build through.
+/// None of them changes a result — every thread count, storage mode and
+/// cache hit is bit-identical to the sequential resident cold build — only
+/// where the time and the bytes go.
+///
+/// [`crate::engine::PackageEngine`] fills one from its configuration for
+/// every build it starts; anything else writes the fields down, or takes
+/// [`BuildCtx::default`].
+#[derive(Debug, Clone, Copy)]
+pub struct BuildCtx<'c> {
+    /// The chunk executor (see [`crate::par`]).
+    pub par: ParExec,
+    /// Resident or paged term columns, for the columns this build
+    /// materializes; columns adopted from a cache keep the mode they were
+    /// built with, so a view may mix the two.
+    pub policy: ColumnPolicy,
+    /// The cache [`PackageSpec::build`] builds through; `None` builds cold.
+    pub cache: Option<&'c ViewCache>,
+}
+
+impl Default for BuildCtx<'_> {
+    /// Sequential executor, no cache, and the storage policy of
+    /// [`crate::config::env_defaults`] — so specs built outside an engine
+    /// (most tests) follow the `PB_COLUMN_BUDGET` / `PB_POOL_PAGES` CI legs.
+    fn default() -> Self {
+        BuildCtx {
+            par: ParExec::sequential(),
+            policy: crate::config::env_defaults().1,
+            cache: None,
+        }
+    }
+}
+
 /// Evaluates a query's base (`WHERE`) predicate over a table: the candidate
 /// tuple ids, in id order — the paper's "use SQL to evaluate the base
 /// constraints" step (`SELECT * FROM R WHERE <base>`). `None` keeps every
-/// tuple. Shared by [`PackageSpec::build`] and the [`ViewCache`] cold path.
-pub fn base_candidates(table: &Table, where_clause: Option<&Expr>) -> PbResult<Vec<TupleId>> {
-    base_candidates_par(table, where_clause, ParExec::sequential())
-}
-
-/// [`base_candidates`] with the predicate scan fanned out over `par` in
-/// fixed-width row chunks, each evaluated in the predicate's chunk form
-/// straight over the table's column vectors. Per-chunk match lists
-/// concatenate in chunk order (and tuple ids are insertion indices), so the
-/// candidate list — and any evaluation error: first failing chunk, first
-/// failing row — is identical at every thread count.
+/// tuple.
+///
+/// The scan fans out over `par` in fixed-width row chunks, each evaluated in
+/// the predicate's chunk form straight over the table's column vectors.
+/// Per-chunk match lists concatenate in chunk order (and tuple ids are
+/// insertion indices), so the candidate list — and any evaluation error:
+/// first failing chunk, first failing row — is identical at every thread
+/// count.
 pub fn base_candidates_par(
     table: &Table,
     where_clause: Option<&Expr>,
@@ -48,6 +81,19 @@ pub fn base_candidates_par(
         candidates.extend(chunk?);
     }
     Ok(candidates)
+}
+
+/// The cold build: scan the base predicate, then [`CandidateView::build`]
+/// (statistics + every term column from the base table). The one place the
+/// sequence is written — the uncached [`PackageSpec::build`], a
+/// [`ViewCache`] miss and a zero-capacity cache all land here.
+pub(crate) fn cold_view(
+    query: &PaqlQuery,
+    table: &Table,
+    ctx: &BuildCtx<'_>,
+) -> PbResult<CandidateView> {
+    let candidates = base_candidates_par(table, query.where_clause.as_ref(), ctx.par)?;
+    CandidateView::build(table, candidates, query, ctx)
 }
 
 /// A package query bound to a concrete table: the candidate tuples that
@@ -81,92 +127,28 @@ pub struct PackageSpec<'a> {
 impl<'a> PackageSpec<'a> {
     /// Builds a spec from an analyzed query and its base table: the base
     /// predicate, the candidate statistics and the view's term columns are
-    /// all computed from the table's column vectors, a chunk at a time.
-    pub fn build(analyzed: &AnalyzedQuery, table: &'a Table) -> PbResult<Self> {
-        Self::build_par(analyzed, table, ParExec::sequential())
-    }
-
-    /// [`PackageSpec::build`] with the base-predicate scan and column
-    /// materialization fanned out over `par` (see [`crate::par`]); the
-    /// engine passes its configured executor here. Bit-identical to the
-    /// sequential build at every thread count. Column storage follows
-    /// [`ColumnPolicy::default`] (environment-derived);
-    /// [`PackageSpec::build_with`] takes an explicit policy.
-    pub fn build_par(analyzed: &AnalyzedQuery, table: &'a Table, par: ParExec) -> PbResult<Self> {
-        Self::build_with(analyzed, table, &ColumnPolicy::default(), par)
-    }
-
-    /// [`PackageSpec::build_par`] under an explicit [`ColumnPolicy`]: the
-    /// view's term columns go out-of-core (spill file + buffer pool) when
-    /// their estimated footprint exceeds the policy's resident budget —
-    /// [`crate::config::EngineConfig::column_memory_budget`] arrives here.
-    /// The storage mode never changes results, only where column bytes live.
-    pub fn build_with(
-        analyzed: &AnalyzedQuery,
-        table: &'a Table,
-        policy: &ColumnPolicy,
-        par: ParExec,
-    ) -> PbResult<Self> {
+    /// all computed from the table's column vectors, a chunk at a time, on
+    /// `ctx`'s executor and under its storage policy.
+    ///
+    /// With a cache in `ctx` the view comes through
+    /// [`ViewCache::view_for`]: candidate list, statistics and term columns
+    /// are reused when the relation contents and base predicate match a
+    /// cached bank (only missing term columns are materialized), and banked
+    /// for future queries otherwise. The resulting spec is
+    /// indistinguishable from a cold build — see the cache module docs for
+    /// the determinism argument.
+    pub fn build(analyzed: &AnalyzedQuery, table: &'a Table, ctx: &BuildCtx<'_>) -> PbResult<Self> {
         let query = analyzed.query.clone();
-        let candidates = base_candidates_par(table, query.where_clause.as_ref(), par)?;
-        let view = CandidateView::build_par_with(
-            table,
-            candidates.clone(),
-            query.max_multiplicity(),
-            query.such_that.clone(),
-            query.objective.clone(),
-            policy,
-            par,
-        )?;
-        Ok(PackageSpec {
-            table,
-            max_multiplicity: query.max_multiplicity(),
-            formula: query.such_that.clone(),
-            objective: query.objective.clone(),
-            candidates,
-            view,
-            query,
-        })
+        let view = match ctx.cache {
+            Some(cache) => cache.view_for(&query, table, ctx)?,
+            None => cold_view(&query, table, ctx)?,
+        };
+        Ok(Self::over(table, query, view))
     }
 
-    /// [`PackageSpec::build`] through a [`ViewCache`]: candidate evaluation,
-    /// statistics and term columns are reused from the cache when the
-    /// relation contents and base predicate match a cached bank (with only
-    /// missing term columns materialized), and banked for future queries
-    /// otherwise. The resulting spec is indistinguishable from a cold build
-    /// — see the cache module docs for the determinism argument.
-    pub fn build_cached(
-        analyzed: &AnalyzedQuery,
-        table: &'a Table,
-        cache: &ViewCache,
-    ) -> PbResult<Self> {
-        Self::build_cached_par(analyzed, table, cache, ParExec::sequential())
-    }
-
-    /// [`PackageSpec::build_cached`] with cache-miss work (candidate
-    /// evaluation, missing-column materialization) fanned out over `par`.
-    pub fn build_cached_par(
-        analyzed: &AnalyzedQuery,
-        table: &'a Table,
-        cache: &ViewCache,
-        par: ParExec,
-    ) -> PbResult<Self> {
-        Self::build_cached_with(analyzed, table, cache, &ColumnPolicy::default(), par)
-    }
-
-    /// [`PackageSpec::build_cached_par`] under an explicit [`ColumnPolicy`]
-    /// (see [`PackageSpec::build_with`]); cache-miss columns obey the
-    /// policy, banked columns keep the mode they were built with.
-    pub fn build_cached_with(
-        analyzed: &AnalyzedQuery,
-        table: &'a Table,
-        cache: &ViewCache,
-        policy: &ColumnPolicy,
-        par: ParExec,
-    ) -> PbResult<Self> {
-        let query = analyzed.query.clone();
-        let view = cache.view_for_with(&query, table, policy, par)?;
-        Ok(PackageSpec {
+    /// The spec of `query` over `table` whose evaluation core is `view`.
+    fn over(table: &'a Table, query: PaqlQuery, view: CandidateView) -> Self {
+        PackageSpec {
             table,
             candidates: view.candidates().to_vec(),
             max_multiplicity: query.max_multiplicity(),
@@ -174,7 +156,7 @@ impl<'a> PackageSpec<'a> {
             objective: query.objective.clone(),
             view,
             query,
-        })
+        }
     }
 
     /// The columnar view every solver consumes.
@@ -235,40 +217,24 @@ impl<'a> PackageSpec<'a> {
     /// Restricts the spec to a subset of its candidates (used by adaptive
     /// exploration to narrow the search space after user feedback). The view
     /// is rebuilt over the surviving candidates — statistics and columns
-    /// gathered from the table's column vectors — on the caller's executor
-    /// and under the caller's [`ColumnPolicy`], like every other build: the
-    /// engine passes its configured ones, so a narrowed view is paged
-    /// exactly when a fresh build of the same size would be.
+    /// gathered from the table's column vectors — on `ctx`'s executor and
+    /// under its storage policy, like every other build: the engine passes
+    /// its own context, so a narrowed view is paged exactly when a fresh
+    /// build of the same size would be. A narrowed candidate list has no
+    /// cache key, so `ctx.cache` is not consulted.
     pub fn restrict_candidates(
         &self,
         keep: impl Fn(TupleId) -> bool,
-        policy: &ColumnPolicy,
-        par: ParExec,
+        ctx: &BuildCtx<'_>,
     ) -> PbResult<PackageSpec<'a>> {
-        let candidates: Vec<TupleId> = self
+        let candidates = self
             .candidates
             .iter()
             .copied()
             .filter(|&t| keep(t))
             .collect();
-        let view = CandidateView::build_par_with(
-            self.table,
-            candidates.clone(),
-            self.max_multiplicity,
-            self.formula.clone(),
-            self.objective.clone(),
-            policy,
-            par,
-        )?;
-        Ok(PackageSpec {
-            table: self.table,
-            candidates,
-            max_multiplicity: self.max_multiplicity,
-            formula: self.formula.clone(),
-            objective: self.objective.clone(),
-            view,
-            query: self.query.clone(),
-        })
+        let view = CandidateView::build(self.table, candidates, &self.query, ctx)?;
+        Ok(Self::over(self.table, self.query.clone(), view))
     }
 }
 
@@ -281,7 +247,7 @@ mod tests {
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table).unwrap()
+        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
     }
 
     #[test]
@@ -341,22 +307,22 @@ mod tests {
         );
         // Candidates are in id order, so a prefix is a sorted set.
         let keep: Vec<TupleId> = spec.candidates.iter().copied().take(10).collect();
-        let narrow = |policy: &ColumnPolicy| {
-            spec.restrict_candidates(
-                |t| keep.binary_search(&t).is_ok(),
+        let narrow = |policy: ColumnPolicy| {
+            let ctx = BuildCtx {
                 policy,
-                ParExec::sequential(),
-            )
-            .unwrap()
+                ..BuildCtx::default()
+            };
+            spec.restrict_candidates(|t| keep.binary_search(&t).is_ok(), &ctx)
+                .unwrap()
         };
-        let narrowed = narrow(&ColumnPolicy::resident());
+        let narrowed = narrow(ColumnPolicy::resident());
         assert_eq!(narrowed.candidate_count(), 10);
         assert_eq!(narrowed.max_multiplicity, spec.max_multiplicity);
         assert_eq!(narrowed.view().candidate_count(), 10);
         assert_eq!(narrowed.stats().row_count(), 10);
         // Storage follows the policy handed in, not the environment.
         assert!(!narrowed.view().is_paged());
-        assert!(narrow(&ColumnPolicy::paged(2)).view().is_paged());
+        assert!(narrow(ColumnPolicy::paged(2)).view().is_paged());
     }
 
     #[test]

@@ -180,13 +180,14 @@ fn normalize(v: f64, min: f64, max: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::BuildCtx;
     use datagen::{recipes, Seed};
     use minidb::Table;
     use paql::compile;
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table).unwrap()
+        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
     }
 
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \

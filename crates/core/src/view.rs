@@ -32,18 +32,19 @@
 //! Columns are chunked at a fixed 4096-element width ([`TermColumn`]), and
 //! since the [`crate::column_store`] subsystem landed a column's chunks can
 //! live **out of core**: under a paged [`crate::column_store::ColumnPolicy`]
-//! they are spilled to a temporary file at build time and scanned back
-//! through an LRU buffer pool, chunk by chunk, while the per-chunk
-//! [`ChunkMeta`] summaries stay resident. Consumers iterate
+//! (the `policy` of the build's [`crate::spec::BuildCtx`]) they are spilled
+//! to a temporary file at build time and scanned back through an LRU buffer
+//! pool, chunk by chunk, while the per-chunk [`ChunkMeta`] summaries stay
+//! resident. Consumers iterate
 //! [`TermColumn::chunk`] cursors (or the point accessors
 //! [`TermColumn::coeff_at`] / [`TermColumn::included_at`]) and never learn
 //! where the bytes live; resident and paged builds are bit-identical.
 //!
-//! Since the [`crate::cache`] subsystem landed, a view can also be
-//! *assembled* from previously materialized building blocks
-//! ([`CandidateView::assemble`]): the candidate list, statistics and any
-//! already-built term columns are reused verbatim and only the columns the
-//! new query adds are computed from the base table. Every view additionally
+//! A view has one constructor, [`CandidateView::assemble`], which adopts a
+//! candidate list, its statistics and any already-built term columns
+//! verbatim and computes only the columns the query adds from the base
+//! table — how the [`crate::cache`] serves a hit; [`CandidateView::build`]
+//! is the same thing with nothing to adopt. Every view additionally
 //! carries a [`crate::cache::PartitionMemo`] so the sketch→refine solver's
 //! offline partitioning is computed at most once per (view contents,
 //! partition size, seed) — including across cached queries.
@@ -56,14 +57,17 @@ use minidb::stats::TableStats;
 use minidb::table::Selection;
 use minidb::{Expr, Schema, Table, TupleId};
 use paql::ast::GlobalArithOp;
-use paql::{AggCall, AggFunc, CmpOp, GlobalExpr, GlobalFormula, Objective, ObjectiveDirection};
+use paql::{
+    AggCall, AggFunc, CmpOp, GlobalExpr, GlobalFormula, Objective, ObjectiveDirection, PaqlQuery,
+};
 
 use crate::budget::Budget;
 use crate::cache::PartitionMemo;
-use crate::column_store::{ColumnPolicy, PageGuard, SpillStore, MASK_WORDS_PER_CHUNK, PAGE_BYTES};
+use crate::column_store::{PageGuard, SpillStore, MASK_WORDS_PER_CHUNK, PAGE_BYTES};
 use crate::package::Package;
 use crate::par::{chunk_count, chunk_range, ParExec, CHUNK_WIDTH};
 use crate::partition::Partitioning;
+use crate::spec::BuildCtx;
 use crate::{PbError, PbResult};
 
 mod scan;
@@ -789,162 +793,51 @@ pub struct CandidateView {
 }
 
 impl CandidateView {
-    /// Lowers a query (candidates + formula + objective) into columns,
-    /// sequentially — [`CandidateView::build_par`] with a 1-thread executor.
+    /// Lowers `query`'s global part — its multiplicity bound, `SUCH THAT`
+    /// formula and objective — over `candidates` into columns: candidate
+    /// statistics, then [`CandidateView::assemble`] with a source that has
+    /// no column, so every term is materialized from the base table.
     ///
     /// Evaluation errors (non-numeric aggregate arguments, unknown columns)
     /// surface here, once, instead of on every package evaluation.
     pub fn build(
         table: &Table,
         candidates: Vec<TupleId>,
-        max_multiplicity: u32,
-        formula: Option<GlobalFormula>,
-        objective: Option<Objective>,
-    ) -> PbResult<Self> {
-        Self::build_par(
-            table,
-            candidates,
-            max_multiplicity,
-            formula,
-            objective,
-            ParExec::sequential(),
-        )
-    }
-
-    /// [`CandidateView::build`] with column materialization fanned out over
-    /// `par` ([`crate::par::CHUNK_WIDTH`]-wide chunks of the candidate set per task).
-    /// The resulting view is bit-identical at every thread count: chunks
-    /// write disjoint fixed ranges and evaluation errors are reported in
-    /// chunk order. Storage mode follows [`ColumnPolicy::default`] (the
-    /// environment-derived policy); [`CandidateView::build_par_with`] takes
-    /// an explicit one.
-    pub fn build_par(
-        table: &Table,
-        candidates: Vec<TupleId>,
-        max_multiplicity: u32,
-        formula: Option<GlobalFormula>,
-        objective: Option<Objective>,
-        par: ParExec,
-    ) -> PbResult<Self> {
-        Self::build_par_with(
-            table,
-            candidates,
-            max_multiplicity,
-            formula,
-            objective,
-            &ColumnPolicy::default(),
-            par,
-        )
-    }
-
-    /// [`CandidateView::build_par`] under an explicit [`ColumnPolicy`]: the
-    /// view's columns go paged when their estimated footprint exceeds the
-    /// policy's resident budget (the engine threads
-    /// [`crate::config::EngineConfig::column_memory_budget`] through here).
-    /// Storage mode never changes results — only where column bytes live.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_par_with(
-        table: &Table,
-        candidates: Vec<TupleId>,
-        max_multiplicity: u32,
-        formula: Option<GlobalFormula>,
-        objective: Option<Objective>,
-        policy: &ColumnPolicy,
-        par: ParExec,
+        query: &PaqlQuery,
+        ctx: &BuildCtx<'_>,
     ) -> PbResult<Self> {
         let stats = TableStats::of_ids(table, &candidates)?;
-        Self::assemble_par_with(
-            table,
-            candidates,
-            stats,
-            max_multiplicity,
-            formula,
-            objective,
-            |_| None,
-            policy,
-            par,
-        )
+        Self::assemble(table, candidates, stats, query, |_| None, ctx)
     }
 
     /// Assembles a view from precomputed building blocks: the candidate list
     /// and statistics are adopted verbatim, and each required term column is
     /// first requested from `column_source` — only columns the source does
-    /// not have are materialized from the base table. With a source that
-    /// always returns `None` this is exactly [`CandidateView::build`]; with
-    /// the engine's [`crate::cache::ViewCache`] as the source, a repeated
-    /// query skips per-row evaluation entirely and a query that adds
-    /// aggregate terms pays only for the new columns.
+    /// not have are materialized from the base table. With the engine's
+    /// [`crate::cache::ViewCache`] as the source, a repeated query skips
+    /// per-row evaluation entirely and a query that adds aggregate terms
+    /// pays only for the new columns.
     ///
-    /// The resulting view is bit-identical to a cold [`CandidateView::build`]
-    /// of the same query: terms are interned in the query's own discovery
-    /// order, so compiled expressions, column order — and therefore solver
-    /// results — do not depend on whether columns came from the source.
+    /// Materialization fans out over `ctx.par`, a
+    /// [`crate::par::CHUNK_WIDTH`]-wide chunk of candidates per task, and
+    /// the columns it builds go paged when their estimated footprint
+    /// exceeds `ctx.policy`'s resident budget. Adopted columns keep the
+    /// storage mode they were built with, so a view may mix resident
+    /// (cached) and paged (fresh) columns; `ctx.cache` is not consulted —
+    /// the source is the cache here.
+    ///
+    /// The view is bit-identical to a sequential resident
+    /// [`CandidateView::build`] of the same query whatever the source, the
+    /// thread count and the storage mode: terms are interned in the query's
+    /// own discovery order, chunks write disjoint fixed ranges, and an
+    /// evaluation error is the first in chunk order.
     pub fn assemble(
         table: &Table,
         candidates: Vec<TupleId>,
         stats: TableStats,
-        max_multiplicity: u32,
-        formula: Option<GlobalFormula>,
-        objective: Option<Objective>,
+        query: &PaqlQuery,
         column_source: impl FnMut(&AggCall) -> Option<TermColumn>,
-    ) -> PbResult<Self> {
-        Self::assemble_par(
-            table,
-            candidates,
-            stats,
-            max_multiplicity,
-            formula,
-            objective,
-            column_source,
-            ParExec::sequential(),
-        )
-    }
-
-    /// [`CandidateView::assemble`] with cache-miss column materialization
-    /// fanned out over `par`, chunk by chunk (the engine's cached build path
-    /// uses this, so only the columns a query actually adds pay evaluation
-    /// cost — and they pay it in parallel).
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble_par(
-        table: &Table,
-        candidates: Vec<TupleId>,
-        stats: TableStats,
-        max_multiplicity: u32,
-        formula: Option<GlobalFormula>,
-        objective: Option<Objective>,
-        column_source: impl FnMut(&AggCall) -> Option<TermColumn>,
-        par: ParExec,
-    ) -> PbResult<Self> {
-        Self::assemble_par_with(
-            table,
-            candidates,
-            stats,
-            max_multiplicity,
-            formula,
-            objective,
-            column_source,
-            &ColumnPolicy::default(),
-            par,
-        )
-    }
-
-    /// [`CandidateView::assemble_par`] under an explicit [`ColumnPolicy`]
-    /// (see [`CandidateView::build_par_with`]). Columns adopted from the
-    /// source keep whatever storage mode they were built with; only the
-    /// columns this assembly materializes are subject to the policy — a
-    /// view may legitimately mix resident (cached) and paged (fresh)
-    /// columns.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble_par_with(
-        table: &Table,
-        candidates: Vec<TupleId>,
-        stats: TableStats,
-        max_multiplicity: u32,
-        formula: Option<GlobalFormula>,
-        objective: Option<Objective>,
-        column_source: impl FnMut(&AggCall) -> Option<TermColumn>,
-        policy: &ColumnPolicy,
-        par: ParExec,
+        ctx: &BuildCtx<'_>,
     ) -> PbResult<Self> {
         // The table is only read when some column must actually be
         // materialized — on a full cache hit it is never touched.
@@ -999,10 +892,12 @@ impl CandidateView {
                 }
             }
         }
-        let compiled_formula = formula
+        let compiled_formula = query
+            .such_that
             .as_ref()
             .map(|f| compile_formula(f, &mut term_keys, &mut intern));
-        let compiled_objective = objective
+        let compiled_objective = query
+            .objective
             .as_ref()
             .map(|o| compile_expr(&o.expr, &mut term_keys, &mut intern));
 
@@ -1025,9 +920,9 @@ impl CandidateView {
         if !missing.is_empty() {
             let n = candidates.len();
             let fused = FusedTerms::bind(missing.iter().map(|&t| &term_keys[t]), table.schema())?;
-            let store = if policy.wants_paged(missing.len(), n) {
+            let store = if ctx.policy.wants_paged(missing.len(), n) {
                 Some(
-                    SpillStore::create(policy.pool_pages)
+                    SpillStore::create(ctx.policy.pool_pages)
                         .map_err(|e| PbError::Internal(format!("column spill file: {e}")))?,
                 )
             } else {
@@ -1052,7 +947,7 @@ impl CandidateView {
             }
             let slots: Vec<Mutex<Option<Vec<ChunkSlot<'_>>>>> =
                 slots.into_iter().map(|s| Mutex::new(Some(s))).collect();
-            let built = par.run_chunks(n, |c, range| {
+            let built = ctx.par.run_chunks(n, |c, range| {
                 let slots = slots[c].lock().unwrap().take().ok_or_else(|| {
                     PbError::Internal(format!("chunk {c} was materialized twice"))
                 })?;
@@ -1078,12 +973,12 @@ impl CandidateView {
 
         Ok(CandidateView {
             candidates,
-            max_multiplicity,
+            max_multiplicity: query.max_multiplicity(),
             terms,
             term_keys,
-            formula,
+            formula: query.such_that.clone(),
             compiled_formula,
-            objective,
+            objective: query.objective.clone(),
             compiled_objective,
             stats,
             partition_memo: PartitionMemo::default(),
@@ -1867,7 +1762,7 @@ mod tests {
 
     fn view_for(table: &Table, q: &str) -> CandidateView {
         let analyzed = compile(q, table.schema()).unwrap();
-        let spec = crate::spec::PackageSpec::build(&analyzed, table).unwrap();
+        let spec = crate::spec::PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap();
         spec.view().clone()
     }
 

@@ -27,7 +27,7 @@
 use minidb::{Table, Tuple, TupleId, Value};
 use packagebuilder::package::Package;
 use packagebuilder::par::{chunk_count, ParExec, CHUNK_WIDTH};
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::view::ViewState;
 use packagebuilder::ColumnPolicy;
 use proptest::prelude::*;
@@ -191,7 +191,7 @@ proptest! {
             count, col_a, col_b, agg_pick, lo, width, use_filter, repeat, minimize,
         });
         let analyzed = paql::compile(&text, table.schema()).expect("generated query compiles");
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         let package = random_package(&spec, &picks, &mults);
 
         // Interpreted oracle.
@@ -251,7 +251,7 @@ proptest! {
             use_filter: false, repeat: None, minimize: false,
         });
         let analyzed = paql::compile(&text, table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         let view = spec.view();
         prop_assert!(view.candidate_count() >= 4);
 
@@ -309,8 +309,8 @@ proptest! {
         let text = scan_query(scenario, shape, (a, b), (lo, lo + width), count, repeat);
         let analyzed = paql::compile(&text, table.schema()).expect("generated query compiles");
         for policy in [ColumnPolicy::resident(), ColumnPolicy::paged(2)] {
-            let spec =
-                PackageSpec::build_with(&analyzed, &table, &policy, ParExec::sequential()).unwrap();
+            let ctx = BuildCtx { par: ParExec::sequential(), policy, cache: None };
+            let spec = PackageSpec::build(&analyzed, &table, &ctx).unwrap();
             prop_assert_eq!(spec.view().is_paged(), policy.memory_budget == 0);
             let package = random_package(&spec, &picks, &mults);
             let state = spec.view().project(&package).unwrap();
@@ -426,8 +426,8 @@ proptest! {
         for policy in [ColumnPolicy::resident(), ColumnPolicy::paged(2)] {
             for threads in [1usize, 2, 8] {
                 let context = format!("{} n={n} {threads} threads {policy:?} ({text})", scenario.name);
-                let spec =
-                    PackageSpec::build_with(&analyzed, &table, &policy, ParExec::new(threads)).unwrap();
+                let ctx = BuildCtx { par: ParExec::new(threads), policy, cache: None };
+                let spec = PackageSpec::build(&analyzed, &table, &ctx).unwrap();
                 prop_assert_eq!(&spec.candidates, &candidates, "{}", context);
                 let view = spec.view();
                 prop_assert_eq!(view.candidates(), candidates.as_slice());
@@ -500,7 +500,7 @@ fn scan_kernel_over_an_empty_view_has_no_chunks() {
         table.schema(),
     )
     .unwrap();
-    let spec = PackageSpec::build(&analyzed, &table).unwrap();
+    let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
     let state = spec.view().project(&Package::new()).unwrap();
     assert_eq!(chunk_count(spec.view().candidate_count()), 0);
     assert_kernel_matches_point_path(&state, &[], "empty view");

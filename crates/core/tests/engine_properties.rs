@@ -1,10 +1,11 @@
 //! Property-based tests for the package engine's core invariants.
 
 use datagen::{uniform_table, zipf_table, Seed};
+use minidb::Table;
 use packagebuilder::enumerate::{enumerate, EnumerationOptions};
 use packagebuilder::package::Package;
 use packagebuilder::pruning::{derive_bounds, search_space};
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use proptest::prelude::*;
 
 fn spec_query(count: u64, lo: f64, hi: f64) -> String {
@@ -13,6 +14,11 @@ fn spec_query(count: u64, lo: f64, hi: f64) -> String {
          SUCH THAT COUNT(*) <= {count} AND SUM(P.w) BETWEEN {lo:.2} AND {hi:.2} \
          MAXIMIZE SUM(P.v)"
     )
+}
+
+fn build<'a>(query: &str, table: &'a Table) -> PackageSpec<'a> {
+    let analyzed = paql::compile(query, table.schema()).unwrap();
+    PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
 }
 
 proptest! {
@@ -36,8 +42,7 @@ proptest! {
         } else {
             uniform_table("t", n, 2.0, 30.0, Seed(seed))
         };
-        let analyzed = paql::compile(&spec_query(count, lo, lo + width), table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = build(&spec_query(count, lo, lo + width), &table);
         let bounds = derive_bounds(spec.view()).clamp_to(n as u64);
 
         // Every feasible subset respects the cardinality bounds.
@@ -70,8 +75,7 @@ proptest! {
         let q = "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) = 3";
         let t1 = uniform_table("t", n1, 1.0, 10.0, Seed(1));
         let t2 = uniform_table("t", n2, 1.0, 10.0, Seed(1));
-        let s1 = PackageSpec::build(&paql::compile(q, t1.schema()).unwrap(), &t1).unwrap();
-        let s2 = PackageSpec::build(&paql::compile(q, t2.schema()).unwrap(), &t2).unwrap();
+        let (s1, s2) = (build(q, &t1), build(q, &t2));
         let sp1 = search_space(s1.view(), &derive_bounds(s1.view()));
         let sp2 = search_space(s2.view(), &derive_bounds(s2.view()));
         prop_assert!(sp1.pruned_log2.unwrap() <= sp1.unpruned_log2 + 1e-9);
@@ -90,7 +94,7 @@ proptest! {
     ) {
         let table = uniform_table("t", 20, 1.0, 10.0, Seed(seed));
         let q = "SELECT PACKAGE(T) AS P FROM t T REPEAT 8 SUCH THAT COUNT(*) >= 1 MAXIMIZE SUM(P.v)";
-        let spec = PackageSpec::build(&paql::compile(q, table.schema()).unwrap(), &table).unwrap();
+        let spec = build(q, &table);
         let base = Package::from_ids(picks.iter().map(|&i| spec.candidates[i]));
         let scaled = Package::from_members(base.members().map(|(t, m)| (t, m * factor)));
 

@@ -7,7 +7,7 @@ use datagen::{scenario, Seed};
 use minidb::{Catalog, Table};
 use packagebuilder::config::{EngineConfig, Strategy};
 use packagebuilder::pruning::derive_bounds;
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::{PackageEngine, PackageResult};
 use paql::{compile, parse};
 
@@ -51,7 +51,7 @@ fn greedy_on_the_tight_knapsack_window_is_repaired_feasible_or_empty() {
     for seed in [1u64, 7, 23] {
         let table = (s.build)(s.exact_n, Seed(seed));
         let analyzed = compile(&q.text, table.schema()).unwrap();
-        let spec = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         // `execute_paql` returning Ok is itself part of the contract: an
         // invalid package would make the engine's internal re-validation
         // return an error instead.
@@ -80,7 +80,7 @@ fn unreachable_filtered_sum_targets_are_proven_infeasible_by_pruning() {
 
     let table = (s.build)(s.property_n, Seed(5));
     let analyzed = compile(&q.text, table.schema()).unwrap();
-    let spec = PackageSpec::build(&analyzed, &table).unwrap();
+    let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
     let bounds = derive_bounds(spec.view())
         .clamp_to(spec.candidate_count() as u64 * spec.view().max_multiplicity() as u64);
     assert!(
@@ -137,7 +137,7 @@ fn contradictory_knapsack_windows_short_circuit_from_cardinality_bounds() {
 
     let table = (s.build)(s.property_n, Seed(3));
     let analyzed = compile(&q.text, table.schema()).unwrap();
-    let spec = PackageSpec::build(&analyzed, &table).unwrap();
+    let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
     let bounds = derive_bounds(spec.view())
         .clamp_to(spec.candidate_count() as u64 * spec.view().max_multiplicity() as u64);
     assert!(

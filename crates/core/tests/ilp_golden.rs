@@ -18,7 +18,7 @@
 use datagen::{scenarios, Seed};
 use lp_solver::{SolverConfig, Status};
 use packagebuilder::ilp::translate;
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use paql::compile;
 
 /// `(family, n, "lp" | "ilp", status, objective bits, nodes, iterations,
@@ -117,7 +117,7 @@ fn solve_rows(name: &'static str, n: usize, threads: usize) -> [Row; 2] {
     let scenario = datagen::scenario(name).expect("family is registered");
     let table = (scenario.build)(n, Seed(SEED));
     let analyzed = compile(&scenario.queries[0].text, table.schema()).expect("query compiles");
-    let spec = PackageSpec::build(&analyzed, &table).expect("spec builds");
+    let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).expect("spec builds");
     let problem = translate(spec.view())
         .expect("gauntlet queries are linear")
         .problem;

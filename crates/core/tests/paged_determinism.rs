@@ -16,7 +16,7 @@ use datagen::{recipes, scenarios, QueryParams, Seed};
 use minidb::{Catalog, Table};
 use packagebuilder::config::{EngineConfig, Strategy};
 use packagebuilder::par::ParExec;
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::{ColumnPolicy, PackageEngine, PackageResult};
 use proptest::prelude::*;
 
@@ -226,21 +226,17 @@ fn wide_filtered_views_are_storage_mode_invariant() {
 fn paged_view_builds_match_resident_builds() {
     let table = recipes(9_000, Seed(3));
     let analyzed = paql::compile(WIDE_QUERY, table.schema()).unwrap();
-    let resident = PackageSpec::build_with(
-        &analyzed,
-        &table,
-        &ColumnPolicy::resident(),
-        ParExec::sequential(),
-    )
-    .unwrap();
+    let build = |policy: ColumnPolicy, threads: usize| {
+        let ctx = BuildCtx {
+            par: ParExec::new(threads),
+            policy,
+            cache: None,
+        };
+        PackageSpec::build(&analyzed, &table, &ctx).unwrap()
+    };
+    let resident = build(ColumnPolicy::resident(), 1);
     for threads in [1usize, 8] {
-        let paged = PackageSpec::build_with(
-            &analyzed,
-            &table,
-            &ColumnPolicy::paged(STARVED_POOL_PAGES),
-            ParExec::new(threads),
-        )
-        .unwrap();
+        let paged = build(ColumnPolicy::paged(STARVED_POOL_PAGES), threads);
         assert_eq!(resident.candidates, paged.candidates);
         assert_eq!(resident.view().terms().len(), paged.view().terms().len());
         assert!(paged.view().is_paged(), "paged policy must actually spill");

@@ -21,7 +21,7 @@ use minidb::{Catalog, Table};
 use packagebuilder::config::{EngineConfig, Strategy};
 use packagebuilder::partition::partition_view;
 use packagebuilder::result::StrategyUsed;
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::{Package, PackageEngine};
 use paql::ObjectiveDirection;
 
@@ -117,8 +117,8 @@ fn same_seed_means_identical_partitioning_and_package() {
         let name = table.name().to_string();
         // Partitioning: rebuild the spec twice from scratch.
         let analyzed = paql::compile(query, table.schema()).unwrap();
-        let spec_a = PackageSpec::build(&analyzed, &table).unwrap();
-        let spec_b = PackageSpec::build(&analyzed, &table).unwrap();
+        let spec_a = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
+        let spec_b = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
         let part_a = partition_view(spec_a.view(), 64, 42);
         let part_b = partition_view(spec_b.view(), 64, 42);
         assert_eq!(part_a.len(), part_b.len(), "{name}: partition count");

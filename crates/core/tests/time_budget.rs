@@ -18,7 +18,7 @@ use packagebuilder::portfolio::PortfolioSolver;
 use packagebuilder::solver::{
     EnumerationSolver, GreedySolver, IlpSolver, LocalSearchSolver, SolveOptions, Solver,
 };
-use packagebuilder::spec::PackageSpec;
+use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::{PackageEngine, ProgressiveShadingSolver, SketchRefineSolver};
 use paql::compile;
 
@@ -53,7 +53,7 @@ const HOSTILE_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R \
 
 fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
     let analyzed = compile(q, table.schema()).unwrap();
-    PackageSpec::build(&analyzed, table).unwrap()
+    PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
 }
 
 fn budgeted_options() -> SolveOptions {

@@ -85,7 +85,9 @@ fn cached_engines_agree_with_uncached_engines() {
     let uncached = engine(
         1_500,
         3,
-        EngineConfig::default().with_seed(3).with_cache(false),
+        EngineConfig::default()
+            .with_seed(3)
+            .with_view_cache_capacity(0),
     );
     let a = cached.execute_paql(MEAL_QUERY).unwrap();
     let b = cached.execute_paql(MEAL_QUERY).unwrap(); // warm
