@@ -45,20 +45,21 @@ pub enum Strategy {
     /// `Auto` picks this for large queries it cannot hand to the ILP.
     Portfolio,
     /// Partition → sketch → refine
-    /// ([`crate::sketch_refine::SketchRefineSolver`]): partition the
-    /// candidates along the quality-sensitive columns, solve a tiny ILP over
-    /// one representative per partition, then refine the picked partitions
-    /// with small per-partition sub-ILPs. Near-optimal at a fraction of the
+    /// ([`crate::sketch_refine::SketchRefineSolver`], the sketch family's
+    /// pipeline over a flat partitioning): partition the candidates along
+    /// the quality-sensitive columns, solve a tiny ILP over one
+    /// representative per partition, then refine the picked partitions with
+    /// small per-partition sub-ILPs. Near-optimal at a fraction of the
     /// monolithic ILP's latency; `Auto` races it as a portfolio worker for
     /// linearizable queries with at least
     /// [`EngineConfig::sketch_threshold`] candidates.
     SketchRefine,
-    /// Hierarchical sketch→refine over a partition *tree*
+    /// The same pipeline over a partition *tree*
     /// ([`crate::shading::ProgressiveShadingSolver`], after Progressive
-    /// Shading, Mai et al. 2023): sketch the coarsest layer's
-    /// representatives, expand only the selected nodes into their children,
-    /// re-sketch down the layers, and refine the shaded leaf partitions with
-    /// the flat solver's warm-hinted sub-ILPs. Every ILP stays small
+    /// Shading, Mai et al. 2023), which adds a descent in front of the leaf
+    /// sketch: sketch the coarsest layer's representatives, expand only the
+    /// selected nodes into their children, re-sketch down the layers, and
+    /// sketch and refine only the shaded leaf partitions. Every ILP stays small
     /// regardless of the candidate count, so this is the
     /// 10^6–10^8-candidate route; `Auto` switches to it at
     /// [`EngineConfig::shade_threshold`] candidates, where the flat sketch

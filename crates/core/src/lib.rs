@@ -39,21 +39,23 @@
 //!   the exact ILP supersedes them if it finishes inside the budget, and
 //!   the first provably-optimal result cancels the rest of the race.
 //! * **[`partition`] + [`sketch_refine`] — scaling past the monolithic
-//!   ILP.** For large linearizable queries,
-//!   [`sketch_refine::SketchRefineSolver`] partitions the candidates offline
-//!   (size-bounded k-d splits of the view's term columns), solves a tiny
-//!   "sketch" ILP over one representative per partition, then refines the
-//!   picked partitions one small sub-ILP at a time (with the SketchRefine
-//!   paper's failed-partition backtracking and a greedy anytime fallback) —
+//!   ILP.** For large linearizable queries, the sketch family's one pipeline
+//!   (in [`sketch_refine`]) partitions the candidates offline (size-bounded
+//!   k-d splits of the view's term columns), solves a tiny "sketch" ILP over
+//!   one representative per partition, then refines the picked partitions
+//!   one small sub-ILP at a time (with the SketchRefine paper's
+//!   failed-partition backtracking and a greedy anytime fallback) —
 //!   near-optimal packages at a fraction of the monolithic ILP's latency.
+//!   [`sketch_refine::SketchRefineSolver`] runs it over the view's flat
+//!   partitioning.
 //! * **[`shading`] — hierarchical partitioning for 10^6+ candidates.** At
 //!   [`config::EngineConfig::shade_threshold`] candidates the flat sketch
 //!   itself becomes the bottleneck (one integer variable per partition);
-//!   [`shading::ProgressiveShadingSolver`] grows the flat partitioning into
-//!   a [`partition::PartitionTree`] and descends it — sketch the coarsest
-//!   layer's representatives, expand only the selected nodes, re-sketch —
-//!   so every ILP stays small regardless of `n`, reusing the flat solver's
-//!   warm-hinted leaf sub-ILPs, backtracking and anytime degradation.
+//!   [`shading::ProgressiveShadingSolver`] runs the same pipeline over a
+//!   [`partition::PartitionTree`], adding one stage — the descent: sketch
+//!   the coarsest layer's representatives, expand only the selected nodes,
+//!   re-sketch — so every ILP stays small regardless of `n`. A tree with no
+//!   layers is the flat solver, bit for bit.
 //! * **[`par`] — chunked data parallelism.** Term columns are dense but
 //!   logically chunked at a fixed 4096-element width
 //!   ([`view::TermColumn`], with per-chunk sum/min/max metadata that also

@@ -3,12 +3,12 @@
 //! SketchRefine (Brucato, Abouzied, Meliou: "Scalable Package Queries in
 //! Relational Database Systems", PVLDB 9(7), 2016) and its successor
 //! Progressive Shading (Mai et al.: "Scaling Package Queries to a Billion
-//! Tuples via Progressive Partitioning", 2023) both rest on the same offline
-//! step: group the candidate tuples into size-bounded partitions that are
-//! *tight* on the quality-sensitive attributes — the attributes the query's
-//! constraints and objective aggregate over — and summarize each partition by
-//! one representative row so a tiny "sketch" problem can stand in for the
-//! full one.
+//! Tuples via Hierarchical Partitioning and Customized Optimization", 2023)
+//! both rest on the same offline step: group the candidate tuples into
+//! size-bounded partitions that are *tight* on the quality-sensitive
+//! attributes — the attributes the query's constraints and objective
+//! aggregate over — and summarize each partition by one representative row so
+//! a tiny "sketch" problem can stand in for the full one.
 //!
 //! This module implements that step over the columnar
 //! [`CandidateView`]: a k-d-style recursive median split of the candidate

@@ -1,37 +1,38 @@
-//! Progressive shading: hierarchical sketch→refine for 10^6+ candidates.
+//! Progressive shading: what a partition *tree* adds to the sketch family.
 //!
-//! The flat sketch→refine solver ([`crate::sketch_refine`]) puts one integer
-//! variable per partition into its sketch ILP. At the default partition size
-//! of 64, a 10^7-candidate view sketches over ~156 000 variables — the
-//! sketch itself becomes the monolithic problem it was meant to avoid.
-//! Progressive Shading (Mai, Abouzied, Brucato, Haas, Meliou: "Scaling
-//! Package Queries to a Billion Tuples via Hierarchical Partitioning and
-//! Customized Optimization", 2023) removes that bottleneck with a partition
-//! *tree*:
+//! The family's pipeline ([`crate::sketch_refine`]) puts one integer variable
+//! per leaf partition into its sketch ILP. At the default partition size of
+//! 64, a 10^7-candidate view sketches over ~156 000 variables — the sketch
+//! itself becomes the monolithic problem it was meant to avoid. Progressive
+//! Shading (Mai, Abouzied, Brucato, Haas, Meliou: "Scaling Package Queries to
+//! a Billion Tuples via Hierarchical Partitioning and Customized
+//! Optimization", 2023) removes that bottleneck with a partition *tree*:
 //!
 //! 1. **Grow** ([`crate::partition::build_partition_tree`]): the flat leaf
 //!    partitioning is grouped recursively — the same size-bounded k-d median
 //!    split, applied to leaf centroids — until the coarsest layer has at most
 //!    [`crate::solver::SolveOptions::shade_fanout`] nodes. Every node carries
 //!    its subtree's exact candidate weight and mean-coefficient centroid.
-//! 2. **Descend**: sketch the coarsest layer's representatives (an ILP with
-//!    ≤ `shade_fanout` variables), keep only the nodes the sketch draws
-//!    from, expand them into their children, and re-sketch — layer by layer
-//!    down to the leaves. Unselected subtrees are never expanded, so every
-//!    intermediate ILP stays small *regardless of `n`*.
-//! 3. **Refine**: the shaded leaves run the flat solver's refinement
-//!    verbatim — `sketch_refine`'s `refine_with_backtracking` with its
-//!    failed-partition backtracking, warm-hinted and memoized sub-ILPs, and
-//!    greedy degradation under deadline pressure.
+//! 2. **Descend** (`descend`, this module's one stage): sketch the coarsest
+//!    layer's representatives (an ILP with ≤ `shade_fanout` variables), keep
+//!    only the nodes the sketch draws from, expand them into their children,
+//!    and re-sketch — layer by layer down to a *shaded* set of leaves.
+//!    Unselected subtrees are never expanded, so every intermediate ILP stays
+//!    small *regardless of `n`*.
 //!
-//! Like the flat solver, the greedy baseline runs first and is only replaced
-//! by a strictly better shaded package, so the quality floor is
-//! [`crate::solver::GreedySolver`]'s at every budget. The tree is memoized
-//! next to the flat partitionings (see [`crate::cache::PartitionMemo`]), so
-//! repeated queries — and portfolio workers racing over clones of one view —
-//! grow it once. With `shade_leaf_size` left equal to
-//! `sketch_partition_size` (the default), the leaf partitioning *is* the
-//! flat solver's partitioning — one `Arc`, shared sub-ILP memo entries.
+//! Everything before and after is the shared pipeline, verbatim: the greedy
+//! floor, the leaf means, the leaf sketch (over the shaded leaves only), the
+//! refine loop with its failed-partition backtracking, warm-hinted and
+//! memoized sub-ILPs and greedy degradation under deadline pressure. A tree
+//! with no layers shades every leaf, which makes the flat
+//! [`crate::sketch_refine::SketchRefineSolver`] the zero-layer case of this
+//! solver, bit for bit (`tests::few_leaves_degenerate_to_the_flat_sketch_path`).
+//! The tree is memoized next to the flat partitionings (see
+//! [`crate::cache::PartitionMemo`]), so repeated queries — and portfolio
+//! workers racing over clones of one view — grow it once. With
+//! `shade_leaf_size` left equal to `sketch_partition_size` (the default), the
+//! leaf partitioning *is* the flat solver's partitioning — one `Arc`, shared
+//! sub-ILP memo entries.
 //!
 //! Determinism: layer means are aggregated in ascending child order, the
 //! descent's active sets are sorted after every expansion, and all chunked
@@ -39,23 +40,19 @@
 //! solve is bit-identical at every thread count and storage mode
 //! (`tests/parallel_determinism.rs`, `tests/paged_determinism.rs`).
 
-use crate::error::PbError;
-use crate::ilp::{linearize_formula, linearize_objective, LinearConstraint};
-use crate::package::Package;
-use crate::result::{EvalStats, StrategyUsed};
-use crate::sketch_refine::{
-    partition_means, refine_with_backtracking, solve_sketch, Counters, RefineCtx,
-};
-use crate::solver::{GreedySolver, SolveOptions, SolveOutcome, Solver};
-use crate::view::{CandidateView, ViewState};
+use crate::partition::{Partition, TreeNode};
+use crate::result::StrategyUsed;
+use crate::sketch_refine::{solve_sketch, solve_sketch_family, Counters, Linearized};
+use crate::solver::{SolveOptions, SolveOutcome, Solver};
+use crate::view::CandidateView;
 use crate::PbResult;
 
 /// Partition-tree descent evaluation (see the module docs).
 ///
 /// Requires a linearizable query, like [`crate::sketch_refine::SketchRefineSolver`];
-/// non-linearizable queries get [`PbError::Unsupported`] so the solver drops
-/// out of a portfolio race cleanly. Returns a single package (`num_packages`
-/// is a documented no-op here, like the greedy solver).
+/// non-linearizable queries get [`crate::error::PbError::Unsupported`] so the
+/// solver drops out of a portfolio race cleanly. Returns a single package
+/// (`num_packages` is a documented no-op here, like the greedy solver).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProgressiveShadingSolver;
 
@@ -65,267 +62,83 @@ impl Solver for ProgressiveShadingSolver {
     }
 
     fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
-        // pb-lint: allow(time-containment) — stats clock only: stamps
-        // elapsed; descent deadlines go through the budget.
-        let start = std::time::Instant::now();
-        let rows = linearize_formula(view).map_err(|r| {
-            PbError::Unsupported(format!(
-                "progressive shading requires a linearizable query: {r}"
-            ))
-        })?;
-        let objective = linearize_objective(view).map_err(|r| {
-            PbError::Unsupported(format!(
-                "progressive shading requires a linearizable objective: {r}"
-            ))
-        })?;
-        if view.candidate_count() == 0 {
-            return Ok(SolveOutcome::empty(
-                StrategyUsed::ProgressiveShading,
-                0,
-                false,
-            ));
-        }
-
-        // Greedy baseline first: the anytime answer, and the floor the
-        // shaded package must beat to be returned.
-        let baseline = GreedySolver.solve(view, opts)?;
-        let mut counters = Counters {
-            nodes: baseline.stats.nodes,
-            iterations: baseline.stats.iterations,
-        };
-        let mut best: Option<(Package, Option<f64>)> = baseline.packages.into_iter().next();
-
-        if !opts.budget.expired() {
-            let shaded = shade_and_refine(
-                view,
-                &rows,
-                objective.as_ref().map(|o| o.coeffs.as_slice()),
-                opts,
-                &mut counters,
-            )?;
-            if let Some((package, obj)) = shaded {
-                let direction = view.direction();
-                let replace = match &best {
-                    None => true,
-                    Some((_, cur)) => Package::better_objective(direction, obj, *cur),
-                };
-                if replace {
-                    best = Some((package, obj));
-                }
-            }
-        }
-
-        Ok(SolveOutcome {
-            packages: best.into_iter().collect(),
-            optimal: false,
-            stats: EvalStats {
-                strategy: StrategyUsed::ProgressiveShading,
-                candidates: view.candidate_count(),
-                nodes: counters.nodes,
-                iterations: counters.iterations,
-                elapsed: start.elapsed(),
-            },
-        })
+        solve_sketch_family(self.strategy(), view, opts)
     }
 }
 
-/// Grows (or fetches) the partition tree, descends it, and refines the
-/// shaded leaves. `Ok(None)` means a sketch was infeasible, the budget ran
-/// out mid-descent, or the refined package could not be repaired to
-/// feasibility — the greedy baseline then stands. `Err` is reserved for
-/// internal invariant violations (surfaced from the shared refine driver).
-fn shade_and_refine(
-    view: &CandidateView,
-    rows: &[LinearConstraint],
-    obj_coeffs: Option<&[f64]>,
-    opts: &SolveOptions,
+/// Narrows the leaf partitions `parts` to the shaded ones: sketch the
+/// coarsest of `layers` (finest first, as [`crate::partition::PartitionTree::layers`]
+/// has them), expand only the nodes the sketch draws from, re-sketch one
+/// layer down, and so on to a sorted set of leaf ids. With no layers every
+/// leaf is shaded and no ILP is solved — the flat sketch. `leaf_means[r][p]`
+/// is leaf `p`'s representative for coefficient row `r` (a row per
+/// constraint, then the objective's when the query has one). `None` means a
+/// layer sketch was infeasible or the budget ran out; an empty shade means a
+/// layer sketch drew nothing.
+pub(crate) fn descend(
+    q: &Linearized<'_>,
+    layers: &[Vec<TreeNode>],
+    parts: &[Partition],
+    leaf_means: &[Vec<f64>],
     counters: &mut Counters,
-) -> PbResult<Option<(Package, Option<f64>)>> {
-    let tree = match view.partition_tree(
-        opts.shade_leaf_size,
-        opts.shade_fanout,
-        opts.seed,
-        &opts.budget,
-        opts.par,
-    ) {
-        Some(t) => t,
-        None => return Ok(None),
-    };
-    let parts = tree.leaves().partitions();
-    if parts.is_empty() {
-        return Ok(None);
-    }
-
-    // Leaf representative means, one row per constraint (plus the
-    // objective), chunk-fanned over `opts.par` exactly like the flat path.
-    let mut means: Vec<Vec<f64>> = Vec::with_capacity(rows.len());
-    for row in rows {
-        match partition_means(parts, &row.coeffs, opts) {
-            Some(m) => means.push(m),
-            None => return Ok(None),
+) -> Option<Vec<usize>> {
+    // Per-layer representative means, rolled up from the leaf means: a
+    // node's mean is the weight-proportional mean of its children's
+    // (accumulated in ascending child order, then one division —
+    // deterministic), laid out as `layer_means[layer][row][node]`.
+    let mut weights: Vec<f64> = parts.iter().map(|p| p.members.len() as f64).collect();
+    let mut layer_means: Vec<Vec<Vec<f64>>> = Vec::with_capacity(layers.len());
+    for layer in layers {
+        if q.opts.budget.expired() {
+            return None;
         }
-    }
-    let obj_means: Option<Vec<f64>> = match obj_coeffs {
-        Some(o) => match partition_means(parts, o, opts) {
-            Some(m) => Some(m),
-            None => return Ok(None),
-        },
-        None => None,
-    };
-    if opts.budget.expired() {
-        return Ok(None);
-    }
-
-    // Per-layer representative means, aggregated bottom-up from the leaf
-    // means: a node's mean is the weight-proportional mean of its children's
-    // (accumulated in ascending child order — deterministic). One coefficient
-    // row per constraint plus (optionally) the objective, laid out as
-    // `layer_means[layer][row][node]` with the objective last when present.
-    let mut coeff_rows: Vec<&[f64]> = means.iter().map(|m| m.as_slice()).collect();
-    if let Some(om) = obj_means.as_deref() {
-        coeff_rows.push(om);
-    }
-    let leaf_weights: Vec<f64> = parts.iter().map(|p| p.members.len() as f64).collect();
-    let mut layer_means: Vec<Vec<Vec<f64>>> = Vec::with_capacity(tree.height());
-    for (l, layer) in tree.layers().iter().enumerate() {
-        if opts.budget.expired() {
-            return Ok(None);
-        }
-        let rolled: Vec<Vec<f64>> = coeff_rows
+        let rolled: Vec<Vec<f64>> = layer_means
+            .last()
+            .map_or(leaf_means, Vec::as_slice)
             .iter()
-            .enumerate()
-            .map(|(r, _)| {
+            .map(|below| {
                 layer
                     .iter()
                     .map(|node| {
-                        let total: f64 = node
-                            .children
-                            .iter()
-                            .map(|&c| {
-                                let (w, m) = if l == 0 {
-                                    (leaf_weights[c], coeff_rows[r][c])
-                                } else {
-                                    (
-                                        tree.layers()[l - 1][c].weight as f64,
-                                        layer_means[l - 1][r][c],
-                                    )
-                                };
-                                w * m
-                            })
-                            .sum();
+                        let total: f64 = node.children.iter().map(|&c| weights[c] * below[c]).sum();
                         total / node.weight as f64
                     })
                     .collect()
             })
             .collect();
+        weights = layer.iter().map(|node| node.weight as f64).collect();
         layer_means.push(rolled);
     }
 
-    // Descent: sketch the coarsest layer, expand only the selected nodes,
-    // re-sketch — down to a shaded set of leaf ids. With no layers (few
-    // leaves), every leaf is shaded and this is exactly the flat sketch.
-    let obj_row = obj_means.as_ref().map(|_| coeff_rows.len() - 1);
-    let mut active: Vec<usize> = match tree.height() {
-        0 => (0..parts.len()).collect(),
-        h => (0..tree.layers()[h - 1].len()).collect(),
-    };
-    for l in (0..tree.height()).rev() {
-        if opts.budget.expired() {
-            return Ok(None);
+    let mut active: Vec<usize> = (0..layers.last().map_or(parts.len(), Vec::len)).collect();
+    for (layer, means) in layers.iter().zip(&layer_means).rev() {
+        if q.opts.budget.expired() {
+            return None;
         }
-        let layer = &tree.layers()[l];
-        let capacities: Vec<u64> = active.iter().map(|&i| layer[i].capacity(view)).collect();
-        let gathered: Vec<Vec<f64>> = (0..rows.len())
-            .map(|r| active.iter().map(|&i| layer_means[l][r][i]).collect())
-            .collect();
-        let means_rows: Vec<&[f64]> = gathered.iter().map(|m| m.as_slice()).collect();
-        let layer_obj: Option<Vec<f64>> =
-            obj_row.map(|r| active.iter().map(|&i| layer_means[l][r][i]).collect());
-        let layer_counts = match solve_sketch(
-            view,
-            &capacities,
-            rows,
-            &means_rows,
-            layer_obj.as_deref(),
-            opts,
-            counters,
-        ) {
-            Some(c) => c,
-            None => return Ok(None),
-        };
-        let mut next: Vec<usize> = active
+        let capacities = active.iter().map(|&i| layer[i].capacity(q.view)).collect();
+        let drawn = solve_sketch(q, &active, capacities, means, counters)?;
+        active = active
             .iter()
-            .zip(&layer_counts)
+            .zip(&drawn)
             .filter(|&(_, &count)| count > 0)
             .flat_map(|(&i, _)| layer[i].children.iter().copied())
             .collect();
-        next.sort_unstable();
-        if next.is_empty() {
-            // The sketch says the empty package: only useful if feasible.
-            let state = ViewState::empty(view);
-            return Ok(state
-                .is_feasible()
-                .then(|| (state.to_package(), state.objective_value())));
+        active.sort_unstable();
+        if active.is_empty() {
+            break;
         }
-        active = next;
     }
-
-    // Leaf sketch over the shaded leaves, scattered back to full-length
-    // counts for the shared refine driver (zero outside the shade).
-    if opts.budget.expired() {
-        return Ok(None);
-    }
-    let capacities: Vec<u64> = active.iter().map(|&p| parts[p].capacity(view)).collect();
-    let gathered: Vec<Vec<f64>> = (0..rows.len())
-        .map(|r| active.iter().map(|&p| means[r][p]).collect())
-        .collect();
-    let means_rows: Vec<&[f64]> = gathered.iter().map(|m| m.as_slice()).collect();
-    let leaf_obj: Option<Vec<f64>> = obj_means
-        .as_ref()
-        .map(|om| active.iter().map(|&p| om[p]).collect());
-    let shaded_counts = match solve_sketch(
-        view,
-        &capacities,
-        rows,
-        &means_rows,
-        leaf_obj.as_deref(),
-        opts,
-        counters,
-    ) {
-        Some(c) => c,
-        None => return Ok(None),
-    };
-    let mut counts = vec![0u64; parts.len()];
-    for (&p, &c) in active.iter().zip(&shaded_counts) {
-        counts[p] = c;
-    }
-
-    let mut order: Vec<usize> = active.iter().copied().filter(|&p| counts[p] > 0).collect();
-    order.sort_by_key(|&p| (std::cmp::Reverse(counts[p]), p));
-    if order.is_empty() {
-        let state = ViewState::empty(view);
-        return Ok(state
-            .is_feasible()
-            .then(|| (state.to_package(), state.objective_value())));
-    }
-
-    let ctx = RefineCtx {
-        view,
-        rows,
-        obj_coeffs,
-        parts,
-        means: &means,
-        counts: &counts,
-        opts,
-        partition_sig: opts.shade_leaf_size as u64,
-    };
-    refine_with_backtracking(&ctx, order, counters)
+    Some(active)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PbError;
+    use crate::package::Package;
     use crate::par::ParExec;
+    use crate::sketch_refine::SketchRefineSolver;
+    use crate::solver::GreedySolver;
     use crate::spec::{BuildCtx, PackageSpec};
     use datagen::{recipes, Seed};
     use minidb::Table;
@@ -467,5 +280,39 @@ mod tests {
         let out = ProgressiveShadingSolver.solve(spec.view(), &opts).unwrap();
         let (p, _) = out.packages.first().expect("feasible at n=300");
         assert!(spec.is_valid(p).unwrap());
+
+        // The subsumption itself: a fanout no leaf count reaches forces zero
+        // layers at any `n`, and the tree solver must then *be* the flat one
+        // — packages, objective bits and LP counters — on every family. Each
+        // solve gets its own uncached spec, so neither replays the other's
+        // sub-ILP memo.
+        for scenario in datagen::scenarios() {
+            let table = (scenario.build)(scenario.gauntlet_sizes[0], Seed(20140901));
+            for query in &scenario.queries {
+                for leaf in [64, 16] {
+                    let mut opts = SolveOptions {
+                        sketch_partition_size: leaf,
+                        shade_leaf_size: leaf,
+                        shade_fanout: 1 << 30,
+                        ..SolveOptions::default()
+                    };
+                    opts.solver.max_nodes = 4_000;
+                    let run = |solver: &dyn Solver| {
+                        let spec = spec_for(&table, &query.text);
+                        let out = solver.solve(spec.view(), &opts).unwrap();
+                        let bits = |(p, o): (Package, Option<f64>)| (p, o.map(f64::to_bits));
+                        let packages: Vec<_> = out.packages.into_iter().map(bits).collect();
+                        (packages, out.stats.nodes, out.stats.iterations)
+                    };
+                    assert_eq!(
+                        run(&SketchRefineSolver),
+                        run(&ProgressiveShadingSolver),
+                        "{}/{} leaf {leaf}: (packages, nodes, iterations)",
+                        scenario.name,
+                        query.label
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! The sketch→refine solver: near-optimal packages over large relations.
+//! The sketch family: partition → sketch → refine, at any tree depth.
 //!
 //! Monolithic ILP translation puts all `n` candidates in one problem, which
 //! is exact but scales poorly (the 25 ms portfolio race at n = 20 000 returns
@@ -7,16 +7,26 @@
 //! Relational Database Systems", PVLDB 9(7), 2016) showed the scalable
 //! alternative, later pushed to a billion tuples by Progressive Shading
 //! (Mai et al., 2023): solve a coarse problem first, then localize the exact
-//! work. Three phases over the [`crate::view::CandidateView`]:
+//! work. This module holds the one pipeline both of this crate's sketch
+//! solvers run — [`SketchRefineSolver`] and
+//! [`crate::shading::ProgressiveShadingSolver`] differ only in where the
+//! leaf partitions come from, and the flat solver is the zero-layer case of
+//! the tree solver's descent. Over the [`crate::view::CandidateView`]:
 //!
 //! 1. **Partition** ([`crate::partition`]): size-bounded k-d splits of the
 //!    candidate set along the view's term columns — the quality-sensitive
-//!    attributes — each partition summarized by its centroid row.
+//!    attributes — each partition summarized by its centroid row. The flat
+//!    solver takes the view's flat partitioning (bound
+//!    `sketch_partition_size`); the tree solver takes the leaves of the
+//!    view's partition tree (bound `shade_leaf_size`) and the grouping layers
+//!    above them.
 //! 2. **Sketch**: a tiny ILP with one integer variable `y_p ∈ [0, cap_p]`
 //!    per partition (multiplicity bound = partition capacity), whose
 //!    constraint rows and objective are the *linearized* original rows
 //!    aggregated by partition mean. Its solution says how many tuples to
-//!    draw from each partition.
+//!    draw from each partition. Under a tree, [`crate::shading`]'s descent
+//!    first narrows the leaves to a shaded subset, one such sketch per
+//!    layer; without layers every leaf is in the sketch.
 //! 3. **Refine**: partitions with `y_p > 0` are refined one at a time —
 //!    a sub-ILP over just that partition's real tuples, with every other
 //!    partition's contribution fixed (already-refined actuals) or estimated
@@ -27,12 +37,12 @@
 //!    the shared repair pass — every intermediate result honours the anytime
 //!    contract (`optimal: false`, never an error, never an overrun).
 //!
-//! The greedy baseline runs first, so the solver's answer is never worse
-//! than [`crate::solver::GreedySolver`]'s — sketch→refine only replaces it
-//! when the refined package scores strictly better. Inside the default
-//! portfolio race this duplicates the separate greedy worker's (cheap) run;
-//! that is deliberate: the baseline is what makes this solver's own result
-//! anytime-safe and its quality floor deterministic, race or no race.
+//! The greedy baseline runs first, so the family's answer is never worse
+//! than [`crate::solver::GreedySolver`]'s — the refined package only replaces
+//! it when it scores strictly better. Inside the default portfolio race this
+//! duplicates the separate greedy worker's (cheap) run; that is deliberate:
+//! the baseline is what makes the result anytime-safe and its quality floor
+//! deterministic, race or no race.
 //!
 //! Data parallelism (since the chunked columnar layout): the offline
 //! partitioning's spread scans and the representative-means matrix fan out
@@ -44,6 +54,7 @@
 //! candidates by construction.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use lp_solver::{ConstraintOp, Problem, Sense, VarId, VarType};
 use paql::ObjectiveDirection;
@@ -63,7 +74,8 @@ use crate::PbResult;
 /// degrading the remaining sub-problems to greedy fills.
 const MAX_BACKTRACKS: usize = 3;
 
-/// Partition → sketch → refine evaluation (see the module docs).
+/// Partition → sketch → refine over the view's flat partitioning (see the
+/// module docs).
 ///
 /// Requires a linearizable query (same condition as [`crate::solver::IlpSolver`]);
 /// non-linearizable queries get [`PbError::Unsupported`], which also lets the
@@ -78,69 +90,95 @@ impl Solver for SketchRefineSolver {
     }
 
     fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
-        // pb-lint: allow(time-containment) — stats clock only: stamps
-        // solve_time_ms; refine deadlines go through the budget.
-        let start = std::time::Instant::now();
-        let rows = linearize_formula(view).map_err(|r| {
-            PbError::Unsupported(format!("sketch-refine requires a linearizable query: {r}"))
-        })?;
-        let objective = linearize_objective(view).map_err(|r| {
-            PbError::Unsupported(format!(
-                "sketch-refine requires a linearizable objective: {r}"
-            ))
-        })?;
-        if view.candidate_count() == 0 {
-            return Ok(SolveOutcome::empty(StrategyUsed::SketchRefine, 0, false));
-        }
-
-        // Greedy baseline first: the anytime answer, and the floor the
-        // refined package must beat to be returned.
-        let baseline = GreedySolver.solve(view, opts)?;
-        let mut counters = Counters {
-            nodes: baseline.stats.nodes,
-            iterations: baseline.stats.iterations,
-        };
-        let mut best: Option<(Package, Option<f64>)> = baseline.packages.into_iter().next();
-
-        if !opts.budget.expired() {
-            let refined = sketch_and_refine(
-                view,
-                &rows,
-                objective.as_ref().map(|o| o.coeffs.as_slice()),
-                opts,
-                &mut counters,
-            )?;
-            if let Some((package, obj)) = refined {
-                let direction = view.direction();
-                let replace = match &best {
-                    None => true,
-                    Some((_, cur)) => Package::better_objective(direction, obj, *cur),
-                };
-                if replace {
-                    best = Some((package, obj));
-                }
-            }
-        }
-
-        Ok(SolveOutcome {
-            packages: best.into_iter().collect(),
-            optimal: false,
-            stats: EvalStats {
-                strategy: StrategyUsed::SketchRefine,
-                candidates: view.candidate_count(),
-                nodes: counters.nodes,
-                iterations: counters.iterations,
-                elapsed: start.elapsed(),
-            },
-        })
+        solve_sketch_family(self.strategy(), view, opts)
     }
 }
 
-/// Aggregated LP work across the sketch and every sub-ILP. Shared with the
-/// progressive-shading solver, which runs several sketches per solve.
+/// Aggregated LP work across every sketch and every sub-ILP of one solve.
 pub(crate) struct Counters {
     pub(crate) nodes: u64,
     pub(crate) iterations: u64,
+}
+
+/// What every stage of the pipeline reads: the view, its linearized rows and
+/// objective, and the solve options.
+#[derive(Clone, Copy)]
+pub(crate) struct Linearized<'a> {
+    pub(crate) view: &'a CandidateView,
+    pub(crate) rows: &'a [LinearConstraint],
+    pub(crate) obj_coeffs: Option<&'a [f64]>,
+    pub(crate) opts: &'a SolveOptions,
+}
+
+impl<'a> Linearized<'a> {
+    /// The per-candidate coefficient columns: one per constraint row, then
+    /// the objective's when the query has one.
+    fn coeff_rows(&self) -> impl Iterator<Item = &'a [f64]> {
+        let rows = self.rows.iter().map(|r| r.coeffs.as_slice());
+        rows.chain(self.obj_coeffs)
+    }
+}
+
+/// The whole family's `Solver::solve`: linearize, run the greedy floor, then
+/// partition → sketch → refine and keep the better of the two. `strategy`
+/// labels the outcome and picks the partition source — the view's partition
+/// tree for [`StrategyUsed::ProgressiveShading`], its flat partitioning
+/// otherwise; nothing else differs between the family's solvers.
+pub(crate) fn solve_sketch_family(
+    strategy: StrategyUsed,
+    view: &CandidateView,
+    opts: &SolveOptions,
+) -> PbResult<SolveOutcome> {
+    // pb-lint: allow(time-containment) — stats clock only: stamps
+    // solve_time_ms; sketch and refine deadlines go through the budget.
+    let start = std::time::Instant::now();
+    let rows = linearize_formula(view).map_err(|r| {
+        PbError::Unsupported(format!("{strategy} requires a linearizable query: {r}"))
+    })?;
+    let objective = linearize_objective(view).map_err(|r| {
+        PbError::Unsupported(format!("{strategy} requires a linearizable objective: {r}"))
+    })?;
+    if view.candidate_count() == 0 {
+        return Ok(SolveOutcome::empty(strategy, 0, false));
+    }
+
+    // Greedy baseline first: the anytime answer, and the floor the
+    // refined package must beat to be returned.
+    let baseline = GreedySolver.solve(view, opts)?;
+    let mut counters = Counters {
+        nodes: baseline.stats.nodes,
+        iterations: baseline.stats.iterations,
+    };
+    let mut best: Option<(Package, Option<f64>)> = baseline.packages.into_iter().next();
+
+    if !opts.budget.expired() {
+        let q = Linearized {
+            view,
+            rows: &rows,
+            obj_coeffs: objective.as_ref().map(|o| o.coeffs.as_slice()),
+            opts,
+        };
+        if let Some((package, obj)) = sketch_then_refine(&q, strategy, &mut counters)? {
+            let beats = |cur: &(Package, Option<f64>)| {
+                Package::better_objective(view.direction(), obj, cur.1)
+            };
+            if best.as_ref().is_none_or(beats) {
+                best = Some((package, obj));
+            }
+        }
+    }
+
+    Ok(SolveOutcome {
+        packages: best.into_iter().collect(),
+        optimal: false,
+        stats: EvalStats {
+            strategy,
+            candidates: view.candidate_count(),
+            nodes: counters.nodes,
+            iterations: counters.iterations,
+            elapsed: start.elapsed(),
+        },
+    })
 }
 
 /// How many partitions one chunk of the representative-means computation
@@ -150,75 +188,92 @@ pub(crate) struct Counters {
 /// deterministic.
 const MEANS_PARTITIONS_PER_CHUNK: usize = 64;
 
-/// Runs phases 1–3; `Ok(None)` means the sketch was infeasible, the budget
-/// ran out mid-setup, or the refined package could not be repaired to
-/// feasibility (the greedy baseline then stands). `Err` is reserved for
-/// internal invariant violations.
-fn sketch_and_refine(
-    view: &CandidateView,
-    rows: &[LinearConstraint],
-    obj_coeffs: Option<&[f64]>,
-    opts: &SolveOptions,
+/// Phases 1–3 behind the floor; `Ok(None)` means a sketch was infeasible, the
+/// budget ran out mid-setup or mid-descent, or the refined package could not
+/// be repaired to feasibility (the greedy baseline then stands). `Err` is
+/// reserved for internal invariant violations.
+fn sketch_then_refine(
+    q: &Linearized<'_>,
+    strategy: StrategyUsed,
     counters: &mut Counters,
-) -> crate::PbResult<Option<(Package, Option<f64>)>> {
+) -> PbResult<Option<(Package, Option<f64>)>> {
     // Partitioning and the means matrix are O(n log n) / O(rows·n) setup; on
     // a nearly-spent budget (a slow greedy baseline under a tight race
     // deadline) they must not push the solver past its ~2x-deadline
     // contract, so both are budget-checked as they go — per chunk, not per
-    // element, now that both fan out over `opts.par`. The partitioning goes
+    // element, now that both fan out over `opts.par`. Either source goes
     // through the view's memo: a repeated query (or a second worker over a
     // clone of this view) reuses the one computed before, and an engine with
-    // caching on carries it across queries entirely.
-    let partitioning = match view.partitioning(
-        opts.sketch_partition_size,
-        opts.seed,
-        &opts.budget,
-        opts.par,
-    ) {
-        Some(p) => p,
-        None => return Ok(None),
+    // caching on carries it across queries entirely. `partition_sig` is the
+    // size bound the leaves were built with — the partition-identity word of
+    // the sub-ILP memo key: equal bounds mean equal leaf partitionings, so
+    // the two solvers sharing memo entries is exactly right.
+    let (view, opts) = (q.view, q.opts);
+    let (leaves, tree, partition_sig) = if strategy == StrategyUsed::ProgressiveShading {
+        let Some(tree) = view.partition_tree(
+            opts.shade_leaf_size,
+            opts.shade_fanout,
+            opts.seed,
+            &opts.budget,
+            opts.par,
+        ) else {
+            return Ok(None);
+        };
+        (
+            Arc::clone(tree.leaves_arc()),
+            Some(tree),
+            opts.shade_leaf_size,
+        )
+    } else {
+        let Some(flat) = view.partitioning(
+            opts.sketch_partition_size,
+            opts.seed,
+            &opts.budget,
+            opts.par,
+        ) else {
+            return Ok(None);
+        };
+        (flat, None, opts.sketch_partition_size)
     };
-    let parts = partitioning.partitions();
+    let parts = leaves.partitions();
     if parts.is_empty() {
         return Ok(None);
     }
-    let mut means: Vec<Vec<f64>> = Vec::with_capacity(rows.len());
-    for row in rows {
-        match partition_means(parts, &row.coeffs, opts) {
-            Some(m) => means.push(m),
-            None => return Ok(None),
-        }
-    }
-    let obj_means: Option<Vec<f64>> = match obj_coeffs {
-        Some(o) => match partition_means(parts, o, opts) {
-            Some(m) => Some(m),
-            None => return Ok(None),
-        },
-        None => None,
-    };
-    if opts.budget.expired() {
-        return Ok(None);
+
+    // Leaf representative means, one row per coefficient column.
+    let mut means: Vec<Vec<f64>> = Vec::with_capacity(q.rows.len() + 1);
+    for coeffs in q.coeff_rows() {
+        let Some(m) = partition_means(parts, coeffs, opts) else {
+            return Ok(None);
+        };
+        means.push(m);
     }
 
-    // Phase 2 — the sketch ILP over one variable per partition.
-    let capacities: Vec<u64> = parts.iter().map(|p| p.capacity(view)).collect();
-    let means_rows: Vec<&[f64]> = means.iter().map(|m| m.as_slice()).collect();
-    let counts = match solve_sketch(
-        view,
-        &capacities,
-        rows,
-        &means_rows,
-        obj_means.as_deref(),
-        opts,
-        counters,
-    ) {
-        Some(c) => c,
-        None => return Ok(None),
+    // Phase 2 — under a tree, the descent narrows the leaves to the shaded
+    // ones; then one sketch over those, scattered back to full-length counts
+    // (zero outside the shade). An empty shade is a layer sketch that drew
+    // nothing: no leaf sketch, no leaf refined.
+    let layers = tree.as_ref().map_or(&[][..], |t| t.layers());
+    let Some(shade) = crate::shading::descend(q, layers, parts, &means, counters) else {
+        return Ok(None);
     };
+    let mut counts = vec![0u64; parts.len()];
+    if !shade.is_empty() {
+        if opts.budget.expired() {
+            return Ok(None);
+        }
+        let capacities = shade.iter().map(|&p| parts[p].capacity(view)).collect();
+        let Some(drawn) = solve_sketch(q, &shade, capacities, &means, counters) else {
+            return Ok(None);
+        };
+        for (&p, &c) in shade.iter().zip(&drawn) {
+            counts[p] = c;
+        }
+    }
 
     // Phase 3 — refine picked partitions, most-loaded first (deterministic:
     // ties break on partition id).
-    let mut order: Vec<usize> = (0..parts.len()).filter(|&p| counts[p] > 0).collect();
+    let mut order: Vec<usize> = shade.iter().copied().filter(|&p| counts[p] > 0).collect();
     order.sort_by_key(|&p| (std::cmp::Reverse(counts[p]), p));
     if order.is_empty() {
         // The sketch says the empty package: only useful if it is feasible.
@@ -229,14 +284,11 @@ fn sketch_and_refine(
     }
 
     let ctx = RefineCtx {
-        view,
-        rows,
-        obj_coeffs,
+        q: *q,
         parts,
         means: &means,
         counts: &counts,
-        opts,
-        partition_sig: opts.sketch_partition_size as u64,
+        partition_sig: partition_sig as u64,
     };
     refine_with_backtracking(&ctx, order, counters)
 }
@@ -246,11 +298,7 @@ fn sketch_and_refine(
 /// column aggregated over partition `p` — per-partition values computed
 /// independently (no cross-partition reduction), so the chunk fan-out is
 /// trivially bit-identical at every thread count. `None` on budget expiry.
-pub(crate) fn partition_means(
-    parts: &[Partition],
-    coeffs: &[f64],
-    opts: &SolveOptions,
-) -> Option<Vec<f64>> {
+fn partition_means(parts: &[Partition], coeffs: &[f64], opts: &SolveOptions) -> Option<Vec<f64>> {
     let chunks = opts
         .par
         .run_chunks_width(parts.len(), MEANS_PARTITIONS_PER_CHUNK, |_, range| {
@@ -271,73 +319,85 @@ pub(crate) fn partition_means(
     Some(means)
 }
 
-/// Builds and solves one sketch ILP: one integer variable per group with the
-/// given multiplicity `capacities`, constraint rows aggregated to the given
-/// per-group representative coefficients (`means_rows[c][j]` pairs with
-/// `capacities[j]`). Returns the per-group draw counts clamped to capacity,
-/// or `None` when the sketch is infeasible, truncated without a solution, or
-/// the budget expired. Shared by the flat sketch→refine path (one sketch
-/// over all partitions) and progressive shading (one sketch per tree layer).
-pub(crate) fn solve_sketch(
-    view: &CandidateView,
-    capacities: &[u64],
-    rows: &[LinearConstraint],
-    means_rows: &[&[f64]],
-    obj_means: Option<&[f64]>,
-    opts: &SolveOptions,
+/// Builds and solves the family's one ILP shape, for a sketch (a column per
+/// group) and a refine sub-ILP (a column per member tuple) alike: integer
+/// variable `k ∈ [0, upper(k)]` standing for entry `columns[k]` of every
+/// coefficient row (`coeff_rows`: one per constraint, then the objective's
+/// when the query has one), constraint `c` named `g{c}` against `rhs(c)` with
+/// zero coefficients dropped and terms in ascending `k`, the non-zero
+/// objective entries, solver limits from the options with the budget's
+/// deadline applied. `None` when the ILP is infeasible or stopped without a
+/// solution; otherwise the solve's LP work is added to `counters`.
+fn solve_small_ilp<R: AsRef<[f64]>>(
+    q: &Linearized<'_>,
+    columns: &[usize],
+    coeff_rows: &[R],
+    upper: impl Fn(usize) -> f64,
+    rhs: impl Fn(usize) -> f64,
+    hint: Option<&[f64]>,
     counters: &mut Counters,
-) -> Option<Vec<u64>> {
-    let sense = match view.direction() {
+) -> Option<lp_solver::Solution> {
+    let mut problem = Problem::new(match q.view.direction() {
         ObjectiveDirection::Maximize => Sense::Maximize,
         ObjectiveDirection::Minimize => Sense::Minimize,
-    };
-    let mut problem = Problem::new(sense);
-    let vars: Vec<VarId> = capacities
-        .iter()
-        .map(|&cap| problem.add_unnamed_var(VarType::Integer, 0.0, cap as f64))
+    });
+    let vars: Vec<VarId> = (0..columns.len())
+        .map(|k| problem.add_unnamed_var(VarType::Integer, 0.0, upper(k)))
         .collect();
-    for (c, row) in rows.iter().enumerate() {
-        let terms: Vec<(VarId, f64)> = means_rows[c]
+    let nonzero = |r: usize| -> Vec<(VarId, f64)> {
+        let entries = vars
             .iter()
-            .enumerate()
-            .filter(|(_, &m)| m != 0.0)
-            .map(|(p, &m)| (vars[p], m))
-            .collect();
-        problem.add_constraint_terms(format!("g{c}"), &terms, row.op, row.rhs);
+            .zip(columns)
+            .map(|(&v, &j)| (v, coeff_rows[r].as_ref()[j]));
+        entries.filter(|&(_, a)| a != 0.0).collect()
+    };
+    for (c, row) in q.rows.iter().enumerate() {
+        problem.add_constraint_terms(format!("g{c}"), &nonzero(c), row.op, rhs(c));
     }
-    if let Some(om) = obj_means {
-        for (p, &m) in om.iter().enumerate() {
-            if m != 0.0 {
-                problem.set_objective_coeff(vars[p], m);
-            }
+    if q.obj_coeffs.is_some() {
+        for (v, a) in nonzero(q.rows.len()) {
+            problem.set_objective_coeff(v, a);
         }
     }
-    let mut config = opts.solver.clone();
-    opts.budget.apply_to_solver(&mut config);
-    let sketch = match lp_solver::solve(&problem, &config) {
-        Ok(s) if s.status.has_solution() => s,
-        _ => return None,
-    };
-    counters.nodes += sketch.nodes as u64;
-    counters.iterations += sketch.iterations as u64;
-    Some(
-        capacities
-            .iter()
-            .enumerate()
-            .map(|(p, &cap)| (sketch.value_rounded(vars[p]).max(0) as u64).min(cap))
-            .collect(),
-    )
+    let mut config = q.opts.solver.clone();
+    q.opts.budget.apply_to_solver(&mut config);
+    let solution = lp_solver::solve_milp_hinted(&problem, &config, hint)
+        .ok()
+        .filter(|s| s.status.has_solution())?;
+    counters.nodes += solution.nodes as u64;
+    counters.iterations += solution.iterations as u64;
+    Some(solution)
+}
+
+/// One sketch ILP over the `active` groups of a level (the leaf partitions,
+/// or one tree layer's nodes): a variable per group bounded by its entry of
+/// `capacities`, the query's rows aggregated to the group representatives
+/// `level[r][group]` (laid out like [`Linearized::coeff_rows`]). Returns the
+/// per-group draw counts clamped to capacity, or `None` when the sketch is
+/// infeasible, truncated without a solution, or the budget expired.
+pub(crate) fn solve_sketch(
+    q: &Linearized<'_>,
+    active: &[usize],
+    capacities: Vec<u64>,
+    level: &[Vec<f64>],
+    counters: &mut Counters,
+) -> Option<Vec<u64>> {
+    let (upper, rhs) = (|k: usize| capacities[k] as f64, |c: usize| q.rows[c].rhs);
+    let sketch = solve_small_ilp(q, active, level, upper, rhs, None, counters)?;
+    let drawn =
+        |(k, &cap): (usize, &u64)| (sketch.value_rounded(VarId::new(k)).max(0) as u64).min(cap);
+    Some(capacities.iter().enumerate().map(drawn).collect())
 }
 
 /// Phase 3 driver: refines `order`'s partitions with the paper's
 /// failed-partition backtracking, then repairs any residual infeasibility.
 /// `Ok(None)` when no feasible package came out (the caller's greedy
 /// baseline stands).
-pub(crate) fn refine_with_backtracking(
+fn refine_with_backtracking(
     ctx: &RefineCtx<'_>,
     mut order: Vec<usize>,
     counters: &mut Counters,
-) -> crate::PbResult<Option<(Package, Option<f64>)>> {
+) -> PbResult<Option<(Package, Option<f64>)>> {
     // Last successful sub-ILP assignment per partition, across backtracking
     // passes of *this* query. A re-refined partition hints its previous
     // assignment into `solve_milp_hinted` as the starting incumbent — the
@@ -354,7 +414,7 @@ pub(crate) fn refine_with_backtracking(
             Err(failed) => {
                 backtracks += 1;
                 let already_first = order.first() == Some(&failed);
-                if backtracks >= MAX_BACKTRACKS || already_first || ctx.opts.budget.expired() {
+                if backtracks >= MAX_BACKTRACKS || already_first || ctx.q.opts.budget.expired() {
                     // Backtracking exhausted: a non-strict pass greedy-fills
                     // whatever still fails instead of giving up. Such a pass
                     // cannot report a failed partition by construction — if
@@ -376,7 +436,7 @@ pub(crate) fn refine_with_backtracking(
     };
 
     if !state.is_feasible() {
-        let (evals, _) = repair_to_feasibility(&mut state, &ctx.opts.budget, ctx.opts.par);
+        let (evals, _) = repair_to_feasibility(&mut state, &ctx.q.opts.budget, ctx.q.opts.par);
         counters.iterations += evals;
     }
     Ok(state
@@ -384,23 +444,16 @@ pub(crate) fn refine_with_backtracking(
         .then(|| (state.to_package(), state.objective_value())))
 }
 
-/// Shared inputs of one refinement pass. Built by the flat sketch→refine
-/// path over its whole partitioning, and by progressive shading over the
-/// tree's leaf layer (with counts zero outside the shaded leaves).
-pub(crate) struct RefineCtx<'a> {
-    pub(crate) view: &'a CandidateView,
-    pub(crate) rows: &'a [LinearConstraint],
-    pub(crate) obj_coeffs: Option<&'a [f64]>,
-    pub(crate) parts: &'a [Partition],
-    pub(crate) means: &'a [Vec<f64>],
-    pub(crate) counts: &'a [u64],
-    pub(crate) opts: &'a SolveOptions,
-    /// Partition-identity component of the sub-ILP memo key: the size bound
-    /// the leaf partitioning was built with (`sketch_partition_size` on the
-    /// flat path, `shade_leaf_size` under shading). Equal bounds mean equal
-    /// leaf partitionings, so sharing memo entries across the two solvers is
-    /// exactly right.
-    pub(crate) partition_sig: u64,
+/// Shared inputs of one refinement pass over the leaf partitions: their
+/// representative means (`means[c][p]` per constraint row `c`), the leaf
+/// sketch's draw counts (zero outside the shade), and the
+/// partition-identity word of the sub-ILP memo key.
+struct RefineCtx<'a> {
+    q: Linearized<'a>,
+    parts: &'a [Partition],
+    means: &'a [Vec<f64>],
+    counts: &'a [u64],
+    partition_sig: u64,
 }
 
 /// One refinement pass over `order`. Strict passes report the first
@@ -414,14 +467,11 @@ fn refine_pass<'v>(
     hints: &mut HashMap<usize, Vec<(usize, u32)>>,
     counters: &mut Counters,
 ) -> Result<ViewState<'v>, usize> {
-    let mut state = ViewState::empty(ctx.view);
-    let mut fixed = vec![0.0; ctx.rows.len()];
+    let mut state = ViewState::empty(ctx.q.view);
+    let mut fixed = vec![0.0; ctx.q.rows.len()];
     // Estimated contribution of every still-sketched partition, per row.
-    let mut rem: Vec<f64> = ctx
-        .rows
-        .iter()
-        .enumerate()
-        .map(|(c, _)| {
+    let mut rem: Vec<f64> = (0..ctx.q.rows.len())
+        .map(|c| {
             order
                 .iter()
                 .map(|&p| ctx.counts[p] as f64 * ctx.means[c][p])
@@ -434,9 +484,9 @@ fn refine_pass<'v>(
         for (c, r) in rem.iter_mut().enumerate() {
             *r -= ctx.counts[p] as f64 * ctx.means[c][p];
         }
-        if ctx.opts.budget.expired() {
-            for &q in &order[pos..] {
-                greedy_fill(ctx, q, &mut state);
+        if ctx.q.opts.budget.expired() {
+            for &late in &order[pos..] {
+                greedy_fill(ctx, late, &mut state);
             }
             return Ok(state);
         }
@@ -445,7 +495,7 @@ fn refine_pass<'v>(
                 hints.insert(p, assignment.clone());
                 for &(idx, mult) in &assignment {
                     state.apply(idx, mult as i64);
-                    for (c, row) in ctx.rows.iter().enumerate() {
+                    for (c, row) in ctx.q.rows.iter().enumerate() {
                         fixed[c] += row.coeffs[idx] * mult as f64;
                     }
                 }
@@ -455,7 +505,7 @@ fn refine_pass<'v>(
                 // Each candidate belongs to exactly one partition, so the
                 // fill's contribution is exactly p's members' multiplicities.
                 greedy_fill(ctx, p, &mut state);
-                for (c, row) in ctx.rows.iter().enumerate() {
+                for (c, row) in ctx.q.rows.iter().enumerate() {
                     fixed[c] += ctx.parts[p]
                         .members
                         .iter()
@@ -473,40 +523,44 @@ fn refine_pass<'v>(
 ///
 /// The key encodes *everything* that determines the solve's result and its
 /// node/iteration counters: the partitioning identity (size, seed, partition
-/// id, member count), the multiplicity bound, the result-relevant solver
-/// knobs (tolerances and work limits — but not threads, deadlines, or stop
-/// flags, which by the determinism and anytime contracts can only truncate a
-/// solve, never change a *proven-optimal* one), and per row the operator,
-/// the effective right-hand side `rhs − fixed − rem`, and every member
-/// coefficient as raw `f64` bits. Keys are compared by value (a `HashMap`
-/// probe ends in `Eq`), so a hash collision can never serve a wrong answer.
+/// id, member count), the multiplicity bound, the objective direction (a
+/// bank's memo is shared by `MAXIMIZE` and `MINIMIZE` views of one term
+/// signature), the result-relevant solver knobs (tolerances and work limits
+/// — but not threads, deadlines, or stop flags, which by the determinism and
+/// anytime contracts can only truncate a solve, never change a
+/// *proven-optimal* one), and per row the operator, the effective right-hand
+/// side `rhs − fixed − rem`, and every member coefficient as raw `f64` bits.
+/// Keys are compared by value (a `HashMap` probe ends in `Eq`), so a hash
+/// collision can never serve a wrong answer.
 ///
 /// [`PartitionMemo::sub_ilp`]: crate::cache::PartitionMemo::sub_ilp
-fn sub_ilp_key(ctx: &RefineCtx<'_>, p: usize, fixed: &[f64], rem: &[f64]) -> Vec<u64> {
+fn sub_ilp_key(ctx: &RefineCtx<'_>, p: usize, rhs: &[f64]) -> Vec<u64> {
+    let q = &ctx.q;
     let members = &ctx.parts[p].members;
-    let cfg = &ctx.opts.solver;
-    let mut key = Vec::with_capacity(9 + ctx.rows.len() * (members.len() + 2) + members.len() + 1);
+    let cfg = &q.opts.solver;
+    let mut key = Vec::with_capacity(10 + q.rows.len() * (members.len() + 2) + members.len() + 1);
     key.push(ctx.partition_sig);
-    key.push(ctx.opts.seed);
+    key.push(q.opts.seed);
     key.push(p as u64);
     key.push(members.len() as u64);
-    key.push(ctx.view.max_multiplicity() as u64);
+    key.push(q.view.max_multiplicity() as u64);
     key.push(cfg.tolerance.to_bits());
     key.push(cfg.int_tolerance.to_bits());
     key.push(cfg.max_iterations as u64);
     key.push(cfg.max_nodes as u64);
-    for (c, row) in ctx.rows.iter().enumerate() {
+    key.push(matches!(q.view.direction(), ObjectiveDirection::Maximize) as u64);
+    for (c, row) in q.rows.iter().enumerate() {
         key.push(match row.op {
             ConstraintOp::Le => 0,
             ConstraintOp::Ge => 1,
             ConstraintOp::Eq => 2,
         });
-        key.push((row.rhs - fixed[c] - rem[c]).to_bits());
+        key.push(rhs[c].to_bits());
         for &i in members.iter() {
             key.push(row.coeffs[i].to_bits());
         }
     }
-    match ctx.obj_coeffs {
+    match q.obj_coeffs {
         Some(obj) => {
             key.push(1);
             for &i in members.iter() {
@@ -544,41 +598,18 @@ fn solve_partition(
     hint: Option<&Vec<(usize, u32)>>,
     counters: &mut Counters,
 ) -> Option<Vec<(usize, u32)>> {
+    let q = &ctx.q;
     let members = &ctx.parts[p].members;
-    let memo = ctx.view.partition_memo();
-    let key = sub_ilp_key(ctx, p, fixed, rem);
+    let memo = q.view.partition_memo();
+    let shifted: Vec<f64> = (q.rows.iter().zip(fixed).zip(rem))
+        .map(|((row, f), r)| row.rhs - f - r)
+        .collect();
+    let key = sub_ilp_key(ctx, p, &shifted);
     if let Some(hit) = memo.sub_ilp(&key) {
         counters.nodes += hit.nodes;
         counters.iterations += hit.iterations;
         return Some(hit.assignment.clone());
     }
-    let r = ctx.view.max_multiplicity() as f64;
-    let mut problem = Problem::new(match ctx.view.direction() {
-        ObjectiveDirection::Maximize => Sense::Maximize,
-        ObjectiveDirection::Minimize => Sense::Minimize,
-    });
-    let vars: Vec<VarId> = members
-        .iter()
-        .map(|_| problem.add_unnamed_var(VarType::Integer, 0.0, r))
-        .collect();
-    for (c, row) in ctx.rows.iter().enumerate() {
-        let terms: Vec<(VarId, f64)> = members
-            .iter()
-            .enumerate()
-            .filter(|(_, &i)| row.coeffs[i] != 0.0)
-            .map(|(k, &i)| (vars[k], row.coeffs[i]))
-            .collect();
-        problem.add_constraint_terms(format!("g{c}"), &terms, row.op, row.rhs - fixed[c] - rem[c]);
-    }
-    if let Some(obj) = ctx.obj_coeffs {
-        for (k, &i) in members.iter().enumerate() {
-            if obj[i] != 0.0 {
-                problem.set_objective_coeff(vars[k], obj[i]);
-            }
-        }
-    }
-    let mut config = ctx.opts.solver.clone();
-    ctx.opts.budget.apply_to_solver(&mut config);
     let hint_values: Option<Vec<f64>> = hint.map(|assignment| {
         let mut v = vec![0.0; members.len()];
         for &(i, mult) in assignment {
@@ -588,18 +619,16 @@ fn solve_partition(
         }
         v
     });
-    let solution = match lp_solver::solve_milp_hinted(&problem, &config, hint_values.as_deref()) {
-        Ok(s) if s.status.has_solution() => s,
-        _ => return None,
-    };
-    counters.nodes += solution.nodes as u64;
-    counters.iterations += solution.iterations as u64;
+    let coeff_rows: Vec<&[f64]> = q.coeff_rows().collect();
+    let (upper, rhs) = (|_| q.view.max_multiplicity() as f64, |c: usize| shifted[c]);
+    let hint = hint_values.as_deref();
+    let solution = solve_small_ilp(q, members, &coeff_rows, upper, rhs, hint, counters)?;
     let assignment: Vec<(usize, u32)> = members
         .iter()
         .enumerate()
         .filter_map(|(k, &i)| {
-            let mult = solution.value_rounded(vars[k]).max(0) as u32;
-            (mult > 0).then_some((i, mult.min(ctx.view.max_multiplicity())))
+            let mult = solution.value_rounded(VarId::new(k)).max(0) as u32;
+            (mult > 0).then_some((i, mult.min(q.view.max_multiplicity())))
         })
         .collect();
     // Only a *proven* optimum is reusable: a deadline- or limit-truncated
@@ -623,8 +652,8 @@ fn solve_partition(
 /// `REPEAT` slots — the refinement analogue of the greedy start heuristic.
 fn greedy_fill(ctx: &RefineCtx<'_>, p: usize, state: &mut ViewState<'_>) {
     let mut members = ctx.parts[p].members.clone();
-    if let Some(obj) = ctx.obj_coeffs {
-        let maximize = matches!(ctx.view.direction(), ObjectiveDirection::Maximize);
+    if let Some(obj) = ctx.q.obj_coeffs {
+        let maximize = matches!(ctx.q.view.direction(), ObjectiveDirection::Maximize);
         members.sort_by(|&a, &b| {
             let cmp = if maximize {
                 obj[b].total_cmp(&obj[a])
@@ -635,12 +664,12 @@ fn greedy_fill(ctx: &RefineCtx<'_>, p: usize, state: &mut ViewState<'_>) {
         });
     }
     let mut remaining = ctx.counts[p];
-    'outer: for _ in 0..ctx.view.max_multiplicity() {
+    'outer: for _ in 0..ctx.q.view.max_multiplicity() {
         for &i in &members {
             if remaining == 0 {
                 break 'outer;
             }
-            if state.multiplicity(i) < ctx.view.max_multiplicity() {
+            if state.multiplicity(i) < ctx.q.view.max_multiplicity() {
                 state.apply(i, 1);
                 remaining -= 1;
             }

@@ -202,6 +202,47 @@ fn sub_ilp_memo_serves_warm_refines_with_identical_stats() {
 }
 
 #[test]
+fn the_sub_ilp_memo_keeps_maximize_and_minimize_apart() {
+    // Both directions of one SUCH THAT clause share a term signature, hence a
+    // bank and its `PartitionMemo`, and their sub-ILPs differ in nothing but
+    // the sense: a MINIMIZE after a MAXIMIZE on one engine must equal a
+    // MINIMIZE on a fresh engine down to the counters.
+    let query = |direction: &str| {
+        format!(
+            "SELECT PACKAGE(R) AS P FROM recipes R \
+             SUCH THAT COUNT(*) = 3 AND SUM(P.calories) <= 2500 {direction} SUM(P.protein)"
+        )
+    };
+    for strategy in [Strategy::SketchRefine, Strategy::ProgressiveShading] {
+        let shared = engine(40, 20140901, EngineConfig::with_strategy(strategy));
+        shared.execute_paql(&query("MAXIMIZE")).unwrap();
+        let after = shared.execute_paql(&query("MINIMIZE")).unwrap();
+        let fresh = engine(40, 20140901, EngineConfig::with_strategy(strategy))
+            .execute_paql(&query("MINIMIZE"))
+            .unwrap();
+        assert_eq!(after.best(), fresh.best(), "{strategy:?}");
+        assert_eq!(
+            after
+                .objectives
+                .iter()
+                .map(|o| o.map(f64::to_bits))
+                .collect::<Vec<_>>(),
+            fresh
+                .objectives
+                .iter()
+                .map(|o| o.map(f64::to_bits))
+                .collect::<Vec<_>>(),
+            "{strategy:?}"
+        );
+        assert_eq!(after.stats.nodes, fresh.stats.nodes, "{strategy:?}: nodes");
+        assert_eq!(
+            after.stats.iterations, fresh.stats.iterations,
+            "{strategy:?}: iterations"
+        );
+    }
+}
+
+#[test]
 fn engines_can_share_a_cache() {
     let cache = ViewCache::new(8);
     let mut catalog = Catalog::new();
