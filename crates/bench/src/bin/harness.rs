@@ -1,5 +1,6 @@
-//! The experiment harness: runs every experiment of `EXPERIMENTS.md` at a
-//! laptop-friendly scale and prints one markdown table per experiment.
+//! The experiment harness: runs every experiment (README.md, "Benchmarks",
+//! says what each table is read for) at a laptop-friendly scale and prints
+//! one markdown table per experiment.
 //!
 //! Usage:
 //!
@@ -42,7 +43,7 @@ fn main() {
 
     println!("PackageBuilder reproduction — experiment harness");
     println!(
-        "(one markdown table per experiment; see EXPERIMENTS.md for the claim each row checks)\n"
+        "(one markdown table per experiment; README.md, \"Benchmarks\", says what each is read for)\n"
     );
 
     if want("e1") {

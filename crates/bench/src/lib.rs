@@ -1,7 +1,5 @@
-//! Shared workload definitions for the experiment benches and the `harness`
-//! binary. Every experiment in `EXPERIMENTS.md` builds its inputs through
-//! this crate so the Criterion benches and the table-printing harness measure
-//! exactly the same configurations.
+//! Shared workload definitions for the `harness` binary: every experiment it
+//! runs (README.md, "Benchmarks") builds its inputs through this crate.
 
 use datagen::{recipes, Seed};
 use minidb::{Catalog, Table};

@@ -538,10 +538,11 @@ pub struct IlpOutcome {
 }
 
 /// Minimum candidate count before the ILP hands its thread budget to the
-/// branch-and-bound layer. Below this a node LP solves in microseconds and
-/// per-solve worker spawn would dominate — small problems (sketch-refine
-/// sub-ILPs among them) stay inline. A size threshold, never a thread-count
-/// one, so it cannot affect result determinism.
+/// branch-and-bound layer. Below this a node LP solves in about a
+/// microsecond and waking a pool worker for a batch costs more than solving
+/// it — small problems (sketch-refine sub-ILPs among them) stay inline. A
+/// size threshold, never a thread-count one, so it cannot affect result
+/// determinism.
 const PAR_MIN_CANDIDATES: usize = 512;
 
 /// Solves a view with the ILP strategy, returning up to `num_packages`

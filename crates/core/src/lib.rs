@@ -35,9 +35,10 @@
 //!   flag, threaded down to the LP solver's pivot loop) and returns its
 //!   best-so-far result with `optimal: false` on expiry.
 //!   [`portfolio::PortfolioSolver`] races several solvers over one view
-//!   with scoped threads: cheap heuristics deliver a package immediately,
-//!   the exact ILP supersedes them if it finishes inside the budget, and
-//!   the first provably-optimal result cancels the rest of the race.
+//!   as jobs on the [`par::ParExec`] pool: cheap heuristics deliver a package
+//!   immediately, the exact ILP supersedes them if it finishes inside the
+//!   budget, and the first provably-optimal result cancels the rest of the
+//!   race.
 //! * **[`partition`] + [`sketch_refine`] — scaling past the monolithic
 //!   ILP.** For large linearizable queries, the sketch family's one pipeline
 //!   (in [`sketch_refine`]) partitions the candidates offline (size-bounded
@@ -59,8 +60,10 @@
 //! * **[`par`] — chunked data parallelism.** Term columns are dense but
 //!   logically chunked at a fixed 4096-element width
 //!   ([`view::TermColumn`], with per-chunk sum/min/max metadata that also
-//!   feeds [`pruning`]); [`par::ParExec`] — a scoped-`std::thread` chunk
-//!   executor with no external dependencies — fans every candidate scan
+//!   feeds [`pruning`]); [`par::ParExec`] — a chunk executor over one
+//!   persistent help-first worker pool, no external dependencies, re-exported
+//!   from `lp_solver::par` so branch and bound runs its batches on the same
+//!   threads — fans every candidate scan
 //!   (view materialization, partitioning spreads, greedy repair, the local
 //!   search's neighbourhood) out over one engine-wide thread budget
 //!   ([`config::EngineConfig::num_threads`], shared with the portfolio via
@@ -132,7 +135,6 @@ pub mod greedy;
 pub mod ilp;
 pub mod local_search;
 pub mod package;
-pub mod par;
 pub mod partition;
 pub mod portfolio;
 pub mod pruning;
@@ -151,6 +153,9 @@ pub use column_store::{pool_stats, ColumnPolicy, PoolStats};
 pub use config::{EngineConfig, Strategy};
 pub use engine::{PackageEngine, QueryPlan};
 pub use error::PbError;
+// The executor lives at the bottom of the crate graph, where branch and
+// bound reaches it too; `packagebuilder::par` stays the engine's name for it.
+pub use lp_solver::par;
 pub use package::Package;
 pub use par::ParExec;
 pub use portfolio::PortfolioSolver;

@@ -2,7 +2,7 @@
 //!
 //! SketchRefine-style systems get their latency guarantees by racing cheap
 //! approximate solvers against exact ones; this module does the same over
-//! the [`Solver`] seam. A [`PortfolioSolver`] spawns one scoped thread per
+//! the [`Solver`] seam. A [`PortfolioSolver`] posts one [`ParExec`] job per
 //! worker strategy, all borrowing the same [`crate::view::CandidateView`]
 //! and sharing one [`crate::budget::Budget`]:
 //!
@@ -17,9 +17,14 @@
 //! Workers that cannot evaluate the query at all (e.g. the ILP translation
 //! of a non-conjunctive formula) simply drop out of the race; the race only
 //! fails when *every* worker fails.
-
-use std::sync::mpsc;
-use std::thread;
+//!
+//! A pool job is not time-sliced the way an OS thread is: it starts when a
+//! thread is free to claim it, and jobs are claimed in posting order. The
+//! race therefore posts its workers **cheapest first** (greedy, local
+//! search, the sketch family, the exact solvers last). With a thread per
+//! worker that changes nothing; with fewer — a busy pool may lend no helper
+//! at all — the race runs "floor, improve, prove" instead of letting the
+//! exact worker spend the deadline before a floor exists.
 
 use paql::ObjectiveDirection;
 
@@ -140,6 +145,18 @@ fn thread_split(workers: &[Strategy], par: ParExec) -> Vec<ParExec> {
         .collect()
 }
 
+/// Posting order of a worker: the greedy floor, then the search that improves
+/// it, then the sketch family, the exact solvers last. Only the order jobs
+/// *start* in — ties between outcomes are still ranked in configured order.
+fn cost_rank(worker: Strategy) -> u8 {
+    match worker {
+        Strategy::Greedy => 0,
+        Strategy::LocalSearch => 1,
+        Strategy::SketchRefine | Strategy::ProgressiveShading => 2,
+        _ => 3,
+    }
+}
+
 /// True when outcome `a` should win the race over outcome `b`.
 fn beats(a: &SolveOutcome, b: &SolveOutcome, direction: ObjectiveDirection) -> bool {
     let a_has = !a.packages.is_empty();
@@ -199,96 +216,64 @@ impl Solver for PortfolioSolver {
         // heuristics cannot use (see [`thread_split`]).
         let worker_pars = thread_split(&workers, opts.par);
 
-        // This is a contained thread home clippy.toml points at.
-        #[allow(clippy::disallowed_methods)]
-        let mut slots: Vec<Option<PbResult<SolveOutcome>>> = thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(usize, PbResult<SolveOutcome>)>();
-            for (i, solver) in solvers.iter().enumerate() {
-                let tx = tx.clone();
-                let worker_opts = SolveOptions {
-                    budget: race.clone(),
-                    par: worker_pars[i],
-                    ..opts.clone()
-                };
-                scope.spawn(move || {
-                    let result = solver.solve(view, &worker_opts);
-                    // The receiver outlives the scope; a send can only fail
-                    // if the collector below already drained and dropped,
-                    // which cannot happen while workers run.
-                    let _ = tx.send((i, result));
-                });
+        // Posted cheapest first (stable, so configured order within a rank).
+        let mut order: Vec<usize> = (0..workers.len()).collect();
+        order.sort_by_key(|&i| cost_rank(workers[i]));
+        let results = ParExec::new(order.len()).run_chunks_width(order.len(), 1, |job, _| {
+            let i = order[job];
+            let worker_opts = SolveOptions {
+                budget: race.clone(),
+                par: worker_pars[i],
+                ..opts.clone()
+            };
+            let result = solvers[i].solve(view, &worker_opts);
+            // A provably-optimal result cannot be improved by any other
+            // worker: cancel the losers instead of waiting them out.
+            if matches!(&result, Ok(o) if o.optimal) {
+                race.cancel();
             }
-            drop(tx);
-
-            let mut slots: Vec<Option<PbResult<SolveOutcome>>> =
-                (0..solvers.len()).map(|_| None).collect();
-            while let Ok((i, result)) = rx.recv() {
-                // A provably-optimal result cannot be improved by any other
-                // worker: cancel the losers instead of waiting them out.
-                if matches!(&result, Ok(o) if o.optimal) {
-                    race.cancel();
-                }
-                slots[i] = Some(result);
-            }
-            slots
+            result
         });
+        // Back to configured order, which is the order ties are ranked in.
+        let mut outcomes: Vec<(usize, PbResult<SolveOutcome>)> =
+            order.into_iter().zip(results).collect();
+        outcomes.sort_by_key(|&(i, _)| i);
 
         let direction = view.direction();
         let mut winner: Option<usize> = None;
         let mut first_err: Option<PbError> = None;
         let mut nodes = 0u64;
         let mut iterations = 0u64;
-        for (i, slot) in slots.iter().enumerate() {
-            match slot {
-                Some(Ok(outcome)) => {
+        for &(i, ref result) in &outcomes {
+            match result {
+                Ok(outcome) => {
                     nodes += outcome.stats.nodes;
                     iterations += outcome.stats.iterations;
-                    let better = match winner {
-                        None => true,
-                        Some(w) => match &slots[w] {
-                            Some(Ok(current)) => beats(outcome, current, direction),
-                            _ => true,
-                        },
-                    };
-                    if better {
+                    let current = winner.and_then(|w| outcomes[w].1.as_ref().ok());
+                    if current.is_none_or(|c| beats(outcome, c, direction)) {
                         winner = Some(i);
                     }
                 }
                 // A worker that cannot evaluate the query drops out; the
                 // race fails only when everyone does.
-                Some(Err(e)) if first_err.is_none() => first_err = Some(e.clone()),
-                Some(Err(_)) | None => {}
+                Err(e) if first_err.is_none() => first_err = Some(e.clone()),
+                Err(_) => {}
             }
         }
 
-        match winner {
-            Some(w) => {
-                // The winner index was only ever set while inspecting a
-                // `Some(Ok(..))` slot; if that invariant ever breaks, fail
-                // the solve (PR-2 convention) instead of panicking the race.
-                let chosen = slots[w]
-                    .take()
-                    .ok_or_else(|| {
-                        PbError::Internal("portfolio winner slot is unexpectedly empty".into())
-                    })?
-                    .map_err(|e| {
-                        PbError::Internal(format!(
-                            "portfolio winner slot holds an error outcome: {e}"
-                        ))
-                    })?;
-                Ok(SolveOutcome {
-                    packages: chosen.packages,
-                    optimal: chosen.optimal,
-                    stats: EvalStats {
-                        strategy: StrategyUsed::Portfolio,
-                        candidates: view.candidate_count(),
-                        nodes,
-                        iterations,
-                        elapsed: start.elapsed(),
-                    },
-                })
-            }
-            None => Err(first_err.unwrap_or_else(|| {
+        match winner.map(|w| outcomes.swap_remove(w).1) {
+            Some(Ok(chosen)) => Ok(SolveOutcome {
+                packages: chosen.packages,
+                optimal: chosen.optimal,
+                stats: EvalStats {
+                    strategy: StrategyUsed::Portfolio,
+                    candidates: view.candidate_count(),
+                    nodes,
+                    iterations,
+                    elapsed: start.elapsed(),
+                },
+            }),
+            _ => Err(first_err.unwrap_or_else(|| {
                 PbError::Internal("portfolio race finished with no worker results".into())
             })),
         }

@@ -298,6 +298,38 @@ fn exact_ilp_is_thread_count_invariant_across_scenarios() {
     }
 }
 
+/// One pool, three fan-outs deep: two races run as jobs of an outer fan-out,
+/// each race is a fan-out over its workers, and its ILP worker (2 000
+/// candidates ≥ the ILP's parallel threshold) fans every branch-and-bound
+/// batch out from inside its race job. Help-first means a job that finds the
+/// pool busy is drained by its own caller, so this finishes at every thread
+/// count — and without a deadline the exact worker's proof wins wherever it
+/// ran: same winner, same package, same objective. (The race's summed
+/// node/iteration counters depend on when the proof cancels the others, so
+/// they are not compared.)
+#[test]
+fn a_race_nested_three_fan_outs_deep_finishes_with_the_same_winner() {
+    let reference = run_at(recipes(2_000, Seed(11)), Strategy::Ilp, 1, WIDE_QUERY)
+        .expect("exact solve at n=2000 succeeds");
+    assert!(reference.optimal);
+    for threads in THREAD_COUNTS {
+        let races = ParExec::new(2).run_chunks_width(2, 1, |_, _| {
+            run_at(
+                recipes(2_000, Seed(11)),
+                Strategy::Portfolio,
+                threads,
+                WIDE_QUERY,
+            )
+        });
+        for race in races {
+            let race = race.unwrap_or_else(|e| panic!("race at {threads} threads: {e}"));
+            assert!(race.optimal, "{threads} threads: the exact worker won");
+            assert_eq!(race.packages, reference.packages, "{threads} threads");
+            assert_eq!(race.objectives, reference.objectives, "{threads} threads");
+        }
+    }
+}
+
 /// The anytime contract *inside* parallel branch and bound: a budget that
 /// expires while a frontier batch is in flight stops the search at the next
 /// batch boundary with the incumbent kept — never an error, never an

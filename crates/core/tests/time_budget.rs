@@ -8,12 +8,14 @@
 //! suite existed, `GreedySolver`'s repair loop started an `Instant` and
 //! never looked at it again: a hostile candidate set ran unbounded.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use datagen::{recipes, scenarios, Seed};
+use datagen::{recipes, scenario, scenarios, Seed};
 use minidb::{Catalog, Table};
 use packagebuilder::budget::Budget;
 use packagebuilder::config::{EngineConfig, Strategy};
+use packagebuilder::par::ParExec;
 use packagebuilder::portfolio::PortfolioSolver;
 use packagebuilder::solver::{
     EnumerationSolver, GreedySolver, IlpSolver, LocalSearchSolver, SolveOptions, Solver,
@@ -60,6 +62,87 @@ fn budgeted_options() -> SolveOptions {
     SolveOptions {
         budget: Budget::with_limit(LIMIT),
         ..SolveOptions::default()
+    }
+}
+
+/// Runs `f` while every worker of the executor's pool is stuck in a job of
+/// this function's own fan-out, so nothing `f` posts can get a helper. One
+/// job per pool worker plus one: each thread that claims a job stays in it,
+/// and the job that runs `f` waits for all the others to be claimed first.
+fn with_the_pool_held<R: Send>(f: impl Fn() -> R + Sync) -> R {
+    let pool_workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(64));
+    let (held, released) = (AtomicUsize::new(0), AtomicBool::new(false));
+    let mut out = ParExec::new(pool_workers + 1).run_chunks_width(pool_workers + 1, 1, |job, _| {
+        if job > 0 {
+            held.fetch_add(1, Ordering::SeqCst);
+            while !released.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            return None;
+        }
+        // Workers busy with another test's jobs arrive when those finish.
+        let patience = Instant::now();
+        while held.load(Ordering::SeqCst) < pool_workers
+            && patience.elapsed() < Duration::from_secs(60)
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let all_held = held.load(Ordering::SeqCst) == pool_workers;
+        let result = f();
+        released.store(true, Ordering::SeqCst);
+        assert!(
+            all_held,
+            "the pool never filled up: the race may have had help"
+        );
+        Some(result)
+    });
+    out.swap_remove(0).expect("job 0 ran `f`")
+}
+
+/// What the race's `thread::scope` used to give implicitly: every worker
+/// started at once, so a floor existed however long the exact worker took.
+/// Pool jobs start when a thread is free, and when none is — the pool is
+/// busy, or the host has one core — the caller runs them one after another
+/// in posting order. Posted exact-first (the configured order here), the ILP
+/// would spend the whole deadline and the greedy worker would start on an
+/// expired budget.
+#[test]
+fn a_race_without_helpers_still_has_its_floor_when_the_deadline_comes() {
+    // An instance the exact worker needs about a second for in release (and
+    // has no incumbent on after 50 ms in a debug build), where the greedy
+    // fill is feasible in microseconds.
+    let stocks = scenario("stocks").unwrap();
+    let table = (stocks.build)(2_000, Seed(20140901));
+    let spec = spec_for(&table, &stocks.queries[0].text);
+    let floor = GreedySolver
+        .solve(spec.view(), &SolveOptions::default())
+        .unwrap();
+    let (floor_package, floor_objective) = floor.packages[0].clone();
+    let floor_objective = floor_objective.expect("the query has an objective");
+
+    let limit = Duration::from_millis(50);
+    let race = PortfolioSolver::new(vec![Strategy::Ilp, Strategy::Greedy]).unwrap();
+    let (out, elapsed) = with_the_pool_held(|| {
+        let opts = SolveOptions {
+            budget: Budget::with_limit(limit),
+            ..SolveOptions::default()
+        };
+        let start = Instant::now();
+        (race.solve(spec.view(), &opts).unwrap(), start.elapsed())
+    });
+    assert!(elapsed <= allowed(limit), "the race took {elapsed:?}");
+    assert!(!out.optimal, "nobody can prove this instance in {limit:?}");
+    let (package, objective) = out.packages.first().expect("the floor was found");
+    assert!(spec.is_valid(package).unwrap());
+    let objective = objective.expect("the query has an objective");
+    // The exact worker's incumbent may have overtaken the floor by the
+    // deadline (it does in release); nothing may come in under it.
+    assert!(
+        objective >= floor_objective,
+        "{objective} < {floor_objective}"
+    );
+    if objective == floor_objective {
+        assert_eq!(package, &floor_package);
     }
 }
 

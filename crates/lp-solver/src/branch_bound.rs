@@ -3,7 +3,8 @@
 //! The MILP layer drives the LP relaxation solver of [`crate::simplex`]:
 //! each node tightens the bounds of one integer variable (floor/ceil of its
 //! fractional relaxation value). One [`LpMatrix`] is built per MILP solve and
-//! shared by every worker; each worker owns one [`LpWorkspace`] over it. A
+//! shared by every job; a job checks an [`LpWorkspace`] over it out of the
+//! solve's idle list for as long as it runs. A
 //! node's bounds are its ancestors' patch chain laid over the workspace's
 //! root bounds, its LP is **warm-started** from its parent's optimal basis,
 //! and what comes back is compact — status, objective, the branching
@@ -22,7 +23,7 @@
 //! basic values, the duals, the pivot row or a single reduced cost. Siblings
 //! **share everything a basic column's bound cannot change**, so the unit of
 //! work is the expansion of one popped node
-//! ([`LpWorkspace::solve_children`]): the worker lays the node's chain,
+//! ([`LpWorkspace::solve_children`]): the job lays the node's chain,
 //! installs and refactorizes its basis and evaluates the first dual ratio
 //! test for both directions once, solves the down child, restores the
 //! checkpointed inverse and solves the up child. Each child's result is,
@@ -32,15 +33,17 @@
 //!
 //! Nodes are explored best-bound-first in **fixed-size batches** of
 //! `NODE_BATCH` child LPs: the search pops frontier nodes in heap order,
-//! makes each an expansion job, solves every job's LP relaxations (on up to
-//! [`SolverConfig::num_threads`] threads), and merges the results — children
-//! pushed, incumbents updated, bounds pruned — **in job order**, down before
-//! up. Batch composition and merge order never depend on the thread count
-//! (the same chunk-order discipline as the engine's data-parallel scans), so
-//! the same problem + config yields bit-identical solutions, node counts and
-//! iteration counts at every `num_threads`, including 1, where the batch is
-//! simply solved inline with no thread machinery at all. A node budget that
-//! runs out between the two children of a node leaves a one-child expansion.
+//! makes each an expansion job, runs the jobs as one width-1 fan-out on the
+//! [`ParExec`] executor (on up to [`SolverConfig::num_threads`] threads — the
+//! same persistent pool as the engine's data-parallel scans, nothing is
+//! spawned per solve), and merges the results — children pushed, incumbents
+//! updated, bounds pruned — **in job order**, down before up. Batch
+//! composition and merge order never depend on the thread count (the
+//! executor's chunk-order discipline), so the same problem + config yields
+//! bit-identical solutions, node counts and iteration counts at every
+//! `num_threads`, including 1, where the executor runs the batch inline. A
+//! node budget that runs out between the two children of a node leaves a
+//! one-child expansion.
 //!
 //! Each node stores its **own** LP relaxation bound (solved eagerly when the
 //! node is created), so best-bound ordering and incumbent pruning use the
@@ -51,9 +54,10 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::par::ParExec;
 use crate::problem::{Problem, Sense, VarType};
 use crate::simplex::{Basis, LpMatrix, LpWorkspace, NodeLp};
 use crate::solution::{Solution, Status};
@@ -146,9 +150,7 @@ impl Ord for Node {
 /// The expansion of one popped node: the child LPs still to solve, which
 /// share the node's patch chain and its basis to warm-start from and differ
 /// in the bounds of the branching variable alone — see
-/// [`LpWorkspace::solve_children`] for what a worker makes of that. Cheap to
-/// clone: two `Arc`s and a few numbers.
-#[derive(Clone)]
+/// [`LpWorkspace::solve_children`] for what a job makes of that.
 struct Job {
     /// The popped node's own chain.
     chain: Option<Arc<BoundPatch>>,
@@ -199,7 +201,7 @@ impl Job {
     }
 }
 
-/// What a worker reports about one solved node LP.
+/// What a job reports about one solved node LP.
 struct NodeOutcome {
     status: Status,
     objective: f64,
@@ -225,12 +227,12 @@ struct Shared<'a> {
     config: &'a SolverConfig,
     matrix: &'a LpMatrix,
     root_bounds: &'a [(f64, f64)],
-}
-
-impl<'a> Shared<'a> {
-    fn workspace(&self) -> LpWorkspace<'a> {
-        LpWorkspace::new(self.matrix, self.root_bounds)
-    }
+    /// A batch can never employ more than `NODE_BATCH` threads.
+    par: ParExec,
+    /// Workspaces no job is using. They belong to this solve alone (a
+    /// workspace borrows this solve's matrix), and at most one per thread
+    /// that ever ran one of its jobs is built.
+    idle: Mutex<Vec<LpWorkspace<'a>>>,
 }
 
 /// The most fractional integer variable among the basic values of a
@@ -261,10 +263,9 @@ pub(crate) fn branch_variable(
 }
 
 /// Solves the LP relaxations of one job. Pure function of (shared, job) —
-/// the determinism guarantee leans on this: `ws` is a per-thread
-/// [`LpWorkspace`] whose every solve first undoes whatever the previous one
-/// touched, so *which* worker's workspace solves a job never affects the
-/// result.
+/// the determinism guarantee leans on this: every solve of an
+/// [`LpWorkspace`] first undoes whatever the previous one touched, so *which*
+/// workspace solves a job never affects the result.
 fn solve_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobResult {
     let outcome = |ws: &LpWorkspace<'_>, lp: NodeLp| {
         let branch = branch_variable(shared.problem, &lp.basics, shared.config.int_tolerance);
@@ -300,12 +301,11 @@ fn solve_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobRes
     }
 }
 
-/// [`solve_job`] with a panic guard: a worker panic becomes a numerical
-/// error instead of deadlocking the pool (and the sequential path uses the
-/// same wrapper so both paths behave identically). `AssertUnwindSafe` is
-/// sound for the workspace because every solve starts by restoring every
-/// column a previous (even panicked) call touched — the dirty list names a
-/// column before the column changes.
+/// [`solve_job`] with a panic guard: a panic becomes a numerical error
+/// instead of unwinding through the executor. `AssertUnwindSafe` is sound for
+/// the workspace because every solve starts by restoring every column a
+/// previous (even panicked) call touched — the dirty list names a column
+/// before the column changes.
 fn run_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobResult {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| solve_job(shared, job, ws)))
         .unwrap_or_else(|_| {
@@ -314,96 +314,18 @@ fn run_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobResul
         })
 }
 
-/// Shared state of the per-solve worker pool. The pool lives for the whole
-/// MILP solve (threads spawn once, not per batch) and drains one batch at a
-/// time: the main thread installs the jobs, workers and the main thread
-/// claim indices from a shared counter, and results land in their slot so
-/// the merge happens in job order no matter which thread solved what.
-struct PoolState {
-    jobs: Vec<Job>,
-    results: Vec<Option<JobResult>>,
-    next: usize,
-    pending: usize,
-    shutdown: bool,
-}
-
-struct Pool<'a> {
-    shared: Shared<'a>,
-    state: Mutex<PoolState>,
-    work: Condvar,
-}
-
-fn worker_loop(pool: &Pool<'_>) {
-    let mut ws = pool.shared.workspace();
-    loop {
-        let (idx, job) = {
-            let mut st = pool.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.next < st.jobs.len() {
-                    break;
-                }
-                st = pool.work.wait(st).unwrap();
-            }
-            let idx = st.next;
-            st.next += 1;
-            (idx, st.jobs[idx].clone())
-        };
-        let r = run_job(&pool.shared, &job, &mut ws);
-        let mut st = pool.state.lock().unwrap();
-        st.results[idx] = Some(r);
-        st.pending -= 1;
-        if st.pending == 0 {
-            pool.work.notify_all();
-        }
-    }
-}
-
-/// Runs one batch on the pool. The calling thread participates in the claim
-/// loop (so `num_threads = T` means `T` solving threads, not `T + 1`), then
-/// waits for the helpers to finish their claimed jobs. `ws` is the *calling
-/// thread's* workspace, owned by the caller so it survives across batches.
-fn solve_batch_pooled(pool: &Pool<'_>, jobs: &[Job], ws: &mut LpWorkspace<'_>) -> Vec<JobResult> {
-    {
-        let mut st = pool.state.lock().unwrap();
-        st.jobs = jobs.to_vec();
-        st.results = (0..jobs.len()).map(|_| None).collect();
-        st.next = 0;
-        st.pending = jobs.len();
-    }
-    pool.work.notify_all();
-    loop {
-        let claimed = {
-            let mut st = pool.state.lock().unwrap();
-            if st.next < st.jobs.len() {
-                let idx = st.next;
-                st.next += 1;
-                Some((idx, st.jobs[idx].clone()))
-            } else {
-                None
-            }
-        };
-        let Some((idx, job)) = claimed else { break };
-        let r = run_job(&pool.shared, &job, ws);
-        let mut st = pool.state.lock().unwrap();
-        st.results[idx] = Some(r);
-        st.pending -= 1;
-    }
-    let mut st = pool.state.lock().unwrap();
-    while st.pending > 0 {
-        st = pool.work.wait(st).unwrap();
-    }
-    st.jobs.clear();
-    st.next = 0;
-    st.results
-        .drain(..)
-        // pb-lint: allow(no-panic-in-solver-paths) — invariant: the claim
-        // counter handed out every index exactly once and the latch waited
-        // for all of them, so every slot holds a result.
-        .map(|r| r.expect("every claimed job stored a result"))
-        .collect()
+/// Runs one batch: one executor job per expansion, results in job order no
+/// matter which thread solved what. A job borrows an idle workspace (building
+/// one when none is free) and hands it back, so workspaces survive across
+/// batches.
+fn solve_batch(shared: &Shared<'_>, jobs: &[Job]) -> Vec<JobResult> {
+    shared.par.run_chunks_width(jobs.len(), 1, |i, _| {
+        let idle = shared.idle.lock().unwrap().pop();
+        let mut ws = idle.unwrap_or_else(|| LpWorkspace::new(shared.matrix, shared.root_bounds));
+        let result = run_job(shared, &jobs[i], &mut ws);
+        shared.idle.lock().unwrap().push(ws);
+        result
+    })
 }
 
 /// Normalizes "better objective" to the problem's sense.
@@ -673,63 +595,16 @@ pub fn solve_milp_hinted(
         config,
         matrix: &matrix,
         root_bounds: &root_bounds,
+        par: ParExec::new(config.num_threads.clamp(1, NODE_BATCH)),
+        idle: Mutex::new(Vec::new()),
     };
-
-    // A batch can never employ more than NODE_BATCH threads. Callers are
-    // expected to keep `num_threads = 1` for tiny problems, where a worker
-    // spawn costs more than the whole solve (the engine's ILP layer does).
-    let workers = config.num_threads.clamp(1, NODE_BATCH);
-
-    if workers <= 1 {
-        let mut ws = shared.workspace();
-        let mut batch = |jobs: &[Job]| -> Vec<JobResult> {
-            jobs.iter().map(|j| run_job(&shared, j, &mut ws)).collect()
-        };
-        return search(&shared, hint, &int_vars, &mut batch);
-    }
-
-    let pool = Pool {
-        shared,
-        state: Mutex::new(PoolState {
-            jobs: Vec::new(),
-            results: Vec::new(),
-            next: 0,
-            pending: 0,
-            shutdown: false,
-        }),
-        work: Condvar::new(),
-    };
-    // This is a contained thread home clippy.toml points at.
-    #[allow(clippy::disallowed_methods)]
-    std::thread::scope(|s| {
-        for _ in 0..workers - 1 {
-            let p = &pool;
-            s.spawn(move || worker_loop(p));
-        }
-        let mut main_ws = pool.shared.workspace();
-        let mut batch = |jobs: &[Job]| solve_batch_pooled(&pool, jobs, &mut main_ws);
-        let out = search(&pool.shared, hint, &int_vars, &mut batch);
-        pool.state.lock().unwrap().shutdown = true;
-        pool.work.notify_all();
-        out
-    })
+    search(&shared, hint, &int_vars)
 }
 
-/// The batched best-bound search loop. `batch_solve` abstracts over the
-/// sequential and pooled executors; everything that decides *what* is solved
-/// and *how results merge* lives here, identically for both.
-fn search(
-    shared: &Shared<'_>,
-    hint: Option<&[f64]>,
-    int_vars: &[usize],
-    batch_solve: &mut dyn FnMut(&[Job]) -> Vec<JobResult>,
-) -> LpResult<Solution> {
-    let Shared {
-        problem,
-        config,
-        root_bounds,
-        ..
-    } = *shared;
+/// The batched best-bound search loop: everything that decides *what* is
+/// solved and *how results merge*.
+fn search(shared: &Shared<'_>, hint: Option<&[f64]>, int_vars: &[usize]) -> LpResult<Solution> {
+    let (problem, config, root_bounds) = (shared.problem, shared.config, shared.root_bounds);
     // pb-lint: allow(time-containment) — stats clock only: stamps the
     // solution's solve time; interruption goes through Interrupt's deadline.
     let start = Instant::now();
@@ -779,7 +654,7 @@ fn search(
         parent_bound: f64::INFINITY,
         branch: None,
     };
-    let root_res = batch_solve(std::slice::from_ref(&root_job))
+    let root_res = solve_batch(shared, std::slice::from_ref(&root_job))
         .pop()
         .and_then(|mut lps| lps.pop())
         .ok_or_else(|| LpError::Numerical("batch solver returned no result for the root".into()))?;
@@ -884,7 +759,7 @@ fn search(
         }
         jobs.retain(|job| job.lps() > 0);
 
-        let results = batch_solve(&jobs);
+        let results = solve_batch(shared, &jobs);
         for (idx, (job, lps)) in jobs.iter().zip(results).enumerate() {
             for (k, res) in lps.into_iter().enumerate() {
                 match res {
@@ -1118,29 +993,78 @@ mod tests {
         p
     }
 
+    fn assert_bit_identical(s: &Solution, reference: &Solution, context: &str) {
+        assert_eq!(s.status, reference.status, "{context}");
+        assert_eq!(
+            s.objective.to_bits(),
+            reference.objective.to_bits(),
+            "{context}"
+        );
+        assert_eq!(s.values, reference.values, "{context}");
+        assert_eq!(s.nodes, reference.nodes, "{context}");
+        assert_eq!(s.iterations, reference.iterations, "{context}");
+        assert_eq!(s.cold_solves, reference.cold_solves, "{context}");
+    }
+
+    /// An 11-item knapsack with a fractional capacity.
+    fn small_knapsack() -> Problem {
+        let values = [2.0, 5.0, 14.0, 18.0, 7.0, 20.0, 2.0, 16.0, 11.0, 5.0, 18.0];
+        let weights = [2.0, 6.0, 6.0, 3.0, 5.0, 1.0, 9.0, 4.0, 3.0, 2.0, 4.0];
+        let mut p = Problem::new(Sense::Maximize);
+        let vars: Vec<_> = (0..11).map(|i| p.add_binary(format!("x{i}"))).collect();
+        for (i, &v) in vars.iter().enumerate() {
+            p.set_objective_coeff(v, values[i]);
+        }
+        let terms: Vec<_> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, weights[i]))
+            .collect();
+        p.add_constraint_terms("cap", &terms, ConstraintOp::Le, 16.5);
+        p
+    }
+
     #[test]
     fn thread_counts_are_bit_identical() {
         let p = branching_heavy();
         let reference = solve_milp(&p, &cfg()).unwrap();
         assert!(reference.status.is_optimal());
+        // The root has no basis to start from; its descendants here all
+        // repair their parent's.
+        assert_eq!(reference.cold_solves, 1);
+        // A second problem of another shape (11 columns against 24).
+        let q = small_knapsack();
+        let q_reference = solve_milp(&q, &cfg()).unwrap();
         for threads in [2usize, 8] {
             let mut c = cfg();
             c.num_threads = threads;
             let s = solve_milp(&p, &c).unwrap();
-            assert_eq!(s.status, reference.status, "threads={threads}");
-            assert_eq!(
-                s.objective.to_bits(),
-                reference.objective.to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(s.values, reference.values, "threads={threads}");
-            assert_eq!(s.nodes, reference.nodes, "threads={threads}");
-            assert_eq!(s.iterations, reference.iterations, "threads={threads}");
-            assert_eq!(s.cold_solves, reference.cold_solves, "threads={threads}");
+            assert_bit_identical(&s, &reference, &format!("threads={threads}"));
+
+            // Two solves at once, each from a caller thread of its own, their
+            // batches interleaving on the one pool: a workspace is laid out
+            // for its own solve's matrix, so one checked out by a job of the
+            // first solve must never reach a job of the second.
+            // Test-only threads: the callers must be two real threads, not
+            // two jobs the pool may run one after the other.
+            let start = std::sync::Barrier::new(2);
+            #[allow(clippy::disallowed_methods)]
+            std::thread::scope(|scope| {
+                let first = scope.spawn(|| {
+                    start.wait();
+                    for round in 0..4 {
+                        let s = solve_milp(&p, &c).unwrap();
+                        assert_bit_identical(&s, &reference, &format!("{threads}/{round}"));
+                    }
+                });
+                start.wait();
+                for round in 0..40 {
+                    let s = solve_milp(&q, &c).unwrap();
+                    assert_bit_identical(&s, &q_reference, &format!("{threads}/{round}"));
+                }
+                first.join().unwrap();
+            });
         }
-        // The root has no basis to start from; its descendants here all
-        // repair their parent's.
-        assert_eq!(reference.cold_solves, 1);
     }
 
     #[test]
@@ -1191,21 +1115,9 @@ mod tests {
     /// reported gap fell below the true one.
     #[test]
     fn gap_at_a_node_limit_never_understates_the_true_gap() {
-        // An 11-item knapsack on which the old gap came out 80 against a
-        // true 83 at `max_nodes = 8`.
-        let values = [2.0, 5.0, 14.0, 18.0, 7.0, 20.0, 2.0, 16.0, 11.0, 5.0, 18.0];
-        let weights = [2.0, 6.0, 6.0, 3.0, 5.0, 1.0, 9.0, 4.0, 3.0, 2.0, 4.0];
-        let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..11).map(|i| p.add_binary(format!("x{i}"))).collect();
-        for (i, &v) in vars.iter().enumerate() {
-            p.set_objective_coeff(v, values[i]);
-        }
-        let terms: Vec<_> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, weights[i]))
-            .collect();
-        p.add_constraint_terms("cap", &terms, ConstraintOp::Le, 16.5);
+        // On this knapsack the old gap came out 80 against a true 83 at
+        // `max_nodes = 8`.
+        let p = small_knapsack();
         let optimum = solve_milp(&p, &cfg()).unwrap().objective;
         // All-zeros is feasible for a pure packing problem, so every capped
         // solve has an incumbent to measure from.

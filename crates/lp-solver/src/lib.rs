@@ -35,6 +35,7 @@ pub mod branch_bound;
 pub mod cuts;
 pub mod error;
 pub mod expr;
+pub mod par;
 pub mod problem;
 pub mod simplex;
 pub mod solution;
@@ -83,7 +84,9 @@ pub struct SolverConfig {
     /// The batch boundaries and the merge order are fixed (never derived
     /// from this number), so the solver returns bit-identical solutions and
     /// node counts at every thread count — see [`crate::branch_bound`].
-    /// `1` (the default) never spawns.
+    /// Batches are jobs on the process-wide [`par::ParExec`] pool, so no
+    /// value spawns a thread per solve; `1` (the default) runs them inline
+    /// and never wakes one either.
     pub num_threads: usize,
 }
 

@@ -1,12 +1,12 @@
-//! The data-parallel chunk executor behind the columnar core.
+//! The one executor: every thread the workspace creates or wakes is here.
 //!
 //! Every hot loop in the engine — column materialization, the base-predicate
 //! candidate scan, the k-d partitioner's spread scans, greedy repair and the
 //! local search's neighbourhood scan — walks the candidate set in
 //! **fixed-width chunks** of [`CHUNK_WIDTH`] elements. [`ParExec`] fans those
-//! chunks out over scoped `std::thread` workers (no external dependencies)
-//! and hands the per-chunk results back **in chunk order**, which is the
-//! whole determinism story:
+//! chunks out over a persistent pool of worker threads (no external
+//! dependencies) and hands the per-chunk results back **in chunk order**,
+//! which is the whole determinism story:
 //!
 //! * Chunk boundaries depend only on the element count, never on the thread
 //!   count, so every chunk computes exactly the same value no matter which
@@ -18,16 +18,22 @@
 //!   no thread machinery at all.
 //!
 //! Together these make solver results **bit-identical regardless of thread
-//! count**; `tests/parallel_determinism.rs` asserts exactly that across the
-//! datagen scenarios, and the `harness -- parallel` experiment gates it in
-//! release mode.
+//! count**; `crates/core/tests/parallel_determinism.rs` asserts exactly that
+//! across the datagen scenarios, and the `harness -- parallel` experiment
+//! gates it in release mode.
+//!
+//! Coarser work rides the same executor as width-1 chunks: a
+//! branch-and-bound batch is one job per node expansion
+//! ([`crate::branch_bound`]), and the engine's portfolio race is one job per
+//! racing solver. The module lives in `lp-solver` because that is the bottom
+//! of the crate graph; the engine re-exports it as `packagebuilder::par`.
 //!
 //! The anytime contract survives fan-out because callers check their
-//! cooperative [`crate::budget::Budget`] **per chunk, not per element**: a
-//! chunk closure that observes expiry returns an "expired" marker instead of
-//! scanning, the chunk-order reduction stops at the first marker, and the
-//! solver returns its best-so-far result exactly as the sequential code
-//! would.
+//! cooperative budget (`packagebuilder::budget::Budget`) **per chunk, not per
+//! element**: a chunk closure that observes expiry returns an "expired"
+//! marker instead of scanning, the chunk-order reduction stops at the first
+//! marker, and the solver returns its best-so-far result exactly as the
+//! sequential code would.
 //!
 //! Thread budgets are a shared resource: [`ParExec::split`] divides one
 //! executor's threads among concurrent consumers, which is how the portfolio
@@ -47,7 +53,8 @@
 //! the caller alone is always sufficient, so nested fan-outs and a
 //! saturated pool degrade to inline execution instead of deadlocking.
 //! Chunk *results* still land in their chunk-index slot, so which thread
-//! ran what remains invisible to the caller.
+//! ran what remains invisible to the caller. Chunks are claimed in index
+//! order, so a fan-out that gets no helper runs them first to last.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -73,7 +80,7 @@ pub fn chunk_range(c: usize, n: usize) -> Range<usize> {
 
 /// A chunk fan-out executor with a fixed thread budget.
 ///
-/// Cheap to copy and to pass down through [`crate::solver::SolveOptions`];
+/// Cheap to copy and to pass down through the engine's `SolveOptions`;
 /// carries nothing but the thread count. With `threads() == 1` (or a single
 /// chunk of work) every operation runs inline on the caller's thread —
 /// sequential evaluation is the degenerate case of the same chunked code
@@ -556,13 +563,19 @@ mod tests {
 
     #[test]
     fn nested_fan_out_does_not_deadlock() {
-        // An outer scan whose chunk closures themselves fan out: inner jobs
-        // may find every pool worker busy, in which case their callers drain
-        // the chunks alone. Results stay ordered at both levels.
+        // An outer scan whose chunk closures themselves fan out, three deep
+        // (a portfolio race inside a caller's fan-out, a branch-and-bound
+        // batch inside the race): inner jobs may find every pool worker busy,
+        // in which case their callers drain the chunks alone. Results stay
+        // ordered at every level.
         let outer = 4 * CHUNK_WIDTH;
         let got = ParExec::new(4).run_chunks(outer, |c, _| {
             let inner: usize = ParExec::new(4)
-                .run_chunks_width(3 * CHUNK_WIDTH, CHUNK_WIDTH, |ic, _| ic)
+                .run_chunks_width(3, 1, |ic, _| {
+                    let innermost = ParExec::new(8).run_chunks_width(5, 1, |iic, _| iic);
+                    assert_eq!(innermost, vec![0, 1, 2, 3, 4]);
+                    ic
+                })
                 .into_iter()
                 .sum();
             (c, inner)

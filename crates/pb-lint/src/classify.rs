@@ -107,7 +107,10 @@ mod tests {
     #[test]
     fn classification_matches_the_architecture_split() {
         assert_eq!(classify("crates/core/src/ilp.rs"), FileClass::SolverPath);
-        assert_eq!(classify("crates/core/src/par.rs"), FileClass::SolverPath);
+        assert_eq!(
+            classify("crates/lp-solver/src/par.rs"),
+            FileClass::SolverPath
+        );
         assert_eq!(classify("crates/core/src/cache.rs"), FileClass::Infra);
         assert_eq!(
             classify("crates/core/src/column_store.rs"),

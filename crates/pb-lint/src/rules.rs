@@ -9,7 +9,7 @@
 //! |----|-----------|-------|
 //! | [`no-hash-iteration`](NoHashIteration) | `HashMap`/`HashSet` iteration order is nondeterministic; iterating one in production code can leak that order into solver results. Keyed `get`/`insert`/`entry` access is fine. | production code |
 //! | [`no-nan-unsafe-ordering`](NoNanUnsafeOrdering) | `partial_cmp` and the NaN-ignoring `f64::max`/`f64::min` fn refs silently reorder under NaN; comparisons must be `total_cmp`-based. | production code |
-//! | [`thread-containment`](ThreadContainment) | All threading lives in `par.rs`, `portfolio.rs` and the B&B pool — the three places whose merge discipline makes results thread-count-independent. | everywhere except tests |
+//! | [`thread-containment`](ThreadContainment) | All threading lives in `lp-solver/src/par.rs` — the one executor, whose chunk-order merge makes results thread-count-independent; the portfolio race and the B&B batches are jobs on it. | everywhere except tests |
 //! | [`time-containment`](TimeContainment) | `Instant::now()` belongs to `budget.rs` (the cooperative deadline substrate); any other production site is reporting-only and must say so. | production code |
 //! | [`unsafe-audit`](UnsafeAudit) | Every `unsafe` site carries a `SAFETY:` comment (or a `# Safety` doc section for `unsafe fn`). | everywhere |
 //! | [`no-panic-in-solver-paths`](NoPanicInSolverPaths) | Solver-reachable code returns `PbError::Internal` instead of panicking; `Mutex`-poison `unwrap`s are exempt (poisoning only follows another panic). | solver paths, `crates/minidb/src` |
@@ -359,35 +359,31 @@ impl Rule for NoNanUnsafeOrdering {
 // Rule 3: thread-containment
 // ---------------------------------------------------------------------------
 
-/// Restricts thread creation to the three audited concurrency seams.
+/// Restricts thread creation to the one audited concurrency seam.
 ///
 /// Determinism at every thread count holds because *all* fan-out goes
-/// through code whose merge order is fixed: the chunk executor
-/// (`core/src/par.rs`), the portfolio race (`core/src/portfolio.rs`) and
-/// the B&B worker pool (`lp-solver/src/branch_bound.rs`). A
-/// `thread::spawn` anywhere else is an unreviewed ordering hazard.
+/// through code whose merge order is fixed: the `ParExec` executor
+/// (`lp-solver/src/par.rs`), on which the engine's chunk scans, the
+/// portfolio race and the B&B batches all run as jobs. A `thread::spawn`
+/// anywhere else is an unreviewed ordering hazard.
 pub struct ThreadContainment;
 
-/// Files allowed to create threads.
-const THREAD_HOMES: &[&str] = &[
-    "crates/core/src/par.rs",
-    "crates/core/src/portfolio.rs",
-    "crates/lp-solver/src/branch_bound.rs",
-];
+/// The file allowed to create threads.
+const THREAD_HOME: &str = "crates/lp-solver/src/par.rs";
 
 impl Rule for ThreadContainment {
     fn id(&self) -> &'static str {
         "thread-containment"
     }
     fn summary(&self) -> &'static str {
-        "threads spawn only in par.rs, portfolio.rs and the B&B pool"
+        "threads spawn only in lp-solver's par.rs"
     }
     fn hint(&self) -> &'static str {
-        "route the fan-out through ParExec / PortfolioSolver / the B&B Pool, \
-         whose chunk-order merges keep results thread-count-independent"
+        "route the fan-out through ParExec, whose chunk-order merge keeps \
+         results thread-count-independent"
     }
     fn applies(&self, ctx: &FileCtx) -> bool {
-        ctx.class != FileClass::Test && !THREAD_HOMES.contains(&ctx.rel)
+        ctx.class != FileClass::Test && ctx.rel != THREAD_HOME
     }
     fn check(&self, ctx: &FileCtx, out: &mut Vec<Finding>) {
         for (idx, n) in ctx.norm.iter().enumerate() {
@@ -401,7 +397,7 @@ impl Rule for ThreadContainment {
                         self,
                         ctx,
                         line,
-                        format!("`{pat}` outside the audited concurrency seams"),
+                        format!("`{pat}` outside the audited concurrency seam"),
                     ));
                 }
             }

@@ -73,11 +73,20 @@ fn thread_containment_fires_outside_the_seams() {
 #[test]
 fn thread_containment_spares_parexec_users_and_the_homes() {
     assert_silent(include_str!("fixtures/thread_containment_good.rs"), REL);
-    // The same bad snippet inside an audited seam is allowed wholesale.
+    // The same bad snippet inside the audited seam is allowed wholesale.
     assert_silent(
         include_str!("fixtures/thread_containment_bad.rs"),
-        "crates/core/src/par.rs",
+        "crates/lp-solver/src/par.rs",
     );
+    // Its users are not homes: the race and the B&B batches post jobs.
+    for rel in [
+        "crates/core/src/portfolio.rs",
+        "crates/lp-solver/src/branch_bound.rs",
+    ] {
+        let bad = include_str!("fixtures/thread_containment_bad.rs");
+        let findings = analyze_source(rel, FileClass::SolverPath, bad);
+        assert_eq!(findings.len(), 3, "{rel}: {findings:?}");
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-// Known-bad: thread creation outside the audited seams.
+// Known-bad: thread creation outside the audited seam.
 pub fn fan_out() -> i32 {
     let h = std::thread::spawn(|| 1 + 1);
     std::thread::scope(|s| {
