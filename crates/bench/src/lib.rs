@@ -146,6 +146,103 @@ pub fn resource_json() -> String {
     )
 }
 
+/// One measured run of a scaling experiment: an arm's label, the size and
+/// thread count it ran at, its wall-clock, and the engine's result.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// Relation size.
+    pub n: usize,
+    /// The arm that ran (a strategy label such as `race-trio`).
+    pub arm: &'static str,
+    /// Engine thread budget.
+    pub threads: usize,
+    /// Wall-clock of the query, milliseconds.
+    pub ms: f64,
+    /// What the engine returned.
+    pub result: PackageResult,
+}
+
+impl Row {
+    /// The row as one line of a `BENCH_*.json` `rows` array — the one row
+    /// shape every table experiment writes.
+    pub fn json(&self, identical: bool) -> String {
+        let r = &self.result;
+        format!(
+            "    {{\"n\": {}, \"strategy\": \"{}\", \"threads\": {}, \"ms\": {:.3}, \
+             \"objective\": {}, \"optimal\": {}, \"nodes\": {}, \"iterations\": {}, \
+             \"cold_solves\": {}, \"identical\": {identical}}}",
+            self.n,
+            self.arm,
+            self.threads,
+            self.ms,
+            r.best_objective()
+                .map_or_else(|| "null".into(), |o| format!("{o:.3}")),
+            r.optimal,
+            r.stats.nodes,
+            r.stats.iterations,
+            r.stats.cold_solves,
+        )
+    }
+}
+
+/// A check over an experiment's rows whose failure makes the harness exit
+/// nonzero.
+#[derive(Debug, Clone, Copy)]
+pub enum Gate {
+    /// The arm returns the same packages, objective bits, optimality flag
+    /// and node/iteration/cold-LP counters at every thread count.
+    SameFingerprint(&'static str),
+    /// The arm's objective is at least the `floor` arm's at the same size
+    /// (every harness query maximizes). A floor without a package passes.
+    AtLeast {
+        /// The gated arm.
+        arm: &'static str,
+        /// The arm it must match or beat.
+        floor: &'static str,
+    },
+}
+
+/// Whether `row` repeats the first row of its size and arm bit for bit.
+pub fn identical(rows: &[Row], row: &Row) -> bool {
+    let fingerprint = |r: &PackageResult| {
+        let bits: Vec<_> = r.objectives.iter().map(|o| o.map(f64::to_bits)).collect();
+        let s = &r.stats;
+        (bits, r.optimal, s.nodes, s.iterations, s.cold_solves)
+    };
+    let first = rows.iter().find(|r| (r.n, r.arm) == (row.n, row.arm));
+    first.is_none_or(|f| {
+        f.result.packages == row.result.packages
+            && fingerprint(&f.result) == fingerprint(&row.result)
+    })
+}
+
+/// The failed `gates` over `rows`, one message each; empty when all hold.
+pub fn gate_failures(gates: &[Gate], rows: &[Row]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for gate in gates {
+        for row in rows {
+            let (n, threads) = (row.n, row.threads);
+            match *gate {
+                Gate::SameFingerprint(arm) if row.arm == arm && !identical(rows, row) => failures
+                    .push(format!(
+                        "{arm} at n={n}, {threads} threads: fingerprint differs"
+                    )),
+                Gate::AtLeast { arm, floor } if row.arm == arm => {
+                    let floor_row = rows.iter().find(|r| (r.n, r.arm) == (n, floor));
+                    let Some(f) = floor_row.and_then(|r| r.result.best_objective()) else {
+                        continue;
+                    };
+                    if !row.result.best_objective().is_some_and(|v| v + 1e-9 >= f) {
+                        failures.push(format!("{arm} at n={n}, {threads} threads: below {floor}"));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    failures
+}
+
 /// Prints a fixed-width table row for the harness output.
 pub fn print_row(cells: &[String], widths: &[usize]) {
     let line: Vec<String> = cells
@@ -180,5 +277,60 @@ mod tests {
     #[test]
     fn ms_formats_three_decimals() {
         assert_eq!(ms(std::time::Duration::from_millis(1500)), "1500.000");
+    }
+
+    #[test]
+    fn gates_judge_hand_made_rows() {
+        use packagebuilder::{EvalStats, Package, StrategyUsed};
+        let row = |arm, threads, objective: Option<f64>, nodes| {
+            let mut stats = EvalStats::empty(StrategyUsed::Ilp);
+            stats.nodes = nodes;
+            let pairs = objective.map(|o| (Package::from_ids([minidb::TupleId(0)]), Some(o)));
+            let result = PackageResult::from_pairs(pairs.into_iter().collect(), false, stats);
+            Row {
+                n: 10,
+                arm,
+                threads,
+                ms: 1.0,
+                result,
+            }
+        };
+        let gates = [
+            Gate::SameFingerprint("shade"),
+            Gate::AtLeast {
+                arm: "shade",
+                floor: "greedy",
+            },
+        ];
+        let floor = row("greedy", 1, Some(5.0), 0);
+        let good = vec![
+            floor.clone(),
+            row("shade", 1, Some(6.0), 3),
+            row("shade", 2, Some(6.0), 3),
+        ];
+        assert!(gate_failures(&gates, &good).is_empty());
+        assert!(good.iter().all(|r| identical(&good, r)));
+
+        // A counter that moves with the thread count is a fingerprint mismatch.
+        let drift = vec![
+            floor.clone(),
+            row("shade", 1, Some(6.0), 3),
+            row("shade", 2, Some(6.0), 4),
+        ];
+        assert_eq!(gate_failures(&gates, &drift).len(), 1);
+        assert!(!identical(&drift, &drift[2]));
+
+        // Below the floor, or no package over a floor that has one, fails.
+        let low = vec![
+            floor.clone(),
+            row("shade", 1, Some(4.0), 3),
+            row("shade", 2, None, 3),
+        ];
+        assert_eq!(gate_failures(&gates[1..], &low).len(), 2);
+
+        // A floor without a package, or without a row at all, passes.
+        let no_floor = vec![row("greedy", 1, None, 0), row("shade", 1, Some(1.0), 3)];
+        assert!(gate_failures(&gates, &no_floor).is_empty());
+        assert!(gate_failures(&gates, &no_floor[1..]).is_empty());
     }
 }

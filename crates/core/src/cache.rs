@@ -142,6 +142,8 @@ pub struct SubIlpSolution {
     pub nodes: u64,
     /// Simplex iterations of the original solve.
     pub iterations: u64,
+    /// Cold-start LP fallbacks of the original solve.
+    pub cold_solves: u64,
 }
 
 impl PartitionMemo {

@@ -339,6 +339,7 @@ pub fn enumerate(view: &CandidateView, opts: EnumerationOptions) -> PbResult<Enu
                 candidates: view.candidate_count(),
                 nodes: 0,
                 iterations: 0,
+                cold_solves: 0,
                 elapsed: start.elapsed(),
             },
         });
@@ -369,6 +370,7 @@ pub fn enumerate(view: &CandidateView, opts: EnumerationOptions) -> PbResult<Enu
                 candidates: view.candidate_count(),
                 nodes: 0,
                 iterations: 0,
+                cold_solves: 0,
                 elapsed: start.elapsed(),
             },
         });
@@ -389,6 +391,7 @@ pub fn enumerate(view: &CandidateView, opts: EnumerationOptions) -> PbResult<Enu
             candidates: view.candidate_count(),
             nodes: searcher.nodes,
             iterations: searcher.feasible,
+            cold_solves: 0,
             elapsed: start.elapsed(),
         },
     })

@@ -587,6 +587,7 @@ pub fn solve_ilp_par(
                 candidates: view.candidate_count(),
                 nodes: 0,
                 iterations: 0,
+                cold_solves: 0,
                 elapsed: start.elapsed(),
             },
         });
@@ -602,6 +603,7 @@ pub fn solve_ilp_par(
     let mut complete = true;
     let mut total_iterations = 0usize;
     let mut total_nodes = 0usize;
+    let mut total_cold_solves = 0usize;
 
     let want = num_packages.max(1);
     for round in 0..want {
@@ -620,6 +622,7 @@ pub fn solve_ilp_par(
         };
         total_iterations += solution.iterations;
         total_nodes += solution.nodes;
+        total_cold_solves += solution.cold_solves;
         if solution.status == Status::LimitReached {
             complete = false;
         }
@@ -671,6 +674,7 @@ pub fn solve_ilp_par(
             candidates: view.candidate_count(),
             nodes: total_nodes as u64,
             iterations: total_iterations as u64,
+            cold_solves: total_cold_solves as u64,
             elapsed: start.elapsed(),
         },
     })

@@ -154,6 +154,7 @@ pub fn local_search(
             candidates: view.candidate_count(),
             nodes: moves,
             iterations: evaluations,
+            cold_solves: 0,
             elapsed: start.elapsed(),
         },
     })

@@ -244,11 +244,13 @@ impl Solver for PortfolioSolver {
         let mut first_err: Option<PbError> = None;
         let mut nodes = 0u64;
         let mut iterations = 0u64;
+        let mut cold_solves = 0u64;
         for &(i, ref result) in &outcomes {
             match result {
                 Ok(outcome) => {
                     nodes += outcome.stats.nodes;
                     iterations += outcome.stats.iterations;
+                    cold_solves += outcome.stats.cold_solves;
                     let current = winner.and_then(|w| outcomes[w].1.as_ref().ok());
                     if current.is_none_or(|c| beats(outcome, c, direction)) {
                         winner = Some(i);
@@ -270,6 +272,7 @@ impl Solver for PortfolioSolver {
                     candidates: view.candidate_count(),
                     nodes,
                     iterations,
+                    cold_solves,
                     elapsed: start.elapsed(),
                 },
             }),

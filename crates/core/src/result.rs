@@ -61,6 +61,10 @@ pub struct EvalStats {
     pub nodes: u64,
     /// Simplex iterations (ILP) or neighbour evaluations (local search).
     pub iterations: u64,
+    /// Branch-and-bound LPs that fell back to the cold two-phase start
+    /// (`lp_solver::Solution::cold_solves`), summed wherever `iterations`
+    /// sums simplex iterations; zero for strategies that solve no LP.
+    pub cold_solves: u64,
     /// Wall-clock time spent.
     pub elapsed: Duration,
 }
@@ -73,6 +77,7 @@ impl EvalStats {
             candidates: 0,
             nodes: 0,
             iterations: 0,
+            cold_solves: 0,
             elapsed: Duration::ZERO,
         }
     }

@@ -98,6 +98,7 @@ impl Solver for SketchRefineSolver {
 pub(crate) struct Counters {
     pub(crate) nodes: u64,
     pub(crate) iterations: u64,
+    pub(crate) cold_solves: u64,
 }
 
 /// What every stage of the pipeline reads: the view, its linearized rows and
@@ -148,6 +149,7 @@ pub(crate) fn solve_sketch_family(
     let mut counters = Counters {
         nodes: baseline.stats.nodes,
         iterations: baseline.stats.iterations,
+        cold_solves: baseline.stats.cold_solves,
     };
     let mut best: Option<(Package, Option<f64>)> = baseline.packages.into_iter().next();
 
@@ -176,6 +178,7 @@ pub(crate) fn solve_sketch_family(
             candidates: view.candidate_count(),
             nodes: counters.nodes,
             iterations: counters.iterations,
+            cold_solves: counters.cold_solves,
             elapsed: start.elapsed(),
         },
     })
@@ -366,6 +369,7 @@ fn solve_small_ilp<R: AsRef<[f64]>>(
         .filter(|s| s.status.has_solution())?;
     counters.nodes += solution.nodes as u64;
     counters.iterations += solution.iterations as u64;
+    counters.cold_solves += solution.cold_solves as u64;
     Some(solution)
 }
 
@@ -608,6 +612,7 @@ fn solve_partition(
     if let Some(hit) = memo.sub_ilp(&key) {
         counters.nodes += hit.nodes;
         counters.iterations += hit.iterations;
+        counters.cold_solves += hit.cold_solves;
         return Some(hit.assignment.clone());
     }
     let hint_values: Option<Vec<f64>> = hint.map(|assignment| {
@@ -641,6 +646,7 @@ fn solve_partition(
                 assignment: assignment.clone(),
                 nodes: solution.nodes as u64,
                 iterations: solution.iterations as u64,
+                cold_solves: solution.cold_solves as u64,
             },
         );
     }

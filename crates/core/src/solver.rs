@@ -302,6 +302,7 @@ impl Solver for GreedySolver {
                 candidates: view.candidate_count(),
                 nodes: moves,
                 iterations: evaluations,
+                cold_solves: 0,
                 elapsed: start.elapsed(),
             },
         })

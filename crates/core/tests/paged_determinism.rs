@@ -17,7 +17,7 @@ use minidb::{Catalog, Table};
 use packagebuilder::config::{EngineConfig, Strategy};
 use packagebuilder::par::ParExec;
 use packagebuilder::spec::{BuildCtx, PackageSpec};
-use packagebuilder::{ColumnPolicy, PackageEngine, PackageResult};
+use packagebuilder::{ColumnPolicy, PackageEngine, PackageResult, StrategyUsed};
 use proptest::prelude::*;
 
 /// Thread counts the paged runs are evaluated at; the resident sequential
@@ -74,6 +74,10 @@ fn assert_runs_identical(
                 x.stats.iterations, y.stats.iterations,
                 "{context}: iterations differ"
             );
+            assert_eq!(
+                x.stats.cold_solves, y.stats.cold_solves,
+                "{context}: cold LP counts differ"
+            );
         }
         (Err(x), Err(y)) => assert_eq!(x, y, "{context}: errors differ"),
         (x, y) => panic!("{context}: one run failed, the other did not: {x:?} vs {y:?}"),
@@ -127,6 +131,17 @@ proptest! {
     }
 }
 
+/// Clears the counters of a raced result: the race sums its workers'
+/// counters, and how far a worker got before the exact worker's proof
+/// cancelled it is timing. What the race returns — packages, objectives,
+/// optimality — is still compared, as the gauntlet compares it.
+fn race_blind(mut r: PackageResult) -> PackageResult {
+    if r.stats.strategy == StrategyUsed::Portfolio {
+        (r.stats.nodes, r.stats.iterations, r.stats.cold_solves) = (0, 0, 0);
+    }
+    r
+}
+
 const WIDE_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R \
     SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 \
     MAXIMIZE SUM(P.protein)";
@@ -137,7 +152,8 @@ const WIDE_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R \
 /// bit for bit at both thread counts. The pool holds 4 of the view's 6
 /// pages (3 terms × 2 chunks), so scans keep evicting without degenerating
 /// into a miss on every single row access — starvation itself is pinned by
-/// the proptest above and the buffer-pool unit tests.
+/// the proptest above and the buffer-pool unit tests. `Auto` sends the
+/// 5 000 candidates to the node-capped portfolio race.
 #[test]
 fn multi_chunk_solves_are_storage_mode_invariant() {
     for strategy in [
@@ -145,9 +161,15 @@ fn multi_chunk_solves_are_storage_mode_invariant() {
         Strategy::SketchRefine,
         Strategy::ProgressiveShading,
         Strategy::LocalSearch,
+        Strategy::Auto,
     ] {
-        let reference = run_with(recipes(5_000, Seed(11)), strategy, 1, None, WIDE_QUERY);
+        let reference =
+            run_with(recipes(5_000, Seed(11)), strategy, 1, None, WIDE_QUERY).map(race_blind);
         assert!(reference.is_ok(), "{strategy:?} failed: {reference:?}");
+        if strategy == Strategy::Auto {
+            let route = reference.as_ref().unwrap().stats.strategy;
+            assert_eq!(route, StrategyUsed::Portfolio, "Auto at n=5000");
+        }
         for &threads in &THREAD_COUNTS {
             let paged = run_with(
                 recipes(5_000, Seed(11)),
@@ -155,7 +177,8 @@ fn multi_chunk_solves_are_storage_mode_invariant() {
                 threads,
                 Some(4),
                 WIDE_QUERY,
-            );
+            )
+            .map(race_blind);
             assert_runs_identical(
                 &reference,
                 &paged,

@@ -21,7 +21,9 @@ use packagebuilder::config::{EngineConfig, Strategy};
 use packagebuilder::par::ParExec;
 use packagebuilder::solver::{GreedySolver, IlpSolver, LocalSearchSolver, SolveOptions, Solver};
 use packagebuilder::spec::{BuildCtx, PackageSpec};
-use packagebuilder::{PackageEngine, PackageResult, ProgressiveShadingSolver, SketchRefineSolver};
+use packagebuilder::{
+    PackageEngine, PackageResult, ProgressiveShadingSolver, SketchRefineSolver, StrategyUsed,
+};
 use proptest::prelude::*;
 
 /// The thread counts every case is evaluated at; 1 is the sequential
@@ -64,6 +66,10 @@ fn assert_runs_identical(
             assert_eq!(
                 x.stats.iterations, y.stats.iterations,
                 "{context}: iterations differ"
+            );
+            assert_eq!(
+                x.stats.cold_solves, y.stats.cold_solves,
+                "{context}: cold LP counts differ"
             );
         }
         (Err(x), Err(y)) => assert_eq!(x, y, "{context}: errors differ"),
@@ -123,9 +129,21 @@ const WIDE_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R \
     SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 \
     MAXIMIZE SUM(P.protein)";
 
+/// Clears the counters of a raced result: the race sums its workers'
+/// counters, and how far a worker got before the exact worker's proof
+/// cancelled it is timing. What the race returns — packages, objectives,
+/// optimality — is still compared, as the gauntlet compares it.
+fn race_blind(mut r: PackageResult) -> PackageResult {
+    if r.stats.strategy == StrategyUsed::Portfolio {
+        (r.stats.nodes, r.stats.iterations, r.stats.cold_solves) = (0, 0, 0);
+    }
+    r
+}
+
 /// A candidate set wider than one chunk (5000 > CHUNK_WIDTH), so the swap
 /// scans, partitioning spreads and column materialization genuinely cross
 /// chunk boundaries — the regime where a reduction-order bug would show.
+/// `Auto` sends 5 000 unfiltered candidates to the node-capped portfolio race.
 #[test]
 fn multi_chunk_candidate_sets_are_thread_count_invariant() {
     for strategy in [
@@ -133,11 +151,17 @@ fn multi_chunk_candidate_sets_are_thread_count_invariant() {
         Strategy::SketchRefine,
         Strategy::ProgressiveShading,
         Strategy::LocalSearch,
+        Strategy::Auto,
     ] {
-        let reference = run_at(recipes(5_000, Seed(11)), strategy, 1, WIDE_QUERY);
+        let reference = run_at(recipes(5_000, Seed(11)), strategy, 1, WIDE_QUERY).map(race_blind);
         assert!(reference.is_ok(), "{strategy:?} failed: {reference:?}");
+        if strategy == Strategy::Auto {
+            let route = reference.as_ref().unwrap().stats.strategy;
+            assert_eq!(route, StrategyUsed::Portfolio, "Auto at n=5000");
+        }
         for threads in [2usize, 8] {
-            let run = run_at(recipes(5_000, Seed(11)), strategy, threads, WIDE_QUERY);
+            let run =
+                run_at(recipes(5_000, Seed(11)), strategy, threads, WIDE_QUERY).map(race_blind);
             assert_runs_identical(
                 &reference,
                 &run,

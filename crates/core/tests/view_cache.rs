@@ -50,13 +50,14 @@ fn super_recipe(id: i64) -> Tuple {
 fn warm_solves_are_bit_identical_to_cold_solves() {
     // Same engine, same query, every strategy that Auto can deploy plus the
     // sketch path the cache most benefits: the second (cached) solve must
-    // return exactly the first solve's package.
+    // return exactly the first solve's package — the race's included.
     for strategy in [
         Strategy::Auto,
         Strategy::Ilp,
         Strategy::SketchRefine,
         Strategy::LocalSearch,
         Strategy::Greedy,
+        Strategy::Portfolio,
     ] {
         let e = engine(
             2_000,
