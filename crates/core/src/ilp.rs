@@ -952,24 +952,32 @@ mod tests {
     #[test]
     fn repeat_queries_use_multiplicities() {
         let t = recipes(30, Seed(6));
-        let spec = spec_for(
-            &t,
-            "SELECT PACKAGE(R) AS P FROM recipes R REPEAT 3 \
-             SUCH THAT COUNT(*) = 3 AND SUM(P.calories) <= 4200 MAXIMIZE SUM(P.protein)",
-        );
-        let out = solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            1,
-            &Budget::unlimited(),
-        )
-        .unwrap();
-        let (pkg, _) = &out.packages[0];
-        assert_eq!(pkg.cardinality(), 3);
-        assert!(pkg.max_multiplicity() <= 3);
-        // With repetition allowed, the best plan usually repeats the
-        // highest-protein recipe; at minimum it must be valid.
-        assert!(spec.is_valid(pkg).unwrap());
+        // Each REPEAT bound relaxes the last, so the optimum cannot fall as
+        // k grows, and no member repeats past k.
+        let mut last = f64::NEG_INFINITY;
+        for k in 1..=4u32 {
+            let spec = spec_for(
+                &t,
+                &format!(
+                    "SELECT PACKAGE(R) AS P FROM recipes R REPEAT {k} \
+                     SUCH THAT COUNT(*) = 3 AND SUM(P.calories) <= 4200 MAXIMIZE SUM(P.protein)"
+                ),
+            );
+            let out = solve_ilp(
+                spec.view(),
+                &SolverConfig::default(),
+                1,
+                &Budget::unlimited(),
+            )
+            .unwrap();
+            let (pkg, objective) = &out.packages[0];
+            assert_eq!(pkg.cardinality(), 3);
+            assert!(pkg.max_multiplicity() <= k, "REPEAT {k}");
+            assert!(spec.is_valid(pkg).unwrap());
+            let objective = objective.unwrap();
+            assert!(objective >= last - 1e-9, "REPEAT {k}: {objective} < {last}");
+            last = objective;
+        }
     }
 
     #[test]

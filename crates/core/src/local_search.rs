@@ -698,14 +698,12 @@ mod tests {
             &t,
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT SUM(P.calories) <= 2500",
         );
-        // Build a package of the 4 highest-calorie recipes (overshoots budget).
+        // The three recipes closest to 1,000 kcal total near the paper's
+        // 3,000: over budget, yet within reach of one swap.
+        let cal = |id: TupleId| t.value_f64(id, "calories").unwrap();
         let mut by_cal: Vec<TupleId> = spec.candidates.clone();
-        by_cal.sort_by(|a, b| {
-            t.value_f64(*b, "calories")
-                .unwrap()
-                .total_cmp(&t.value_f64(*a, "calories").unwrap())
-        });
-        let package = Package::from_ids(by_cal.iter().copied().take(4));
+        by_cal.sort_by(|&a, &b| (cal(a) - 1000.0).abs().total_cmp(&(cal(b) - 1000.0).abs()));
+        let package = Package::from_ids(by_cal.iter().copied().take(3));
         let current_total: f64 = package
             .members()
             .map(|(id, m)| t.value_f64(id, "calories").unwrap() * m as f64)
@@ -721,13 +719,26 @@ mod tests {
             2500.0,
         )
         .unwrap();
-        // Every returned pair must indeed repair the budget.
-        for row in &rel.rows {
-            let out_cal = row.get_f64(&rel.schema, "calories").unwrap();
-            let in_cal = row.get_f64(&rel.schema, "R.calories").unwrap();
-            assert!(current_total - out_cal + in_cal <= 2500.0 + 1e-9);
+        // The relational plan returns exactly the repairs a double loop over
+        // package × candidates finds, in the same order.
+        let pairs: Vec<(f64, f64)> = rel
+            .rows
+            .iter()
+            .map(|row| {
+                let out_id = row.get_f64(&rel.schema, "recipe_id").unwrap();
+                (out_id, row.get_f64(&rel.schema, "R.recipe_id").unwrap())
+            })
+            .collect();
+        let recipe = |id: TupleId| t.value_f64(id, "recipe_id").unwrap();
+        let mut brute_force = Vec::new();
+        for out in package.tuple_ids() {
+            for &c in &spec.candidates {
+                if current_total - cal(out) + cal(c) <= 2500.0 {
+                    brute_force.push((recipe(out), recipe(c)));
+                }
+            }
         }
-        // The join size is |P0| × |R| before selection; the result is smaller.
-        assert!(rel.len() <= 4 * spec.candidates.len());
+        assert!(!brute_force.is_empty());
+        assert_eq!(pairs, brute_force);
     }
 }

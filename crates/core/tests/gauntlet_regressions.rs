@@ -1,7 +1,7 @@
-//! Regression tests distilled from the workload gauntlet
-//! (`harness -- gauntlet` in `pb-bench`): each test pins an engine
-//! behaviour the gauntlet's adversarial scenario families first surfaced,
-//! at a size small enough for the tier-1 suite.
+//! Regression tests distilled from the workload gauntlet (the `gauntlet`
+//! rows of `pb-bench`'s experiment table, `harness -- gauntlet`): each test
+//! pins an engine behaviour the gauntlet's adversarial scenario families
+//! first surfaced, at a size small enough for the tier-1 suite.
 
 use datagen::{scenario, Seed};
 use minidb::{Catalog, Table};

@@ -11,10 +11,14 @@
 //!   [`Scenario::random_query`] over [`Scenario::columns`]),
 //! * the **determinism** suites (thread counts, paged vs resident storage,
 //!   engine-instance reproducibility — seeded by [`Scenario::exact_query`]),
-//! * the **gauntlet** benchmark (`harness -- gauntlet`), which runs every
-//!   [`Scenario::queries`] entry at every [`Scenario::gauntlet_sizes`] size
-//!   across all engine strategies and gates the result on validity,
-//!   cross-thread identity and [`ScenarioQuery::max_gap`].
+//! * the **gauntlet** (`harness -- gauntlet`; `gauntlet-smoke`, the first
+//!   size only, in CI): two entries of the harness's one experiment table
+//!   whose workloads are every [`Scenario::queries`] entry at every
+//!   [`Scenario::gauntlet_sizes`] size, solved by every engine strategy at
+//!   1 and 2 threads (the exact ones only up to [`Scenario::exact_cap`])
+//!   and judged by the `pb_bench::Gate`s `Valid`, `EmptyWhenInfeasible`,
+//!   `SameFingerprint`, `MaxGap` ([`ScenarioQuery::max_gap`]) and
+//!   `NonEmptyWhenFeasible`.
 //!
 //! # Adding a scenario
 //!
@@ -36,10 +40,10 @@
 //! user lands on without opting into a heuristic. Explicitly-chosen
 //! heuristics (`Greedy`, `LocalSearch`, `SketchRefine`, truncated
 //! enumeration) are recorded in `BENCH_gauntlet.json` but not gated: their
-//! role is visibility, not guarantees — the gauntlet measured sketch gaps
+//! role is visibility, not guarantees — the gauntlet measures sketch gaps
 //! from 0% (anti-correlated assets) to ~40% (the group-covering wide
-//! query), which is the quality-for-scale trade the paper describes, not a
-//! bug. `Auto` however is gated at *every* size, so its handoff thresholds
+//! query) and 63% (lineitem at 40 000), holes ROADMAP item 4 tracks.
+//! `Auto` however is gated at *every* size, so its handoff thresholds
 //! must only delegate to a heuristic where that heuristic clears the
 //! family threshold. Thresholds are deliberately tight where exact routes
 //! stay tractable (≤ 2%) and looser where truncation is expected.
