@@ -9,9 +9,11 @@
 //!
 //! The design is tuned for the shape of package ILPs — *many* decision
 //! variables (one per candidate tuple) but only a handful of constraint rows
-//! (one per global constraint). The bounded-variable revised simplex keeps a
-//! basis of size `m` (the row count), so iterations cost `O(m·n)` rather than
-//! the `O(n²)` a naive tableau would pay.
+//! (one per distinct linear form of the global constraints: a `BETWEEN`'s
+//! two sides, or a `COUNT(*)` row and the support rows that repeat its
+//! coefficients, are one ranged row). The bounded-variable revised simplex
+//! keeps a basis of size `m` (the row count), so iterations cost `O(m·n)`
+//! rather than the `O(n²)` a naive tableau would pay.
 //!
 //! # Quick example
 //!

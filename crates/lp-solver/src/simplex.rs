@@ -8,7 +8,10 @@
 //! * [`LpMatrix`] — the immutable part of an LP, built once per problem and
 //!   shared by reference between branch-and-bound workers: the structural
 //!   coefficients as one dense row-major `m × n` array, costs, right-hand
-//!   sides and slack bounds. Slack and artificial columns are implicit unit
+//!   sides and slack bounds. A row is a distinct linear form: constraints
+//!   that repeat one (a `BETWEEN`'s two sides, a `COUNT(*)` row and the
+//!   `Σx ≥ 1` support rows) share it as one ranged row, whose slack's bounds
+//!   are the form's interval. Slack and artificial columns are implicit unit
 //!   vectors and take no storage.
 //! * [`LpWorkspace`] — everything a solve mutates, allocated once: flat
 //!   `status`/`lb`/`ub` arrays over the root bounds plus the one value per
@@ -84,6 +87,8 @@
 // Dense matrix kernels index flat `binv[pos * m + k]` storage; rewriting the
 // row/column loops as iterator chains obscures the linear algebra.
 #![allow(clippy::needless_range_loop)]
+
+use std::collections::HashMap;
 
 use crate::error::LpError;
 use crate::problem::{ConstraintOp, Problem, Sense, VarType};
@@ -207,9 +212,10 @@ fn merge_ascending<'s>(a: &'s [usize], b: &'s [usize]) -> impl Iterator<Item = u
 ///
 /// # Invariants
 ///
-/// * A snapshot only applies to the same problem *shape* (equal row and
-///   column counts); a solve verifies this and falls back to a cold start on
-///   any mismatch.
+/// * A snapshot only applies to the same matrix *shape* (equal row and
+///   column counts, where `m` counts the [`LpMatrix`]'s rows — distinct
+///   linear forms — not the [`Problem`]'s constraints); a solve verifies
+///   this and falls back to a cold start on any mismatch.
 /// * Statuses are positional ("at lower", "at upper"), not value-based, so a
 ///   snapshot stays valid when bound *values* change — the branch-and-bound
 ///   child relationship.
@@ -415,6 +421,11 @@ impl PricePick {
 /// changes. Built once per problem — once per MILP solve — and shared by
 /// reference between every [`LpWorkspace`] that solves it.
 ///
+/// A row is one distinct linear form of the problem's constraints, so `m`
+/// can be smaller than [`Problem::num_constraints`]: every constraint on the
+/// form narrows the interval `[lo, hi]` the row's value must lie in, and
+/// that interval is the row's slack's bounds (see [`LpMatrix::new`]).
+///
 /// Columns are numbered structural `0..n`, slack `n..n+m` (one per row,
 /// coefficient `+1`), artificial `n+m..n+2m` (one per row, coefficient `±1`
 /// chosen per solve). Only the structural block is stored.
@@ -428,11 +439,14 @@ pub struct LpMatrix {
     /// maximization: the simplex always minimizes).
     cost: Vec<f64>,
     sense: Sense,
-    /// Right-hand side per row.
+    /// Right-hand side per row: `hi`, or `lo` when `hi` is infinite.
     b: Vec<f64>,
-    /// `1 + max |b|`: scales the phase-1 infeasibility tolerance.
+    /// `1 + max |rhs|` over the problem's constraints: scales the phase-1
+    /// infeasibility tolerance.
     feas_scale: f64,
-    /// Slack bounds per row (`Le`: `[0, ∞)`, `Ge`: `(−∞, 0]`, `Eq`: `[0, 0]`).
+    /// Slack bounds per row, `a·x + s = b`: `[0, hi − lo]` when `hi` is
+    /// finite (`[0, ∞)` for a lone `Le`, `[0, 0]` for an `Eq`), else
+    /// `(−∞, 0]` (a lone `Ge`).
     slack_lb: Vec<f64>,
     slack_ub: Vec<f64>,
     /// Structural columns whose objective coefficient has a clear sign bit;
@@ -441,35 +455,75 @@ pub struct LpMatrix {
 }
 
 impl LpMatrix {
-    /// Validates `problem` and lays it out for the simplex kernels.
+    /// Validates `problem` and lays it out for the simplex kernels: one row
+    /// per distinct linear form, in the order of its first constraint.
+    ///
+    /// Constraints whose dense coefficients are equal share a row (found by
+    /// a hash of the row, compared exactly on a hit), and their intervals —
+    /// `Le` `(−∞, rhs]`, `Ge` `[rhs, ∞)`, `Eq` `[rhs, rhs]` — are
+    /// intersected into `[lo, hi]`. The row is laid out as `b = hi`, slack
+    /// `∈ [0, hi − lo]` when `hi` is finite and as `b = lo`, slack
+    /// `∈ (−∞, 0]` otherwise, so a form no other constraint repeats is laid
+    /// out exactly as its one constraint reads. An empty interval leaves the
+    /// slack with `lb > ub`, which makes every solve infeasible.
     pub fn new(problem: &Problem) -> LpResult<Self> {
         problem.validate()?;
         let n = problem.num_vars();
-        let m = problem.num_constraints();
         let obj_sign = match problem.sense() {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
-        let mut a = vec![0.0; m * n];
+        let mut a = Vec::with_capacity(problem.num_constraints() * n);
+        // `(lo, hi)` of each row, and the rows of each form hash.
+        let mut ranges: Vec<(f64, f64)> = Vec::new();
+        let mut rows_of: HashMap<u64, Vec<usize>> = HashMap::new();
+        // Over every constraint, merged or not (finite by validation).
+        let mut rhs_max = 0.0f64;
+        for c in problem.constraints() {
+            rhs_max = rhs_max.max(c.rhs.abs());
+            let start = a.len();
+            a.resize(start + n, 0.0);
+            for (v, coeff) in c.expr.terms() {
+                a[start + v.index()] = coeff;
+            }
+            let (lo, hi) = match c.op {
+                ConstraintOp::Le => (f64::NEG_INFINITY, c.rhs),
+                ConstraintOp::Ge => (c.rhs, f64::INFINITY),
+                ConstraintOp::Eq => (c.rhs, c.rhs),
+            };
+            let (rows, form) = a.split_at(start);
+            // FNV-1a over the coefficient bits. `LinExpr` keeps no zero term,
+            // so every zero here is the `+0.0` the row was filled with.
+            let hash = form.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+                (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            let same = rows_of.entry(hash).or_default();
+            match same.iter().find(|&&row| rows[row * n..][..n] == *form) {
+                Some(&row) => {
+                    let range = &mut ranges[row];
+                    *range = (range.0.max(lo), range.1.min(hi));
+                    a.truncate(start);
+                }
+                None => {
+                    same.push(ranges.len());
+                    ranges.push((lo, hi));
+                }
+            }
+        }
+        let m = ranges.len();
         let mut b = Vec::with_capacity(m);
         let mut slack_lb = Vec::with_capacity(m);
         let mut slack_ub = Vec::with_capacity(m);
-        for (row, c) in problem.constraints().iter().enumerate() {
-            for (v, coeff) in c.expr.terms() {
-                a[row * n + v.index()] = coeff;
-            }
-            b.push(c.rhs);
-            let (lb, ub) = match c.op {
-                ConstraintOp::Le => (0.0, f64::INFINITY),
-                ConstraintOp::Ge => (f64::NEG_INFINITY, 0.0),
-                ConstraintOp::Eq => (0.0, 0.0),
+        for &(lo, hi) in &ranges {
+            let (rhs, lb, ub) = if hi.is_finite() {
+                (hi, 0.0, hi - lo)
+            } else {
+                (lo, f64::NEG_INFINITY, 0.0)
             };
+            b.push(rhs);
             slack_lb.push(lb);
             slack_ub.push(ub);
         }
-        // pb-lint: allow(no-nan-unsafe-ordering) — `b` entries are finite by
-        // problem validation; max of absolute values builds a tolerance scale.
-        let feas_scale = 1.0 + b.iter().map(|v| v.abs()).fold(0.0, f64::max);
         Ok(LpMatrix {
             n,
             m,
@@ -477,7 +531,7 @@ impl LpMatrix {
             cost: problem.objective().iter().map(|c| obj_sign * c).collect(),
             sense: problem.sense(),
             b,
-            feas_scale,
+            feas_scale: 1.0 + rhs_max,
             slack_lb,
             slack_ub,
             nonneg_objective: problem
@@ -621,7 +675,9 @@ pub struct LpWorkspace<'a> {
     root: &'a [(f64, f64)],
     /// Columns whose root-default value is non-zero, ascending.
     root_nonzero: Vec<usize>,
-    /// Some root bound pair is empty (`lb > ub`): every solve is infeasible.
+    /// Some root bound pair is empty (`lb > ub`) — a structural column's, or
+    /// a slack's whose row's constraints contradict each other: every solve
+    /// is infeasible.
     root_empty: bool,
     // ---- per-solve state, reset through the dirty list ----
     lb: Vec<f64>,
@@ -693,7 +749,7 @@ impl<'a> LpWorkspace<'a> {
             mat,
             root,
             root_nonzero,
-            root_empty: root.iter().any(|(lb, ub)| lb > ub),
+            root_empty: lb.iter().zip(&ub).any(|(lb, ub)| lb > ub),
             lb,
             ub,
             status,
@@ -1906,7 +1962,7 @@ pub fn is_integral(problem: &Problem, values: &[f64], int_tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{ConstraintOp, Problem, Sense, VarType};
+    use crate::problem::{ConstraintOp, Problem, Sense, VarId, VarType};
 
     fn cfg() -> SolverConfig {
         SolverConfig::default()
@@ -2378,6 +2434,76 @@ mod tests {
             statuses(&mut ws, [(3, 0.0, 1.0)], 30),
             vec![Err(LpError::UnknownVariable(30)); 3]
         );
+    }
+
+    #[test]
+    fn one_row_per_linear_form() {
+        // No form repeats: one row per constraint, laid out as it reads.
+        let mut p = packing(0.0, 1.0, Sense::Maximize);
+        let half: Vec<_> = (0..15).map(|i| (VarId::new(i), 1.0)).collect();
+        p.add_constraint_terms("half", &half, ConstraintOp::Eq, 4.0);
+        let mat = LpMatrix::new(&p).unwrap();
+        assert_eq!(mat.m, p.num_constraints());
+        // `(b, slack_lb, slack_ub)` of every row.
+        let layout = |mat: &LpMatrix| -> Vec<(f64, f64, f64)> {
+            (0..mat.m)
+                .map(|r| (mat.b[r], mat.slack_lb[r], mat.slack_ub[r]))
+                .collect()
+        };
+        const INF: f64 = f64::INFINITY;
+        assert_eq!(
+            layout(&mat),
+            [
+                (41.5, 0.0, INF), // weight ≤ 41.5
+                (7.3, -INF, 0.0), // bulk ≥ 7.3
+                (9.0, 0.0, INF),  // count ≤ 9
+                (4.0, 0.0, 0.0),  // half = 4
+            ]
+        );
+        assert_eq!(mat.a.len(), 4 * 30);
+
+        // Repeats join the row of their form's first constraint: a window,
+        // a second lower bound, and an equality under a lower bound.
+        let count: Vec<_> = (0..30).map(|i| (VarId::new(i), 1.0)).collect();
+        let bulk: Vec<_> = p.constraints()[1].expr.terms().collect();
+        let mut q = p.clone();
+        q.add_constraint_terms("count_lo", &count, ConstraintOp::Ge, 2.0);
+        q.add_constraint_terms("bulk_again", &bulk, ConstraintOp::Ge, 8.5);
+        q.add_constraint_terms("half_lo", &half, ConstraintOp::Ge, 1.0);
+        let merged = LpMatrix::new(&q).unwrap();
+        assert_eq!(merged.a, mat.a);
+        assert_eq!(
+            layout(&merged),
+            [
+                (41.5, 0.0, INF),
+                (8.5, -INF, 0.0), // bulk ≥ 8.5
+                (9.0, 0.0, 7.0),  // 2 ≤ count ≤ 9
+                (4.0, 0.0, 0.0),
+            ]
+        );
+        // The tolerance scale still reads every constraint.
+        assert_eq!(merged.feas_scale, 1.0 + 41.5);
+
+        // A contradictory pair on one form: infeasible without a pivot, cold,
+        // warm (the basis of the consistent problem fits the merged shape)
+        // and through an expansion.
+        let root = root_of(&p);
+        let (_, basis) = solve_lp_warm(&p, None, &cfg(), None).unwrap();
+        let basis = basis.unwrap();
+        let mut empty = p.clone();
+        empty.add_constraint_terms("count_hi", &count, ConstraintOp::Ge, 9.5);
+        let mat = LpMatrix::new(&empty).unwrap();
+        assert_eq!(mat.m, 4);
+        let mut ws = LpWorkspace::new(&mat, &root);
+        for warm in [None, Some(&basis)] {
+            let lp = ws.solve([], warm, &cfg()).unwrap();
+            assert_eq!((lp.status, lp.iterations), (Status::Infeasible, 0));
+            let children =
+                ws.solve_children([], warm, 0, &[(0.0, 1.0), (2.0, 3.0)], &cfg(), |_, lp| {
+                    (lp.status, lp.iterations)
+                });
+            assert_eq!(children, vec![Ok((Status::Infeasible, 0)); 2]);
+        }
     }
 
     // ---- the block-mask selects against the per-column loops they replaced ----

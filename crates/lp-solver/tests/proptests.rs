@@ -2,7 +2,7 @@
 
 use lp_solver::{
     solve, solve_lp, solve_lp_warm, solve_milp, solve_milp_hinted, Basis, ConstraintOp, LpMatrix,
-    LpResult, LpWorkspace, NodeLp, Problem, Sense, SolverConfig, Status, VarType,
+    LpResult, LpWorkspace, NodeLp, Problem, Sense, SolverConfig, Status, VarId, VarType,
 };
 use proptest::prelude::*;
 
@@ -23,20 +23,20 @@ fn bounds_of(kind: usize, allow_free: bool) -> (f64, f64) {
     }
 }
 
-/// A small problem with mixed `Le`/`Ge`/`Eq` rows whose right-hand sides
-/// are anchored on an in-bounds integer point, so most draws are feasible.
-fn mixed_problem(
+/// The columns of a generated problem — one variable of `ty` per kind,
+/// rounded `costs`, maximizing when `pick` is even — and the in-bounds
+/// integer point `anchor` picks, which right-hand sides are anchored on so
+/// most draws are feasible.
+fn columns(
     ty: VarType,
     kinds: &[usize],
     costs: &[f64],
-    rows: &[Vec<usize>],
-    ops: &[usize],
-    slacks: &[f64],
+    pick: usize,
     anchor: &[usize],
-) -> Problem {
+) -> (Problem, Vec<VarId>, Vec<f64>) {
     let n = kinds.len();
     let allow_free = ty == VarType::Continuous;
-    let mut p = Problem::new(if ops[0].is_multiple_of(2) {
+    let mut p = Problem::new(if pick.is_multiple_of(2) {
         Sense::Maximize
     } else {
         Sense::Minimize
@@ -58,6 +58,22 @@ fn mixed_problem(
             base + (anchor[i % anchor.len()] as f64).min(span)
         })
         .collect();
+    (p, vars, point)
+}
+
+/// A small problem with mixed `Le`/`Ge`/`Eq` rows whose right-hand sides
+/// are anchored on an in-bounds integer point, so most draws are feasible.
+fn mixed_problem(
+    ty: VarType,
+    kinds: &[usize],
+    costs: &[f64],
+    rows: &[Vec<usize>],
+    ops: &[usize],
+    slacks: &[f64],
+    anchor: &[usize],
+) -> Problem {
+    let n = kinds.len();
+    let (mut p, vars, point) = columns(ty, kinds, costs, ops[0], anchor);
     for (r, picks) in rows.iter().enumerate() {
         let coeffs: Vec<f64> = (0..n).map(|i| COEFFS[picks[i % picks.len()] % 8]).collect();
         let at_anchor: f64 = coeffs.iter().zip(&point).map(|(c, x)| c * x).sum();
@@ -73,6 +89,56 @@ fn mixed_problem(
         p.add_constraint_terms(format!("r{r}"), &terms, op, rhs);
     }
     p
+}
+
+/// A small problem whose constraints repeat linear forms the way a package
+/// ILP does, and its twin. Each form gets a first constraint and a repeat,
+/// by `shape`: a `Ge`/`Le` window, an `Eq` under a `Ge` (a `COUNT(*)` row and
+/// its support row), two `Le` right-hand sides, or a contradictory pair. The
+/// repeats follow every first constraint, so each must find the row of its
+/// form. In the twin every repeat is multiplied by 2.0: the same feasible
+/// set, but a row that differs bit for bit from its form's first, so the
+/// matrix never merges it.
+fn repeated_forms(
+    ty: VarType,
+    kinds: &[usize],
+    costs: &[f64],
+    forms: &[Vec<usize>],
+    shapes: &[(usize, f64, f64)],
+    anchor: &[usize],
+) -> (Problem, Problem) {
+    let n = kinds.len();
+    let (mut p, vars, point) = columns(ty, kinds, costs, shapes[0].0, anchor);
+    let mut twin = p.clone();
+    let mut repeats = Vec::new();
+    for (r, picks) in forms.iter().enumerate() {
+        let mut terms: Vec<_> = (0..n)
+            .map(|i| (vars[i], COEFFS[picks[i % picks.len()] % 8]))
+            .collect();
+        if terms.iter().all(|&(_, c)| c == 0.0) {
+            terms[r % n].1 = 1.0;
+        }
+        let at: f64 = terms.iter().zip(&point).map(|((_, c), x)| c * x).sum();
+        let (shape, s1, s2) = shapes[r % shapes.len()];
+        let (s1, s2) = (s1.round(), s2.round());
+        use ConstraintOp::{Eq, Ge, Le};
+        let [first, repeat] = match shape % 7 {
+            0 | 1 => [(Ge, at - s1), (Le, at + s2)],
+            2 | 3 => [(Eq, at), (Ge, at - s1)],
+            4 | 5 => [(Le, at + s1), (Le, at + s2)],
+            _ => [(Ge, at + s1 + 1.0), (Le, at + s1)],
+        };
+        for q in [&mut p, &mut twin] {
+            q.add_constraint_terms(format!("f{r}"), &terms, first.0, first.1);
+        }
+        repeats.push((r, terms, repeat));
+    }
+    for (r, terms, (op, rhs)) in repeats {
+        p.add_constraint_terms(format!("f{r}'"), &terms, op, rhs);
+        let doubled: Vec<_> = terms.iter().map(|&(v, c)| (v, 2.0 * c)).collect();
+        twin.add_constraint_terms(format!("f{r}'"), &doubled, op, 2.0 * rhs);
+    }
+    (p, twin)
 }
 
 /// Status, objective bits, iterations, basic values, dense values, the
@@ -449,6 +515,39 @@ proptest! {
                 prop_assert!(sol.status.is_optimal(), "status {:?}, brute force found {}", sol.status, best);
                 prop_assert!((sol.objective - best).abs() < 1e-6, "milp {} vs brute force {}", sol.objective, best);
                 prop_assert!(p.is_feasible(&sol.values, 1e-6));
+            }
+        }
+    }
+
+    /// Constraints that repeat a linear form share one ranged row; the twin
+    /// that keeps every repeat a row of its own (see [`repeated_forms`])
+    /// answers the same: the same status, the LP optimum within 1e-9
+    /// relative, the MILP optimum within 1e-6, and values that are feasible
+    /// for the problem as written.
+    #[test]
+    fn repeated_forms_solve_like_their_unmerged_twins(
+        kinds in prop::collection::vec(0usize..6, 3..7),
+        costs in prop::collection::vec(-5.0f64..5.0, 3..7),
+        forms in prop::collection::vec(prop::collection::vec(0usize..8, 3..7), 1..4),
+        shapes in prop::collection::vec((0usize..7, 0.0f64..3.0, 0.0f64..3.0), 1..4),
+        anchor in prop::collection::vec(0usize..3, 3..7),
+    ) {
+        for ty in [VarType::Continuous, VarType::Integer] {
+            let (p, twin) = repeated_forms(ty, &kinds, &costs, &forms, &shapes, &anchor);
+            let (got, want, tol) = match ty {
+                VarType::Continuous => (solve_lp(&p, None, &cfg()), solve_lp(&twin, None, &cfg()), 1e-9),
+                VarType::Integer => (solve_milp(&p, &cfg()), solve_milp(&twin, &cfg()), 1e-6),
+            };
+            let (got, want) = (got.unwrap(), want.unwrap());
+            prop_assert_eq!(got.status, want.status, "{:?}\n{}", ty, p);
+            if got.status.is_optimal() {
+                let scale = if ty == VarType::Continuous { 1.0 + want.objective.abs() } else { 1.0 };
+                prop_assert!(
+                    (got.objective - want.objective).abs() <= tol * scale,
+                    "{:?}: merged {} vs twin {}\n{}", ty, got.objective, want.objective, p
+                );
+                prop_assert!(p.is_feasible(&got.values, 1e-6), "{:?}: merged values infeasible\n{}", ty, p);
+                prop_assert!(p.is_feasible(&want.values, 1e-6), "{:?}: twin values infeasible\n{}", ty, p);
             }
         }
     }
