@@ -514,7 +514,6 @@ fn measure<'w>(e: &Experiment, w: &'w Workload, n: usize, arm: &Arm, threads: us
     config.num_threads = threads;
     if let Some(race) = &arm.race {
         config.time_budget = Some(race.deadline);
-        config.solver.time_limit = Some(race.deadline);
         if !race.workers.is_empty() {
             config.portfolio_workers = race.workers.to_vec();
         }

@@ -633,12 +633,6 @@ impl ViewCache {
     }
 }
 
-impl Default for ViewCache {
-    fn default() -> Self {
-        ViewCache::new(DEFAULT_VIEW_CACHE_CAPACITY)
-    }
-}
-
 impl fmt::Debug for ViewCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let stats = self.stats();

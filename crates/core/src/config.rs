@@ -16,15 +16,14 @@ use crate::column_store::{
 /// benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Let the engine pick: enumeration for tiny candidate sets; for
-    /// linearizable conjunctive queries the ILP, switching at
-    /// [`EngineConfig::sketch_threshold`] candidates (single-package
+    /// Let the engine pick, by [`auto_route`]: enumeration for tiny
+    /// candidate sets; for linearizable conjunctive queries the ILP,
+    /// switching at [`SKETCH_THRESHOLD`] candidates (single-package
     /// requests) to a portfolio race whose exact worker is node-capped at
-    /// [`EngineConfig::auto_exact_node_cap`] — the race returns the exact
-    /// answer wherever the proof is cheap and a heuristic answer where it
-    /// is not, instead of betting the whole query on either; for the rest
-    /// a solver portfolio at [`EngineConfig::portfolio_threshold`] and
-    /// plain local search below.
+    /// [`AUTO_EXACT_NODE_CAP`] — the race returns the exact answer wherever
+    /// the proof is cheap and a heuristic answer where it is not, instead of
+    /// betting the whole query on either; for the rest a solver portfolio at
+    /// [`PORTFOLIO_THRESHOLD`] and plain local search below.
     Auto,
     /// Translate to an integer linear program and call the solver.
     Ilp,
@@ -51,8 +50,7 @@ pub enum Strategy {
     /// representative per partition, then refine the picked partitions with
     /// small per-partition sub-ILPs. Near-optimal at a fraction of the
     /// monolithic ILP's latency; `Auto` races it as a portfolio worker for
-    /// linearizable queries with at least
-    /// [`EngineConfig::sketch_threshold`] candidates.
+    /// linearizable queries with at least [`SKETCH_THRESHOLD`] candidates.
     SketchRefine,
     /// The same pipeline over a partition *tree*
     /// ([`crate::shading::ProgressiveShadingSolver`], after Progressive
@@ -62,9 +60,113 @@ pub enum Strategy {
     /// sketch and refine only the shaded leaf partitions. Every ILP stays small
     /// regardless of the candidate count, so this is the
     /// 10^6–10^8-candidate route; `Auto` switches to it at
-    /// [`EngineConfig::shade_threshold`] candidates, where the flat sketch
-    /// itself becomes the bottleneck.
+    /// [`SHADE_THRESHOLD`] candidates, where the flat sketch itself becomes
+    /// the bottleneck.
     ProgressiveShading,
+}
+
+/// Candidate-set size at or below which `Auto` prefers pruned enumeration
+/// over the solver (enumeration is exact and has no solver overhead for tiny
+/// inputs).
+pub const ENUMERATION_THRESHOLD: usize = 22;
+
+/// Candidate-set size at or above which `Auto` races a solver portfolio
+/// instead of falling back to plain local search, for queries the ILP cannot
+/// take (non-conjunctive formulas, non-linear aggregates).
+pub const PORTFOLIO_THRESHOLD: usize = 256;
+
+/// Candidate-set size at or above which `Auto` stops trusting the monolithic
+/// ILP's latency for linearizable single-package queries and races a
+/// [`Strategy::Portfolio`] instead, with the race's exact worker node-capped
+/// at [`AUTO_EXACT_NODE_CAP`]. Below it the exact ILP is fast enough to keep
+/// the job outright.
+///
+/// No single size threshold separates cheap ILPs from expensive ones — exact
+/// cost tracks *branching hardness*, not candidate count (a 10^5-row
+/// shipment query can prove optimality in milliseconds while a 2 000-row
+/// correlated-knapsack portfolio takes seconds) — so above this size `Auto`
+/// hedges with the race rather than guessing.
+pub const SKETCH_THRESHOLD: usize = 4096;
+
+/// Candidate-set size at or above which `Auto` (and the portfolio's sketch
+/// worker) routes linearizable single-package queries to
+/// [`Strategy::ProgressiveShading`] instead of the flat sketch→refine race.
+/// Below it the flat path's single sketch ILP is still small enough to win
+/// outright; above it that sketch — one integer variable per partition,
+/// ~`n / SKETCH_PARTITION_SIZE` of them (~8 000 here) — becomes the dominant
+/// cost and the hierarchical descent takes over.
+pub const SHADE_THRESHOLD: usize = 500_000;
+
+/// Branch-and-bound node cap for the **exact worker inside an `Auto`-chosen
+/// portfolio race** (the large-`n` linearizable route). A branching-hostile
+/// instance truncates to its best incumbent after this many nodes —
+/// deterministically, the cap is a pure function of the search tree —
+/// instead of holding the whole race open; the portfolio then returns the
+/// best result across the capped exact worker and the heuristic workers.
+/// Easy instances still prove optimality under the cap and cancel the race
+/// early. The cap only applies when the *policy* picked the race: a caller
+/// forcing [`Strategy::Portfolio`] (or [`Strategy::Ilp`]) keeps
+/// [`EngineConfig::solver`]'s own limits.
+pub const AUTO_EXACT_NODE_CAP: usize = 20_000;
+
+/// Maximum partition size for [`Strategy::SketchRefine`]: the largest
+/// sub-ILP the refinement phase will solve, and (inversely) the size of the
+/// sketch ILP — median halving yields partitions holding between half this
+/// bound and the bound itself, i.e. roughly `n / size` to `2n / size`
+/// representatives.
+pub const SKETCH_PARTITION_SIZE: usize = 64;
+
+/// Maximum children per [`crate::partition::PartitionTree`] node (and
+/// maximum node count of the coarsest layer): bounds every intermediate
+/// sketch ILP progressive shading solves during its descent.
+pub const SHADE_FANOUT: usize = 64;
+
+/// Leaf partition size for [`Strategy::ProgressiveShading`] — the same bound
+/// [`SKETCH_PARTITION_SIZE`] puts on the flat path's refinement sub-ILPs.
+/// Equal to it so the two solvers share leaf partitionings and sub-ILP memos
+/// through the view cache.
+pub const SHADE_LEAF_SIZE: usize = SKETCH_PARTITION_SIZE;
+
+/// Local search: neighbourhood size (how many tuples a single move may
+/// replace). The paper notes k-replacements need a 2k-way join and "quickly
+/// become intractable"; 1 is the practical value.
+pub const REPLACEMENT_K: usize = 1;
+
+/// The `Auto` policy, a pure function of the candidate count, whether the
+/// query linearizes (a conjunctive formula and objective the ILP can take)
+/// and how many packages were asked for:
+///
+/// * at most [`ENUMERATION_THRESHOLD`] candidates: pruned enumeration;
+/// * linearizable: the ILP — unless one package is wanted and the candidate
+///   set reaches [`SKETCH_THRESHOLD`], where a portfolio race hedges (its
+///   exact worker node-capped at [`AUTO_EXACT_NODE_CAP`], so a cheap proof
+///   still wins outright and a hostile instance truncates to its incumbent
+///   while the best heuristic answer carries the query), or
+///   [`SHADE_THRESHOLD`], where the race itself stops paying and the
+///   hierarchical descent takes the query. A top-k request keeps the exact
+///   no-good-cut path at every size: the portfolio returns one package;
+/// * not linearizable: a portfolio race from [`PORTFOLIO_THRESHOLD`]
+///   candidates, plain local search below.
+///
+/// `Greedy` is never routed to on its own; it rides along as a portfolio
+/// worker.
+pub fn auto_route(candidates: usize, linearizable: bool, packages: usize) -> Strategy {
+    let single = packages <= 1;
+    if candidates <= ENUMERATION_THRESHOLD {
+        Strategy::PrunedEnumeration
+    } else if linearizable {
+        if single && candidates >= SHADE_THRESHOLD {
+            Strategy::ProgressiveShading
+        } else if single && candidates >= SKETCH_THRESHOLD {
+            Strategy::Portfolio
+        } else {
+            Strategy::Ilp
+        }
+    } else if candidates >= PORTFOLIO_THRESHOLD {
+        Strategy::Portfolio
+    } else {
+        Strategy::LocalSearch
+    }
 }
 
 /// Tunable engine parameters.
@@ -80,14 +182,6 @@ pub struct EngineConfig {
     pub solver: SolverConfig,
     /// Maximum number of search nodes the enumeration strategies may expand.
     pub max_enumeration_nodes: u64,
-    /// Candidate-set size at or below which `Auto` prefers pruned enumeration
-    /// over the solver (enumeration is exact and has no solver overhead for
-    /// tiny inputs).
-    pub enumeration_threshold: usize,
-    /// Local search: neighbourhood size (how many tuples a single move may
-    /// replace). The paper notes k-replacements need a 2k-way join and
-    /// "quickly become intractable"; 1 or 2 are the practical values.
-    pub replacement_k: usize,
     /// Local search: maximum number of moves per restart.
     pub max_local_moves: usize,
     /// Local search: number of random restarts.
@@ -99,64 +193,11 @@ pub struct EngineConfig {
     /// honours it cooperatively and returns its best-so-far result with
     /// `optimal: false` on expiry.
     pub time_budget: Option<Duration>,
-    /// Candidate-set size at or above which `Auto` races a solver portfolio
-    /// instead of falling back to plain local search, for queries the ILP
-    /// cannot take (non-conjunctive formulas, non-linear aggregates).
-    pub portfolio_threshold: usize,
     /// Which solvers [`Strategy::Portfolio`] races. Workers that cannot
     /// evaluate the query (e.g. the ILP on a non-linear formula) drop out of
     /// the race without failing it. `Auto` and `Portfolio` are not valid
     /// workers.
     pub portfolio_workers: Vec<Strategy>,
-    /// Maximum partition size for [`Strategy::SketchRefine`]: the largest
-    /// sub-ILP the refinement phase will solve, and (inversely) the size of
-    /// the sketch ILP — median halving yields partitions holding between
-    /// half this bound and the bound itself, i.e. roughly `n / size` to
-    /// `2n / size` representatives.
-    pub sketch_partition_size: usize,
-    /// Candidate-set size at or above which `Auto` stops trusting the
-    /// monolithic ILP's latency for linearizable single-package queries and
-    /// races a [`Strategy::Portfolio`] instead, with the race's exact worker
-    /// node-capped at [`EngineConfig::auto_exact_node_cap`]. Below it the
-    /// exact ILP is fast enough to keep the job outright.
-    ///
-    /// No single size threshold separates cheap ILPs from expensive ones —
-    /// exact cost tracks *branching hardness*, not candidate count (a
-    /// 10^5-row shipment query can prove optimality in milliseconds while a
-    /// 2 000-row correlated-knapsack portfolio takes seconds) — so above
-    /// this size `Auto` hedges with the race rather than guessing.
-    pub sketch_threshold: usize,
-    /// Candidate-set size at or above which `Auto` (and the portfolio's
-    /// sketch worker) routes linearizable single-package queries to
-    /// [`Strategy::ProgressiveShading`] instead of the flat sketch→refine
-    /// race. Below it the flat path's single sketch ILP is still small
-    /// enough to win outright; above it that sketch — one integer variable
-    /// per partition, ~`n / sketch_partition_size` of them — becomes the
-    /// dominant cost and the hierarchical descent takes over. Defaults to
-    /// 500 000 candidates (~8 000 flat sketch variables at the default
-    /// partition size).
-    pub shade_threshold: usize,
-    /// Maximum children per [`crate::partition::PartitionTree`] node (and
-    /// maximum node count of the coarsest layer): bounds every intermediate
-    /// sketch ILP progressive shading solves during its descent.
-    pub shade_fanout: usize,
-    /// Leaf partition size for [`Strategy::ProgressiveShading`] — the same
-    /// bound [`EngineConfig::sketch_partition_size`] puts on the flat path's
-    /// refinement sub-ILPs. Kept equal to it by default so the two solvers
-    /// share leaf partitionings and sub-ILP memos through the view cache.
-    pub shade_leaf_size: usize,
-    /// Branch-and-bound node cap for the **exact worker inside an
-    /// `Auto`-chosen portfolio race** (the large-`n` linearizable route).
-    /// A branching-hostile instance truncates to its best incumbent after
-    /// this many nodes — deterministically, the cap is a pure function of
-    /// the search tree — instead of holding the whole race open; the
-    /// portfolio then returns the best result across the capped exact
-    /// worker and the heuristic workers. Easy instances still prove
-    /// optimality under the cap and cancel the race early. The cap only
-    /// applies when the *policy* picked the race: a caller forcing
-    /// [`Strategy::Portfolio`] (or [`Strategy::Ilp`]) keeps
-    /// [`EngineConfig::solver`]'s own limits.
-    pub auto_exact_node_cap: usize,
     /// How many `(relation, base predicate)` banks the engine's
     /// [`crate::cache::ViewCache`] retains (least-recently-used eviction),
     /// reusing materialized columns, candidate statistics and sketch→refine
@@ -271,20 +312,11 @@ impl Default for EngineConfig {
             num_packages: 1,
             solver: SolverConfig::default(),
             max_enumeration_nodes: 20_000_000,
-            enumeration_threshold: 22,
-            replacement_k: 1,
             max_local_moves: 10_000,
             local_restarts: 8,
             seed: 42,
             time_budget: None,
-            portfolio_threshold: 256,
             portfolio_workers: default_portfolio_workers(num_threads),
-            sketch_partition_size: 64,
-            sketch_threshold: 4096,
-            shade_threshold: 500_000,
-            shade_fanout: 64,
-            shade_leaf_size: 64,
-            auto_exact_node_cap: 20_000,
             view_cache_capacity: crate::cache::DEFAULT_VIEW_CACHE_CAPACITY,
             column_memory_budget: policy.memory_budget,
             pool_pages: policy.pool_pages,
@@ -314,10 +346,10 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the per-query wall-clock budget (also forwarded to the solver).
+    /// Sets the per-query wall-clock budget (armed per plan run, and handed
+    /// to the LP solver as its deadline).
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
-        self.solver.time_limit = Some(budget);
         self
     }
 
@@ -358,13 +390,71 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::SolveOptions;
+
+    #[test]
+    fn auto_route_switches_exactly_at_each_threshold() {
+        use Strategy::*;
+        // (candidates, linearizable, packages, route)
+        let table: &[(usize, bool, usize, Strategy)] = &[
+            // Tiny inputs enumerate, whatever the query or the package count.
+            (0, true, 1, PrunedEnumeration),
+            (22, true, 1, PrunedEnumeration),
+            (22, false, 1, PrunedEnumeration),
+            (22, true, 5, PrunedEnumeration),
+            (22, false, 5, PrunedEnumeration),
+            (23, true, 1, Ilp),
+            (23, false, 1, LocalSearch),
+            (23, true, 5, Ilp),
+            (23, false, 5, LocalSearch),
+            // Queries the ILP cannot take race from 256 candidates.
+            (255, false, 1, LocalSearch),
+            (256, false, 1, Portfolio),
+            (255, false, 5, LocalSearch),
+            (256, false, 5, Portfolio),
+            (255, true, 1, Ilp),
+            (256, true, 1, Ilp),
+            (4_095, false, 1, Portfolio),
+            (499_999, false, 1, Portfolio),
+            (500_000, false, 1, Portfolio),
+            (500_000, false, 5, Portfolio),
+            // Linearizable single-package queries hedge with a race from
+            // 4 096 candidates; a top-k request keeps the ILP.
+            (4_095, true, 1, Ilp),
+            (4_096, true, 1, Portfolio),
+            (4_095, true, 5, Ilp),
+            (4_096, true, 5, Ilp),
+            (4_096, false, 5, Portfolio),
+            // ... and descend the partition tree from 500 000.
+            (499_999, true, 1, Portfolio),
+            (500_000, true, 1, ProgressiveShading),
+            (499_999, true, 5, Ilp),
+            (500_000, true, 5, Ilp),
+        ];
+        for &(n, linearizable, packages, route) in table {
+            assert_eq!(
+                auto_route(n, linearizable, packages),
+                route,
+                "n={n} linearizable={linearizable} packages={packages}"
+            );
+        }
+        // The table's boundaries are the constants'.
+        assert_eq!(
+            (
+                ENUMERATION_THRESHOLD,
+                PORTFOLIO_THRESHOLD,
+                SKETCH_THRESHOLD,
+                SHADE_THRESHOLD
+            ),
+            (22, 256, 4_096, 500_000)
+        );
+    }
 
     #[test]
     fn defaults_are_sensible() {
         let c = EngineConfig::default();
         assert_eq!(c.strategy, Strategy::Auto);
         assert_eq!(c.num_packages, 1);
-        assert!(c.enumeration_threshold >= 10);
         assert!(c.num_threads >= 1);
         assert_eq!(
             c.portfolio_workers,
@@ -451,7 +541,10 @@ mod tests {
         assert_eq!(c.strategy, Strategy::Ilp);
         assert_eq!(c.num_packages, 5);
         assert_eq!(c.seed, 7);
-        assert_eq!(c.solver.time_limit, Some(Duration::from_millis(100)));
+        assert_eq!(
+            SolveOptions::from_config(&c).budget.limit(),
+            Some(Duration::from_millis(100))
+        );
         assert_eq!(EngineConfig::default().packages(0).num_packages, 1);
     }
 }

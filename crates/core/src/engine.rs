@@ -15,7 +15,7 @@ use paql::{analyze, parse, AnalyzedQuery, PaqlQuery};
 
 use crate::cache::ViewCache;
 use crate::column_store::ColumnPolicy;
-use crate::config::{EngineConfig, Strategy};
+use crate::config::{auto_route, EngineConfig, Strategy, AUTO_EXACT_NODE_CAP};
 use crate::error::PbError;
 use crate::ilp::linearization_obstacle;
 use crate::par::ParExec;
@@ -178,52 +178,16 @@ impl PackageEngine {
         self.run_plan(spec, &plan)
     }
 
-    /// The `Auto` policy: ILP when the query is linear and conjunctive —
-    /// unless the candidate set reaches
-    /// [`crate::config::EngineConfig::sketch_threshold`], where the policy
-    /// races a portfolio whose exact worker is node-capped at
-    /// [`crate::config::EngineConfig::auto_exact_node_cap`] (exact cost
-    /// tracks branching hardness, not candidate count, so at scale the race
-    /// hedges: a cheap proof still wins outright and cancels the heuristics,
-    /// a hostile instance truncates to its incumbent and the best heuristic
-    /// answer carries the query); at
-    /// [`crate::config::EngineConfig::shade_threshold`] candidates the race
-    /// itself stops paying and the policy routes straight to
-    /// [`Strategy::ProgressiveShading`]'s hierarchical descent; pruned
-    /// enumeration for tiny candidate sets; and for the rest — queries no ILP can take — a solver
-    /// portfolio when the candidate set is large enough to make racing
-    /// worthwhile ([`crate::config::EngineConfig::portfolio_threshold`]),
-    /// plain local search below that. (`Greedy` is never auto-selected on
-    /// its own; it rides along as a portfolio worker.)
+    /// The strategy the configured one resolves to for `spec`: `Auto` goes
+    /// through the pure policy [`auto_route`] (candidate count, whether the
+    /// query linearizes, package count); every other strategy is itself.
     pub fn resolve_strategy(&self, spec: &PackageSpec<'_>) -> Strategy {
         match self.config.strategy {
-            Strategy::Auto => {
-                let n = spec.candidate_count();
-                if n <= self.config.enumeration_threshold {
-                    return Strategy::PrunedEnumeration;
-                }
-                if linearization_obstacle(spec.view()).is_none() {
-                    // The portfolio returns a single best package, so it
-                    // only replaces the ILP when one package is wanted; a
-                    // top-k request keeps the exact no-good-cut path
-                    // whatever the candidate count. At `shade_threshold` and
-                    // beyond, even the race stops paying — the flat sketch
-                    // worker's own ILP is the bottleneck and the exact
-                    // worker has no hope — so the policy hands the query
-                    // straight to the hierarchical descent.
-                    if n >= self.config.shade_threshold && self.config.num_packages <= 1 {
-                        Strategy::ProgressiveShading
-                    } else if n >= self.config.sketch_threshold && self.config.num_packages <= 1 {
-                        Strategy::Portfolio
-                    } else {
-                        Strategy::Ilp
-                    }
-                } else if n >= self.config.portfolio_threshold {
-                    Strategy::Portfolio
-                } else {
-                    Strategy::LocalSearch
-                }
-            }
+            Strategy::Auto => auto_route(
+                spec.candidate_count(),
+                linearization_obstacle(spec.view()).is_none(),
+                self.config.num_packages,
+            ),
             other => other,
         }
     }
@@ -265,10 +229,7 @@ impl PackageEngine {
         // cap trades the optimality proof, never validity — the best result
         // across all workers still wins.
         if auto_routed && strategy == Strategy::Portfolio {
-            options.solver.max_nodes = options
-                .solver
-                .max_nodes
-                .min(self.config.auto_exact_node_cap);
+            options.solver.max_nodes = options.solver.max_nodes.min(AUTO_EXACT_NODE_CAP);
         }
         Ok(QueryPlan {
             strategy,
@@ -338,6 +299,7 @@ impl PackageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SHADE_THRESHOLD;
     use crate::result::StrategyUsed;
     use datagen::{recipes, standard_catalog, Seed};
 
@@ -412,21 +374,33 @@ mod tests {
 
     #[test]
     fn auto_routes_shade_threshold_candidates_to_progressive_shading() {
-        // Above `shade_threshold` the race itself stops paying: the policy
-        // hands linearizable single-package queries straight to the
-        // hierarchical descent. Lower the threshold so a test-sized
-        // relation crosses it.
-        let mut catalog = Catalog::new();
-        catalog.register(recipes(600, Seed(9)));
-        let config = EngineConfig {
-            shade_threshold: 100,
-            ..EngineConfig::default()
-        };
-        let engine = PackageEngine::with_config(catalog, config);
+        // From `SHADE_THRESHOLD` candidates the race itself stops paying:
+        // the policy hands linearizable single-package queries straight to
+        // the hierarchical descent. Half a million rows are too many for a
+        // unit test, so the route is asked of `auto_route` with this spec's
+        // own linearizability and package count, and the descent is run on
+        // a test-sized relation.
+        let engine = small_engine(600, 9);
         let query = paql::parse(MEAL_QUERY).unwrap();
         let spec = engine.build_spec(&query).unwrap();
-        assert_eq!(engine.resolve_strategy(&spec), Strategy::ProgressiveShading);
-        let result = engine.execute_spec(&spec).unwrap();
+        let linearizable = linearization_obstacle(spec.view()).is_none();
+        let packages = engine.config().num_packages;
+        assert!(linearizable);
+        assert_eq!(
+            engine.resolve_strategy(&spec),
+            auto_route(spec.candidate_count(), linearizable, packages)
+        );
+        assert_eq!(
+            auto_route(SHADE_THRESHOLD, linearizable, packages),
+            Strategy::ProgressiveShading
+        );
+        assert_eq!(
+            auto_route(SHADE_THRESHOLD - 1, linearizable, packages),
+            Strategy::Portfolio
+        );
+        let result = engine
+            .execute_with_strategy(&spec, Strategy::ProgressiveShading)
+            .unwrap();
         assert_eq!(result.stats.strategy, StrategyUsed::ProgressiveShading);
         assert!(!result.is_empty());
         let best = result.best().unwrap();

@@ -50,7 +50,7 @@
 //!   [`sketch_refine::SketchRefineSolver`] runs it over the view's flat
 //!   partitioning.
 //! * **[`shading`] — hierarchical partitioning for 10^6+ candidates.** At
-//!   [`config::EngineConfig::shade_threshold`] candidates the flat sketch
+//!   [`config::SHADE_THRESHOLD`] candidates the flat sketch
 //!   itself becomes the bottleneck (one integer variable per partition);
 //!   [`shading::ProgressiveShadingSolver`] runs the same pipeline over a
 //!   [`partition::PartitionTree`], adding one stage — the descent: sketch

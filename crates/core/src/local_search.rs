@@ -4,10 +4,10 @@
 //! random), PackageBuilder identifies all possible k-tuple replacements that
 //! can lead to a valid package, by using a single SQL query." The search
 //! below implements exactly that neighbourhood: a move removes `k` members
-//! and inserts `k` candidate tuples, and the candidate generation for `k = 1`
-//! is also exposed as a literal relational query (selection over a Cartesian
-//! product) in [`single_replacement_query`], which experiment E3 uses to
-//! reproduce the paper's scaling argument.
+//! and inserts `k` candidate tuples. The paper's SQL query for `k = 1` — a
+//! selection over the Cartesian product of the package and the candidates —
+//! is the search's swap scan: every `(outgoing member, incoming
+//! candidate)` pair, scored as a delta.
 //!
 //! Moves are accepted when they lexicographically improve
 //! `(constraint violation, objective)`, so the search first repairs
@@ -23,8 +23,6 @@
 //! `k = 2`) use the point lookup [`ViewState::score_with`]. Both produce
 //! bit-identical scores.
 
-use minidb::ops::{cross_join, filter, scan, Relation};
-use minidb::{BinaryOp, Expr, Table, TupleId};
 use paql::ObjectiveDirection;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -438,59 +436,13 @@ fn resize_to(view: &CandidateView, p: &mut Package, target: u64, rng: &mut StdRn
     }
 }
 
-/// The paper's single-tuple replacement query, built literally as a relational
-/// plan: a selection over the Cartesian product of the current package (as a
-/// relation `P0`) and the candidate relation `R`.
-///
-/// For a budget constraint `SUM(col) <= budget` and a package whose current
-/// total is `current_total`, the returned relation contains one row per
-/// `(outgoing member, incoming candidate)` pair such that swapping them lands
-/// the total within budget — the literal translation of
-///
-/// ```sql
-/// SELECT P0.id, R.id FROM P0, R
-/// WHERE current_total − P0.col + R.col <= budget
-/// ```
-pub fn single_replacement_query(
-    table: &Table,
-    package: &Package,
-    candidates: &[TupleId],
-    column: &str,
-    current_total: f64,
-    budget: f64,
-) -> PbResult<Relation> {
-    // Materialize the package as relation P0 (with its source ids projected in).
-    let ids: Vec<TupleId> = package.tuple_ids();
-    let p0_table = table.subset("P0", &ids)?;
-    let p0 = scan(&p0_table);
-    let candidate_table = table.subset("R", candidates)?;
-    let r = scan(&candidate_table);
-    let joined = cross_join(&p0, &r, "R");
-    // current_total - P0.col + R.col <= budget
-    let qualified = format!("R.{column}");
-    let rhs_col = if joined.schema.index_of(&qualified).is_some() {
-        qualified
-    } else {
-        column.to_string()
-    };
-    let predicate = Expr::binary(
-        BinaryOp::LtEq,
-        Expr::binary(
-            BinaryOp::Add,
-            Expr::binary(BinaryOp::Sub, Expr::lit(current_total), Expr::col(column)),
-            Expr::col(rhs_col),
-        ),
-        Expr::lit(budget),
-    );
-    Ok(filter(&joined, &predicate)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{BuildCtx, PackageSpec};
     use datagen::{recipes, Seed};
     use lp_solver::SolverConfig;
+    use minidb::{Table, TupleId};
     use paql::compile;
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
@@ -710,35 +662,29 @@ mod tests {
             .sum();
         assert!(current_total > 2500.0);
 
-        let rel = single_replacement_query(
-            &t,
-            &package,
-            &spec.candidates,
-            "calories",
-            current_total,
-            2500.0,
-        )
-        .unwrap();
-        // The relational plan returns exactly the repairs a double loop over
-        // package × candidates finds, in the same order.
-        let pairs: Vec<(f64, f64)> = rel
-            .rows
-            .iter()
-            .map(|row| {
-                let out_id = row.get_f64(&rel.schema, "recipe_id").unwrap();
-                (out_id, row.get_f64(&rel.schema, "R.recipe_id").unwrap())
-            })
-            .collect();
-        let recipe = |id: TupleId| t.value_f64(id, "recipe_id").unwrap();
+        // The paper finds the repairs with one SQL query over P0 × R; the
+        // search's swap moves are the same pairs: those scored at zero
+        // violation are exactly what a double loop over package × candidates
+        // keeps, in the same order.
+        let view = spec.view();
+        let state = view.project(&package).unwrap();
+        let mut swaps = Vec::new();
+        for out in state.member_indices() {
+            for inn in 0..view.candidate_count() {
+                if state.score_with(&[(out, -1), (inn, 1)]).0 == 0.0 {
+                    swaps.push((view.candidates()[out], view.candidates()[inn]));
+                }
+            }
+        }
         let mut brute_force = Vec::new();
         for out in package.tuple_ids() {
             for &c in &spec.candidates {
                 if current_total - cal(out) + cal(c) <= 2500.0 {
-                    brute_force.push((recipe(out), recipe(c)));
+                    brute_force.push((out, c));
                 }
             }
         }
         assert!(!brute_force.is_empty());
-        assert_eq!(pairs, brute_force);
+        assert_eq!(swaps, brute_force);
     }
 }

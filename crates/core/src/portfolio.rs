@@ -28,7 +28,7 @@
 
 use paql::ObjectiveDirection;
 
-use crate::config::Strategy;
+use crate::config::{Strategy, SHADE_THRESHOLD};
 use crate::error::PbError;
 use crate::package::Package;
 use crate::par::ParExec;
@@ -194,7 +194,7 @@ impl Solver for PortfolioSolver {
             .workers
             .iter()
             .map(|&w| {
-                if w == Strategy::SketchRefine && view.candidate_count() >= opts.shade_threshold {
+                if w == Strategy::SketchRefine && view.candidate_count() >= SHADE_THRESHOLD {
                     Strategy::ProgressiveShading
                 } else {
                     w

@@ -529,11 +529,13 @@ fn refine_pass<'v>(
 /// node/iteration counters: the partitioning identity (size, seed, partition
 /// id, member count), the multiplicity bound, the objective direction (a
 /// bank's memo is shared by `MAXIMIZE` and `MINIMIZE` views of one term
-/// signature), the result-relevant solver knobs (tolerances and work limits
-/// — but not threads, deadlines, or stop flags, which by the determinism and
+/// signature), the node cap — the one result-relevant solver setting (the
+/// tolerances, the pivot cap and the refactorization period are constants of
+/// the LP solver; threads, deadlines and stop flags by the determinism and
 /// anytime contracts can only truncate a solve, never change a
-/// *proven-optimal* one), and per row the operator, the effective right-hand
-/// side `rhs − fixed − rem`, and every member coefficient as raw `f64` bits.
+/// *proven-optimal* one) — and per row the operator, the effective
+/// right-hand side `rhs − fixed − rem`, and every member coefficient as raw
+/// `f64` bits.
 /// Keys are compared by value (a `HashMap` probe ends in `Eq`), so a hash
 /// collision can never serve a wrong answer.
 ///
@@ -541,17 +543,13 @@ fn refine_pass<'v>(
 fn sub_ilp_key(ctx: &RefineCtx<'_>, p: usize, rhs: &[f64]) -> Vec<u64> {
     let q = &ctx.q;
     let members = &ctx.parts[p].members;
-    let cfg = &q.opts.solver;
-    let mut key = Vec::with_capacity(10 + q.rows.len() * (members.len() + 2) + members.len() + 1);
+    let mut key = Vec::with_capacity(7 + q.rows.len() * (members.len() + 2) + members.len() + 1);
     key.push(ctx.partition_sig);
     key.push(q.opts.seed);
     key.push(p as u64);
     key.push(members.len() as u64);
     key.push(q.view.max_multiplicity() as u64);
-    key.push(cfg.tolerance.to_bits());
-    key.push(cfg.int_tolerance.to_bits());
-    key.push(cfg.max_iterations as u64);
-    key.push(cfg.max_nodes as u64);
+    key.push(q.opts.solver.max_nodes as u64);
     key.push(matches!(q.view.direction(), ObjectiveDirection::Maximize) as u64);
     for (c, row) in q.rows.iter().enumerate() {
         key.push(match row.op {

@@ -23,7 +23,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::budget::Budget;
-use crate::config::{EngineConfig, Strategy};
+use crate::config::{
+    EngineConfig, Strategy, REPLACEMENT_K, SHADE_FANOUT, SHADE_LEAF_SIZE, SKETCH_PARTITION_SIZE,
+};
 use crate::enumerate::{enumerate, EnumerationOptions};
 use crate::error::PbError;
 use crate::greedy::{starting_package, StartHeuristic};
@@ -44,8 +46,6 @@ pub struct SolveOptions {
     pub solver: SolverConfig,
     /// Node budget for the enumeration strategies.
     pub max_enumeration_nodes: u64,
-    /// Local search: neighbourhood size `k`.
-    pub replacement_k: usize,
     /// Local search: maximum accepted moves per restart.
     pub max_local_moves: usize,
     /// Local search: number of restarts.
@@ -59,9 +59,6 @@ pub struct SolveOptions {
     /// Progressive shading: leaf partition size (bounds the leaf sub-ILPs,
     /// like `sketch_partition_size` does on the flat path).
     pub shade_leaf_size: usize,
-    /// Candidate count at which the portfolio's sketch worker upgrades to
-    /// progressive shading (see [`EngineConfig::shade_threshold`]).
-    pub shade_threshold: usize,
     /// Seed for randomized components.
     pub seed: u64,
     /// Wall-clock budget and cancellation flag for this evaluation. The
@@ -78,20 +75,19 @@ pub struct SolveOptions {
 }
 
 impl SolveOptions {
-    /// Projects the solver-relevant fields out of an engine configuration.
-    /// The budget is armed now, from `config.time_budget`.
+    /// Projects the solver-relevant fields out of an engine configuration;
+    /// the partition sizes and the fanout are the [`crate::config`]
+    /// constants. The budget is armed now, from `config.time_budget`.
     pub fn from_config(config: &EngineConfig) -> Self {
         SolveOptions {
             num_packages: config.num_packages,
             solver: config.solver.clone(),
             max_enumeration_nodes: config.max_enumeration_nodes,
-            replacement_k: config.replacement_k,
             max_local_moves: config.max_local_moves,
             local_restarts: config.local_restarts,
-            sketch_partition_size: config.sketch_partition_size,
-            shade_fanout: config.shade_fanout,
-            shade_leaf_size: config.shade_leaf_size,
-            shade_threshold: config.shade_threshold,
+            sketch_partition_size: SKETCH_PARTITION_SIZE,
+            shade_fanout: SHADE_FANOUT,
+            shade_leaf_size: SHADE_LEAF_SIZE,
             seed: config.seed,
             budget: Budget::starting_now(config.time_budget),
             par: ParExec::new(config.num_threads),
@@ -231,7 +227,7 @@ impl Solver for LocalSearchSolver {
         let out = local_search(
             view,
             &LocalSearchOptions {
-                k: opts.replacement_k,
+                k: REPLACEMENT_K,
                 max_moves: opts.max_local_moves,
                 restarts: opts.local_restarts,
                 seed: opts.seed,

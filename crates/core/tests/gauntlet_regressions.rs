@@ -5,7 +5,7 @@
 
 use datagen::{scenario, Seed};
 use minidb::{Catalog, Table};
-use packagebuilder::config::{EngineConfig, Strategy};
+use packagebuilder::config::{EngineConfig, Strategy, AUTO_EXACT_NODE_CAP};
 use packagebuilder::pruning::derive_bounds;
 use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::{PackageEngine, PackageResult};
@@ -154,7 +154,7 @@ fn contradictory_knapsack_windows_short_circuit_from_cardinality_bounds() {
 /// *every* large linearizable query to sketch→refine unconditionally, so
 /// the lineitem family paid a ~2% objective gap (and the travel family
 /// came home empty on a feasible query) at sizes where the exact proof is
-/// milliseconds-cheap. Above `sketch_threshold`, `Auto` now races a
+/// milliseconds-cheap. Above `SKETCH_THRESHOLD`, `Auto` now races a
 /// portfolio instead — the node-capped exact worker wins outright where
 /// the proof is cheap, and the heuristic workers carry the query where it
 /// is not.
@@ -203,8 +203,7 @@ fn the_auto_portfolio_route_node_caps_its_exact_worker() {
     let auto_plan = engine.plan(&spec).unwrap();
     assert_eq!(auto_plan.strategy, Strategy::Portfolio);
     assert_eq!(
-        auto_plan.options.solver.max_nodes,
-        engine.config().auto_exact_node_cap,
+        auto_plan.options.solver.max_nodes, AUTO_EXACT_NODE_CAP,
         "the policy-chosen race must cap its exact worker"
     );
 

@@ -11,14 +11,16 @@
 //! * **determinism** — same seed ⇒ identical partitioning and identical
 //!   package, across independently built engines.
 //!
-//! Plus the planner policy: at or above [`EngineConfig::sketch_threshold`],
+//! Plus the planner policy: at or above [`SKETCH_THRESHOLD`] candidates,
 //! `Auto` stops trusting the monolithic ILP's latency for linearizable
 //! single-package queries and races a portfolio (whose workers include
-//! sketch→refine, with the exact worker node-capped).
+//! sketch→refine, with the exact worker node-capped). Every boundary of
+//! the pure `packagebuilder::config::auto_route` is pinned by its table;
+//! here the engine is driven across this one end to end.
 
 use datagen::{recipes, stocks, travel_options, uniform_table, Seed};
 use minidb::{Catalog, Table};
-use packagebuilder::config::{EngineConfig, Strategy};
+use packagebuilder::config::{EngineConfig, Strategy, SKETCH_THRESHOLD};
 use packagebuilder::partition::partition_view;
 use packagebuilder::result::StrategyUsed;
 use packagebuilder::spec::{BuildCtx, PackageSpec};
@@ -152,45 +154,33 @@ fn same_seed_means_identical_partitioning_and_package() {
 
 #[test]
 fn auto_races_a_portfolio_for_large_linearizable_queries() {
-    let table = recipes(900, Seed(11));
-    let mut catalog = Catalog::new();
-    catalog.register(table);
-    let config = EngineConfig {
-        sketch_threshold: 500, // scaled down so the test stays fast
-        ..Default::default()
-    };
-    let engine = PackageEngine::with_config(catalog, config);
+    // No WHERE clause, so every row is a candidate.
     let query = paql::parse(
         "SELECT PACKAGE(R) AS P FROM recipes R \
          SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 \
          MAXIMIZE SUM(P.protein)",
     )
     .unwrap();
+    let engine_over = |rows: usize, config: EngineConfig| {
+        let mut catalog = Catalog::new();
+        catalog.register(recipes(rows, Seed(11)));
+        PackageEngine::with_config(catalog, config)
+    };
+    let engine = engine_over(SKETCH_THRESHOLD, EngineConfig::default());
     let spec = engine.build_spec(&query).unwrap();
+    assert_eq!(spec.candidate_count(), SKETCH_THRESHOLD);
     assert_eq!(engine.resolve_strategy(&spec), Strategy::Portfolio);
     let result = engine.execute_spec(&spec).unwrap();
     assert_eq!(result.stats.strategy, StrategyUsed::Portfolio);
     assert!(!result.is_empty());
+    assert!(spec.is_valid(result.best().unwrap()).unwrap());
     // Below the threshold the exact ILP keeps the job.
-    let config = EngineConfig {
-        sketch_threshold: 5_000,
-        ..Default::default()
-    };
-    let mut catalog = Catalog::new();
-    catalog.register(recipes(900, Seed(11)));
-    let engine = PackageEngine::with_config(catalog, config);
+    let engine = engine_over(SKETCH_THRESHOLD - 1, EngineConfig::default());
     let spec = engine.build_spec(&query).unwrap();
     assert_eq!(engine.resolve_strategy(&spec), Strategy::Ilp);
     // A top-k request also keeps the exact ILP (sketch→refine returns a
     // single approximate package and must not silently drop the other k−1).
-    let config = EngineConfig {
-        sketch_threshold: 500,
-        ..Default::default()
-    }
-    .packages(5);
-    let mut catalog = Catalog::new();
-    catalog.register(recipes(900, Seed(11)));
-    let engine = PackageEngine::with_config(catalog, config);
+    let engine = engine_over(SKETCH_THRESHOLD, EngineConfig::default().packages(5));
     let spec = engine.build_spec(&query).unwrap();
     assert_eq!(engine.resolve_strategy(&spec), Strategy::Ilp);
     let result = engine.execute_spec(&spec).unwrap();

@@ -1,7 +1,7 @@
 //! Time-budget regression suite: no solver may ignore its deadline.
 //!
 //! The contract under test (see `packagebuilder::budget`): with a
-//! `time_limit` of 10 ms, every solver terminates within ~2× the limit —
+//! budget of 10 ms, every solver terminates within ~2× the limit —
 //! measured here with extra absolute slack for debug-profile builds and CI
 //! scheduler noise — and returns its best-so-far result with
 //! `optimal: false` instead of erroring or running unbounded. Before this
@@ -207,7 +207,7 @@ fn enumeration_terminates_within_twice_the_time_limit_on_20k_candidates() {
 #[test]
 fn greedy_repair_honours_a_tiny_time_limit_on_a_large_candidate_set() {
     // The original bug: the repair loop (`while violation > 0.0`) never
-    // checked SolverConfig::time_limit, so this exact shape — a large
+    // checked its clock against the budget, so this exact shape — a large
     // candidate set and a high-cardinality window needing hundreds of repair
     // moves — ran unbounded.
     let table = hostile_table();

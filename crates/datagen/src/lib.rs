@@ -77,7 +77,11 @@ pub fn standard_catalog(seed: Seed) -> Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minidb::ops::scan;
+    use minidb::{Table, Tuple};
+
+    fn rows(t: &Table) -> Vec<Tuple> {
+        t.rows().map(|r| r.to_tuple()).collect()
+    }
 
     #[test]
     fn standard_catalog_contains_all_relations() {
@@ -100,8 +104,8 @@ mod tests {
         let a = recipes(50, Seed(7));
         let b = recipes(50, Seed(7));
         let c = recipes(50, Seed(8));
-        assert_eq!(scan(&a).rows, scan(&b).rows);
-        assert_ne!(scan(&a).rows, scan(&c).rows);
+        assert_eq!(rows(&a), rows(&b));
+        assert_ne!(rows(&a), rows(&c));
     }
 
     #[test]
@@ -119,51 +123,45 @@ mod tests {
         let s = Seed(9);
         assert_eq!(
             recipe_rows(40, s).collect::<Vec<_>>(),
-            scan(&recipes(40, s)).rows
+            rows(&recipes(40, s))
         );
-        assert_eq!(
-            stock_rows(40, s).collect::<Vec<_>>(),
-            scan(&stocks(40, s)).rows
-        );
+        assert_eq!(stock_rows(40, s).collect::<Vec<_>>(), rows(&stocks(40, s)));
         assert_eq!(
             travel_option_rows(10, 12, 14, s).collect::<Vec<_>>(),
-            scan(&travel_options(10, 12, 14, s)).rows
+            rows(&travel_options(10, 12, 14, s))
         );
         assert_eq!(
             uniform_rows(40, 1.0, 2.0, s).collect::<Vec<_>>(),
-            scan(&uniform_table("t", 40, 1.0, 2.0, s)).rows
+            rows(&uniform_table("t", 40, 1.0, 2.0, s))
         );
         assert_eq!(
             zipf_rows(40, 1.1, 1.0, 9.0, s).collect::<Vec<_>>(),
-            scan(&zipf_table("t", 40, 1.1, 1.0, 9.0, s)).rows
+            rows(&zipf_table("t", 40, 1.1, 1.0, 9.0, s))
         );
         assert_eq!(
             knapsack_rows(40, s).collect::<Vec<_>>(),
-            scan(&knapsack_items(40, s)).rows
+            rows(&knapsack_items(40, s))
         );
         assert_eq!(
             bulk_rows(40, s).collect::<Vec<_>>(),
-            scan(&bulk_orders(40, s)).rows
+            rows(&bulk_orders(40, s))
         );
         assert_eq!(
             metrics_rows(40, s).collect::<Vec<_>>(),
-            scan(&metrics_table(40, s)).rows
+            rows(&metrics_table(40, s))
         );
         assert_eq!(
             wide_rows(40, s).collect::<Vec<_>>(),
-            scan(&wide_table(40, s)).rows
+            rows(&wide_table(40, s))
         );
-        assert_eq!(
-            asset_rows(40, s).collect::<Vec<_>>(),
-            scan(&assets(40, s)).rows
-        );
+        assert_eq!(asset_rows(40, s).collect::<Vec<_>>(), rows(&assets(40, s)));
         assert_eq!(
             lineitem_rows(40, s).collect::<Vec<_>>(),
-            scan(&lineitem(40, s)).rows
+            rows(&lineitem(40, s))
         );
         assert_eq!(
             travel_mix_rows(40, s).collect::<Vec<_>>(),
-            scan(&travel_mix(40, s)).rows
+            rows(&travel_mix(40, s))
         );
     }
 

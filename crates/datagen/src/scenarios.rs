@@ -564,7 +564,11 @@ pub fn scenario(name: &str) -> Option<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minidb::ops::scan;
+    use minidb::Tuple;
+
+    fn rows(t: &Table) -> Vec<Tuple> {
+        t.rows().map(|r| r.to_tuple()).collect()
+    }
 
     #[test]
     fn names_and_labels_are_unique_and_sizes_ascend() {
@@ -602,8 +606,8 @@ mod tests {
             let large = (s.build)(48, Seed(99));
             assert_eq!(small.name(), s.relation, "{}: relation mismatch", s.name);
             assert_eq!(
-                scan(&small).rows,
-                &scan(&large).rows[..small.len()],
+                rows(&small),
+                &rows(&large)[..small.len()],
                 "{}: builder is not prefix-stable",
                 s.name
             );

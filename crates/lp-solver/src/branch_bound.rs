@@ -55,13 +55,16 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::par::ParExec;
 use crate::problem::{Problem, Sense, VarType};
-use crate::simplex::{Basis, LpMatrix, LpWorkspace, NodeLp};
+use crate::simplex::{Basis, LpMatrix, LpWorkspace, NodeLp, TOLERANCE};
 use crate::solution::{Solution, Status};
 use crate::{LpError, LpResult, SolverConfig};
+
+/// Integrality tolerance: a value within this distance of an integer is
+/// considered integral.
+const INT_TOLERANCE: f64 = 1e-6;
 
 /// Number of child LPs gathered into one frontier batch (half as many
 /// expansions). A fixed constant —
@@ -240,18 +243,14 @@ struct Shared<'a> {
 /// basic variable can be fractional: a nonbasic integer variable rests on a
 /// bound, and integer bounds are integral (rounded inwards at the root,
 /// floor/ceil at every branch).
-pub(crate) fn branch_variable(
-    problem: &Problem,
-    basics: &[(usize, f64)],
-    int_tolerance: f64,
-) -> Option<(usize, f64)> {
+pub(crate) fn branch_variable(problem: &Problem, basics: &[(usize, f64)]) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64, f64)> = None; // (variable, value, score)
     for &(i, v) in basics {
         if problem.variables()[i].ty != VarType::Integer {
             continue;
         }
         let frac = (v - v.round()).abs();
-        if frac > int_tolerance {
+        if frac > INT_TOLERANCE {
             let dist_to_half = (v - v.floor() - 0.5).abs();
             let score = 0.5 - dist_to_half;
             if best.map(|(_, _, s)| score > s).unwrap_or(true) {
@@ -268,7 +267,7 @@ pub(crate) fn branch_variable(
 /// workspace solves a job never affects the result.
 fn solve_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobResult {
     let outcome = |ws: &LpWorkspace<'_>, lp: NodeLp| {
-        let branch = branch_variable(shared.problem, &lp.basics, shared.config.int_tolerance);
+        let branch = branch_variable(shared.problem, &lp.basics);
         let values = match lp.status {
             Status::Unbounded => Some(ws.dense_values()),
             Status::Optimal if branch.is_none() => Some(ws.dense_values()),
@@ -414,7 +413,6 @@ enum Merged {
 /// exploration sequence regardless of which thread solved the LP.
 fn merge_one(
     problem: &Problem,
-    config: &SolverConfig,
     int_vars: &[usize],
     st: &mut SearchState,
     (job, k): (&Job, usize),
@@ -473,7 +471,7 @@ fn merge_one(
                 values[i] = values[i].round();
             }
             let obj = problem.objective_value(&values);
-            if problem.is_feasible(&values, config.tolerance * 100.0)
+            if problem.is_feasible(&values, TOLERANCE * 100.0)
                 && st
                     .incumbent
                     .as_ref()
@@ -605,9 +603,6 @@ pub fn solve_milp_hinted(
 /// solved and *how results merge*.
 fn search(shared: &Shared<'_>, hint: Option<&[f64]>, int_vars: &[usize]) -> LpResult<Solution> {
     let (problem, config, root_bounds) = (shared.problem, shared.config, shared.root_bounds);
-    // pb-lint: allow(time-containment) — stats clock only: stamps the
-    // solution's solve time; interruption goes through Interrupt's deadline.
-    let start = Instant::now();
     let mut st = SearchState {
         heap: BinaryHeap::new(),
         incumbent: None,
@@ -630,7 +625,7 @@ fn search(shared: &Shared<'_>, hint: Option<&[f64]>, int_vars: &[usize]) -> LpRe
             for &i in int_vars {
                 values[i] = values[i].round();
             }
-            if problem.is_feasible(&values, config.tolerance * 100.0) {
+            if problem.is_feasible(&values, TOLERANCE * 100.0) {
                 let objective = problem.objective_value(&values);
                 st.incumbent = Some(Solution {
                     status: Status::Optimal,
@@ -666,7 +661,7 @@ fn search(shared: &Shared<'_>, hint: Option<&[f64]>, int_vars: &[usize]) -> LpRe
         Err(e) => return Err(e),
         Ok(relax) => {
             if let Merged::Unbounded(sol) =
-                merge_one(problem, config, int_vars, &mut st, (&root_job, 0), relax)
+                merge_one(problem, int_vars, &mut st, (&root_job, 0), relax)
             {
                 return Ok(sol);
             }
@@ -678,13 +673,6 @@ fn search(shared: &Shared<'_>, hint: Option<&[f64]>, int_vars: &[usize]) -> LpRe
         if st.nodes >= config.max_nodes {
             limit_hit = true;
             break;
-        }
-        if let Some(limit) = config.time_limit {
-            if start.elapsed() >= limit {
-                limit_hit = true;
-                interrupted = true;
-                break;
-            }
         }
         if config.interrupted() {
             limit_hit = true;
@@ -777,7 +765,7 @@ fn search(shared: &Shared<'_>, hint: Option<&[f64]>, int_vars: &[usize]) -> LpRe
                     Err(e) => return Err(e),
                     Ok(relax) => {
                         if let Merged::Unbounded(sol) =
-                            merge_one(problem, config, int_vars, &mut st, (job, k), relax)
+                            merge_one(problem, int_vars, &mut st, (job, k), relax)
                         {
                             return Ok(sol);
                         }

@@ -53,19 +53,16 @@ pub use solution::{Solution, Status};
 /// Result alias for solver operations.
 pub type LpResult<T> = std::result::Result<T, LpError>;
 
-/// Tunable limits and tolerances shared by the LP and MILP layers.
+/// The limits and stop signals a caller sets on the LP and MILP layers. The
+/// tolerances, the per-LP pivot cap and the refactorization period are
+/// constants of the simplex ([`simplex`]) and of branch and bound.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// Maximum simplex pivots per LP solve.
-    pub max_iterations: usize,
     /// Maximum branch-and-bound nodes.
     pub max_nodes: usize,
-    /// Wall-clock limit for a MILP solve (None = unlimited).
-    pub time_limit: Option<std::time::Duration>,
-    /// Absolute deadline for the solve. Unlike [`SolverConfig::time_limit`]
-    /// (which is measured from the start of `solve_milp`), the deadline is
-    /// shared by every layer down to the simplex pivot loop, so a single
-    /// long LP relaxation cannot overshoot the budget.
+    /// Absolute deadline for the solve, shared by every layer down to the
+    /// simplex pivot loop, so a single long LP relaxation cannot overshoot
+    /// the budget.
     pub deadline: Option<std::time::Instant>,
     /// Cooperative cancellation flags, checked alongside the deadline (any
     /// one tripping interrupts the solve). A caller's own flag and an
@@ -74,13 +71,6 @@ pub struct SolverConfig {
     /// (simplex) or stop with the current incumbent (branch and bound) at
     /// the next check point.
     pub stop: Vec<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Feasibility / reduced-cost tolerance.
-    pub tolerance: f64,
-    /// Integrality tolerance: a value within this distance of an integer is
-    /// considered integral.
-    pub int_tolerance: f64,
-    /// Refactorize the basis inverse every this many pivots.
-    pub refactor_every: usize,
     /// Thread budget for the branch-and-bound layer: LP relaxations of one
     /// frontier batch are solved concurrently on up to this many threads.
     /// The batch boundaries and the merge order are fixed (never derived
@@ -95,27 +85,15 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            max_iterations: 50_000,
             max_nodes: 100_000,
-            time_limit: None,
             deadline: None,
             stop: Vec::new(),
-            tolerance: 1e-7,
-            int_tolerance: 1e-6,
-            refactor_every: 64,
             num_threads: 1,
         }
     }
 }
 
 impl SolverConfig {
-    /// A configuration with a wall-clock budget, used by the query engine to
-    /// bound solver latency for interactive use.
-    pub fn with_time_limit(mut self, limit: std::time::Duration) -> Self {
-        self.time_limit = Some(limit);
-        self
-    }
-
     /// True when any stop flag is set or the deadline has passed. Checked
     /// periodically by the simplex and branch-and-bound loops.
     pub fn interrupted(&self) -> bool {

@@ -97,6 +97,15 @@ use crate::{LpResult, SolverConfig};
 
 const PIVOT_TOL: f64 = 1e-10;
 
+/// Feasibility / reduced-cost tolerance.
+pub(crate) const TOLERANCE: f64 = 1e-7;
+
+/// Maximum simplex pivots per LP solve.
+const MAX_ITERATIONS: usize = 50_000;
+
+/// Refactorize the basis inverse every this many pivots.
+const REFACTOR_EVERY: usize = 64;
+
 /// Structural columns priced per chunk: the chunk of reduced costs stays in
 /// L1 while the `m` matrix rows stream through it.
 const PRICE_CHUNK: usize = 1024;
@@ -1369,7 +1378,7 @@ impl<'a> LpWorkspace<'a> {
                 infeasibility += self.xb[pos].max(0.0);
             }
         }
-        if infeasibility > config.tolerance * self.mat.feas_scale * 10.0 {
+        if infeasibility > TOLERANCE * self.mat.feas_scale * 10.0 {
             return Ok(NodeLp::status_only(Status::Infeasible, self.iterations));
         }
 
@@ -1547,7 +1556,7 @@ impl<'a> LpWorkspace<'a> {
         let mut best_total_viol = f64::INFINITY;
         let mut stalled = 0usize;
         for _ in 0..max_pivots {
-            if self.iterations >= config.max_iterations {
+            if self.iterations >= MAX_ITERATIONS {
                 return Err(LpError::IterationLimit);
             }
             if self.iterations.is_multiple_of(8) && config.interrupted() {
@@ -1559,7 +1568,7 @@ impl<'a> LpWorkspace<'a> {
             for pos in 0..m {
                 let j = self.basis[pos];
                 let v = self.xb[pos];
-                let tol_j = config.tolerance * 10.0 * (1.0 + v.abs());
+                let tol_j = TOLERANCE * 10.0 * (1.0 + v.abs());
                 if self.lb[j].is_finite() && v < self.lb[j] - tol_j {
                     let viol = self.lb[j] - v;
                     total_viol += viol;
@@ -1588,7 +1597,7 @@ impl<'a> LpWorkspace<'a> {
             }
             self.iterations += 1;
             since_refactor += 1;
-            if since_refactor >= config.refactor_every {
+            if since_refactor >= REFACTOR_EVERY {
                 self.refactorize()?;
                 since_refactor = 0;
             }
@@ -1864,7 +1873,7 @@ impl<'a> LpWorkspace<'a> {
     fn optimize(&mut self, config: &SolverConfig, phase_two: bool) -> LpResult<IterOutcome> {
         let mut since_refactor = 0usize;
         loop {
-            if self.iterations >= config.max_iterations {
+            if self.iterations >= MAX_ITERATIONS {
                 return Err(LpError::IterationLimit);
             }
             // The deadline check reaches the pivot loop so that one long LP
@@ -1876,11 +1885,11 @@ impl<'a> LpWorkspace<'a> {
             }
             self.iterations += 1;
             since_refactor += 1;
-            if since_refactor >= config.refactor_every {
+            if since_refactor >= REFACTOR_EVERY {
                 self.refactorize()?;
                 since_refactor = 0;
             }
-            match self.iterate(config.tolerance, phase_two)? {
+            match self.iterate(TOLERANCE, phase_two)? {
                 IterOutcome::Continue => continue,
                 other => return Ok(other),
             }
@@ -2334,7 +2343,7 @@ mod tests {
             p.objective_value(&dense)
         );
         assert_eq!(
-            crate::branch_bound::branch_variable(p, &lp.basics, 1e-6),
+            crate::branch_bound::branch_variable(p, &lp.basics),
             dense_branch_variable(p, &dense, 1e-6)
         );
         for &(j, v) in &lp.basics {

@@ -190,7 +190,6 @@ pub fn write_table_string(table: &Table) -> DbResult<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::scan;
     use crate::tuple::TupleId;
 
     const SAMPLE: &str = "\
@@ -225,7 +224,8 @@ salad,210,6.5,free,true
         let t = read_table_str("recipes", SAMPLE).unwrap();
         let csv = write_table_string(&t).unwrap();
         let t2 = read_table_str("recipes", &csv).unwrap();
-        assert_eq!(scan(&t).rows, scan(&t2).rows);
+        let rows = |t: &Table| t.rows().map(|r| r.to_tuple()).collect::<Vec<_>>();
+        assert_eq!(rows(&t), rows(&t2));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! * The **row form** ([`BoundExpr::eval`] / [`BoundExpr::eval_predicate`])
 //!   evaluates one [`Row`] — an owned [`Tuple`] or a lazy
-//!   [`crate::table::RowView`] — to a [`Value`]. The relational operators in
-//!   [`crate::ops`] and the interpreted package oracle use it; the free
-//!   [`eval`] / [`eval_predicate`] functions are one-row conveniences.
+//!   [`crate::table::RowView`] — to a [`Value`]. The interpreted package
+//!   oracle uses it; the free [`eval`] / [`eval_predicate`] functions are
+//!   one-row conveniences.
 //! * The **chunk form** ([`BoundExpr::eval_predicate_chunk`] /
 //!   [`BoundExpr::eval_f64_chunk`]) evaluates a whole [`Selection`] of a
 //!   table's rows at once, straight from the typed column vectors into

@@ -1,9 +1,9 @@
 //! `minidb` — a small in-memory relational engine.
 //!
 //! This crate is the database substrate for the PackageBuilder reproduction.
-//! The original system delegates data storage, base-constraint evaluation and
-//! the local-search replacement query to a full DBMS reached over SQL; this
-//! crate provides the same capabilities as a library:
+//! The original system delegates data storage and base-constraint evaluation
+//! to a full DBMS reached over SQL; this crate provides the same capabilities
+//! as a library:
 //!
 //! * typed [`Value`]s, [`Schema`]s and [`Tuple`]s, and [`Table`]s that store
 //!   them **by column** — one typed vector per column, text as dictionary
@@ -13,8 +13,6 @@
 //!   constraints*) evaluated through [`eval::BoundExpr`]: bound to a schema
 //!   once, then run a row at a time or — over a table's columns — a chunk of
 //!   rows at a time,
-//! * relational operators in [`ops`] (scan, filter, project, cross join,
-//!   aggregate, sort, limit) used by the heuristic local search,
 //! * per-column [`stats::ColumnStats`] used by cardinality-based pruning,
 //! * CSV import/export in [`csv`].
 //!
@@ -32,7 +30,6 @@ pub mod csv;
 pub mod error;
 pub mod eval;
 pub mod expr;
-pub mod ops;
 pub mod schema;
 pub mod stats;
 pub mod table;

@@ -144,21 +144,6 @@ impl Schema {
             .map(|c| c.name.as_str())
             .collect()
     }
-
-    /// Concatenates two schemas, prefixing clashing names with `right_prefix`.
-    /// Used by the cross-join operator.
-    pub fn join(&self, other: &Schema, right_prefix: &str) -> Schema {
-        let mut cols = self.columns.clone();
-        for c in &other.columns {
-            let name = if self.index_of(&c.name).is_some() {
-                format!("{right_prefix}.{}", c.name)
-            } else {
-                c.name.clone()
-            };
-            cols.push(Column::new(name, c.ty));
-        }
-        Schema { columns: cols }
-    }
 }
 
 impl fmt::Display for Schema {
@@ -213,16 +198,6 @@ mod tests {
     fn numeric_columns_filters_text() {
         let s = sample();
         assert_eq!(s.numeric_columns(), vec!["id", "calories"]);
-    }
-
-    #[test]
-    fn join_prefixes_clashing_names() {
-        let left = Schema::build(&[("id", ColumnType::Int), ("x", ColumnType::Float)]);
-        let right = Schema::build(&[("id", ColumnType::Int), ("y", ColumnType::Float)]);
-        let joined = left.join(&right, "r");
-        assert_eq!(joined.arity(), 4);
-        assert!(joined.index_of("r.id").is_some());
-        assert!(joined.index_of("y").is_some());
     }
 
     #[test]

@@ -331,8 +331,8 @@ impl fmt::Display for Table {
 /// One row of a [`Table`], read lazily: the view is a table reference and a
 /// row position, and each accessor fetches just the cells it is asked for
 /// from the column vectors (text is copied out of its dictionary). This is
-/// how row-at-a-time code — the relational operators, rendering, the
-/// interpreted package oracle, [`crate::eval::BoundExpr::eval`] — reads a
+/// how row-at-a-time code — rendering, CSV export, the interpreted package
+/// oracle, [`crate::eval::BoundExpr::eval`] — reads a
 /// table that stores no rows.
 #[derive(Debug, Clone, Copy)]
 pub struct RowView<'t> {

@@ -70,21 +70,6 @@ impl Tuple {
         self.get_named(schema, name)?
             .expect_f64(format_args!("column '{name}'"))
     }
-
-    /// Concatenation of two tuples (used by the cross-join operator).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.arity() + other.arity());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple { values }
-    }
-
-    /// Projection onto the given column indices.
-    pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple {
-            values: indices.iter().map(|&i| self.values[i].clone()).collect(),
-        }
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -120,16 +105,6 @@ mod tests {
         assert_eq!(t.get_named(&schema, "cal").unwrap(), &Value::Float(250.0));
         assert_eq!(t.get_f64(&schema, "id").unwrap(), 3.0);
         assert!(t.get_named(&schema, "nope").is_err());
-    }
-
-    #[test]
-    fn concat_and_project() {
-        let a = tuple!(1, "x");
-        let b = tuple!(2.5, true);
-        let c = a.concat(&b);
-        assert_eq!(c.arity(), 4);
-        let p = c.project(&[3, 0]);
-        assert_eq!(p.values(), &[Value::Bool(true), Value::Int(1)]);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use minidb::csv::{read_table_str, write_table_string};
 use minidb::eval::{eval, eval_predicate, like_match, BoundExpr};
-use minidb::ops::{aggregate, cross_join, filter, scan, AggFunc, Aggregate};
 use minidb::{
     BinaryOp, Column, ColumnType, DbResult, Expr, Schema, Table, Tuple, TupleId, UnaryOp, Value,
 };
@@ -64,65 +63,6 @@ proptest! {
                 prop_assert!((xa - ya).abs() < 1e-9 * (1.0 + xa.abs()));
             }
         }
-    }
-
-    /// Filtering never invents rows, and every surviving row satisfies the
-    /// predicate.
-    #[test]
-    fn filter_is_sound(rows in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 0..50), threshold in 0.0f64..100.0) {
-        let t = numeric_table(rows);
-        let rel = scan(&t);
-        let pred = Expr::col("w").lt_eq(Expr::lit(threshold));
-        let out = filter(&rel, &pred).unwrap();
-        prop_assert!(out.len() <= rel.len());
-        for row in &out.rows {
-            prop_assert!(row.get_f64(&out.schema, "w").unwrap() <= threshold);
-        }
-        let kept_manually = t
-            .rows()
-            .filter(|r| r.get_f64("w").unwrap() <= threshold)
-            .count();
-        prop_assert_eq!(out.len(), kept_manually);
-    }
-
-    /// SUM/AVG/MIN/MAX computed by the aggregate operator match a direct fold.
-    #[test]
-    fn aggregates_match_reference(rows in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..40)) {
-        let expected_sum: f64 = rows.iter().map(|(w, _)| *w).sum();
-        let expected_min = rows.iter().map(|(w, _)| *w).fold(f64::INFINITY, f64::min);
-        let expected_max = rows.iter().map(|(w, _)| *w).fold(f64::NEG_INFINITY, f64::max);
-        let n = rows.len();
-        let t = numeric_table(rows);
-        let rel = scan(&t);
-        let out = aggregate(
-            &rel,
-            &[],
-            &[
-                Aggregate { name: "s".into(), func: AggFunc::Sum, expr: Some(Expr::col("w")) },
-                Aggregate { name: "a".into(), func: AggFunc::Avg, expr: Some(Expr::col("w")) },
-                Aggregate { name: "lo".into(), func: AggFunc::Min, expr: Some(Expr::col("w")) },
-                Aggregate { name: "hi".into(), func: AggFunc::Max, expr: Some(Expr::col("w")) },
-                Aggregate { name: "n".into(), func: AggFunc::Count, expr: None },
-            ],
-        )
-        .unwrap();
-        let row = &out.rows[0];
-        prop_assert!((row.get_f64(&out.schema, "s").unwrap() - expected_sum).abs() < 1e-6);
-        prop_assert!((row.get_f64(&out.schema, "a").unwrap() - expected_sum / n as f64).abs() < 1e-6);
-        prop_assert!((row.get_f64(&out.schema, "lo").unwrap() - expected_min).abs() < 1e-9);
-        prop_assert!((row.get_f64(&out.schema, "hi").unwrap() - expected_max).abs() < 1e-9);
-        prop_assert_eq!(row.get_f64(&out.schema, "n").unwrap() as usize, n);
-    }
-
-    /// The cross join has exactly |L|·|R| rows and concatenated arity.
-    #[test]
-    fn cross_join_shape(l in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..12),
-                        r in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..12)) {
-        let lt = numeric_table(l);
-        let rt = numeric_table(r);
-        let joined = cross_join(&scan(&lt), &scan(&rt), "r");
-        prop_assert_eq!(joined.len(), lt.len() * rt.len());
-        prop_assert_eq!(joined.schema.arity(), 4);
     }
 
     /// LIKE with a pattern built from a literal string matches that string.

@@ -9,14 +9,10 @@ pub fn tokenize(source: &str) -> PaqlResult<Vec<SpannedToken>> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;
-    while i < bytes.len() {
-        // Decode the character at `i` properly so multi-byte UTF-8 input is
-        // either tokenized (inside string literals) or rejected with a clean
-        // error instead of a slicing panic.
-        let c = source[i..]
-            .chars()
-            .next()
-            .expect("i is always on a char boundary");
+    // Decode the character at `i` properly so multi-byte UTF-8 input is
+    // either tokenized (inside string literals) or rejected with a clean
+    // error instead of a slicing panic.
+    while let Some(c) = source[i..].chars().next() {
         let start = i;
         match c {
             c if c.is_whitespace() => {
@@ -148,9 +144,8 @@ pub fn tokenize(source: &str) -> PaqlResult<Vec<SpannedToken>> {
                 let mut j = i + quote_len;
                 let mut value = String::new();
                 let mut closed = false;
-                while j < bytes.len() {
+                while let Some(ch) = source[j..].chars().next() {
                     let rest = &source[j..];
-                    let ch = rest.chars().next().expect("non-empty remainder");
                     if ch == '\'' || ch == '\u{2018}' || ch == '\u{2019}' {
                         // Doubled straight quote escapes a quote.
                         if ch == '\'' && rest[ch.len_utf8()..].starts_with('\'') {
@@ -210,11 +205,7 @@ pub fn tokenize(source: &str) -> PaqlResult<Vec<SpannedToken>> {
             }
             c if c.is_alphabetic() || c == '_' => {
                 let mut j = i;
-                while j < bytes.len() {
-                    let d = source[j..]
-                        .chars()
-                        .next()
-                        .expect("j stays on char boundaries");
+                while let Some(d) = source[j..].chars().next() {
                     if d.is_alphanumeric() || d == '_' {
                         j += d.len_utf8();
                     } else {

@@ -259,23 +259,21 @@ impl Parser {
         let lhs = self.parse_additive()?;
         // Optional negation of the following postfix predicate (x NOT IN ...).
         let negated = self.eat_keyword(Keyword::Not);
+        let comparison = match self.peek() {
+            Some(Token::Eq) => Some(BinaryOp::Eq),
+            Some(Token::NotEq) => Some(BinaryOp::NotEq),
+            Some(Token::Lt) => Some(BinaryOp::Lt),
+            Some(Token::LtEq) => Some(BinaryOp::LtEq),
+            Some(Token::Gt) => Some(BinaryOp::Gt),
+            Some(Token::GtEq) => Some(BinaryOp::GtEq),
+            _ => None,
+        };
+        if let (Some(op), false) = (comparison, negated) {
+            self.advance();
+            let rhs = self.parse_additive()?;
+            return Ok(Expr::binary(op, lhs, rhs));
+        }
         match self.peek().cloned() {
-            Some(Token::Eq) | Some(Token::NotEq) | Some(Token::Lt) | Some(Token::LtEq)
-            | Some(Token::Gt) | Some(Token::GtEq)
-                if !negated =>
-            {
-                let op = match self.advance().expect("peeked") {
-                    Token::Eq => BinaryOp::Eq,
-                    Token::NotEq => BinaryOp::NotEq,
-                    Token::Lt => BinaryOp::Lt,
-                    Token::LtEq => BinaryOp::LtEq,
-                    Token::Gt => BinaryOp::Gt,
-                    Token::GtEq => BinaryOp::GtEq,
-                    _ => unreachable!(),
-                };
-                let rhs = self.parse_additive()?;
-                Ok(Expr::binary(op, lhs, rhs))
-            }
             Some(Token::Keyword(Keyword::Between)) => {
                 self.advance();
                 let low = self.parse_additive()?;
@@ -559,7 +557,35 @@ impl Parser {
     }
 
     fn parse_global_primary(&mut self) -> PaqlResult<GlobalExpr> {
-        match self.peek().cloned() {
+        let token = self.peek().cloned();
+        if let Some(func) = token.as_ref().and_then(agg_func) {
+            self.advance();
+            self.expect_token(&Token::LParen)?;
+            let arg = if matches!(self.peek(), Some(Token::Star)) {
+                self.advance();
+                None
+            } else {
+                Some(self.parse_expr()?)
+            };
+            self.expect_token(&Token::RParen)?;
+            if arg.is_none() && func != AggFunc::Count {
+                return self.error(format!(
+                    "{}(*) is not valid; only COUNT accepts '*'",
+                    func.name()
+                ));
+            }
+            let filter = if self.eat_keyword(Keyword::Filter) {
+                self.expect_token(&Token::LParen)?;
+                self.expect_keyword(Keyword::Where)?;
+                let p = self.parse_expr()?;
+                self.expect_token(&Token::RParen)?;
+                Some(p)
+            } else {
+                None
+            };
+            return Ok(GlobalExpr::Agg(AggCall { func, arg, filter }));
+        }
+        match token {
             Some(Token::Number(n)) => {
                 self.advance();
                 Ok(GlobalExpr::Literal(n))
@@ -573,46 +599,6 @@ impl Parser {
                     rhs: Box::new(inner),
                 })
             }
-            Some(Token::Keyword(k))
-                if matches!(
-                    k,
-                    Keyword::Count | Keyword::Sum | Keyword::Avg | Keyword::Min | Keyword::Max
-                ) =>
-            {
-                self.advance();
-                let func = match k {
-                    Keyword::Count => AggFunc::Count,
-                    Keyword::Sum => AggFunc::Sum,
-                    Keyword::Avg => AggFunc::Avg,
-                    Keyword::Min => AggFunc::Min,
-                    Keyword::Max => AggFunc::Max,
-                    _ => unreachable!(),
-                };
-                self.expect_token(&Token::LParen)?;
-                let arg = if matches!(self.peek(), Some(Token::Star)) {
-                    self.advance();
-                    None
-                } else {
-                    Some(self.parse_expr()?)
-                };
-                self.expect_token(&Token::RParen)?;
-                if arg.is_none() && func != AggFunc::Count {
-                    return self.error(format!(
-                        "{}(*) is not valid; only COUNT accepts '*'",
-                        func.name()
-                    ));
-                }
-                let filter = if self.eat_keyword(Keyword::Filter) {
-                    self.expect_token(&Token::LParen)?;
-                    self.expect_keyword(Keyword::Where)?;
-                    let p = self.parse_expr()?;
-                    self.expect_token(&Token::RParen)?;
-                    Some(p)
-                } else {
-                    None
-                };
-                Ok(GlobalExpr::Agg(AggCall { func, arg, filter }))
-            }
             Some(Token::LParen) => {
                 self.advance();
                 let e = self.parse_global_expr()?;
@@ -624,6 +610,18 @@ impl Parser {
                 describe(other.as_ref())
             )),
         }
+    }
+}
+
+/// The aggregate function a token names, if it names one.
+fn agg_func(token: &Token) -> Option<AggFunc> {
+    match token {
+        Token::Keyword(Keyword::Count) => Some(AggFunc::Count),
+        Token::Keyword(Keyword::Sum) => Some(AggFunc::Sum),
+        Token::Keyword(Keyword::Avg) => Some(AggFunc::Avg),
+        Token::Keyword(Keyword::Min) => Some(AggFunc::Min),
+        Token::Keyword(Keyword::Max) => Some(AggFunc::Max),
+        _ => None,
     }
 }
 

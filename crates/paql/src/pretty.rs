@@ -6,8 +6,6 @@
 //! the English rendering of base constraints, global constraints and
 //! objectives.
 
-use std::fmt::Write as _;
-
 use minidb::Expr;
 
 use crate::ast::{
@@ -18,27 +16,28 @@ use crate::ast::{
 /// Renders a query back to PaQL text. The output parses back to an
 /// equivalent query (`parse(to_paql(q)) == q` modulo BETWEEN desugaring).
 pub fn to_paql(query: &PaqlQuery) -> String {
-    let mut s = String::new();
     let target = query
         .relation_alias
         .clone()
         .unwrap_or_else(|| query.relation.clone());
-    write!(s, "SELECT PACKAGE({target}) AS {}", query.package_alias).unwrap();
-    write!(s, " FROM {}", query.relation).unwrap();
+    let mut s = format!(
+        "SELECT PACKAGE({target}) AS {} FROM {}",
+        query.package_alias, query.relation
+    );
     if let Some(a) = &query.relation_alias {
-        write!(s, " {a}").unwrap();
+        s.push_str(&format!(" {a}"));
     }
     if let Some(k) = query.repeat {
-        write!(s, " REPEAT {k}").unwrap();
+        s.push_str(&format!(" REPEAT {k}"));
     }
     if let Some(w) = &query.where_clause {
-        write!(s, " WHERE {w}").unwrap();
+        s.push_str(&format!(" WHERE {w}"));
     }
     if let Some(st) = &query.such_that {
-        write!(s, " SUCH THAT {st}").unwrap();
+        s.push_str(&format!(" SUCH THAT {st}"));
     }
     if let Some(o) = &query.objective {
-        write!(s, " {o}").unwrap();
+        s.push_str(&format!(" {o}"));
     }
     s
 }

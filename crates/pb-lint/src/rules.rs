@@ -12,7 +12,7 @@
 //! | [`thread-containment`](ThreadContainment) | All threading lives in `lp-solver/src/par.rs` — the one executor, whose chunk-order merge makes results thread-count-independent; the portfolio race and the B&B batches are jobs on it. | everywhere except tests |
 //! | [`time-containment`](TimeContainment) | `Instant::now()` belongs to `budget.rs` (the cooperative deadline substrate); any other production site is reporting-only and must say so. | production code |
 //! | [`unsafe-audit`](UnsafeAudit) | Every `unsafe` site carries a `SAFETY:` comment (or a `# Safety` doc section for `unsafe fn`). | everywhere |
-//! | [`no-panic-in-solver-paths`](NoPanicInSolverPaths) | Solver-reachable code returns `PbError::Internal` instead of panicking; `Mutex`-poison `unwrap`s are exempt (poisoning only follows another panic). | solver paths, `crates/minidb/src` |
+//! | [`no-panic-in-solver-paths`](NoPanicInSolverPaths) | Solver-reachable code returns `PbError::Internal` instead of panicking; `Mutex`-poison `unwrap`s are exempt (poisoning only follows another panic). | solver paths, `crates/minidb/src`, `crates/paql/src` |
 //! | [`no-fused-multiply-add`](NoFusedMultiplyAdd) | `mul_add` rounds once where `a * b + c` rounds twice, and lowers to a hardware FMA or a libm call depending on the host; either way the bits the identity gates compare move. | `crates/core`, `crates/lp-solver`, `crates/minidb` |
 //!
 //! A site that genuinely needs an exception carries an allow annotation
@@ -575,14 +575,15 @@ impl Rule for UnsafeAudit {
 /// `assert!`/`debug_assert!` stay allowed: they are deliberate invariant
 /// checks, not accidental panics.
 ///
-/// The relational substrate is in scope too, though the rest of its rule
-/// set stays infra-grade: every cold build runs `minidb`'s column kernels
-/// and row evaluator on the caller's thread, so a panic there is a panic in
-/// the middle of a query.
+/// The relational substrate and the query language are in scope too, though
+/// the rest of their rule sets stays infra-grade: every cold build runs
+/// `minidb`'s column kernels and row evaluator on the caller's thread, and
+/// every query is lexed, parsed and analyzed by `paql` on it, so a panic
+/// there is a panic in the middle of a query.
 pub struct NoPanicInSolverPaths;
 
-/// Source tree outside the solver-path class that the panic rule covers.
-const PANIC_FREE_SUBSTRATE: &str = "crates/minidb/src/";
+/// Source trees outside the solver-path class that the panic rule covers.
+const PANIC_FREE_SUBSTRATE: &[&str] = &["crates/minidb/src/", "crates/paql/src/"];
 
 impl Rule for NoPanicInSolverPaths {
     fn id(&self) -> &'static str {
@@ -597,7 +598,10 @@ impl Rule for NoPanicInSolverPaths {
          stating the invariant"
     }
     fn applies(&self, ctx: &FileCtx) -> bool {
-        ctx.class.is_solver() || ctx.rel.starts_with(PANIC_FREE_SUBSTRATE)
+        ctx.class.is_solver()
+            || PANIC_FREE_SUBSTRATE
+                .iter()
+                .any(|tree| ctx.rel.starts_with(tree))
     }
     fn check(&self, ctx: &FileCtx, out: &mut Vec<Finding>) {
         for (idx, n) in ctx.norm.iter().enumerate() {

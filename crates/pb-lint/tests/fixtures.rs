@@ -139,18 +139,21 @@ fn no_panic_spares_poison_idiom_annotations_and_asserts() {
 
 #[test]
 fn no_panic_covers_the_relational_substrate_but_not_its_tests() {
-    // minidb's column kernels run inside every cold build: its sources are
-    // held to the solver paths' panic rule although the crate is infra.
-    let lines: Vec<usize> = analyze_source(
-        "crates/minidb/src/eval.rs",
-        FileClass::Infra,
-        include_str!("fixtures/no_panic_in_solver_paths_bad.rs"),
-    )
-    .into_iter()
-    .filter(|f| f.rule == "no-panic-in-solver-paths")
-    .map(|f| f.line)
-    .collect();
-    assert_eq!(lines, vec![3, 4, 6, 9]);
+    // minidb's column kernels run inside every cold build and paql parses
+    // every query: their sources are held to the solver paths' panic rule
+    // although both crates are infra.
+    for rel in ["crates/minidb/src/eval.rs", "crates/paql/src/parser.rs"] {
+        let lines: Vec<usize> = analyze_source(
+            rel,
+            FileClass::Infra,
+            include_str!("fixtures/no_panic_in_solver_paths_bad.rs"),
+        )
+        .into_iter()
+        .filter(|f| f.rule == "no-panic-in-solver-paths")
+        .map(|f| f.line)
+        .collect();
+        assert_eq!(lines, vec![3, 4, 6, 9], "{rel}");
+    }
     // Annotated invariants, the poison idiom and asserts stay legal there.
     let findings = analyze_source(
         "crates/minidb/src/column.rs",
