@@ -8,17 +8,21 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::budget::Budget;
-use crate::ilp::linearize_objective;
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::pruning::derive_bounds;
 use crate::view::{CandidateView, ViewState};
 
 /// How to pick the tuples of a starting package.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StartHeuristic {
-    /// Highest objective coefficient first (density-ordered greedy).
-    Greedy,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StartHeuristic<'a> {
+    /// Highest objective coefficient first (density-ordered greedy), by the
+    /// per-candidate coefficients of the linearized objective
+    /// ([`crate::ilp::linearize_objective`]); uniformly random without them
+    /// (no objective, or one that does not linearize). The caller
+    /// linearizes, so a solve that already holds the coefficients does not
+    /// read the objective's columns twice.
+    Greedy(Option<&'a [f64]>),
     /// Uniformly random candidates ("which can be constructed, for example,
     /// at random" — Section 4.2).
     Random,
@@ -45,13 +49,11 @@ pub fn starting_package(
     let mut order: Vec<usize> = (0..n).collect();
     match heuristic {
         StartHeuristic::Random => order.shuffle(rng),
-        StartHeuristic::Greedy => match linearize_objective(view).ok().flatten() {
-            Some(l) => {
-                let maximize = matches!(view.direction(), paql::ObjectiveDirection::Maximize);
-                density_prefix(&mut order, &l.coeffs, maximize, target);
-            }
-            None => order.shuffle(rng),
-        },
+        StartHeuristic::Greedy(Some(coeffs)) => {
+            let maximize = matches!(view.direction(), paql::ObjectiveDirection::Maximize);
+            density_prefix(&mut order, coeffs, maximize, target);
+        }
+        StartHeuristic::Greedy(None) => order.shuffle(rng),
     }
 
     // The first round adds each tuple once; later rounds add repetitions
@@ -234,6 +236,7 @@ pub fn random_cardinality(view: &CandidateView, rng: &mut StdRng) -> u64 {
 mod tests {
     use super::*;
     use crate::column_store::SpillStore;
+    use crate::ilp::linearize_objective;
     use crate::par::chunk_count;
     use crate::spec::{BuildCtx, PackageSpec};
     use crate::view::ColumnSink;
@@ -242,6 +245,13 @@ mod tests {
     use paql::compile;
     use rand::SeedableRng;
     use std::sync::Arc;
+
+    /// The density-ordered start, from the view's own linearized objective.
+    fn greedy_start(view: &CandidateView, rng: &mut StdRng) -> Package {
+        let objective = linearize_objective(view).ok().flatten();
+        let coeffs = objective.as_ref().map(|l| l.coeffs.as_slice());
+        starting_package(view, StartHeuristic::Greedy(coeffs), rng)
+    }
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
@@ -256,7 +266,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)",
         );
         let mut rng = StdRng::seed_from_u64(1);
-        let p = starting_package(spec.view(), StartHeuristic::Greedy, &mut rng);
+        let p = greedy_start(spec.view(), &mut rng);
         assert_eq!(p.cardinality(), 3);
         // The greedy start should contain the single highest-protein recipe.
         let best = spec
@@ -293,7 +303,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R REPEAT 3 SUCH THAT COUNT(*) = 5",
         );
         let mut rng = StdRng::seed_from_u64(3);
-        let p = starting_package(spec.view(), StartHeuristic::Greedy, &mut rng);
+        let p = greedy_start(spec.view(), &mut rng);
         assert_eq!(p.cardinality(), 5);
         assert!(p.max_multiplicity() <= 3);
     }
@@ -306,7 +316,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.calories < 0 SUCH THAT COUNT(*) = 3",
         );
         let mut rng = StdRng::seed_from_u64(4);
-        assert!(starting_package(spec.view(), StartHeuristic::Greedy, &mut rng).is_empty());
+        assert!(greedy_start(spec.view(), &mut rng).is_empty());
     }
 
     #[test]
@@ -410,7 +420,7 @@ mod tests {
         let view = respill(&spec, &stores);
 
         let mut rng = StdRng::seed_from_u64(1);
-        let start = starting_package(&view, StartHeuristic::Greedy, &mut rng);
+        let start = greedy_start(&view, &mut rng);
         let state = view.project(&start).unwrap();
         let violation = state.violation();
         assert!(violation > 0.0, "the greedy start must need repair");
@@ -437,7 +447,7 @@ mod tests {
         let view = respill(&spec, &vec![Some(Arc::clone(&store)); terms]);
 
         let mut rng = StdRng::seed_from_u64(2);
-        let start = starting_package(&view, StartHeuristic::Greedy, &mut rng);
+        let start = greedy_start(&view, &mut rng);
         let state = view.project(&start).unwrap();
         let members = state.member_indices().count() as u64;
         let violation = state.violation();

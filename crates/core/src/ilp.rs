@@ -537,14 +537,6 @@ pub struct IlpOutcome {
     pub stats: EvalStats,
 }
 
-/// Minimum candidate count before the ILP hands its thread budget to the
-/// branch-and-bound layer. Below this a node LP solves in about a
-/// microsecond and waking a pool worker for a batch costs more than solving
-/// it — small problems (sketch-refine sub-ILPs among them) stay inline. A
-/// size threshold, never a thread-count one, so it cannot affect result
-/// determinism.
-const PAR_MIN_CANDIDATES: usize = 512;
-
 /// Solves a view with the ILP strategy, returning up to `num_packages`
 /// packages (additional packages require binary multiplicities and use
 /// no-good cuts, per the paper's Section 5 discussion).
@@ -563,9 +555,12 @@ pub fn solve_ilp(
 
 /// [`solve_ilp`] with a thread budget: `par.threads()` is handed to the
 /// branch-and-bound layer (via [`SolverConfig::num_threads`]), which solves
-/// each frontier batch's LP relaxations concurrently. Results are
-/// bit-identical at every thread count — the solver's batch boundaries and
-/// merge order are fixed — so this is purely a latency knob.
+/// each frontier batch's LP relaxations concurrently once the LP is big
+/// enough to pay for it — rows × columns of at least one
+/// [`crate::par::CHUNK_WIDTH`]; smaller LPs, sketch-refine sub-ILPs among
+/// them, keep their batches inline. Results are bit-identical at every
+/// thread count — the solver's batch boundaries and merge order are fixed —
+/// so this is purely a latency knob.
 pub fn solve_ilp_par(
     view: &CandidateView,
     solver: &SolverConfig,
@@ -595,9 +590,7 @@ pub fn solve_ilp_par(
     let IlpTranslation { mut problem, vars } = translate(view)?;
     let mut config = solver.clone();
     budget.apply_to_solver(&mut config);
-    if view.candidate_count() >= PAR_MIN_CANDIDATES {
-        config.num_threads = par.threads();
-    }
+    config.num_threads = par.threads();
 
     let mut packages = Vec::new();
     let mut complete = true;

@@ -30,6 +30,7 @@ use rand::SeedableRng;
 use crate::budget::Budget;
 use crate::error::PbError;
 use crate::greedy::{random_cardinality, starting_package, StartHeuristic};
+use crate::ilp::linearize_objective;
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::result::{EvalStats, StrategyUsed};
@@ -106,7 +107,9 @@ pub fn local_search(
             break;
         }
         let start_package = if restart == 0 {
-            starting_package(view, StartHeuristic::Greedy, &mut rng)
+            let objective = linearize_objective(view).ok().flatten();
+            let coeffs = objective.as_ref().map(|l| l.coeffs.as_slice());
+            starting_package(view, StartHeuristic::Greedy(coeffs), &mut rng)
         } else {
             let target = random_cardinality(view, &mut rng);
             let mut p = starting_package(view, StartHeuristic::Random, &mut rng);

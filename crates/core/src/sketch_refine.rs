@@ -144,8 +144,10 @@ pub(crate) fn solve_sketch_family(
     }
 
     // Greedy baseline first: the anytime answer, and the floor the
-    // refined package must beat to be returned.
-    let baseline = GreedySolver.solve(view, opts)?;
+    // refined package must beat to be returned. It orders by the objective
+    // linearized above rather than linearizing it again.
+    let obj_coeffs = objective.as_ref().map(|o| o.coeffs.as_slice());
+    let baseline = GreedySolver.solve_linearized(view, opts, obj_coeffs)?;
     let mut counters = Counters {
         nodes: baseline.stats.nodes,
         iterations: baseline.stats.iterations,
@@ -157,7 +159,7 @@ pub(crate) fn solve_sketch_family(
         let q = Linearized {
             view,
             rows: &rows,
-            obj_coeffs: objective.as_ref().map(|o| o.coeffs.as_slice()),
+            obj_coeffs,
             opts,
         };
         if let Some((package, obj)) = sketch_then_refine(&q, strategy, &mut counters)? {

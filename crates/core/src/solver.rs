@@ -29,7 +29,7 @@ use crate::config::{
 use crate::enumerate::{enumerate, EnumerationOptions};
 use crate::error::PbError;
 use crate::greedy::{starting_package, StartHeuristic};
-use crate::ilp::solve_ilp_par;
+use crate::ilp::{linearize_objective, solve_ilp_par};
 use crate::local_search::{local_search, LocalSearchOptions};
 use crate::package::Package;
 use crate::par::ParExec;
@@ -257,6 +257,28 @@ impl Solver for GreedySolver {
     }
 
     fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
+        // An already-expired budget skips the linearization with the start.
+        let objective = if view.candidate_count() > 0 && !opts.budget.expired() {
+            linearize_objective(view).ok().flatten()
+        } else {
+            None
+        };
+        self.solve_linearized(view, opts, objective.as_ref().map(|l| l.coeffs.as_slice()))
+    }
+}
+
+impl GreedySolver {
+    /// [`Solver::solve`] given the objective's linearized per-candidate
+    /// coefficients (`None` when it has none: the start is then random).
+    /// The sketch family linearizes its objective once per solve and hands
+    /// the coefficients down instead of reading the objective's columns a
+    /// second time.
+    pub(crate) fn solve_linearized(
+        &self,
+        view: &CandidateView,
+        opts: &SolveOptions,
+        objective: Option<&[f64]>,
+    ) -> PbResult<SolveOutcome> {
         // pb-lint: allow(time-containment) — stats clock only: stamps
         // solve_time_ms on the outcome; deadline decisions all go through
         // the budget.
@@ -271,7 +293,7 @@ impl Solver for GreedySolver {
         // density scan reads every candidate's terms (through the buffer
         // pool when the view is paged), which expiry must not pay for.
         if view.candidate_count() > 0 && !budget.expired() {
-            let greedy = starting_package(view, StartHeuristic::Greedy, &mut rng);
+            let greedy = starting_package(view, StartHeuristic::Greedy(objective), &mut rng);
             let mut state = view.project(&greedy).ok_or_else(|| {
                 PbError::Internal(
                     "greedy starting package contains tuples outside the candidate set".into(),

@@ -15,10 +15,12 @@
 use std::time::{Duration, Instant};
 
 use datagen::{recipes, scenario, scenarios, QueryParams, Seed};
+use lp_solver::LpMatrix;
 use minidb::{Catalog, Table};
 use packagebuilder::budget::Budget;
 use packagebuilder::config::{EngineConfig, Strategy};
-use packagebuilder::par::ParExec;
+use packagebuilder::ilp::translate;
+use packagebuilder::par::{ParExec, CHUNK_WIDTH};
 use packagebuilder::solver::{GreedySolver, IlpSolver, LocalSearchSolver, SolveOptions, Solver};
 use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::{
@@ -270,25 +272,64 @@ fn a_failing_fused_build_reports_the_same_error_everywhere() {
     }
 }
 
+/// Rows × columns of the LP the ILP strategy builds for `query` over
+/// `table`: branch and bound fans its batches out from one
+/// [`CHUNK_WIDTH`] of them up (`lp_solver::branch_bound`).
+fn lp_entries(table: &Table, query: &str) -> usize {
+    let analyzed = paql::compile(query, table.schema()).unwrap();
+    let spec = PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap();
+    let problem = translate(spec.view()).unwrap().problem;
+    let matrix = LpMatrix::new(&problem).unwrap();
+    matrix.rows() * matrix.cols()
+}
+
 /// The exact core under fan-out: parallel branch and bound (batched frontier
 /// solves, merged in batch order — see `lp_solver::branch_bound`) returns
 /// bit-identical packages, objectives, optimality flags *and* node/iteration
-/// counters at every thread count. The candidate set is wide enough
-/// (2 000 ≥ the ILP's parallel threshold) that the thread budget genuinely
-/// reaches the solver, so this pins the whole plumbing chain:
+/// counters at every thread count. The LP is big enough (2 100 candidates ×
+/// 2 rows ≥ [`CHUNK_WIDTH`]) that the thread budget genuinely reaches the
+/// batches, so this pins the whole plumbing chain:
 /// `EngineConfig::num_threads` → `SolveOptions::par` → `SolverConfig::num_threads`.
 #[test]
 fn exact_ilp_is_thread_count_invariant() {
-    let reference = run_at(recipes(2_000, Seed(11)), Strategy::Ilp, 1, WIDE_QUERY);
-    let ok = reference.as_ref().expect("exact solve at n=2000 succeeds");
+    assert!(lp_entries(&recipes(2_100, Seed(11)), WIDE_QUERY) >= CHUNK_WIDTH);
+    let reference = run_at(recipes(2_100, Seed(11)), Strategy::Ilp, 1, WIDE_QUERY);
+    let ok = reference.as_ref().expect("exact solve at n=2100 succeeds");
     assert!(ok.optimal, "the exact worker should prove optimality here");
     for threads in [2usize, 8] {
-        let run = run_at(recipes(2_000, Seed(11)), Strategy::Ilp, threads, WIDE_QUERY);
+        let run = run_at(recipes(2_100, Seed(11)), Strategy::Ilp, threads, WIDE_QUERY);
         assert_runs_identical(
             &reference,
             &run,
-            &format!("Ilp at {threads} threads, n=2000"),
+            &format!("Ilp at {threads} threads, n=2100"),
         );
+    }
+}
+
+/// A small candidate set with a big LP: `metrics/many_windows` at 200
+/// candidates has 24 windows over 16 columns, so its matrix crosses
+/// [`CHUNK_WIDTH`] on rows, not candidates, and branch and bound fans out.
+/// The search is bit-identical at every thread count: package, objective
+/// bits, nodes, iterations and cold LPs.
+#[test]
+fn a_many_row_ilp_below_a_chunk_of_candidates_is_thread_count_invariant() {
+    let metrics = scenario("metrics").unwrap();
+    let query = &metrics.queries[0];
+    assert_eq!(query.label, "many_windows");
+    let table = || (metrics.build)(200, Seed(20140901).derive(1047).derive(3));
+    let entries = lp_entries(&table(), &query.text);
+    assert!(entries >= CHUNK_WIDTH, "{entries} coefficients stay inline");
+    let reference = run_at(table(), Strategy::Ilp, 1, &query.text);
+    let ok = reference.as_ref().expect("the exact solve succeeds");
+    assert!(ok.stats.nodes > 1, "the search branches");
+    for threads in [2usize, 8] {
+        let run = run_at(table(), Strategy::Ilp, threads, &query.text);
+        let context = format!("many_windows at {threads} threads");
+        assert_runs_identical(&reference, &run, &context);
+        let bits = |r: &PackageResult| -> Vec<Option<u64>> {
+            r.objectives.iter().map(|o| o.map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(ok), bits(run.as_ref().unwrap()), "{context}");
     }
 }
 
@@ -323,9 +364,9 @@ fn exact_ilp_is_thread_count_invariant_across_scenarios() {
 }
 
 /// One pool, three fan-outs deep: two races run as jobs of an outer fan-out,
-/// each race is a fan-out over its workers, and its ILP worker (2 000
-/// candidates ≥ the ILP's parallel threshold) fans every branch-and-bound
-/// batch out from inside its race job. Help-first means a job that finds the
+/// each race is a fan-out over its workers, and its ILP worker (an LP of
+/// 2 100 candidates × 2 rows ≥ [`CHUNK_WIDTH`] coefficients) fans every
+/// branch-and-bound batch out from inside its race job. Help-first means a job that finds the
 /// pool busy is drained by its own caller, so this finishes at every thread
 /// count — and without a deadline the exact worker's proof wins wherever it
 /// ran: same winner, same package, same objective. (The race's summed
@@ -333,13 +374,13 @@ fn exact_ilp_is_thread_count_invariant_across_scenarios() {
 /// they are not compared.)
 #[test]
 fn a_race_nested_three_fan_outs_deep_finishes_with_the_same_winner() {
-    let reference = run_at(recipes(2_000, Seed(11)), Strategy::Ilp, 1, WIDE_QUERY)
-        .expect("exact solve at n=2000 succeeds");
+    let reference = run_at(recipes(2_100, Seed(11)), Strategy::Ilp, 1, WIDE_QUERY)
+        .expect("exact solve at n=2100 succeeds");
     assert!(reference.optimal);
     for threads in THREAD_COUNTS {
         let races = ParExec::new(2).run_chunks_width(2, 1, |_, _| {
             run_at(
-                recipes(2_000, Seed(11)),
+                recipes(2_100, Seed(11)),
                 Strategy::Portfolio,
                 threads,
                 WIDE_QUERY,
@@ -363,16 +404,17 @@ fn budget_expiry_mid_batch_keeps_the_anytime_contract() {
     // An instance no machine finishes inside the budget: the registry's
     // symmetric knapsack window runs branch and bound to its 100 000-node
     // cap without a proof (seconds at this size, `BENCH_gauntlet.json`),
-    // and 1 600 candidates is past the width from which the ILP hands the
-    // search its eight threads.
+    // and 2 400 candidates × 2 rows is past the LP size from which branch
+    // and bound hands its batches the eight threads.
     let knapsack = scenario("knapsack").unwrap();
-    let table = (knapsack.build)(1_600, Seed(20140901));
+    let table = (knapsack.build)(2_400, Seed(20140901));
     let query = knapsack
         .queries
         .iter()
         .find(|q| q.label == "tight_window")
         .map(|q| q.text.as_str())
         .unwrap();
+    assert!(lp_entries(&table, query) >= CHUNK_WIDTH);
     let analyzed = paql::compile(query, table.schema()).unwrap();
     let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
     let limit = Duration::from_millis(30);

@@ -8,8 +8,8 @@
 //! node's bounds are its ancestors' patch chain laid over the workspace's
 //! root bounds, its LP is **warm-started** from its parent's optimal basis,
 //! and what comes back is compact — status, objective, the branching
-//! variable picked from the (at most `m`) basic values, and the dense value
-//! vector only when the relaxation is an incumbent candidate. A node costs a
+//! variable picked from the (at most `m`) basic values, and the nonzero
+//! values only when the relaxation is an incumbent candidate. A node costs a
 //! few dual-simplex pivots and nothing proportional to the variable count
 //! beyond them.
 //!
@@ -36,7 +36,9 @@
 //! makes each an expansion job, runs the jobs as one width-1 fan-out on the
 //! [`ParExec`] executor (on up to [`SolverConfig::num_threads`] threads — the
 //! same persistent pool as the engine's data-parallel scans, nothing is
-//! spawned per solve), and merges the results — children pushed, incumbents
+//! spawned per solve — once the LP's matrix holds at least one
+//! [`CHUNK_WIDTH`] of coefficients, enough to pay for a hand-off), and
+//! merges the results — children pushed, incumbents
 //! updated, bounds pruned — **in job order**, down before up. Batch
 //! composition and merge order never depend on the thread count (the
 //! executor's chunk-order discipline), so the same problem + config yields
@@ -56,9 +58,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
-use crate::par::ParExec;
+use crate::par::{ParExec, CHUNK_WIDTH};
 use crate::problem::{Problem, Sense, VarType};
-use crate::simplex::{Basis, LpMatrix, LpWorkspace, NodeLp, TOLERANCE};
+use crate::simplex::{densify, Basis, LpMatrix, LpWorkspace, NodeLp, TOLERANCE};
 use crate::solution::{Solution, Status};
 use crate::{LpError, LpResult, SolverConfig};
 
@@ -72,6 +74,21 @@ const INT_TOLERANCE: f64 = 1e-6;
 /// of the determinism contract: they decide which nodes are solved before
 /// the incumbent can prune, and therefore the node count.
 const NODE_BATCH: usize = 16;
+
+/// The threads a batch of jobs fans out on: the caller's budget (at most
+/// `NODE_BATCH`, the widest a batch can use) when one pricing pass over the
+/// LP's matrix — `rows × columns` coefficients — touches at least one
+/// [`CHUNK_WIDTH`] of them, else one. Below that a node LP solves in
+/// microseconds and handing it to a pool worker costs more than it saves.
+/// The LP's size, never the thread count, decides, and batches merge in
+/// job order either way, so the gate cannot change a result.
+fn batch_threads(rows: usize, cols: usize, num_threads: usize) -> usize {
+    if rows.saturating_mul(cols) >= CHUNK_WIDTH {
+        num_threads.clamp(1, NODE_BATCH)
+    } else {
+        1
+    }
+}
 
 /// One branching decision: variable `var` was clamped to `[lb, ub]`.
 ///
@@ -212,10 +229,11 @@ struct NodeOutcome {
     /// Most fractional integer variable and its relaxation value; `None`
     /// when the relaxation is integral (or not optimal).
     branch: Option<(usize, f64)>,
-    /// The dense relaxation solution, present exactly when the merge may
-    /// need it: an integral optimum (incumbent candidate) or an unbounded
-    /// ray.
-    values: Option<Vec<f64>>,
+    /// The relaxation solution's [`LpWorkspace::nonzero_values`], present
+    /// exactly when the merge may need it: an integral optimum (incumbent
+    /// candidate) or an unbounded ray. The merging thread lays it out
+    /// densely.
+    values: Option<Vec<(usize, f64)>>,
     basis: Option<Basis>,
     /// The LP ended in the cold two-phase path.
     cold: bool,
@@ -230,11 +248,14 @@ struct Shared<'a> {
     config: &'a SolverConfig,
     matrix: &'a LpMatrix,
     root_bounds: &'a [(f64, f64)],
-    /// A batch can never employ more than `NODE_BATCH` threads.
+    /// On [`batch_threads`] of the LP's size and the caller's budget.
     par: ParExec,
     /// Workspaces no job is using. They belong to this solve alone (a
-    /// workspace borrows this solve's matrix), and at most one per thread
-    /// that ever ran one of its jobs is built.
+    /// workspace borrows this solve's matrix). The calling thread builds
+    /// one per thread the batches may use before the search starts, so a
+    /// pool worker allocates nothing proportional to `n`: what a worker
+    /// allocates lands in its own allocator arena, which holds on to it
+    /// after the solve. A job that still finds none builds one.
     idle: Mutex<Vec<LpWorkspace<'a>>>,
 }
 
@@ -269,8 +290,8 @@ fn solve_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobRes
     let outcome = |ws: &LpWorkspace<'_>, lp: NodeLp| {
         let branch = branch_variable(shared.problem, &lp.basics);
         let values = match lp.status {
-            Status::Unbounded => Some(ws.dense_values()),
-            Status::Optimal if branch.is_none() => Some(ws.dense_values()),
+            Status::Unbounded => Some(ws.nonzero_values()),
+            Status::Optimal if branch.is_none() => Some(ws.nonzero_values()),
             _ => None,
         };
         NodeOutcome {
@@ -430,7 +451,7 @@ fn merge_one(
             return Merged::Unbounded(Solution {
                 status: Status::Unbounded,
                 objective: relax.objective,
-                values: relax.values.unwrap_or_default(),
+                values: densify(problem.num_vars(), &relax.values.unwrap_or_default()),
                 iterations: st.total_iterations,
                 nodes: st.nodes,
                 cold_solves: st.cold_solves,
@@ -465,8 +486,9 @@ fn merge_one(
             });
             st.next_seq += 1;
         }
-        (None, Some(mut values)) => {
+        (None, Some(nonzero)) => {
             // Integral solution: candidate incumbent.
+            let mut values = densify(problem.num_vars(), &nonzero);
             for &i in int_vars {
                 values[i] = values[i].round();
             }
@@ -588,13 +610,17 @@ pub fn solve_milp_hinted(
             }
         })
         .collect();
+    let threads = batch_threads(matrix.rows(), matrix.cols(), config.num_threads);
+    let idle = (0..threads)
+        .map(|_| LpWorkspace::new(&matrix, &root_bounds))
+        .collect();
     let shared = Shared {
         problem,
         config,
         matrix: &matrix,
         root_bounds: &root_bounds,
-        par: ParExec::new(config.num_threads.clamp(1, NODE_BATCH)),
-        idle: Mutex::new(Vec::new()),
+        par: ParExec::new(threads),
+        idle: Mutex::new(idle),
     };
     search(&shared, hint, &int_vars)
 }
@@ -1012,16 +1038,59 @@ mod tests {
         p
     }
 
+    /// `cols` binaries under `rows` constraints of distinct linear forms.
+    fn rows_by_cols(rows: usize, cols: usize) -> Problem {
+        let mut p = Problem::new(Sense::Maximize);
+        let vars: Vec<_> = (0..cols).map(|i| p.add_binary(format!("x{i}"))).collect();
+        for r in 0..rows {
+            let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0 + r as f64)).collect();
+            p.add_constraint_terms(format!("r{r}"), &terms, ConstraintOp::Le, 2.0);
+        }
+        p
+    }
+
+    #[test]
+    fn batches_fan_out_from_one_chunk_of_coefficients() {
+        for (rows, cols, threads) in [
+            (1, 4_095, 1),
+            (1, 4_096, 8),
+            (3, 1_365, 1),
+            (4, 1_024, 8),
+            (0, 10_000, 1),
+        ] {
+            let matrix = LpMatrix::new(&rows_by_cols(rows, cols)).unwrap();
+            assert_eq!((matrix.rows(), matrix.cols()), (rows, cols));
+            assert_eq!(
+                batch_threads(matrix.rows(), matrix.cols(), 8),
+                threads,
+                "{rows} × {cols}"
+            );
+        }
+        // The budget is capped at `NODE_BATCH` and is at least one thread.
+        assert_eq!(batch_threads(1, 4_096, 64), NODE_BATCH);
+        assert_eq!(batch_threads(1, 4_096, 0), 1);
+    }
+
+    /// `p` with fixed, unconstrained columns appended until its matrix
+    /// fans out: the same search on a matrix past the gate.
+    fn wide(mut p: Problem) -> Problem {
+        let pad = CHUNK_WIDTH.div_ceil(p.num_constraints()) - p.num_vars();
+        for i in 0..pad {
+            p.add_var(format!("pad{i}"), VarType::Continuous, 0.0, 0.0);
+        }
+        p
+    }
+
     #[test]
     fn thread_counts_are_bit_identical() {
-        let p = branching_heavy();
+        let p = wide(branching_heavy());
         let reference = solve_milp(&p, &cfg()).unwrap();
         assert!(reference.status.is_optimal());
         // The root has no basis to start from; its descendants here all
         // repair their parent's.
         assert_eq!(reference.cold_solves, 1);
-        // A second problem of another shape (11 columns against 24).
-        let q = small_knapsack();
+        // A second problem of another shape (11 items against 24).
+        let q = wide(small_knapsack());
         let q_reference = solve_milp(&q, &cfg()).unwrap();
         for threads in [2usize, 8] {
             let mut c = cfg();

@@ -78,7 +78,11 @@ pub struct SolverConfig {
     /// node counts at every thread count — see [`crate::branch_bound`].
     /// Batches are jobs on the process-wide [`par::ParExec`] pool, so no
     /// value spawns a thread per solve; `1` (the default) runs them inline
-    /// and never wakes one either.
+    /// and never wakes one either. Nor does an LP whose matrix has fewer
+    /// than [`par::CHUNK_WIDTH`] coefficients (rows × columns, what one
+    /// pricing pass touches): its node LPs take microseconds, less than a
+    /// hand-off to a pool worker, so its batches run inline whatever this
+    /// says.
     pub num_threads: usize,
 }
 

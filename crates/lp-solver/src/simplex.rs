@@ -28,8 +28,8 @@
 //!   iterations, the (at most `m`) basic structural values and the [`Basis`]
 //!   to warm-start children from. Non-basic columns rest on a bound, so the
 //!   basic values are all branch and bound needs to pick a branching
-//!   variable; [`LpWorkspace::dense_values`] materializes the full vector for
-//!   the few nodes that become incumbent candidates.
+//!   variable; [`LpWorkspace::nonzero_values`] lists the solution's support
+//!   for the few nodes that become incumbent candidates.
 //!
 //! # Algorithm
 //!
@@ -65,6 +65,21 @@
 //! vectorize *across columns*, which leaves each column's own summation
 //! order untouched. A zero coefficient stored densely contributes `± 0.0` to
 //! a sum, which changes no value a comparison can see.
+//!
+//! The two `n`-length sweeps of a pivot — a chunk of pricing and a chunk of
+//! the dual ratio test, each with its select — come in two twins: the
+//! portable body, compiled for the baseline target, and the same body
+//! inlined into a `#[target_feature(enable = "avx2")]` function, taken when
+//! the CPU reports AVX2 (`LpMatrix::price_chunk`, `LpMatrix::ratio_chunk`).
+//! The AVX2 twin computes four lanes where the baseline computes two, with
+//! the same IEEE multiply and the same IEEE add per lane in the same row
+//! order: `fma` is never enabled (pb-lint's `no-fused-multiply-add` rejects
+//! it), so nothing can fuse, and the twins agree bit for bit (the property
+//! `the_avx2_sweeps_equal_the_portable_ones`; a NaN's payload is the one
+//! thing they may differ in, and no comparison reads it). The `m × m`
+//! kernels — `ftran`, the inverse update, refactorization, the duals — stay
+//! portable: at the handful of rows package ILPs have, their loops are too
+//! short for wider vectors to pay for the call.
 //!
 //! # Selecting from a block mask
 //!
@@ -264,8 +279,10 @@ enum IterOutcome {
 /// Calls `block(offset of its first lane, its lanes)` for every
 /// [`SELECT_BLOCK`] lanes of `K` parallel slices, in ascending order, until
 /// one call returns true. The last, partial block is padded with NaN, which
-/// no select keeps.
-#[inline]
+/// no select keeps. Callers mark `block` `#[inline(always)]`: a closure is a
+/// function of its own, and only an inlined one is compiled into the AVX2
+/// twins with the rest of the sweep.
+#[inline(always)]
 fn for_each_block<const K: usize>(
     lanes: [&[f64]; K],
     mut block: impl FnMut(usize, [&[f64; SELECT_BLOCK]; K]) -> bool,
@@ -286,6 +303,16 @@ fn for_each_block<const K: usize>(
         pad[..rest].copy_from_slice(tail);
     }
     block(full * SELECT_BLOCK, padded.each_ref())
+}
+
+/// `n` values, `+0.0` wherever `nonzero` names no other: the dense form of
+/// [`LpWorkspace::nonzero_values`].
+pub(crate) fn densify(n: usize, nonzero: &[(usize, f64)]) -> Vec<f64> {
+    let mut values = vec![0.0; n];
+    for &(j, v) in nonzero {
+        values[j] = v;
+    }
+    values
 }
 
 /// One direction of a dual ratio test: the nonbasic, movable column with the
@@ -319,7 +346,7 @@ impl RatioPick {
     /// and `Δx_j` must respect the column's movable direction, so
     /// eligibility is a sign condition; the hopeless test is written so that
     /// a NaN anywhere falls through to the division.
-    #[inline]
+    #[inline(always)]
     fn keeps(&self, bound: f64, alpha: f64, d: f64, dir: f64) -> bool {
         let toward = if self.below {
             -(dir * alpha)
@@ -332,7 +359,7 @@ impl RatioPick {
     }
 
     /// The exact test of one column against the best so far.
-    #[inline]
+    #[inline(always)]
     fn consider(&mut self, j: usize, alpha: f64, d: f64, dir: f64) {
         if !self.keeps(self.bound, alpha, d, dir) {
             return;
@@ -354,20 +381,25 @@ impl RatioPick {
     /// a branch, against the bound *as it stood at block entry*: the bound
     /// only tightens, so a lane that test rejects the exact test rejects
     /// too, and a block that keeps no lane is skipped.
+    #[inline(always)]
     fn scan(&mut self, start: usize, alpha: &[f64], d: &[f64], dir: &[f64]) {
-        for_each_block([alpha, d, dir], |at, [alpha, d, dir]| {
-            let bound = self.bound;
-            let mut any = false;
-            for k in 0..SELECT_BLOCK {
-                any |= self.keeps(bound, alpha[k], d[k], dir[k]);
-            }
-            if any {
+        for_each_block(
+            [alpha, d, dir],
+            #[inline(always)]
+            |at, [alpha, d, dir]| {
+                let bound = self.bound;
+                let mut any = false;
                 for k in 0..SELECT_BLOCK {
-                    self.consider(start + at + k, alpha[k], d[k], dir[k]);
+                    any |= self.keeps(bound, alpha[k], d[k], dir[k]);
                 }
-            }
-            false
-        });
+                if any {
+                    for k in 0..SELECT_BLOCK {
+                        self.consider(start + at + k, alpha[k], d[k], dir[k]);
+                    }
+                }
+                false
+            },
+        );
     }
 }
 
@@ -384,14 +416,14 @@ struct PricePick {
 impl PricePick {
     /// Improving — up from a lower bound, down from an upper one, either if
     /// free — and, under Dantzig, above `floor`.
-    #[inline]
+    #[inline(always)]
     fn keeps(&self, floor: f64, d: f64, dir: f64) -> bool {
         (((d < -self.tol) & (dir >= 0.0)) | ((d > self.tol) & (dir <= 0.0))) & (d.abs() > floor)
     }
 
     /// The score a column must beat: the best so far under Dantzig, none
     /// under Bland or before the first hit. It only ever rises.
-    #[inline]
+    #[inline(always)]
     fn floor(&self) -> f64 {
         match self.best {
             Some((_, _, score)) if !self.bland => score,
@@ -401,7 +433,7 @@ impl PricePick {
 
     /// The exact test of one column; true when the search is over (Bland
     /// takes the first hit).
-    #[inline]
+    #[inline(always)]
     fn consider(&mut self, j: usize, d: f64, dir: f64) -> bool {
         if !self.keeps(self.floor(), d, dir) {
             return false;
@@ -414,15 +446,20 @@ impl PricePick {
     /// true when the search is over. Near the optimum almost no column
     /// improves, so a block is tested as a whole against the floor at block
     /// entry, exactly as in [`RatioPick::scan`].
+    #[inline(always)]
     fn scan(&mut self, start: usize, d: &[f64], dir: &[f64]) -> bool {
-        for_each_block([d, dir], |at, [d, dir]| {
-            let floor = self.floor();
-            let mut any = false;
-            for k in 0..SELECT_BLOCK {
-                any |= self.keeps(floor, d[k], dir[k]);
-            }
-            any && (0..SELECT_BLOCK).any(|k| self.consider(start + at + k, d[k], dir[k]))
-        })
+        for_each_block(
+            [d, dir],
+            #[inline(always)]
+            |at, [d, dir]| {
+                let floor = self.floor();
+                let mut any = false;
+                for k in 0..SELECT_BLOCK {
+                    any |= self.keeps(floor, d[k], dir[k]);
+                }
+                any && (0..SELECT_BLOCK).any(|k| self.consider(start + at + k, d[k], dir[k]))
+            },
+        )
     }
 }
 
@@ -551,6 +588,16 @@ impl LpMatrix {
         })
     }
 
+    /// Rows: the distinct linear forms of the problem's constraints.
+    pub fn rows(&self) -> usize {
+        self.m
+    }
+
+    /// Structural columns: the problem's variables.
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+
     /// Objective coefficient of structural column `j` in the problem's own
     /// sense (`cost` holds it negated for maximization; negation is exact).
     fn objective_coeff(&self, j: usize) -> f64 {
@@ -581,7 +628,7 @@ impl LpMatrix {
 
     /// `out[k] = c − y · A` for the structural columns `start..start + out.len()`
     /// (`c` is zero under phase-1 costs).
-    #[inline]
+    #[inline(always)]
     fn reduced_costs(&self, phase_one: bool, y: &[f64], start: usize, out: &mut [f64]) {
         if phase_one {
             out.fill(0.0);
@@ -595,7 +642,7 @@ impl LpMatrix {
     /// order: a vectorizable sweep across columns that keeps each column's
     /// own accumulation in row order. Rows with a zero coefficient add
     /// `± 0.0` and are skipped.
-    #[inline]
+    #[inline(always)]
     fn add_rows(&self, coeffs: &[f64], negate: bool, start: usize, out: &mut [f64]) {
         for (row, &c) in coeffs.iter().enumerate() {
             if c == 0.0 {
@@ -609,6 +656,116 @@ impl LpMatrix {
                 *o += c * x;
             }
         }
+    }
+
+    /// One chunk of the dual ratio test: `α_j = ρ · A_j` into `alpha` and
+    /// `d_j = c_j − y · A_j` into `d` for the structural columns
+    /// `start..start + alpha.len()`, then every pick's scan of them, in the
+    /// widest twin the CPU runs.
+    fn ratio_chunk(
+        &self,
+        rho: &[f64],
+        y: &[f64],
+        start: usize,
+        [alpha, d]: [&mut [f64]; 2],
+        dir: &[f64],
+        picks: &mut [RatioPick],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has just reported AVX2, the one feature the
+            // twin is compiled for.
+            return unsafe { self.ratio_chunk_avx2(rho, y, start, [alpha, d], dir, picks) };
+        }
+        self.ratio_chunk_portable(rho, y, start, [alpha, d], dir, picks);
+    }
+
+    /// [`Self::ratio_chunk_portable`] compiled for AVX2: four lanes of
+    /// separate `vmulpd`/`vaddpd` where the baseline has two (no `fma`, so
+    /// every lane rounds as the portable twin does).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn ratio_chunk_avx2(
+        &self,
+        rho: &[f64],
+        y: &[f64],
+        start: usize,
+        [alpha, d]: [&mut [f64]; 2],
+        dir: &[f64],
+        picks: &mut [RatioPick],
+    ) {
+        self.ratio_chunk_portable(rho, y, start, [alpha, d], dir, picks);
+    }
+
+    /// The body both twins of [`Self::ratio_chunk`] inline.
+    #[inline(always)]
+    fn ratio_chunk_portable(
+        &self,
+        rho: &[f64],
+        y: &[f64],
+        start: usize,
+        [alpha, d]: [&mut [f64]; 2],
+        dir: &[f64],
+        picks: &mut [RatioPick],
+    ) {
+        alpha.fill(0.0);
+        self.add_rows(rho, false, start, alpha);
+        self.reduced_costs(false, y, start, d);
+        for pick in picks.iter_mut() {
+            pick.scan(start, alpha, d, dir);
+        }
+    }
+
+    /// One chunk of pricing: `d_j = c_j − y · A_j` into `d` for the
+    /// structural columns `start..start + d.len()`, then the pick's scan of
+    /// them, in the widest twin the CPU runs; true when the search is over.
+    fn price_chunk(
+        &self,
+        phase_one: bool,
+        y: &[f64],
+        start: usize,
+        d: &mut [f64],
+        dir: &[f64],
+        pick: &mut PricePick,
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has just reported AVX2, the one feature the
+            // twin is compiled for.
+            return unsafe { self.price_chunk_avx2(phase_one, y, start, d, dir, pick) };
+        }
+        self.price_chunk_portable(phase_one, y, start, d, dir, pick)
+    }
+
+    /// [`Self::price_chunk_portable`] compiled for AVX2, as
+    /// [`Self::ratio_chunk_avx2`] is.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn price_chunk_avx2(
+        &self,
+        phase_one: bool,
+        y: &[f64],
+        start: usize,
+        d: &mut [f64],
+        dir: &[f64],
+        pick: &mut PricePick,
+    ) -> bool {
+        self.price_chunk_portable(phase_one, y, start, d, dir, pick)
+    }
+
+    /// The body both twins of [`Self::price_chunk`] inline.
+    #[inline(always)]
+    fn price_chunk_portable(
+        &self,
+        phase_one: bool,
+        y: &[f64],
+        start: usize,
+        d: &mut [f64],
+        dir: &[f64],
+        pick: &mut PricePick,
+    ) -> bool {
+        self.reduced_costs(phase_one, y, start, d);
+        pick.scan(start, d, dir)
     }
 }
 
@@ -820,7 +977,7 @@ impl<'a> LpWorkspace<'a> {
     /// `solve([(var, lb, ub)] ++ overlay, warm)` — same status, objective
     /// bits, iterations, basic values and basis as that call on a fresh
     /// workspace — and hands each finished LP to `each` while the workspace
-    /// still holds its solution (for [`Self::dense_values`]).
+    /// still holds its solution (for [`Self::nonzero_values`]).
     ///
     /// The children differ in the bounds of `var` alone, and `var` — the
     /// fractional variable the parent branched on — is basic in the
@@ -891,23 +1048,42 @@ impl<'a> LpWorkspace<'a> {
         results
     }
 
-    /// The full structural solution of the last solve (meaningful after an
-    /// `Optimal` or `Unbounded` outcome): `O(n)`, so branch and bound only
-    /// asks for it at incumbent candidates.
-    pub fn dense_values(&self) -> Vec<f64> {
+    /// The structural solution of the last solve (meaningful after an
+    /// `Optimal` or `Unbounded` outcome) as `(variable, value)` for every
+    /// value whose bits are not `+0.0`, ascending by variable. `O(n)` to
+    /// compute, so branch and bound only asks for it at incumbent
+    /// candidates, but only a package's support to hold: a pool worker
+    /// hands back a few pairs, not an `n`-vector its allocator arena would
+    /// keep after the solve.
+    pub fn nonzero_values(&self) -> Vec<(usize, f64)> {
         let n = self.mat.n;
         if self.mat.m == 0 {
-            return self.unconstrained.clone();
+            let values = self.unconstrained.iter().copied().enumerate();
+            return values.filter(|(_, v)| v.to_bits() != 0).collect();
         }
-        let mut values: Vec<f64> = (0..n)
-            .map(|j| settle(self.nonbasic_value(j), self.lb[j], self.ub[j]))
+        let mut basic: Vec<(usize, f64)> = (self.basis.iter().enumerate())
+            .filter(|&(_, &j)| j < n)
+            .map(|(pos, &j)| (j, settle(self.xb[pos], self.lb[j], self.ub[j])))
             .collect();
-        for (pos, &j) in self.basis.iter().enumerate() {
-            if j < n {
-                values[j] = settle(self.xb[pos], self.lb[j], self.ub[j]);
+        basic.sort_unstable_by_key(|&(j, _)| j);
+        let mut basic = basic.into_iter().peekable();
+        let mut values = Vec::new();
+        for j in 0..n {
+            let v = match basic.next_if(|&(b, _)| b == j) {
+                Some((_, v)) => v,
+                None => settle(self.nonbasic_value(j), self.lb[j], self.ub[j]),
+            };
+            if v.to_bits() != 0 {
+                values.push((j, v));
             }
         }
         values
+    }
+
+    /// The full structural solution of the last solve:
+    /// [`Self::nonzero_values`] laid out densely.
+    pub fn dense_values(&self) -> Vec<f64> {
+        densify(self.mat.n, &self.nonzero_values())
     }
 
     // ---- overlay bookkeeping ----
@@ -1685,13 +1861,8 @@ impl<'a> LpWorkspace<'a> {
         // structural columns at a time.
         for start in (0..n).step_by(PRICE_CHUNK) {
             let len = PRICE_CHUNK.min(n - start);
-            let (alpha, d) = (&mut abuf[..len], &mut dbuf[..len]);
-            alpha.fill(0.0);
-            mat.add_rows(rho, false, start, alpha);
-            mat.reduced_costs(false, y, start, d);
-            for pick in picks.iter_mut() {
-                pick.scan(start, alpha, d, &dir[start..start + len]);
-            }
+            let bufs = [&mut abuf[..len], &mut dbuf[..len]];
+            mat.ratio_chunk(rho, y, start, bufs, &dir[start..start + len], picks);
         }
         // Slack and artificial columns are unit vectors with zero cost (the
         // dual simplex only runs on phase-2 costs).
@@ -1734,8 +1905,7 @@ impl<'a> LpWorkspace<'a> {
         let found = (0..n).step_by(PRICE_CHUNK).any(|start| {
             let len = PRICE_CHUNK.min(n - start);
             let d = &mut dbuf[..len];
-            mat.reduced_costs(*phase_one, y, start, d);
-            pick.scan(start, d, &dir[start..start + len])
+            mat.price_chunk(*phase_one, y, start, d, &dir[start..start + len], &mut pick)
         });
         if !found {
             let art_cost = if *phase_one { 1.0 } else { 0.0 };
@@ -2693,6 +2863,97 @@ mod tests {
         (status, lb, ub, dir)
     }
 
+    /// An `m × n` matrix whose coefficients and costs are ordinary values
+    /// or, one lane in four, one of `specials`: only the fields the sweeps
+    /// read are drawn.
+    fn random_matrix(mix: &mut Mix, m: usize, n: usize, specials: &[f64]) -> LpMatrix {
+        let value = |mix: &mut Mix| {
+            if mix.below(4) == 0 {
+                mix.pick(specials)
+            } else {
+                mix.sign() * 10.0 * mix.unit()
+            }
+        };
+        LpMatrix {
+            n,
+            m,
+            a: (0..m * n).map(|_| value(mix)).collect(),
+            cost: (0..n).map(|_| value(mix)).collect(),
+            sense: Sense::Minimize,
+            b: vec![0.0; m],
+            feas_scale: 1.0,
+            slack_lb: vec![0.0; m],
+            slack_ub: vec![0.0; m],
+            nonneg_objective: 0,
+        }
+    }
+
+    /// `init + Σ coeffs[row] · a[row][j]` over the rows with a non-zero
+    /// coefficient, in ascending row order, one column at a time: the
+    /// accumulation order the floating-point discipline promises.
+    fn column_sum(mat: &LpMatrix, init: f64, coeffs: &[f64], j: usize) -> f64 {
+        let mut acc = init;
+        for (row, &c) in coeffs.iter().enumerate() {
+            if c != 0.0 {
+                acc += c * mat.a[row * mat.n + j];
+            }
+        }
+        acc
+    }
+
+    /// Bits of a lane, every NaN as one: which operand's payload a NaN
+    /// result carries depends on the operand order the compiler picks for
+    /// a commutative add, and no select can see a payload.
+    fn lane_bits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
+    /// What one chunk of each sweep leaves behind: α, `d`, both ratio picks
+    /// and the pricing pick with its stop flag.
+    #[derive(Debug, PartialEq)]
+    struct ChunkOut {
+        alpha: Vec<u64>,
+        d: Vec<u64>,
+        ratio: [Option<(usize, u64)>; 2],
+        price_d: Vec<u64>,
+        price: (bool, Option<(usize, bool, u64)>),
+    }
+
+    /// Runs one chunk of the dual ratio test and of pricing through
+    /// `ratio` and `price`, the portable or the AVX2 twin.
+    fn run_chunk(
+        mat: &LpMatrix,
+        (rho, y): (&[f64], &[f64]),
+        start: usize,
+        dir: &[f64],
+        (phase_one, bland): (bool, bool),
+        ratio: impl Fn(&LpMatrix, &[f64], &[f64], usize, [&mut [f64]; 2], &[f64], &mut [RatioPick]),
+        price: impl Fn(&LpMatrix, bool, &[f64], usize, &mut [f64], &[f64], &mut PricePick) -> bool,
+    ) -> ChunkOut {
+        let len = dir.len();
+        let (mut alpha, mut d, mut price_d) = (vec![7.0; len], vec![7.0; len], vec![7.0; len]);
+        let mut picks = [RatioPick::new(false), RatioPick::new(true)];
+        ratio(mat, rho, y, start, [&mut alpha, &mut d], dir, &mut picks);
+        let mut pick = PricePick {
+            tol: TOLERANCE,
+            bland,
+            best: None,
+        };
+        let done = price(mat, phase_one, y, start, &mut price_d, dir, &mut pick);
+        let bits = |v: &[f64]| v.iter().map(|&x| lane_bits(x)).collect();
+        ChunkOut {
+            alpha: bits(&alpha),
+            d: bits(&d),
+            ratio: picks.map(|p| p.entering.map(|(j, r)| (j, lane_bits(r)))),
+            price_d: bits(&price_d),
+            price: (done, pick.best.map(|(j, inc, s)| (j, inc, lane_bits(s)))),
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 1500, .. proptest::ProptestConfig::default() })]
 
@@ -2788,6 +3049,68 @@ mod tests {
             let want = reference_price_select(&status, &lb, &ub, &d, tol, bland);
             let got = mask_price_select(n, &d, &dir, tol, bland);
             proptest::prop_assert_eq!(got, want, "seed {} len {} tail {} shape {} bland {}", seed, len, tail, shape, bland);
+        }
+
+        /// One chunk of each sweep, portable and AVX2, over random columns:
+        /// α and `d` equal, bit for bit, the per-column sums in row order,
+        /// and both ratio picks and the pricing pick equal the per-column
+        /// selects; the AVX2 twin (where the CPU has it) leaves exactly what
+        /// the portable one does. Coefficients, costs, ρ and `y` include
+        /// NaN, ±inf and ±0.0; chunks start anywhere and are any length up
+        /// to `PRICE_CHUNK`, so partial select blocks and partial chunks
+        /// both occur.
+        #[test]
+        fn the_avx2_sweeps_equal_the_portable_ones(
+            seed in 0u64..u64::MAX,
+            m in 0usize..7,
+            start in 0usize..80,
+            len in 1usize..PRICE_CHUNK + 1,
+            phase_one in proptest::prop::bool::ANY,
+            bland in proptest::prop::bool::ANY,
+        ) {
+            let mut mix = Mix(seed);
+            let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1e-300, -1e300];
+            let n = start + len + mix.below(20);
+            let mat = random_matrix(&mut mix, m, n, &specials);
+            let coeffs = |mix: &mut Mix| -> Vec<f64> {
+                (0..m).map(|_| if mix.below(3) == 0 { mix.pick(&specials) } else { mix.sign() * mix.unit() }).collect()
+            };
+            let (rho, y) = (coeffs(&mut mix), coeffs(&mut mix));
+            let (status, lb, ub, dir) = random_columns(&mut mix, len);
+            let portable = run_chunk(
+                &mat, (&rho, &y), start, &dir, (phase_one, bland),
+                |mat, rho, y, start, bufs, dir, picks| mat.ratio_chunk_portable(rho, y, start, bufs, dir, picks),
+                |mat, phase_one, y, start, d, dir, pick| mat.price_chunk_portable(phase_one, y, start, d, dir, pick),
+            );
+
+            let neg_y: Vec<f64> = y.iter().map(|&c| -c).collect();
+            let columns = start..start + len;
+            let alpha: Vec<f64> = columns.clone().map(|j| column_sum(&mat, 0.0, &rho, j)).collect();
+            let d: Vec<f64> = columns.clone().map(|j| column_sum(&mat, mat.cost[j], &neg_y, j)).collect();
+            let price_d: Vec<f64> = columns
+                .map(|j| column_sum(&mat, if phase_one { 0.0 } else { mat.cost[j] }, &neg_y, j))
+                .collect();
+            let bits = |v: &[f64]| v.iter().map(|&x| lane_bits(x)).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(&portable.alpha, &bits(&alpha));
+            proptest::prop_assert_eq!(&portable.d, &bits(&d));
+            proptest::prop_assert_eq!(&portable.price_d, &bits(&price_d));
+            let ratio = |below| reference_ratio_select(&status, &lb, &ub, &alpha, &d, below).map(|j| j + start);
+            proptest::prop_assert_eq!(portable.ratio.map(|p| p.map(|(j, _)| j)), [ratio(false), ratio(true)]);
+            let price = reference_price_select(&status, &lb, &ub, &price_d, TOLERANCE, bland)
+                .map(|(j, inc)| (j + start, inc));
+            proptest::prop_assert_eq!(portable.price.1.map(|(j, inc, _)| (j, inc)), price);
+
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let avx2 = run_chunk(
+                    &mat, (&rho, &y), start, &dir, (phase_one, bland),
+                    // SAFETY: the CPU has just reported AVX2.
+                    |mat, rho, y, start, bufs, dir, picks| unsafe { mat.ratio_chunk_avx2(rho, y, start, bufs, dir, picks) },
+                    // SAFETY: as above.
+                    |mat, phase_one, y, start, d, dir, pick| unsafe { mat.price_chunk_avx2(phase_one, y, start, d, dir, pick) },
+                );
+                proptest::prop_assert_eq!(avx2, portable, "seed {} m {} start {} len {}", seed, m, start, len);
+            }
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based tests for the LP/MILP solver.
 
+use lp_solver::par::CHUNK_WIDTH;
 use lp_solver::{
     solve, solve_lp, solve_lp_warm, solve_milp, solve_milp_hinted, Basis, ConstraintOp, LpMatrix,
     LpResult, LpWorkspace, NodeLp, Problem, Sense, SolverConfig, Status, VarId, VarType,
@@ -749,7 +750,9 @@ const NODE_CAP_SWEEP: &[CapRow] = &[
 /// A node cap can cut a batch anywhere, also between the two children of one
 /// popped node. Whatever the cap, the search solves the same LPs in the same
 /// order, on one thread and on two: the rows were recorded with one job per
-/// child LP, before a job became the expansion of a node.
+/// child LP, before a job became the expansion of a node. Fixed columns pad
+/// the matrix to one `CHUNK_WIDTH` of coefficients, the size from which a
+/// batch fans out; no pivot reads them.
 #[test]
 fn a_node_cap_cuts_the_search_at_the_same_lp_whatever_the_batch_shape() {
     let values = [2.0, 5.0, 14.0, 18.0, 7.0, 20.0, 2.0, 16.0, 11.0, 5.0, 18.0];
@@ -765,6 +768,9 @@ fn a_node_cap_cuts_the_search_at_the_same_lp_whatever_the_batch_shape() {
         .map(|(i, &v)| (v, weights[i]))
         .collect();
     p.add_constraint_terms("cap", &terms, ConstraintOp::Le, 16.5);
+    for i in p.num_vars()..CHUNK_WIDTH {
+        p.add_var(format!("pad{i}"), VarType::Continuous, 0.0, 0.0);
+    }
     let hint = vec![0.0; p.num_vars()];
     for threads in [1usize, 2] {
         let actual: Vec<CapRow> = (1..=64)

@@ -11,7 +11,11 @@
 //!   blanked out (delimiters are kept so tokens never merge across a blanked
 //!   region), and
 //! * `comment` — the concatenated comment text of the line, which is where
-//!   `SAFETY:` justifications and `pb-lint: allow(...)` annotations live.
+//!   `SAFETY:` justifications and `pb-lint: allow(...)` annotations live,
+//!   and
+//! * `literal` — the contents of the line's string literals, each followed
+//!   by a space, which is where attribute arguments such as a
+//!   `target_feature`'s feature list live.
 //!
 //! Handled: nested `/* */` block comments, `//` line comments (doc variants
 //! included), string literals with escapes, raw strings `r"…"`/`r#"…"#` (any
@@ -25,6 +29,9 @@ pub struct Line {
     pub code: String,
     /// Concatenated comment text (line and block comments) on this line.
     pub comment: String,
+    /// Contents of the string literals on this line (raw and byte strings
+    /// included, escapes as written), each followed by a space.
+    pub literal: String,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,26 +140,32 @@ pub fn strip(source: &str) -> Vec<Line> {
             State::Str => {
                 if c == '\\' {
                     cur.code.push(' ');
-                    if b.get(i + 1).is_some() {
+                    cur.literal.push(c);
+                    if let Some(&next) = b.get(i + 1) {
                         cur.code.push(' ');
+                        cur.literal.push(next);
                     }
                     i += 2;
                 } else if c == '"' {
                     cur.code.push('"');
+                    cur.literal.push(' ');
                     st = State::Code;
                     i += 1;
                 } else {
                     cur.code.push(' ');
+                    cur.literal.push(c);
                     i += 1;
                 }
             }
             State::RawStr(hashes) => {
                 if c == '"' && closes_raw(&b, i, hashes) {
                     cur.code.push('"');
+                    cur.literal.push(' ');
                     st = State::Code;
                     i += 1 + hashes as usize;
                 } else {
                     cur.code.push(' ');
+                    cur.literal.push(c);
                     i += 1;
                 }
             }

@@ -13,7 +13,7 @@
 //! | [`time-containment`](TimeContainment) | `Instant::now()` belongs to `budget.rs` (the cooperative deadline substrate); any other production site is reporting-only and must say so. | production code |
 //! | [`unsafe-audit`](UnsafeAudit) | Every `unsafe` site carries a `SAFETY:` comment (or a `# Safety` doc section for `unsafe fn`). | everywhere |
 //! | [`no-panic-in-solver-paths`](NoPanicInSolverPaths) | Solver-reachable code returns `PbError::Internal` instead of panicking; `Mutex`-poison `unwrap`s are exempt (poisoning only follows another panic). | solver paths, `crates/minidb/src`, `crates/paql/src` |
-//! | [`no-fused-multiply-add`](NoFusedMultiplyAdd) | `mul_add` rounds once where `a * b + c` rounds twice, and lowers to a hardware FMA or a libm call depending on the host; either way the bits the identity gates compare move. | `crates/core`, `crates/lp-solver`, `crates/minidb` |
+//! | [`no-fused-multiply-add`](NoFusedMultiplyAdd) | `mul_add`, the `_mm*_fmadd*`/`_mm*_fmsub*` intrinsics, a `target_feature` enabling `fma` and a `target-cpu=` flag all round `a * b + c` once where the gated kernels round twice, or host-dependently; either way the bits the identity gates compare move. | `crates/core`, `crates/lp-solver`, `crates/minidb` |
 //!
 //! A site that genuinely needs an exception carries an allow annotation
 //! **with a written justification** on the flagged line or the comment
@@ -658,7 +658,11 @@ impl Rule for NoPanicInSolverPaths {
 /// host-dependent — a hardware FMA where the target has one, a software
 /// routine elsewhere — so two machines would stop agreeing with each other.
 /// rustc never contracts `a * b + c` on its own; this rule keeps the
-/// explicit form out.
+/// explicit forms out: `mul_add`, the x86 fused intrinsics (`_mm*_fmadd*`,
+/// `_mm*_fmsub*`, `_mm*_fnmadd*`, `_mm*_fnmsub*`), a `#[target_feature]`
+/// that enables `fma` (the wide twins of the simplex sweeps enable `avx2`
+/// alone) and a `target-cpu=` flag in a literal (a build script's, say),
+/// which enables every feature of that CPU, `fma` included.
 pub struct NoFusedMultiplyAdd;
 
 /// Crates whose floating-point results are gated bit for bit.
@@ -669,19 +673,34 @@ impl Rule for NoFusedMultiplyAdd {
         "no-fused-multiply-add"
     }
     fn summary(&self) -> &'static str {
-        "mul_add rounds differently from a * b + c and differs by host; write the two-step form"
+        "mul_add, fused intrinsics, an `fma` target feature and `target-cpu=` round differently \
+         from a * b + c and differ by host; write the two-step form"
     }
     fn hint(&self) -> &'static str {
-        "write `a * b + c`: the bit-identity gates rely on two roundings, \
-         on every host"
+        "write `a * b + c` and enable no `fma` or target CPU: the bit-identity gates rely on \
+         two roundings, on every host"
     }
     fn applies(&self, ctx: &FileCtx) -> bool {
         ctx.class != FileClass::Test && BIT_EXACT_CRATES.iter().any(|c| ctx.rel.starts_with(c))
     }
     fn check(&self, ctx: &FileCtx, out: &mut Vec<Finding>) {
+        // Inside a `target_feature(..)` attribute, which may span lines.
+        let mut in_target_feature = false;
         for (idx, n) in ctx.norm.iter().enumerate() {
             let line = idx + 1;
-            if ctx.live(line) && find_bounded(n, "mul_add(").is_some() {
+            let literal = &ctx.lines[idx].literal;
+            in_target_feature |= n.contains("target_feature(");
+            let enables_fma = in_target_feature
+                && literal
+                    .split(|c: char| c == ',' || c.is_whitespace())
+                    .any(|feature| feature.trim_start_matches('+') == "fma");
+            if n.contains(']') {
+                in_target_feature = false;
+            }
+            if !ctx.live(line) {
+                continue;
+            }
+            if find_bounded(n, "mul_add(").is_some() {
                 out.push(mk(
                     self,
                     ctx,
@@ -689,6 +708,41 @@ impl Rule for NoFusedMultiplyAdd {
                     "`mul_add(..)` fuses the multiply and the add".to_string(),
                 ));
             }
+            if enables_fma {
+                out.push(mk(
+                    self,
+                    ctx,
+                    line,
+                    "a `target_feature` enabling `fma` lets the compiler fuse".to_string(),
+                ));
+            }
+            if literal.contains("target-cpu=") {
+                out.push(mk(
+                    self,
+                    ctx,
+                    line,
+                    "`target-cpu=` compiles for one CPU, its FMA unit included".to_string(),
+                ));
+            }
+        }
+        for tok in ctx.toks {
+            if ctx.live(tok.line) && is_fused_intrinsic(&tok.text) {
+                out.push(mk(
+                    self,
+                    ctx,
+                    tok.line,
+                    format!("`{}` is a fused multiply-add intrinsic", tok.text),
+                ));
+            }
         }
     }
+}
+
+/// An x86 fused multiply-add intrinsic: `_mm_fmadd_pd`, `_mm256_fnmsub_ps`,
+/// `_mm512_fmaddsub_pd`, …
+fn is_fused_intrinsic(ident: &str) -> bool {
+    ident.starts_with("_mm")
+        && ["_fmadd", "_fmsub", "_fnmadd", "_fnmsub"]
+            .iter()
+            .any(|op| ident.contains(op))
 }

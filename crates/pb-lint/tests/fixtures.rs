@@ -202,6 +202,25 @@ fn no_fused_multiply_add_spares_the_two_step_form_and_other_crates() {
 }
 
 #[test]
+fn no_fused_multiply_add_fires_on_fma_features_intrinsics_and_target_cpu() {
+    let bad = include_str!("fixtures/no_fused_multiply_add_simd_bad.rs");
+    // `enable = "avx2,fma"`, a split attribute's `"fma"`, two intrinsics and
+    // a build script's `target-cpu=`.
+    assert_eq!(hits(bad, "no-fused-multiply-add"), vec![2, 10, 13, 14, 18]);
+    // A build script of a bit-exact crate is in scope too.
+    let findings = analyze_source("crates/lp-solver/build.rs", FileClass::Infra, bad);
+    assert_eq!(findings.len(), 5, "{findings:?}");
+}
+
+#[test]
+fn no_fused_multiply_add_spares_avx2_alone_and_feature_reads() {
+    assert_silent(
+        include_str!("fixtures/no_fused_multiply_add_simd_good.rs"),
+        REL,
+    );
+}
+
+#[test]
 fn solver_only_rules_skip_infra_files() {
     // The panic fixture fires on a solver path but not in infra code, where
     // panicking on corruption is legitimate.
