@@ -8,6 +8,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::budget::Budget;
+use crate::ilp::linearize_objective;
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::pruning::derive_bounds;
@@ -18,14 +19,20 @@ use crate::view::{CandidateView, ViewState};
 pub enum StartHeuristic<'a> {
     /// Highest objective coefficient first (density-ordered greedy), by the
     /// per-candidate coefficients of the linearized objective
-    /// ([`crate::ilp::linearize_objective`]); uniformly random without them
-    /// (no objective, or one that does not linearize). The caller
-    /// linearizes, so a solve that already holds the coefficients does not
-    /// read the objective's columns twice.
-    Greedy(Option<&'a [f64]>),
+    /// ([`objective_coeffs`]). The caller linearizes, so a solve that
+    /// already holds the coefficients does not read the objective's columns
+    /// twice; without them (no objective, or one that does not linearize)
+    /// it starts [`StartHeuristic::Random`].
+    Greedy(&'a [f64]),
     /// Uniformly random candidates ("which can be constructed, for example,
     /// at random" — Section 4.2).
     Random,
+}
+
+/// The objective's per-candidate coefficients when it linearizes: what
+/// [`StartHeuristic::Greedy`] orders by.
+pub fn objective_coeffs(view: &CandidateView) -> Option<Vec<f64>> {
+    linearize_objective(view).ok().flatten().map(|l| l.coeffs)
 }
 
 /// Builds a starting package of a plausible cardinality: the lower
@@ -49,11 +56,10 @@ pub fn starting_package(
     let mut order: Vec<usize> = (0..n).collect();
     match heuristic {
         StartHeuristic::Random => order.shuffle(rng),
-        StartHeuristic::Greedy(Some(coeffs)) => {
+        StartHeuristic::Greedy(coeffs) => {
             let maximize = matches!(view.direction(), paql::ObjectiveDirection::Maximize);
             density_prefix(&mut order, coeffs, maximize, target);
         }
-        StartHeuristic::Greedy(None) => order.shuffle(rng),
     }
 
     // The first round adds each tuple once; later rounds add repetitions
@@ -236,7 +242,6 @@ pub fn random_cardinality(view: &CandidateView, rng: &mut StdRng) -> u64 {
 mod tests {
     use super::*;
     use crate::column_store::SpillStore;
-    use crate::ilp::linearize_objective;
     use crate::par::chunk_count;
     use crate::spec::{BuildCtx, PackageSpec};
     use crate::view::ColumnSink;
@@ -246,11 +251,14 @@ mod tests {
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    /// The density-ordered start, from the view's own linearized objective.
+    /// The start the greedy solver makes: density-ordered by the view's
+    /// own linearized objective, random without one.
     fn greedy_start(view: &CandidateView, rng: &mut StdRng) -> Package {
-        let objective = linearize_objective(view).ok().flatten();
-        let coeffs = objective.as_ref().map(|l| l.coeffs.as_slice());
-        starting_package(view, StartHeuristic::Greedy(coeffs), rng)
+        let coeffs = objective_coeffs(view);
+        let heuristic = coeffs
+            .as_deref()
+            .map_or(StartHeuristic::Random, StartHeuristic::Greedy);
+        starting_package(view, heuristic, rng)
     }
 
     fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {

@@ -29,8 +29,7 @@ use rand::SeedableRng;
 
 use crate::budget::Budget;
 use crate::error::PbError;
-use crate::greedy::{random_cardinality, starting_package, StartHeuristic};
-use crate::ilp::linearize_objective;
+use crate::greedy::{objective_coeffs, random_cardinality, starting_package, StartHeuristic};
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::result::{EvalStats, StrategyUsed};
@@ -107,9 +106,11 @@ pub fn local_search(
             break;
         }
         let start_package = if restart == 0 {
-            let objective = linearize_objective(view).ok().flatten();
-            let coeffs = objective.as_ref().map(|l| l.coeffs.as_slice());
-            starting_package(view, StartHeuristic::Greedy(coeffs), &mut rng)
+            let coeffs = objective_coeffs(view);
+            let heuristic = coeffs
+                .as_deref()
+                .map_or(StartHeuristic::Random, StartHeuristic::Greedy);
+            starting_package(view, heuristic, &mut rng)
         } else {
             let target = random_cardinality(view, &mut rng);
             let mut p = starting_package(view, StartHeuristic::Random, &mut rng);

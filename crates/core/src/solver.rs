@@ -28,8 +28,8 @@ use crate::config::{
 };
 use crate::enumerate::{enumerate, EnumerationOptions};
 use crate::error::PbError;
-use crate::greedy::{starting_package, StartHeuristic};
-use crate::ilp::{linearize_objective, solve_ilp_par};
+use crate::greedy::{objective_coeffs, starting_package, StartHeuristic};
+use crate::ilp::solve_ilp_par;
 use crate::local_search::{local_search, LocalSearchOptions};
 use crate::package::Package;
 use crate::par::ParExec;
@@ -259,11 +259,11 @@ impl Solver for GreedySolver {
     fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
         // An already-expired budget skips the linearization with the start.
         let objective = if view.candidate_count() > 0 && !opts.budget.expired() {
-            linearize_objective(view).ok().flatten()
+            objective_coeffs(view)
         } else {
             None
         };
-        self.solve_linearized(view, opts, objective.as_ref().map(|l| l.coeffs.as_slice()))
+        self.solve_linearized(view, opts, objective.as_deref())
     }
 }
 
@@ -293,7 +293,8 @@ impl GreedySolver {
         // density scan reads every candidate's terms (through the buffer
         // pool when the view is paged), which expiry must not pay for.
         if view.candidate_count() > 0 && !budget.expired() {
-            let greedy = starting_package(view, StartHeuristic::Greedy(objective), &mut rng);
+            let heuristic = objective.map_or(StartHeuristic::Random, StartHeuristic::Greedy);
+            let greedy = starting_package(view, heuristic, &mut rng);
             let mut state = view.project(&greedy).ok_or_else(|| {
                 PbError::Internal(
                     "greedy starting package contains tuples outside the candidate set".into(),

@@ -13,9 +13,11 @@
 //! solving.
 
 use datagen::{recipes, scenarios, QueryParams, Seed};
+use lp_solver::LpMatrix;
 use minidb::{Catalog, Table};
 use packagebuilder::config::{EngineConfig, Strategy};
-use packagebuilder::par::ParExec;
+use packagebuilder::ilp::translate;
+use packagebuilder::par::{ParExec, CHUNK_WIDTH};
 use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::{ColumnPolicy, PackageEngine, PackageResult, StrategyUsed};
 use proptest::prelude::*;
@@ -56,6 +58,17 @@ fn run_with(
     PackageEngine::with_config(catalog, config)
         .execute_paql(query)
         .map_err(|e| e.to_string())
+}
+
+/// Rows × columns of the LP the ILP strategy builds for `query` over
+/// `table`: branch and bound fans its batches out from one
+/// [`CHUNK_WIDTH`] of them up (`lp_solver::branch_bound`).
+fn lp_entries(table: &Table, query: &str) -> usize {
+    let analyzed = paql::compile(query, table.schema()).unwrap();
+    let spec = PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap();
+    let problem = translate(spec.view()).unwrap().problem;
+    let matrix = LpMatrix::new(&problem).unwrap();
+    matrix.rows() * matrix.cols()
 }
 
 /// Asserts two runs are bit-identical, counters included.
@@ -191,14 +204,17 @@ fn multi_chunk_solves_are_storage_mode_invariant() {
 /// The exact core under paging: branch and bound over a paged view (its
 /// constraint rows are linearized through chunk pins) proves the same
 /// optimum with the same node and iteration counters as the resident run.
+/// The LP (2 100 candidates × 2 rows ≥ [`CHUNK_WIDTH`]) is big enough that
+/// the 8-thread run fans its batches out.
 #[test]
 fn exact_ilp_is_storage_mode_invariant() {
-    let reference = run_with(recipes(2_000, Seed(11)), Strategy::Ilp, 1, None, WIDE_QUERY);
-    let ok = reference.as_ref().expect("exact solve at n=2000 succeeds");
+    assert!(lp_entries(&recipes(2_100, Seed(11)), WIDE_QUERY) >= CHUNK_WIDTH);
+    let reference = run_with(recipes(2_100, Seed(11)), Strategy::Ilp, 1, None, WIDE_QUERY);
+    let ok = reference.as_ref().expect("exact solve at n=2100 succeeds");
     assert!(ok.optimal, "the exact worker should prove optimality here");
     for &threads in &THREAD_COUNTS {
         let paged = run_with(
-            recipes(2_000, Seed(11)),
+            recipes(2_100, Seed(11)),
             Strategy::Ilp,
             threads,
             Some(STARVED_POOL_PAGES),
@@ -207,7 +223,7 @@ fn exact_ilp_is_storage_mode_invariant() {
         assert_runs_identical(
             &reference,
             &paged,
-            &format!("Ilp paged at {threads} threads, n=2000"),
+            &format!("Ilp paged at {threads} threads, n=2100"),
         );
     }
 }

@@ -333,31 +333,54 @@ fn a_many_row_ilp_below_a_chunk_of_candidates_is_thread_count_invariant() {
     }
 }
 
+/// The row count [`exact_ilp_is_thread_count_invariant_across_scenarios`]
+/// solves a family's exact query at: one whose LP crosses [`CHUNK_WIDTH`]
+/// (2 048 rows for the two-row LPs, 456 for `metrics`' nine rows) and
+/// whose search at seed 17 still branches (`bulk`'s and `lineitem`'s root
+/// relaxations are integral at 2 048 rows), so branch and bound fans its
+/// batches out. The other families run inline at `exact_n`, which cannot
+/// reach a second thread: `synthetic`'s root relaxation is integral at
+/// every size and `wide`'s from 1 024 rows up, while `knapsack` and
+/// `correlated` run into the node cap (seconds per solve) at the 2 048
+/// rows their two-row LPs need.
+const FAN_OUT_N: [(&str, usize); 6] = [
+    ("recipes", 2_048),
+    ("stocks", 2_048),
+    ("travel", 2_048),
+    ("bulk", 2_300),
+    ("lineitem", 3_000),
+    ("metrics", 456),
+];
+
 /// Same pin across **every registered scenario** at that scenario's
-/// branching-heavy exact query (`Scenario::exact_query` at
-/// `Scenario::exact_n` rows), so branch and bound explores a real frontier
-/// on every family — an integral root relaxation would make the parallel
-/// path trivially identical.
+/// branching-heavy exact query (`Scenario::exact_query`), so branch and
+/// bound explores a real frontier on every family — an integral root
+/// relaxation would make the parallel path trivially identical. The
+/// families of [`FAN_OUT_N`] run at a size whose LP fans out, the others
+/// at `Scenario::exact_n`.
 #[test]
 fn exact_ilp_is_thread_count_invariant_across_scenarios() {
     for scenario in scenarios() {
-        let reference = run_at(
-            (scenario.build)(scenario.exact_n, Seed(17)),
-            Strategy::Ilp,
-            1,
-            &scenario.exact_query,
-        );
-        for threads in [2usize, 8] {
-            let run = run_at(
-                (scenario.build)(scenario.exact_n, Seed(17)),
-                Strategy::Ilp,
-                threads,
-                &scenario.exact_query,
+        let fan_out = FAN_OUT_N.iter().find(|(name, _)| *name == scenario.name);
+        let n = fan_out.map_or(scenario.exact_n, |&(_, n)| n);
+        let table = || (scenario.build)(n, Seed(17));
+        let reference = run_at(table(), Strategy::Ilp, 1, &scenario.exact_query);
+        if fan_out.is_some() {
+            let entries = lp_entries(&table(), &scenario.exact_query);
+            assert!(
+                entries >= CHUNK_WIDTH,
+                "{}: {entries} coefficients stay inline",
+                scenario.name
             );
+            let nodes = reference.as_ref().map(|r| r.stats.nodes);
+            assert!(nodes.unwrap() > 1, "{}: the search branches", scenario.name);
+        }
+        for threads in [2usize, 8] {
+            let run = run_at(table(), Strategy::Ilp, threads, &scenario.exact_query);
             assert_runs_identical(
                 &reference,
                 &run,
-                &format!("Ilp/{} at {threads} threads", scenario.name),
+                &format!("Ilp/{} at {threads} threads, n={n}", scenario.name),
             );
         }
     }

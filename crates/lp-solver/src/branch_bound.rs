@@ -252,10 +252,10 @@ struct Shared<'a> {
     par: ParExec,
     /// Workspaces no job is using. They belong to this solve alone (a
     /// workspace borrows this solve's matrix). The calling thread builds
-    /// one per thread the batches may use before the search starts, so a
+    /// them, one per job a batch can run at once ([`solve_batch`]), so a
     /// pool worker allocates nothing proportional to `n`: what a worker
     /// allocates lands in its own allocator arena, which holds on to it
-    /// after the solve. A job that still finds none builds one.
+    /// after the solve. A solve that ends at its root builds one.
     idle: Mutex<Vec<LpWorkspace<'a>>>,
 }
 
@@ -335,10 +335,18 @@ fn run_job(shared: &Shared<'_>, job: &Job, ws: &mut LpWorkspace<'_>) -> JobResul
 }
 
 /// Runs one batch: one executor job per expansion, results in job order no
-/// matter which thread solved what. A job borrows an idle workspace (building
-/// one when none is free) and hands it back, so workspaces survive across
-/// batches.
+/// matter which thread solved what. The calling thread first tops the idle
+/// list up to as many workspaces as the batch can run at once; a job
+/// borrows one (building one should none be free) and hands it back, so
+/// workspaces survive across batches.
 fn solve_batch(shared: &Shared<'_>, jobs: &[Job]) -> Vec<JobResult> {
+    {
+        let mut idle = shared.idle.lock().unwrap();
+        let live = shared.par.threads().min(jobs.len());
+        while idle.len() < live {
+            idle.push(LpWorkspace::new(shared.matrix, shared.root_bounds));
+        }
+    }
     shared.par.run_chunks_width(jobs.len(), 1, |i, _| {
         let idle = shared.idle.lock().unwrap().pop();
         let mut ws = idle.unwrap_or_else(|| LpWorkspace::new(shared.matrix, shared.root_bounds));
@@ -610,17 +618,17 @@ pub fn solve_milp_hinted(
             }
         })
         .collect();
-    let threads = batch_threads(matrix.rows(), matrix.cols(), config.num_threads);
-    let idle = (0..threads)
-        .map(|_| LpWorkspace::new(&matrix, &root_bounds))
-        .collect();
     let shared = Shared {
         problem,
         config,
         matrix: &matrix,
         root_bounds: &root_bounds,
-        par: ParExec::new(threads),
-        idle: Mutex::new(idle),
+        par: ParExec::new(batch_threads(
+            matrix.rows(),
+            matrix.cols(),
+            config.num_threads,
+        )),
+        idle: Mutex::new(Vec::new()),
     };
     search(&shared, hint, &int_vars)
 }

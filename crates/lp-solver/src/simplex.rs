@@ -70,7 +70,8 @@
 //! the dual ratio test, each with its select — come in two twins: the
 //! portable body, compiled for the baseline target, and the same body
 //! inlined into a `#[target_feature(enable = "avx2")]` function, taken when
-//! the CPU reports AVX2 (`LpMatrix::price_chunk`, `LpMatrix::ratio_chunk`).
+//! the CPU reports AVX2 (`widest`, around `LpMatrix::price_chunk` and
+//! `LpMatrix::ratio_chunk`).
 //! The AVX2 twin computes four lanes where the baseline computes two, with
 //! the same IEEE multiply and the same IEEE add per lane in the same row
 //! order: `fma` is never enabled (pb-lint's `no-fused-multiply-add` rejects
@@ -660,46 +661,10 @@ impl LpMatrix {
 
     /// One chunk of the dual ratio test: `α_j = ρ · A_j` into `alpha` and
     /// `d_j = c_j − y · A_j` into `d` for the structural columns
-    /// `start..start + alpha.len()`, then every pick's scan of them, in the
-    /// widest twin the CPU runs.
-    fn ratio_chunk(
-        &self,
-        rho: &[f64],
-        y: &[f64],
-        start: usize,
-        [alpha, d]: [&mut [f64]; 2],
-        dir: &[f64],
-        picks: &mut [RatioPick],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU has just reported AVX2, the one feature the
-            // twin is compiled for.
-            return unsafe { self.ratio_chunk_avx2(rho, y, start, [alpha, d], dir, picks) };
-        }
-        self.ratio_chunk_portable(rho, y, start, [alpha, d], dir, picks);
-    }
-
-    /// [`Self::ratio_chunk_portable`] compiled for AVX2: four lanes of
-    /// separate `vmulpd`/`vaddpd` where the baseline has two (no `fma`, so
-    /// every lane rounds as the portable twin does).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn ratio_chunk_avx2(
-        &self,
-        rho: &[f64],
-        y: &[f64],
-        start: usize,
-        [alpha, d]: [&mut [f64]; 2],
-        dir: &[f64],
-        picks: &mut [RatioPick],
-    ) {
-        self.ratio_chunk_portable(rho, y, start, [alpha, d], dir, picks);
-    }
-
-    /// The body both twins of [`Self::ratio_chunk`] inline.
+    /// `start..start + alpha.len()`, then every pick's scan of them. The
+    /// portable body of both twins: the sweep runs it through [`widest`].
     #[inline(always)]
-    fn ratio_chunk_portable(
+    fn ratio_chunk(
         &self,
         rho: &[f64],
         y: &[f64],
@@ -718,44 +683,10 @@ impl LpMatrix {
 
     /// One chunk of pricing: `d_j = c_j − y · A_j` into `d` for the
     /// structural columns `start..start + d.len()`, then the pick's scan of
-    /// them, in the widest twin the CPU runs; true when the search is over.
-    fn price_chunk(
-        &self,
-        phase_one: bool,
-        y: &[f64],
-        start: usize,
-        d: &mut [f64],
-        dir: &[f64],
-        pick: &mut PricePick,
-    ) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU has just reported AVX2, the one feature the
-            // twin is compiled for.
-            return unsafe { self.price_chunk_avx2(phase_one, y, start, d, dir, pick) };
-        }
-        self.price_chunk_portable(phase_one, y, start, d, dir, pick)
-    }
-
-    /// [`Self::price_chunk_portable`] compiled for AVX2, as
-    /// [`Self::ratio_chunk_avx2`] is.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn price_chunk_avx2(
-        &self,
-        phase_one: bool,
-        y: &[f64],
-        start: usize,
-        d: &mut [f64],
-        dir: &[f64],
-        pick: &mut PricePick,
-    ) -> bool {
-        self.price_chunk_portable(phase_one, y, start, d, dir, pick)
-    }
-
-    /// The body both twins of [`Self::price_chunk`] inline.
+    /// them; true when the search is over. The portable body of both twins,
+    /// as [`Self::ratio_chunk`] is.
     #[inline(always)]
-    fn price_chunk_portable(
+    fn price_chunk(
         &self,
         phase_one: bool,
         y: &[f64],
@@ -767,6 +698,30 @@ impl LpMatrix {
         self.reduced_costs(phase_one, y, start, d);
         pick.scan(start, d, dir)
     }
+}
+
+/// Runs `body` in the widest twin the CPU runs: compiled for AVX2 when the
+/// CPU reports it, else for the baseline target. `body` is an
+/// `#[inline(always)]` closure over `#[inline(always)]` kernels, so the whole
+/// sweep is compiled into each twin.
+#[inline(always)]
+fn widest<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has just reported AVX2, the one feature the twin
+        // is compiled for.
+        return unsafe { with_avx2(body) };
+    }
+    body()
+}
+
+/// `body` compiled for AVX2: four lanes of separate `vmulpd`/`vaddpd` where
+/// the baseline has two (no `fma`, so every lane rounds as the portable twin
+/// does).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn with_avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
 }
 
 /// The compact result of one [`LpWorkspace::solve`].
@@ -1862,7 +1817,11 @@ impl<'a> LpWorkspace<'a> {
         for start in (0..n).step_by(PRICE_CHUNK) {
             let len = PRICE_CHUNK.min(n - start);
             let bufs = [&mut abuf[..len], &mut dbuf[..len]];
-            mat.ratio_chunk(rho, y, start, bufs, &dir[start..start + len], picks);
+            let dir = &dir[start..start + len];
+            widest(
+                #[inline(always)]
+                || mat.ratio_chunk(rho, y, start, bufs, dir, picks),
+            );
         }
         // Slack and artificial columns are unit vectors with zero cost (the
         // dual simplex only runs on phase-2 costs).
@@ -1905,7 +1864,11 @@ impl<'a> LpWorkspace<'a> {
         let found = (0..n).step_by(PRICE_CHUNK).any(|start| {
             let len = PRICE_CHUNK.min(n - start);
             let d = &mut dbuf[..len];
-            mat.price_chunk(*phase_one, y, start, d, &dir[start..start + len], &mut pick)
+            let dir = &dir[start..start + len];
+            widest(
+                #[inline(always)]
+                || mat.price_chunk(*phase_one, y, start, d, dir, &mut pick),
+            )
         });
         if !found {
             let art_cost = if *phase_one { 1.0 } else { 0.0 };
@@ -2923,27 +2886,48 @@ mod tests {
         price: (bool, Option<(usize, bool, u64)>),
     }
 
-    /// Runs one chunk of the dual ratio test and of pricing through
-    /// `ratio` and `price`, the portable or the AVX2 twin.
+    /// `body` in the AVX2 twin when `avx2` is set (only ever after the CPU
+    /// reported AVX2), else in the portable one.
+    #[inline(always)]
+    fn twin<R>(avx2: bool, body: impl FnOnce() -> R) -> R {
+        debug_assert!(!avx2 || cfg!(target_arch = "x86_64"));
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: callers set `avx2` only after the CPU reported AVX2.
+            return unsafe { with_avx2(body) };
+        }
+        body()
+    }
+
+    /// Runs one chunk of the dual ratio test and of pricing in the portable
+    /// twin or, with `avx2`, the AVX2 one.
     fn run_chunk(
         mat: &LpMatrix,
         (rho, y): (&[f64], &[f64]),
         start: usize,
         dir: &[f64],
         (phase_one, bland): (bool, bool),
-        ratio: impl Fn(&LpMatrix, &[f64], &[f64], usize, [&mut [f64]; 2], &[f64], &mut [RatioPick]),
-        price: impl Fn(&LpMatrix, bool, &[f64], usize, &mut [f64], &[f64], &mut PricePick) -> bool,
+        avx2: bool,
     ) -> ChunkOut {
         let len = dir.len();
         let (mut alpha, mut d, mut price_d) = (vec![7.0; len], vec![7.0; len], vec![7.0; len]);
         let mut picks = [RatioPick::new(false), RatioPick::new(true)];
-        ratio(mat, rho, y, start, [&mut alpha, &mut d], dir, &mut picks);
+        let bufs = [&mut alpha[..], &mut d[..]];
+        twin(
+            avx2,
+            #[inline(always)]
+            || mat.ratio_chunk(rho, y, start, bufs, dir, &mut picks),
+        );
         let mut pick = PricePick {
             tol: TOLERANCE,
             bland,
             best: None,
         };
-        let done = price(mat, phase_one, y, start, &mut price_d, dir, &mut pick);
+        let done = twin(
+            avx2,
+            #[inline(always)]
+            || mat.price_chunk(phase_one, y, start, &mut price_d, dir, &mut pick),
+        );
         let bits = |v: &[f64]| v.iter().map(|&x| lane_bits(x)).collect();
         ChunkOut {
             alpha: bits(&alpha),
@@ -3077,11 +3061,7 @@ mod tests {
             };
             let (rho, y) = (coeffs(&mut mix), coeffs(&mut mix));
             let (status, lb, ub, dir) = random_columns(&mut mix, len);
-            let portable = run_chunk(
-                &mat, (&rho, &y), start, &dir, (phase_one, bland),
-                |mat, rho, y, start, bufs, dir, picks| mat.ratio_chunk_portable(rho, y, start, bufs, dir, picks),
-                |mat, phase_one, y, start, d, dir, pick| mat.price_chunk_portable(phase_one, y, start, d, dir, pick),
-            );
+            let portable = run_chunk(&mat, (&rho, &y), start, &dir, (phase_one, bland), false);
 
             let neg_y: Vec<f64> = y.iter().map(|&c| -c).collect();
             let columns = start..start + len;
@@ -3102,13 +3082,7 @@ mod tests {
 
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
-                let avx2 = run_chunk(
-                    &mat, (&rho, &y), start, &dir, (phase_one, bland),
-                    // SAFETY: the CPU has just reported AVX2.
-                    |mat, rho, y, start, bufs, dir, picks| unsafe { mat.ratio_chunk_avx2(rho, y, start, bufs, dir, picks) },
-                    // SAFETY: as above.
-                    |mat, phase_one, y, start, d, dir, pick| unsafe { mat.price_chunk_avx2(phase_one, y, start, d, dir, pick) },
-                );
+                let avx2 = run_chunk(&mat, (&rho, &y), start, &dir, (phase_one, bland), true);
                 proptest::prop_assert_eq!(avx2, portable, "seed {} m {} start {} len {}", seed, m, start, len);
             }
         }
