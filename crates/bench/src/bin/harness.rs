@@ -7,21 +7,18 @@
 //! ```text
 //! cargo run --release -p pb-bench --bin harness            # every experiment but the gauntlet
 //! cargo run --release -p pb-bench --bin harness -- all     # the same
-//! cargo run --release -p pb-bench --bin harness -- e2 bnb  # a subset
+//! cargo run --release -p pb-bench --bin harness -- shade   # one experiment
 //! cargo run --release -p pb-bench --bin harness -- gauntlet-smoke
 //! ```
 //!
+//! An argument that names no experiment exits nonzero before anything runs.
 //! Every experiment is a row of [`EXPERIMENTS`] run by [`run_experiment`]:
 //! one row shape, one oracle, one file writer, and [`Gate`]s that exit the
-//! process nonzero when they fail. `bnb` runs before the first deadline race
-//! (`sketch`'s and `portfolio`'s race arms): PR 24 saw a `portfolio` run
-//! earlier in the same process take away `bnb`'s 2-thread speed-up, cause
-//! unknown (ROADMAP item 9(a) tracks the second thread). The `gauntlet`
-//! (every registry query at every size) and `gauntlet-smoke` (each family's
-//! smallest size, the CI leg) run only when named; both write
-//! `BENCH_gauntlet.json`.
+//! process nonzero when they fail. The `gauntlet` (every registry query at
+//! every size) and `gauntlet-smoke` (each family's smallest size, the CI
+//! leg) run only when named; both write `BENCH_gauntlet.json`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use datagen::{scenario, scenarios, Scenario, Seed};
 use packagebuilder::config::{EngineConfig, Strategy};
@@ -35,23 +32,45 @@ use pb_bench::{
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    let named = |name: &str| args.iter().any(|a| a == name);
-    let every = args.is_empty() || named("all");
+    let experiments = select(&args).unwrap_or_else(|unknown| {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        eprintln!(
+            "unknown experiment `{unknown}`; expected `all` or one of: {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    });
 
     println!("PackageBuilder reproduction — experiment harness");
     println!(
         "(one markdown table per experiment; README.md, \"Benchmarks\", says what each is read for)\n"
     );
     let mut ok = true;
-    for experiment in EXPERIMENTS {
-        if named(experiment.name) || (every && !experiment.on_demand) {
-            ok &= run_experiment(experiment);
-        }
+    for experiment in experiments {
+        ok &= run_experiment(experiment);
     }
     if !ok {
         eprintln!("a gate failed or a file could not be written (listed above)");
         std::process::exit(1);
     }
+}
+
+/// The experiments `args` ask for, in [`EXPERIMENTS`] order: the named ones,
+/// plus every one but the on-demand tiers when `args` is empty or holds
+/// `all`. `Err` is the first argument that is neither `all` nor a name.
+fn select(args: &[String]) -> Result<Vec<&'static Experiment>, &str> {
+    let named = |name: &str| args.iter().any(|a| a == name);
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| *a != "all" && !EXPERIMENTS.iter().any(|e| e.name == *a))
+    {
+        return Err(unknown);
+    }
+    let every = args.is_empty() || named("all");
+    Ok(EXPERIMENTS
+        .iter()
+        .filter(|e| named(e.name) || (every && !e.on_demand))
+        .collect())
 }
 
 /// Whether the out-of-band tier `name` (`PB_SHADE_LARGE`) was asked for
@@ -90,7 +109,8 @@ struct Experiment {
     name: &'static str,
     /// What the table shows, printed as its heading.
     title: &'static str,
-    /// Where the rows go; `None` only prints them.
+    /// Where the rows go; `None` only prints them. An entry that writes a
+    /// file declares at least one gate.
     file: Option<&'static str>,
     /// Runs only when named, never under `all`.
     on_demand: bool,
@@ -112,23 +132,15 @@ struct Arm {
     max_n: Option<usize>,
     /// Sizes above the workload's `exact_cap` skip the arm.
     exact: bool,
-    race: Option<Race>,
     /// From this size up the columns go out of core through a pool of a
     /// sixteenth of the view's worst-case page count (3 terms per chunk).
     paged_from: Option<usize>,
 }
 
-/// A deadline race as the interface layer runs it.
-struct Race {
-    deadline: Duration,
-    /// The raced worker set; empty keeps the engine's default.
-    workers: &'static [Strategy],
-}
-
 /// The engine's default thread budget only.
 const DEFAULT_THREADS: &[usize] = &[0];
 
-/// An arm at every size, without a race or paging.
+/// An arm at every size, without paging.
 const fn arm(label: &'static str, strategy: Strategy, threads: &'static [usize]) -> Arm {
     Arm {
         label,
@@ -136,22 +148,9 @@ const fn arm(label: &'static str, strategy: Strategy, threads: &'static [usize])
         threads,
         max_n: None,
         exact: false,
-        race: None,
         paged_from: None,
     }
 }
-
-/// The 25 ms race of `portfolio` and `sketch`, with the engine's workers or
-/// PR 2's ILP / local-search / greedy trio (the race before sketch→refine
-/// joined it).
-const RACE: Race = Race {
-    deadline: Duration::from_millis(25),
-    workers: &[],
-};
-const TRIO: Race = Race {
-    workers: &[Strategy::Ilp, Strategy::LocalSearch, Strategy::Greedy],
-    ..RACE
-};
 
 /// The registry family `name`.
 fn family(name: &str) -> Scenario {
@@ -242,71 +241,6 @@ const EXPERIMENTS: &[Experiment] = &[
                 ..arm("pruned-enum", Strategy::PrunedEnumeration, DEFAULT_THREADS)
             },
             arm("local-search", Strategy::LocalSearch, DEFAULT_THREADS),
-        ],
-        gates: &[],
-    },
-    // The exact core: warm-started parallel branch and bound against the
-    // sketch→refine rival it races. Frontier batches have a fixed
-    // composition and merge in batch order, so threads may change the
-    // wall-clock only.
-    Experiment {
-        name: "bnb",
-        title: "parallel branch & bound with warm starts across threads × n (meal plan)",
-        file: Some("BENCH_bnb.json"),
-        on_demand: false,
-        workloads: || meal_plan(&[2_000, 8_000, 20_000]),
-        config: seeded_config,
-        arms: &[
-            arm("sketch-refine", Strategy::SketchRefine, &[1]),
-            arm("ilp", Strategy::Ilp, &[1, 2, 0]),
-        ],
-        gates: &[Gate::SameFingerprint],
-    },
-    // SketchRefine's claim (PVLDB 2016): near-optimal objectives at a small
-    // fraction of the monolithic ILP's latency, and better than a deadline
-    // race that can no longer finish the exact solve. The ILP baseline
-    // stops at 20 000, where one more size would take minutes.
-    Experiment {
-        name: "sketch",
-        title: "sketch→refine vs sequential ILP and the 25 ms portfolio (meal plan)",
-        file: Some("BENCH_sketch.json"),
-        on_demand: false,
-        workloads: || meal_plan(&[2_000, 8_000, 20_000, 50_000]),
-        config: seeded_config,
-        arms: &[
-            Arm {
-                max_n: Some(20_000),
-                ..arm("ilp", Strategy::Ilp, DEFAULT_THREADS)
-            },
-            Arm {
-                race: Some(TRIO),
-                ..arm("race-trio", Strategy::Portfolio, DEFAULT_THREADS)
-            },
-            Arm {
-                race: Some(RACE),
-                ..arm("portfolio", Strategy::Portfolio, DEFAULT_THREADS)
-            },
-            arm("sketch-refine", Strategy::SketchRefine, DEFAULT_THREADS),
-        ],
-        gates: &[],
-    },
-    // The race against the sequential strategies at the sizes where the
-    // planner deploys it; the first provable optimum cancels the rest.
-    Experiment {
-        name: "portfolio",
-        title: "racing solve (deadline 25 ms) vs sequential strategies (meal plan)",
-        file: Some("BENCH_portfolio.json"),
-        on_demand: false,
-        workloads: || meal_plan(&[2_000, 8_000, 20_000]),
-        config: seeded_config,
-        arms: &[
-            arm("ilp", Strategy::Ilp, DEFAULT_THREADS),
-            arm("local-search", Strategy::LocalSearch, DEFAULT_THREADS),
-            arm("greedy", Strategy::Greedy, DEFAULT_THREADS),
-            Arm {
-                race: Some(RACE),
-                ..arm("portfolio", Strategy::Portfolio, DEFAULT_THREADS)
-            },
         ],
         gates: &[],
     },
@@ -512,12 +446,6 @@ fn cells(row: &Row, identical: bool) -> Vec<String> {
 fn measure<'w>(e: &Experiment, w: &'w Workload, n: usize, arm: &Arm, threads: usize) -> Row<'w> {
     let mut config = (e.config)(arm.strategy);
     config.num_threads = threads;
-    if let Some(race) = &arm.race {
-        config.time_budget = Some(race.deadline);
-        if !race.workers.is_empty() {
-            config.portfolio_workers = race.workers.to_vec();
-        }
-    }
     if arm.paged_from.is_some_and(|from| n >= from) {
         config.column_memory_budget = 0;
         config.pool_pages = (3 * chunk_count(n) / 16).max(2);
@@ -566,4 +494,44 @@ fn interpreted_valid(engine: &PackageEngine, text: &str, r: &PackageResult) -> P
         }
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        select(&args)
+            .map(|es| es.iter().map(|e| e.name).collect())
+            .map_err(str::to_string)
+    }
+
+    #[test]
+    fn unknown_arguments_are_refused_before_anything_runs() {
+        assert_eq!(names(&["bnb"]), Err("bnb".into()));
+        assert_eq!(names(&["shade", "sketch"]), Err("sketch".into()));
+        assert_eq!(names(&["all", "portfolio"]), Err("portfolio".into()));
+        assert_eq!(names(&[]), Ok(vec!["e2", "shade"]));
+        assert_eq!(names(&["all"]), names(&[]));
+        assert_eq!(
+            names(&["gauntlet-smoke", "all"]),
+            Ok(vec!["e2", "shade", "gauntlet-smoke"])
+        );
+        assert_eq!(names(&["shade", "shade"]), Ok(vec!["shade"]));
+    }
+
+    /// A committed bench file is worth its churn only if it gates something;
+    /// one that just prints goes to stdout instead.
+    #[test]
+    fn every_experiment_that_writes_a_file_declares_a_gate() {
+        for e in EXPERIMENTS {
+            assert!(
+                e.file.is_none() || !e.gates.is_empty(),
+                "`{}` writes {:?} but declares no gate",
+                e.name,
+                e.file
+            );
+        }
+    }
 }

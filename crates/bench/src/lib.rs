@@ -164,7 +164,7 @@ pub struct Row<'w> {
     pub workload: &'w Workload,
     /// Relation size.
     pub n: usize,
-    /// The arm that ran (a strategy label such as `race-trio`).
+    /// The arm that ran (a strategy label such as `sketch-refine`).
     pub arm: &'static str,
     /// Engine thread budget.
     pub threads: usize,

@@ -11,8 +11,8 @@
 //!   reachable from the remaining candidates, and cuts branches that cannot
 //!   possibly re-enter the feasible interval.
 //!
-//! Exhaustive mode disables both rules and is used as the brute-force
-//! baseline of experiments E1/E2.
+//! Exhaustive mode disables both rules and is the brute-force baseline of
+//! the harness's `e2` crossover table.
 
 use lp_solver::ConstraintOp;
 use paql::ObjectiveDirection;

@@ -280,11 +280,6 @@ pub struct SearchSpace {
 }
 
 impl SearchSpace {
-    /// The unpruned candidate count (may be `inf` for large `n`).
-    pub fn unpruned(&self) -> f64 {
-        self.unpruned_log2.exp2()
-    }
-
     /// The pruned candidate count (may be `inf` for large `n`).
     pub fn pruned(&self) -> Option<f64> {
         self.pruned_log2.map(f64::exp2)

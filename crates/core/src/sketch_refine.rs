@@ -1,8 +1,8 @@
 //! The sketch family: partition → sketch → refine, at any tree depth.
 //!
 //! Monolithic ILP translation puts all `n` candidates in one problem, which
-//! is exact but scales poorly (the 25 ms portfolio race at n = 20 000 returns
-//! whatever greedy found, because no exact solver can finish in time).
+//! is exact but scales poorly: every branch-and-bound node re-solves an LP
+//! over all `n` columns.
 //! SketchRefine (Brucato, Abouzied, Meliou: "Scalable Package Queries in
 //! Relational Database Systems", PVLDB 9(7), 2016) showed the scalable
 //! alternative, later pushed to a billion tuples by Progressive Shading

@@ -36,9 +36,9 @@
 //! to a temporary file at build time and scanned back through an LRU buffer
 //! pool, chunk by chunk, while the per-chunk [`ChunkMeta`] summaries stay
 //! resident. Consumers iterate
-//! [`TermColumn::chunk`] cursors (or the point accessors
-//! [`TermColumn::coeff_at`] / [`TermColumn::included_at`]) and never learn
-//! where the bytes live; resident and paged builds are bit-identical.
+//! [`TermColumn::chunk`] cursors (or the point accessor
+//! [`TermColumn::entry_at`]) and never learn where the bytes live; resident
+//! and paged builds are bit-identical.
 //!
 //! A view has one constructor, [`CandidateView::assemble`], which adopts a
 //! candidate list, its statistics and any already-built term columns
@@ -297,31 +297,6 @@ impl TermColumn {
         }
     }
 
-    /// The coefficient of element `idx` (pins the element's chunk for paged
-    /// columns — prefer [`TermColumn::chunk`] cursors in scan loops).
-    #[inline]
-    pub fn coeff_at(&self, idx: usize) -> f64 {
-        match &self.data {
-            ColumnData::Resident { coeffs, .. } => coeffs[idx],
-            ColumnData::Paged { store, first_page } => {
-                let g = store.read(first_page + (idx / CHUNK_WIDTH) as u64);
-                g.coeffs(CHUNK_WIDTH)[idx % CHUNK_WIDTH]
-            }
-        }
-    }
-
-    /// Whether element `idx` is included.
-    #[inline]
-    pub fn included_at(&self, idx: usize) -> bool {
-        match &self.data {
-            ColumnData::Resident { mask, .. } => mask_bit(mask, idx),
-            ColumnData::Paged { store, first_page } => {
-                let g = store.read(first_page + (idx / CHUNK_WIDTH) as u64);
-                g.included(idx % CHUNK_WIDTH)
-            }
-        }
-    }
-
     /// `(coefficient, included)` of element `idx` with a single chunk pin.
     /// A **point lookup**: on a paged column every call is a buffer-pool
     /// request, so it serves [`ViewState::apply`] and
@@ -371,86 +346,6 @@ impl TermColumn {
             out.extend((0..chunk.len()).map(|i| chunk.included(i)));
         }
         out
-    }
-
-    /// Gathers `coeffs[indices[p]]` for every `p`, pinning each distinct
-    /// chunk once (positions are visited bucketed by chunk, results land in
-    /// input order). The partitioner's sort keys come through here.
-    pub fn gather_coeffs(&self, indices: &[usize]) -> Vec<f64> {
-        match &self.data {
-            ColumnData::Resident { coeffs, .. } => indices.iter().map(|&i| coeffs[i]).collect(),
-            ColumnData::Paged { .. } => {
-                let mut out = vec![0.0; indices.len()];
-                let mut order: Vec<u32> = (0..indices.len() as u32).collect();
-                order.sort_by_key(|&p| indices[p as usize] / CHUNK_WIDTH);
-                let mut pinned: Option<(usize, ColumnChunk<'_>)> = None;
-                for &p in &order {
-                    let idx = indices[p as usize];
-                    let c = idx / CHUNK_WIDTH;
-                    if pinned.as_ref().map(|(pc, _)| *pc) != Some(c) {
-                        pinned = Some((c, self.chunk(c)));
-                    }
-                    // pb-lint: allow(no-panic-in-solver-paths) — invariant:
-                    // `pinned` was set for chunk `c` just above.
-                    out[p as usize] = pinned.as_ref().unwrap().1.coeffs()[idx % CHUNK_WIDTH];
-                }
-                out
-            }
-        }
-    }
-
-    /// Sum of `coeffs[idx]` over `indices`, accumulated **in input order**
-    /// (callers pass ascending member lists, so resident and paged columns
-    /// add in the identical order — bit-identical sums). One chunk pin per
-    /// run of same-chunk indices.
-    pub fn sum_over_sorted(&self, indices: &[usize]) -> f64 {
-        match &self.data {
-            ColumnData::Resident { coeffs, .. } => indices.iter().map(|&i| coeffs[i]).sum(),
-            ColumnData::Paged { .. } => {
-                let mut sum = 0.0;
-                let mut pinned: Option<(usize, ColumnChunk<'_>)> = None;
-                for &idx in indices {
-                    let c = idx / CHUNK_WIDTH;
-                    if pinned.as_ref().map(|(pc, _)| *pc) != Some(c) {
-                        pinned = Some((c, self.chunk(c)));
-                    }
-                    // pb-lint: allow(no-panic-in-solver-paths) — invariant:
-                    // `pinned` was set for chunk `c` just above.
-                    sum += pinned.as_ref().unwrap().1.coeffs()[idx % CHUNK_WIDTH];
-                }
-                sum
-            }
-        }
-    }
-
-    /// `(min, max)` of `coeffs[idx]` over `indices` (`(+∞, -∞)` when empty),
-    /// one chunk pin per run of same-chunk indices. Feeds the partitioner's
-    /// spread scan on paged columns.
-    pub fn minmax_over(&self, indices: &[usize]) -> (f64, f64) {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        match &self.data {
-            ColumnData::Resident { coeffs, .. } => {
-                for &idx in indices {
-                    lo = lo.min(coeffs[idx]);
-                    hi = hi.max(coeffs[idx]);
-                }
-            }
-            ColumnData::Paged { .. } => {
-                let mut pinned: Option<(usize, ColumnChunk<'_>)> = None;
-                for &idx in indices {
-                    let c = idx / CHUNK_WIDTH;
-                    if pinned.as_ref().map(|(pc, _)| *pc) != Some(c) {
-                        pinned = Some((c, self.chunk(c)));
-                    }
-                    // pb-lint: allow(no-panic-in-solver-paths) — invariant:
-                    // `pinned` was set for chunk `c` just above.
-                    let v = pinned.as_ref().unwrap().1.coeffs()[idx % CHUNK_WIDTH];
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-            }
-        }
-        (lo, hi)
     }
 
     /// The per-chunk metadata, one entry per [`crate::par::CHUNK_WIDTH`]-wide

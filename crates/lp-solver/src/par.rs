@@ -19,8 +19,8 @@
 //!
 //! Together these make solver results **bit-identical regardless of thread
 //! count**; `crates/core/tests/parallel_determinism.rs` asserts exactly that
-//! across the datagen scenarios, and the `bnb` and `shade` experiments of
-//! the harness gate it in release mode.
+//! across the datagen scenarios, and the harness's `shade` and
+//! `gauntlet-smoke` experiments gate it in release mode.
 //!
 //! Coarser work rides the same executor as width-1 chunks: a
 //! branch-and-bound batch is one job per node expansion

@@ -174,17 +174,6 @@ impl Problem {
         self.objective[var.index()] = coeff;
     }
 
-    /// Sets the whole objective from a linear expression (the constant part
-    /// is ignored: it shifts the optimum value but not the optimizer).
-    pub fn set_objective(&mut self, expr: &LinExpr) {
-        for c in self.objective.iter_mut() {
-            *c = 0.0;
-        }
-        for (v, c) in expr.terms() {
-            self.objective[v.index()] = c;
-        }
-    }
-
     /// Objective coefficient of a variable.
     pub fn objective_coeff(&self, var: VarId) -> f64 {
         self.objective[var.index()]

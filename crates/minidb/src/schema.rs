@@ -125,11 +125,6 @@ impl Schema {
         self.index_of(name).map(|i| &self.columns[i])
     }
 
-    /// Column definition by index.
-    pub fn column_at(&self, idx: usize) -> Option<&Column> {
-        self.columns.get(idx)
-    }
-
     /// Lookup that produces a [`DbError::UnknownColumn`] on failure.
     pub fn require(&self, name: &str) -> DbResult<usize> {
         self.index_of(name)

@@ -232,18 +232,6 @@ impl Table {
         }
     }
 
-    /// Builds a new table containing only the rows whose ids are listed, in
-    /// the given order. The new table's tuple ids are renumbered from 0.
-    pub fn subset(&self, name: impl Into<String>, ids: &[TupleId]) -> DbResult<Table> {
-        let mut t = Table::new(name, self.schema.clone());
-        let rows: Vec<Tuple> = ids
-            .iter()
-            .map(|id| Ok(self.require(*id)?.to_tuple()))
-            .collect::<DbResult<_>>()?;
-        t.insert_all(rows)?;
-        Ok(t)
-    }
-
     /// Every row of this table as a [`Selection`].
     pub fn select_all(&self) -> Selection<'_> {
         Selection {
@@ -580,17 +568,6 @@ mod tests {
         assert!(t.value_f64(TupleId(0), "name").is_err());
         assert!(t.value_f64(TupleId(7), "calories").is_err());
         assert!(t.value_f64(TupleId(0), "nope").is_err());
-    }
-
-    #[test]
-    fn subset_renumbers_ids() {
-        let t = recipes();
-        let s = t.subset("gluten_free", &[TupleId(2), TupleId(0)]).unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(
-            s.get(TupleId(0)).unwrap().get(0),
-            Some(Value::Text("salad".into()))
-        );
     }
 
     #[test]

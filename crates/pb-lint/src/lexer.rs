@@ -141,11 +141,14 @@ pub fn strip(source: &str) -> Vec<Line> {
                 if c == '\\' {
                     cur.code.push(' ');
                     cur.literal.push(c);
-                    if let Some(&next) = b.get(i + 1) {
+                    i += 1;
+                    // A `\` line continuation leaves its newline to the
+                    // newline branch, which ends the line.
+                    if let Some(&next) = b.get(i).filter(|&&n| n != '\n') {
                         cur.code.push(' ');
                         cur.literal.push(next);
+                        i += 1;
                     }
-                    i += 2;
                 } else if c == '"' {
                     cur.code.push('"');
                     cur.literal.push(' ');
@@ -404,6 +407,15 @@ mod tests {
         let lines = strip(src);
         assert!(!lines[0].code.contains("unwrap"));
         assert!(lines[0].code.contains("k();"));
+    }
+
+    #[test]
+    fn string_continuation_keeps_line_numbers() {
+        let src = "let q = \"a \\\n    b\";\nlet x = 1;\n";
+        let lines = strip(src);
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[1].code, "     \";");
+        assert_eq!(lines[2].code, "let x = 1;");
     }
 
     #[test]
