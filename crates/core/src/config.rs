@@ -1,5 +1,6 @@
 //! Engine configuration.
 
+use std::fmt;
 use std::time::Duration;
 
 use lp_solver::SolverConfig;
@@ -7,6 +8,7 @@ use lp_solver::SolverConfig;
 use crate::column_store::{
     ColumnPolicy, DEFAULT_COLUMN_MEMORY_BUDGET, DEFAULT_POOL_PAGES, MIN_POOL_PAGES,
 };
+use crate::ilp::NonLinearReason;
 
 /// Which evaluation strategy to use for a package query.
 ///
@@ -16,14 +18,7 @@ use crate::column_store::{
 /// benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Let the engine pick, by [`auto_route`]: enumeration for tiny
-    /// candidate sets; for linearizable conjunctive queries the ILP,
-    /// switching at [`SKETCH_THRESHOLD`] candidates (single-package
-    /// requests) to a portfolio race whose exact worker is node-capped at
-    /// [`AUTO_EXACT_NODE_CAP`] — the race returns the exact answer wherever
-    /// the proof is cheap and a heuristic answer where it is not, instead of
-    /// betting the whole query on either; for the rest a solver portfolio at
-    /// [`PORTFOLIO_THRESHOLD`] and plain local search below.
+    /// Let the engine pick: [`auto_route`] holds the policy.
     Auto,
     /// Translate to an integer linear program and call the solver.
     Ilp,
@@ -36,33 +31,35 @@ pub enum Strategy {
     /// Pure greedy construction with a feasibility-repair pass (cheapest,
     /// anytime baseline; never picked by `Auto`).
     Greedy,
-    /// Race several solvers concurrently over one candidate view
-    /// ([`crate::portfolio::PortfolioSolver`]): every worker runs under the
-    /// shared [`crate::budget::Budget`], the first provably-optimal result
-    /// cancels the rest, and at the deadline the best result found wins.
-    /// The worker set comes from [`EngineConfig::portfolio_workers`].
-    /// `Auto` picks this for large queries it cannot hand to the ILP.
+    /// Race several solvers over one candidate view under one shared
+    /// [`crate::budget::Budget`] ([`crate::portfolio::PortfolioSolver`]); the
+    /// workers come from [`EngineConfig::portfolio_workers`].
     Portfolio,
-    /// Partition → sketch → refine
-    /// ([`crate::sketch_refine::SketchRefineSolver`], the sketch family's
-    /// pipeline over a flat partitioning): partition the candidates along
-    /// the quality-sensitive columns, solve a tiny ILP over one
-    /// representative per partition, then refine the picked partitions with
-    /// small per-partition sub-ILPs. Near-optimal at a fraction of the
-    /// monolithic ILP's latency; `Auto` races it as a portfolio worker for
-    /// linearizable queries with at least [`SKETCH_THRESHOLD`] candidates.
+    /// Partition → sketch → refine over a flat partitioning
+    /// ([`crate::sketch_refine::SketchRefineSolver`]): near-optimal at a
+    /// fraction of the monolithic ILP's latency.
     SketchRefine,
-    /// The same pipeline over a partition *tree*
-    /// ([`crate::shading::ProgressiveShadingSolver`], after Progressive
-    /// Shading, Mai et al. 2023), which adds a descent in front of the leaf
-    /// sketch: sketch the coarsest layer's representatives, expand only the
-    /// selected nodes into their children, re-sketch down the layers, and
-    /// sketch and refine only the shaded leaf partitions. Every ILP stays small
-    /// regardless of the candidate count, so this is the
-    /// 10^6–10^8-candidate route; `Auto` switches to it at
-    /// [`SHADE_THRESHOLD`] candidates, where the flat sketch itself becomes
-    /// the bottleneck.
+    /// The same pipeline over a partition *tree*, after Progressive Shading
+    /// (Mai et al. 2023; [`crate::shading::ProgressiveShadingSolver`]): every
+    /// ILP stays small regardless of the candidate count, so this is the
+    /// 10^6–10^8-candidate route.
     ProgressiveShading,
+}
+
+impl fmt::Display for Strategy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Strategy::Auto => "auto",
+            Strategy::Ilp => "ilp",
+            Strategy::PrunedEnumeration => "pruned-enumeration",
+            Strategy::Exhaustive => "exhaustive",
+            Strategy::LocalSearch => "local-search",
+            Strategy::Greedy => "greedy",
+            Strategy::Portfolio => "portfolio",
+            Strategy::SketchRefine => "sketch-refine",
+            Strategy::ProgressiveShading => "progressive-shading",
+        })
+    }
 }
 
 /// Candidate-set size at or below which `Auto` prefers pruned enumeration
@@ -70,17 +67,12 @@ pub enum Strategy {
 /// inputs).
 pub const ENUMERATION_THRESHOLD: usize = 22;
 
-/// Candidate-set size at or above which `Auto` races a solver portfolio
-/// instead of falling back to plain local search, for queries the ILP cannot
-/// take (non-conjunctive formulas, non-linear aggregates).
+/// Candidate-set size at or above which `Auto` races single-package queries
+/// the ILP cannot take instead of handing them to local search.
 pub const PORTFOLIO_THRESHOLD: usize = 256;
 
 /// Candidate-set size at or above which `Auto` stops trusting the monolithic
-/// ILP's latency for linearizable single-package queries and races a
-/// [`Strategy::Portfolio`] instead, with the race's exact worker node-capped
-/// at [`AUTO_EXACT_NODE_CAP`]. Below it the exact ILP is fast enough to keep
-/// the job outright.
-///
+/// ILP's latency for linearizable single-package queries ([`Rule::Race`]).
 /// No single size threshold separates cheap ILPs from expensive ones — exact
 /// cost tracks *branching hardness*, not candidate count (a 10^5-row
 /// shipment query can prove optimality in milliseconds while a 2 000-row
@@ -88,8 +80,8 @@ pub const PORTFOLIO_THRESHOLD: usize = 256;
 /// hedges with the race rather than guessing.
 pub const SKETCH_THRESHOLD: usize = 4096;
 
-/// Candidate-set size at or above which `Auto` (and the portfolio's sketch
-/// worker) routes linearizable single-package queries to
+/// Candidate-set size at or above which `Auto` (and a race's sketch worker,
+/// [`Route::workers`]) routes linearizable single-package queries to
 /// [`Strategy::ProgressiveShading`] instead of the flat sketch→refine race.
 /// Below it the flat path's single sketch ILP is still small enough to win
 /// outright; above it that sketch — one integer variable per partition,
@@ -97,16 +89,12 @@ pub const SKETCH_THRESHOLD: usize = 4096;
 /// cost and the hierarchical descent takes over.
 pub const SHADE_THRESHOLD: usize = 500_000;
 
-/// Branch-and-bound node cap for the **exact worker inside an `Auto`-chosen
-/// portfolio race** (the large-`n` linearizable route). A branching-hostile
-/// instance truncates to its best incumbent after this many nodes —
-/// deterministically, the cap is a pure function of the search tree —
-/// instead of holding the whole race open; the portfolio then returns the
-/// best result across the capped exact worker and the heuristic workers.
-/// Easy instances still prove optimality under the cap and cancel the race
-/// early. The cap only applies when the *policy* picked the race: a caller
-/// forcing [`Strategy::Portfolio`] (or [`Strategy::Ilp`]) keeps
-/// [`EngineConfig::solver`]'s own limits.
+/// Branch-and-bound node cap for the exact worker of a race `Auto` chose
+/// ([`Route::node_cap`]). A branching-hostile instance truncates to its best
+/// incumbent after this many nodes (deterministically: the cap is a pure
+/// function of the search tree) instead of holding the race open, and the
+/// race returns the best result across all workers. Easy instances still
+/// prove optimality under the cap and cancel the race early.
 pub const AUTO_EXACT_NODE_CAP: usize = 20_000;
 
 /// Maximum partition size for [`Strategy::SketchRefine`]: the largest
@@ -132,40 +120,108 @@ pub const SHADE_LEAF_SIZE: usize = SKETCH_PARTITION_SIZE;
 /// become intractable"; 1 is the practical value.
 pub const REPLACEMENT_K: usize = 1;
 
-/// The `Auto` policy, a pure function of the candidate count, whether the
-/// query linearizes (a conjunctive formula and objective the ILP can take)
-/// and how many packages were asked for:
-///
-/// * at most [`ENUMERATION_THRESHOLD`] candidates: pruned enumeration;
-/// * linearizable: the ILP — unless one package is wanted and the candidate
-///   set reaches [`SKETCH_THRESHOLD`], where a portfolio race hedges (its
-///   exact worker node-capped at [`AUTO_EXACT_NODE_CAP`], so a cheap proof
-///   still wins outright and a hostile instance truncates to its incumbent
-///   while the best heuristic answer carries the query), or
-///   [`SHADE_THRESHOLD`], where the race itself stops paying and the
-///   hierarchical descent takes the query. A top-k request keeps the exact
-///   no-good-cut path at every size: the portfolio returns one package;
-/// * not linearizable: a portfolio race from [`PORTFOLIO_THRESHOLD`]
-///   candidates, plain local search below.
-///
-/// `Greedy` is never routed to on its own; it rides along as a portfolio
-/// worker.
-pub fn auto_route(candidates: usize, linearizable: bool, packages: usize) -> Strategy {
-    let single = packages <= 1;
-    if candidates <= ENUMERATION_THRESHOLD {
-        Strategy::PrunedEnumeration
-    } else if linearizable {
-        if single && candidates >= SHADE_THRESHOLD {
-            Strategy::ProgressiveShading
-        } else if single && candidates >= SKETCH_THRESHOLD {
-            Strategy::Portfolio
-        } else {
-            Strategy::Ilp
-        }
-    } else if candidates >= PORTFOLIO_THRESHOLD {
-        Strategy::Portfolio
-    } else {
-        Strategy::LocalSearch
+/// Which rule of [`auto_route`] picked a [`Route`]'s strategy: `Auto` takes
+/// the first that fires, in declaration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// The caller named the strategy; `Auto` was not asked.
+    Forced,
+    /// At most [`ENUMERATION_THRESHOLD`] candidates: pruned enumeration.
+    Tiny,
+    /// More than one package: the ILP, or local search when the query does
+    /// not linearize, at every size (a race returns one package).
+    TopK,
+    /// Linearizable, from [`SHADE_THRESHOLD`]: progressive shading.
+    Shade,
+    /// Linearizable, from [`SKETCH_THRESHOLD`]: a node-capped race.
+    Race,
+    /// Linearizable, below [`SKETCH_THRESHOLD`]: the ILP.
+    Exact,
+    /// Not linearizable, from [`PORTFOLIO_THRESHOLD`]: the same capped race.
+    NonLinearRace,
+    /// Not linearizable, below [`PORTFOLIO_THRESHOLD`]: local search.
+    NonLinear,
+}
+
+impl fmt::Display for Rule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (cmp, name, value) = match self {
+            Rule::Forced => return f.write_str("forced by the caller"),
+            Rule::TopK => return f.write_str("Auto: more than one package"),
+            Rule::Tiny => ("≤", "ENUMERATION", ENUMERATION_THRESHOLD),
+            Rule::Shade => ("≥", "SHADE", SHADE_THRESHOLD),
+            Rule::Race => ("≥", "SKETCH", SKETCH_THRESHOLD),
+            Rule::Exact => ("<", "SKETCH", SKETCH_THRESHOLD),
+            Rule::NonLinearRace => ("≥", "PORTFOLIO", PORTFOLIO_THRESHOLD),
+            Rule::NonLinear => ("<", "PORTFOLIO", PORTFOLIO_THRESHOLD),
+        };
+        write!(f, "Auto: candidates {cmp} {name}_THRESHOLD ({value})")
+    }
+}
+
+/// The planner's decision for one query: the strategy, the rule that picked
+/// it and what the rule saw, and a race's node cap and workers. Built by
+/// [`auto_route`], carried by [`crate::engine::QueryPlan`], printed by its
+/// `Display` (the REPL's `EXPLAIN`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Route {
+    /// The strategy the plan runs; never `Auto`.
+    pub strategy: Strategy,
+    /// The rule that picked it.
+    pub rule: Rule,
+    /// Candidates after the base predicate.
+    pub candidates: usize,
+    /// Why the ILP cannot take the query; `None` when it can, or when forced.
+    pub obstacle: Option<NonLinearReason>,
+    /// Packages asked for.
+    pub packages: usize,
+    /// [`AUTO_EXACT_NODE_CAP`] on a race `Auto` chose, else `None`: a
+    /// forced strategy keeps [`EngineConfig::solver`]'s own limits.
+    pub node_cap: Option<usize>,
+    /// A race's workers, empty for every other strategy: the configured set,
+    /// with [`Strategy::SketchRefine`] upgraded to
+    /// [`Strategy::ProgressiveShading`] from [`SHADE_THRESHOLD`] candidates,
+    /// where the flat sketch ILP is the bottleneck the descent removes.
+    pub workers: Vec<Strategy>,
+}
+
+/// The planner, a pure function: routes the `requested` strategy, as asked
+/// or by the first [`Rule`] that fires for `Auto`, given the candidates, what
+/// keeps the ILP from the query (`None`: it linearizes), the packages asked
+/// for and the configured race `workers`.
+pub fn auto_route(
+    requested: Strategy,
+    candidates: usize,
+    obstacle: Option<NonLinearReason>,
+    packages: usize,
+    workers: &[Strategy],
+) -> Route {
+    use Strategy::*;
+    let linear = obstacle.is_none();
+    let (strategy, rule) = match requested {
+        Auto if candidates <= ENUMERATION_THRESHOLD => (PrunedEnumeration, Rule::Tiny),
+        Auto if packages > 1 => (if linear { Ilp } else { LocalSearch }, Rule::TopK),
+        Auto if linear && candidates >= SHADE_THRESHOLD => (ProgressiveShading, Rule::Shade),
+        Auto if linear && candidates >= SKETCH_THRESHOLD => (Portfolio, Rule::Race),
+        Auto if linear => (Ilp, Rule::Exact),
+        Auto if candidates >= PORTFOLIO_THRESHOLD => (Portfolio, Rule::NonLinearRace),
+        Auto => (LocalSearch, Rule::NonLinear),
+        forced => (forced, Rule::Forced),
+    };
+    let race = strategy == Portfolio;
+    // Only a race keeps (and allocates) its workers.
+    let workers = workers.iter().filter(|_| race).map(|&w| match w {
+        SketchRefine if candidates >= SHADE_THRESHOLD => ProgressiveShading,
+        w => w,
+    });
+    Route {
+        strategy,
+        rule,
+        candidates,
+        obstacle,
+        packages,
+        node_cap: (race && rule != Rule::Forced).then_some(AUTO_EXACT_NODE_CAP),
+        workers: workers.collect(),
     }
 }
 
@@ -394,49 +450,61 @@ mod tests {
 
     #[test]
     fn auto_route_switches_exactly_at_each_threshold() {
+        use Rule::*;
         use Strategy::*;
-        // (candidates, linearizable, packages, route)
-        let table: &[(usize, bool, usize, Strategy)] = &[
+        const CAP: Option<usize> = Some(AUTO_EXACT_NODE_CAP);
+        // (candidates, linearizable, packages, requested, strategy, cap, rule)
+        let table = [
             // Tiny inputs enumerate, whatever the query or the package count.
-            (0, true, 1, PrunedEnumeration),
-            (22, true, 1, PrunedEnumeration),
-            (22, false, 1, PrunedEnumeration),
-            (22, true, 5, PrunedEnumeration),
-            (22, false, 5, PrunedEnumeration),
-            (23, true, 1, Ilp),
-            (23, false, 1, LocalSearch),
-            (23, true, 5, Ilp),
-            (23, false, 5, LocalSearch),
-            // Queries the ILP cannot take race from 256 candidates.
-            (255, false, 1, LocalSearch),
-            (256, false, 1, Portfolio),
-            (255, false, 5, LocalSearch),
-            (256, false, 5, Portfolio),
-            (255, true, 1, Ilp),
-            (256, true, 1, Ilp),
-            (4_095, false, 1, Portfolio),
-            (499_999, false, 1, Portfolio),
-            (500_000, false, 1, Portfolio),
-            (500_000, false, 5, Portfolio),
+            (0, true, 1, Auto, PrunedEnumeration, None, Tiny),
+            (22, true, 1, Auto, PrunedEnumeration, None, Tiny),
+            (22, false, 1, Auto, PrunedEnumeration, None, Tiny),
+            (22, true, 5, Auto, PrunedEnumeration, None, Tiny),
+            (22, false, 5, Auto, PrunedEnumeration, None, Tiny),
+            (23, true, 1, Auto, Ilp, None, Exact),
+            (23, false, 1, Auto, LocalSearch, None, NonLinear),
+            (23, true, 5, Auto, Ilp, None, TopK),
+            (23, false, 5, Auto, LocalSearch, None, TopK),
+            // Single-package queries the ILP cannot take race from 256
+            // candidates; a top-k request keeps local search at every size.
+            (255, false, 1, Auto, LocalSearch, None, NonLinear),
+            (256, false, 1, Auto, Portfolio, CAP, NonLinearRace),
+            (255, false, 5, Auto, LocalSearch, None, TopK),
+            (256, false, 5, Auto, LocalSearch, None, TopK),
+            (255, true, 1, Auto, Ilp, None, Exact),
+            (256, true, 1, Auto, Ilp, None, Exact),
+            (4_095, false, 1, Auto, Portfolio, CAP, NonLinearRace),
+            (499_999, false, 1, Auto, Portfolio, CAP, NonLinearRace),
+            (500_000, false, 1, Auto, Portfolio, CAP, NonLinearRace),
+            (500_000, false, 5, Auto, LocalSearch, None, TopK),
             // Linearizable single-package queries hedge with a race from
             // 4 096 candidates; a top-k request keeps the ILP.
-            (4_095, true, 1, Ilp),
-            (4_096, true, 1, Portfolio),
-            (4_095, true, 5, Ilp),
-            (4_096, true, 5, Ilp),
-            (4_096, false, 5, Portfolio),
+            (4_095, true, 1, Auto, Ilp, None, Exact),
+            (4_096, true, 1, Auto, Portfolio, CAP, Race),
+            (4_095, true, 5, Auto, Ilp, None, TopK),
+            (4_096, true, 5, Auto, Ilp, None, TopK),
+            (4_096, false, 5, Auto, LocalSearch, None, TopK),
             // ... and descend the partition tree from 500 000.
-            (499_999, true, 1, Portfolio),
-            (500_000, true, 1, ProgressiveShading),
-            (499_999, true, 5, Ilp),
-            (500_000, true, 5, Ilp),
+            (499_999, true, 1, Auto, Portfolio, CAP, Race),
+            (500_000, true, 1, Auto, ProgressiveShading, None, Shade),
+            (499_999, true, 5, Auto, Ilp, None, TopK),
+            (500_000, true, 5, Auto, Ilp, None, TopK),
+            // A forced race keeps the configured node limit.
+            (499_999, true, 1, Portfolio, Portfolio, None, Forced),
+            (500_000, true, 1, Portfolio, Portfolio, None, Forced),
         ];
-        for &(n, linearizable, packages, route) in table {
-            assert_eq!(
-                auto_route(n, linearizable, packages),
-                route,
-                "n={n} linearizable={linearizable} packages={packages}"
-            );
+        let trio = [Ilp, SketchRefine, Greedy];
+        for (n, linearizable, packages, requested, strategy, node_cap, rule) in table {
+            let obstacle = (!linearizable).then_some(NonLinearReason::AvgVsNonConstant);
+            let route = auto_route(requested, n, obstacle, packages, &trio);
+            let at = format!("n={n} linearizable={linearizable} packages={packages}");
+            let got = (route.strategy, route.node_cap, route.rule);
+            assert_eq!(got, (strategy, node_cap, rule), "{at}");
+            // A race's sketch worker descends the tree from SHADE_THRESHOLD.
+            let race = strategy == Portfolio;
+            let shaded = route.workers.contains(&ProgressiveShading);
+            assert_eq!(route.workers.len(), if race { 3 } else { 0 }, "{at}");
+            assert_eq!(shaded, race && n >= SHADE_THRESHOLD, "{at}");
         }
         // The table's boundaries are the constants'.
         assert_eq!(

@@ -1,41 +1,69 @@
 //! The package query engine: the planner and the public API.
 //!
-//! Execution is a three-stage plan over the columnar evaluation core:
+//! The planner's decision is one value, a [`Route`] from the pure
+//! [`auto_route`], carried by a [`QueryPlan`] whose `Display` is the REPL's
+//! `EXPLAIN`. [`PackageEngine::run_plan`] runs every plan the same way, over
+//! the columnar evaluation core:
 //!
 //! 1. **prune** — derive cardinality bounds from the view (Section 4.1); a
 //!    contradictory window proves infeasibility before any solver runs;
-//! 2. **solve** — dispatch to a [`Solver`] chosen by the `Auto` policy (or
-//!    forced by configuration), all through the one trait;
+//! 2. **solve** — run the route's [`Solver`] through the one trait;
 //! 3. **validate** — defensively re-check every returned package against the
 //!    spec, so no solver bug or numerical artefact can surface as a wrong
 //!    answer.
+
+use std::fmt;
 
 use minidb::Catalog;
 use paql::{analyze, parse, AnalyzedQuery, PaqlQuery};
 
 use crate::cache::ViewCache;
 use crate::column_store::ColumnPolicy;
-use crate::config::{auto_route, EngineConfig, Strategy, AUTO_EXACT_NODE_CAP};
+use crate::config::{auto_route, EngineConfig, Route, Rule, Strategy};
 use crate::error::PbError;
 use crate::ilp::linearization_obstacle;
 use crate::par::ParExec;
 use crate::pruning::derive_bounds;
 use crate::result::PackageResult;
-use crate::solver::{solver_for, SolveOptions, Solver};
+use crate::solver::{dispatch, SolveOptions, SolveOutcome, Solver};
 use crate::spec::{BuildCtx, PackageSpec};
 use crate::PbResult;
 
-/// One fully-resolved execution plan: the solver to run and its options.
+/// One fully-resolved execution plan: the route, its solver and options.
 ///
 /// Exposed so callers (experiments, interface layers, future schedulers) can
 /// inspect or override what the planner chose before running it.
 pub struct QueryPlan {
-    /// The strategy the planner resolved to.
-    pub strategy: Strategy,
-    /// The solver implementing it.
+    /// What the planner decided, and why.
+    pub route: Route,
+    /// The solver implementing the route's strategy.
     pub solver: Box<dyn Solver>,
     /// Options handed to the solver.
     pub options: SolveOptions,
+}
+
+/// The `EXPLAIN` text: the route and its rule, what the rule saw, a race's
+/// workers and node cap, and the steps [`PackageEngine::run_plan`] takes.
+impl fmt::Display for QueryPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let r = &self.route;
+        let linear = match (&r.obstacle, r.rule) {
+            (Some(why), _) => format!(", not linearizable: {why}"),
+            (None, Rule::Forced) => String::new(),
+            (None, _) => ", linearizable".into(),
+        };
+        writeln!(f, "route: {} ({})", r.strategy, r.rule)?;
+        let (n, k) = (r.candidates, r.packages);
+        writeln!(f, "  saw: {n} candidates, {k} package(s){linear}")?;
+        if !r.workers.is_empty() {
+            let workers: Vec<String> = r.workers.iter().map(Strategy::to_string).collect();
+            writeln!(f, "  race: {}", workers.join(", "))?;
+        }
+        if let Some(cap) = r.node_cap {
+            writeln!(f, "  node cap: {cap}")?;
+        }
+        write!(f, "  steps: prune → solve → validate")
+    }
 }
 
 /// The PackageBuilder query engine.
@@ -178,22 +206,8 @@ impl PackageEngine {
         self.run_plan(spec, &plan)
     }
 
-    /// The strategy the configured one resolves to for `spec`: `Auto` goes
-    /// through the pure policy [`auto_route`] (candidate count, whether the
-    /// query linearizes, package count); every other strategy is itself.
-    pub fn resolve_strategy(&self, spec: &PackageSpec<'_>) -> Strategy {
-        match self.config.strategy {
-            Strategy::Auto => auto_route(
-                spec.candidate_count(),
-                linearization_obstacle(spec.view()).is_none(),
-                self.config.num_packages,
-            ),
-            other => other,
-        }
-    }
-
     /// Builds the execution plan for a spec under the configured strategy:
-    /// resolves `Auto`, instantiates the solver, and projects the options.
+    /// routes it, instantiates the solver, and projects the options.
     pub fn plan(&self, spec: &PackageSpec<'_>) -> PbResult<QueryPlan> {
         self.plan_with_strategy(spec, self.config.strategy)
     }
@@ -204,35 +218,23 @@ impl PackageEngine {
         spec: &PackageSpec<'_>,
         strategy: Strategy,
     ) -> PbResult<QueryPlan> {
-        let (strategy, auto_routed) = match strategy {
-            Strategy::Auto => {
-                let forced = self.resolve_strategy(spec);
-                debug_assert_ne!(forced, Strategy::Auto);
-                (forced, true)
-            }
-            other => (other, false),
-        };
-        // Portfolios race the configured worker set; every other strategy
-        // maps 1:1 to its solver.
-        let solver: Box<dyn Solver> = if strategy == Strategy::Portfolio {
-            Box::new(crate::portfolio::PortfolioSolver::new(
-                self.config.portfolio_workers.clone(),
-            )?)
-        } else {
-            solver_for(strategy)?
-        };
+        // Only `Auto` asks whether the query linearizes.
+        let auto = strategy == Strategy::Auto;
+        let obstacle = auto.then(|| linearization_obstacle(spec.view())).flatten();
+        let route = auto_route(
+            strategy,
+            spec.candidate_count(),
+            obstacle,
+            self.config.num_packages,
+            &self.config.portfolio_workers,
+        );
+        let solver = dispatch(route.strategy, &route.workers)?;
         let mut options = SolveOptions::from_config(&self.config);
-        // `Auto` promises bounded latency where a caller-forced `Portfolio`
-        // does not: when the *policy* picked the race, its exact worker is
-        // node-capped so a branching-hostile instance truncates to its best
-        // incumbent deterministically instead of holding the race open. The
-        // cap trades the optimality proof, never validity — the best result
-        // across all workers still wins.
-        if auto_routed && strategy == Strategy::Portfolio {
-            options.solver.max_nodes = options.solver.max_nodes.min(AUTO_EXACT_NODE_CAP);
+        if let Some(cap) = route.node_cap {
+            options.solver.max_nodes = options.solver.max_nodes.min(cap);
         }
         Ok(QueryPlan {
-            strategy,
+            route,
             solver,
             options,
         })
@@ -257,24 +259,14 @@ impl PackageEngine {
         // empty answer is exact).
         let bounds = derive_bounds(view)
             .clamp_to(view.candidate_count() as u64 * view.max_multiplicity() as u64);
-        if bounds.is_empty() {
-            let outcome = crate::solver::SolveOutcome::empty(
-                plan.solver.strategy(),
-                view.candidate_count(),
-                true,
-            );
-            return Ok(PackageResult::from_pairs(
-                outcome.packages,
-                outcome.optimal,
-                outcome.stats,
-            ));
-        }
-
-        // Solve through the unified trait. The budget is re-armed per run so
-        // a reused plan never starts from a stale deadline or a stop flag
-        // tripped by a previous portfolio race.
-        let options = plan.options.rearmed();
-        let outcome = plan.solver.solve(view, &options)?;
+        let outcome = if bounds.is_empty() {
+            SolveOutcome::empty(plan.solver.strategy(), view.candidate_count(), true)
+        } else {
+            // Solve through the unified trait. The budget is re-armed per run
+            // so a reused plan never starts from a stale deadline or a stop
+            // flag tripped by a previous portfolio race.
+            plan.solver.solve(view, &plan.options.rearmed())?
+        };
 
         // Validate: no solver result leaves the engine unchecked. The check
         // runs through the interpreted oracle (AST evaluation against the
@@ -374,30 +366,18 @@ mod tests {
 
     #[test]
     fn auto_routes_shade_threshold_candidates_to_progressive_shading() {
-        // From `SHADE_THRESHOLD` candidates the race itself stops paying:
-        // the policy hands linearizable single-package queries straight to
-        // the hierarchical descent. Half a million rows are too many for a
-        // unit test, so the route is asked of `auto_route` with this spec's
-        // own linearizability and package count, and the descent is run on
-        // a test-sized relation.
+        // From `SHADE_THRESHOLD` candidates the policy hands linearizable
+        // single-package queries to the hierarchical descent. Half a million
+        // rows are too many for a unit test, so `auto_route` is asked with
+        // what this spec's route saw, and the descent runs on a small relation.
         let engine = small_engine(600, 9);
         let query = paql::parse(MEAL_QUERY).unwrap();
         let spec = engine.build_spec(&query).unwrap();
-        let linearizable = linearization_obstacle(spec.view()).is_none();
-        let packages = engine.config().num_packages;
-        assert!(linearizable);
-        assert_eq!(
-            engine.resolve_strategy(&spec),
-            auto_route(spec.candidate_count(), linearizable, packages)
-        );
-        assert_eq!(
-            auto_route(SHADE_THRESHOLD, linearizable, packages),
-            Strategy::ProgressiveShading
-        );
-        assert_eq!(
-            auto_route(SHADE_THRESHOLD - 1, linearizable, packages),
-            Strategy::Portfolio
-        );
+        let seen = engine.plan(&spec).unwrap().route;
+        assert_eq!(seen.obstacle, None);
+        let at = |n| auto_route(Strategy::Auto, n, None, seen.packages, &[]).strategy;
+        assert_eq!(at(SHADE_THRESHOLD), Strategy::ProgressiveShading);
+        assert_eq!(at(SHADE_THRESHOLD - 1), Strategy::Portfolio);
         let result = engine
             .execute_with_strategy(&spec, Strategy::ProgressiveShading)
             .unwrap();
@@ -412,7 +392,10 @@ mod tests {
         let engine = small_engine(600, 10);
         let query = paql::parse(NON_LINEAR_QUERY).unwrap();
         let spec = engine.build_spec(&query).unwrap();
-        assert_eq!(engine.resolve_strategy(&spec), Strategy::Portfolio);
+        assert_eq!(
+            engine.plan(&spec).unwrap().route.strategy,
+            Strategy::Portfolio
+        );
         let result = engine.execute_spec(&spec).unwrap();
         assert_eq!(result.stats.strategy, StrategyUsed::Portfolio);
         assert!(!result.is_empty());
@@ -457,7 +440,7 @@ mod tests {
         .unwrap();
         let spec = engine.build_spec(&query).unwrap();
         let plan = engine.plan(&spec).unwrap();
-        assert_eq!(plan.strategy, Strategy::PrunedEnumeration);
+        assert_eq!(plan.route.strategy, Strategy::PrunedEnumeration);
         assert_eq!(plan.solver.strategy(), StrategyUsed::PrunedEnumeration);
         // Contradictory bounds short-circuit before the solver runs.
         let infeasible = paql::parse(

@@ -91,9 +91,9 @@
 //!   skips view construction and partitioning entirely and a query that
 //!   adds aggregate terms pays only for the missing columns. Cache hits are
 //!   bit-identical to cold builds.
-//! * **[`engine`] — the planner.** [`engine::PackageEngine`] resolves the
-//!   `Auto` policy, derives cardinality bounds ([`pruning`], short-circuiting
-//!   provably-infeasible queries), runs the chosen solver through the trait,
+//! * **[`engine`] — the planner.** [`engine::PackageEngine`] routes the
+//!   query ([`config::auto_route`]), derives cardinality bounds ([`pruning`],
+//!   short-circuiting provably-infeasible queries), runs the route's solver
 //!   and validates every returned package before it leaves the engine.
 //!
 //! On top of query evaluation, the crate implements the interface backends of

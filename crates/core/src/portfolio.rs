@@ -28,12 +28,12 @@
 
 use paql::ObjectiveDirection;
 
-use crate::config::{Strategy, SHADE_THRESHOLD};
+use crate::config::Strategy;
 use crate::error::PbError;
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::result::{EvalStats, StrategyUsed};
-use crate::solver::{solver_for, SolveOptions, SolveOutcome, Solver};
+use crate::solver::{dispatch, SolveOptions, SolveOutcome, Solver};
 use crate::view::CandidateView;
 use crate::PbResult;
 
@@ -56,45 +56,20 @@ pub struct PortfolioSolver {
 }
 
 impl PortfolioSolver {
-    /// A portfolio racing the given strategies (in order; the order only
-    /// breaks ties). `Auto` and nested `Portfolio` workers are rejected, as
-    /// is an empty worker set.
+    /// A portfolio racing exactly the given strategies (in order; the order
+    /// only breaks ties). An empty set, `Auto` and a nested `Portfolio` are
+    /// the caller's error: [`PbError::Unsupported`], naming
+    /// [`crate::EngineConfig::portfolio_workers`].
     pub fn new(workers: Vec<Strategy>) -> PbResult<Self> {
-        if workers.is_empty() {
-            return Err(PbError::Internal(
-                "a portfolio needs at least one worker strategy".into(),
-            ));
-        }
-        for w in &workers {
-            if matches!(w, Strategy::Auto | Strategy::Portfolio) {
-                return Err(PbError::Internal(format!(
-                    "{w:?} is not a valid portfolio worker"
-                )));
-            }
-        }
-        Ok(PortfolioSolver { workers })
-    }
-
-    /// The strategies this portfolio races.
-    pub fn workers(&self) -> &[Strategy] {
-        &self.workers
-    }
-}
-
-impl Default for PortfolioSolver {
-    /// The canonical race: exact ILP against sketch→refine and the two
-    /// heuristics. On linearizable queries sketch→refine covers the gap
-    /// between "greedy finished instantly" and "the exact ILP needs seconds";
-    /// on non-linearizable ones it drops out alongside the ILP.
-    fn default() -> Self {
-        PortfolioSolver {
-            workers: vec![
-                Strategy::Ilp,
-                Strategy::SketchRefine,
-                Strategy::LocalSearch,
-                Strategy::Greedy,
-            ],
-        }
+        let not_a_worker = |w: &&Strategy| matches!(w, Strategy::Auto | Strategy::Portfolio);
+        let why = match workers.iter().find(not_a_worker) {
+            _ if workers.is_empty() => "is empty: a race needs at least one worker".into(),
+            Some(w) => format!("names {w}, which is not a race worker"),
+            None => return Ok(PortfolioSolver { workers }),
+        };
+        Err(PbError::Unsupported(format!(
+            "EngineConfig::portfolio_workers {why}"
+        )))
     }
 }
 
@@ -186,24 +161,10 @@ impl Solver for PortfolioSolver {
         // pb-lint: allow(time-containment) — stats clock only: stamps the
         // portfolio's wall time; worker deadlines go through the budget.
         let start = std::time::Instant::now();
-        // Above the shading threshold the flat sketch worker's own sketch
-        // ILP is the bottleneck Progressive Shading removes, so the race
-        // upgrades that slot to the hierarchical solver. Deterministic: the
-        // swap is a pure function of the candidate count.
-        let workers: Vec<Strategy> = self
-            .workers
-            .iter()
-            .map(|&w| {
-                if w == Strategy::SketchRefine && view.candidate_count() >= SHADE_THRESHOLD {
-                    Strategy::ProgressiveShading
-                } else {
-                    w
-                }
-            })
-            .collect();
+        let workers = &self.workers;
         let solvers: Vec<Box<dyn Solver>> = workers
             .iter()
-            .map(|&w| solver_for(w))
+            .map(|&w| dispatch(w, &[]))
             .collect::<PbResult<_>>()?;
         // Workers race on a *child* of the caller's budget: it inherits the
         // deadline and observes the caller's cancellation, but cancelling the
@@ -214,7 +175,7 @@ impl Solver for PortfolioSolver {
         // grants never oversubscribe what the caller granted, and the split
         // is weighted so the exact workers get the cores the sequential
         // heuristics cannot use (see [`thread_split`]).
-        let worker_pars = thread_split(&workers, opts.par);
+        let worker_pars = thread_split(workers, opts.par);
 
         // Posted cheapest first (stable, so configured order within a rank).
         let mut order: Vec<usize> = (0..workers.len()).collect();
@@ -287,6 +248,7 @@ impl Solver for PortfolioSolver {
 mod tests {
     use super::*;
     use crate::budget::Budget;
+    use crate::config::default_portfolio_workers;
     use crate::solver::{GreedySolver, IlpSolver, LocalSearchSolver};
     use crate::spec::{BuildCtx, PackageSpec};
     use datagen::{recipes, Seed};
@@ -299,6 +261,11 @@ mod tests {
         PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
     }
 
+    /// Ilp, SketchRefine, LocalSearch and Greedy.
+    fn race_of_four() -> PortfolioSolver {
+        PortfolioSolver::new(default_portfolio_workers(4)).unwrap()
+    }
+
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \
         SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)";
 
@@ -307,9 +274,7 @@ mod tests {
         let t = recipes(250, Seed(1));
         let spec = spec_for(&t, MEAL_QUERY);
         let opts = SolveOptions::default();
-        let race = PortfolioSolver::default()
-            .solve(spec.view(), &opts)
-            .unwrap();
+        let race = race_of_four().solve(spec.view(), &opts).unwrap();
         // Reusing the same options doubles as a regression test: the race's
         // internal cancel must not poison the caller's budget.
         assert!(!opts.budget.expired());
@@ -341,7 +306,7 @@ mod tests {
              SUCH THAT COUNT(*) = 3 AND AVG(P.calories) >= AVG(P.protein) \
              MAXIMIZE SUM(P.protein)",
         );
-        let out = PortfolioSolver::default()
+        let out = race_of_four()
             .solve(spec.view(), &SolveOptions::default())
             .unwrap();
         assert!(!out.packages.is_empty());
@@ -380,7 +345,7 @@ mod tests {
 
     #[test]
     fn thread_split_favors_exact_workers_without_oversubscribing() {
-        let canonical = PortfolioSolver::default().workers;
+        let canonical = default_portfolio_workers(4);
         // 8 threads over [Ilp, SketchRefine, LocalSearch, Greedy]: the two
         // heuristics take 1 each, the two fan-out workers share the rest.
         let grants: Vec<usize> = thread_split(&canonical, ParExec::new(8))
@@ -414,9 +379,14 @@ mod tests {
 
     #[test]
     fn invalid_worker_sets_are_rejected() {
-        assert!(PortfolioSolver::new(Vec::new()).is_err());
-        assert!(PortfolioSolver::new(vec![Strategy::Auto]).is_err());
-        assert!(PortfolioSolver::new(vec![Strategy::Ilp, Strategy::Portfolio]).is_err());
+        for workers in [
+            vec![],
+            vec![Strategy::Auto],
+            vec![Strategy::Ilp, Strategy::Portfolio],
+        ] {
+            let err = PortfolioSolver::new(workers).unwrap_err();
+            assert!(matches!(err, PbError::Unsupported(m) if m.contains("portfolio_workers")));
+        }
         assert!(PortfolioSolver::new(vec![Strategy::Ilp, Strategy::Greedy]).is_ok());
     }
 
@@ -443,9 +413,7 @@ mod tests {
             budget: Budget::with_limit(Duration::from_millis(200)),
             ..SolveOptions::default()
         };
-        let out = PortfolioSolver::default()
-            .solve(spec.view(), &opts)
-            .unwrap();
+        let out = race_of_four().solve(spec.view(), &opts).unwrap();
         assert!(!out.packages.is_empty());
         for (p, _) in &out.packages {
             assert!(spec.is_valid(p).unwrap());

@@ -328,10 +328,10 @@ impl GreedySolver {
     }
 }
 
-/// Maps an explicit strategy to its solver. `Auto` is resolved by the
-/// planner before this point and is rejected here. `Portfolio` resolves to
-/// the default worker trio; the planner builds configured portfolios itself.
-pub fn solver_for(strategy: Strategy) -> PbResult<Box<dyn Solver>> {
+/// The solver a routed strategy names; a race gets `workers`. `Auto` names
+/// none: [`crate::config::auto_route`] never routes to it, and a race
+/// refuses it as a worker.
+pub(crate) fn dispatch(strategy: Strategy, workers: &[Strategy]) -> PbResult<Box<dyn Solver>> {
     Ok(match strategy {
         Strategy::Ilp => Box::new(IlpSolver),
         Strategy::PrunedEnumeration => Box::new(EnumerationSolver { prune: true }),
@@ -340,12 +340,8 @@ pub fn solver_for(strategy: Strategy) -> PbResult<Box<dyn Solver>> {
         Strategy::Greedy => Box::new(GreedySolver),
         Strategy::SketchRefine => Box::new(crate::sketch_refine::SketchRefineSolver),
         Strategy::ProgressiveShading => Box::new(crate::shading::ProgressiveShadingSolver),
-        Strategy::Portfolio => Box::new(crate::portfolio::PortfolioSolver::default()),
-        Strategy::Auto => {
-            return Err(crate::error::PbError::Internal(
-                "Strategy::Auto must be resolved by the planner before solver dispatch".into(),
-            ))
-        }
+        Strategy::Portfolio => Box::new(crate::portfolio::PortfolioSolver::new(workers.to_vec())?),
+        Strategy::Auto => return Err(PbError::Internal("Auto was never routed".into())),
     })
 }
 
@@ -419,22 +415,5 @@ mod tests {
         let (p, _) = &out.packages[0];
         assert!(spec.is_valid(p).unwrap());
         assert!(!out.optimal);
-    }
-
-    #[test]
-    fn solver_for_rejects_auto() {
-        assert!(solver_for(Strategy::Auto).is_err());
-        for s in [
-            Strategy::Ilp,
-            Strategy::PrunedEnumeration,
-            Strategy::Exhaustive,
-            Strategy::LocalSearch,
-            Strategy::Greedy,
-            Strategy::SketchRefine,
-            Strategy::ProgressiveShading,
-            Strategy::Portfolio,
-        ] {
-            assert!(solver_for(s).is_ok());
-        }
     }
 }

@@ -181,7 +181,7 @@ fn auto_routes_each_gauntlet_family_as_pinned() {
         let query = parse(&q.text).unwrap();
         let spec = engine.build_spec(&query).unwrap();
         assert_eq!(
-            engine.resolve_strategy(&spec),
+            engine.plan(&spec).unwrap().route.strategy,
             expected,
             "{family}@{n} ({})",
             q.label
@@ -201,7 +201,8 @@ fn the_auto_portfolio_route_node_caps_its_exact_worker() {
     let spec = engine.build_spec(&query).unwrap();
 
     let auto_plan = engine.plan(&spec).unwrap();
-    assert_eq!(auto_plan.strategy, Strategy::Portfolio);
+    assert_eq!(auto_plan.route.strategy, Strategy::Portfolio);
+    assert_eq!(auto_plan.route.node_cap, Some(AUTO_EXACT_NODE_CAP));
     assert_eq!(
         auto_plan.options.solver.max_nodes, AUTO_EXACT_NODE_CAP,
         "the policy-chosen race must cap its exact worker"
@@ -210,6 +211,7 @@ fn the_auto_portfolio_route_node_caps_its_exact_worker() {
     let forced = engine
         .plan_with_strategy(&spec, Strategy::Portfolio)
         .unwrap();
+    assert_eq!(forced.route.node_cap, None);
     assert_eq!(
         forced.options.solver.max_nodes,
         engine.config().solver.max_nodes,

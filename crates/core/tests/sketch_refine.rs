@@ -169,7 +169,10 @@ fn auto_races_a_portfolio_for_large_linearizable_queries() {
     let engine = engine_over(SKETCH_THRESHOLD, EngineConfig::default());
     let spec = engine.build_spec(&query).unwrap();
     assert_eq!(spec.candidate_count(), SKETCH_THRESHOLD);
-    assert_eq!(engine.resolve_strategy(&spec), Strategy::Portfolio);
+    assert_eq!(
+        engine.plan(&spec).unwrap().route.strategy,
+        Strategy::Portfolio
+    );
     let result = engine.execute_spec(&spec).unwrap();
     assert_eq!(result.stats.strategy, StrategyUsed::Portfolio);
     assert!(!result.is_empty());
@@ -177,12 +180,12 @@ fn auto_races_a_portfolio_for_large_linearizable_queries() {
     // Below the threshold the exact ILP keeps the job.
     let engine = engine_over(SKETCH_THRESHOLD - 1, EngineConfig::default());
     let spec = engine.build_spec(&query).unwrap();
-    assert_eq!(engine.resolve_strategy(&spec), Strategy::Ilp);
+    assert_eq!(engine.plan(&spec).unwrap().route.strategy, Strategy::Ilp);
     // A top-k request also keeps the exact ILP (sketch→refine returns a
     // single approximate package and must not silently drop the other k−1).
     let engine = engine_over(SKETCH_THRESHOLD, EngineConfig::default().packages(5));
     let spec = engine.build_spec(&query).unwrap();
-    assert_eq!(engine.resolve_strategy(&spec), Strategy::Ilp);
+    assert_eq!(engine.plan(&spec).unwrap().route.strategy, Strategy::Ilp);
     let result = engine.execute_spec(&spec).unwrap();
     assert_eq!(result.len(), 5, "top-k must survive the sketch threshold");
 }

@@ -1,14 +1,17 @@
 //! Every `Strategy` dispatches through the unified `Solver` trait: the
 //! engine's planner and a direct trait-object call must produce identical
-//! packages, objectives and `StrategyUsed` stats.
+//! packages, objectives and `StrategyUsed` stats. And the planner's route
+//! names the solver that runs, with the caps and workers it runs with.
 
 use minidb::Catalog;
 use packagebuilder::config::{EngineConfig, Strategy};
 use packagebuilder::result::StrategyUsed;
-use packagebuilder::solver::{solver_for, SolveOptions};
-use packagebuilder::PackageEngine;
+use packagebuilder::solver::{
+    EnumerationSolver, GreedySolver, IlpSolver, LocalSearchSolver, SolveOptions, Solver,
+};
+use packagebuilder::{PackageEngine, PbError};
 
-use datagen::{recipes, Seed};
+use datagen::{recipes, scenarios, Seed};
 
 const QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R \
     SUCH THAT COUNT(*) = 2 AND SUM(P.calories) <= 1200 MAXIMIZE SUM(P.protein)";
@@ -26,18 +29,33 @@ fn every_strategy_round_trips_through_the_solver_trait() {
     let spec = engine.build_spec(&query).unwrap();
     let opts = SolveOptions::from_config(engine.config());
 
-    let cases = [
-        (Strategy::Ilp, StrategyUsed::Ilp),
-        (Strategy::PrunedEnumeration, StrategyUsed::PrunedEnumeration),
-        (Strategy::Exhaustive, StrategyUsed::Exhaustive),
-        (Strategy::LocalSearch, StrategyUsed::LocalSearch),
-        (Strategy::Greedy, StrategyUsed::Greedy),
+    let cases: [(Strategy, Box<dyn Solver>, StrategyUsed); 5] = [
+        (Strategy::Ilp, Box::new(IlpSolver), StrategyUsed::Ilp),
+        (
+            Strategy::PrunedEnumeration,
+            Box::new(EnumerationSolver { prune: true }),
+            StrategyUsed::PrunedEnumeration,
+        ),
+        (
+            Strategy::Exhaustive,
+            Box::new(EnumerationSolver { prune: false }),
+            StrategyUsed::Exhaustive,
+        ),
+        (
+            Strategy::LocalSearch,
+            Box::new(LocalSearchSolver),
+            StrategyUsed::LocalSearch,
+        ),
+        (
+            Strategy::Greedy,
+            Box::new(GreedySolver),
+            StrategyUsed::Greedy,
+        ),
     ];
-    for (strategy, expected) in cases {
+    for (strategy, solver, expected) in cases {
         // Path 1: the engine planner.
         let via_engine = engine.execute_with_strategy(&spec, strategy).unwrap();
         // Path 2: the trait object, directly on the view.
-        let solver = solver_for(strategy).unwrap();
         let via_trait = solver.solve(spec.view(), &opts).unwrap();
 
         assert_eq!(
@@ -74,7 +92,7 @@ fn auto_resolution_matches_the_forced_strategy() {
     let query = paql::parse(QUERY).unwrap();
     let spec = engine.build_spec(&query).unwrap();
     let auto = engine.execute_spec(&spec).unwrap();
-    let resolved = engine.resolve_strategy(&spec);
+    let resolved = engine.plan(&spec).unwrap().route.strategy;
     assert_eq!(resolved, Strategy::PrunedEnumeration);
     let forced = engine.execute_with_strategy(&spec, resolved).unwrap();
     assert_eq!(auto.packages, forced.packages);
@@ -177,4 +195,144 @@ fn strategy_overrides_via_config_flow_through_the_planner() {
             assert!(spec.is_valid(p).unwrap());
         }
     }
+}
+
+/// Over every scenario family at its property-suite size, `Auto` and each
+/// forced strategy the family's first query accepts: the route's strategy
+/// names the solver that reports the result, and the plan's node limit is
+/// the route's cap (the configured limit when the route has none).
+#[test]
+fn every_route_names_the_solver_that_runs() {
+    use Strategy::*;
+    let strategies = [
+        Auto,
+        Ilp,
+        PrunedEnumeration,
+        Exhaustive,
+        LocalSearch,
+        Greedy,
+        Portfolio,
+        SketchRefine,
+        ProgressiveShading,
+    ];
+    for s in scenarios() {
+        let mut catalog = Catalog::new();
+        catalog.register((s.build)(s.property_n, Seed(1)));
+        let query = paql::parse(&s.queries[0].text).unwrap();
+        for strategy in strategies {
+            // The enumerations only need to run, not to finish: with columns
+            // forced out of core every node reads its terms through the pool.
+            let config = EngineConfig {
+                max_enumeration_nodes: 100,
+                ..EngineConfig::with_strategy(strategy)
+            };
+            let engine = PackageEngine::with_config(catalog.clone(), config);
+            let spec = engine.build_spec(&query).unwrap();
+            let plan = engine.plan(&spec).unwrap();
+            let at = format!("{}/{strategy}: {plan}", s.name);
+            let cap = plan.route.node_cap;
+            let limit = engine.config().solver.max_nodes;
+            assert_eq!(plan.options.solver.max_nodes, cap.unwrap_or(limit), "{at}");
+            match engine.execute_spec(&spec) {
+                Ok(result) => assert_eq!(
+                    plan.route.strategy.to_string(),
+                    result.stats.strategy.to_string(),
+                    "{at}"
+                ),
+                Err(PbError::Unsupported(_)) if strategy != Auto => {}
+                Err(e) => panic!("{at}: {e}"),
+            }
+        }
+    }
+}
+
+/// A top-k request keeps its k packages on every host. At 256 candidates a
+/// non-linear query used to go to the race, whose only worker that can take
+/// it below four threads is greedy, and greedy returns one package.
+#[test]
+fn a_non_linear_top_k_request_keeps_its_packages_at_every_thread_count() {
+    let query = "SELECT PACKAGE(R) AS P FROM recipes R \
+        SUCH THAT COUNT(*) = 3 AND AVG(P.calories) >= AVG(P.protein) \
+        MAXIMIZE SUM(P.protein)";
+    let run = |threads| {
+        let mut catalog = Catalog::new();
+        catalog.register(recipes(256, Seed(10)));
+        let config = EngineConfig::default()
+            .packages(5)
+            .with_num_threads(threads);
+        PackageEngine::with_config(catalog, config)
+            .execute_paql(query)
+            .unwrap()
+    };
+    let one = run(1);
+    assert_eq!(one.len(), 5);
+    assert_eq!(one.stats.strategy, StrategyUsed::LocalSearch);
+    let eight = run(8);
+    assert_eq!(eight.packages, one.packages);
+    assert_eq!(eight.objectives, one.objectives);
+}
+
+/// An empty race, or one that names `Auto` or `Portfolio`, is a bad
+/// `EngineConfig::portfolio_workers`: the caller's error, not the engine's.
+#[test]
+fn a_bad_worker_set_is_the_callers_error() {
+    use Strategy::*;
+    let catalog = engine(40, 6).catalog().clone();
+    for workers in [vec![], vec![Auto], vec![Ilp, Portfolio]] {
+        let config = EngineConfig {
+            portfolio_workers: workers,
+            ..EngineConfig::with_strategy(Portfolio)
+        };
+        let engine = PackageEngine::with_config(catalog.clone(), config);
+        let spec = engine.build_spec(&paql::parse(QUERY).unwrap()).unwrap();
+        match engine.plan(&spec) {
+            Err(PbError::Unsupported(m)) => assert!(m.contains("portfolio_workers"), "{m}"),
+            other => panic!("{:?}", other.err()),
+        }
+    }
+}
+
+/// A plan's `Display` is the REPL's `EXPLAIN`: the route and the rule that
+/// picked it, what the rule saw, a race's workers and node cap, the steps.
+#[test]
+fn a_plan_explains_its_route() {
+    let explain = |config: EngineConfig, rows: usize, query: &str| {
+        let mut catalog = Catalog::new();
+        catalog.register(recipes(rows, Seed(9)));
+        let engine = PackageEngine::with_config(catalog, config);
+        let spec = engine.build_spec(&paql::parse(query).unwrap()).unwrap();
+        engine.plan(&spec).unwrap().to_string()
+    };
+    assert_eq!(
+        explain(EngineConfig::default(), 15, QUERY),
+        "route: pruned-enumeration (Auto: candidates ≤ ENUMERATION_THRESHOLD (22))\n  \
+         saw: 15 candidates, 1 package(s), linearizable\n  \
+         steps: prune → solve → validate"
+    );
+    let non_linear = "SELECT PACKAGE(R) AS P FROM recipes R \
+        SUCH THAT COUNT(*) = 3 AND AVG(P.calories) >= AVG(P.protein)";
+    let race = EngineConfig {
+        portfolio_workers: vec![Strategy::LocalSearch, Strategy::Greedy],
+        ..EngineConfig::default()
+    };
+    assert_eq!(
+        explain(race.clone(), 300, non_linear),
+        "route: portfolio (Auto: candidates ≥ PORTFOLIO_THRESHOLD (256))\n  \
+         saw: 300 candidates, 1 package(s), not linearizable: \
+         AVG is only linearizable when compared against a constant bound\n  \
+         race: local-search, greedy\n  \
+         node cap: 20000\n  \
+         steps: prune → solve → validate"
+    );
+    let forced = EngineConfig {
+        strategy: Strategy::Portfolio,
+        ..race
+    };
+    assert_eq!(
+        explain(forced, 30, QUERY),
+        "route: portfolio (forced by the caller)\n  \
+         saw: 30 candidates, 1 package(s)\n  \
+         race: local-search, greedy\n  \
+         steps: prune → solve → validate"
+    );
 }

@@ -156,7 +156,18 @@ fn every_solver_terminates_within_twice_the_time_limit() {
         ("greedy", Box::new(GreedySolver)),
         ("sketch-refine", Box::new(SketchRefineSolver)),
         ("progressive-shading", Box::new(ProgressiveShadingSolver)),
-        ("portfolio", Box::new(PortfolioSolver::default())),
+        (
+            "portfolio",
+            Box::new(
+                PortfolioSolver::new(vec![
+                    Strategy::Ilp,
+                    Strategy::SketchRefine,
+                    Strategy::LocalSearch,
+                    Strategy::Greedy,
+                ])
+                .unwrap(),
+            ),
+        ),
     ];
     for (name, solver) in solvers {
         let opts = budgeted_options();

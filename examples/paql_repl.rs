@@ -9,6 +9,8 @@
 //!   \schema <table>    show a relation's schema
 //!   \sample <table>    show the first rows of a relation
 //!   \quit              exit
+//!   EXPLAIN <query>    print the query's plan (route, the rule that picked
+//!                      it, a race's workers and node cap) without solving
 //! Anything else is parsed and executed as a PaQL query.
 
 use std::io::{self, BufRead, Write};
@@ -106,8 +108,21 @@ fn execute(engine: &PackageEngine, text: &str) {
     if text.is_empty() {
         return;
     }
+    let explain = text
+        .split_once(char::is_whitespace)
+        .filter(|(head, _)| head.eq_ignore_ascii_case("EXPLAIN"));
+    let text = explain.map_or(text, |(_, query)| query.trim());
     match paql::parse(text) {
         Err(e) => println!("{}", e.render(text)),
+        Ok(query) if explain.is_some() => {
+            match engine
+                .build_spec(&query)
+                .and_then(|spec| engine.plan(&spec))
+            {
+                Err(e) => println!("error: {e}"),
+                Ok(plan) => println!("{plan}"),
+            }
+        }
         Ok(query) => {
             println!("{}\n", paql::pretty::describe_query(&query));
             match engine.execute(&query) {
