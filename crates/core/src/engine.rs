@@ -21,7 +21,7 @@ use crate::cache::ViewCache;
 use crate::column_store::ColumnPolicy;
 use crate::config::{auto_route, EngineConfig, Route, Rule, Strategy};
 use crate::error::PbError;
-use crate::ilp::linearization_obstacle;
+use crate::ilp::linearize;
 use crate::par::ParExec;
 use crate::pruning::derive_bounds;
 use crate::result::PackageResult;
@@ -220,7 +220,7 @@ impl PackageEngine {
     ) -> PbResult<QueryPlan> {
         // Only `Auto` asks whether the query linearizes.
         let auto = strategy == Strategy::Auto;
-        let obstacle = auto.then(|| linearization_obstacle(spec.view())).flatten();
+        let obstacle = auto.then(|| linearize(spec.view()).obstacle()).flatten();
         let route = auto_route(
             strategy,
             spec.candidate_count(),
@@ -496,5 +496,52 @@ mod tests {
             )
             .unwrap();
         assert!(!portfolio.is_empty());
+    }
+
+    #[test]
+    fn planning_reads_no_column() {
+        use crate::column_store::SpillStore;
+        use crate::view::{CandidateView, ColumnSink};
+        use std::sync::Arc;
+        let engine = small_engine(600, 12);
+        for (query, route) in [
+            (MEAL_QUERY, Strategy::Ilp),
+            (
+                "SELECT PACKAGE(R) AS P FROM recipes R \
+                 SUCH THAT COUNT(*) = 3 AND AVG(P.calories) >= AVG(P.protein)",
+                Strategy::Portfolio,
+            ),
+        ] {
+            let built = engine.build_spec(&parse(query).unwrap()).unwrap();
+            // Every term column moves to a store nothing else reads.
+            let store = SpillStore::create(4).unwrap();
+            let view = built.view();
+            let paged = CandidateView::assemble(
+                built.table,
+                view.candidates().to_vec(),
+                view.stats().clone(),
+                &built.query,
+                |call| {
+                    let t = view.term_keys().iter().position(|k| k == call).unwrap();
+                    let column = &view.terms()[t];
+                    let sink = ColumnSink::paged(column.func, Arc::clone(&store), column.len());
+                    Some(
+                        sink.fill_from(&column.coeffs_vec(), &column.included_vec())
+                            .unwrap(),
+                    )
+                },
+                &BuildCtx::default(),
+            )
+            .unwrap();
+            let spec = PackageSpec::over(built.table, built.query.clone(), paged);
+            assert!(spec.view().is_paged());
+            let before = store.counters();
+            let plan = engine.plan(&spec).unwrap();
+            assert_eq!(plan.route.strategy, route, "{query}");
+            assert_eq!(store.counters(), before, "planning read a page: {query}");
+            // The store does see the solve's reads.
+            engine.run_plan(&spec, &plan).unwrap();
+            assert_ne!(store.counters(), before, "{query}");
+        }
     }
 }

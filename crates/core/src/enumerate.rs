@@ -19,7 +19,7 @@ use paql::ObjectiveDirection;
 
 use crate::budget::Budget;
 use crate::error::PbError;
-use crate::ilp::{linearize_formula, linearize_objective, LinearConstraint};
+use crate::ilp::{linearize, LinearConstraint};
 use crate::package::Package;
 use crate::pruning::{derive_bounds, CardinalityBounds};
 use crate::result::{EvalStats, StrategyUsed};
@@ -77,7 +77,7 @@ struct Searcher<'v> {
     /// contribution obtainable from candidates `i..n`.
     suffix_max: Vec<Vec<f64>>,
     suffix_min: Vec<Vec<f64>>,
-    objective: Option<(ObjectiveDirection, Vec<f64>)>,
+    objective: Option<ObjectiveDirection>,
     current: Vec<u32>,
     sums: Vec<f64>,
     cardinality: u64,
@@ -100,7 +100,7 @@ impl<'v> Searcher<'v> {
         // Linear constraints power the partial-sum bound; they are only an
         // accelerator, feasibility is always re-checked exactly.
         let linear = if opts.prune {
-            linearize_formula(view).unwrap_or_default()
+            linearize(view).rows(view).unwrap_or_default()
         } else {
             Vec::new()
         };
@@ -117,10 +117,8 @@ impl<'v> Searcher<'v> {
             suffix_max.push(smax);
             suffix_min.push(smin);
         }
-        let objective = linearize_objective(view)
-            .ok()
-            .flatten()
-            .map(|lin| (view.direction(), lin.coeffs));
+        // Any objective ranks the packages: the rank reads exact values.
+        let objective = view.compiled_objective().map(|_| view.direction());
         Searcher {
             view,
             bounds,
@@ -159,7 +157,7 @@ impl<'v> Searcher<'v> {
                     self.best.push(entry);
                 }
             }
-            Some((direction, _)) => {
+            Some(direction) => {
                 // `best` is kept sorted best-first, so recording a package is
                 // a binary-search insert + truncate, not a full re-sort per
                 // feasible package. The rank uses `total_cmp` (like greedy
@@ -212,24 +210,26 @@ impl<'v> Searcher<'v> {
         if self.cardinality + remaining_capacity < self.bounds.lower {
             return true;
         }
-        // Partial-sum windows.
+        // Partial-sum windows, against the bounds as written: the LP's
+        // tightened strict bound would cut packages the exact check accepts.
         for (c, lc) in self.linear.iter().enumerate() {
             let cur = self.sums[c];
             let max_additional = self.suffix_max[c][idx];
             let min_additional = self.suffix_min[c][idx];
             match lc.op {
                 ConstraintOp::Le => {
-                    if cur + min_additional > lc.rhs + 1e-9 {
+                    if cur + min_additional > lc.bound + 1e-9 {
                         return true;
                     }
                 }
                 ConstraintOp::Ge => {
-                    if cur + max_additional < lc.rhs - 1e-9 {
+                    if cur + max_additional < lc.bound - 1e-9 {
                         return true;
                     }
                 }
                 ConstraintOp::Eq => {
-                    if cur + min_additional > lc.rhs + 1e-9 || cur + max_additional < lc.rhs - 1e-9
+                    if cur + min_additional > lc.bound + 1e-9
+                        || cur + max_additional < lc.bound - 1e-9
                     {
                         return true;
                     }
@@ -466,6 +466,7 @@ mod tests {
             &SolverConfig::default(),
             1,
             &Budget::unlimited(),
+            crate::par::ParExec::sequential(),
         )
         .unwrap();
         let a = enumerated.packages.first().map(|(_, o)| o.unwrap());

@@ -8,7 +8,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::budget::Budget;
-use crate::ilp::linearize_objective;
+use crate::ilp::linearize;
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::pruning::derive_bounds;
@@ -32,7 +32,7 @@ pub enum StartHeuristic<'a> {
 /// The objective's per-candidate coefficients when it linearizes: what
 /// [`StartHeuristic::Greedy`] orders by.
 pub fn objective_coeffs(view: &CandidateView) -> Option<Vec<f64>> {
-    linearize_objective(view).ok().flatten().map(|l| l.coeffs)
+    linearize(view).objective(view).ok().flatten()
 }
 
 /// Builds a starting package of a plausible cardinality: the lower

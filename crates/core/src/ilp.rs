@@ -6,10 +6,13 @@
 //! candidate tuple; linear global constraints (COUNT/SUM, optionally
 //! filtered) become linear rows, and the objective becomes the LP objective.
 //!
-//! Since the columnar refactor the translation is a projection of the
-//! [`CandidateView`]: a COUNT/SUM term's coefficient column *is* its linear
-//! row, so linearization never touches the base table or evaluates an
-//! expression per tuple — it combines precomputed columns.
+//! A row is linearized once. `linearize` is symbolic: it turns the
+//! compiled formula and objective into linear forms over the view's term
+//! ids, reading no column, so the planner can ask whether a query
+//! linearizes at any candidate count. Its writer fills dense rows from the
+//! term columns' chunk cursors, resident or paged; every solver that needs
+//! rows takes them from there, and the ILP and the sketch family's sub-ILPs
+//! build their `Problem` through one builder, `package_problem`.
 //!
 //! Not every PaQL query is linearizable: MIN/MAX aggregates, `<>`
 //! comparisons, and non-conjunctive formulas (OR/NOT) have no direct linear
@@ -18,68 +21,146 @@
 //! classical multiply-through-by-COUNT rewrite
 //! (`AVG(attr) ⋈ c ⟺ SUM(attr) − c·COUNT ⋈ 0 ∧ COUNT ≥ 1`); only the
 //! genuinely non-linear AVG shapes (AVG vs AVG, AVG objectives) fall back to
-//! enumeration or local search.
+//! enumeration or local search. Whether a query linearizes depends on the
+//! query alone, never on the values its term columns hold.
+//!
+//! A strict comparison whose row has integer coefficients takes the exact
+//! integral bound (`Σ < c` ⟺ `Σ ≤ ⌈c⌉ − 1`); any other is moved off its
+//! bound by `STRICT_MARGIN`.
 
 use lp_solver::{
     ConstraintOp, LinExpr, LpError, Problem, Sense, SolverConfig, Status, VarId, VarType,
+    INCUMBENT_TOLERANCE,
 };
 use paql::{AggFunc, CmpOp, ObjectiveDirection};
 
 use crate::budget::Budget;
 use crate::error::PbError;
 use crate::package::Package;
-use crate::par::ParExec;
+use crate::par::{chunk_count, chunk_range, ParExec};
 use crate::result::{EvalStats, StrategyUsed};
-use crate::view::{CandidateView, CompiledConstraint, CompiledExpr, CompiledFormula};
+use crate::view::{CandidateView, CompiledConstraint, CompiledExpr, CompiledFormula, TermColumn};
 use crate::PbResult;
 
-/// A linear function of the candidate multiplicities: `Σ coeffs[i]·x_i + constant`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearAgg {
-    /// Coefficient per candidate (indexed like the view's candidates).
-    pub coeffs: Vec<f64>,
-    /// Constant offset.
-    pub constant: f64,
+/// How far a strict comparison's fractional row moves off its bound: twice
+/// the slack branch and bound accepts an incumbent within, so `Σ = c` fails
+/// `Σ < c`'s row for every `|c|` below about 10^10 (where one unit in the
+/// last place of `c` reaches that slack). Closer sums are lost to the ILP.
+pub(crate) const STRICT_MARGIN: f64 = 2.0 * INCUMBENT_TOLERANCE;
+
+/// How every lane of a row — one coefficient per candidate — is computed
+/// from the view's term columns: the formula's arithmetic, lane by lane, in
+/// its order. A literal's `+0.0` lanes are added like any other (`x + 0.0`
+/// turns `-0.0` into `+0.0`), so every signed zero comes out as the
+/// arithmetic says.
+#[derive(Debug, Clone)]
+enum Lanes {
+    /// A literal's lanes: `+0.0` everywhere.
+    Zero,
+    /// Term `t`'s coefficient column, verbatim.
+    Term(usize),
+    /// `a + k·b` (`k` is 1 for `+`, −1 for `−`).
+    Combine(Box<Lanes>, Box<Lanes>, f64),
+    /// `a·k`.
+    Scale(Box<Lanes>, f64),
+    /// `x − c` where term `t` includes the lane, `0.0` elsewhere: an AVG
+    /// comparison multiplied through by the term's own COUNT.
+    Centered(usize, f64),
+    /// `1.0` where term `t` includes the lane, `0.0` elsewhere: the term's
+    /// non-NULL support row.
+    Mask(usize),
 }
 
-impl LinearAgg {
-    fn constant(n: usize, value: f64) -> Self {
-        LinearAgg {
-            coeffs: vec![0.0; n],
-            constant: value,
+/// A linear function of the candidate multiplicities,
+/// `Σ lanes_i·x_i + constant`, over the view's term ids.
+#[derive(Debug, Clone)]
+struct Form {
+    lanes: Lanes,
+    constant: f64,
+    /// Whether an aggregate term appears; without one the form is the
+    /// constant, whatever the lanes hold.
+    has_terms: bool,
+}
+
+impl Form {
+    fn combine(self, other: Form, k: f64) -> Self {
+        Form {
+            lanes: Lanes::Combine(Box::new(self.lanes), Box::new(other.lanes), k),
+            constant: self.constant + k * other.constant,
+            has_terms: self.has_terms || other.has_terms,
         }
     }
 
-    fn combine(mut self, other: &LinearAgg, scale: f64) -> Self {
-        for (a, b) in self.coeffs.iter_mut().zip(&other.coeffs) {
-            *a += scale * b;
+    fn scale(self, k: f64) -> Self {
+        Form {
+            lanes: Lanes::Scale(Box::new(self.lanes), k),
+            constant: self.constant * k,
+            has_terms: self.has_terms,
         }
-        self.constant += scale * other.constant;
-        self
+    }
+}
+
+/// One constraint row, symbolically: `Σ lanes_i·x_i op bound`.
+#[derive(Debug, Clone)]
+struct RowForm {
+    lanes: Lanes,
+    op: CmpOp,
+    bound: f64,
+}
+
+impl RowForm {
+    /// The row `lanes op bound`; `<>` has no linear form.
+    fn new(lanes: Lanes, op: CmpOp, bound: f64) -> Result<Self, NonLinearReason> {
+        if op == CmpOp::NotEq {
+            return Err(NonLinearReason::NotEqualComparison);
+        }
+        Ok(RowForm { lanes, op, bound })
     }
 
-    fn is_constant(&self) -> bool {
-        self.coeffs.iter().all(|&c| c == 0.0)
+    /// The non-NULL support row of term `t`: `Σ included_i · x_i ≥ 1`, i.e.
+    /// the package holds at least one member the term's FILTER admits.
+    fn support(t: usize) -> Self {
+        RowForm {
+            lanes: Lanes::Mask(t),
+            op: CmpOp::GtEq,
+            bound: 1.0,
+        }
     }
 
-    fn scale(mut self, k: f64) -> Self {
-        for c in self.coeffs.iter_mut() {
-            *c *= k;
+    fn write(&self, view: &CandidateView) -> LinearConstraint {
+        let coeffs = write_lanes(view, &self.lanes);
+        let integral = || coeffs.iter().all(|a| a.fract() == 0.0);
+        let (op, rhs) = match self.op {
+            CmpOp::Lt if integral() => (ConstraintOp::Le, self.bound.ceil() - 1.0),
+            CmpOp::Lt => (ConstraintOp::Le, self.bound - STRICT_MARGIN),
+            CmpOp::LtEq => (ConstraintOp::Le, self.bound),
+            CmpOp::Gt if integral() => (ConstraintOp::Ge, self.bound.floor() + 1.0),
+            CmpOp::Gt => (ConstraintOp::Ge, self.bound + STRICT_MARGIN),
+            CmpOp::GtEq => (ConstraintOp::Ge, self.bound),
+            // `RowForm::new` turns `<>` away.
+            CmpOp::Eq | CmpOp::NotEq => (ConstraintOp::Eq, self.bound),
+        };
+        LinearConstraint {
+            coeffs,
+            op,
+            rhs,
+            bound: self.bound,
         }
-        self.constant *= k;
-        self
     }
 }
 
 /// One linearized global constraint.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LinearConstraint {
+pub(crate) struct LinearConstraint {
     /// Coefficients per candidate.
     pub coeffs: Vec<f64>,
     /// Constraint direction.
     pub op: ConstraintOp,
-    /// Right-hand side.
+    /// Right-hand side for an LP: `bound`, tightened past it for a strict
+    /// comparison (see the module docs).
     pub rhs: f64,
+    /// The bound as the query wrote it, moved to the right-hand side.
+    pub bound: f64,
 }
 
 /// Why a query could not be linearized (reported in diagnostics and used by
@@ -127,93 +208,53 @@ impl std::fmt::Display for NonLinearReason {
     }
 }
 
-/// Linearizes a compiled global expression into coefficients over the
-/// candidates. COUNT/SUM terms contribute their precomputed coefficient
-/// columns verbatim; AVG/MIN/MAX terms are the non-linear obstacle.
-pub fn linearize_expr(
-    view: &CandidateView,
-    expr: &CompiledExpr,
-) -> Result<LinearAgg, NonLinearReason> {
-    let n = view.candidate_count();
+/// The linear form of a compiled global expression. COUNT/SUM terms are
+/// their coefficient columns; AVG/MIN/MAX terms are the non-linear obstacle.
+fn form_of(view: &CandidateView, expr: &CompiledExpr) -> Result<Form, NonLinearReason> {
     match expr {
-        CompiledExpr::Literal(x) => Ok(LinearAgg::constant(n, *x)),
+        CompiledExpr::Literal(x) => Ok(Form {
+            lanes: Lanes::Zero,
+            constant: *x,
+            has_terms: false,
+        }),
         CompiledExpr::Term(id) => {
-            let term = &view.terms()[*id];
-            if !term.func.is_linear() {
-                return Err(NonLinearReason::NonLinearAggregate(term.func.name()));
+            let func = view.terms()[*id].func;
+            if !func.is_linear() {
+                return Err(NonLinearReason::NonLinearAggregate(func.name()));
             }
-            debug_assert!(matches!(term.func, AggFunc::Count | AggFunc::Sum));
-            Ok(LinearAgg {
-                coeffs: term.coeffs_vec(),
+            debug_assert!(matches!(func, AggFunc::Count | AggFunc::Sum));
+            Ok(Form {
+                lanes: Lanes::Term(*id),
                 constant: 0.0,
+                has_terms: true,
             })
         }
         CompiledExpr::Binary { op, lhs, rhs } => {
-            let l = linearize_expr(view, lhs)?;
-            let r = linearize_expr(view, rhs)?;
+            let l = form_of(view, lhs)?;
+            let r = form_of(view, rhs)?;
             use paql::ast::GlobalArithOp::*;
             match op {
-                Add => Ok(l.combine(&r, 1.0)),
-                Sub => Ok(l.combine(&r, -1.0)),
-                Mul => {
-                    if l.is_constant() {
-                        Ok(r.scale(l.constant))
-                    } else if r.is_constant() {
-                        Ok(l.scale(r.constant))
-                    } else {
-                        Err(NonLinearReason::NonLinearArithmetic)
-                    }
-                }
-                Div => {
-                    if r.is_constant() && r.constant != 0.0 {
-                        Ok(l.scale(1.0 / r.constant))
-                    } else {
-                        Err(NonLinearReason::NonLinearArithmetic)
-                    }
-                }
+                Add => Ok(l.combine(r, 1.0)),
+                Sub => Ok(l.combine(r, -1.0)),
+                Mul if !l.has_terms => Ok(r.scale(l.constant)),
+                Mul if !r.has_terms => Ok(l.scale(r.constant)),
+                Div if !r.has_terms && r.constant != 0.0 => Ok(l.scale(1.0 / r.constant)),
+                Mul | Div => Err(NonLinearReason::NonLinearArithmetic),
             }
         }
     }
 }
 
-/// Strict inequalities are approximated by a small epsilon; package
-/// attribute sums are far coarser than 1e-6 in every workload we generate.
-const EPS: f64 = 1e-6;
-
-/// Translates a comparison into `ConstraintOp` + rhs, with the epsilon
-/// approximation for strict inequalities. `<>` has no linear form.
-fn comparison_row(op: CmpOp, bound: f64) -> Result<(ConstraintOp, f64), NonLinearReason> {
-    Ok(match op {
-        CmpOp::LtEq => (ConstraintOp::Le, bound),
-        CmpOp::Lt => (ConstraintOp::Le, bound - EPS),
-        CmpOp::GtEq => (ConstraintOp::Ge, bound),
-        CmpOp::Gt => (ConstraintOp::Ge, bound + EPS),
-        CmpOp::Eq => (ConstraintOp::Eq, bound),
-        CmpOp::NotEq => return Err(NonLinearReason::NotEqualComparison),
-    })
-}
-
-/// The term id when `expr` is a lone AVG aggregate call.
-fn lone_avg_term(view: &CandidateView, expr: &CompiledExpr) -> Option<usize> {
+/// The term id when `expr` is a lone aggregate call of `func`.
+fn lone_term(view: &CandidateView, expr: &CompiledExpr, func: AggFunc) -> Option<usize> {
     match expr {
-        CompiledExpr::Term(id) if view.terms()[*id].func == AggFunc::Avg => Some(*id),
+        CompiledExpr::Term(id) if view.terms()[*id].func == func => Some(*id),
         _ => None,
     }
 }
 
-/// Mirrors a comparison when its operands are swapped (`a op b` ⟺ `b op' a`).
-fn mirror(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::LtEq => CmpOp::GtEq,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::GtEq => CmpOp::LtEq,
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::NotEq => CmpOp::NotEq,
-    }
-}
-
-/// Linearizes a global AVG comparison against a constant:
+/// The rows of a global AVG comparison against `other`, which must be
+/// constant:
 /// `AVG(attr) ⋈ c  ⟺  SUM(attr) − c·COUNT(included) ⋈ 0  ∧  COUNT(included) ≥ 1`.
 ///
 /// The multiplication by COUNT is sound because the support row forces a
@@ -222,102 +263,54 @@ fn mirror(op: CmpOp) -> CmpOp {
 /// matching the interpreted and columnar evaluation semantics. The COUNT in
 /// both rows uses the AVG term's own inclusion mask, so `FILTER`ed AVG
 /// aggregates divide by the filtered count, as they should.
-fn linearize_avg_comparison(
-    view: &CandidateView,
+fn avg_rows(
     term_id: usize,
     op: CmpOp,
-    bound: f64,
-) -> Result<Vec<LinearConstraint>, NonLinearReason> {
-    let term = &view.terms()[term_id];
-    // One chunk pin serves both rows (paged columns fault each page once).
-    let mut main: Vec<f64> = Vec::with_capacity(term.len());
-    let mut support: Vec<f64> = Vec::with_capacity(term.len());
-    for c in 0..term.chunk_meta().len() {
-        let chunk = term.chunk(c);
-        let coeffs = chunk.coeffs();
-        for (i, &x) in coeffs.iter().enumerate() {
-            if chunk.included(i) {
-                main.push(x - bound);
-                support.push(1.0);
-            } else {
-                main.push(0.0);
-                support.push(0.0);
-            }
+    other: Result<Form, NonLinearReason>,
+) -> Result<Vec<RowForm>, NonLinearReason> {
+    match other {
+        Ok(c) if !c.has_terms => Ok(vec![
+            RowForm::new(Lanes::Centered(term_id, c.constant), op, 0.0)?,
+            RowForm::support(term_id),
+        ]),
+        Ok(_) | Err(NonLinearReason::NonLinearAggregate("AVG")) => {
+            Err(NonLinearReason::AvgVsNonConstant)
         }
+        Err(e) => Err(e),
     }
-    let (row_op, rhs) = comparison_row(op, 0.0)?;
-    Ok(vec![
-        LinearConstraint {
-            coeffs: main,
-            op: row_op,
-            rhs,
-        },
-        LinearConstraint {
-            coeffs: support,
-            op: ConstraintOp::Ge,
-            rhs: 1.0,
-        },
-    ])
 }
 
-/// Linearizes one compiled constraint into `Σ c_i x_i op rhs` rows — one row
-/// for a plain linear comparison, two for an AVG-vs-constant comparison (the
-/// multiplied-through row plus its non-NULL support row).
-pub fn linearize_constraint(
+/// The rows of one compiled constraint — one for a plain linear comparison,
+/// two for an AVG-vs-constant comparison (the multiplied-through row plus its
+/// non-NULL support row).
+fn constraint_rows(
     view: &CandidateView,
     c: &CompiledConstraint,
-) -> Result<Vec<LinearConstraint>, NonLinearReason> {
-    let lhs = linearize_expr(view, &c.lhs);
-    let rhs = linearize_expr(view, &c.rhs);
-    if let (Ok(lhs), Ok(rhs)) = (&lhs, &rhs) {
-        // Move everything to the left: (lhs - rhs) op 0.
-        let diff = lhs.clone().combine(rhs, -1.0);
-        let bound = -diff.constant;
-        let (op, rhs) = comparison_row(c.op, bound)?;
-        return Ok(vec![LinearConstraint {
-            coeffs: diff.coeffs,
-            op,
-            rhs,
-        }]);
-    }
+) -> Result<Vec<RowForm>, NonLinearReason> {
+    let (lhs, rhs) = match (form_of(view, &c.lhs), form_of(view, &c.rhs)) {
+        (Ok(lhs), Ok(rhs)) => {
+            // Move everything to the left: (lhs - rhs) op 0.
+            let diff = lhs.combine(rhs, -1.0);
+            return Ok(vec![RowForm::new(diff.lanes, c.op, -diff.constant)?]);
+        }
+        sides => sides,
+    };
     // The direct path failed; a global AVG compared against a constant is
     // still classically linearizable by multiplying through by COUNT.
-    match (lone_avg_term(view, &c.lhs), lone_avg_term(view, &c.rhs)) {
-        (Some(id), None) => match rhs {
-            Ok(r) if r.is_constant() => linearize_avg_comparison(view, id, c.op, r.constant),
-            Ok(_) | Err(NonLinearReason::NonLinearAggregate("AVG")) => {
-                Err(NonLinearReason::AvgVsNonConstant)
-            }
-            Err(e) => Err(e),
-        },
-        (None, Some(id)) => match lhs {
-            Ok(l) if l.is_constant() => {
-                linearize_avg_comparison(view, id, mirror(c.op), l.constant)
-            }
-            Ok(_) | Err(NonLinearReason::NonLinearAggregate("AVG")) => {
-                Err(NonLinearReason::AvgVsNonConstant)
-            }
-            Err(e) => Err(e),
-        },
+    let avg = |e| lone_term(view, e, AggFunc::Avg);
+    match (avg(&c.lhs), avg(&c.rhs)) {
+        (Some(id), None) => avg_rows(id, c.op, rhs),
+        (None, Some(id)) => avg_rows(id, c.op.mirrored(), lhs),
         (Some(_), Some(_)) => Err(NonLinearReason::AvgVsNonConstant),
-        (None, None) => {
-            // Reaching this arm means the direct path above failed, so at
-            // least one side carries an error; if both somehow linearized,
-            // degrade to the generic obstacle rather than panicking
-            // mid-solve on a user query.
-            let err = lhs
-                .err()
-                .or(rhs.err())
-                .unwrap_or(NonLinearReason::AvgVsNonConstant);
-            // An AVG buried inside arithmetic (e.g. `2 * AVG(x) <= 10`) is
-            // reported with the precise AVG reason rather than the generic
-            // aggregate obstacle.
-            if err == NonLinearReason::NonLinearAggregate("AVG") {
+        // An AVG buried inside arithmetic (e.g. `2 * AVG(x) <= 10`) is
+        // reported with the precise AVG reason rather than the generic
+        // aggregate obstacle.
+        (None, None) => match lhs.and(rhs) {
+            Err(NonLinearReason::NonLinearAggregate("AVG")) | Ok(_) => {
                 Err(NonLinearReason::AvgVsNonConstant)
-            } else {
-                Err(err)
             }
-        }
+            Err(e) => Err(e),
+        },
     }
 }
 
@@ -343,47 +336,6 @@ fn collect_sum_terms(view: &CandidateView, expr: &CompiledExpr, out: &mut Vec<us
     }
 }
 
-/// The term id when `expr` is a lone SUM aggregate call.
-fn lone_sum_term(view: &CandidateView, expr: &CompiledExpr) -> Option<usize> {
-    match expr {
-        CompiledExpr::Term(id) if view.terms()[*id].func == AggFunc::Sum => Some(*id),
-        _ => None,
-    }
-}
-
-/// Whether `0 op bound` holds — i.e. whether a SUM whose inclusion set is
-/// empty could still satisfy a lone comparison against `bound` under the
-/// (wrong) 0-for-NULL reading. When it cannot, the comparison row itself
-/// already excludes the empty subset and the term needs no support row —
-/// keeping the common `SUM(x) ≥ large` shapes at one dense row instead of
-/// two matters for LP pivot cost on big candidate sets.
-fn zero_satisfies(op: CmpOp, bound: f64) -> bool {
-    match op {
-        CmpOp::Lt => 0.0 < bound,
-        CmpOp::LtEq => 0.0 <= bound,
-        CmpOp::Gt => 0.0 > bound,
-        CmpOp::GtEq => 0.0 >= bound,
-        CmpOp::Eq => bound == 0.0,
-        CmpOp::NotEq => bound != 0.0,
-    }
-}
-
-/// The non-NULL support row for a term: `Σ included_i · x_i ≥ 1`, i.e. the
-/// package holds at least one member the term's FILTER admits. Mirrors the
-/// support row [`linearize_avg_comparison`] emits for AVG.
-fn support_row(view: &CandidateView, term_id: usize) -> LinearConstraint {
-    let coeffs = view.terms()[term_id]
-        .included_vec()
-        .into_iter()
-        .map(|included| if included { 1.0 } else { 0.0 })
-        .collect();
-    LinearConstraint {
-        coeffs,
-        op: ConstraintOp::Ge,
-        rhs: 1.0,
-    }
-}
-
 /// Collects the atoms of a compiled formula when it is purely conjunctive.
 fn conjunctive_atoms(f: &CompiledFormula) -> Option<Vec<&CompiledConstraint>> {
     fn walk<'a>(f: &'a CompiledFormula, out: &mut Vec<&'a CompiledConstraint>) -> bool {
@@ -400,38 +352,39 @@ fn conjunctive_atoms(f: &CompiledFormula) -> Option<Vec<&CompiledConstraint>> {
     walk(f, &mut out).then_some(out)
 }
 
-/// Linearizes the view's `SUCH THAT` formula (must be conjunctive). Views
-/// without a formula linearize to no constraints; AVG-vs-constant atoms
-/// contribute two rows each (see [`linearize_constraint`]), and every
-/// distinct SUM term appearing in a constraint contributes one non-NULL
-/// support row (see `collect_sum_terms`) so the linear relaxation cannot
-/// satisfy `SUM(…) FILTER (…) ⋈ c` by emptying the filtered subset — the
-/// engine's SQL semantics make that sum NULL and the constraint unsatisfied.
-pub fn linearize_formula(view: &CandidateView) -> Result<Vec<LinearConstraint>, NonLinearReason> {
-    let formula = match view.compiled_formula() {
-        None => return Ok(Vec::new()),
-        Some(f) => f,
+/// The view's `SUCH THAT` formula (which must be conjunctive) as each
+/// atom's rows, in formula order, and the SUM terms, ascending, that need a
+/// non-NULL support row. Views without a formula have neither;
+/// AVG-vs-constant atoms contribute two rows each (see [`avg_rows`]), and
+/// every distinct SUM term appearing in a constraint needs a support row
+/// (see `collect_sum_terms`) so the linear relaxation cannot satisfy
+/// `SUM(…) FILTER (…) ⋈ c` by emptying the filtered subset — the engine's SQL
+/// semantics make that sum NULL and the constraint unsatisfied.
+fn formula_forms(view: &CandidateView) -> Result<(Vec<RowForm>, Vec<usize>), NonLinearReason> {
+    let Some(formula) = view.compiled_formula() else {
+        return Ok((Vec::new(), Vec::new()));
     };
     let atoms = conjunctive_atoms(formula).ok_or(NonLinearReason::NotConjunctive)?;
     let mut rows = Vec::with_capacity(atoms.len());
     let mut sum_terms = Vec::new();
     let mut covered = Vec::new();
     for c in atoms {
-        rows.extend(linearize_constraint(view, c)?);
+        rows.extend(constraint_rows(view, c)?);
         collect_sum_terms(view, &c.lhs, &mut sum_terms);
         collect_sum_terms(view, &c.rhs, &mut sum_terms);
-        // A lone `SUM ⋈ constant` atom that the empty subset fails (e.g.
-        // `SUM(x) ≥ 150000`) already excludes that subset through its own
-        // comparison row; its term needs no separate support row.
-        if let Some(id) = lone_sum_term(view, &c.lhs) {
-            if let Ok(r) = linearize_expr(view, &c.rhs) {
-                if r.is_constant() && !zero_satisfies(c.op, r.constant) {
-                    covered.push(id);
-                }
-            }
-        } else if let Some(id) = lone_sum_term(view, &c.rhs) {
-            if let Ok(l) = linearize_expr(view, &c.lhs) {
-                if l.is_constant() && !zero_satisfies(mirror(c.op), l.constant) {
+        // A lone `SUM ⋈ constant` atom that the empty subset, read as 0,
+        // fails (e.g. `SUM(x) ≥ 150000`) already excludes that subset
+        // through its own comparison row; its term needs no support row,
+        // which keeps such shapes at one dense row instead of two.
+        let sum = |e| lone_term(view, e, AggFunc::Sum);
+        let lone = match (sum(&c.lhs), sum(&c.rhs)) {
+            (Some(id), _) => Some((id, c.op, &c.rhs)),
+            (None, Some(id)) => Some((id, c.op.mirrored(), &c.lhs)),
+            (None, None) => None,
+        };
+        if let Some((id, op, other)) = lone {
+            if let Ok(k) = form_of(view, other) {
+                if !k.has_terms && !op.compare(0.0, k.constant) {
                     covered.push(id);
                 }
             }
@@ -440,44 +393,166 @@ pub fn linearize_formula(view: &CandidateView) -> Result<Vec<LinearConstraint>, 
     sum_terms.sort_unstable();
     sum_terms.dedup();
     sum_terms.retain(|id| !covered.contains(id));
-    // Distinct terms often share one inclusion mask — a wide schema FILTERing
-    // many columns by the same handful of predicates (the `wide` gauntlet
-    // family) would otherwise emit one identical dense row per column. The
-    // support row depends only on the mask, so one row per mask suffices.
-    let mut seen_masks: Vec<Vec<bool>> = Vec::new();
-    for id in sum_terms {
-        let mask = view.terms()[id].included_vec();
-        if seen_masks.contains(&mask) {
-            continue;
-        }
-        rows.push(support_row(view, id));
-        seen_masks.push(mask);
-    }
-    Ok(rows)
+    Ok((rows, sum_terms))
 }
 
-/// Linearizes the view's objective, when it has one. An AVG objective stays
-/// rejected — there is no comparison to multiply the COUNT through.
-pub fn linearize_objective(view: &CandidateView) -> Result<Option<LinearAgg>, NonLinearReason> {
-    match view.compiled_objective() {
+/// A query's linear program in symbolic form: what [`linearize`] returns and
+/// the writer writes.
+#[derive(Debug, Clone)]
+pub(crate) struct Linearization {
+    formula: Result<(Vec<RowForm>, Vec<usize>), NonLinearReason>,
+    objective: Result<Option<Lanes>, NonLinearReason>,
+}
+
+/// The symbolic pass: the view's formula and objective as linear forms over
+/// its term ids, or why each does not linearize. It reads no column, so its
+/// cost is the size of the query, not of the candidate set.
+pub(crate) fn linearize(view: &CandidateView) -> Linearization {
+    let objective = match view.compiled_objective() {
         None => Ok(None),
-        Some(expr) => match linearize_expr(view, expr) {
+        // An AVG objective stays rejected — there is no comparison to
+        // multiply the COUNT through.
+        Some(expr) => match form_of(view, expr) {
             Err(NonLinearReason::NonLinearAggregate("AVG")) => Err(NonLinearReason::AvgInObjective),
-            other => other.map(Some),
+            other => other.map(|form| Some(form.lanes)),
         },
+    };
+    Linearization {
+        formula: formula_forms(view),
+        objective,
     }
 }
 
-/// Checks whether the whole query (formula + objective) is linearizable,
-/// returning the first obstacle found.
-pub fn linearization_obstacle(view: &CandidateView) -> Option<NonLinearReason> {
-    if let Err(r) = linearize_formula(view) {
-        return Some(r);
+impl Linearization {
+    /// What keeps the whole query (formula, then objective) from the ILP;
+    /// `None` when it linearizes.
+    pub(crate) fn obstacle(&self) -> Option<NonLinearReason> {
+        let formula = self.formula.as_ref().err();
+        formula.or(self.objective.as_ref().err()).cloned()
     }
-    if let Err(r) = linearize_objective(view) {
-        return Some(r);
+
+    /// Writes the formula's rows over the view's candidates: each atom's
+    /// rows in formula order, then one support row per distinct inclusion
+    /// mask among the SUM terms that need one.
+    pub(crate) fn rows(&self, view: &CandidateView) -> Result<Vec<LinearConstraint>, NonLinearReason> {
+        let (forms, support) = self.formula.as_ref().map_err(Clone::clone)?;
+        let mut rows: Vec<LinearConstraint> = forms.iter().map(|r| r.write(view)).collect();
+        // Distinct terms often share one inclusion mask — a wide schema
+        // FILTERing many columns by the same handful of predicates (the
+        // `wide` gauntlet family) would otherwise emit one identical dense
+        // row per column. The support row depends only on the mask, so one
+        // row per mask suffices.
+        let mut written: Vec<&TermColumn> = Vec::new();
+        for &t in support {
+            let term = &view.terms()[t];
+            if written.iter().any(|w| same_mask(w, term)) {
+                continue;
+            }
+            rows.push(RowForm::support(t).write(view));
+            written.push(term);
+        }
+        Ok(rows)
     }
-    None
+
+    /// Writes the objective's per-candidate coefficients, when the query
+    /// has an objective.
+    pub(crate) fn objective(&self, view: &CandidateView) -> Result<Option<Vec<f64>>, NonLinearReason> {
+        let lanes = self.objective.as_ref().map_err(Clone::clone)?;
+        Ok(lanes.as_ref().map(|lanes| write_lanes(view, lanes)))
+    }
+}
+
+/// Whether two columns include exactly the same candidates, compared chunk
+/// by chunk on their mask words (zero past the column's end in both storage
+/// modes).
+fn same_mask(a: &TermColumn, b: &TermColumn) -> bool {
+    (0..a.chunk_meta().len()).all(|c| a.chunk(c).mask_words() == b.chunk(c).mask_words())
+}
+
+/// The chunk writer: one dense row of `lanes` over the view's candidates.
+fn write_lanes(view: &CandidateView, lanes: &Lanes) -> Vec<f64> {
+    let n = view.candidate_count();
+    let mut row = vec![0.0; n];
+    for c in 0..chunk_count(n) {
+        fill_chunk(view.terms(), lanes, c, &mut row[chunk_range(c, n)]);
+    }
+    row
+}
+
+/// Writes chunk `c` of `lanes` into `out`.
+fn fill_chunk(terms: &[TermColumn], lanes: &Lanes, c: usize, out: &mut [f64]) {
+    match lanes {
+        Lanes::Zero => out.fill(0.0),
+        Lanes::Term(t) => out.copy_from_slice(terms[*t].chunk(c).coeffs()),
+        Lanes::Combine(a, b, k) => {
+            fill_chunk(terms, a, c, out);
+            let mut other = vec![0.0; out.len()];
+            fill_chunk(terms, b, c, &mut other);
+            for (x, y) in out.iter_mut().zip(&other) {
+                *x += k * y;
+            }
+        }
+        Lanes::Scale(a, k) => {
+            fill_chunk(terms, a, c, out);
+            for x in out.iter_mut() {
+                *x *= k;
+            }
+        }
+        Lanes::Centered(t, bound) => {
+            let chunk = terms[*t].chunk(c);
+            for (i, (x, &v)) in out.iter_mut().zip(chunk.coeffs()).enumerate() {
+                *x = if chunk.included(i) { v - bound } else { 0.0 };
+            }
+        }
+        Lanes::Mask(t) => {
+            let chunk = terms[*t].chunk(c);
+            for (i, x) in out.iter_mut().enumerate() {
+                *x = if chunk.included(i) { 1.0 } else { 0.0 };
+            }
+        }
+    }
+}
+
+/// The one `Problem` builder of a package ILP, for the ILP strategy and the
+/// sketch family's sketches and sub-ILPs alike: integer variable
+/// `k ∈ [0, upper(k)]` stands for entry `columns[k]` of every coefficient
+/// row — `coeffs[c]` for constraint `c`, named `g{c}`, with `rows[c]`'s
+/// operator against `rhs(c)`, then the objective when `coeffs` holds one
+/// more row — with zero coefficients dropped and terms in ascending `k`.
+pub(crate) fn package_problem<R: AsRef<[f64]>>(
+    direction: ObjectiveDirection,
+    rows: &[LinearConstraint],
+    coeffs: &[R],
+    columns: &[usize],
+    upper: impl Fn(usize) -> f64,
+    rhs: impl Fn(usize) -> f64,
+) -> (Problem, Vec<VarId>) {
+    let mut problem = Problem::new(match direction {
+        ObjectiveDirection::Maximize => Sense::Maximize,
+        ObjectiveDirection::Minimize => Sense::Minimize,
+    });
+    // Unnamed variables: `x{k}` is generated only if a diagnostic needs it.
+    let vars: Vec<VarId> = (0..columns.len())
+        .map(|k| problem.add_unnamed_var(VarType::Integer, 0.0, upper(k)))
+        .collect();
+    for (c, row) in rows.iter().enumerate() {
+        // Ascending variables: every term takes `LinExpr`'s append path,
+        // which drops zero coefficients.
+        let mut expr = LinExpr::new();
+        for (&v, &j) in vars.iter().zip(columns) {
+            expr.add_term(v, coeffs[c].as_ref()[j]);
+        }
+        problem.add_constraint(format!("g{c}"), expr, row.op, rhs(c));
+    }
+    if let Some(objective) = coeffs.get(rows.len()) {
+        for (&v, &j) in vars.iter().zip(columns) {
+            let a = objective.as_ref()[j];
+            if a != 0.0 {
+                problem.set_objective_coeff(v, a);
+            }
+        }
+    }
+    (problem, vars)
 }
 
 /// The translated ILP together with its variable mapping.
@@ -488,40 +563,25 @@ pub struct IlpTranslation {
     pub vars: Vec<VarId>,
 }
 
-/// Translates a view into an ILP.
+/// Translates a view into an ILP: every candidate a column bounded by the
+/// query's `REPEAT`.
 pub fn translate(view: &CandidateView) -> PbResult<IlpTranslation> {
-    let sense = match view.direction() {
-        ObjectiveDirection::Maximize => Sense::Maximize,
-        ObjectiveDirection::Minimize => Sense::Minimize,
-    };
-    let mut problem = Problem::new(sense);
-    // One unnamed variable per candidate: `x{i}` is generated only if a
-    // diagnostic ever needs it.
+    let linearization = linearize(view);
+    let unsupported = |r| PbError::Unsupported(format!("cannot translate to ILP: {r}"));
+    let rows = linearization.rows(view).map_err(unsupported)?;
+    let objective = linearization.objective(view).map_err(unsupported)?;
+    let mut coeffs: Vec<&[f64]> = rows.iter().map(|r| r.coeffs.as_slice()).collect();
+    coeffs.extend(objective.as_deref());
+    let columns: Vec<usize> = (0..view.candidate_count()).collect();
     let max_multiplicity = view.max_multiplicity() as f64;
-    let vars: Vec<VarId> = (0..view.candidate_count())
-        .map(|_| problem.add_unnamed_var(VarType::Integer, 0.0, max_multiplicity))
-        .collect();
-
-    let constraints = linearize_formula(view)
-        .map_err(|r| PbError::Unsupported(format!("cannot translate to ILP: {r}")))?;
-    for (idx, lc) in constraints.into_iter().enumerate() {
-        // Ascending variables: every term takes `LinExpr`'s append path.
-        let mut expr = LinExpr::new();
-        for (i, &c) in lc.coeffs.iter().enumerate() {
-            expr.add_term(vars[i], c);
-        }
-        problem.add_constraint(format!("g{idx}"), expr, lc.op, lc.rhs);
-    }
-
-    let objective = linearize_objective(view)
-        .map_err(|r| PbError::Unsupported(format!("cannot translate objective to ILP: {r}")))?;
-    if let Some(lin) = objective {
-        for (i, c) in lin.coeffs.iter().enumerate() {
-            if *c != 0.0 {
-                problem.set_objective_coeff(vars[i], *c);
-            }
-        }
-    }
+    let (problem, vars) = package_problem(
+        view.direction(),
+        &rows,
+        &coeffs,
+        &columns,
+        |_| max_multiplicity,
+        |c| rows[c].rhs,
+    );
     Ok(IlpTranslation { problem, vars })
 }
 
@@ -543,25 +603,15 @@ pub struct IlpOutcome {
 ///
 /// The `budget` is threaded down to the branch-and-bound node loop and the
 /// simplex pivot loop; on expiry the incumbents found so far come back with
-/// `complete: false` rather than an error.
-pub fn solve_ilp(
-    view: &CandidateView,
-    solver: &SolverConfig,
-    num_packages: usize,
-    budget: &Budget,
-) -> PbResult<IlpOutcome> {
-    solve_ilp_par(view, solver, num_packages, budget, ParExec::sequential())
-}
-
-/// [`solve_ilp`] with a thread budget: `par.threads()` is handed to the
+/// `complete: false` rather than an error. `par.threads()` is handed to the
 /// branch-and-bound layer (via [`SolverConfig::num_threads`]), which solves
 /// each frontier batch's LP relaxations concurrently once the LP is big
 /// enough to pay for it — rows × columns of at least one
 /// [`crate::par::CHUNK_WIDTH`]; smaller LPs, sketch-refine sub-ILPs among
 /// them, keep their batches inline. Results are bit-identical at every
 /// thread count — the solver's batch boundaries and merge order are fixed —
-/// so this is purely a latency knob.
-pub fn solve_ilp_par(
+/// so `par` is purely a latency knob.
+pub fn solve_ilp(
     view: &CandidateView,
     solver: &SolverConfig,
     num_packages: usize,
@@ -573,21 +623,7 @@ pub fn solve_ilp_par(
     let start = std::time::Instant::now();
     // An already-spent budget skips even the translation (building one
     // variable and row set per candidate is itself linear in the view).
-    if budget.expired() {
-        return Ok(IlpOutcome {
-            packages: Vec::new(),
-            complete: false,
-            stats: EvalStats {
-                strategy: StrategyUsed::Ilp,
-                candidates: view.candidate_count(),
-                nodes: 0,
-                iterations: 0,
-                cold_solves: 0,
-                elapsed: start.elapsed(),
-            },
-        });
-    }
-    let IlpTranslation { mut problem, vars } = translate(view)?;
+    let mut translation = (!budget.expired()).then(|| translate(view)).transpose()?;
     let mut config = solver.clone();
     budget.apply_to_solver(&mut config);
     config.num_threads = par.threads();
@@ -600,11 +636,13 @@ pub fn solve_ilp_par(
 
     let want = num_packages.max(1);
     for round in 0..want {
-        if budget.expired() {
+        let Some(IlpTranslation { problem, vars }) =
+            translation.as_mut().filter(|_| !budget.expired())
+        else {
             complete = false;
             break;
-        }
-        let solution = match lp_solver::solve(&problem, &config) {
+        };
+        let solution = match lp_solver::solve(problem, &config) {
             // Limits without an incumbent are a truncated search, not a
             // failed one: report what previous rounds found, non-optimal.
             Err(LpError::Interrupted) | Err(LpError::NodeLimit) => {
@@ -650,12 +688,7 @@ pub fn solve_ilp_par(
                 // package for REPEAT queries (documented limitation).
                 break;
             }
-            lp_solver::cuts::add_no_good_cut(
-                &mut problem,
-                &solution,
-                &vars,
-                format!("cut{round}"),
-            )?;
+            lp_solver::cuts::add_no_good_cut(problem, &solution, vars, format!("cut{round}"))?;
         }
     }
 
@@ -700,6 +733,7 @@ mod tests {
             &SolverConfig::default(),
             1,
             &Budget::unlimited(),
+            ParExec::sequential(),
         )
         .unwrap();
         assert_eq!(out.packages.len(), 1);
@@ -717,7 +751,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 3 OR COUNT(*) = 4",
         );
         assert!(matches!(
-            linearization_obstacle(spec.view()),
+            linearize(spec.view()).obstacle(),
             Some(NonLinearReason::NotConjunctive)
         ));
 
@@ -726,7 +760,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) <> 3",
         );
         assert!(matches!(
-            linearization_obstacle(spec.view()),
+            linearize(spec.view()).obstacle(),
             Some(NonLinearReason::NotEqualComparison)
         ));
 
@@ -735,7 +769,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT SUM(P.calories) * SUM(P.protein) <= 100",
         );
         assert!(matches!(
-            linearization_obstacle(spec.view()),
+            linearize(spec.view()).obstacle(),
             Some(NonLinearReason::NonLinearArithmetic)
         ));
 
@@ -744,7 +778,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT MIN(P.calories) >= 100 AND COUNT(*) = 3",
         );
         assert!(matches!(
-            linearization_obstacle(spec.view()),
+            linearize(spec.view()).obstacle(),
             Some(NonLinearReason::NonLinearAggregate("MIN"))
         ));
     }
@@ -761,7 +795,7 @@ mod tests {
         ] {
             let spec = spec_for(&t, q);
             assert!(
-                linearization_obstacle(spec.view()).is_none(),
+                linearize(spec.view()).obstacle().is_none(),
                 "expected linearizable: {q}"
             );
         }
@@ -771,7 +805,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT AVG(P.calories) >= AVG(P.protein)",
         );
         assert!(matches!(
-            linearization_obstacle(spec.view()),
+            linearize(spec.view()).obstacle(),
             Some(NonLinearReason::AvgVsNonConstant)
         ));
         let spec = spec_for(
@@ -779,7 +813,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT AVG(P.calories) <= SUM(P.protein)",
         );
         assert!(matches!(
-            linearization_obstacle(spec.view()),
+            linearize(spec.view()).obstacle(),
             Some(NonLinearReason::AvgVsNonConstant)
         ));
         // An AVG objective has no comparison to multiply through.
@@ -788,7 +822,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 3 MAXIMIZE AVG(P.protein)",
         );
         assert!(matches!(
-            linearization_obstacle(spec.view()),
+            linearize(spec.view()).obstacle(),
             Some(NonLinearReason::AvgInObjective)
         ));
     }
@@ -805,6 +839,7 @@ mod tests {
             &SolverConfig::default(),
             1,
             &Budget::unlimited(),
+            ParExec::sequential(),
         )
         .unwrap();
         let oracle = crate::enumerate::enumerate(
@@ -837,12 +872,13 @@ mod tests {
              SUCH THAT AVG(P.calories) FILTER (WHERE R.gluten = 'free') <= 600 \
              MINIMIZE COUNT(*)",
         );
-        assert!(linearization_obstacle(spec.view()).is_none());
+        assert!(linearize(spec.view()).obstacle().is_none());
         let out = solve_ilp(
             spec.view(),
             &SolverConfig::default(),
             1,
             &Budget::unlimited(),
+            ParExec::sequential(),
         )
         .unwrap();
         // The minimizer would love the empty package, but that makes the AVG
@@ -863,12 +899,13 @@ mod tests {
                        COUNT(*) >= 5 \
              MAXIMIZE SUM(P.expected_return)",
         );
-        assert!(linearization_obstacle(spec.view()).is_none());
+        assert!(linearize(spec.view()).obstacle().is_none());
         let out = solve_ilp(
             spec.view(),
             &SolverConfig::default(),
             1,
             &Budget::unlimited(),
+            ParExec::sequential(),
         )
         .unwrap();
         let (pkg, _) = &out.packages[0];
@@ -906,6 +943,7 @@ mod tests {
             &SolverConfig::default(),
             1,
             &Budget::unlimited(),
+            ParExec::sequential(),
         )
         .unwrap();
         assert!(out.packages.is_empty());
@@ -924,6 +962,7 @@ mod tests {
             &SolverConfig::default(),
             4,
             &Budget::unlimited(),
+            ParExec::sequential(),
         )
         .unwrap();
         assert_eq!(out.packages.len(), 4);
@@ -961,6 +1000,7 @@ mod tests {
                 &SolverConfig::default(),
                 1,
                 &Budget::unlimited(),
+                ParExec::sequential(),
             )
             .unwrap();
             let (pkg, objective) = &out.packages[0];
@@ -989,6 +1029,7 @@ mod tests {
             &SolverConfig::default(),
             1,
             &Budget::unlimited(),
+            ParExec::sequential(),
         )
         .unwrap();
         // Every recipe has positive protein → optimum takes all of them.
@@ -1004,7 +1045,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R \
              SUCH THAT SUM(P.calories) <= 2000 MAXIMIZE SUM(P.protein)",
         );
-        let rows = linearize_formula(spec.view()).unwrap();
+        let rows = linearize(spec.view()).rows(spec.view()).unwrap();
         // The comparison row plus the SUM term's non-NULL support row.
         assert_eq!(rows.len(), 2);
         // The SUM(calories) row is the calories column verbatim.
@@ -1035,6 +1076,7 @@ mod tests {
             &SolverConfig::default(),
             1,
             &Budget::unlimited(),
+            ParExec::sequential(),
         )
         .unwrap();
         let (pkg, _) = out.packages.first().expect("the window is feasible");
@@ -1050,5 +1092,172 @@ mod tests {
                 .to_string()
                 == "g01"
         }));
+    }
+
+    /// A six-row table with a NULL and `-0.0` entries, for the row-bit pins.
+    fn signed_zero_table() -> Table {
+        use minidb::{ColumnType, Schema, Tuple, Value};
+        let mut t = Table::new(
+            "t",
+            Schema::build(&[
+                ("a", ColumnType::Float),
+                ("b", ColumnType::Float),
+                ("x", ColumnType::Float),
+            ]),
+        );
+        let f = Value::Float;
+        for row in [
+            [f(1.1), f(0.7), f(2.0)],
+            [f(-0.0), f(1.9), Value::Null],
+            [f(2.5), f(-0.0), f(0.1)],
+            [f(0.1), f(0.2), f(-0.0)],
+            [f(3.3), f(5.0), f(4.75)],
+            [f(-1.7), f(0.3), f(1.3)],
+        ] {
+            t.insert(Tuple::new(row.to_vec())).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn written_rows_keep_the_bits_of_the_dense_algebra() {
+        // (SUCH THAT …, rows, FNV-1a over every row's operator, right-hand
+        // side bits and lane bits, then the objective's lane bits), recorded
+        // from the dense `LinearAgg` algebra this writer replaced.
+        const PINS: &[(&str, usize, u64)] = &[
+            (
+                "SUM(P.a) - 0.3 * SUM(P.b) >= 0 MAXIMIZE SUM(P.a) - SUM(P.b)",
+                2,
+                0xf94615c26c946801,
+            ),
+            (
+                "2 * (0.3 * SUM(P.x)) <= 10 MINIMIZE 2 * (0.3 * SUM(P.x))",
+                2,
+                0x6d4afa1a49c8cbeb,
+            ),
+            ("SUM(P.x) + SUM(P.x) <= 10", 2, 0xb46295efc990d327),
+            (
+                "3 + SUM(P.a) <= SUM(P.b) - 1 AND 7 >= SUM(P.x) + 0.5",
+                4,
+                0x72f06d539708d623,
+            ),
+            (
+                "SUM(P.a) / 4 >= 1 AND COUNT(*) / 4 <= 1",
+                3,
+                0x3453bf684b379b22,
+            ),
+            (
+                "AVG(P.x) <= 2.5 AND 1.5 <= AVG(P.a) AND COUNT(*) >= 1",
+                5,
+                0xc64c22572af863fa,
+            ),
+            (
+                "SUM(P.x) + -0.0 * SUM(P.a) <= 3 AND -0.0 * SUM(P.b) <= 1 \
+                 MAXIMIZE SUM(P.a) * -0.0",
+                4,
+                0x0f6dedfaaf9d49bc,
+            ),
+            (
+                "SUM(P.x) FILTER (WHERE T.a > 0) >= 1 AND SUM(P.b) FILTER (WHERE T.a > 0) <= 9 \
+                 AND SUM(P.a) <= 5",
+                5,
+                0xa8bcd5ecad1ab595,
+            ),
+        ];
+        fn fnv(h: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *h = (*h ^ byte as u64).wrapping_mul(0x100000001b3);
+            }
+        }
+        let t = signed_zero_table();
+        let paged = BuildCtx {
+            policy: crate::column_store::ColumnPolicy::paged(4),
+            ..BuildCtx::default()
+        };
+        let mut actual = Vec::new();
+        for ctx in [BuildCtx::default(), paged] {
+            for &(shape, _, _) in PINS {
+                let q = format!("SELECT PACKAGE(T) AS P FROM t T SUCH THAT {shape}");
+                let analyzed = compile(&q, t.schema()).unwrap();
+                let spec = PackageSpec::build(&analyzed, &t, &ctx).unwrap();
+                let linearization = linearize(spec.view());
+                let rows = linearization.rows(spec.view()).unwrap();
+                let mut h = 0xcbf29ce484222325u64;
+                for row in &rows {
+                    assert_eq!(row.rhs.to_bits(), row.bound.to_bits(), "{shape}");
+                    fnv(&mut h, row.op as u64);
+                    fnv(&mut h, row.rhs.to_bits());
+                    row.coeffs.iter().for_each(|a| fnv(&mut h, a.to_bits()));
+                }
+                if let Some(objective) = linearization.objective(spec.view()).unwrap() {
+                    fnv(&mut h, 7);
+                    objective.iter().for_each(|a| fnv(&mut h, a.to_bits()));
+                }
+                actual.push((shape, rows.len(), h));
+            }
+        }
+        let expected: Vec<_> = PINS.iter().chain(PINS).copied().collect();
+        assert_eq!(actual, expected, "resident pins, then paged");
+    }
+
+    #[test]
+    fn linearizability_is_a_property_of_the_query_not_its_data() {
+        use minidb::{tuple, ColumnType, Schema};
+        let mut t = Table::new(
+            "t",
+            Schema::build(&[("z", ColumnType::Float), ("w", ColumnType::Float)]),
+        );
+        for w in [1.0, 2.0, 3.0] {
+            t.insert(tuple!(0.0, w)).unwrap();
+        }
+        let obstacle = |such_that: &str| {
+            let q = format!("SELECT PACKAGE(T) AS P FROM t T SUCH THAT {such_that}");
+            linearize(spec_for(&t, &q).view()).obstacle()
+        };
+        // `z` is zero in every row, yet a product with it is still a product
+        // and an AVG compared with it is still compared with an aggregate.
+        assert_eq!(
+            obstacle("SUM(P.z) * SUM(P.w) <= 1"),
+            Some(NonLinearReason::NonLinearArithmetic)
+        );
+        assert_eq!(
+            obstacle("SUM(P.w) / SUM(P.z) <= 1"),
+            Some(NonLinearReason::NonLinearArithmetic)
+        );
+        assert_eq!(
+            obstacle("AVG(P.w) <= SUM(P.z)"),
+            Some(NonLinearReason::AvgVsNonConstant)
+        );
+        assert_eq!(obstacle("2 * SUM(P.z) <= 1"), None);
+    }
+
+    #[test]
+    fn strict_rows_leave_their_bound_exactly_or_by_the_margin() {
+        use minidb::{tuple, ColumnType, Schema};
+        let mut t = Table::new(
+            "t",
+            Schema::build(&[("i", ColumnType::Int), ("f", ColumnType::Float)]),
+        );
+        for i in 1..=4i64 {
+            t.insert(tuple!(i, 0.25 * i as f64)).unwrap();
+        }
+        let row = |such_that: &str| {
+            let q = format!("SELECT PACKAGE(T) AS P FROM t T SUCH THAT {such_that}");
+            let spec = spec_for(&t, &q);
+            let rows = linearize(spec.view()).rows(spec.view()).unwrap();
+            (rows[0].op, rows[0].rhs, rows[0].bound)
+        };
+        assert_eq!(row("COUNT(*) < 3"), (ConstraintOp::Le, 2.0, 3.0));
+        assert_eq!(row("COUNT(*) < 2.5"), (ConstraintOp::Le, 2.0, 2.5));
+        assert_eq!(row("COUNT(*) > 3"), (ConstraintOp::Ge, 4.0, 3.0));
+        assert_eq!(row("SUM(P.i) > 2.5"), (ConstraintOp::Ge, 3.0, 2.5));
+        assert_eq!(
+            row("SUM(P.f) < 22.5"),
+            (ConstraintOp::Le, 22.5 - STRICT_MARGIN, 22.5)
+        );
+        assert_eq!(
+            row("SUM(P.f) > 1"),
+            (ConstraintOp::Ge, 1.0 + STRICT_MARGIN, 1.0)
+        );
     }
 }

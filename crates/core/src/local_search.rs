@@ -482,6 +482,7 @@ mod tests {
             &SolverConfig::default(),
             1,
             &Budget::unlimited(),
+            crate::par::ParExec::sequential(),
         )
         .unwrap();
         let heuristic = local_search(

@@ -108,7 +108,7 @@ fn bounds_from_constraint(view: &CandidateView, c: &GlobalConstraint) -> Cardina
     let (agg, op, constant) = match (&c.lhs, extract_constant(&c.rhs)) {
         (GlobalExpr::Agg(a), Some(k)) => (a, c.op, k),
         _ => match (extract_constant(&c.lhs), &c.rhs) {
-            (Some(k), GlobalExpr::Agg(a)) => (a, flip(c.op), k),
+            (Some(k), GlobalExpr::Agg(a)) => (a, c.op.mirrored(), k),
             _ => return CardinalityBounds::unbounded(),
         },
     };
@@ -255,16 +255,6 @@ fn extract_constant(e: &GlobalExpr) -> Option<f64> {
             })
         }
         GlobalExpr::Agg(_) => None,
-    }
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::LtEq => CmpOp::GtEq,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::GtEq => CmpOp::LtEq,
-        other => other,
     }
 }
 

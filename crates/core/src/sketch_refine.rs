@@ -56,13 +56,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use lp_solver::{ConstraintOp, Problem, Sense, VarId, VarType};
+use lp_solver::{ConstraintOp, VarId};
 use paql::ObjectiveDirection;
 
 use crate::cache::SubIlpSolution;
 use crate::error::PbError;
 use crate::greedy::repair_to_feasibility;
-use crate::ilp::{linearize_formula, linearize_objective, LinearConstraint};
+use crate::ilp::{linearize, package_problem, LinearConstraint};
 use crate::package::Package;
 use crate::partition::Partition;
 use crate::result::{EvalStats, StrategyUsed};
@@ -133,12 +133,11 @@ pub(crate) fn solve_sketch_family(
     // pb-lint: allow(time-containment) — stats clock only: stamps
     // solve_time_ms; sketch and refine deadlines go through the budget.
     let start = std::time::Instant::now();
-    let rows = linearize_formula(view).map_err(|r| {
-        PbError::Unsupported(format!("{strategy} requires a linearizable query: {r}"))
-    })?;
-    let objective = linearize_objective(view).map_err(|r| {
-        PbError::Unsupported(format!("{strategy} requires a linearizable objective: {r}"))
-    })?;
+    let linearization = linearize(view);
+    let unsupported =
+        |r| PbError::Unsupported(format!("{strategy} requires a linearizable query: {r}"));
+    let rows = linearization.rows(view).map_err(unsupported)?;
+    let objective = linearization.objective(view).map_err(unsupported)?;
     if view.candidate_count() == 0 {
         return Ok(SolveOutcome::empty(strategy, 0, false));
     }
@@ -146,7 +145,7 @@ pub(crate) fn solve_sketch_family(
     // Greedy baseline first: the anytime answer, and the floor the
     // refined package must beat to be returned. It orders by the objective
     // linearized above rather than linearizing it again.
-    let obj_coeffs = objective.as_ref().map(|o| o.coeffs.as_slice());
+    let obj_coeffs = objective.as_deref();
     let baseline = GreedySolver.solve_linearized(view, opts, obj_coeffs)?;
     let mut counters = Counters {
         nodes: baseline.stats.nodes,
@@ -325,14 +324,12 @@ fn partition_means(parts: &[Partition], coeffs: &[f64], opts: &SolveOptions) -> 
 }
 
 /// Builds and solves the family's one ILP shape, for a sketch (a column per
-/// group) and a refine sub-ILP (a column per member tuple) alike: integer
-/// variable `k ∈ [0, upper(k)]` standing for entry `columns[k]` of every
-/// coefficient row (`coeff_rows`: one per constraint, then the objective's
-/// when the query has one), constraint `c` named `g{c}` against `rhs(c)` with
-/// zero coefficients dropped and terms in ascending `k`, the non-zero
-/// objective entries, solver limits from the options with the budget's
-/// deadline applied. `None` when the ILP is infeasible or stopped without a
-/// solution; otherwise the solve's LP work is added to `counters`.
+/// group) and a refine sub-ILP (a column per member tuple) alike, through
+/// [`package_problem`] (`coeff_rows`: one per constraint, then the
+/// objective's when the query has one), with solver limits from the options
+/// and the budget's deadline applied. `None` when the ILP is infeasible or
+/// stopped without a solution; otherwise the solve's LP work is added to
+/// `counters`.
 fn solve_small_ilp<R: AsRef<[f64]>>(
     q: &Linearized<'_>,
     columns: &[usize],
@@ -342,28 +339,7 @@ fn solve_small_ilp<R: AsRef<[f64]>>(
     hint: Option<&[f64]>,
     counters: &mut Counters,
 ) -> Option<lp_solver::Solution> {
-    let mut problem = Problem::new(match q.view.direction() {
-        ObjectiveDirection::Maximize => Sense::Maximize,
-        ObjectiveDirection::Minimize => Sense::Minimize,
-    });
-    let vars: Vec<VarId> = (0..columns.len())
-        .map(|k| problem.add_unnamed_var(VarType::Integer, 0.0, upper(k)))
-        .collect();
-    let nonzero = |r: usize| -> Vec<(VarId, f64)> {
-        let entries = vars
-            .iter()
-            .zip(columns)
-            .map(|(&v, &j)| (v, coeff_rows[r].as_ref()[j]));
-        entries.filter(|&(_, a)| a != 0.0).collect()
-    };
-    for (c, row) in q.rows.iter().enumerate() {
-        problem.add_constraint_terms(format!("g{c}"), &nonzero(c), row.op, rhs(c));
-    }
-    if q.obj_coeffs.is_some() {
-        for (v, a) in nonzero(q.rows.len()) {
-            problem.set_objective_coeff(v, a);
-        }
-    }
+    let (problem, _) = package_problem(q.view.direction(), q.rows, coeff_rows, columns, upper, rhs);
     let mut config = q.opts.solver.clone();
     q.opts.budget.apply_to_solver(&mut config);
     let solution = lp_solver::solve_milp_hinted(&problem, &config, hint)

@@ -29,7 +29,7 @@ use crate::config::{
 use crate::enumerate::{enumerate, EnumerationOptions};
 use crate::error::PbError;
 use crate::greedy::{objective_coeffs, starting_package, StartHeuristic};
-use crate::ilp::solve_ilp_par;
+use crate::ilp::solve_ilp;
 use crate::local_search::{local_search, LocalSearchOptions};
 use crate::package::Package;
 use crate::par::ParExec;
@@ -163,7 +163,7 @@ impl Solver for IlpSolver {
     }
 
     fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
-        let out = solve_ilp_par(
+        let out = solve_ilp(
             view,
             &opts.solver,
             opts.num_packages,

@@ -147,7 +147,7 @@ impl<'a> PackageSpec<'a> {
     }
 
     /// The spec of `query` over `table` whose evaluation core is `view`.
-    fn over(table: &'a Table, query: PaqlQuery, view: CandidateView) -> Self {
+    pub(crate) fn over(table: &'a Table, query: PaqlQuery, view: CandidateView) -> Self {
         PackageSpec {
             table,
             candidates: view.candidates().to_vec(),

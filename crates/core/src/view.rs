@@ -328,8 +328,8 @@ impl TermColumn {
     }
 
     /// Copies the whole coefficient column out as a dense vector (chunk by
-    /// chunk, in chunk order). Used where a dense row is genuinely required
-    /// — ILP linearization — and by tests.
+    /// chunk, in chunk order), for partitioning and tests. Linear rows are
+    /// written from [`TermColumn::chunk`] cursors by [`crate::ilp`] instead.
     pub fn coeffs_vec(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.len);
         for c in 0..self.chunks.len() {

@@ -336,3 +336,101 @@ fn a_plan_explains_its_route() {
          steps: prune → solve → validate"
     );
 }
+
+#[test]
+fn strict_comparisons_on_their_bound_return_the_enumeration_optimum() {
+    use minidb::{tuple, ColumnType, Schema, Table};
+    // Each optimum of the non-strict query sits on the strict bound, which
+    // the ILP must exclude exactly: integral rows by their integral bound,
+    // fractional ones by the strict margin.
+    let integral = |n: i64| {
+        let mut t = Table::new(
+            "t",
+            Schema::build(&[("id", ColumnType::Int), ("w", ColumnType::Int)]),
+        );
+        for i in 1..=n {
+            t.insert(tuple!(i, i)).unwrap();
+        }
+        t
+    };
+    let fractional = || {
+        let mut t = Table::new(
+            "t",
+            Schema::build(&[("id", ColumnType::Int), ("w", ColumnType::Float)]),
+        );
+        for i in 1..=40i64 {
+            t.insert(tuple!(i, 0.25 * i as f64)).unwrap();
+        }
+        t.insert(tuple!(41i64, 12.5)).unwrap();
+        t
+    };
+    // (table, SUCH THAT …, optimum, whether pruned enumeration can prove
+    // it: with no upper cardinality bound it cannot, so the minimum of
+    // `COUNT(*) > 3` is the four lightest rows, 1 + 2 + 3 + 4).
+    let cases = [
+        (integral(40), "COUNT(*) < 3 MAXIMIZE SUM(P.w)", 79.0, true),
+        (integral(40), "COUNT(*) > 3 MINIMIZE SUM(P.w)", 10.0, false),
+        (
+            integral(40),
+            "COUNT(*) <= 4 AND SUM(P.w) < 100 MAXIMIZE SUM(P.w)",
+            99.0,
+            true,
+        ),
+        (
+            fractional(),
+            "COUNT(*) <= 2 AND SUM(P.w) < 22.5 MAXIMIZE SUM(P.w)",
+            22.25,
+            true,
+        ),
+    ];
+    for (table, such_that, optimum, enumerable) in cases {
+        let mut catalog = Catalog::new();
+        catalog.register(table);
+        let engine = PackageEngine::new(catalog);
+        let query = format!("SELECT PACKAGE(T) AS P FROM t T SUCH THAT {such_that}");
+        let spec = engine.build_spec(&paql::parse(&query).unwrap()).unwrap();
+        assert_eq!(
+            engine.plan(&spec).unwrap().route.strategy,
+            Strategy::Ilp,
+            "{such_that}"
+        );
+        let oracle = enumerable.then_some(Strategy::PrunedEnumeration);
+        for strategy in oracle.into_iter().chain([Strategy::Ilp, Strategy::Auto]) {
+            let result = engine.execute_with_strategy(&spec, strategy).unwrap();
+            assert!(result.optimal, "{strategy} on {such_that}");
+            assert_eq!(
+                result.best_objective(),
+                Some(optimum),
+                "{strategy} on {such_that}"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_avg_objective_ranks_enumerated_packages() {
+    // Enumeration ranks by each package's exact objective, so an AVG
+    // objective it cannot linearize still picks the best package.
+    let engine = engine(12, 3);
+    let table = engine.catalog().table("recipes").unwrap();
+    let mut protein: Vec<f64> = (0..table.len())
+        .map(|i| {
+            table
+                .value_f64(minidb::TupleId(i as u32), "protein")
+                .unwrap()
+        })
+        .collect();
+    protein.sort_by(|a, b| b.total_cmp(a));
+    let result = engine
+        .execute_paql(
+            "SELECT PACKAGE(R) AS P FROM recipes R \
+             SUCH THAT COUNT(*) = 2 MAXIMIZE AVG(P.protein)",
+        )
+        .unwrap();
+    assert_eq!(result.stats.strategy, StrategyUsed::PrunedEnumeration);
+    assert!(result.optimal);
+    assert_eq!(
+        result.best_objective(),
+        Some((protein[0] + protein[1]) / 2.0)
+    );
+}

@@ -68,6 +68,12 @@ use crate::{LpError, LpResult, SolverConfig};
 /// considered integral.
 const INT_TOLERANCE: f64 = 1e-6;
 
+/// Absolute slack within which a rounded integral point must satisfy every
+/// row and bound to become (or seed) the incumbent. A row that must exclude
+/// its own bound, as a strict comparison's does, has to sit further off it
+/// than this.
+pub const INCUMBENT_TOLERANCE: f64 = TOLERANCE * 100.0;
+
 /// Number of child LPs gathered into one frontier batch (half as many
 /// expansions). A fixed constant —
 /// never derived from the thread count — because batch boundaries are part
@@ -501,7 +507,7 @@ fn merge_one(
                 values[i] = values[i].round();
             }
             let obj = problem.objective_value(&values);
-            if problem.is_feasible(&values, TOLERANCE * 100.0)
+            if problem.is_feasible(&values, INCUMBENT_TOLERANCE)
                 && st
                     .incumbent
                     .as_ref()
@@ -659,7 +665,7 @@ fn search(shared: &Shared<'_>, hint: Option<&[f64]>, int_vars: &[usize]) -> LpRe
             for &i in int_vars {
                 values[i] = values[i].round();
             }
-            if problem.is_feasible(&values, TOLERANCE * 100.0) {
+            if problem.is_feasible(&values, INCUMBENT_TOLERANCE) {
                 let objective = problem.objective_value(&values);
                 st.incumbent = Some(Solution {
                     status: Status::Optimal,

@@ -42,7 +42,7 @@ pub mod problem;
 pub mod simplex;
 pub mod solution;
 
-pub use branch_bound::{solve_milp, solve_milp_hinted};
+pub use branch_bound::{solve_milp, solve_milp_hinted, INCUMBENT_TOLERANCE};
 pub use cuts::no_good_cut;
 pub use error::LpError;
 pub use expr::LinExpr;

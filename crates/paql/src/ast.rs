@@ -196,6 +196,17 @@ impl CmpOp {
         }
     }
 
+    /// The comparison with its operands swapped: `a op b` ⟺ `b op' a`.
+    pub fn mirrored(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::LtEq => CmpOp::GtEq,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::GtEq => CmpOp::LtEq,
+            CmpOp::Eq | CmpOp::NotEq => self,
+        }
+    }
+
     /// Applies the comparison to two floats (used by the package evaluator).
     pub fn compare(&self, lhs: f64, rhs: f64) -> bool {
         match self {
