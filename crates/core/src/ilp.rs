@@ -434,7 +434,10 @@ impl Linearization {
     /// Writes the formula's rows over the view's candidates: each atom's
     /// rows in formula order, then one support row per distinct inclusion
     /// mask among the SUM terms that need one.
-    pub(crate) fn rows(&self, view: &CandidateView) -> Result<Vec<LinearConstraint>, NonLinearReason> {
+    pub(crate) fn rows(
+        &self,
+        view: &CandidateView,
+    ) -> Result<Vec<LinearConstraint>, NonLinearReason> {
         let (forms, support) = self.formula.as_ref().map_err(Clone::clone)?;
         let mut rows: Vec<LinearConstraint> = forms.iter().map(|r| r.write(view)).collect();
         // Distinct terms often share one inclusion mask — a wide schema
@@ -456,7 +459,10 @@ impl Linearization {
 
     /// Writes the objective's per-candidate coefficients, when the query
     /// has an objective.
-    pub(crate) fn objective(&self, view: &CandidateView) -> Result<Option<Vec<f64>>, NonLinearReason> {
+    pub(crate) fn objective(
+        &self,
+        view: &CandidateView,
+    ) -> Result<Option<Vec<f64>>, NonLinearReason> {
         let lanes = self.objective.as_ref().map_err(Clone::clone)?;
         Ok(lanes.as_ref().map(|lanes| write_lanes(view, lanes)))
     }

@@ -16,10 +16,14 @@
 //! quality-sensitive attributes — every aggregate the query can observe has a
 //! column here). Splitting always halves the widest remaining column, so the
 //! partitions end up compact in the coordinates that matter and nothing else.
+//! One split routine serves the leaves and every tree layer above them; a
+//! split reads each column once and selects the median instead of sorting,
+//! so a whole level of the recursion costs expected `O(n · #columns)`.
 //! The result is deterministic given a seed: the seed only rotates the scan
 //! order used to break ties between equally-wide columns.
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::par::ParExec;
@@ -117,14 +121,16 @@ pub fn partition_view(view: &CandidateView, max_partition_size: usize, seed: u64
 }
 
 /// [`partition_view`] with a cooperative deadline and a chunk fan-out
-/// executor. The split worklist checks the budget between iterations and
+/// executor. The split worklist checks the budget between splits and
 /// returns `None` on expiry, so a caller whose budget ran out
 /// mid-partitioning (the sketch solver after a slow greedy baseline) stops
-/// within one split instead of finishing the whole `O(n log n)` job. The
-/// widest-column spread scans — the data-heavy part of each split — fan out
-/// over `par` in fixed-width member chunks; min/max reductions combine in
-/// chunk order, so the partitioning is bit-identical at every thread count,
-/// and a completed run is identical to the unbudgeted one.
+/// within one split instead of finishing the whole job. A split costs
+/// expected time linear in its subset (one fused spread scan, one median
+/// selection), so a level of the recursion costs expected `O(n · #terms)`.
+/// The spread scan — the data-heavy part of each split — fans out over
+/// `par` in fixed-width member chunks; min/max reductions combine in chunk
+/// order, so the partitioning is bit-identical at every thread count, and a
+/// completed run is identical to the unbudgeted one.
 pub fn partition_view_budgeted(
     view: &CandidateView,
     max_partition_size: usize,
@@ -133,7 +139,6 @@ pub fn partition_view_budgeted(
     par: ParExec,
 ) -> Option<Partitioning> {
     let n = view.candidate_count();
-    let max_size = max_partition_size.max(1);
     let terms = view.terms();
     if budget.expired() {
         return None;
@@ -143,79 +148,31 @@ pub fn partition_view_budgeted(
     // nearly every access (at 10^7 candidates this thrash, not the solve,
     // dominated the wall clock: ~10^8 pool misses). Materialize each key
     // column once with a sequential chunk scan instead — transient
-    // O(n · #terms) scratch, the same order as the member worklists this
-    // function already holds — and run the resident algorithm against the
-    // snapshot; chunk-order copies are bit-identical to the resident bytes,
-    // so the resulting partitioning is too.
-    let cols: Vec<Cow<'_, [f64]>> = terms
+    // O(n · #terms) scratch, of the order of the permutation the split
+    // holds anyway — and run the resident algorithm against the snapshot;
+    // chunk-order copies are bit-identical to the resident bytes, so the
+    // resulting partitioning is too.
+    let columns: Vec<Cow<'_, [f64]>> = terms
         .iter()
         .map(|t| match t.resident_coeffs() {
             Some(col) => Cow::Borrowed(col),
             None => Cow::Owned(t.coeffs_vec()),
         })
         .collect();
+    let cols: Vec<&[f64]> = columns.iter().map(|c| &**c).collect();
+    let groups = median_split(
+        n,
+        cols.len(),
+        |i, d| cols[d][i],
+        max_partition_size,
+        seed,
+        budget,
+        par,
+    )?;
 
-    let mut leaves: Vec<Vec<usize>> = Vec::new();
-    let mut work: Vec<Vec<usize>> = if n == 0 {
-        Vec::new()
-    } else {
-        vec![(0..n).collect()]
-    };
-    while let Some(mut members) = work.pop() {
-        if budget.expired() {
-            return None;
-        }
-        if members.len() <= max_size {
-            leaves.push(members);
-            continue;
-        }
-        // Pick the widest coefficient column over this subset; the seed
-        // rotates the scan start so ties resolve per seed, deterministically.
-        // The per-column scan is chunked over the member list (min/max are
-        // order-independent, so the fan-out cannot change the pick); small
-        // subsets deep in the recursion fall back to the inline loop
-        // automatically because they span a single chunk.
-        let mut best: Option<(usize, f64)> = None;
-        let dims = terms.len();
-        for k in 0..dims {
-            let d = (k + seed as usize) % dims;
-            let col = &cols[d];
-            let (lo, hi) = par
-                .fold_chunks(
-                    members.len(),
-                    |_, range| {
-                        let mut lo = f64::INFINITY;
-                        let mut hi = f64::NEG_INFINITY;
-                        for &i in &members[range] {
-                            lo = lo.min(col[i]);
-                            hi = hi.max(col[i]);
-                        }
-                        (lo, hi)
-                    },
-                    |a, b| (a.0.min(b.0), a.1.max(b.1)),
-                )
-                .unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
-            let spread = hi - lo;
-            if spread > best.map(|(_, s)| s).unwrap_or(0.0) {
-                best = Some((d, spread));
-            }
-        }
-        if let Some((d, _)) = best {
-            let col = &cols[d];
-            members.sort_by(|&a, &b| col[a].total_cmp(&col[b]).then(a.cmp(&b)));
-        }
-        // No splittable column (no terms, or all values identical): the
-        // members are still in ascending index order, so halving by position
-        // stays deterministic.
-        let right = members.split_off(members.len() / 2);
-        work.push(right);
-        work.push(members);
-    }
-
-    let mut partitions: Vec<Partition> = leaves
+    let partitions: Vec<Partition> = groups
         .into_iter()
-        .map(|mut members| {
-            members.sort_unstable();
+        .map(|members| {
             let centroid = cols
                 .iter()
                 .map(|col| members.iter().map(|&i| col[i]).sum::<f64>() / members.len() as f64)
@@ -223,7 +180,6 @@ pub fn partition_view_budgeted(
             Partition { members, centroid }
         })
         .collect();
-    partitions.sort_by_key(|p| p.members[0]);
 
     let mut assignment = vec![0usize; n];
     for (pid, p) in partitions.iter().enumerate() {
@@ -288,9 +244,9 @@ impl TreeNode {
 ///   `TermColumn::chunk` cursors on paged views; the upper layers only ever
 ///   touch the (small, resident) centroid matrix derived from it.
 /// * **Determinism.** Given the same view, `fanout`, and `seed`, the tree is
-///   bit-identical at every thread count: the grouping reuses the same
+///   bit-identical at every thread count: the grouping runs the same
 ///   widest-column median split as the leaf layer (seed-rotated tie scan,
-///   `total_cmp` ordering, position-stable halving).
+///   `(total_cmp, index)` order, chunk-order spread reduction).
 #[derive(Debug, Clone)]
 pub struct PartitionTree {
     leaves: Arc<Partitioning>,
@@ -341,6 +297,7 @@ pub fn build_partition_tree(
     par: ParExec,
 ) -> Option<PartitionTree> {
     let fanout = fanout.max(2);
+    let dims = leaves.partitions().first().map_or(0, |p| p.centroid.len());
     let mut layers: Vec<Vec<TreeNode>> = Vec::new();
     let mut points: Vec<(usize, Vec<f64>)> = leaves
         .partitions()
@@ -348,12 +305,19 @@ pub fn build_partition_tree(
         .map(|p| (p.members.len(), p.centroid.clone()))
         .collect();
     while points.len() > fanout {
-        let groups = split_points(&points, fanout, seed, budget, par)?;
+        let groups = median_split(
+            points.len(),
+            dims,
+            |i, d| points[i].1[d],
+            fanout,
+            seed,
+            budget,
+            par,
+        )?;
         let nodes: Vec<TreeNode> = groups
             .into_iter()
             .map(|children| {
                 let weight: usize = children.iter().map(|&c| points[c].0).sum();
-                let dims = points.first().map(|p| p.1.len()).unwrap_or(0);
                 let mut centroid = vec![0.0; dims];
                 for &c in &children {
                     let (w, cent) = &points[c];
@@ -380,64 +344,116 @@ pub fn build_partition_tree(
     Some(PartitionTree { leaves, layers })
 }
 
-/// The same worklist median split as [`partition_view_budgeted`], over an
-/// in-memory point set (`(weight, centroid)` rows) instead of the view's
-/// columns. Groups come back with ascending members, ordered by smallest
-/// member — the stable-id convention the flat partitioning uses.
-fn split_points(
-    points: &[(usize, Vec<f64>)],
+/// The one split worklist behind the leaves ([`partition_view_budgeted`],
+/// `value(i, d)` = term column `d` at candidate `i`) and every tree layer
+/// ([`build_partition_tree`], `value(i, d)` = coordinate `d` of point `i`'s
+/// centroid): groups `0..n` into groups of at most `max_size` by recursive
+/// median splits of the widest of the `dims` columns.
+///
+/// It works in place on one permutation of `0..n`, splitting index ranges.
+/// A split makes one fused spread scan over its range — every column's
+/// min/max in a single `par` chunk fan-out, combined in chunk order — picks
+/// the widest column (the seed rotates the scan start, so ties between
+/// equally wide columns resolve per seed), and moves the `len / 2` members
+/// lowest in `(value.total_cmp, index)` to the front with a median
+/// selection. That order is total, so the halves are the sets a full sort
+/// would cut, and a split costs expected time linear in its range. A range
+/// no column spreads across is sorted instead, by the column that cut it
+/// out of its parent: the order a full sort would have left it in, so its
+/// position-halving matches too. Groups come back
+/// copied at their exact size, members ascending, ordered by smallest
+/// member — the stable-id convention both callers use. `None` on budget
+/// expiry (checked once per split).
+fn median_split(
+    n: usize,
+    dims: usize,
+    value: impl Fn(usize, usize) -> f64 + Sync,
     max_size: usize,
     seed: u64,
     budget: &crate::budget::Budget,
     par: ParExec,
 ) -> Option<Vec<Vec<usize>>> {
-    let n = points.len();
-    let dims = points.first().map(|p| p.1.len()).unwrap_or(0);
+    let max_size = max_size.max(1);
+    let order = |d: usize| {
+        let value = &value;
+        move |a: &usize, b: &usize| value(*a, d).total_cmp(&value(*b, d)).then(a.cmp(b))
+    };
+    let mut perm: Vec<usize> = (0..n).collect();
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut work: Vec<Vec<usize>> = if n == 0 {
+    // A range of `perm` still to split, with the column that last cut it
+    // out of an ancestor (`None` while no column has spread).
+    let mut work: Vec<(Range<usize>, Option<usize>)> = if n == 0 {
         Vec::new()
     } else {
-        vec![(0..n).collect()]
+        vec![(0..n, None)]
     };
-    while let Some(mut members) = work.pop() {
+    while let Some((range, cut)) = work.pop() {
         if budget.expired() {
             return None;
         }
+        let members = &mut perm[range.clone()];
         if members.len() <= max_size {
-            members.sort_unstable();
-            groups.push(members);
+            let mut group = members.to_vec();
+            group.sort_unstable();
+            groups.push(group);
             continue;
         }
+        let spreads = {
+            let members = &*members;
+            par.fold_chunks(
+                members.len(),
+                |_, chunk| {
+                    let members = &members[chunk];
+                    (0..dims)
+                        .map(|d| {
+                            // Compare-selects rather than `f64::min`/`max`:
+                            // one instruction each on the loop's dependency
+                            // chain. A NaN loses every comparison, so it is
+                            // skipped exactly as `min`/`max` skip it; only
+                            // which sign of zero is kept can differ, and no
+                            // spread comparison can see that.
+                            let mut lo = f64::INFINITY;
+                            let mut hi = f64::NEG_INFINITY;
+                            for &i in members {
+                                let v = value(i, d);
+                                lo = if v < lo { v } else { lo };
+                                hi = if v > hi { v } else { hi };
+                            }
+                            (lo, hi)
+                        })
+                        .collect::<Vec<_>>()
+                },
+                |mut a, b| {
+                    for (x, y) in a.iter_mut().zip(b) {
+                        *x = (x.0.min(y.0), x.1.max(y.1));
+                    }
+                    a
+                },
+            )
+            .unwrap_or_default()
+        };
         let mut best: Option<(usize, f64)> = None;
         for k in 0..dims {
             let d = (k + seed as usize) % dims;
-            let (lo, hi) = par
-                .fold_chunks(
-                    members.len(),
-                    |_, range| {
-                        let mut lo = f64::INFINITY;
-                        let mut hi = f64::NEG_INFINITY;
-                        for &i in &members[range] {
-                            let v = points[i].1[d];
-                            lo = lo.min(v);
-                            hi = hi.max(v);
-                        }
-                        (lo, hi)
-                    },
-                    |a, b| (a.0.min(b.0), a.1.max(b.1)),
-                )
-                .unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
+            let (lo, hi) = spreads[d];
             let spread = hi - lo;
-            if spread > best.map(|(_, s)| s).unwrap_or(0.0) {
+            if spread > best.map_or(0.0, |(_, s)| s) {
                 best = Some((d, spread));
             }
         }
-        if let Some((d, _)) = best {
-            members.sort_by(|&a, &b| points[a].1[d].total_cmp(&points[b].1[d]).then(a.cmp(&b)));
+        let mid = members.len() / 2;
+        let cut = best.map(|(d, _)| d).or(cut);
+        // With no cut column at all the range is a run of the identity
+        // permutation, so it is in index order already.
+        if let Some(d) = cut {
+            if best.is_some() {
+                members.select_nth_unstable_by(mid, order(d));
+            } else {
+                members.sort_unstable_by(order(d));
+            }
         }
-        let right = members.split_off(members.len() / 2);
-        work.push(right);
-        work.push(members);
+        work.push((range.start + mid..range.end, cut));
+        work.push((range.start..range.start + mid, cut));
     }
     groups.sort_by_key(|g| g[0]);
     Some(groups)
@@ -446,7 +462,9 @@ fn split_points(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column_store::SpillStore;
     use crate::spec::{BuildCtx, PackageSpec};
+    use crate::view::ColumnSink;
     use datagen::{recipes, Seed};
     use minidb::Table;
     use paql::compile;
@@ -658,6 +676,263 @@ mod tests {
                 assert_eq!(x.children, y.children);
                 assert_eq!(x.weight, y.weight);
                 assert_eq!(x.centroid, y.centroid);
+            }
+        }
+    }
+
+    #[test]
+    fn every_group_is_allocated_at_its_exact_size() {
+        // The cache charges `approx_bytes` against its byte budget, which
+        // counts capacity: a group left holding its parent's buffer would
+        // weigh several times what it reports.
+        let (_t, tree) = tree_for(1200, 8, 4, 7);
+        assert!(tree.height() >= 2);
+        for p in tree.leaves().partitions() {
+            assert_eq!(p.members.capacity(), p.members.len());
+        }
+        for node in tree.layers().iter().flatten() {
+            assert_eq!(node.children.capacity(), node.children.len());
+        }
+    }
+
+    /// The sort-based worklist [`median_split`] replaced, as the oracle:
+    /// every split fully sorts its subset by `(total_cmp, index)` on the
+    /// widest column and cuts it at `len / 2`; a subset no column spreads
+    /// across keeps the order its parent's sort left it in.
+    fn sorted_split(
+        n: usize,
+        dims: usize,
+        value: impl Fn(usize, usize) -> f64,
+        max_size: usize,
+        seed: u64,
+    ) -> Vec<Vec<usize>> {
+        let max_size = max_size.max(1);
+        let mut groups = Vec::new();
+        let mut work: Vec<Vec<usize>> = if n == 0 {
+            Vec::new()
+        } else {
+            vec![(0..n).collect()]
+        };
+        while let Some(mut members) = work.pop() {
+            if members.len() <= max_size {
+                members.sort_unstable();
+                groups.push(members);
+                continue;
+            }
+            let mut best: Option<(usize, f64)> = None;
+            for k in 0..dims {
+                let d = (k + seed as usize) % dims;
+                let values = || members.iter().map(|&i| value(i, d));
+                let lo = values().fold(f64::INFINITY, f64::min);
+                let hi = values().fold(f64::NEG_INFINITY, f64::max);
+                if hi - lo > best.map_or(0.0, |(_, s)| s) {
+                    best = Some((d, hi - lo));
+                }
+            }
+            if let Some((d, _)) = best {
+                members.sort_by(|&a, &b| value(a, d).total_cmp(&value(b, d)).then(a.cmp(&b)));
+            }
+            let right = members.split_off(members.len() / 2);
+            work.push(right);
+            work.push(members);
+        }
+        groups.sort_by_key(|g| g[0]);
+        groups
+    }
+
+    fn splitmix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A column-major `n × dims` matrix in one of four shapes: heavy
+    /// duplicates, the special values (±0, both NaN signs, ±∞) among
+    /// duplicates, a constant column beside a spread one, and all-distinct.
+    fn matrix(n: usize, dims: usize, shape: u64, salt: u64) -> Vec<Vec<f64>> {
+        const SPECIAL: [f64; 9] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.0,
+            1.5,
+        ];
+        (0..dims)
+            .map(|d| {
+                (0..n)
+                    .map(|i| {
+                        let r = splitmix(salt ^ ((d as u64) << 40) ^ i as u64);
+                        match shape {
+                            0 => (r % 4) as f64,
+                            1 => SPECIAL[(r % SPECIAL.len() as u64) as usize],
+                            2 if d == 0 => 3.25,
+                            _ => (r >> 11) as f64 / (1u64 << 53) as f64 - 0.5,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn median_split_equals_the_sort_based_split_on_hostile_matrices() {
+        let budget = crate::budget::Budget::unlimited();
+        let mut cases = 0;
+        for (n, dims) in [(0, 2), (1, 1), (2, 3), (37, 0), (37, 1), (101, 3), (999, 2)] {
+            for shape in 0..4 {
+                let m = matrix(n, dims, shape, n as u64 * 31 + shape);
+                let value = |i: usize, d: usize| m[d][i];
+                for size in [1, 7, 64] {
+                    for seed in [0, 1, 5] {
+                        let want = sorted_split(n, dims, value, size, seed);
+                        let got = median_split(
+                            n,
+                            dims,
+                            value,
+                            size,
+                            seed,
+                            &budget,
+                            ParExec::sequential(),
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            got, want,
+                            "n={n} dims={dims} shape={shape} size={size} seed={seed}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        // Several chunks, so the spread scan fans out and its chunk-order
+        // reduction meets ±0 and NaN across chunk boundaries.
+        let n = 3 * crate::par::CHUNK_WIDTH + 5;
+        for shape in 0..4 {
+            let m = matrix(n, 3, shape, 17 + shape);
+            let value = |i: usize, d: usize| m[d][i];
+            let want = sorted_split(n, 3, value, 64, 1);
+            for threads in [1, 2, 4] {
+                let got = median_split(n, 3, value, 64, 1, &budget, ParExec::new(threads)).unwrap();
+                assert_eq!(got, want, "shape={shape} threads={threads}");
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 7 * 4 * 3 * 3 + 4 * 3);
+    }
+
+    /// `spec`'s view with every term column spilled to one small-pool
+    /// store, so the partitioning reads it through page cursors.
+    fn respill(spec: &PackageSpec<'_>) -> CandidateView {
+        let view = spec.view();
+        let store = SpillStore::create(4).unwrap();
+        CandidateView::assemble(
+            spec.table,
+            view.candidates().to_vec(),
+            view.stats().clone(),
+            &spec.query,
+            |call| {
+                let t = view.term_keys().iter().position(|k| k == call).unwrap();
+                let column = &view.terms()[t];
+                let sink = ColumnSink::paged(column.func, Arc::clone(&store), column.len());
+                Some(
+                    sink.fill_from(&column.coeffs_vec(), &column.included_vec())
+                        .unwrap(),
+                )
+            },
+            &BuildCtx::default(),
+        )
+        .unwrap()
+    }
+
+    /// The layers the tree grows over `leaves`, grouped by [`sorted_split`]
+    /// and aggregated as [`build_partition_tree`] does.
+    fn sorted_layers(leaves: &Partitioning, fanout: usize, seed: u64) -> Vec<Vec<TreeNode>> {
+        let mut points: Vec<(usize, Vec<f64>)> = leaves
+            .partitions()
+            .iter()
+            .map(|p| (p.members.len(), p.centroid.clone()))
+            .collect();
+        let dims = points.first().map_or(0, |p| p.1.len());
+        let mut layers: Vec<Vec<TreeNode>> = Vec::new();
+        while points.len() > fanout {
+            let groups = sorted_split(points.len(), dims, |i, d| points[i].1[d], fanout, seed);
+            let layer: Vec<TreeNode> = groups
+                .into_iter()
+                .map(|children| {
+                    let weight: usize = children.iter().map(|&c| points[c].0).sum();
+                    let mut centroid = vec![0.0; dims];
+                    for &c in &children {
+                        for (d, v) in points[c].1.iter().enumerate() {
+                            centroid[d] += *v * points[c].0 as f64;
+                        }
+                    }
+                    centroid.iter_mut().for_each(|v| *v /= weight as f64);
+                    TreeNode {
+                        children,
+                        weight,
+                        centroid,
+                    }
+                })
+                .collect();
+            points = layer
+                .iter()
+                .map(|n| (n.weight, n.centroid.clone()))
+                .collect();
+            layers.push(layer);
+        }
+        layers
+    }
+
+    #[test]
+    fn leaves_and_tree_are_thread_and_storage_invariant_across_chunks() {
+        // 3 × CHUNK_WIDTH + 37 candidates: the top splits span four chunks,
+        // so the spread scans fan out at 2 and 4 threads (and, with one
+        // candidate per leaf, so do the first tree layer's).
+        let t = recipes(3 * crate::par::CHUNK_WIDTH + 37, Seed(13));
+        let analyzed = compile(QUERY, t.schema()).unwrap();
+        let spec = PackageSpec::build(&analyzed, &t, &BuildCtx::default()).unwrap();
+        let paged = respill(&spec);
+        assert!(paged.terms().iter().all(|t| t.resident_coeffs().is_none()));
+        let cols: Vec<Vec<f64>> = spec.view().terms().iter().map(|t| t.coeffs_vec()).collect();
+        let budget = crate::budget::Budget::unlimited();
+        let seed = 3;
+        for leaf in [1, 64] {
+            let want = sorted_split(cols[0].len(), cols.len(), |i, d| cols[d][i], leaf, seed);
+            let want_layers = {
+                let leaves = partition_view(spec.view(), leaf, seed);
+                sorted_layers(&leaves, 4, seed)
+            };
+            for view in [spec.view(), &paged] {
+                for threads in [1, 2, 4] {
+                    let par = ParExec::new(threads);
+                    let got = partition_view_budgeted(view, leaf, seed, &budget, par).unwrap();
+                    assert_eq!(got.len(), want.len());
+                    for (p, members) in got.partitions().iter().zip(&want) {
+                        assert_eq!(&p.members, members, "leaf={leaf} threads={threads}");
+                        for (c, col) in p.centroid.iter().zip(&cols) {
+                            let mean =
+                                members.iter().map(|&i| col[i]).sum::<f64>() / members.len() as f64;
+                            assert_eq!(c.to_bits(), mean.to_bits());
+                        }
+                    }
+                    let tree = build_partition_tree(Arc::new(got), 4, seed, &budget, par).unwrap();
+                    assert_eq!(tree.height(), want_layers.len());
+                    for (layer, want) in tree.layers().iter().zip(&want_layers) {
+                        assert_eq!(layer.len(), want.len());
+                        for (x, y) in layer.iter().zip(want) {
+                            assert_eq!(x.children, y.children, "leaf={leaf} threads={threads}");
+                            assert_eq!(x.weight, y.weight);
+                            let bits =
+                                |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&x.centroid), bits(&y.centroid));
+                        }
+                    }
+                }
             }
         }
     }
