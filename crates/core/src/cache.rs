@@ -11,9 +11,9 @@
 //! * **[`ViewCache`]** — what a build whose [`crate::spec::BuildCtx`] names
 //!   a `cache` goes through ([`ViewCache::view_for`]): an LRU cache of *term
 //!   banks*, keyed by `(relation fingerprint, normalized base predicate)`.
-//!   A bank holds the candidate tuple list, candidate statistics, and every
-//!   term column (coefficients + inclusion mask) any past query over that
-//!   key has materialized. Lookups reuse by **subset**, not exact match: a
+//!   A bank holds the candidate tuple list and every term column
+//!   (coefficients + inclusion mask) any past query over that key has
+//!   materialized. Lookups reuse by **subset**, not exact match: a
 //!   query whose aggregate terms are all in the bank builds its view
 //!   without touching the base table at all, and a query that adds terms
 //!   pays only for the missing columns (the bank then grows to cover them).
@@ -63,7 +63,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use minidb::stats::TableStats;
 use minidb::{Expr, Table, TupleId};
 use paql::{AggCall, PaqlQuery};
 
@@ -324,7 +323,6 @@ impl ViewKey {
 /// queries request new aggregate terms.
 struct TermBank {
     candidates: Vec<TupleId>,
-    stats: TableStats,
     term_keys: Vec<AggCall>,
     /// `Arc`ed so a hit-path snapshot is a refcount bump per column the bank
     /// has ever materialized. A view takes its own [`TermColumn`] of the
@@ -369,8 +367,7 @@ impl TermBank {
 pub struct CacheStats {
     /// Entries currently resident.
     pub entries: usize,
-    /// Lookups answered from a bank: candidate evaluation and statistics
-    /// were skipped. The base table is still consulted when the query adds
+    /// Lookups answered from a bank: candidate evaluation was skipped. The base table is still consulted when the query adds
     /// terms the bank lacks (that shows up in `columns_built`); a hit with
     /// `columns_built` unchanged touched the table not at all.
     pub hits: u64,
@@ -503,7 +500,6 @@ impl ViewCache {
                     let bank = &inner.entries[0].1;
                     Some((
                         bank.candidates.clone(),
-                        bank.stats.clone(),
                         bank.term_keys.clone(),
                         bank.columns.clone(),
                     ))
@@ -517,12 +513,11 @@ impl ViewCache {
 
         // Phase 2 — build the view outside the lock.
         let (mut view, reused) = match snapshot {
-            Some((candidates, stats, term_keys, columns)) => {
+            Some((candidates, term_keys, columns)) => {
                 let mut reused = 0u64;
                 let view = CandidateView::assemble(
                     table,
                     candidates,
-                    stats,
                     query,
                     |call: &AggCall| {
                         let col = term_keys
@@ -558,7 +553,6 @@ impl ViewCache {
                 // Miss path, or the entry was evicted while we built.
                 let bank = TermBank {
                     candidates: view.candidates().to_vec(),
-                    stats: view.stats().clone(),
                     term_keys: Vec::new(),
                     columns: Vec::new(),
                     memos: HashMap::new(),

@@ -256,7 +256,7 @@ pub struct EngineConfig {
     pub portfolio_workers: Vec<Strategy>,
     /// How many `(relation, base predicate)` banks the engine's
     /// [`crate::cache::ViewCache`] retains (least-recently-used eviction),
-    /// reusing materialized columns, candidate statistics and sketch→refine
+    /// reusing candidate lists, materialized columns and sketch→refine
     /// partitionings across repeated queries. Keys embed the relation's
     /// [`minidb::Table::fingerprint`], so a mutated relation can never serve
     /// a stale view, and hits are bit-identical to cold builds. 0 turns the

@@ -519,7 +519,6 @@ mod tests {
             let paged = CandidateView::assemble(
                 built.table,
                 view.candidates().to_vec(),
-                view.stats().clone(),
                 &built.query,
                 |call| {
                     let t = view.term_keys().iter().position(|k| k == call).unwrap();

@@ -9,7 +9,11 @@
 //! * **partial-sum bounds** — for every linearizable conjunctive constraint
 //!   the search keeps the running sum plus the best/worst contribution still
 //!   reachable from the remaining candidates, and cuts branches that cannot
-//!   possibly re-enter the feasible interval.
+//!   possibly re-enter the feasible interval. A linear objective is one
+//!   more such row once `keep` packages are kept: its bound is the last
+//!   kept value, moved outward by a rounding slack, so a branch is cut only
+//!   when all of it ranks strictly behind — ties are explored, and the kept
+//!   packages are those of the search without the bound.
 //!
 //! Exhaustive mode disables both rules and is the brute-force baseline of
 //! the harness's `e2` crossover table.
@@ -73,6 +77,8 @@ struct Searcher<'v> {
     opts: EnumerationOptions,
     bounds: CardinalityBounds,
     linear: Vec<LinearConstraint>,
+    /// The row of `linear` that bounds a linear objective, if any.
+    objective_row: Option<usize>,
     /// Per-constraint suffix arrays: the maximum / minimum additional
     /// contribution obtainable from candidates `i..n`.
     suffix_max: Vec<Vec<f64>>,
@@ -84,6 +90,8 @@ struct Searcher<'v> {
     nodes: u64,
     feasible: u64,
     best: Vec<(Package, Option<f64>)>,
+    /// Each kept package's value on the objective row, in `best`'s order.
+    best_linear: Vec<f64>,
     aborted: bool,
 }
 
@@ -99,11 +107,29 @@ impl<'v> Searcher<'v> {
         };
         // Linear constraints power the partial-sum bound; they are only an
         // accelerator, feasibility is always re-checked exactly.
-        let linear = if opts.prune {
-            linearize(view).rows(view).unwrap_or_default()
-        } else {
-            Vec::new()
-        };
+        let (mut linear, mut objective_row) = (Vec::new(), None);
+        // Any objective ranks the packages: the rank reads exact values.
+        let objective = view.compiled_objective().map(|_| view.direction());
+        if opts.prune {
+            let linearization = linearize(view);
+            linear = linearization.rows(view).unwrap_or_default();
+            // The objective row starts unbounded; kept packages bound it.
+            let (op, bound) = match objective {
+                Some(ObjectiveDirection::Minimize) => (ConstraintOp::Le, f64::INFINITY),
+                _ => (ConstraintOp::Ge, f64::NEG_INFINITY),
+            };
+            if let Ok(Some(coeffs)) = linearization.objective(view) {
+                if coeffs.iter().all(|c| c.is_finite()) {
+                    objective_row = Some(linear.len());
+                    linear.push(LinearConstraint {
+                        coeffs,
+                        op,
+                        rhs: bound,
+                        bound,
+                    });
+                }
+            }
+        }
         let mut suffix_max = Vec::with_capacity(linear.len());
         let mut suffix_min = Vec::with_capacity(linear.len());
         for lc in &linear {
@@ -117,12 +143,11 @@ impl<'v> Searcher<'v> {
             suffix_max.push(smax);
             suffix_min.push(smin);
         }
-        // Any objective ranks the packages: the rank reads exact values.
-        let objective = view.compiled_objective().map(|_| view.direction());
         Searcher {
             view,
             bounds,
             linear,
+            objective_row,
             suffix_max,
             suffix_min,
             objective,
@@ -132,6 +157,7 @@ impl<'v> Searcher<'v> {
             nodes: 0,
             feasible: 0,
             best: Vec::new(),
+            best_linear: Vec::new(),
             aborted: false,
             opts,
         }
@@ -188,10 +214,34 @@ impl<'v> Searcher<'v> {
                 if pos < self.opts.keep {
                     self.best.insert(pos, entry);
                     self.best.truncate(self.opts.keep);
+                    if let Some(o) = self.objective_row {
+                        self.best_linear.insert(pos, self.sums[o]);
+                        self.best_linear.truncate(self.opts.keep);
+                        self.bound_the_objective(o);
+                    }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Once `keep` packages are kept and the last has an objective value,
+    /// bounds objective row `o` by that package's value on the row, moved
+    /// outward by a slack that covers how far rounding can move a package's
+    /// exact objective from its row value (`Σ r·|c|` is the suffix spread).
+    fn bound_the_objective(&mut self, o: usize) {
+        let kept = self.best.len();
+        if kept < self.opts.keep || self.best[kept - 1].1.is_none_or(|x| x.is_nan()) {
+            return;
+        }
+        let last = self.best_linear[kept - 1];
+        let spread = self.suffix_max[o][0] - self.suffix_min[o][0];
+        let slack = 1e-9 * (1.0 + spread + last.abs());
+        let row = &mut self.linear[o];
+        row.bound = match row.op {
+            ConstraintOp::Le => last + slack,
+            _ => last - slack,
+        };
     }
 
     /// True when the subtree rooted at position `idx` cannot contain a
@@ -321,28 +371,36 @@ pub fn enumerate(view: &CandidateView, opts: EnumerationOptions) -> PbResult<Enu
     // pb-lint: allow(time-containment) — stats clock only: stamps the
     // outcome's elapsed_ms; pruning deadlines go through the budget.
     let start = std::time::Instant::now();
-    if opts.budget.expired() {
-        // Bail before Searcher setup: linearizing every constraint reads
-        // all term columns (through the buffer pool when the view is
-        // paged), which an already-expired budget must not pay for.
-        return Ok(EnumerationOutcome {
-            packages: Vec::new(),
-            complete: false,
-            nodes: 0,
-            feasible_found: 0,
+    let prune = opts.prune;
+    let outcome = |searcher: Option<Searcher<'_>>, complete: bool| {
+        let (packages, nodes, feasible_found) = match searcher {
+            Some(s) => (s.best, s.nodes, s.feasible),
+            None => (Vec::new(), 0, 0),
+        };
+        EnumerationOutcome {
+            packages,
+            complete,
+            nodes,
+            feasible_found,
             stats: EvalStats {
-                strategy: if opts.prune {
+                strategy: if prune {
                     StrategyUsed::PrunedEnumeration
                 } else {
                     StrategyUsed::Exhaustive
                 },
                 candidates: view.candidate_count(),
-                nodes: 0,
-                iterations: 0,
+                nodes,
+                iterations: feasible_found,
                 cold_solves: 0,
                 elapsed: start.elapsed(),
             },
-        });
+        }
+    };
+    if opts.budget.expired() {
+        // Bail before Searcher setup: linearizing every constraint reads
+        // all term columns (through the buffer pool when the view is
+        // paged), which an already-expired budget must not pay for.
+        return Ok(outcome(None, false));
     }
     if view.candidate_count() > 64 && !opts.prune {
         // 2^64 leaves is never going to finish; refuse instead of spinning.
@@ -351,106 +409,58 @@ pub fn enumerate(view: &CandidateView, opts: EnumerationOptions) -> PbResult<Enu
             view.candidate_count()
         )));
     }
-    let prune = opts.prune;
     let mut searcher = Searcher::new(view, opts);
     searcher.sums = vec![0.0; searcher.linear.len()];
     if searcher.bounds.is_empty() {
         // Contradictory cardinality bounds: provably no valid package.
-        return Ok(EnumerationOutcome {
-            packages: Vec::new(),
-            complete: true,
-            nodes: 0,
-            feasible_found: 0,
-            stats: EvalStats {
-                strategy: if prune {
-                    StrategyUsed::PrunedEnumeration
-                } else {
-                    StrategyUsed::Exhaustive
-                },
-                candidates: view.candidate_count(),
-                nodes: 0,
-                iterations: 0,
-                cold_solves: 0,
-                elapsed: start.elapsed(),
-            },
-        });
+        return Ok(outcome(None, true));
     }
     searcher.search()?;
     let complete = !searcher.aborted;
-    Ok(EnumerationOutcome {
-        packages: searcher.best.clone(),
-        complete,
-        nodes: searcher.nodes,
-        feasible_found: searcher.feasible,
-        stats: EvalStats {
-            strategy: if prune {
-                StrategyUsed::PrunedEnumeration
-            } else {
-                StrategyUsed::Exhaustive
-            },
-            candidates: view.candidate_count(),
-            nodes: searcher.nodes,
-            iterations: searcher.feasible,
-            cold_solves: 0,
-            elapsed: start.elapsed(),
-        },
-    })
+    Ok(outcome(Some(searcher), complete))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BuildCtx, PackageSpec};
+    use crate::spec::tests::spec_for;
     use datagen::{recipes, uniform_table, Seed};
     use lp_solver::SolverConfig;
-    use minidb::Table;
-    use paql::compile;
-
-    fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
-        let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
-    }
 
     const SMALL_QUERY: &str = "SELECT PACKAGE(T) AS P FROM t T \
         SUCH THAT COUNT(*) = 3 AND SUM(P.w) BETWEEN 30 AND 40 MAXIMIZE SUM(P.v)";
 
     #[test]
     fn pruned_and_exhaustive_agree_on_the_optimum() {
+        // The top five, ties and their order included: pruning only cuts
+        // branches none of whose packages would be kept.
         let t = uniform_table("t", 14, 5.0, 20.0, Seed(1));
-        let spec = spec_for(&t, SMALL_QUERY);
-        let pruned = enumerate(
-            spec.view(),
-            EnumerationOptions {
-                prune: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let exhaustive = enumerate(
-            spec.view(),
-            EnumerationOptions {
-                prune: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(pruned.complete && exhaustive.complete);
-        match (pruned.packages.first(), exhaustive.packages.first()) {
-            (None, None) => {}
-            (Some((_, a)), Some((_, b))) => {
-                assert!(
-                    (a.unwrap() - b.unwrap()).abs() < 1e-9,
-                    "pruning changed the optimum"
-                );
-            }
-            other => panic!("pruning changed feasibility: {other:?}"),
+        for query in [
+            SMALL_QUERY,
+            "SELECT PACKAGE(T) AS P FROM t T \
+             SUCH THAT COUNT(*) >= 2 AND SUM(P.w) >= 30 MINIMIZE SUM(P.v) - SUM(P.w) / 4 - 1000",
+            "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) <= 3 MAXIMIZE COUNT(*)",
+        ] {
+            let spec = spec_for(&t, query);
+            let run = |prune| {
+                let opts = EnumerationOptions {
+                    prune,
+                    keep: 5,
+                    ..Default::default()
+                };
+                enumerate(spec.view(), opts).unwrap()
+            };
+            let (pruned, exhaustive) = (run(true), run(false));
+            assert!(pruned.complete && exhaustive.complete);
+            assert_eq!(pruned.packages.len(), 5, "{query}");
+            assert_eq!(pruned.packages, exhaustive.packages, "{query}");
+            assert!(
+                pruned.nodes < exhaustive.nodes,
+                "pruning should expand fewer nodes ({} vs {})",
+                pruned.nodes,
+                exhaustive.nodes
+            );
         }
-        assert!(
-            pruned.nodes <= exhaustive.nodes,
-            "pruning should not expand more nodes ({} vs {})",
-            pruned.nodes,
-            exhaustive.nodes
-        );
     }
 
     #[test]

@@ -243,11 +243,10 @@ mod tests {
     use super::*;
     use crate::column_store::SpillStore;
     use crate::par::chunk_count;
+    use crate::spec::tests::spec_for;
     use crate::spec::{BuildCtx, PackageSpec};
     use crate::view::ColumnSink;
     use datagen::{recipes, Seed};
-    use minidb::Table;
-    use paql::compile;
     use rand::SeedableRng;
     use std::sync::Arc;
 
@@ -259,11 +258,6 @@ mod tests {
             .as_deref()
             .map_or(StartHeuristic::Random, StartHeuristic::Greedy);
         starting_package(view, heuristic, rng)
-    }
-
-    fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
-        let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
     }
 
     #[test]
@@ -381,7 +375,6 @@ mod tests {
         CandidateView::assemble(
             spec.table,
             view.candidates().to_vec(),
-            view.stats().clone(),
             &spec.query,
             |call| {
                 let t = view.term_keys().iter().position(|k| k == call).unwrap();

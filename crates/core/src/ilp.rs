@@ -715,15 +715,11 @@ pub fn solve_ilp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::tests::spec_for;
     use crate::spec::{BuildCtx, PackageSpec};
     use datagen::{recipes, stocks, Seed};
     use minidb::Table;
     use paql::compile;
-
-    fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
-        let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
-    }
 
     #[test]
     fn meal_plan_query_translates_and_solves() {

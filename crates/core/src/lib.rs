@@ -85,8 +85,8 @@
 //!   frames.
 //! * **[`cache`] — cross-query reuse.** Real workloads repeat the same
 //!   relation + base predicate with varying constraints; the engine's
-//!   [`cache::ViewCache`] banks materialized term columns, candidate
-//!   statistics and sketch→refine partitionings under fingerprinted keys
+//!   [`cache::ViewCache`] banks candidate lists, materialized term columns
+//!   and sketch→refine partitionings under fingerprinted keys
 //!   (LRU-evicted, mutation-proof by construction), so a repeated query
 //!   skips view construction and partitioning entirely and a query that
 //!   adds aggregate terms pays only for the missing columns. Cache hits are

@@ -443,16 +443,10 @@ fn resize_to(view: &CandidateView, p: &mut Package, target: u64, rng: &mut StdRn
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BuildCtx, PackageSpec};
+    use crate::spec::tests::spec_for;
     use datagen::{recipes, Seed};
     use lp_solver::SolverConfig;
-    use minidb::{Table, TupleId};
-    use paql::compile;
-
-    fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
-        let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
-    }
+    use minidb::TupleId;
 
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \
         SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)";

@@ -833,7 +833,6 @@ mod tests {
         CandidateView::assemble(
             spec.table,
             view.candidates().to_vec(),
-            view.stats().clone(),
             &spec.query,
             |call| {
                 let t = view.term_keys().iter().position(|k| k == call).unwrap();

@@ -250,16 +250,9 @@ mod tests {
     use crate::budget::Budget;
     use crate::config::default_portfolio_workers;
     use crate::solver::{GreedySolver, IlpSolver, LocalSearchSolver};
-    use crate::spec::{BuildCtx, PackageSpec};
+    use crate::spec::tests::spec_for;
     use datagen::{recipes, Seed};
-    use minidb::Table;
-    use paql::compile;
     use std::time::Duration;
-
-    fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
-        let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
-    }
 
     /// Ilp, SketchRefine, LocalSearch and Greedy.
     fn race_of_four() -> PortfolioSolver {

@@ -3,7 +3,7 @@
 //! "Given a global constraint C, our pruning strategy identifies a lower
 //! cardinality bound l and an upper cardinality bound u for any package that
 //! can satisfy C." The bounds come from the constraint's own constants and
-//! the MIN/MAX statistics of the aggregated column over the candidate tuples:
+//! the MIN/MAX of the aggregate's contributions over the candidate tuples:
 //!
 //! * `a ≤ COUNT(*) ≤ b`  →  `l = a`, `u = b`;
 //! * `L ≤ SUM(col) ≤ U`  →  `l = ⌈L / MAX(col)⌉`, `u = ⌊U / MIN(col)⌋`
@@ -13,14 +13,13 @@
 //! tuples and no repetition, pruning shrinks the search space from `2^n` to
 //! `Σ_{k=l}^{u} C(n,k)` "without losing any valid solution".
 //!
-//! Since the chunked column layout, the MIN/MAX of an aggregated expression
-//! comes from the term column's per-chunk metadata
-//! ([`crate::view::TermColumn::chunk_meta`], combined in chunk order —
-//! `O(#chunks)`, no rescans): the range covers exactly the entries that can
-//! contribute to the aggregate, so `FILTER`ed SUM constraints get a sound
-//! *tighter* lower bound from the filtered value range, and SUM over
-//! arbitrary argument expressions (not just plain columns) yields bounds at
-//! all. Whole-column candidate statistics remain the fallback.
+//! The MIN/MAX of an aggregated expression comes from the term column's
+//! per-chunk metadata ([`crate::view::TermColumn::chunk_meta`], combined in
+//! chunk order — `O(#chunks)`, no rescans): the range covers exactly the
+//! entries that can contribute to the aggregate, so `FILTER`ed SUM
+//! constraints get a sound *tighter* lower bound from the filtered value
+//! range, and SUM over arbitrary argument expressions (not just plain
+//! columns) yields bounds at all. No other column of the table is read.
 
 use paql::{AggCall, AggFunc, CmpOp, GlobalConstraint, GlobalExpr, GlobalFormula};
 
@@ -202,37 +201,24 @@ struct ContributionRange {
 }
 
 /// The [`ContributionRange`] of an aggregate over the candidates that can
-/// actually contribute to it.
-///
-/// Preferred source: the term column's chunked metadata
+/// actually contribute to it, from its term column's chunked metadata
 /// ([`crate::view::TermColumn::chunk_meta`], per-chunk partials combined in
-/// chunk order) — every formula atom has a term column, the range respects
+/// chunk order): every formula atom has a term column, the range respects
 /// the aggregate's own `FILTER`/NULL inclusion mask, and it works for
-/// arbitrary argument expressions. Fallback (e.g. when nothing is included
-/// and the metadata is empty): whole-column candidate statistics, matching
-/// the pre-chunking behaviour.
+/// arbitrary argument expressions.
+///
+/// `None` when no candidate is included. The SUM is then NULL in every
+/// package, so every comparison atom on it is unsatisfiable: an unbounded
+/// answer is still a sound relaxation, and the exact check rejects every
+/// package anyway.
 fn contribution_range(view: &CandidateView, agg: &AggCall) -> Option<ContributionRange> {
-    if let Some(idx) = view.term_keys().iter().position(|k| k == agg) {
-        let term = &view.terms()[idx];
-        if let (Some(min), Some(max)) = (term.included_min(), term.included_max()) {
-            return Some(ContributionRange {
-                min,
-                max,
-                sum: term.included_sum(),
-                covers_all: term.included_count() == term.len() as u64,
-            });
-        }
-    }
-    let col = match &agg.arg {
-        Some(minidb::Expr::Column(c)) => c,
-        _ => return None,
-    };
-    let stats = view.stats().column(col)?;
-    (!stats.is_empty()).then_some(ContributionRange {
-        min: stats.min,
-        max: stats.max,
-        sum: stats.sum,
-        covers_all: stats.nulls == 0,
+    let idx = view.term_keys().iter().position(|k| k == agg)?;
+    let term = &view.terms()[idx];
+    Some(ContributionRange {
+        min: term.included_min()?,
+        max: term.included_max()?,
+        sum: term.included_sum(),
+        covers_all: term.included_count() == term.len() as u64,
     })
 }
 
@@ -341,15 +327,9 @@ fn log2_add(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BuildCtx, PackageSpec};
+    use crate::spec::tests::spec_for;
     use datagen::{uniform_table, Seed};
     use minidb::Table;
-    use paql::compile;
-
-    fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
-        let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
-    }
 
     #[test]
     fn count_constraints_bound_cardinality_directly() {

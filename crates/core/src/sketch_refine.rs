@@ -662,15 +662,8 @@ fn greedy_fill(ctx: &RefineCtx<'_>, p: usize, state: &mut ViewState<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BuildCtx, PackageSpec};
+    use crate::spec::tests::spec_for;
     use datagen::{recipes, Seed};
-    use minidb::Table;
-    use paql::compile;
-
-    fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
-        let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
-    }
 
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \
         SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)";

@@ -348,15 +348,8 @@ pub(crate) fn dispatch(strategy: Strategy, workers: &[Strategy]) -> PbResult<Box
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BuildCtx, PackageSpec};
+    use crate::spec::tests::spec_for;
     use datagen::{recipes, Seed};
-    use minidb::Table;
-    use paql::compile;
-
-    fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
-        let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
-    }
 
     const SMALL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R \
         SUCH THAT COUNT(*) = 2 AND SUM(P.calories) <= 1200 MAXIMIZE SUM(P.protein)";

@@ -2,7 +2,6 @@
 //! build it: [`PackageSpec::build`] under a [`BuildCtx`].
 
 use minidb::eval::BoundExpr;
-use minidb::stats::TableStats;
 use minidb::{Expr, Table, TupleId};
 use paql::{AnalyzedQuery, GlobalFormula, Objective, PaqlQuery};
 
@@ -84,7 +83,7 @@ pub fn base_candidates_par(
 }
 
 /// The cold build: scan the base predicate, then [`CandidateView::build`]
-/// (statistics + every term column from the base table). The one place the
+/// (every term column from the base table). The one place the
 /// sequence is written — the uncached [`PackageSpec::build`], a
 /// [`ViewCache`] miss and a zero-capacity cache all land here.
 pub(crate) fn cold_view(
@@ -126,17 +125,16 @@ pub struct PackageSpec<'a> {
 
 impl<'a> PackageSpec<'a> {
     /// Builds a spec from an analyzed query and its base table: the base
-    /// predicate, the candidate statistics and the view's term columns are
-    /// all computed from the table's column vectors, a chunk at a time, on
-    /// `ctx`'s executor and under its storage policy.
+    /// predicate and the view's term columns are computed from the table's
+    /// column vectors, a chunk at a time, on `ctx`'s executor and under its
+    /// storage policy. No column the query does not name is read.
     ///
     /// With a cache in `ctx` the view comes through
-    /// [`ViewCache::view_for`]: candidate list, statistics and term columns
-    /// are reused when the relation contents and base predicate match a
-    /// cached bank (only missing term columns are materialized), and banked
-    /// for future queries otherwise. The resulting spec is
-    /// indistinguishable from a cold build — see the cache module docs for
-    /// the determinism argument.
+    /// [`ViewCache::view_for`]: candidate list and term columns are reused
+    /// when the relation contents and base predicate match a cached bank
+    /// (only missing term columns are materialized), and banked for future
+    /// queries otherwise. The resulting spec is indistinguishable from a
+    /// cold build — see the cache module docs for the determinism argument.
     pub fn build(analyzed: &AnalyzedQuery, table: &'a Table, ctx: &BuildCtx<'_>) -> PbResult<Self> {
         let query = analyzed.query.clone();
         let view = match ctx.cache {
@@ -162,12 +160,6 @@ impl<'a> PackageSpec<'a> {
     /// The columnar view every solver consumes.
     pub fn view(&self) -> &CandidateView {
         &self.view
-    }
-
-    /// Statistics over the candidate tuples (used by pruning and greedy
-    /// construction).
-    pub fn stats(&self) -> &TableStats {
-        self.view.stats()
     }
 
     /// Number of candidate tuples (the `n` of the paper's complexity
@@ -216,8 +208,8 @@ impl<'a> PackageSpec<'a> {
 
     /// Restricts the spec to a subset of its candidates (used by adaptive
     /// exploration to narrow the search space after user feedback). The view
-    /// is rebuilt over the surviving candidates — statistics and columns
-    /// gathered from the table's column vectors — on `ctx`'s executor and
+    /// is rebuilt over the surviving candidates — columns gathered from the
+    /// table's column vectors — on `ctx`'s executor and
     /// under its storage policy, like every other build: the engine passes
     /// its own context, so a narrowed view is paged exactly when a fresh
     /// build of the same size would be. A narrowed candidate list has no
@@ -238,14 +230,17 @@ impl<'a> PackageSpec<'a> {
     }
 }
 
+/// Unit tests, and the spec builder the other modules' tests share.
 #[cfg(test)]
-mod tests {
+pub mod tests {
     use super::*;
     use datagen::{recipes, Seed};
     use minidb::TupleId;
     use paql::compile;
 
-    fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
+    /// The spec of PaQL text `q` over `table`, built cold on
+    /// [`BuildCtx::default`] — how unit tests build the specs they solve.
+    pub(crate) fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
         PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
     }
@@ -303,7 +298,8 @@ mod tests {
         let t = recipes(100, Seed(4));
         let spec = spec_for(
             &t,
-            "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 2",
+            "SELECT PACKAGE(R) AS P FROM recipes R \
+             SUCH THAT COUNT(*) = 2 AND SUM(P.calories) <= 900 MAXIMIZE SUM(P.protein)",
         );
         // Candidates are in id order, so a prefix is a sorted set.
         let keep: Vec<TupleId> = spec.candidates.iter().copied().take(10).collect();
@@ -318,11 +314,25 @@ mod tests {
         let narrowed = narrow(ColumnPolicy::resident());
         assert_eq!(narrowed.candidate_count(), 10);
         assert_eq!(narrowed.max_multiplicity, spec.max_multiplicity);
-        assert_eq!(narrowed.view().candidate_count(), 10);
-        assert_eq!(narrowed.stats().row_count(), 10);
+        // The narrowed columns are a cold build over the kept ids, and the
+        // prefix of the full view's columns.
+        let cold =
+            CandidateView::build(&t, keep.clone(), &spec.query, &BuildCtx::default()).unwrap();
+        let paged = narrow(ColumnPolicy::paged(2));
+        for view in [narrowed.view(), paged.view()] {
+            assert_eq!(view.candidates(), keep.as_slice());
+            assert_eq!(view.term_keys(), cold.term_keys());
+            for (t, got) in view.terms().iter().enumerate() {
+                let (want, full) = (&cold.terms()[t], &spec.view().terms()[t]);
+                assert_eq!(got.coeffs_vec(), want.coeffs_vec());
+                assert_eq!(got.coeffs_vec(), full.coeffs_vec()[..10]);
+                assert_eq!(got.included_vec(), want.included_vec());
+                assert_eq!(got.chunk_meta(), want.chunk_meta());
+            }
+        }
         // Storage follows the policy handed in, not the environment.
         assert!(!narrowed.view().is_paged());
-        assert!(narrow(ColumnPolicy::paged(2)).view().is_paged());
+        assert!(paged.view().is_paged());
     }
 
     #[test]
@@ -343,16 +353,5 @@ mod tests {
             .formula_violation(&t, spec.formula.as_ref().unwrap())
             .unwrap();
         assert!((spec.violation(&p).unwrap() - oracle).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stats_cover_candidates_without_cloning_rows() {
-        let t = recipes(80, Seed(6));
-        let spec = spec_for(
-            &t,
-            "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' SUCH THAT COUNT(*) = 2",
-        );
-        assert_eq!(spec.stats().row_count(), spec.candidate_count());
-        assert!(spec.stats().column("calories").unwrap().min > 0.0);
     }
 }

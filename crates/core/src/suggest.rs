@@ -148,8 +148,7 @@ fn suggest_for_column(
     let ty = column_type(table, column)?;
     let mut out = Vec::new();
     if ty.is_numeric() {
-        let stats = minidb::stats::TableStats::of_table(table);
-        let s = stats.require(column)?;
+        let s = minidb::stats::ColumnStats::of_column(table, column)?;
         let mid = (s.min + s.max) / 2.0;
         out.push(Suggestion {
             kind: SuggestionKind::Objective,

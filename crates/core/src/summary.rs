@@ -180,15 +180,8 @@ fn normalize(v: f64, min: f64, max: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::BuildCtx;
+    use crate::spec::tests::spec_for;
     use datagen::{recipes, Seed};
-    use minidb::Table;
-    use paql::compile;
-
-    fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
-        let analyzed = compile(q, table.schema()).unwrap();
-        PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
-    }
 
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \
         SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)";

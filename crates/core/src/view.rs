@@ -41,10 +41,10 @@
 //! and paged builds are bit-identical.
 //!
 //! A view has one constructor, [`CandidateView::assemble`], which adopts a
-//! candidate list, its statistics and any already-built term columns
-//! verbatim and computes only the columns the query adds from the base
-//! table — how the [`crate::cache`] serves a hit; [`CandidateView::build`]
-//! is the same thing with nothing to adopt. Every view additionally
+//! candidate list and any already-built term columns verbatim and computes
+//! only the columns the query adds from the base table — how the
+//! [`crate::cache`] serves a hit; [`CandidateView::build`] is the same thing
+//! with nothing to adopt. Every view additionally
 //! carries a [`crate::cache::PartitionMemo`] so the sketch→refine solver's
 //! offline partitioning is computed at most once per (view contents,
 //! partition size, seed) — including across cached queries.
@@ -53,7 +53,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use minidb::eval::BoundExpr;
-use minidb::stats::TableStats;
 use minidb::table::Selection;
 use minidb::{Expr, Schema, Table, TupleId};
 use paql::ast::GlobalArithOp;
@@ -671,8 +670,8 @@ pub enum CompiledFormula {
 /// Built once inside [`crate::spec::PackageSpec::build`]; consumed by every
 /// [`crate::solver::Solver`]. The view owns everything a solver needs —
 /// candidates, multiplicity bound, term columns, compiled formula/objective,
-/// the original ASTs (for bound derivation and diagnostics) and candidate
-/// statistics — so solvers never touch the base table.
+/// and the original ASTs (for bound derivation and diagnostics) — so
+/// solvers never touch the base table.
 #[derive(Debug, Clone)]
 pub struct CandidateView {
     candidates: Vec<TupleId>,
@@ -683,15 +682,15 @@ pub struct CandidateView {
     compiled_formula: Option<CompiledFormula>,
     objective: Option<Objective>,
     compiled_objective: Option<CompiledExpr>,
-    stats: TableStats,
     partition_memo: PartitionMemo,
 }
 
 impl CandidateView {
     /// Lowers `query`'s global part — its multiplicity bound, `SUCH THAT`
-    /// formula and objective — over `candidates` into columns: candidate
-    /// statistics, then [`CandidateView::assemble`] with a source that has
-    /// no column, so every term is materialized from the base table.
+    /// formula and objective — over `candidates` into columns:
+    /// [`CandidateView::assemble`] with a source that has no column, so
+    /// every term is materialized from the base table. No other column of
+    /// the table is read.
     ///
     /// Evaluation errors (non-numeric aggregate arguments, unknown columns)
     /// surface here, once, instead of on every package evaluation.
@@ -701,14 +700,13 @@ impl CandidateView {
         query: &PaqlQuery,
         ctx: &BuildCtx<'_>,
     ) -> PbResult<Self> {
-        let stats = TableStats::of_ids(table, &candidates)?;
-        Self::assemble(table, candidates, stats, query, |_| None, ctx)
+        Self::assemble(table, candidates, query, |_| None, ctx)
     }
 
     /// Assembles a view from precomputed building blocks: the candidate list
-    /// and statistics are adopted verbatim, and each required term column is
-    /// first requested from `column_source` — only columns the source does
-    /// not have are materialized from the base table. With the engine's
+    /// is adopted verbatim, and each required term column is first
+    /// requested from `column_source` — only columns the source does not
+    /// have are materialized from the base table. With the engine's
     /// [`crate::cache::ViewCache`] as the source, a repeated query skips
     /// per-row evaluation entirely and a query that adds aggregate terms
     /// pays only for the new columns.
@@ -729,7 +727,6 @@ impl CandidateView {
     pub fn assemble(
         table: &Table,
         candidates: Vec<TupleId>,
-        stats: TableStats,
         query: &PaqlQuery,
         column_source: impl FnMut(&AggCall) -> Option<TermColumn>,
         ctx: &BuildCtx<'_>,
@@ -875,7 +872,6 @@ impl CandidateView {
             compiled_formula,
             objective: query.objective.clone(),
             compiled_objective,
-            stats,
             partition_memo: PartitionMemo::default(),
         })
     }
@@ -999,12 +995,6 @@ impl CandidateView {
     /// Total spill-file column-payload bytes across the view's terms.
     pub fn spilled_bytes(&self) -> usize {
         self.terms.iter().map(|t| t.spilled_bytes()).sum()
-    }
-
-    /// Statistics over the candidate tuples (drives cardinality pruning and
-    /// the greedy heuristics).
-    pub fn stats(&self) -> &TableStats {
-        &self.stats
     }
 
     /// Index of a tuple within the candidate set (candidates are in id

@@ -364,26 +364,24 @@ fn strict_comparisons_on_their_bound_return_the_enumeration_optimum() {
         t.insert(tuple!(41i64, 12.5)).unwrap();
         t
     };
-    // (table, SUCH THAT …, optimum, whether pruned enumeration can prove
-    // it: with no upper cardinality bound it cannot, so the minimum of
-    // `COUNT(*) > 3` is the four lightest rows, 1 + 2 + 3 + 4).
+    // (table, SUCH THAT …, optimum). The minimum of `COUNT(*) > 3` is the
+    // four lightest rows, 1 + 2 + 3 + 4: with no upper cardinality bound,
+    // pruned enumeration proves it through its objective bound.
     let cases = [
-        (integral(40), "COUNT(*) < 3 MAXIMIZE SUM(P.w)", 79.0, true),
-        (integral(40), "COUNT(*) > 3 MINIMIZE SUM(P.w)", 10.0, false),
+        (integral(40), "COUNT(*) < 3 MAXIMIZE SUM(P.w)", 79.0),
+        (integral(40), "COUNT(*) > 3 MINIMIZE SUM(P.w)", 10.0),
         (
             integral(40),
             "COUNT(*) <= 4 AND SUM(P.w) < 100 MAXIMIZE SUM(P.w)",
             99.0,
-            true,
         ),
         (
             fractional(),
             "COUNT(*) <= 2 AND SUM(P.w) < 22.5 MAXIMIZE SUM(P.w)",
             22.25,
-            true,
         ),
     ];
-    for (table, such_that, optimum, enumerable) in cases {
+    for (table, such_that, optimum) in cases {
         let mut catalog = Catalog::new();
         catalog.register(table);
         let engine = PackageEngine::new(catalog);
@@ -394,8 +392,7 @@ fn strict_comparisons_on_their_bound_return_the_enumeration_optimum() {
             Strategy::Ilp,
             "{such_that}"
         );
-        let oracle = enumerable.then_some(Strategy::PrunedEnumeration);
-        for strategy in oracle.into_iter().chain([Strategy::Ilp, Strategy::Auto]) {
+        for strategy in [Strategy::PrunedEnumeration, Strategy::Ilp, Strategy::Auto] {
             let result = engine.execute_with_strategy(&spec, strategy).unwrap();
             assert!(result.optimal, "{strategy} on {such_that}");
             assert_eq!(
@@ -433,4 +430,58 @@ fn an_avg_objective_ranks_enumerated_packages() {
         result.best_objective(),
         Some((protein[0] + protein[1]) / 2.0)
     );
+}
+
+#[test]
+fn a_sum_whose_filter_admits_no_candidate_satisfies_no_atom() {
+    use packagebuilder::package::Package;
+    use packagebuilder::pruning::derive_bounds;
+    // SUM over no included member is NULL, so the atom fails whichever way
+    // it compares: pruning derives nothing from it, and every strategy
+    // comes home empty, resident and paged alike.
+    let strategies = [
+        Strategy::Auto,
+        Strategy::Ilp,
+        Strategy::PrunedEnumeration,
+        Strategy::Exhaustive,
+        Strategy::LocalSearch,
+        Strategy::Greedy,
+        Strategy::Portfolio,
+        Strategy::SketchRefine,
+        Strategy::ProgressiveShading,
+    ];
+    let base = "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) BETWEEN 1 AND 4";
+    for op in [">=", "<="] {
+        let query =
+            format!("{base} AND SUM(P.w) FILTER (WHERE T.w < 0) {op} 100 MAXIMIZE SUM(P.v)");
+        let mut runs = Vec::new();
+        for budget in [usize::MAX, 0] {
+            let mut catalog = Catalog::new();
+            catalog.register(datagen::uniform_table("t", 10, 5.0, 20.0, Seed(3)));
+            let config = EngineConfig::default()
+                .with_column_memory_budget(budget)
+                .with_pool_pages(2);
+            let engine = PackageEngine::with_config(catalog, config);
+            let spec = engine.build_spec(&paql::parse(&query).unwrap()).unwrap();
+            assert_eq!(spec.view().is_paged(), budget == 0);
+            let without = format!("{base} MAXIMIZE SUM(P.v)");
+            let without = engine.build_spec(&paql::parse(&without).unwrap()).unwrap();
+            assert_eq!(
+                derive_bounds(spec.view()),
+                derive_bounds(without.view()),
+                "{op}"
+            );
+            for k in 1..=4 {
+                let p = Package::from_ids(spec.candidates.iter().copied().take(k));
+                assert!(!spec.is_valid_interpreted(&p).unwrap(), "{op}: {k} members");
+            }
+            for strategy in strategies {
+                let r = engine.execute_with_strategy(&spec, strategy).unwrap();
+                assert!(r.is_empty(), "{strategy} on {op}");
+                runs.push((strategy, r.optimal, r.stats.nodes));
+            }
+        }
+        let (resident, paged) = runs.split_at(strategies.len());
+        assert_eq!(resident, paged, "{op}");
+    }
 }

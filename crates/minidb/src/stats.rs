@@ -1,16 +1,15 @@
-//! Per-column statistics.
-//!
-//! Cardinality-based pruning (paper Section 4.1) derives package-size bounds
-//! from `MIN(col)` and `MAX(col)` over the tuples that satisfy the base
-//! constraints. `ColumnStats` precomputes those (plus count/sum/mean, which
-//! the greedy heuristics use) in one pass.
+//! Per-column statistics of a whole relation: count, NULLs, min, max, sum
+//! and mean of a numeric column, folded in one pass over its typed vector.
+//! Query suggestions read one column's range ([`ColumnStats::of_column`]);
+//! [`TableStats`] folds every numeric column. A package query's cardinality
+//! pruning does not come here: it reads the ranges of the aggregates it
+//! prunes on from their term columns' chunk metadata.
 
 use std::collections::BTreeMap;
 
 use crate::column::{ColumnData, ColumnVec};
 use crate::error::DbError;
 use crate::table::{Selection, Table};
-use crate::tuple::TupleId;
 use crate::DbResult;
 
 /// Summary statistics of one numeric column over a set of rows.
@@ -69,6 +68,30 @@ impl ColumnStats {
         }
     }
 
+    /// Statistics of one numeric column of `table` (case-insensitive), from
+    /// that column's vector alone; errors when the column is unknown or
+    /// non-numeric.
+    pub fn of_column(table: &Table, name: &str) -> DbResult<Self> {
+        let sel = table.select_all();
+        let idx = table.schema().index_of(name);
+        idx.and_then(|idx| Self::fold(&sel, idx)).ok_or_else(|| {
+            DbError::UnknownColumn(format!("{name} (no numeric statistics available)"))
+        })
+    }
+
+    /// Column `idx` folded over the selected rows, in selection order;
+    /// `None` when the column is not numeric.
+    fn fold(sel: &Selection<'_>, idx: usize) -> Option<Self> {
+        let column = sel.table().column(idx)?;
+        let mut stats = match column.data() {
+            ColumnData::Float(v) => fold_column(sel, column, v, |x| x),
+            ColumnData::Int(v) => fold_column(sel, column, v, |x| x as f64),
+            _ => return None,
+        };
+        stats.finish();
+        Some(stats)
+    }
+
     /// True when no non-NULL value was observed.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -102,21 +125,13 @@ pub struct TableStats {
 
 impl TableStats {
     /// Computes statistics over all rows of `table`.
-    pub fn of_table(table: &Table) -> Self {
-        Self::fold(&table.select_all())
-    }
-
-    /// Computes statistics over the listed rows of `table` — how the engine
-    /// profiles a candidate set. Errors on the first id the table does not
-    /// have.
     ///
     /// Each numeric column is folded on its own, straight from its typed
-    /// vector, in list order (so `sum` has the bits of a sequential sum);
+    /// vector, in row order (so `sum` has the bits of a sequential sum);
     /// `mean` is one division of the final `sum` by the final `count`,
     /// which is what dividing after every value would have left behind.
-    /// Names are resolved once, when the result map is built.
-    pub fn of_ids(table: &Table, ids: &[TupleId]) -> DbResult<Self> {
-        Ok(Self::fold(&table.select(ids)?))
+    pub fn of_table(table: &Table) -> Self {
+        Self::fold(&table.select_all())
     }
 
     fn fold(sel: &Selection<'_>) -> Self {
@@ -128,14 +143,7 @@ impl TableStats {
             .enumerate()
             .filter(|(_, c)| c.ty.is_numeric())
             .filter_map(|(idx, c)| {
-                let column = table.column(idx)?;
-                let mut stats = match column.data() {
-                    ColumnData::Float(v) => fold_column(sel, column, v, |x| x),
-                    ColumnData::Int(v) => fold_column(sel, column, v, |x| x as f64),
-                    _ => return None,
-                };
-                stats.finish();
-                Some((c.name.to_ascii_lowercase(), stats))
+                Some((c.name.to_ascii_lowercase(), ColumnStats::fold(sel, idx)?))
             })
             .collect();
         TableStats {
@@ -152,14 +160,6 @@ impl TableStats {
     /// Statistics for one column (case-insensitive).
     pub fn column(&self, name: &str) -> Option<&ColumnStats> {
         self.columns.get(&name.to_ascii_lowercase())
-    }
-
-    /// Statistics for one column, erroring when the column is unknown or
-    /// non-numeric.
-    pub fn require(&self, name: &str) -> DbResult<&ColumnStats> {
-        self.column(name).ok_or_else(|| {
-            DbError::UnknownColumn(format!("{name} (no numeric statistics available)"))
-        })
     }
 
     /// Names of columns with statistics.
@@ -196,10 +196,14 @@ mod tests {
 
     #[test]
     fn stats_cover_numeric_columns_only() {
-        let s = TableStats::of_table(&table());
+        let t = table();
+        let s = TableStats::of_table(&t);
         assert_eq!(s.column_names(), vec!["calories", "protein"]);
         assert!(s.column("name").is_none());
-        assert!(s.require("name").is_err());
+        assert!(ColumnStats::of_column(&t, "name").is_err());
+        assert!(ColumnStats::of_column(&t, "fat").is_err());
+        let one = ColumnStats::of_column(&t, "Calories").unwrap();
+        assert_eq!(Some(&one), s.column("calories"));
     }
 
     #[test]
@@ -215,47 +219,68 @@ mod tests {
         assert_eq!(s.row_count(), 3);
     }
 
+    /// Every field of every numeric column — `Int` and `Float`, NULLs, −0,
+    /// an all-NULL column — has the bits of a row-by-row fold that divides
+    /// for the mean after every value.
     #[test]
     fn sum_and_mean_have_the_bits_of_a_row_order_fold() {
-        let schema = Schema::build(&[("tag", ColumnType::Text), ("x", ColumnType::Float)]);
-        let mut t = Table::new("t", schema);
-        let (mut sum, mut count, mut mean) = (0.0f64, 0usize, 0.0f64);
-        for i in 0..1000 {
-            if i % 7 == 3 {
-                t.insert(Tuple::new(vec![Value::Text("n".into()), Value::Null]))
-                    .unwrap();
-                continue;
-            }
-            let x = (i as f64).sin() * 1e3 + 0.1;
-            t.insert(tuple!("v", x)).unwrap();
-            sum += x;
-            count += 1;
-            // The per-value division the positional scan does once.
-            mean = sum / count as f64;
+        let schema = Schema::build(&[
+            ("tag", ColumnType::Text),
+            ("i", ColumnType::Int),
+            ("x", ColumnType::Float),
+            ("z", ColumnType::Float),
+        ]);
+        let mut t = Table::new("t", schema.clone());
+        for r in 0..5000i64 {
+            let x = match r % 11 {
+                0 => Value::Null,
+                1 => Value::Float(-0.0),
+                _ => Value::Float((r as f64).sin() * 1e3 + 1e-7),
+            };
+            let i = if r % 5 == 2 {
+                Value::Null
+            } else {
+                Value::Int(r * 37 % 101 - 50)
+            };
+            t.insert(Tuple::new(vec![
+                Value::Text(format!("r{}", r % 3)),
+                i,
+                x,
+                Value::Null,
+            ]))
+            .unwrap();
         }
-        let x = *TableStats::of_table(&t).column("x").unwrap();
-        assert_eq!(x.count, count);
-        assert_eq!(x.nulls, 1000 - count);
-        assert_eq!(x.sum.to_bits(), sum.to_bits());
-        assert_eq!(x.mean.to_bits(), mean.to_bits());
-    }
-
-    #[test]
-    fn borrowed_row_stats_match_owned_rows() {
-        let t = table();
-        let all: Vec<TupleId> = t.iter().map(|(id, _)| id).collect();
-        let listed = TableStats::of_ids(&t, &all).unwrap();
-        // Any list, in list order: here the first two rows, backwards.
-        let subset = TableStats::of_ids(&t, &[TupleId(1), TupleId(0)]).unwrap();
-        assert_eq!(listed.row_count(), 3);
-        assert_eq!(subset.row_count(), 2);
-        assert_eq!(subset.column("calories").unwrap().max, 300.0);
-        assert_eq!(
-            listed.column("calories").unwrap(),
-            TableStats::of_table(&t).column("calories").unwrap()
-        );
-        assert!(TableStats::of_ids(&t, &[TupleId(0), TupleId(3)]).is_err());
-        assert_eq!(TableStats::of_ids(&t, &[]).unwrap().row_count(), 0);
+        let stats = TableStats::of_table(&t);
+        assert_eq!(stats.row_count(), t.len());
+        assert_eq!(stats.column_names(), vec!["i", "x", "z"]);
+        for name in schema.numeric_columns() {
+            let col = schema.require(name).unwrap();
+            let (mut cnt, mut nul, mut sum, mut mean) = (0usize, 0usize, 0.0f64, 0.0f64);
+            let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+            for r in 0..t.len() {
+                match t.require(TupleId(r as u32)).unwrap().values()[col].as_f64() {
+                    None => nul += 1,
+                    Some(x) => {
+                        cnt += 1;
+                        sum += x;
+                        min = if x < min { x } else { min };
+                        max = if x > max { x } else { max };
+                        mean = sum / cnt as f64;
+                    }
+                }
+            }
+            let got = stats.column(name).unwrap();
+            assert_eq!(
+                (got.count, got.nulls, got.min.to_bits(), got.max.to_bits()),
+                (cnt, nul, min.to_bits(), max.to_bits()),
+                "{name}"
+            );
+            assert_eq!(
+                (got.sum.to_bits(), got.mean.to_bits()),
+                (sum.to_bits(), mean.to_bits()),
+                "{name}"
+            );
+        }
     }
 
     #[test]
