@@ -17,12 +17,16 @@
 //!   query whose aggregate terms are all in the bank builds its view
 //!   without touching the base table at all, and a query that adds terms
 //!   pays only for the missing columns (the bank then grows to cover them).
-//! * **[`PartitionMemo`]** — a shared memo of sketch→refine partitionings,
-//!   keyed by `(max_partition_size, seed)`. Every
-//!   [`CandidateView`] carries one; views assembled from the same bank (and
-//!   the same term signature) share one memo, so the k-d partitioning is
-//!   computed once and every later query — and every portfolio worker —
-//!   pulls the memoized [`Partitioning`].
+//! * **[`PartitionMemo`]** — a shared memo of sketch→refine partitionings
+//!   and partition trees, keyed by `(max_partition_size, seed)` and
+//!   `(leaf_size, fanout, seed)`. Every [`CandidateView`] carries one; views
+//!   assembled from the same bank (and the same term signature) share one
+//!   memo, so the k-d partitioning is computed once and every later query —
+//!   and every portfolio worker — pulls the memoized [`Partitioning`].
+//!
+//! Both caches memoize a solve's *inputs*, never its answer: the sketch and
+//! refine sub-ILPs of the sketch family are solved by every query that
+//! needs them, since the constraints they carry change between queries.
 //!
 //! # Staleness is impossible by construction
 //!
@@ -37,8 +41,9 @@
 //!
 //! A cache hit is *bit-identical* to a cold build: columns are reused
 //! verbatim, term interning order is the query's own, and partitioning is
-//! deterministic per seed — so a warm solve returns exactly the package a
-//! cold solve would (the `view_cache` test suite asserts this).
+//! deterministic per seed — so a warm solve returns exactly the package, and
+//! does exactly the solver work, a cold solve would (the `view_cache` test
+//! suite asserts this).
 //!
 //! ```
 //! use packagebuilder::PackageEngine;
@@ -103,15 +108,14 @@ const MAX_BANK_MEMOS: usize = 32;
 /// assembled from the same cached columns holds a clone of one memo, so
 /// whichever solver partitions first pays, and everyone after reads.
 ///
-/// Since the warm-started exact core, the memo also carries **refinement
-/// sub-ILP solutions** (see [`PartitionMemo::sub_ilp`]): a repeated package
-/// query re-derives bit-identical per-partition sub-problems, and their
-/// proven-optimal solutions are as reusable as the partitioning itself.
+/// The memo holds inputs only — flat partitionings and partition trees —
+/// never a solver's answer: every sketch and refine sub-ILP is solved anew
+/// by the query that needs it, so a warm solve's counters are the work it
+/// did.
 #[derive(Clone, Default)]
 pub struct PartitionMemo {
     inner: Arc<Mutex<MemoMap>>,
     trees: Arc<Mutex<TreeMap>>,
-    subs: Arc<Mutex<SubMap>>,
 }
 
 /// `(max_partition_size, seed)` → the memoized partitioning.
@@ -121,29 +125,6 @@ type MemoMap = HashMap<(usize, u64), Arc<Partitioning>>;
 /// shading). The leaf layer is the `(leaf_size, seed)` entry of [`MemoMap`]
 /// (one shared `Arc`), so a tree memo only adds the grouping layers.
 type TreeMap = HashMap<(usize, usize, u64), Arc<PartitionTree>>;
-
-/// Bit-exact sub-ILP key → its proven-optimal solution.
-type SubMap = HashMap<Vec<u64>, Arc<SubIlpSolution>>;
-
-/// Growth bound for the sub-ILP solution memo; on overflow the map is
-/// cleared (a perf reset, never a correctness event — see
-/// [`PartitionMemo::store_sub_ilp`]).
-const MAX_SUB_MEMOS: usize = 1024;
-
-/// A memoized refinement sub-ILP outcome: the assignment (candidate index,
-/// multiplicity) plus the solver work it originally cost, so stats stay
-/// identical between a solved and a memo-served run.
-#[derive(Debug, Clone)]
-pub struct SubIlpSolution {
-    /// Chosen `(candidate index, multiplicity)` pairs, in member order.
-    pub assignment: Vec<(usize, u32)>,
-    /// Branch-and-bound nodes of the original solve.
-    pub nodes: u64,
-    /// Simplex iterations of the original solve.
-    pub iterations: u64,
-    /// Cold-start LP fallbacks of the original solve.
-    pub cold_solves: u64,
-}
 
 impl PartitionMemo {
     fn lock(&self) -> MutexGuard<'_, MemoMap> {
@@ -229,60 +210,19 @@ impl PartitionMemo {
 
     /// True when nothing has been memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty() && self.lock_trees().is_empty() && self.lock_subs().is_empty()
+        self.lock().is_empty() && self.lock_trees().is_empty()
     }
 
     /// Rough heap footprint of everything this memo retains — flat
-    /// partitionings, partition-tree layers and sub-ILP solutions — so the
-    /// view cache can weigh memos into its byte budget (a 10^7-candidate
-    /// partitioning is ~100 MB of assignment + member indices, far from the
-    /// rounding error the pre-shading accounting treated it as). Tree leaf
-    /// layers are shared `Arc`s with the flat map and deliberately not
-    /// double-counted.
+    /// partitionings and partition-tree layers — so the view cache can weigh
+    /// memos into its byte budget (a 10^7-candidate partitioning is ~100 MB
+    /// of assignment + member indices, far from the rounding error the
+    /// pre-shading accounting treated it as). Tree leaf layers are shared
+    /// `Arc`s with the flat map and deliberately not double-counted.
     pub fn approx_bytes(&self) -> usize {
         let parts: usize = self.lock().values().map(|p| p.approx_bytes()).sum();
         let trees: usize = self.lock_trees().values().map(|t| t.approx_bytes()).sum();
-        let subs: usize = self
-            .lock_subs()
-            .iter()
-            .map(|(k, s)| (k.len() + 2 * s.assignment.len()) * 8 + 64)
-            .sum();
-        parts + trees + subs
-    }
-
-    fn lock_subs(&self) -> MutexGuard<'_, SubMap> {
-        self.subs.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The memoized solution of a refinement sub-ILP, if this exact
-    /// sub-problem has been solved to optimality before.
-    ///
-    /// `key` is a **bit-exact encoding** of the whole sub-problem (member
-    /// coefficients, operators, effective right-hand sides, bounds — see
-    /// `sub_ilp_key` in [`crate::sketch_refine`]), compared by value, so a
-    /// hit guarantees the solver would reproduce the stored assignment
-    /// exactly: serving it from the memo cannot change any result, only the
-    /// time it takes. That is the same cold-equals-warm contract the view
-    /// cache keeps.
-    pub fn sub_ilp(&self, key: &[u64]) -> Option<Arc<SubIlpSolution>> {
-        self.lock_subs().get(key).cloned()
-    }
-
-    /// Memoizes a sub-ILP solution under its bit-exact key. Callers must
-    /// only store solutions **proven optimal** for the keyed problem — a
-    /// limit-truncated incumbent depends on where the budget happened to
-    /// expire, which is exactly the nondeterminism the memo must not replay.
-    pub fn store_sub_ilp(&self, key: Vec<u64>, solution: SubIlpSolution) {
-        let mut subs = self.lock_subs();
-        if subs.len() >= MAX_SUB_MEMOS {
-            subs.clear();
-        }
-        subs.insert(key, Arc::new(solution));
-    }
-
-    /// Number of memoized sub-ILP solutions.
-    pub fn sub_ilp_len(&self) -> usize {
-        self.lock_subs().len()
+        parts + trees
     }
 }
 
@@ -350,7 +290,7 @@ impl TermBank {
         self.columns.iter().map(|c| c.spilled_bytes()).sum()
     }
 
-    /// Approximate heap bytes of the bank's partition/tree/sub-ILP memos.
+    /// Approximate heap bytes of the bank's partition and tree memos.
     /// Counted against the cache byte budget alongside the columns: a large
     /// view's partitioning rivals a column in size, so leaving memos outside
     /// the accounting (as before progressive shading) would let the cache
@@ -385,10 +325,9 @@ pub struct CacheStats {
     /// because the two compete for different resources (RAM vs disk), but
     /// both count against the cache's byte budget.
     pub spilled_bytes: usize,
-    /// Approximate heap bytes of banked partition memos (flat partitionings,
-    /// partition trees and sub-ILP solutions), across all entries. Also
-    /// counted against the byte budget — a 10^7-candidate partitioning is
-    /// column-sized, not free.
+    /// Approximate heap bytes of banked partition memos (flat partitionings
+    /// and partition trees), across all entries. Also counted against the
+    /// byte budget — a 10^7-candidate partitioning is column-sized, not free.
     pub memo_bytes: usize,
 }
 

@@ -111,14 +111,9 @@ pub const SHADE_FANOUT: usize = 64;
 
 /// Leaf partition size for [`Strategy::ProgressiveShading`] — the same bound
 /// [`SKETCH_PARTITION_SIZE`] puts on the flat path's refinement sub-ILPs.
-/// Equal to it so the two solvers share leaf partitionings and sub-ILP memos
-/// through the view cache.
+/// Equal to it so the two solvers share leaf partitionings through the view
+/// cache.
 pub const SHADE_LEAF_SIZE: usize = SKETCH_PARTITION_SIZE;
-
-/// Local search: neighbourhood size (how many tuples a single move may
-/// replace). The paper notes k-replacements need a 2k-way join and "quickly
-/// become intractable"; 1 is the practical value.
-pub const REPLACEMENT_K: usize = 1;
 
 /// Which rule of [`auto_route`] picked a [`Route`]'s strategy: `Auto` takes
 /// the first that fires, in declaration order.

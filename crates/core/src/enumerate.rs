@@ -27,7 +27,7 @@ use crate::ilp::{linearize, LinearConstraint};
 use crate::package::Package;
 use crate::pruning::{derive_bounds, CardinalityBounds};
 use crate::result::{EvalStats, StrategyUsed};
-use crate::view::CandidateView;
+use crate::view::{CandidateView, ViewState};
 use crate::PbResult;
 
 /// Options for the enumeration strategies.
@@ -163,24 +163,26 @@ impl<'v> Searcher<'v> {
         }
     }
 
-    fn record_if_feasible(&mut self) -> PbResult<()> {
-        let package = Package::from_members(
-            self.current
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| m > 0)
-                .map(|(i, &m)| (self.view.candidates()[i], m)),
-        );
-        if !self.view.is_valid(&package) {
-            return Ok(());
+    /// Validates the leaf `current` and keeps it when it ranks among the
+    /// best `keep`. The leaf is projected once, in ascending index order —
+    /// what [`CandidateView::project`] does with the leaf's package, so
+    /// feasibility and objective read the same accumulator bits — and
+    /// becomes a [`Package`] only when kept.
+    fn record_if_feasible(&mut self) {
+        let members: Vec<(usize, u32)> = (self.current.iter().enumerate())
+            .filter(|&(_, &m)| m > 0)
+            .map(|(i, &m)| (i, m))
+            .collect();
+        let state = ViewState::of_members(self.view, &members);
+        if !state.is_feasible() {
+            return;
         }
         self.feasible += 1;
-        let objective = self.view.objective_value(&package);
-        let entry = (package, objective);
+        let objective = state.objective_value();
         match &self.objective {
             None => {
                 if self.best.len() < self.opts.keep {
-                    self.best.push(entry);
+                    self.best.push((state.to_package(), objective));
                 }
             }
             Some(direction) => {
@@ -210,9 +212,9 @@ impl<'v> Searcher<'v> {
                 // previous stable-sort tie behaviour).
                 let pos = self
                     .best
-                    .partition_point(|e| rank(&e.1, &entry.1) != std::cmp::Ordering::Greater);
+                    .partition_point(|e| rank(&e.1, &objective) != std::cmp::Ordering::Greater);
                 if pos < self.opts.keep {
-                    self.best.insert(pos, entry);
+                    self.best.insert(pos, (state.to_package(), objective));
                     self.best.truncate(self.opts.keep);
                     if let Some(o) = self.objective_row {
                         self.best_linear.insert(pos, self.sums[o]);
@@ -222,7 +224,6 @@ impl<'v> Searcher<'v> {
                 }
             }
         }
-        Ok(())
     }
 
     /// Once `keep` packages are kept and the last has an objective value,
@@ -297,7 +298,7 @@ impl<'v> Searcher<'v> {
     /// pruned), `Enter` applies one multiplicity on the way down, `Undo`
     /// retracts it on the way back up — so node counts and traversal order
     /// are identical to the old `dfs`.
-    fn search(&mut self) -> PbResult<()> {
+    fn search(&mut self) {
         enum Step {
             /// Enter the search node at this candidate index.
             Visit(usize),
@@ -332,14 +333,14 @@ impl<'v> Searcher<'v> {
                     self.nodes += 1;
                     if self.nodes > self.opts.max_nodes {
                         self.aborted = true;
-                        return Ok(());
+                        return;
                     }
                     // Deadline check every 256 nodes: cheap relative to the
                     // per-node work, frequent enough that a 10 ms budget
                     // overshoots by well under its own length.
                     if self.nodes.is_multiple_of(256) && self.opts.budget.expired() {
                         self.aborted = true;
-                        return Ok(());
+                        return;
                     }
                     if self.prune_subtree(idx) {
                         continue;
@@ -350,7 +351,7 @@ impl<'v> Searcher<'v> {
                             || (self.cardinality >= self.bounds.lower
                                 && self.cardinality <= self.bounds.upper.unwrap_or(u64::MAX))
                         {
-                            self.record_if_feasible()?;
+                            self.record_if_feasible();
                         }
                         continue;
                     }
@@ -362,7 +363,6 @@ impl<'v> Searcher<'v> {
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -415,7 +415,7 @@ pub fn enumerate(view: &CandidateView, opts: EnumerationOptions) -> PbResult<Enu
         // Contradictory cardinality bounds: provably no valid package.
         return Ok(outcome(None, true));
     }
-    searcher.search()?;
+    searcher.search();
     let complete = !searcher.aborted;
     Ok(outcome(Some(searcher), complete))
 }

@@ -3,11 +3,12 @@
 //! "Given a starting package P0 (which can be constructed, for example, at
 //! random), PackageBuilder identifies all possible k-tuple replacements that
 //! can lead to a valid package, by using a single SQL query." The search
-//! below implements exactly that neighbourhood: a move removes `k` members
-//! and inserts `k` candidate tuples. The paper's SQL query for `k = 1` — a
-//! selection over the Cartesian product of the package and the candidates —
-//! is the search's swap scan: every `(outgoing member, incoming
-//! candidate)` pair, scored as a delta.
+//! below implements that neighbourhood at `k = 1`, the paper's efficient
+//! regime (larger `k` needs a 2k-way join and "quickly becomes
+//! intractable"): a move removes one member and inserts one candidate tuple.
+//! The paper's SQL query — a selection over the Cartesian product of the
+//! package and the candidates — is the search's swap scan: every
+//! `(outgoing member, incoming candidate)` pair, scored as a delta.
 //!
 //! Moves are accepted when they lexicographically improve
 //! `(constraint violation, objective)`, so the search first repairs
@@ -19,9 +20,8 @@
 //! scored as deltas over the view's precomputed term columns instead of
 //! cloning the package and re-aggregating every member. The two full
 //! neighbourhood scans (swaps and adds) score a whole column chunk per pin
-//! through [`crate::view::MoveScan`]; the `O(|P|)`-sized move sets (drops,
-//! `k = 2`) use the point lookup [`ViewState::score_with`]. Both produce
-//! bit-identical scores.
+//! through [`crate::view::MoveScan`]; the `O(|P|)`-sized drop scan uses the
+//! point lookup [`ViewState::score_with`]. Both produce bit-identical scores.
 
 use paql::ObjectiveDirection;
 use rand::rngs::StdRng;
@@ -39,9 +39,6 @@ use crate::PbResult;
 /// Options for the local-search strategy.
 #[derive(Debug, Clone)]
 pub struct LocalSearchOptions {
-    /// Number of tuples replaced per move (the paper's `k`). `k = 1` is the
-    /// efficient regime; larger values grow the neighbourhood combinatorially.
-    pub k: usize,
     /// Maximum accepted moves per restart.
     pub max_moves: usize,
     /// Number of restarts (the first uses the greedy start, the rest random).
@@ -62,7 +59,6 @@ pub struct LocalSearchOptions {
 impl Default for LocalSearchOptions {
     fn default() -> Self {
         LocalSearchOptions {
-            k: 1,
             max_moves: 10_000,
             restarts: 8,
             seed: 42,
@@ -131,7 +127,7 @@ pub fn local_search(
                 break;
             }
             let (neighbour, neighbour_score, evals) =
-                best_neighbour(&state, current_score, opts.k, direction, budget, opts.par);
+                best_neighbour(&state, current_score, direction, budget, opts.par);
             evaluations += evals;
             match neighbour {
                 Some(changes) if lex_better(neighbour_score, current_score, direction) => {
@@ -208,28 +204,6 @@ type Move = Vec<(usize, i64)>;
 /// A scored move.
 type Scored = ((f64, Option<f64>), Move);
 
-/// True when applying `changes` keeps every touched multiplicity within
-/// `[0, max_multiplicity]`.
-fn move_is_legal(state: &ViewState<'_>, changes: &[(usize, i64)]) -> bool {
-    let max = state.view().max_multiplicity() as i64;
-    // Small move vectors: net effect per index computed by scanning.
-    for (pos, &(idx, _)) in changes.iter().enumerate() {
-        if changes[..pos].iter().any(|&(i, _)| i == idx) {
-            continue; // already accounted below
-        }
-        let net: i64 = changes
-            .iter()
-            .filter(|&&(i, _)| i == idx)
-            .map(|&(_, d)| d)
-            .sum();
-        let new = state.multiplicity(idx) as i64 + net;
-        if new < 0 || new > max {
-            return false;
-        }
-    }
-    true
-}
-
 /// One column chunk's scan result.
 struct ChunkScan {
     /// Neighbour evaluations performed.
@@ -300,8 +274,8 @@ fn scan_chunk(
     result
 }
 
-/// Finds the best move in the k-replacement neighbourhood (plus add/remove
-/// moves when the cardinality is allowed to change). The two full scans —
+/// Finds the best move in the single-replacement neighbourhood (plus add
+/// and drop moves when the cardinality may change). The two full scans —
 /// every (outgoing member × incoming candidate) swap and every add — fan out
 /// over `par` by **column chunk**: chunk `c` of the executor is chunk `c` of
 /// every term column, pinned once and scored column-at-a-time by the
@@ -312,12 +286,11 @@ fn scan_chunk(
 /// wins" tie-breaking — so the selected move is the same at every thread
 /// count and storage mode. The budget is checked per (chunk, member) step,
 /// never per element; an expired scan returns the best move seen so far.
-/// Drops and k = 2 moves are `O(|P|)`-sized sets and stay on the point path.
+/// Drops are an `O(|P|)`-sized set and stay on the point path.
 /// Returns the best move, its score and how many neighbours were evaluated.
 fn best_neighbour(
     state: &ViewState<'_>,
     current_score: (f64, Option<f64>),
-    k: usize,
     direction: ObjectiveDirection,
     budget: &Budget,
     par: ParExec,
@@ -357,39 +330,11 @@ fn best_neighbour(
         results.iter().any(|chunk| chunk.expired)
     };
 
-    // Single-tuple replacements (k = 1), always explored.
+    // Single-tuple replacements.
     if !members.is_empty() && n > 0 {
         let removals = members.iter().map(|&out| vec![(out, -1)]).collect();
         if scan_all(removals, &mut best, &mut best_score, &mut evaluations) {
             return (best, best_score, evaluations);
-        }
-    }
-
-    // Pairwise replacements (k = 2): the paper's 2k-way join. The
-    // neighbourhood is |P|²·n² in the worst case, so it is only explored
-    // when requested and when no single replacement improves (and stays
-    // sequential: the quadratic blow-up, not the scan, is its cost).
-    if k >= 2 && best.is_none() && members.len() >= 2 {
-        for (ai, &out_a) in members.iter().enumerate() {
-            for &out_b in members.iter().skip(ai + 1) {
-                for in_a in 0..n {
-                    if budget.expired() {
-                        return (best, best_score, evaluations);
-                    }
-                    for in_b in in_a..n {
-                        let changes = [(out_a, -1), (out_b, -1), (in_a, 1), (in_b, 1)];
-                        if !move_is_legal(state, &changes) {
-                            continue;
-                        }
-                        evaluations += 1;
-                        let s = state.score_with(&changes);
-                        if lex_better(s, best_score, direction) {
-                            best_score = s;
-                            best = Some(changes.to_vec());
-                        }
-                    }
-                }
-            }
         }
     }
 
@@ -577,45 +522,6 @@ mod tests {
         );
         let (p, _) = &out.packages[0];
         assert!(spec.is_valid(p).unwrap());
-    }
-
-    #[test]
-    fn two_replacement_neighbourhood_escapes_single_swap_optima() {
-        let t = recipes(60, Seed(6));
-        let spec = spec_for(&t, MEAL_QUERY);
-        let out = local_search(
-            spec.view(),
-            &LocalSearchOptions {
-                k: 2,
-                restarts: 2,
-                max_moves: 200,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // With k = 2 the search should be at least as good as with k = 1 on the
-        // same seed and restart budget.
-        let out1 = local_search(
-            spec.view(),
-            &LocalSearchOptions {
-                k: 1,
-                restarts: 2,
-                max_moves: 200,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let best2 = out
-            .packages
-            .first()
-            .and_then(|(_, o)| *o)
-            .unwrap_or(f64::NEG_INFINITY);
-        let best1 = out1
-            .packages
-            .first()
-            .and_then(|(_, o)| *o)
-            .unwrap_or(f64::NEG_INFINITY);
-        assert!(best2 >= best1 - 1e-9);
     }
 
     #[test]

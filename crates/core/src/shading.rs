@@ -22,8 +22,8 @@
 //!
 //! Everything before and after is the shared pipeline, verbatim: the greedy
 //! floor, the leaf means, the leaf sketch (over the shaded leaves only), the
-//! refine loop with its failed-partition backtracking, warm-hinted and
-//! memoized sub-ILPs and greedy degradation under deadline pressure. A tree
+//! refine loop with its failed-partition backtracking, warm-hinted
+//! sub-ILPs and greedy degradation under deadline pressure. A tree
 //! with no layers shades every leaf, which makes the flat
 //! [`crate::sketch_refine::SketchRefineSolver`] the zero-layer case of this
 //! solver, bit for bit (`tests::few_leaves_degenerate_to_the_flat_sketch_path`).
@@ -31,8 +31,7 @@
 //! [`crate::cache::PartitionMemo`]), so repeated queries — and portfolio
 //! workers racing over clones of one view — grow it once. With
 //! `shade_leaf_size` left equal to `sketch_partition_size` (the default), the
-//! leaf partitioning *is* the flat solver's partitioning — one `Arc`, shared
-//! sub-ILP memo entries.
+//! leaf partitioning *is* the flat solver's partitioning — one `Arc`.
 //!
 //! Determinism: layer means are aggregated in ascending child order, the
 //! descent's active sets are sorted after every expansion, and all chunked
@@ -276,9 +275,7 @@ mod tests {
 
         // The subsumption itself: a fanout no leaf count reaches forces zero
         // layers at any `n`, and the tree solver must then *be* the flat one
-        // — packages, objective bits and LP counters — on every family. Each
-        // solve gets its own uncached spec, so neither replays the other's
-        // sub-ILP memo.
+        // — packages, objective bits and LP counters — on every family.
         for scenario in datagen::scenarios() {
             let table = (scenario.build)(scenario.gauntlet_sizes[0], Seed(20140901));
             for query in &scenario.queries {

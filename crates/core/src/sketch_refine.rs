@@ -56,10 +56,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use lp_solver::{ConstraintOp, VarId};
+use lp_solver::VarId;
 use paql::ObjectiveDirection;
 
-use crate::cache::SubIlpSolution;
 use crate::error::PbError;
 use crate::greedy::repair_to_feasibility;
 use crate::ilp::{linearize, package_problem, LinearConstraint};
@@ -208,12 +207,9 @@ fn sketch_then_refine(
     // element, now that both fan out over `opts.par`. Either source goes
     // through the view's memo: a repeated query (or a second worker over a
     // clone of this view) reuses the one computed before, and an engine with
-    // caching on carries it across queries entirely. `partition_sig` is the
-    // size bound the leaves were built with — the partition-identity word of
-    // the sub-ILP memo key: equal bounds mean equal leaf partitionings, so
-    // the two solvers sharing memo entries is exactly right.
+    // caching on carries it across queries entirely.
     let (view, opts) = (q.view, q.opts);
-    let (leaves, tree, partition_sig) = if strategy == StrategyUsed::ProgressiveShading {
+    let (leaves, tree) = if strategy == StrategyUsed::ProgressiveShading {
         let Some(tree) = view.partition_tree(
             opts.shade_leaf_size,
             opts.shade_fanout,
@@ -223,11 +219,7 @@ fn sketch_then_refine(
         ) else {
             return Ok(None);
         };
-        (
-            Arc::clone(tree.leaves_arc()),
-            Some(tree),
-            opts.shade_leaf_size,
-        )
+        (Arc::clone(tree.leaves_arc()), Some(tree))
     } else {
         let Some(flat) = view.partitioning(
             opts.sketch_partition_size,
@@ -237,7 +229,7 @@ fn sketch_then_refine(
         ) else {
             return Ok(None);
         };
-        (flat, None, opts.sketch_partition_size)
+        (flat, None)
     };
     let parts = leaves.partitions();
     if parts.is_empty() {
@@ -292,7 +284,6 @@ fn sketch_then_refine(
         parts,
         means: &means,
         counts: &counts,
-        partition_sig: partition_sig as u64,
     };
     refine_with_backtracking(&ctx, order, counters)
 }
@@ -427,15 +418,13 @@ fn refine_with_backtracking(
 }
 
 /// Shared inputs of one refinement pass over the leaf partitions: their
-/// representative means (`means[c][p]` per constraint row `c`), the leaf
-/// sketch's draw counts (zero outside the shade), and the
-/// partition-identity word of the sub-ILP memo key.
+/// representative means (`means[c][p]` per constraint row `c`) and the leaf
+/// sketch's draw counts (zero outside the shade).
 struct RefineCtx<'a> {
     q: Linearized<'a>,
     parts: &'a [Partition],
     means: &'a [Vec<f64>],
     counts: &'a [u64],
-    partition_sig: u64,
 }
 
 /// One refinement pass over `order`. Strict passes report the first
@@ -500,76 +489,12 @@ fn refine_pass<'v>(
     Ok(state)
 }
 
-/// Bit-exact identity of one partition's sub-ILP, used as the
-/// [`crate::cache::PartitionMemo`] memo key (see [`PartitionMemo::sub_ilp`]).
-///
-/// The key encodes *everything* that determines the solve's result and its
-/// node/iteration counters: the partitioning identity (size, seed, partition
-/// id, member count), the multiplicity bound, the objective direction (a
-/// bank's memo is shared by `MAXIMIZE` and `MINIMIZE` views of one term
-/// signature), the node cap — the one result-relevant solver setting (the
-/// tolerances, the pivot cap and the refactorization period are constants of
-/// the LP solver; threads, deadlines and stop flags by the determinism and
-/// anytime contracts can only truncate a solve, never change a
-/// *proven-optimal* one) — and per row the operator, the effective
-/// right-hand side `rhs − fixed − rem`, and every member coefficient as raw
-/// `f64` bits.
-/// Keys are compared by value (a `HashMap` probe ends in `Eq`), so a hash
-/// collision can never serve a wrong answer.
-///
-/// [`PartitionMemo::sub_ilp`]: crate::cache::PartitionMemo::sub_ilp
-fn sub_ilp_key(ctx: &RefineCtx<'_>, p: usize, rhs: &[f64]) -> Vec<u64> {
-    let q = &ctx.q;
-    let members = &ctx.parts[p].members;
-    let mut key = Vec::with_capacity(7 + q.rows.len() * (members.len() + 2) + members.len() + 1);
-    key.push(ctx.partition_sig);
-    key.push(q.opts.seed);
-    key.push(p as u64);
-    key.push(members.len() as u64);
-    key.push(q.view.max_multiplicity() as u64);
-    key.push(q.opts.solver.max_nodes as u64);
-    key.push(matches!(q.view.direction(), ObjectiveDirection::Maximize) as u64);
-    for (c, row) in q.rows.iter().enumerate() {
-        key.push(match row.op {
-            ConstraintOp::Le => 0,
-            ConstraintOp::Ge => 1,
-            ConstraintOp::Eq => 2,
-        });
-        key.push(rhs[c].to_bits());
-        for &i in members.iter() {
-            key.push(row.coeffs[i].to_bits());
-        }
-    }
-    match q.obj_coeffs {
-        Some(obj) => {
-            key.push(1);
-            for &i in members.iter() {
-                key.push(obj[i].to_bits());
-            }
-        }
-        None => key.push(0),
-    }
-    key
-}
-
 /// Sub-ILP over one partition's real tuples: the original rows with every
-/// other partition's contribution moved to the right-hand side.
-///
-/// Two warm-start layers sit in front of the raw solve:
-///
-/// 1. **Cross-query memo** ([`crate::cache::PartitionMemo`]): an identical
-///    sub-problem solved to proven optimality before (same view, same
-///    partitioning, same effective right-hand sides — see [`sub_ilp_key`])
-///    replays its stored assignment *and counters* without solving at all.
-///    Replaying the counters keeps a memo-served run's [`EvalStats`]
-///    bit-identical to the run that did the work, preserving the cold/warm
-///    equality contract from the view-cache PR.
-/// 2. **Within-query hint**: on a backtracking re-refine, the partition's
-///    previous assignment seeds branch and bound's incumbent through
-///    [`lp_solver::solve_milp_hinted`] — an infeasible hint (the right-hand
-///    sides moved) is silently ignored, a feasible one prunes from node one.
-///
-/// [`EvalStats`]: crate::result::EvalStats
+/// other partition's contribution moved to the right-hand side. On a
+/// backtracking re-refine, the partition's previous assignment (`hint`) seeds
+/// branch and bound's incumbent through [`lp_solver::solve_milp_hinted`] — an
+/// infeasible hint (the right-hand sides moved) is silently ignored, a
+/// feasible one prunes from node one.
 fn solve_partition(
     ctx: &RefineCtx<'_>,
     p: usize,
@@ -580,17 +505,9 @@ fn solve_partition(
 ) -> Option<Vec<(usize, u32)>> {
     let q = &ctx.q;
     let members = &ctx.parts[p].members;
-    let memo = q.view.partition_memo();
     let shifted: Vec<f64> = (q.rows.iter().zip(fixed).zip(rem))
         .map(|((row, f), r)| row.rhs - f - r)
         .collect();
-    let key = sub_ilp_key(ctx, p, &shifted);
-    if let Some(hit) = memo.sub_ilp(&key) {
-        counters.nodes += hit.nodes;
-        counters.iterations += hit.iterations;
-        counters.cold_solves += hit.cold_solves;
-        return Some(hit.assignment.clone());
-    }
     let hint_values: Option<Vec<f64>> = hint.map(|assignment| {
         let mut v = vec![0.0; members.len()];
         for &(i, mult) in assignment {
@@ -604,7 +521,7 @@ fn solve_partition(
     let (upper, rhs) = (|_| q.view.max_multiplicity() as f64, |c: usize| shifted[c]);
     let hint = hint_values.as_deref();
     let solution = solve_small_ilp(q, members, &coeff_rows, upper, rhs, hint, counters)?;
-    let assignment: Vec<(usize, u32)> = members
+    let assignment = members
         .iter()
         .enumerate()
         .filter_map(|(k, &i)| {
@@ -612,20 +529,6 @@ fn solve_partition(
             (mult > 0).then_some((i, mult.min(q.view.max_multiplicity())))
         })
         .collect();
-    // Only a *proven* optimum is reusable: a deadline- or limit-truncated
-    // incumbent depends on how far the search got, which the key must not
-    // (and does not) encode.
-    if solution.status == lp_solver::Status::Optimal {
-        memo.store_sub_ilp(
-            key,
-            SubIlpSolution {
-                assignment: assignment.clone(),
-                nodes: solution.nodes as u64,
-                iterations: solution.iterations as u64,
-                cold_solves: solution.cold_solves as u64,
-            },
-        );
-    }
     Some(assignment)
 }
 

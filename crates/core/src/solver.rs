@@ -23,9 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::budget::Budget;
-use crate::config::{
-    EngineConfig, Strategy, REPLACEMENT_K, SHADE_FANOUT, SHADE_LEAF_SIZE, SKETCH_PARTITION_SIZE,
-};
+use crate::config::{EngineConfig, Strategy, SHADE_FANOUT, SHADE_LEAF_SIZE, SKETCH_PARTITION_SIZE};
 use crate::enumerate::{enumerate, EnumerationOptions};
 use crate::error::PbError;
 use crate::greedy::{objective_coeffs, starting_package, StartHeuristic};
@@ -227,7 +225,6 @@ impl Solver for LocalSearchSolver {
         let out = local_search(
             view,
             &LocalSearchOptions {
-                k: REPLACEMENT_K,
                 max_moves: opts.max_local_moves,
                 restarts: opts.local_restarts,
                 seed: opts.seed,

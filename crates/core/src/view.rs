@@ -1007,12 +1007,13 @@ impl CandidateView {
     /// member is not a candidate (i.e. the package violates a base
     /// constraint).
     pub fn project(&self, package: &Package) -> Option<ViewState<'_>> {
-        let mut state = ViewState::empty(self);
-        for (tid, mult) in package.members() {
-            let idx = self.index_of(tid)?;
-            state.apply(idx, mult as i64);
-        }
-        Some(state)
+        // Members come in tuple-id order, and candidates are sorted by id, so
+        // the indices ascend as `ViewState::of_members` requires.
+        let members = package
+            .members()
+            .map(|(tid, mult)| Some((self.index_of(tid)?, mult)))
+            .collect::<Option<Vec<_>>>()?;
+        Some(ViewState::of_members(self, &members))
     }
 
     /// True when `package` is a valid answer: every member is a candidate,
@@ -1288,6 +1289,39 @@ impl<'v> ViewState<'v> {
         }
     }
 
+    /// The package holding `members`: `(candidate index, multiplicity)`
+    /// pairs with ascending, distinct indices and nonzero multiplicities.
+    /// Bit-identical to [`ViewState::apply`]ing them one at a time in that
+    /// order — each term's accumulator sees the same additions in the same
+    /// order — but folded term by term, so a paged term costs one chunk pin
+    /// per chunk the members touch instead of one per member.
+    pub(crate) fn of_members(view: &'v CandidateView, members: &[(usize, u32)]) -> Self {
+        debug_assert!(members.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(members.iter().all(|&(_, m)| m > 0));
+        let same_chunk =
+            |a: &(usize, u32), b: &(usize, u32)| a.0 / CHUNK_WIDTH == b.0 / CHUNK_WIDTH;
+        let mut accums = vec![TermAccum::zero(); view.terms.len()];
+        for (term, accum) in view.terms.iter().zip(&mut accums) {
+            for run in members.chunk_by(same_chunk) {
+                let chunk = term.chunk(run[0].0 / CHUNK_WIDTH);
+                for &(idx, mult) in run {
+                    let i = idx % CHUNK_WIDTH;
+                    if chunk.included(i) {
+                        accum.count += mult as u64;
+                        accum.sum += chunk.coeffs()[i] * mult as f64;
+                        accum.distinct += 1;
+                    }
+                }
+            }
+        }
+        ViewState {
+            view,
+            members: members.iter().copied().collect(),
+            accums,
+            cardinality: members.iter().map(|&(_, m)| m as u64).sum(),
+        }
+    }
+
     /// The view this state accumulates over.
     pub fn view(&self) -> &'v CandidateView {
         self.view
@@ -1397,7 +1431,7 @@ impl<'v> ViewState<'v> {
 
     /// Scores the state *as if* `changes` (candidate index, multiplicity
     /// delta) were applied, without mutating it. This is the point-lookup
-    /// delta evaluation for `O(1)`-sized move sets (drops, k = 2 moves):
+    /// delta evaluation for `O(1)`-sized move sets (single drops and swaps):
     /// `O(#terms · #changes)` element pins plus a member rescan for MIN/MAX
     /// terms only. Full-neighbourhood scans score a whole chunk per pin
     /// through [`ViewState::move_scan`] instead — bit-identical scores.
@@ -1590,8 +1624,8 @@ impl Overlay<'_, '_> {
         let term = &self.base.view.terms[term_id];
         let mut accum = self.base.accums[term_id];
         // Process each distinct index once (repeated deltas to one candidate
-        // — k=2 moves may touch the same index twice — are netted through
-        // `multiplicity`). Move vectors are tiny, so the quadratic
+        // — a swap whose incoming index is its outgoing one — are netted
+        // through `multiplicity`). Move vectors are tiny, so the quadratic
         // first-occurrence scan beats any allocation.
         for (pos, &(idx, _)) in self.changes.iter().enumerate() {
             if self.changes[..pos].iter().any(|&(i, _)| i == idx) {
@@ -1642,6 +1676,7 @@ impl TermValues for Overlay<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column_store::ColumnPolicy;
     use datagen::{recipes, Seed};
     use paql::compile;
 
@@ -1705,6 +1740,50 @@ mod tests {
                 (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9),
                 (a, b) => assert_eq!(a, b),
             }
+        }
+    }
+
+    #[test]
+    fn folding_members_term_by_term_equals_applying_them_one_by_one() {
+        // Three chunks, a FILTER term (a mixed inclusion mask), REPEAT 2
+        // (multiplicities above one) and non-integral coefficients (sums that
+        // depend on their order), resident and paged behind a 2-page pool.
+        let t = datagen::uniform_table("t", 10_000, 5.0, 20.0, Seed(7));
+        let analyzed = compile(
+            "SELECT PACKAGE(T) AS P FROM t T REPEAT 2 \
+             SUCH THAT SUM(P.w) FILTER (WHERE T.u < 0.5) >= 3 \
+             AND SUM(P.w) <= 2500 MAXIMIZE SUM(P.v)",
+            t.schema(),
+        )
+        .unwrap();
+        for (policy, paged) in [
+            (ColumnPolicy::resident(), false),
+            (ColumnPolicy::paged(2), true),
+        ] {
+            let ctx = BuildCtx {
+                par: ParExec::sequential(),
+                policy,
+                cache: None,
+            };
+            let spec = crate::spec::PackageSpec::build(&analyzed, &t, &ctx).unwrap();
+            let v = spec.view();
+            assert_eq!(v.is_paged(), paged);
+            let members: Vec<(usize, u32)> = (0..v.candidate_count())
+                .step_by(7)
+                .map(|i| (i, 1 + (i % 2) as u32))
+                .collect();
+            let mut one_by_one = ViewState::empty(v);
+            for &(i, m) in &members {
+                one_by_one.apply(i, m as i64);
+            }
+            let folded = ViewState::of_members(v, &members);
+            let bits = |s: &ViewState<'_>| {
+                let accums: Vec<_> = (s.accums.iter())
+                    .map(|a| (a.count, a.sum.to_bits(), a.distinct))
+                    .collect();
+                (s.members.clone(), s.cardinality, accums)
+            };
+            assert_eq!(bits(&folded), bits(&one_by_one), "paged: {paged}");
         }
     }
 

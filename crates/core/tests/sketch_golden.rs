@@ -10,8 +10,7 @@
 //! package.
 //!
 //! The rows were first recorded before the two solvers were merged into one
-//! pipeline (with the sub-ILP memo's direction word already in the key), and
-//! re-recorded when `LpMatrix::new` began merging constraints on one linear
+//! pipeline, and re-recorded when `LpMatrix::new` began merging constraints on one linear
 //! form into one ranged row: the sketch and refine ILPs shrank, the counters
 //! moved on every family but `wide` and `travel` (which never reaches a
 //! sketch ILP), every objective kept its bits, and the package moved only
@@ -95,7 +94,7 @@ fn checksum(package: &packagebuilder::Package) -> u64 {
 }
 
 /// One family at one size: the flat row, then the tree row. Each solve builds
-/// its own uncached spec, so neither replays the other's sub-ILP memo.
+/// its own uncached spec.
 fn solve_rows(scenario: &datagen::Scenario, n: usize) -> [Row; 2] {
     let table = (scenario.build)(n, Seed(SEED));
     let analyzed = compile(&scenario.queries[0].text, table.schema()).expect("query compiles");

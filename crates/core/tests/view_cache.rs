@@ -6,11 +6,11 @@
 use std::sync::Arc;
 
 use datagen::{recipes, Seed};
-use minidb::{Catalog, Tuple, Value};
+use minidb::{Catalog, Table, Tuple, Value};
 use packagebuilder::budget::Budget;
 use packagebuilder::config::{EngineConfig, Strategy};
 use packagebuilder::par::ParExec;
-use packagebuilder::{PackageEngine, ViewCache};
+use packagebuilder::{Package, PackageEngine, PackageResult, ViewCache};
 
 const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \
     SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)";
@@ -173,37 +173,71 @@ fn partitioning_is_computed_once_across_repeated_queries() {
     assert_eq!(pa.len(), pb.len());
 }
 
-#[test]
-fn sub_ilp_memo_serves_warm_refines_with_identical_stats() {
-    // The refine phase memoizes each partition's *proven-optimal* sub-ILP in
-    // the cached view's `PartitionMemo`; a repeated query replays the stored
-    // assignments and their node/iteration counters instead of re-solving.
-    // The contract is the cache PR's, one level deeper: warm must equal cold
-    // down to the evaluation counters.
-    let e = engine(
-        2_000,
-        13,
-        EngineConfig::with_strategy(Strategy::SketchRefine).with_seed(13),
-    );
-    let cold = e.execute_paql(MEAL_QUERY).unwrap();
-    let query = paql::parse(MEAL_QUERY).unwrap();
-    let spec = e.build_spec(&query).unwrap();
-    assert!(
-        spec.view().partition_memo().sub_ilp_len() > 0,
-        "the cold refine pass stored no sub-ILP solutions"
-    );
-    let warm = e.execute_paql(MEAL_QUERY).unwrap();
-    assert_eq!(cold.best(), warm.best());
-    assert_eq!(cold.objectives, warm.objectives);
-    assert_eq!(cold.stats.nodes, warm.stats.nodes, "node counters drifted");
-    assert_eq!(
-        cold.stats.iterations, warm.stats.iterations,
-        "iteration counters drifted"
-    );
+/// What a warm solve must repeat of a cold one: the packages, the objective
+/// bits and the solver work (`nodes`, `iterations`, `cold_solves`).
+fn answer_and_work(r: &PackageResult) -> (Vec<Package>, Vec<Option<u64>>, u64, u64, u64) {
+    let bits = r.objectives.iter().map(|o| o.map(f64::to_bits)).collect();
+    let s = &r.stats;
+    (
+        r.packages.clone(),
+        bits,
+        s.nodes,
+        s.iterations,
+        s.cold_solves,
+    )
+}
+
+/// An engine over `table` alone, forced to `strategy`.
+fn engine_over(table: Table, strategy: Strategy) -> PackageEngine {
+    let mut catalog = Catalog::new();
+    catalog.register(table);
+    PackageEngine::with_config(catalog, EngineConfig::with_strategy(strategy))
+}
+
+/// Runs `query` cold and then warm on one engine, and cold on a fresh one:
+/// all three must return the same answer after the same work.
+fn assert_warm_equals_cold(at: &str, engine: impl Fn() -> PackageEngine, query: &str) {
+    let e = engine();
+    let cold = answer_and_work(&e.execute_paql(query).unwrap());
+    let warm = answer_and_work(&e.execute_paql(query).unwrap());
+    let stats = e.view_cache().stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1), "{at}");
+    let fresh = answer_and_work(&engine().execute_paql(query).unwrap());
+    assert_eq!(cold, warm, "{at}: warm differs from cold");
+    assert_eq!(cold, fresh, "{at}: cold differs from a fresh engine");
 }
 
 #[test]
-fn the_sub_ilp_memo_keeps_maximize_and_minimize_apart() {
+fn warm_sketch_family_solves_equal_cold_and_fresh_ones_on_every_family() {
+    // The view cache memoizes a solve's inputs (columns, partitionings),
+    // never its answers: a warm repeat re-solves every sketch and refine
+    // sub-ILP and must do exactly the work of the cold run.
+    for strategy in [Strategy::SketchRefine, Strategy::ProgressiveShading] {
+        for scenario in datagen::scenarios() {
+            let n = scenario.gauntlet_sizes[0];
+            let query = &scenario.queries[0];
+            let engine = || engine_over((scenario.build)(n, Seed(20140901)), strategy);
+            let at = format!("{}/{} at {n}, {strategy:?}", scenario.name, query.label);
+            assert_warm_equals_cold(&at, engine, &query.text);
+        }
+        // No registry query fails a refine sub-ILP. This narrow window does:
+        // its first pass fails a partition, the second fails it again as the
+        // first one refined, and the exhausted, non-strict pass greedy-fills
+        // it — backtracking, hinted re-solves and the last pass all run.
+        let window = || {
+            engine_over(
+                datagen::uniform_table("t", 400, 5.0, 20.0, Seed(3)),
+                strategy,
+            )
+        };
+        let query = "SELECT PACKAGE(T) AS P FROM t T \
+            SUCH THAT COUNT(*) = 4 AND SUM(P.w) BETWEEN 50 AND 50.1 MAXIMIZE SUM(P.v)";
+        assert_warm_equals_cold(&format!("narrow window, {strategy:?}"), window, query);
+    }
+}
+
+#[test]
+fn a_warm_minimize_after_a_maximize_equals_a_cold_minimize() {
     // Both directions of one SUCH THAT clause share a term signature, hence a
     // bank and its `PartitionMemo`, and their sub-ILPs differ in nothing but
     // the sense: a MINIMIZE after a MAXIMIZE on one engine must equal a
@@ -221,24 +255,10 @@ fn the_sub_ilp_memo_keeps_maximize_and_minimize_apart() {
         let fresh = engine(40, 20140901, EngineConfig::with_strategy(strategy))
             .execute_paql(&query("MINIMIZE"))
             .unwrap();
-        assert_eq!(after.best(), fresh.best(), "{strategy:?}");
         assert_eq!(
-            after
-                .objectives
-                .iter()
-                .map(|o| o.map(f64::to_bits))
-                .collect::<Vec<_>>(),
-            fresh
-                .objectives
-                .iter()
-                .map(|o| o.map(f64::to_bits))
-                .collect::<Vec<_>>(),
+            answer_and_work(&after),
+            answer_and_work(&fresh),
             "{strategy:?}"
-        );
-        assert_eq!(after.stats.nodes, fresh.stats.nodes, "{strategy:?}: nodes");
-        assert_eq!(
-            after.stats.iterations, fresh.stats.iterations,
-            "{strategy:?}: iterations"
         );
     }
 }
