@@ -103,20 +103,29 @@ fn density_prefix(order: &mut Vec<usize>, coeffs: &[f64], maximize: bool, target
     order.sort_unstable_by(by_density);
 }
 
+/// How much a repair move must lower the violation by to be taken.
+const MIN_GAIN: f64 = 1e-9;
+
 /// Feasibility-repair pass: accept single add/drop moves while they strictly
 /// reduce the violation. Each pass scans the whole candidate set in
 /// fixed-width chunks fanned out over `par`: the add moves of a chunk are
 /// scored column-at-a-time by one [`crate::view::MoveScan`] kernel call —
 /// each term the formula references is pinned once per chunk, and the
 /// objective's terms are never read — while the drop moves (one per member)
-/// go through the point path, [`ViewState::violation_with`]. Per-chunk local
-/// bests combine in chunk order (first strictly better move wins, exactly
-/// the sequential scan's tie-breaking) and chunk scores are bit-identical to
-/// point scores, so the repair trajectory is the same at every thread count
-/// and storage mode. The budget is checked per chunk, not per element: a
-/// chunk that observes expiry marks the pass interrupted and the state is
-/// left at its best-so-far.
-/// Returns `(evaluations, moves)` for the caller's stats.
+/// go through the point path, [`ViewState::violation_with`]. A chunk whose
+/// [`crate::view::MoveScan::violation_floor`], read from resident chunk
+/// metadata, proves that none of its non-member adds can win is not scanned
+/// and pins no page: only its members' adds and drops are scored, through
+/// the same point path. Per-chunk local bests combine in chunk order (first
+/// strictly better move wins, exactly the sequential scan's tie-breaking),
+/// chunk scores are bit-identical to point scores, and the skip test reads
+/// only the pass's starting violation, so the repair trajectory is the same
+/// at every thread count and storage mode. The budget is checked per chunk,
+/// not per element: a chunk that observes expiry marks the pass interrupted
+/// and the state is left at its best-so-far.
+/// Returns `(evaluations, moves)` for the caller's stats; `evaluations`
+/// counts every move considered, whether scored or ruled out by a chunk's
+/// bound.
 pub(crate) fn repair_to_feasibility(
     state: &mut ViewState<'_>,
     budget: &Budget,
@@ -142,8 +151,10 @@ pub(crate) fn repair_to_feasibility(
 }
 
 /// What one full scan of the add/drop neighbourhood found.
+#[derive(Debug, PartialEq)]
 struct RepairPass {
-    /// Moves scored (by the chunks that ran before any expiry).
+    /// Moves considered (by the chunks that ran before any expiry), scored
+    /// or ruled out by a chunk's bound.
     evaluations: u64,
     /// `(violation, index, delta)` of the first move that beats the current
     /// violation by the most, if any does.
@@ -161,13 +172,18 @@ fn repair_pass(state: &ViewState<'_>, violation: f64, budget: &Budget, par: ParE
         if budget.expired() {
             return None;
         }
-        let mut chunk = scan.chunk(c);
-        let adds = chunk.score(0).violations();
+        // Every non-member add scores at least the floor, so a floor within
+        // `MIN_GAIN` of the starting violation leaves them nothing to win.
+        let floor = scan.violation_floor(0, c);
+        let mut chunk = floor
+            .is_none_or(|f| f + MIN_GAIN < violation)
+            .then(|| scan.chunk(c));
+        let adds = chunk.as_mut().map(|chunk| chunk.score(0).violations());
         let mut evals = 0u64;
         let mut best: Option<(f64, usize, i64)> = None;
         let mut bar = violation;
         let mut consider = |v: f64, idx: usize, delta: i64| {
-            if v + 1e-9 < bar {
+            if v + MIN_GAIN < bar {
                 bar = v;
                 best = Some((v, idx, delta));
             }
@@ -177,14 +193,22 @@ fn repair_pass(state: &ViewState<'_>, violation: f64, budget: &Budget, par: ParE
         for (run, member) in state.member_runs(range.clone()) {
             if max_mult > 0 {
                 evals += run.len() as u64;
-                for idx in run {
-                    consider(adds[idx - range.start], idx, 1);
+                if let Some(adds) = adds {
+                    for idx in run {
+                        consider(adds[idx - range.start], idx, 1);
+                    }
                 }
             }
             if let Some((member, mult)) = member {
                 if mult < max_mult {
                     evals += 1;
-                    consider(adds[member - range.start], member, 1);
+                    // The kernel patches a member's add through this same
+                    // point call, so a skipped chunk scores it bit for bit.
+                    let v = match adds {
+                        Some(adds) => adds[member - range.start],
+                        None => state.violation_with(&[(member, 1)]),
+                    };
+                    consider(v, member, 1);
                 }
                 evals += 1;
                 consider(state.violation_with(&[(member, -1)]), member, -1);
@@ -205,7 +229,7 @@ fn repair_pass(state: &ViewState<'_>, violation: f64, budget: &Budget, par: ParE
         };
         pass.evaluations += evals;
         if let Some((v, _, _)) = best {
-            if v + 1e-9 < bar {
+            if v + MIN_GAIN < bar {
                 bar = v;
                 pass.best = best;
             }
@@ -241,12 +265,12 @@ pub fn random_cardinality(view: &CandidateView, rng: &mut StdRng) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column_store::SpillStore;
-    use crate::par::chunk_count;
+    use crate::column_store::{ColumnPolicy, SpillStore};
+    use crate::par::{chunk_count, CHUNK_WIDTH};
     use crate::spec::tests::spec_for;
     use crate::spec::{BuildCtx, PackageSpec};
     use crate::view::ColumnSink;
-    use datagen::{recipes, Seed};
+    use datagen::{recipes, scenarios, Seed};
     use rand::SeedableRng;
     use std::sync::Arc;
 
@@ -473,5 +497,233 @@ mod tests {
             "{used} pool requests for one pass; budget {budget} ({chunks} chunks, {members} members)"
         );
         assert!(used >= chunks * 3, "every referenced chunk is read");
+    }
+
+    /// The repair pass without chunk bounds — every chunk scanned, every
+    /// add scored by the kernel — kept as the oracle the bounded pass must
+    /// equal move for move.
+    fn unpruned_repair_pass(
+        state: &ViewState<'_>,
+        violation: f64,
+        budget: &Budget,
+        par: ParExec,
+    ) -> RepairPass {
+        let view = state.view();
+        let max_mult = view.max_multiplicity();
+        let scan = state.move_scan(vec![vec![]], false);
+        let chunk_bests = par.run_chunks(view.candidate_count(), |c, range| {
+            if budget.expired() {
+                return None;
+            }
+            let mut chunk = scan.chunk(c);
+            let adds = chunk.score(0).violations();
+            let mut evals = 0u64;
+            let mut best: Option<(f64, usize, i64)> = None;
+            let mut bar = violation;
+            let mut consider = |v: f64, idx: usize, delta: i64| {
+                if v + 1e-9 < bar {
+                    bar = v;
+                    best = Some((v, idx, delta));
+                }
+            };
+            for (run, member) in state.member_runs(range.clone()) {
+                if max_mult > 0 {
+                    evals += run.len() as u64;
+                    for idx in run {
+                        consider(adds[idx - range.start], idx, 1);
+                    }
+                }
+                if let Some((member, mult)) = member {
+                    if mult < max_mult {
+                        evals += 1;
+                        consider(adds[member - range.start], member, 1);
+                    }
+                    evals += 1;
+                    consider(state.violation_with(&[(member, -1)]), member, -1);
+                }
+            }
+            Some((evals, best))
+        });
+        let mut pass = RepairPass {
+            evaluations: 0,
+            best: None,
+            expired: false,
+        };
+        let mut bar = violation;
+        for chunk in chunk_bests {
+            let Some((evals, best)) = chunk else {
+                pass.expired = true;
+                break;
+            };
+            pass.evaluations += evals;
+            if let Some((v, _, _)) = best {
+                if v + 1e-9 < bar {
+                    bar = v;
+                    pass.best = best;
+                }
+            }
+        }
+        pass
+    }
+
+    type PassFn = fn(&ViewState<'_>, f64, &Budget, ParExec) -> RepairPass;
+
+    /// One pass as bits: evaluations, the move and its violation's bits,
+    /// expiry.
+    type PassBits = (u64, Option<(u64, usize, i64)>, bool);
+
+    /// How many passes of a repair [`trajectory`] follows: enough to cross
+    /// from the add phase into drops on every registry query, few enough
+    /// that the 1 000-member `bulk` query stays cheap in debug builds.
+    const MAX_PASSES: usize = 24;
+
+    /// The first [`MAX_PASSES`] passes of the repair from `start`, as
+    /// [`repair_to_feasibility`] runs them, through `pass`; `skippable`
+    /// counts the chunks whose floor rules out their non-member adds.
+    fn trajectory(
+        view: &CandidateView,
+        start: &Package,
+        par: ParExec,
+        pass: PassFn,
+        skippable: &mut usize,
+    ) -> Vec<PassBits> {
+        let mut state = view.project(start).unwrap();
+        let mut violation = state.violation();
+        let mut passes = Vec::new();
+        while violation > 0.0 && passes.len() < MAX_PASSES {
+            let scan = state.move_scan(vec![vec![]], false);
+            *skippable += (0..chunk_count(view.candidate_count()))
+                .filter(|&c| {
+                    scan.violation_floor(0, c)
+                        .is_some_and(|f| f + MIN_GAIN >= violation)
+                })
+                .count();
+            let p = pass(&state, violation, &Budget::unlimited(), par);
+            passes.push((
+                p.evaluations,
+                p.best.map(|(v, idx, delta)| (v.to_bits(), idx, delta)),
+                p.expired,
+            ));
+            match p.best {
+                Some((v, idx, delta)) => {
+                    state.apply(idx, delta);
+                    violation = v;
+                }
+                None => break,
+            }
+        }
+        passes
+    }
+
+    #[test]
+    fn bounded_repair_passes_equal_unbounded_ones_on_every_registry_query() {
+        // Every gauntlet query of every family over two chunks, from the
+        // greedy start and from an overfull one (a drop phase, where bounds
+        // rule chunks out), resident and through a 2-frame pool, at 1, 2 and
+        // 4 threads: every pass's evaluations, move and violation bits equal
+        // the unbounded oracle's.
+        let n = CHUNK_WIDTH + 300;
+        let mut skippable = 0;
+        for scenario in scenarios() {
+            let table = (scenario.build)(n, Seed(17));
+            for query in &scenario.queries {
+                let analyzed = paql::compile(&query.text, table.schema()).unwrap();
+                for policy in [ColumnPolicy::resident(), ColumnPolicy::paged(2)] {
+                    let ctx = BuildCtx {
+                        par: ParExec::sequential(),
+                        policy,
+                        cache: None,
+                    };
+                    let spec = PackageSpec::build(&analyzed, &table, &ctx).unwrap();
+                    let view = spec.view();
+                    let mut rng = StdRng::seed_from_u64(3);
+                    let overfull = Package::from_ids(
+                        (0..12).map(|k| view.candidates()[(k * 997 + 5) % view.candidate_count()]),
+                    );
+                    for start in [greedy_start(view, &mut rng), overfull] {
+                        let context = format!("{} ({})", scenario.name, query.text);
+                        let mut ignored = 0;
+                        let oracle = trajectory(
+                            view,
+                            &start,
+                            ParExec::sequential(),
+                            unpruned_repair_pass,
+                            &mut ignored,
+                        );
+                        for threads in [1, 2, 4] {
+                            let par = ParExec::new(threads);
+                            let counter = if threads == 1 {
+                                &mut skippable
+                            } else {
+                                &mut ignored
+                            };
+                            let got = trajectory(view, &start, par, repair_pass, counter);
+                            assert_eq!(got, oracle, "{context} at {threads} threads");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(skippable > 100, "only {skippable} chunks were ruled out");
+    }
+
+    #[test]
+    fn a_drop_phase_pass_requests_no_chunk_page_of_the_formula_terms() {
+        // Eight of the highest-calorie recipes: COUNT(*) is four over and
+        // both SUMs are above their upper bounds, so no add can lower the
+        // violation and every chunk's bound says so. The pass may only
+        // request the pages its members' point lookups (one drop each; no
+        // add is legal at REPEAT 1) request.
+        let t = recipes(10_000, Seed(13));
+        let spec = spec_for(&t, PAGED_MEAL_QUERY);
+        let formula_terms = spec.view().terms().len() - 1;
+        let store = SpillStore::create(4).unwrap();
+        let mut stores = vec![Some(Arc::clone(&store)); formula_terms];
+        stores.push(None);
+        let view = respill(&spec, &stores);
+
+        let mut by_calories: Vec<usize> = (0..view.candidate_count()).collect();
+        let calories = view.terms()[1].coeffs_vec();
+        by_calories.sort_by(|&a, &b| calories[b].total_cmp(&calories[a]));
+        let ids = by_calories[..8].iter().map(|&i| view.candidates()[i]);
+        let state = view.project(&Package::from_ids(ids)).unwrap();
+        let violation = state.violation();
+        let scan = state.move_scan(vec![vec![]], false);
+        let chunks = chunk_count(view.candidate_count());
+        assert!(
+            (0..chunks).all(|c| scan.violation_floor(0, c).unwrap() + MIN_GAIN >= violation),
+            "every chunk is ruled out"
+        );
+
+        let before = requests(&store);
+        let pass = repair_pass(&state, violation, &Budget::unlimited(), ParExec::new(2));
+        let used = requests(&store) - before;
+        assert_eq!(
+            pass.evaluations, 10_000,
+            "one add per non-member, one drop per member"
+        );
+        assert!(
+            matches!(pass.best, Some((_, _, -1))),
+            "the best move is a drop"
+        );
+
+        let before = requests(&store);
+        for m in state.member_indices() {
+            state.violation_with(&[(m, -1)]);
+        }
+        let point = requests(&store) - before;
+        assert_eq!(
+            used, point,
+            "only the members' point lookups reach the pool"
+        );
+
+        let before = requests(&store);
+        let oracle = unpruned_repair_pass(&state, violation, &Budget::unlimited(), ParExec::new(2));
+        assert_eq!(oracle, pass);
+        let unbounded = requests(&store) - before;
+        assert!(
+            unbounded >= point + chunks as u64 * formula_terms as u64,
+            "the unbounded pass pins every formula term's chunks ({unbounded} requests)"
+        );
     }
 }

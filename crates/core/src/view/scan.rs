@@ -34,7 +34,7 @@ use super::{
 };
 use crate::par::chunk_range;
 use paql::ast::GlobalArithOp;
-use paql::AggFunc;
+use paql::{AggFunc, CmpOp};
 
 /// One fixed prefix of changes folded into the base state's accumulators.
 struct PrefixBase {
@@ -189,6 +189,213 @@ impl<'s, 'v> MoveScan<'s, 'v> {
             scores: ChunkScores::default(),
         }
     }
+
+    /// A lower bound on the violation [`ScanChunk::score`] gives every lane
+    /// of chunk `c` it scores column-at-a-time after prefix number `prefix`
+    /// (every lane but the members and the prefix's own indices, which take
+    /// the point path): each such lane's violation is NaN or at least this.
+    ///
+    /// Read from the referenced terms' resident [`ChunkMeta`] and the
+    /// prefix's accumulators alone, so no page is pinned. The compiled
+    /// formula is evaluated over intervals: each term's interval is the
+    /// kernel's own float ops run on the chunk's least and
+    /// greatest included coefficient (and the excluded lanes' value, when
+    /// the chunk has some). Every term is monotone in the coefficient and
+    /// IEEE rounding is monotone, so the endpoints bound every lane's bits;
+    /// the arithmetic, comparison and connective rules below carry the bound
+    /// up to the formula. A lane that may be NULL scores exactly the
+    /// un-evaluable penalty on its constraint.
+    ///
+    /// `None` when nothing is proven: a referenced chunk's `sum` is not
+    /// finite (a NaN or infinite coefficient — the chunk's `min`/`max` skip
+    /// NaN lanes, and a NaN under `<=` scores 0), an endpoint is not finite,
+    /// or a divisor's interval holds 0.
+    ///
+    /// [`ChunkMeta`]: super::ChunkMeta
+    pub fn violation_floor(&self, prefix: usize, c: usize) -> Option<f64> {
+        let view = self.state.view;
+        let floor = Floor {
+            view,
+            base: &self.prefixes[prefix],
+            chunk: c,
+            len: chunk_range(c, view.candidate_count()).len(),
+        };
+        match &view.compiled_formula {
+            Some(f) => floor.formula(f),
+            None => Some(0.0),
+        }
+    }
+}
+
+/// The values an expression takes over the column-scored lanes of one
+/// chunk: every non-NULL lane's value lies in `range` (finite endpoints;
+/// `None` when every lane is NULL), and `null` says some lane may be NULL.
+#[derive(Clone, Copy)]
+struct Span {
+    range: Option<(f64, f64)>,
+    null: bool,
+}
+
+/// `(lo, hi)` when both endpoints are finite.
+fn finite(lo: f64, hi: f64) -> Option<(f64, f64)> {
+    (lo.is_finite() && hi.is_finite()).then_some((lo, hi))
+}
+
+/// [`MoveScan::violation_floor`]'s interval evaluator: [`Kernel`]'s
+/// arithmetic on interval endpoints instead of lanes.
+struct Floor<'k> {
+    view: &'k CandidateView,
+    base: &'k PrefixBase,
+    chunk: usize,
+    len: usize,
+}
+
+impl Floor<'_> {
+    /// [`Kernel::term`] at the chunk's extreme included coefficients, plus
+    /// its excluded lanes' value when the chunk has any.
+    fn term(&self, id: usize) -> Option<Span> {
+        let term: &TermColumn = &self.view.terms[id];
+        let meta = term.chunk_meta()[self.chunk];
+        if !meta.sum.is_finite() {
+            return None;
+        }
+        let accum = self.base.accums[id];
+        let without = accum.count as f64;
+        let with = (accum.count + 1) as f64;
+        let (lo, hi) = (meta.min, meta.max);
+        // (value at the least and greatest included lane, value at an
+        // excluded lane, whether an excluded lane is NULL)
+        let (included, excluded, empty_base) = match term.func {
+            AggFunc::Count => ((with, with), without, false),
+            AggFunc::Sum => (
+                (accum.sum + lo * 1.0, accum.sum + hi * 1.0),
+                accum.sum,
+                accum.distinct == 0,
+            ),
+            AggFunc::Avg => (
+                ((accum.sum + lo * 1.0) / with, (accum.sum + hi * 1.0) / with),
+                accum.sum / without,
+                accum.count == 0,
+            ),
+            AggFunc::Min | AggFunc::Max => {
+                let best = self.base.extrema[id];
+                let fold = |c| fold_extremum(term.func, best, c);
+                ((fold(lo), fold(hi)), best.unwrap_or(0.0), best.is_none())
+            }
+        };
+        let has_excluded = (meta.included as usize) < self.len;
+        // Each part is checked before the hull: `min`/`max` would drop a NaN.
+        let included = if meta.included > 0 {
+            Some(finite(included.0, included.1)?)
+        } else {
+            None
+        };
+        let excluded = if has_excluded && !empty_base {
+            Some(finite(excluded, excluded)?)
+        } else {
+            None
+        };
+        let range = match (included, excluded) {
+            (Some((lo, hi)), Some((x, _))) => Some((lo.min(x), hi.max(x))),
+            (one, other) => one.or(other),
+        };
+        Some(Span {
+            range,
+            null: has_excluded && empty_base,
+        })
+    }
+
+    fn expr(&self, expr: &CompiledExpr) -> Option<Span> {
+        match expr {
+            CompiledExpr::Literal(x) => Some(Span {
+                range: Some(finite(*x, *x)?),
+                null: false,
+            }),
+            CompiledExpr::Term(id) => self.term(*id),
+            CompiledExpr::Binary { op, lhs, rhs } => {
+                let (a, b) = (self.expr(lhs)?, self.expr(rhs)?);
+                let range = match (a.range, b.range) {
+                    (Some(a), Some(b)) => Some(arith(*op, a, b)?),
+                    _ => None,
+                };
+                Some(Span {
+                    range,
+                    null: a.null || b.null,
+                })
+            }
+        }
+    }
+
+    /// [`Kernel::constraint_violation`]'s bound: the comparison's distance
+    /// at the nearest endpoints, capped at the penalty a NULL lane scores.
+    fn constraint(&self, c: &CompiledConstraint) -> Option<f64> {
+        let (a, b) = (self.expr(&c.lhs)?, self.expr(&c.rhs)?);
+        let floor = match (a.range, b.range) {
+            (Some((a_lo, a_hi)), Some((b_lo, b_hi))) => match c.op {
+                // `a - b` lies in `a_lo - b_hi ..= a_hi - b_lo`.
+                CmpOp::Eq => {
+                    let (lo, hi) = (a_lo - b_hi, a_hi - b_lo);
+                    if lo > 0.0 {
+                        lo
+                    } else if hi < 0.0 {
+                        -hi
+                    } else {
+                        0.0
+                    }
+                }
+                CmpOp::NotEq => 0.0,
+                CmpOp::Lt | CmpOp::LtEq => comparison_violation(c.op, a_lo, b_hi),
+                CmpOp::Gt | CmpOp::GtEq => comparison_violation(c.op, a_hi, b_lo),
+            },
+            // Every lane is NULL.
+            _ => UNEVALUABLE_PENALTY,
+        };
+        Some(if a.null || b.null {
+            floor.min(UNEVALUABLE_PENALTY)
+        } else {
+            floor
+        })
+    }
+
+    /// [`Kernel::formula_violation`]'s bound: `And` adds, `Or` takes the
+    /// smaller (a NaN side of a lane's `min` yields the other side), `Not`
+    /// scores 0 or 1.
+    fn formula(&self, f: &CompiledFormula) -> Option<f64> {
+        match f {
+            CompiledFormula::Atom(c) => self.constraint(c),
+            CompiledFormula::And(a, b) => Some(self.formula(a)? + self.formula(b)?),
+            CompiledFormula::Or(a, b) => Some(self.formula(a)?.min(self.formula(b)?)),
+            CompiledFormula::Not(_) => Some(0.0),
+        }
+    }
+}
+
+/// The interval of `a op b` over every `a` in `a` and `b` in `b`: each
+/// operator is monotone in each argument on the box (a divisor's interval
+/// must exclude 0), so the extremes are at the corners.
+fn arith(
+    op: GlobalArithOp,
+    (a_lo, a_hi): (f64, f64),
+    (b_lo, b_hi): (f64, f64),
+) -> Option<(f64, f64)> {
+    let corners = |f: fn(f64, f64) -> f64| {
+        let c = [f(a_lo, b_lo), f(a_lo, b_hi), f(a_hi, b_lo), f(a_hi, b_hi)];
+        (
+            // pb-lint: allow(no-nan-unsafe-ordering) — a product of finite
+            // endpoints, or a quotient by a nonzero one, is never NaN.
+            c.into_iter().fold(f64::INFINITY, f64::min),
+            // pb-lint: allow(no-nan-unsafe-ordering) — as above.
+            c.into_iter().fold(f64::NEG_INFINITY, f64::max),
+        )
+    };
+    let (lo, hi) = match op {
+        GlobalArithOp::Add => (a_lo + b_lo, a_hi + b_hi),
+        GlobalArithOp::Sub => (a_lo - b_hi, a_hi - b_lo),
+        GlobalArithOp::Mul => corners(|x, y| x * y),
+        GlobalArithOp::Div if b_lo <= 0.0 && b_hi >= 0.0 => return None,
+        GlobalArithOp::Div => corners(|x, y| x / y),
+    };
+    finite(lo, hi)
 }
 
 /// The scores of one chunk's "+1 at `i`" moves after one prefix, indexed by
