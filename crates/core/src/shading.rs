@@ -71,16 +71,16 @@ impl Solver for ProgressiveShadingSolver {
 /// layer down, and so on to a sorted set of leaf ids. With no layers every
 /// leaf is shaded and no ILP is solved — the flat sketch. `leaf_means[r][p]`
 /// is leaf `p`'s representative for coefficient row `r` (a row per
-/// constraint, then the objective's when the query has one). `None` means a
-/// layer sketch was infeasible or the budget ran out; an empty shade means a
-/// layer sketch drew nothing.
+/// constraint, then the objective's when the query has one). `Ok(None)`
+/// means a layer sketch was infeasible or the budget ran out; an empty shade
+/// means a layer sketch drew nothing.
 pub(crate) fn descend(
     q: &Linearized<'_>,
     layers: &[Vec<TreeNode>],
     parts: &[Partition],
     leaf_means: &[Vec<f64>],
     counters: &mut Counters,
-) -> Option<Vec<usize>> {
+) -> PbResult<Option<Vec<usize>>> {
     // Per-layer representative means, rolled up from the leaf means: a
     // node's mean is the weight-proportional mean of its children's
     // (accumulated in ascending child order, then one division —
@@ -89,7 +89,7 @@ pub(crate) fn descend(
     let mut layer_means: Vec<Vec<Vec<f64>>> = Vec::with_capacity(layers.len());
     for layer in layers {
         if q.opts.budget.expired() {
-            return None;
+            return Ok(None);
         }
         let rolled: Vec<Vec<f64>> = layer_means
             .last()
@@ -112,10 +112,12 @@ pub(crate) fn descend(
     let mut active: Vec<usize> = (0..layers.last().map_or(parts.len(), Vec::len)).collect();
     for (layer, means) in layers.iter().zip(&layer_means).rev() {
         if q.opts.budget.expired() {
-            return None;
+            return Ok(None);
         }
         let capacities = active.iter().map(|&i| layer[i].capacity(q.view)).collect();
-        let drawn = solve_sketch(q, &active, capacities, means, counters)?;
+        let Some(drawn) = solve_sketch(q, &active, capacities, means, counters)? else {
+            return Ok(None);
+        };
         active = active
             .iter()
             .zip(&drawn)
@@ -127,7 +129,7 @@ pub(crate) fn descend(
             break;
         }
     }
-    Some(active)
+    Ok(Some(active))
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use lp_solver::VarId;
+use lp_solver::{LpError, VarId};
 use paql::ObjectiveDirection;
 
 use crate::error::PbError;
@@ -250,7 +250,7 @@ fn sketch_then_refine(
     // (zero outside the shade). An empty shade is a layer sketch that drew
     // nothing: no leaf sketch, no leaf refined.
     let layers = tree.as_ref().map_or(&[][..], |t| t.layers());
-    let Some(shade) = crate::shading::descend(q, layers, parts, &means, counters) else {
+    let Some(shade) = crate::shading::descend(q, layers, parts, &means, counters)? else {
         return Ok(None);
     };
     let mut counts = vec![0u64; parts.len()];
@@ -259,7 +259,7 @@ fn sketch_then_refine(
             return Ok(None);
         }
         let capacities = shade.iter().map(|&p| parts[p].capacity(view)).collect();
-        let Some(drawn) = solve_sketch(q, &shade, capacities, &means, counters) else {
+        let Some(drawn) = solve_sketch(q, &shade, capacities, &means, counters)? else {
             return Ok(None);
         };
         for (&p, &c) in shade.iter().zip(&drawn) {
@@ -318,9 +318,10 @@ fn partition_means(parts: &[Partition], coeffs: &[f64], opts: &SolveOptions) -> 
 /// group) and a refine sub-ILP (a column per member tuple) alike, through
 /// [`package_problem`] (`coeff_rows`: one per constraint, then the
 /// objective's when the query has one), with solver limits from the options
-/// and the budget's deadline applied. `None` when the ILP is infeasible or
-/// stopped without a solution; otherwise the solve's LP work is added to
-/// `counters`.
+/// and the budget's deadline applied. Every solve's LP work is added to
+/// `counters`, whether or not it found a solution. `Ok(None)` when the ILP
+/// is infeasible, or stopped (node cap, deadline) without a solution; any
+/// other solver error is the query's error.
 fn solve_small_ilp<R: AsRef<[f64]>>(
     q: &Linearized<'_>,
     columns: &[usize],
@@ -329,37 +330,41 @@ fn solve_small_ilp<R: AsRef<[f64]>>(
     rhs: impl Fn(usize) -> f64,
     hint: Option<&[f64]>,
     counters: &mut Counters,
-) -> Option<lp_solver::Solution> {
+) -> PbResult<Option<lp_solver::Solution>> {
     let (problem, _) = package_problem(q.view.direction(), q.rows, coeff_rows, columns, upper, rhs);
     let mut config = q.opts.solver.clone();
     q.opts.budget.apply_to_solver(&mut config);
-    let solution = lp_solver::solve_milp_hinted(&problem, &config, hint)
-        .ok()
-        .filter(|s| s.status.has_solution())?;
+    let solution = match lp_solver::solve_milp_hinted(&problem, &config, hint) {
+        // A truncated search that found nothing carries no counters.
+        Err(LpError::Interrupted | LpError::NodeLimit) => return Ok(None),
+        other => other?,
+    };
     counters.nodes += solution.nodes as u64;
     counters.iterations += solution.iterations as u64;
     counters.cold_solves += solution.cold_solves as u64;
-    Some(solution)
+    Ok(solution.status.has_solution().then_some(solution))
 }
 
 /// One sketch ILP over the `active` groups of a level (the leaf partitions,
 /// or one tree layer's nodes): a variable per group bounded by its entry of
 /// `capacities`, the query's rows aggregated to the group representatives
 /// `level[r][group]` (laid out like [`Linearized::coeff_rows`]). Returns the
-/// per-group draw counts clamped to capacity, or `None` when the sketch is
-/// infeasible, truncated without a solution, or the budget expired.
+/// per-group draw counts clamped to capacity, or `Ok(None)` when the sketch
+/// is infeasible, truncated without a solution, or the budget expired.
 pub(crate) fn solve_sketch(
     q: &Linearized<'_>,
     active: &[usize],
     capacities: Vec<u64>,
     level: &[Vec<f64>],
     counters: &mut Counters,
-) -> Option<Vec<u64>> {
+) -> PbResult<Option<Vec<u64>>> {
     let (upper, rhs) = (|k: usize| capacities[k] as f64, |c: usize| q.rows[c].rhs);
-    let sketch = solve_small_ilp(q, active, level, upper, rhs, None, counters)?;
+    let Some(sketch) = solve_small_ilp(q, active, level, upper, rhs, None, counters)? else {
+        return Ok(None);
+    };
     let drawn =
         |(k, &cap): (usize, &u64)| (sketch.value_rounded(VarId::new(k)).max(0) as u64).min(cap);
-    Some(capacities.iter().enumerate().map(drawn).collect())
+    Ok(Some(capacities.iter().enumerate().map(drawn).collect()))
 }
 
 /// Phase 3 driver: refines `order`'s partitions with the paper's
@@ -382,18 +387,22 @@ fn refine_with_backtracking(
     let mut hints: HashMap<usize, Vec<(usize, u32)>> = HashMap::new();
     let mut backtracks = 0;
     let mut state = loop {
-        match refine_pass(ctx, &order, true, &mut hints, counters) {
+        match refine_pass(ctx, &order, Pass::Strict, &mut hints, counters)? {
             Ok(state) => break state,
             Err(failed) => {
                 backtracks += 1;
                 let already_first = order.first() == Some(&failed);
                 if backtracks >= MAX_BACKTRACKS || already_first || ctx.q.opts.budget.expired() {
                     // Backtracking exhausted: a non-strict pass greedy-fills
-                    // whatever still fails instead of giving up. Such a pass
-                    // cannot report a failed partition by construction — if
-                    // one ever does, surface it as an internal error (PR-2
-                    // convention) instead of panicking mid-solve.
-                    break refine_pass(ctx, &order, false, &mut hints, counters).map_err(|p| {
+                    // whatever still fails instead of giving up. A failed
+                    // partition that was already first would get the same
+                    // sub-ILP again (no partition before it, the same hint),
+                    // so it is greedy-filled without a second solve. Such a
+                    // pass cannot report a failed partition by construction
+                    // — if one ever does, surface it as an internal error
+                    // (PR-2 convention) instead of panicking mid-solve.
+                    let pass = Pass::Fill(already_first.then_some(failed));
+                    break refine_pass(ctx, &order, pass, &mut hints, counters)?.map_err(|p| {
                         PbError::Internal(format!(
                             "non-strict refine pass reported failed partition {p}"
                         ))
@@ -427,17 +436,28 @@ struct RefineCtx<'a> {
     counts: &'a [u64],
 }
 
+/// How a [`refine_pass`] treats a partition whose sub-ILP fails.
+#[derive(Clone, Copy, PartialEq)]
+enum Pass {
+    /// Report it.
+    Strict,
+    /// Greedy-fill it and carry on; the partition named here, known to
+    /// fail, is greedy-filled without solving its sub-ILP.
+    Fill(Option<usize>),
+}
+
 /// One refinement pass over `order`. Strict passes report the first
-/// partition whose sub-ILP fails; non-strict passes greedy-fill it and carry
-/// on (and therefore always succeed). Budget expiry mid-pass greedy-fills
-/// the remaining partitions — the anytime degradation, never an error.
+/// partition whose sub-ILP fails (`Ok(Err(p))`); non-strict passes
+/// greedy-fill it and carry on (and therefore always succeed). Budget
+/// expiry mid-pass greedy-fills the remaining partitions — the anytime
+/// degradation, never an error. `Err` is a solver error.
 fn refine_pass<'v>(
     ctx: &RefineCtx<'v>,
     order: &[usize],
-    strict: bool,
+    pass: Pass,
     hints: &mut HashMap<usize, Vec<(usize, u32)>>,
     counters: &mut Counters,
-) -> Result<ViewState<'v>, usize> {
+) -> PbResult<Result<ViewState<'v>, usize>> {
     let mut state = ViewState::empty(ctx.q.view);
     let mut fixed = vec![0.0; ctx.q.rows.len()];
     // Estimated contribution of every still-sketched partition, per row.
@@ -459,9 +479,13 @@ fn refine_pass<'v>(
             for &late in &order[pos..] {
                 greedy_fill(ctx, late, &mut state);
             }
-            return Ok(state);
+            return Ok(Ok(state));
         }
-        match solve_partition(ctx, p, &fixed, &rem, hints.get(&p), counters) {
+        let assignment = match pass {
+            Pass::Fill(Some(failed)) if failed == p => None,
+            _ => solve_partition(ctx, p, &fixed, &rem, hints.get(&p), counters)?,
+        };
+        match assignment {
             Some(assignment) => {
                 hints.insert(p, assignment.clone());
                 for &(idx, mult) in &assignment {
@@ -471,7 +495,7 @@ fn refine_pass<'v>(
                     }
                 }
             }
-            None if strict => return Err(p),
+            None if pass == Pass::Strict => return Ok(Err(p)),
             None => {
                 // Each candidate belongs to exactly one partition, so the
                 // fill's contribution is exactly p's members' multiplicities.
@@ -486,7 +510,7 @@ fn refine_pass<'v>(
             }
         }
     }
-    Ok(state)
+    Ok(Ok(state))
 }
 
 /// Sub-ILP over one partition's real tuples: the original rows with every
@@ -502,7 +526,7 @@ fn solve_partition(
     rem: &[f64],
     hint: Option<&Vec<(usize, u32)>>,
     counters: &mut Counters,
-) -> Option<Vec<(usize, u32)>> {
+) -> PbResult<Option<Vec<(usize, u32)>>> {
     let q = &ctx.q;
     let members = &ctx.parts[p].members;
     let shifted: Vec<f64> = (q.rows.iter().zip(fixed).zip(rem))
@@ -520,7 +544,10 @@ fn solve_partition(
     let coeff_rows: Vec<&[f64]> = q.coeff_rows().collect();
     let (upper, rhs) = (|_| q.view.max_multiplicity() as f64, |c: usize| shifted[c]);
     let hint = hint_values.as_deref();
-    let solution = solve_small_ilp(q, members, &coeff_rows, upper, rhs, hint, counters)?;
+    let Some(solution) = solve_small_ilp(q, members, &coeff_rows, upper, rhs, hint, counters)?
+    else {
+        return Ok(None);
+    };
     let assignment = members
         .iter()
         .enumerate()
@@ -529,7 +556,7 @@ fn solve_partition(
             (mult > 0).then_some((i, mult.min(q.view.max_multiplicity())))
         })
         .collect();
-    Some(assignment)
+    Ok(Some(assignment))
 }
 
 /// Greedy degradation for one partition: take its sketched multiplicity in

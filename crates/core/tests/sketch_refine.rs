@@ -221,3 +221,49 @@ fn avg_constrained_queries_route_to_ilp_and_match_the_enumeration_oracle() {
         other => panic!("ilp and oracle disagree on feasibility: {other:?}"),
     }
 }
+
+/// `(nodes, iterations, cold LPs, packages)` of `query` over `table`, forced
+/// to `strategy`.
+fn work_of(table: Table, strategy: Strategy, query: &str) -> (u64, u64, u64, usize) {
+    let mut catalog = Catalog::new();
+    catalog.register(table);
+    let engine = PackageEngine::with_config(catalog, EngineConfig::with_strategy(strategy));
+    let r = engine.execute_paql(query).unwrap();
+    let s = &r.stats;
+    (s.nodes, s.iterations, s.cold_solves, r.packages.len())
+}
+
+#[test]
+fn failed_sub_ilps_report_their_work() {
+    // A window this narrow fails one partition's sub-ILP in the first pass
+    // and again when that partition is refined first; the exhausted pass
+    // then greedy-fills it. The answer's 735 nodes used to be all that was
+    // reported: the two failed sub-ILPs (172 nodes between them) were
+    // dropped from the counters, and a third, identical to the second (79
+    // nodes), ran and was dropped too. Now both failures count and the
+    // repeat does not run: 735 + 172.
+    for strategy in [Strategy::SketchRefine, Strategy::ProgressiveShading] {
+        let work = work_of(
+            uniform_table("t", 400, 5.0, 20.0, Seed(3)),
+            strategy,
+            "SELECT PACKAGE(T) AS P FROM t T \
+             SUCH THAT COUNT(*) = 4 AND SUM(P.w) BETWEEN 50 AND 50.1 MAXIMIZE SUM(P.v)",
+        );
+        assert_eq!(work, (735 + 172, 4_708, 85, 1), "{strategy:?}");
+    }
+}
+
+#[test]
+fn an_exhausted_refine_does_not_solve_its_failed_first_partition_twice() {
+    // The first partition's sub-ILP fails after 1 821 nodes, and fails
+    // first again after the backtrack, which exhausts backtracking. The
+    // non-strict pass used to solve that identical sub-ILP a third time
+    // before greedy-filling it; with it the count below would be 103 700.
+    let work = work_of(
+        uniform_table("t", 2_000, 5.0, 20.0, Seed(3)),
+        Strategy::SketchRefine,
+        "SELECT PACKAGE(T) AS P FROM t T \
+         SUCH THAT COUNT(*) = 6 AND SUM(P.w) BETWEEN 70 AND 70.001 MAXIMIZE SUM(P.v)",
+    );
+    assert_eq!(work, (101_879, 259_904, 170, 0));
+}
