@@ -502,7 +502,7 @@ mod tests {
     /// The repair pass without chunk bounds — every chunk scanned, every
     /// add scored by the kernel — kept as the oracle the bounded pass must
     /// equal move for move.
-    fn unpruned_repair_pass(
+    fn unbounded_repair_pass(
         state: &ViewState<'_>,
         violation: f64,
         budget: &Budget,
@@ -647,7 +647,7 @@ mod tests {
                             view,
                             &start,
                             ParExec::sequential(),
-                            unpruned_repair_pass,
+                            unbounded_repair_pass,
                             &mut ignored,
                         );
                         for threads in [1, 2, 4] {
@@ -718,7 +718,8 @@ mod tests {
         );
 
         let before = requests(&store);
-        let oracle = unpruned_repair_pass(&state, violation, &Budget::unlimited(), ParExec::new(2));
+        let oracle =
+            unbounded_repair_pass(&state, violation, &Budget::unlimited(), ParExec::new(2));
         assert_eq!(oracle, pass);
         let unbounded = requests(&store) - before;
         assert!(

@@ -198,13 +198,13 @@ impl<'s, 'v> MoveScan<'s, 'v> {
     /// Read from the referenced terms' resident [`ChunkMeta`] and the
     /// prefix's accumulators alone, so no page is pinned. The compiled
     /// formula is evaluated over intervals: each term's interval is the
-    /// kernel's own float ops run on the chunk's least and
-    /// greatest included coefficient (and the excluded lanes' value, when
-    /// the chunk has some). Every term is monotone in the coefficient and
-    /// IEEE rounding is monotone, so the endpoints bound every lane's bits;
-    /// the arithmetic, comparison and connective rules below carry the bound
-    /// up to the formula. A lane that may be NULL scores exactly the
-    /// un-evaluable penalty on its constraint.
+    /// kernel's own float ops run on the chunk's least and greatest included
+    /// coefficient (and the excluded lanes' value, when the chunk has some).
+    /// Every term is monotone in the coefficient and IEEE rounding is
+    /// monotone, so the endpoints bound every lane's bits; the arithmetic,
+    /// comparison and connective rules below carry the bound up to the
+    /// formula. A lane that may be NULL scores exactly the un-evaluable
+    /// penalty on its constraint.
     ///
     /// `None` when nothing is proven: a referenced chunk's `sum` is not
     /// finite (a NaN or infinite coefficient — the chunk's `min`/`max` skip
