@@ -211,6 +211,11 @@ impl<'s, 'v> MoveScan<'s, 'v> {
     /// NaN lanes, and a NaN under `<=` scores 0), an endpoint is not finite,
     /// or a divisor's interval holds 0.
     ///
+    /// Greedy repair scans from the state itself, prefix 0; the other
+    /// prefixes are a swap scan's, for the local search to rule out chunks
+    /// the same way (its neighbourhood also ranks by objective, so it does
+    /// not yet).
+    ///
     /// [`ChunkMeta`]: super::ChunkMeta
     pub fn violation_floor(&self, prefix: usize, c: usize) -> Option<f64> {
         let view = self.state.view;

@@ -478,18 +478,33 @@ fn a_sum_whose_filter_admits_no_candidate_satisfies_no_atom() {
             for strategy in strategies {
                 let r = engine.execute_with_strategy(&spec, strategy).unwrap();
                 assert!(r.is_empty(), "{strategy} on {op}");
-                // A race sums its workers' counters, and whether a heuristic
-                // worker finishes its (infeasible, counted) sketch before the
-                // exact worker's proof cancels it is timing: the race's
-                // counters are blinded, as every determinism suite does.
-                let nodes = match strategy {
-                    Strategy::Portfolio => 0,
-                    _ => r.stats.nodes,
-                };
-                runs.push((strategy, r.optimal, nodes));
+                runs.push((strategy, r.optimal, r.stats.nodes));
             }
+            // A race sums its workers' counters, and how far a heuristic
+            // worker gets before the exact worker's proof cancels it is
+            // timing. The proof always finishes, and no worker does more
+            // than its own forced run: the race's nodes lie between the
+            // forced ILP's and the sum of every worker's forced nodes.
+            let side = &runs[runs.len() - strategies.len()..];
+            let forced = |s: Strategy| side.iter().find(|r| r.0 == s).unwrap().2;
+            let workers = &engine.config().portfolio_workers;
+            let most: u64 = workers.iter().map(|&w| forced(w)).sum();
+            let race = forced(Strategy::Portfolio);
+            assert!(
+                (forced(Strategy::Ilp)..=most).contains(&race),
+                "{op}: race {race} nodes, forced ILP {}, workers {workers:?} {most}",
+                forced(Strategy::Ilp)
+            );
         }
+        // Every forced strategy counts the same work resident and paged; the
+        // race is bounded on each side above.
+        let blind = |r: &(Strategy, bool, u64)| match r.0 {
+            Strategy::Portfolio => (r.0, r.1, 0),
+            _ => *r,
+        };
         let (resident, paged) = runs.split_at(strategies.len());
+        let resident: Vec<_> = resident.iter().map(blind).collect();
+        let paged: Vec<_> = paged.iter().map(blind).collect();
         assert_eq!(resident, paged, "{op}");
     }
 }
