@@ -24,6 +24,12 @@
 //! offset `p · PAGE_BYTES` — no directory, no indirection: a column stores
 //! its first page id and chunk `c` lives on page `first + c`.
 //!
+//! Every chunk is written, but a `COUNT` chunk that includes every lane is
+//! never read back: its coefficients are 1.0 exactly where its mask is set,
+//! so its resident [`crate::view::ChunkMeta`] already says what the page
+//! holds, and [`crate::view::TermColumn::chunk`] serves it from memory. The
+//! file layout and the spilled byte counts do not depend on that.
+//!
 //! # Pinning rules
 //!
 //! [`SpillStore::read`] returns a [`PageGuard`] — an `Arc` over the decoded
@@ -32,8 +38,15 @@
 //! the frame's memory is only freed when the last guard goes. Pinning can
 //! therefore never deadlock or block a concurrent scan, at the price of the
 //! pool temporarily overshooting its capacity when more pages are pinned
-//! than it can hold (a *starvation pool*, e.g. `PB_POOL_PAGES=2` under an
-//! 8-way [`crate::par::ParExec`] fan-out — the stress configuration CI runs).
+//! than it can hold (a *starvation pool*: CI's forced-paged leg runs every
+//! test through 4 frames, and `paged_determinism` scans through 2 under
+//! 8-way [`crate::par::ParExec`] fan-outs).
+//!
+//! A miss allocates nothing once the pool is full: it evicts first, then
+//! reads the page into the pool's one staging buffer and decodes it into the
+//! frame it evicted. A frame is recycled only after it has been evicted
+//! unpinned — the victim has no guard, and none can appear while the pool is
+//! locked — so a guard's bytes never change under it.
 //!
 //! # Determinism contract
 //!
@@ -168,9 +181,20 @@ pub fn pool_stats() -> PoolStats {
 }
 
 /// One decoded page: a full-width coefficient chunk and its mask words.
+#[derive(Clone)]
 struct Frame {
     coeffs: Box<[f64]>,
     mask: Box<[u64]>,
+}
+
+impl Frame {
+    /// A zeroed full-width frame, for a miss that found nothing to recycle.
+    fn blank() -> Frame {
+        Frame {
+            coeffs: vec![0.0; CHUNK_WIDTH].into_boxed_slice(),
+            mask: vec![0; MASK_WORDS_PER_CHUNK].into_boxed_slice(),
+        }
+    }
 }
 
 /// A pinned page. The pool may evict the page's table entry while guards
@@ -210,6 +234,8 @@ struct PoolEntry {
 struct Pool {
     frames: HashMap<u64, PoolEntry>,
     tick: u64,
+    /// The one page-sized buffer every miss reads the file into.
+    staging: Box<[u8]>,
 }
 
 /// A write-once spill file plus its LRU buffer pool.
@@ -251,6 +277,7 @@ impl SpillStore {
             pool: Mutex::new(Pool {
                 frames: HashMap::new(),
                 tick: 0,
+                staging: vec![0; PAGE_BYTES].into_boxed_slice(),
             }),
             pool_pages: pool_pages.max(MIN_POOL_PAGES),
             hits: AtomicU64::new(0),
@@ -358,15 +385,8 @@ impl SpillStore {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-        // Fault the page in. Holding the pool lock across the read
-        // serializes concurrent misses but guarantees each page is decoded
-        // once; spill reads are the slow path by definition.
-        let frame = Arc::new(self.read_frame(page).unwrap_or_else(|e| {
-            panic!(
-                "spill file {} lost under a live store (page {page}): {e}",
-                self.path.display()
-            )
-        }));
+        // Make room first: the page is decoded into the frame it displaces.
+        let mut recycled = None;
         while pool.frames.len() >= self.pool_pages {
             // Evict the stalest unpinned page (guards hold an Arc, so a
             // pinned page has strong_count > 1). Ties cannot happen: stamps
@@ -380,16 +400,28 @@ impl SpillStore {
                 .filter(|(_, e)| Arc::strong_count(&e.frame) == 1)
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(&p, _)| p);
-            match victim {
-                Some(p) => {
-                    pool.frames.remove(&p);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    GLOBAL_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-                }
+            let Some(p) = victim else {
                 // Everything is pinned: overshoot rather than deadlock.
-                None => break,
-            }
+                break;
+            };
+            let evicted = pool.frames.remove(&p).map(|e| e.frame);
+            recycled = recycled.or(evicted);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            GLOBAL_EVICTIONS.fetch_add(1, Ordering::Relaxed);
         }
+        let mut frame = recycled.unwrap_or_else(|| Arc::new(Frame::blank()));
+        // Fault the page in. Holding the pool lock across the read
+        // serializes concurrent misses but guarantees each page is decoded
+        // once; spill reads are the slow path by definition. The victim was
+        // unpinned and no guard can appear while the pool is locked, so
+        // `make_mut` hands back the evicted frame itself, never a copy.
+        self.read_frame(page, &mut pool.staging, Arc::make_mut(&mut frame))
+            .unwrap_or_else(|e| {
+                panic!(
+                    "spill file {} lost under a live store (page {page}): {e}",
+                    self.path.display()
+                )
+            });
         pool.frames.insert(
             page,
             PoolEntry {
@@ -400,27 +432,22 @@ impl SpillStore {
         PageGuard { frame }
     }
 
-    fn read_frame(&self, page: u64) -> io::Result<Frame> {
-        let mut buf = vec![0u8; PAGE_BYTES];
+    /// Reads `page` into `staging` and decodes it into `frame`, overwriting
+    /// every coefficient and mask word.
+    fn read_frame(&self, page: u64, staging: &mut [u8], frame: &mut Frame) -> io::Result<()> {
         {
             let mut file = self.lock_file();
             file.seek(SeekFrom::Start(page * PAGE_BYTES as u64))?;
-            file.read_exact(&mut buf)?;
+            file.read_exact(staging)?;
         }
-        let mut coeffs = vec![0.0f64; CHUNK_WIDTH].into_boxed_slice();
-        for (i, c) in coeffs.iter_mut().enumerate() {
-            *c = f64::from_ne_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
+        let (coeffs, mask) = staging.split_at(CHUNK_WIDTH * 8);
+        for (c, bytes) in frame.coeffs.iter_mut().zip(coeffs.chunks_exact(8)) {
+            *c = f64::from_ne_bytes(bytes.try_into().unwrap());
         }
-        let mask_base = CHUNK_WIDTH * 8;
-        let mut mask = vec![0u64; MASK_WORDS_PER_CHUNK].into_boxed_slice();
-        for (w, word) in mask.iter_mut().enumerate() {
-            *word = u64::from_ne_bytes(
-                buf[mask_base + w * 8..mask_base + w * 8 + 8]
-                    .try_into()
-                    .unwrap(),
-            );
+        for (word, bytes) in frame.mask.iter_mut().zip(mask.chunks_exact(8)) {
+            *word = u64::from_ne_bytes(bytes.try_into().unwrap());
         }
-        Ok(Frame { coeffs, mask })
+        Ok(())
     }
 }
 
@@ -538,6 +565,54 @@ mod tests {
         // fault — and the previously pinned pages' contents re-read intact.
         store.read(0);
         assert_eq!(store.read(0).coeffs(CHUNK_WIDTH)[7], 7.0);
+    }
+
+    /// Asserts that `guard` holds chunk `c` as [`test_chunk`] wrote it.
+    fn assert_holds(guard: &PageGuard, c: usize) {
+        let (coeffs, included) = test_chunk(c, CHUNK_WIDTH);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(guard.coeffs(CHUNK_WIDTH)), bits(&coeffs), "page {c}");
+        assert_eq!(guard.mask(), pack_mask(&included), "page {c}");
+    }
+
+    #[test]
+    fn misses_recycle_evicted_frames_and_never_a_pinned_one() {
+        let store = SpillStore::create(2).unwrap();
+        let pages = 6usize;
+        for c in 0..pages {
+            let (coeffs, included) = test_chunk(c, CHUNK_WIDTH);
+            store.append_chunk(&coeffs, &pack_mask(&included)).unwrap();
+        }
+        let a = store.read(0);
+        let frame = |g: &PageGuard| Arc::as_ptr(&g.frame);
+
+        // One guard at a time besides A's: the pool has one frame to spare,
+        // and every miss after the first decodes into it again.
+        let mut spare = Vec::new();
+        for _ in 0..3 {
+            for c in 1..pages {
+                let g = store.read(c as u64);
+                assert_ne!(frame(&g), frame(&a), "A's pinned frame was recycled");
+                assert_holds(&g, c);
+                assert_holds(&a, 0);
+                spare.push(frame(&g));
+            }
+        }
+        spare.dedup();
+        assert_eq!(spare.len(), 1, "every miss reused the evicted frame");
+        assert_eq!(store.counters(), (0, 16, 14));
+
+        // Two pins besides A's, so every resident page is pinned at each
+        // miss: no pinned frame is ever handed out for another page.
+        let mut held = (1, store.read(1));
+        for c in (1..pages).cycle().skip(1).take(20) {
+            let g = store.read(c as u64);
+            assert!(![frame(&a), frame(&held.1)].contains(&frame(&g)));
+            assert_holds(&g, c);
+            assert_holds(&held.1, held.0);
+            assert_holds(&a, 0);
+            held = (c, g);
+        }
     }
 
     #[test]

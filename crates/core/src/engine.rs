@@ -501,7 +501,7 @@ mod tests {
     #[test]
     fn planning_reads_no_column() {
         use crate::column_store::SpillStore;
-        use crate::view::{CandidateView, ColumnSink};
+        use crate::spec::tests::respill;
         use std::sync::Arc;
         let engine = small_engine(600, 12);
         for (query, route) in [
@@ -515,23 +515,8 @@ mod tests {
             let built = engine.build_spec(&parse(query).unwrap()).unwrap();
             // Every term column moves to a store nothing else reads.
             let store = SpillStore::create(4).unwrap();
-            let view = built.view();
-            let paged = CandidateView::assemble(
-                built.table,
-                view.candidates().to_vec(),
-                &built.query,
-                |call| {
-                    let t = view.term_keys().iter().position(|k| k == call).unwrap();
-                    let column = &view.terms()[t];
-                    let sink = ColumnSink::paged(column.func, Arc::clone(&store), column.len());
-                    Some(
-                        sink.fill_from(&column.coeffs_vec(), &column.included_vec())
-                            .unwrap(),
-                    )
-                },
-                &BuildCtx::default(),
-            )
-            .unwrap();
+            let stores = vec![Some(Arc::clone(&store)); built.view().terms().len()];
+            let paged = respill(&built, &stores);
             let spec = PackageSpec::over(built.table, built.query.clone(), paged);
             assert!(spec.view().is_paged());
             let before = store.counters();

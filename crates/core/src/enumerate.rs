@@ -111,14 +111,14 @@ impl<'v> Searcher<'v> {
         // Any objective ranks the packages: the rank reads exact values.
         let objective = view.compiled_objective().map(|_| view.direction());
         if opts.prune {
-            let linearization = linearize(view);
-            linear = linearization.rows(view).unwrap_or_default();
+            let (rows, objective_coeffs) = linearize(view).write(view);
+            linear = rows.unwrap_or_default();
             // The objective row starts unbounded; kept packages bound it.
             let (op, bound) = match objective {
                 Some(ObjectiveDirection::Minimize) => (ConstraintOp::Le, f64::INFINITY),
                 _ => (ConstraintOp::Ge, f64::NEG_INFINITY),
             };
-            if let Ok(Some(coeffs)) = linearization.objective(view) {
+            if let Ok(Some(coeffs)) = objective_coeffs {
                 if coeffs.iter().all(|c| c.is_finite()) {
                     objective_row = Some(linear.len());
                     linear.push(LinearConstraint {

@@ -9,9 +9,10 @@
 //! A row is linearized once. `linearize` is symbolic: it turns the
 //! compiled formula and objective into linear forms over the view's term
 //! ids, reading no column, so the planner can ask whether a query
-//! linearizes at any candidate count. Its writer fills dense rows from the
-//! term columns' chunk cursors, resident or paged; every solver that needs
-//! rows takes them from there, and the ILP and the sketch family's sub-ILPs
+//! linearizes at any candidate count. Its writer fills every dense row and
+//! the objective in one pass over the term columns' chunk cursors, resident
+//! or paged, pinning each term once per chunk; every solver that needs rows
+//! takes them from there, and the ILP and the sketch family's sub-ILPs
 //! build their `Problem` through one builder, `package_problem`.
 //!
 //! Not every PaQL query is linearizable: MIN/MAX aggregates, `<>`
@@ -39,7 +40,9 @@ use crate::error::PbError;
 use crate::package::Package;
 use crate::par::{chunk_count, chunk_range, ParExec};
 use crate::result::{EvalStats, StrategyUsed};
-use crate::view::{CandidateView, CompiledConstraint, CompiledExpr, CompiledFormula, TermColumn};
+use crate::view::{
+    CandidateView, ColumnChunk, CompiledConstraint, CompiledExpr, CompiledFormula, TermColumn,
+};
 use crate::PbResult;
 
 /// How far a strict comparison's fractional row moves off its bound: twice
@@ -127,8 +130,9 @@ impl RowForm {
         }
     }
 
-    fn write(&self, view: &CandidateView) -> LinearConstraint {
-        let coeffs = write_lanes(view, &self.lanes);
+    /// The row over its written `coeffs`, a strict comparison's bound
+    /// resolved against them (see the module docs).
+    fn finish(&self, coeffs: Vec<f64>) -> LinearConstraint {
         let integral = || coeffs.iter().all(|a| a.fract() == 0.0);
         let (op, rhs) = match self.op {
             CmpOp::Lt if integral() => (ConstraintOp::Le, self.bound.ceil() - 1.0),
@@ -396,6 +400,10 @@ fn formula_forms(view: &CandidateView) -> Result<(Vec<RowForm>, Vec<usize>), Non
     Ok((rows, sum_terms))
 }
 
+/// A written part of a query's linear program, or why it does not
+/// linearize.
+pub(crate) type Linear<T> = Result<T, NonLinearReason>;
+
 /// A query's linear program in symbolic form: what [`linearize`] returns and
 /// the writer writes.
 #[derive(Debug, Clone)]
@@ -431,89 +439,146 @@ impl Linearization {
         formula.or(self.objective.as_ref().err()).cloned()
     }
 
-    /// Writes the formula's rows over the view's candidates: each atom's
-    /// rows in formula order, then one support row per distinct inclusion
-    /// mask among the SUM terms that need one.
-    pub(crate) fn rows(
+    /// Writes the formula's rows and the objective's coefficients over the
+    /// view's candidates, in one pass over its chunks: each atom's rows in
+    /// formula order, then one support row per distinct inclusion mask
+    /// among the SUM terms that need one; then the objective, when the
+    /// query has one. Each part is written when it linearizes, whatever the
+    /// other's obstacle.
+    pub(crate) fn write(
         &self,
         view: &CandidateView,
-    ) -> Result<Vec<LinearConstraint>, NonLinearReason> {
-        let (forms, support) = self.formula.as_ref().map_err(Clone::clone)?;
-        let mut rows: Vec<LinearConstraint> = forms.iter().map(|r| r.write(view)).collect();
-        // Distinct terms often share one inclusion mask — a wide schema
-        // FILTERing many columns by the same handful of predicates (the
-        // `wide` gauntlet family) would otherwise emit one identical dense
-        // row per column. The support row depends only on the mask, so one
-        // row per mask suffices.
-        let mut written: Vec<&TermColumn> = Vec::new();
-        for &t in support {
-            let term = &view.terms()[t];
-            if written.iter().any(|w| same_mask(w, term)) {
-                continue;
-            }
-            rows.push(RowForm::support(t).write(view));
-            written.push(term);
-        }
-        Ok(rows)
+    ) -> (Linear<Vec<LinearConstraint>>, Linear<Option<Vec<f64>>>) {
+        let formula = self.formula.as_ref().map_err(Clone::clone);
+        let support = match &formula {
+            Ok((_, terms)) => support_rows(view, terms),
+            Err(_) => Vec::new(),
+        };
+        let forms = formula.map(|(forms, _)| forms.iter().chain(&support).collect::<Vec<_>>());
+        let objective = self.objective.as_ref().map_err(Clone::clone);
+        let lanes = objective.as_ref().ok().and_then(|lanes| lanes.as_ref());
+        let (rows, coeffs) = write_forms(view, forms.as_deref().unwrap_or_default(), lanes);
+        (forms.map(|_| rows), objective.map(|_| coeffs))
     }
 
-    /// Writes the objective's per-candidate coefficients, when the query
-    /// has an objective.
-    pub(crate) fn objective(
-        &self,
-        view: &CandidateView,
-    ) -> Result<Option<Vec<f64>>, NonLinearReason> {
+    /// Writes the objective's per-candidate coefficients alone, when the
+    /// query has an objective.
+    pub(crate) fn write_objective(&self, view: &CandidateView) -> Linear<Option<Vec<f64>>> {
         let lanes = self.objective.as_ref().map_err(Clone::clone)?;
-        Ok(lanes.as_ref().map(|lanes| write_lanes(view, lanes)))
+        Ok(write_forms(view, &[], lanes.as_ref()).1)
     }
+}
+
+/// The support rows of the SUM `terms` that need one, one per distinct
+/// inclusion mask. Distinct terms often share one mask — a wide schema
+/// FILTERing many columns by the same handful of predicates (the `wide`
+/// gauntlet family) would otherwise emit one identical dense row per
+/// column — and the support row depends only on the mask.
+fn support_rows(view: &CandidateView, terms: &[usize]) -> Vec<RowForm> {
+    let mut written: Vec<&TermColumn> = Vec::new();
+    let mut rows = Vec::new();
+    for &t in terms {
+        let term = &view.terms()[t];
+        if written.iter().any(|w| same_mask(w, term)) {
+            continue;
+        }
+        rows.push(RowForm::support(t));
+        written.push(term);
+    }
+    rows
 }
 
 /// Whether two columns include exactly the same candidates, compared chunk
 /// by chunk on their mask words (zero past the column's end in both storage
 /// modes).
-fn same_mask(a: &TermColumn, b: &TermColumn) -> bool {
+pub(crate) fn same_mask(a: &TermColumn, b: &TermColumn) -> bool {
     (0..a.chunk_meta().len()).all(|c| a.chunk(c).mask_words() == b.chunk(c).mask_words())
 }
 
-/// The chunk writer: one dense row of `lanes` over the view's candidates.
-fn write_lanes(view: &CandidateView, lanes: &Lanes) -> Vec<f64> {
+/// The chunk writer: `forms`' rows and the `objective`'s coefficients over
+/// the view's candidates, in one pass over its chunks. Each chunk pins each
+/// term the lanes read once, however many rows read it, and every row's
+/// slice of the chunk is written from those pins.
+fn write_forms(
+    view: &CandidateView,
+    forms: &[&RowForm],
+    objective: Option<&Lanes>,
+) -> (Vec<LinearConstraint>, Option<Vec<f64>>) {
     let n = view.candidate_count();
-    let mut row = vec![0.0; n];
+    let lanes: Vec<&Lanes> = forms.iter().map(|f| &f.lanes).chain(objective).collect();
+    let mut written: Vec<Vec<f64>> = lanes.iter().map(|_| vec![0.0; n]).collect();
+    let mut writer = ChunkWriter {
+        terms: view.terms(),
+        chunk: 0,
+        pins: view.terms().iter().map(|_| None).collect(),
+        scratch: Vec::new(),
+    };
     for c in 0..chunk_count(n) {
-        fill_chunk(view.terms(), lanes, c, &mut row[chunk_range(c, n)]);
+        writer.chunk = c;
+        let r = chunk_range(c, n);
+        for (lanes, row) in lanes.iter().zip(&mut written) {
+            writer.fill(lanes, &mut row[r.clone()]);
+        }
+        // Unpinned before the next chunk's pins: the pool holds one
+        // chunk's pages at a time.
+        writer.pins.iter_mut().for_each(|pin| *pin = None);
     }
-    row
+    let objective = objective.and_then(|_| written.pop());
+    let rows = forms
+        .iter()
+        .zip(written)
+        .map(|(f, coeffs)| f.finish(coeffs));
+    (rows.collect(), objective)
 }
 
-/// Writes chunk `c` of `lanes` into `out`.
-fn fill_chunk(terms: &[TermColumn], lanes: &Lanes, c: usize, out: &mut [f64]) {
-    match lanes {
-        Lanes::Zero => out.fill(0.0),
-        Lanes::Term(t) => out.copy_from_slice(terms[*t].chunk(c).coeffs()),
-        Lanes::Combine(a, b, k) => {
-            fill_chunk(terms, a, c, out);
-            let mut other = vec![0.0; out.len()];
-            fill_chunk(terms, b, c, &mut other);
-            for (x, y) in out.iter_mut().zip(&other) {
-                *x += k * y;
+/// One chunk of [`write_forms`]'s pass: the terms pinned so far, and the
+/// buffers `a + k·b` lanes borrow for `b`, reused from chunk to chunk.
+struct ChunkWriter<'v> {
+    terms: &'v [TermColumn],
+    chunk: usize,
+    pins: Vec<Option<ColumnChunk<'v>>>,
+    scratch: Vec<Vec<f64>>,
+}
+
+impl<'v> ChunkWriter<'v> {
+    /// Term `t`'s cursor over the current chunk, pinned on first use.
+    fn pin(&mut self, t: usize) -> &ColumnChunk<'v> {
+        let (terms, c) = (self.terms, self.chunk);
+        self.pins[t].get_or_insert_with(|| terms[t].chunk(c))
+    }
+
+    /// Writes the current chunk of `lanes` into `out`, every lane of it.
+    fn fill(&mut self, lanes: &Lanes, out: &mut [f64]) {
+        match lanes {
+            Lanes::Zero => out.fill(0.0),
+            Lanes::Term(t) => out.copy_from_slice(self.pin(*t).coeffs()),
+            Lanes::Combine(a, b, k) => {
+                self.fill(a, out);
+                let mut other = self.scratch.pop().unwrap_or_default();
+                other.resize(out.len(), 0.0);
+                self.fill(b, &mut other);
+                for (x, y) in out.iter_mut().zip(&other) {
+                    *x += k * y;
+                }
+                self.scratch.push(other);
             }
-        }
-        Lanes::Scale(a, k) => {
-            fill_chunk(terms, a, c, out);
-            for x in out.iter_mut() {
-                *x *= k;
+            Lanes::Scale(a, k) => {
+                self.fill(a, out);
+                for x in out.iter_mut() {
+                    *x *= k;
+                }
             }
-        }
-        Lanes::Centered(t, bound) => {
-            let chunk = terms[*t].chunk(c);
-            for (i, (x, &v)) in out.iter_mut().zip(chunk.coeffs()).enumerate() {
-                *x = if chunk.included(i) { v - bound } else { 0.0 };
+            Lanes::Centered(t, bound) => {
+                let chunk = self.pin(*t);
+                for (i, (x, &v)) in out.iter_mut().zip(chunk.coeffs()).enumerate() {
+                    *x = if chunk.included(i) { v - bound } else { 0.0 };
+                }
             }
-        }
-        Lanes::Mask(t) => {
-            let chunk = terms[*t].chunk(c);
-            for (i, x) in out.iter_mut().enumerate() {
-                *x = if chunk.included(i) { 1.0 } else { 0.0 };
+            Lanes::Mask(t) => {
+                let chunk = self.pin(*t);
+                for (i, x) in out.iter_mut().enumerate() {
+                    *x = if chunk.included(i) { 1.0 } else { 0.0 };
+                }
             }
         }
     }
@@ -572,10 +637,10 @@ pub struct IlpTranslation {
 /// Translates a view into an ILP: every candidate a column bounded by the
 /// query's `REPEAT`.
 pub fn translate(view: &CandidateView) -> PbResult<IlpTranslation> {
-    let linearization = linearize(view);
     let unsupported = |r| PbError::Unsupported(format!("cannot translate to ILP: {r}"));
-    let rows = linearization.rows(view).map_err(unsupported)?;
-    let objective = linearization.objective(view).map_err(unsupported)?;
+    let (rows, objective) = linearize(view).write(view);
+    let rows = rows.map_err(unsupported)?;
+    let objective = objective.map_err(unsupported)?;
     let mut coeffs: Vec<&[f64]> = rows.iter().map(|r| r.coeffs.as_slice()).collect();
     coeffs.extend(objective.as_deref());
     let columns: Vec<usize> = (0..view.candidate_count()).collect();
@@ -715,11 +780,15 @@ pub fn solve_ilp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::tests::spec_for;
+    use crate::column_store::{ColumnPolicy, SpillStore};
+    use crate::par::CHUNK_WIDTH;
+    use crate::spec::tests::{respill, spec_for};
     use crate::spec::{BuildCtx, PackageSpec};
+    use crate::view::ChunkMeta;
     use datagen::{recipes, stocks, Seed};
     use minidb::Table;
     use paql::compile;
+    use std::sync::Arc;
 
     #[test]
     fn meal_plan_query_translates_and_solves() {
@@ -1047,7 +1116,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R \
              SUCH THAT SUM(P.calories) <= 2000 MAXIMIZE SUM(P.protein)",
         );
-        let rows = linearize(spec.view()).rows(spec.view()).unwrap();
+        let rows = linearize(spec.view()).write(spec.view()).0.unwrap();
         // The comparison row plus the SUM term's non-NULL support row.
         assert_eq!(rows.len(), 2);
         // The SUM(calories) row is the calories column verbatim.
@@ -1182,8 +1251,8 @@ mod tests {
                 let q = format!("SELECT PACKAGE(T) AS P FROM t T SUCH THAT {shape}");
                 let analyzed = compile(&q, t.schema()).unwrap();
                 let spec = PackageSpec::build(&analyzed, &t, &ctx).unwrap();
-                let linearization = linearize(spec.view());
-                let rows = linearization.rows(spec.view()).unwrap();
+                let (rows, objective) = linearize(spec.view()).write(spec.view());
+                let rows = rows.unwrap();
                 let mut h = 0xcbf29ce484222325u64;
                 for row in &rows {
                     assert_eq!(row.rhs.to_bits(), row.bound.to_bits(), "{shape}");
@@ -1191,7 +1260,7 @@ mod tests {
                     fnv(&mut h, row.rhs.to_bits());
                     row.coeffs.iter().for_each(|a| fnv(&mut h, a.to_bits()));
                 }
-                if let Some(objective) = linearization.objective(spec.view()).unwrap() {
+                if let Some(objective) = objective.unwrap() {
                     fnv(&mut h, 7);
                     objective.iter().for_each(|a| fnv(&mut h, a.to_bits()));
                 }
@@ -1200,6 +1269,182 @@ mod tests {
         }
         let expected: Vec<_> = PINS.iter().chain(PINS).copied().collect();
         assert_eq!(actual, expected, "resident pins, then paged");
+    }
+
+    /// The per-row writer the chunk pass replaced, kept as its oracle: each
+    /// row, and the objective, written in a pass of its own that pins its
+    /// terms' chunks again.
+    fn write_lanes(view: &CandidateView, lanes: &Lanes) -> Vec<f64> {
+        let n = view.candidate_count();
+        let mut row = vec![0.0; n];
+        for c in 0..chunk_count(n) {
+            fill_chunk(view.terms(), lanes, c, &mut row[chunk_range(c, n)]);
+        }
+        row
+    }
+
+    /// Writes chunk `c` of `lanes` into `out`.
+    fn fill_chunk(terms: &[TermColumn], lanes: &Lanes, c: usize, out: &mut [f64]) {
+        match lanes {
+            Lanes::Zero => out.fill(0.0),
+            Lanes::Term(t) => out.copy_from_slice(terms[*t].chunk(c).coeffs()),
+            Lanes::Combine(a, b, k) => {
+                fill_chunk(terms, a, c, out);
+                let mut other = vec![0.0; out.len()];
+                fill_chunk(terms, b, c, &mut other);
+                for (x, y) in out.iter_mut().zip(&other) {
+                    *x += k * y;
+                }
+            }
+            Lanes::Scale(a, k) => {
+                fill_chunk(terms, a, c, out);
+                for x in out.iter_mut() {
+                    *x *= k;
+                }
+            }
+            Lanes::Centered(t, bound) => {
+                let chunk = terms[*t].chunk(c);
+                for (i, (x, &v)) in out.iter_mut().zip(chunk.coeffs()).enumerate() {
+                    *x = if chunk.included(i) { v - bound } else { 0.0 };
+                }
+            }
+            Lanes::Mask(t) => {
+                let chunk = terms[*t].chunk(c);
+                for (i, x) in out.iter_mut().enumerate() {
+                    *x = if chunk.included(i) { 1.0 } else { 0.0 };
+                }
+            }
+        }
+    }
+
+    type Program = (Linear<Vec<LinearConstraint>>, Linear<Option<Vec<f64>>>);
+
+    /// The view's rows and objective, row by row through [`write_lanes`].
+    fn per_row(view: &CandidateView) -> Program {
+        let Linearization { formula, objective } = linearize(view);
+        let rows = formula.map(|(forms, terms)| {
+            let support = support_rows(view, &terms);
+            let forms = forms.iter().chain(&support);
+            forms
+                .map(|f| f.finish(write_lanes(view, &f.lanes)))
+                .collect()
+        });
+        let objective = objective.map(|lanes| lanes.map(|lanes| write_lanes(view, &lanes)));
+        (rows, objective)
+    }
+
+    type ProgramBits = (
+        Linear<Vec<(ConstraintOp, u64, u64, Vec<u64>)>>,
+        Linear<Option<Vec<u64>>>,
+    );
+
+    /// Every operator, right-hand side, bound and coefficient as bits.
+    fn program_bits((rows, objective): Program) -> ProgramBits {
+        let bits = |coeffs: Vec<f64>| coeffs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let rows = rows.map(|rows| {
+            let row =
+                |r: LinearConstraint| (r.op, r.rhs.to_bits(), r.bound.to_bits(), bits(r.coeffs));
+            rows.into_iter().map(row).collect()
+        });
+        (rows, objective.map(|o| o.map(bits)))
+    }
+
+    #[test]
+    fn the_chunk_pass_writes_what_the_per_row_writer_wrote() {
+        // Two chunks, the second a short tail, resident and through a
+        // two-page pool, for every gauntlet query of every family.
+        let n = CHUNK_WIDTH + 300;
+        let resident = BuildCtx {
+            policy: ColumnPolicy::resident(),
+            ..BuildCtx::default()
+        };
+        let paged = BuildCtx {
+            policy: ColumnPolicy::paged(2),
+            ..BuildCtx::default()
+        };
+        let (mut rows, mut paged_views) = (0, 0);
+        for scenario in datagen::scenarios() {
+            let table = (scenario.build)(n, Seed(20140901));
+            for query in &scenario.queries {
+                let analyzed = compile(&query.text, table.schema()).unwrap();
+                for ctx in [&resident, &paged] {
+                    let spec = PackageSpec::build(&analyzed, &table, ctx).unwrap();
+                    let view = spec.view();
+                    let linearization = linearize(view);
+                    let fused = linearization.write(view);
+                    let objective = linearization.write_objective(view);
+                    let what = format!(
+                        "{} {} paged={}",
+                        scenario.name,
+                        query.label,
+                        view.is_paged()
+                    );
+                    assert_eq!(
+                        program_bits((Ok(Vec::new()), objective)).1,
+                        program_bits((Ok(Vec::new()), fused.1.clone())).1,
+                        "{what}: the objective alone"
+                    );
+                    rows += fused.0.as_ref().map_or(0, Vec::len);
+                    paged_views += usize::from(view.is_paged());
+                    assert_eq!(program_bits(fused), program_bits(per_row(view)), "{what}");
+                }
+            }
+        }
+        assert!(
+            rows > 0 && paged_views > 0,
+            "{rows} rows, {paged_views} paged views"
+        );
+    }
+
+    #[test]
+    fn the_chunk_pass_requests_each_paged_chunk_of_each_term_once() {
+        // The benchmark's `shade_b`: COUNT(*), two SUM rows over calories,
+        // SUM(fat) with its support row, and the objective — every term is
+        // read, calories by two rows.
+        let t = recipes(4 * CHUNK_WIDTH + 300, Seed(20140901));
+        let spec = spec_for(
+            &t,
+            "SELECT PACKAGE(R) AS P FROM recipes R \
+             SUCH THAT COUNT(*) = 5 AND SUM(P.calories) BETWEEN 3000 AND 3500 \
+             AND SUM(P.fat) <= 120 MAXIMIZE SUM(P.protein)",
+        );
+        let store = SpillStore::create(2).unwrap();
+        let view = respill(
+            &spec,
+            &vec![Some(Arc::clone(&store)); spec.view().terms().len()],
+        );
+        let requests = || {
+            let (hits, misses, _) = store.counters();
+            hits + misses
+        };
+        // A COUNT chunk that includes every lane has no page to read.
+        let paged_chunks: u64 = view
+            .terms()
+            .iter()
+            .map(|term| {
+                let page_free = |m: &&ChunkMeta| {
+                    term.func == AggFunc::Count && m.included as usize == CHUNK_WIDTH
+                };
+                term.chunk_meta().iter().filter(|m| !page_free(m)).count() as u64
+            })
+            .sum();
+        assert_eq!(
+            paged_chunks,
+            4 * 5 - 4,
+            "four of COUNT(*)'s five chunks are full"
+        );
+
+        let before = requests();
+        let (rows, objective) = linearize(&view).write(&view);
+        let fused = requests() - before;
+        assert_eq!(rows.unwrap().len(), 5);
+        assert!(objective.unwrap().is_some());
+        assert_eq!(fused, paged_chunks, "one request per paged chunk per term");
+
+        let before = requests();
+        let _ = per_row(&view);
+        let per_row = requests() - before;
+        assert_eq!(per_row, 6 * 5 - 4, "a pass per row and the objective");
     }
 
     #[test]
@@ -1246,7 +1491,7 @@ mod tests {
         let row = |such_that: &str| {
             let q = format!("SELECT PACKAGE(T) AS P FROM t T SUCH THAT {such_that}");
             let spec = spec_for(&t, &q);
-            let rows = linearize(spec.view()).rows(spec.view()).unwrap();
+            let rows = linearize(spec.view()).write(spec.view()).0.unwrap();
             (rows[0].op, rows[0].rhs, rows[0].bound)
         };
         assert_eq!(row("COUNT(*) < 3"), (ConstraintOp::Le, 2.0, 3.0));

@@ -463,8 +463,8 @@ fn median_split(
 mod tests {
     use super::*;
     use crate::column_store::SpillStore;
+    use crate::spec::tests::respill;
     use crate::spec::{BuildCtx, PackageSpec};
-    use crate::view::ColumnSink;
     use datagen::{recipes, Seed};
     use minidb::Table;
     use paql::compile;
@@ -825,29 +825,6 @@ mod tests {
         assert_eq!(cases, 7 * 4 * 3 * 3 + 4 * 3);
     }
 
-    /// `spec`'s view with every term column spilled to one small-pool
-    /// store, so the partitioning reads it through page cursors.
-    fn respill(spec: &PackageSpec<'_>) -> CandidateView {
-        let view = spec.view();
-        let store = SpillStore::create(4).unwrap();
-        CandidateView::assemble(
-            spec.table,
-            view.candidates().to_vec(),
-            &spec.query,
-            |call| {
-                let t = view.term_keys().iter().position(|k| k == call).unwrap();
-                let column = &view.terms()[t];
-                let sink = ColumnSink::paged(column.func, Arc::clone(&store), column.len());
-                Some(
-                    sink.fill_from(&column.coeffs_vec(), &column.included_vec())
-                        .unwrap(),
-                )
-            },
-            &BuildCtx::default(),
-        )
-        .unwrap()
-    }
-
     /// The layers the tree grows over `leaves`, grouped by [`sorted_split`]
     /// and aggregated as [`build_partition_tree`] does.
     fn sorted_layers(leaves: &Partitioning, fanout: usize, seed: u64) -> Vec<Vec<TreeNode>> {
@@ -895,7 +872,8 @@ mod tests {
         let t = recipes(3 * crate::par::CHUNK_WIDTH + 37, Seed(13));
         let analyzed = compile(QUERY, t.schema()).unwrap();
         let spec = PackageSpec::build(&analyzed, &t, &BuildCtx::default()).unwrap();
-        let paged = respill(&spec);
+        let store = SpillStore::create(4).unwrap();
+        let paged = respill(&spec, &vec![Some(store); spec.view().terms().len()]);
         assert!(paged.terms().iter().all(|t| t.resident_coeffs().is_none()));
         let cols: Vec<Vec<f64>> = spec.view().terms().iter().map(|t| t.coeffs_vec()).collect();
         let budget = crate::budget::Budget::unlimited();

@@ -132,11 +132,11 @@ pub(crate) fn solve_sketch_family(
     // pb-lint: allow(time-containment) — stats clock only: stamps
     // solve_time_ms; sketch and refine deadlines go through the budget.
     let start = std::time::Instant::now();
-    let linearization = linearize(view);
     let unsupported =
         |r| PbError::Unsupported(format!("{strategy} requires a linearizable query: {r}"));
-    let rows = linearization.rows(view).map_err(unsupported)?;
-    let objective = linearization.objective(view).map_err(unsupported)?;
+    let (rows, objective) = linearize(view).write(view);
+    let rows = rows.map_err(unsupported)?;
+    let objective = objective.map_err(unsupported)?;
     if view.candidate_count() == 0 {
         return Ok(SolveOutcome::empty(strategy, 0, false));
     }

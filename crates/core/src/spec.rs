@@ -234,15 +234,47 @@ impl<'a> PackageSpec<'a> {
 #[cfg(test)]
 pub mod tests {
     use super::*;
+    use crate::column_store::SpillStore;
+    use crate::view::ColumnSink;
     use datagen::{recipes, Seed};
     use minidb::TupleId;
     use paql::compile;
+    use std::sync::Arc;
 
     /// The spec of PaQL text `q` over `table`, built cold on
     /// [`BuildCtx::default`] — how unit tests build the specs they solve.
     pub(crate) fn spec_for<'a>(table: &'a Table, q: &str) -> PackageSpec<'a> {
         let analyzed = compile(q, table.schema()).unwrap();
         PackageSpec::build(&analyzed, table, &BuildCtx::default()).unwrap()
+    }
+
+    /// `spec`'s view with term `t`'s column spilled to `stores[t]` (terms
+    /// with `None` stay as they are), so a test can watch a term's page
+    /// requests on a store nothing else touches.
+    pub(crate) fn respill(
+        spec: &PackageSpec<'_>,
+        stores: &[Option<Arc<SpillStore>>],
+    ) -> CandidateView {
+        let view = spec.view();
+        CandidateView::assemble(
+            spec.table,
+            view.candidates().to_vec(),
+            &spec.query,
+            |call| {
+                let t = view.term_keys().iter().position(|k| k == call).unwrap();
+                let column = &view.terms()[t];
+                let Some(store) = &stores[t] else {
+                    return Some(column.clone());
+                };
+                let sink = ColumnSink::paged(column.func, Arc::clone(store), column.len());
+                Some(
+                    sink.fill_from(&column.coeffs_vec(), &column.included_vec())
+                        .unwrap(),
+                )
+            },
+            &BuildCtx::default(),
+        )
+        .unwrap()
     }
 
     #[test]

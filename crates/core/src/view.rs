@@ -166,7 +166,9 @@ pub struct TermColumn {
 /// pinned (immune to eviction) for the guard's lifetime — scan loops hold
 /// one of these per chunk, never per element.
 pub enum ColumnChunk<'c> {
-    /// Resident chunk: slices borrowed straight from the column.
+    /// Resident chunk: slices borrowed straight from the column (or, for a
+    /// paged COUNT chunk that includes every lane, the static all-ones
+    /// payload its metadata implies).
     Resident {
         /// The chunk's coefficients (exact chunk length).
         coeffs: &'c [f64],
@@ -233,6 +235,11 @@ fn mask_bit(mask: &[u64], idx: usize) -> bool {
     (mask[idx / 64] >> (idx % 64)) & 1 == 1
 }
 
+/// The payload of a COUNT chunk that includes every lane: the coefficient
+/// is 1.0 exactly where the mask is set, so such a chunk needs no page.
+static COUNT_ONES: [f64; CHUNK_WIDTH] = [1.0; CHUNK_WIDTH];
+static ALL_INCLUDED: [u64; MASK_WORDS_PER_CHUNK] = [u64::MAX; MASK_WORDS_PER_CHUNK];
+
 impl TermColumn {
     /// Builds a resident column from its dense coefficient and inclusion
     /// vectors, computing the per-chunk metadata. ([`ColumnSink`] is the
@@ -278,9 +285,20 @@ impl TermColumn {
         }
     }
 
+    /// Whether chunk `c` is a COUNT chunk that includes every lane, whose
+    /// payload its [`ChunkMeta`] already determines. Only a full-width chunk
+    /// can be one, so a tail chunk (whose mask words are zero past the
+    /// column's end) always keeps its page.
+    #[inline]
+    fn all_ones(&self, c: usize) -> bool {
+        self.func == AggFunc::Count && self.chunks[c].included as usize == CHUNK_WIDTH
+    }
+
     /// Pins chunk `c` and returns a cursor over its payload. Scan loops call
     /// this once per chunk and index inside the guard — one buffer-pool
-    /// round-trip per [`crate::par::CHUNK_WIDTH`] elements.
+    /// round-trip per [`crate::par::CHUNK_WIDTH`] elements. A paged COUNT
+    /// chunk that includes every lane makes no round-trip: its payload is
+    /// all ones, served from memory (its page is written, never read).
     #[inline]
     pub fn chunk(&self, c: usize) -> ColumnChunk<'_> {
         let r = chunk_range(c, self.len);
@@ -288,6 +306,10 @@ impl TermColumn {
             ColumnData::Resident { coeffs, mask } => ColumnChunk::Resident {
                 coeffs: &coeffs[r],
                 mask: &mask[c * MASK_WORDS_PER_CHUNK..(c + 1) * MASK_WORDS_PER_CHUNK],
+            },
+            ColumnData::Paged { .. } if self.all_ones(c) => ColumnChunk::Resident {
+                coeffs: &COUNT_ONES,
+                mask: &ALL_INCLUDED,
             },
             ColumnData::Paged { store, first_page } => ColumnChunk::Paged {
                 guard: store.read(first_page + c as u64),
@@ -298,7 +320,8 @@ impl TermColumn {
 
     /// `(coefficient, included)` of element `idx` with a single chunk pin.
     /// A **point lookup**: on a paged column every call is a buffer-pool
-    /// request, so it serves [`ViewState::apply`] and
+    /// request (except in a COUNT chunk that includes every lane, which
+    /// [`TermColumn::chunk`] serves without a page), so it serves [`ViewState::apply`] and
     /// [`ViewState::score_with`] (a handful of elements per move) and
     /// nothing that visits every candidate — full scans pin
     /// [`TermColumn::chunk`] once per 4096 elements
@@ -307,6 +330,7 @@ impl TermColumn {
     pub fn entry_at(&self, idx: usize) -> (f64, bool) {
         match &self.data {
             ColumnData::Resident { coeffs, mask } => (coeffs[idx], mask_bit(mask, idx)),
+            ColumnData::Paged { .. } if self.all_ones(idx / CHUNK_WIDTH) => (1.0, true),
             ColumnData::Paged { store, first_page } => {
                 let g = store.read(first_page + (idx / CHUNK_WIDTH) as u64);
                 (
@@ -1688,6 +1712,104 @@ mod tests {
 
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \
         SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)";
+
+    #[test]
+    fn full_count_chunks_read_like_their_pages_without_one() {
+        use crate::column_store::SpillStore;
+        use crate::ilp::same_mask;
+        use crate::spec::tests::respill;
+        use crate::spec::PackageSpec;
+        use minidb::{ColumnType, Schema, Tuple, Value};
+
+        // Four full chunks and a 100-lane tail. The filter `g = 0` turns
+        // lanes of chunk 1 away and `x` is NULL in lanes of chunk 2; `g < 5`
+        // admits every lane. `SUM(P.x)` is the control: a full chunk of a
+        // SUM keeps reading its page.
+        let n = 4 * CHUNK_WIDTH + 100;
+        let mut t = Table::new(
+            "t",
+            Schema::build(&[("x", ColumnType::Float), ("g", ColumnType::Int)]),
+        );
+        for i in 0..n {
+            let (c, lane) = (i / CHUNK_WIDTH, i % CHUNK_WIDTH);
+            let g = i64::from(c == 1 && lane % 7 == 3);
+            let x = match c == 2 && lane % 5 == 1 {
+                true => Value::Null,
+                false => Value::Float(i as f64 * 0.5),
+            };
+            t.insert(Tuple::new(vec![x, Value::Int(g)])).unwrap();
+        }
+        let q = "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) >= 1 \
+                 AND COUNT(*) FILTER (WHERE T.g = 0) >= 1 AND COUNT(P.x) >= 1 \
+                 AND COUNT(*) FILTER (WHERE T.g < 5) >= 1 AND SUM(P.x) >= 1";
+        let analyzed = compile(q, t.schema()).unwrap();
+        let ctx = BuildCtx {
+            policy: ColumnPolicy::resident(),
+            ..BuildCtx::default()
+        };
+        let spec = PackageSpec::build(&analyzed, &t, &ctx).unwrap();
+        let resident = spec.view();
+        let store = SpillStore::create(2).unwrap();
+        let paged = respill(&spec, &vec![Some(Arc::clone(&store)); 5]);
+        let requests = || {
+            let (hits, misses, _) = store.counters();
+            hits + misses
+        };
+
+        let full = |term: &TermColumn| -> Vec<bool> {
+            let chunks = term.chunk_meta().iter();
+            chunks.map(|m| m.included as usize == CHUNK_WIDTH).collect()
+        };
+        let expect_full = [
+            [true, true, true, true, false],
+            [true, false, true, true, false],
+            [true, true, false, true, false],
+            [true, true, true, true, false],
+            [true, true, false, true, false],
+        ];
+        let terms = resident.terms().iter().zip(paged.terms());
+        for (t, ((r, p), expect_full)) in terms.clone().zip(expect_full).enumerate() {
+            let func = if t < 4 { AggFunc::Count } else { AggFunc::Sum };
+            assert_eq!((r.func, p.func), (func, func));
+            assert!(!r.is_paged() && p.is_paged());
+            assert_eq!(full(r), expect_full);
+            assert_eq!(r.chunk_meta(), p.chunk_meta());
+            for c in 0..5 {
+                let (rc, pc) = (r.chunk(c), p.chunk(c));
+                let bits = |chunk: &ColumnChunk<'_>| -> Vec<u64> {
+                    chunk.coeffs().iter().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&rc), bits(&pc), "chunk {c}");
+                assert_eq!(rc.mask_words(), pc.mask_words(), "chunk {c}");
+                assert!((0..rc.len()).all(|i| rc.included(i) == pc.included(i)));
+            }
+            for idx in 0..n {
+                let (rv, ri) = r.entry_at(idx);
+                let (pv, pi) = p.entry_at(idx);
+                assert_eq!((rv.to_bits(), ri), (pv.to_bits(), pi), "lane {idx}");
+            }
+        }
+        for (a, b) in terms
+            .clone()
+            .flat_map(|a| terms.clone().map(move |b| (a, b)))
+        {
+            assert_eq!(same_mask(a.0, b.0), same_mask(a.1, b.1));
+        }
+        assert!(same_mask(&paged.terms()[0], &paged.terms()[3]));
+        assert!(!same_mask(&paged.terms()[0], &paged.terms()[1]));
+        assert!(!same_mask(&paged.terms()[0], &paged.terms()[2]));
+
+        // A scan reads the pages of the COUNT chunks that are not full and
+        // every page of the SUM, and no other.
+        let before = requests();
+        for term in paged.terms() {
+            for c in 0..5 {
+                term.chunk(c);
+            }
+        }
+        let count_pages = expect_full[..4].iter().flatten().filter(|&&f| !f).count();
+        assert_eq!(requests() - before, (count_pages + 5) as u64);
+    }
 
     #[test]
     fn terms_are_deduplicated_across_formula_and_objective() {
