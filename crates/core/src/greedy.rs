@@ -3,6 +3,8 @@
 //! feasibility-repair pass the greedy solver and the sketch→refine fallback
 //! both run.
 
+use std::collections::BinaryHeap;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -19,10 +21,14 @@ use crate::view::{CandidateView, ViewState};
 pub enum StartHeuristic<'a> {
     /// Highest objective coefficient first (density-ordered greedy), by the
     /// per-candidate coefficients of the linearized objective
-    /// ([`objective_coeffs`]). The caller linearizes, so a solve that
-    /// already holds the coefficients does not read the objective's columns
-    /// twice; without them (no objective, or one that does not linearize)
-    /// it starts [`StartHeuristic::Random`].
+    /// ([`objective_coeffs`]), ties to the lower candidate index. One pass
+    /// over the coefficients keeps only the entries the start places (the
+    /// starting cardinality, at most `n`) in a bounded heap, so the start
+    /// costs one comparison per candidate, not a sort or a selection over
+    /// an index vector. The caller linearizes, so a solve that already
+    /// holds the coefficients does not read the objective's columns twice;
+    /// without them (no objective, or one that does not linearize) it
+    /// starts [`StartHeuristic::Random`].
     Greedy(&'a [f64]),
     /// Uniformly random candidates ("which can be constructed, for example,
     /// at random" — Section 4.2).
@@ -51,16 +57,19 @@ pub fn starting_package(
     let target = starting_cardinality(view, bounds.lower, bounds.upper);
 
     // Order candidates by the chosen heuristic. Only the first
-    // `min(target, n)` positions are ever placed, so the density order
-    // selects and sorts just that prefix.
-    let mut order: Vec<usize> = (0..n).collect();
-    match heuristic {
-        StartHeuristic::Random => order.shuffle(rng),
+    // `min(target, n)` positions are ever placed, so the density order keeps
+    // just that prefix.
+    let order = match heuristic {
+        StartHeuristic::Random => {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(rng);
+            order
+        }
         StartHeuristic::Greedy(coeffs) => {
             let maximize = matches!(view.direction(), paql::ObjectiveDirection::Maximize);
-            density_prefix(&mut order, coeffs, maximize, target);
+            density_top(coeffs, maximize, target)
         }
-    }
+    };
 
     // The first round adds each tuple once; later rounds add repetitions
     // (only reachable for REPEAT queries, where `target` can exceed `n`).
@@ -80,27 +89,45 @@ pub fn starting_package(
     package
 }
 
-/// Truncates `order` (a permutation of the candidate indices, ascending) to
-/// its best `min(target, n)` entries by objective coefficient, best first,
-/// ties to the lower index — exactly the prefix a stable full sort by
-/// coefficient would produce, at selection cost instead of `O(n log n)`.
-fn density_prefix(order: &mut Vec<usize>, coeffs: &[f64], maximize: bool, target: u64) {
-    let by_density = |a: &usize, b: &usize| {
-        let by_coeff = if maximize {
-            coeffs[*b].total_cmp(&coeffs[*a])
-        } else {
-            coeffs[*a].total_cmp(&coeffs[*b])
-        };
-        by_coeff.then(a.cmp(b))
-    };
-    let keep = (target.min(order.len() as u64)) as usize;
-    if keep < order.len() {
-        if keep > 0 {
-            order.select_nth_unstable_by(keep - 1, by_density);
-        }
-        order.truncate(keep);
+/// The best `min(target, n)` candidate indices by objective coefficient,
+/// best first, ties to the lower index — exactly the prefix a stable full
+/// sort by coefficient would produce — from one pass over `coeffs`.
+///
+/// A bounded max-heap holds the `(key, index)` pairs kept so far, the worst
+/// on top. The indices arrive ascending, so a candidate whose key only ties
+/// the worst one kept ranks after it: one comparison rejects it. Keys are
+/// the coefficients in `total_cmp` order, negated when maximizing (a sign
+/// flip mirrors that order exactly, NaN and signed zeros included).
+fn density_top(coeffs: &[f64], maximize: bool, target: u64) -> Vec<usize> {
+    let keep = target.min(coeffs.len() as u64) as usize;
+    let key = |c: f64| total_order_key(if maximize { -c } else { c });
+    let mut kept: BinaryHeap<(i64, usize)> = BinaryHeap::with_capacity(keep);
+    let mut coeffs = coeffs.iter().enumerate();
+    for (idx, &c) in coeffs.by_ref().take(keep) {
+        kept.push((key(c), idx));
     }
-    order.sort_unstable_by(by_density);
+    let Some(&(mut bar, _)) = kept.peek() else {
+        return Vec::new();
+    };
+    for (idx, &c) in coeffs {
+        let key = key(c);
+        if key < bar {
+            if let Some(mut worst) = kept.peek_mut() {
+                *worst = (key, idx);
+            }
+            bar = kept.peek().map_or(key, |worst| worst.0);
+        }
+    }
+    kept.into_sorted_vec()
+        .into_iter()
+        .map(|(_, idx)| idx)
+        .collect()
+}
+
+/// An integer whose order is [`f64::total_cmp`]'s order of `x`.
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// How much a repair move must lower the violation by to be taken.
@@ -109,7 +136,7 @@ const MIN_GAIN: f64 = 1e-9;
 /// Feasibility-repair pass: accept single add/drop moves while they strictly
 /// reduce the violation. Each pass scans the whole candidate set in
 /// fixed-width chunks fanned out over `par`: the add moves of a chunk are
-/// scored column-at-a-time by one [`crate::view::MoveScan`] kernel call —
+/// scored block-at-a-time by one [`crate::view::MoveScan`] kernel call —
 /// each term the formula references is pinned once per chunk, and the
 /// objective's terms are never read — while the drop moves (one per member)
 /// go through the point path, [`ViewState::violation_with`]. A chunk whose
@@ -360,33 +387,52 @@ mod tests {
     }
 
     #[test]
-    fn density_prefix_equals_the_stable_full_sort_on_duplicated_coefficients() {
-        // Heavy ties (five distinct values over 400 entries, signed zeros
-        // included): the selected prefix must be the stable sort's, ties to
-        // the lower index, in both directions and at every prefix length.
-        let coeffs: Vec<f64> = (0..400u32)
-            .map(|i| match i.wrapping_mul(2_654_435_761) % 5 {
-                0 => -0.0,
-                1 => 0.0,
-                2 => 7.5,
-                3 => -3.0,
-                _ => 7.5,
-            })
+    fn the_streaming_density_start_equals_the_stable_full_sort() {
+        // NaN of both signs and two payloads, infinities, signed zeros,
+        // subnormals and heavy ties (a few distinct values over 400
+        // entries): the kept prefix must be the stable sort's, ties to the
+        // lower index, in both directions, for targets from 0 to past `n`
+        // (a REPEAT target), on empty, single and 400-entry columns.
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            7.5,
+            7.5,
+            7.5,
+            -3.0,
+            -3.0,
+        ];
+        let heavy: Vec<f64> = (0..400u32)
+            .map(|i| values[(i.wrapping_mul(2_654_435_761) >> 7) as usize % values.len()])
             .collect();
-        for maximize in [true, false] {
-            let mut full: Vec<usize> = (0..coeffs.len()).collect();
-            full.sort_by(|&a, &b| {
-                if maximize {
-                    coeffs[b].total_cmp(&coeffs[a])
-                } else {
-                    coeffs[a].total_cmp(&coeffs[b])
+        for coeffs in [&heavy[..0], &heavy[..1], &heavy[..]] {
+            let n = coeffs.len() as u64;
+            for maximize in [true, false] {
+                let mut full: Vec<usize> = (0..coeffs.len()).collect();
+                full.sort_by(|&a, &b| {
+                    if maximize {
+                        coeffs[b].total_cmp(&coeffs[a])
+                    } else {
+                        coeffs[a].total_cmp(&coeffs[b])
+                    }
+                });
+                for target in [0, 1, 2, n.saturating_sub(1), n, n + 5] {
+                    let keep = target.min(n) as usize;
+                    assert_eq!(
+                        density_top(coeffs, maximize, target),
+                        full[..keep],
+                        "n={n} maximize={maximize} target={target}"
+                    );
                 }
-            });
-            for target in [0u64, 1, 2, 3, 57, 399, 400, 1_000] {
-                let mut order: Vec<usize> = (0..coeffs.len()).collect();
-                density_prefix(&mut order, &coeffs, maximize, target);
-                let keep = (target as usize).min(coeffs.len());
-                assert_eq!(order, full[..keep], "maximize={maximize} target={target}");
             }
         }
     }

@@ -278,7 +278,7 @@ fn scan_chunk(
 /// and drop moves when the cardinality may change). The two full scans —
 /// every (outgoing member × incoming candidate) swap and every add — fan out
 /// over `par` by **column chunk**: chunk `c` of the executor is chunk `c` of
-/// every term column, pinned once and scored column-at-a-time by the
+/// every term column, pinned once and scored block-at-a-time by the
 /// [`MoveScan`] kernel for each outgoing member in turn. Kernel scores are
 /// bit-identical to [`ViewState::score_with`], and per-(member, chunk) local
 /// bests merge member-major, chunk-minor with strict improvement — the

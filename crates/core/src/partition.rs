@@ -91,6 +91,11 @@ impl Partitioning {
         self.assignment[candidate_idx]
     }
 
+    /// Partition id of every candidate index, in candidate order.
+    pub(crate) fn assignment(&self) -> &[usize] {
+        &self.assignment
+    }
+
     /// Number of partitions.
     pub fn len(&self) -> usize {
         self.partitions.len()

@@ -45,13 +45,18 @@
 //! deterministic, race or no race.
 //!
 //! Data parallelism (since the chunked columnar layout): the offline
-//! partitioning's spread scans and the representative-means matrix fan out
-//! over [`crate::solver::SolveOptions::par`] in fixed chunks, with the
-//! cooperative budget checked per chunk. The refine loop itself stays
-//! sequential *by data dependence* — each sub-ILP's right-hand side folds in
-//! the actuals of every partition refined before it — so its unit of work
-//! (and of budget checking) is one partition, which is exactly a chunk of
-//! candidates by construction.
+//! partitioning's spread scans fan out over
+//! [`crate::solver::SolveOptions::par`] in fixed chunks, with the
+//! cooperative budget checked per chunk. The representative-means matrix is
+//! one job per coefficient row on the same executor: each job is a single
+//! sequential pass over the candidates that adds every coefficient to its
+//! leaf's running sum (so it reads the row and the candidate → leaf
+//! assignment in order, never gathering a leaf's members), checking the
+//! budget every [`crate::par::CHUNK_WIDTH`] candidates. The refine loop
+//! itself stays sequential *by data dependence* — each sub-ILP's right-hand
+//! side folds in the actuals of every partition refined before it — so its
+//! unit of work (and of budget checking) is one partition, which is exactly
+//! a chunk of candidates by construction.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -63,7 +68,8 @@ use crate::error::PbError;
 use crate::greedy::repair_to_feasibility;
 use crate::ilp::{linearize, package_problem, LinearConstraint};
 use crate::package::Package;
-use crate::partition::Partition;
+use crate::par::CHUNK_WIDTH;
+use crate::partition::{Partition, Partitioning};
 use crate::result::{EvalStats, StrategyUsed};
 use crate::solver::{GreedySolver, SolveOptions, SolveOutcome, Solver};
 use crate::view::{CandidateView, ViewState};
@@ -184,13 +190,6 @@ pub(crate) fn solve_sketch_family(
     })
 }
 
-/// How many partitions one chunk of the representative-means computation
-/// covers: at the default partition size (64), 64 partitions ≈ 4096 member
-/// rows per chunk — the same cache-friendly granularity as the columnar
-/// chunk width, and fixed (never thread-derived) so the fan-out stays
-/// deterministic.
-const MEANS_PARTITIONS_PER_CHUNK: usize = 64;
-
 /// Phases 1–3 behind the floor; `Ok(None)` means a sketch was infeasible, the
 /// budget ran out mid-setup or mid-descent, or the refined package could not
 /// be repaired to feasibility (the greedy baseline then stands). `Err` is
@@ -237,13 +236,10 @@ fn sketch_then_refine(
     }
 
     // Leaf representative means, one row per coefficient column.
-    let mut means: Vec<Vec<f64>> = Vec::with_capacity(q.rows.len() + 1);
-    for coeffs in q.coeff_rows() {
-        let Some(m) = partition_means(parts, coeffs, opts) else {
-            return Ok(None);
-        };
-        means.push(m);
-    }
+    let coeff_rows: Vec<&[f64]> = q.coeff_rows().collect();
+    let Some(means) = leaf_means(&leaves, &coeff_rows, opts) else {
+        return Ok(None);
+    };
 
     // Phase 2 — under a tree, the descent narrows the leaves to the shaded
     // ones; then one sketch over those, scattered back to full-length counts
@@ -288,30 +284,43 @@ fn sketch_then_refine(
     refine_with_backtracking(&ctx, order, counters)
 }
 
-/// Representative coefficients: the partition mean of one coefficient
-/// column, per partition. `partition_means(parts, coeffs, opts)[p]` is the
-/// column aggregated over partition `p` — per-partition values computed
-/// independently (no cross-partition reduction), so the chunk fan-out is
-/// trivially bit-identical at every thread count. `None` on budget expiry.
-fn partition_means(parts: &[Partition], coeffs: &[f64], opts: &SolveOptions) -> Option<Vec<f64>> {
-    let chunks = opts
-        .par
-        .run_chunks_width(parts.len(), MEANS_PARTITIONS_PER_CHUNK, |_, range| {
+/// Representative coefficients: `leaf_means(leaves, rows, opts)[r][p]` is
+/// coefficient row `r` averaged over leaf `p`, bit for bit
+/// [`Partition::mean_of`]. Each row is one sequential pass over the
+/// candidate → leaf assignment that adds every coefficient to its leaf's
+/// sum; members are ascending, so each sum sees `mean_of`'s additions in
+/// its order, from the value a float `Sum` starts at. Rows are independent
+/// jobs on `opts.par`, so the means are the same at every thread count; a
+/// job checks the budget every [`CHUNK_WIDTH`] candidates. `None` on budget
+/// expiry.
+fn leaf_means(
+    leaves: &Partitioning,
+    rows: &[&[f64]],
+    opts: &SolveOptions,
+) -> Option<Vec<Vec<f64>>> {
+    let parts = leaves.partitions();
+    let assignment = leaves.assignment();
+    let empty_sum: f64 = std::iter::empty::<f64>().sum();
+    let jobs = opts.par.run_chunks_width(rows.len(), 1, |r, _| {
+        let mut sums = vec![empty_sum; parts.len()];
+        let chunks = rows[r]
+            .chunks(CHUNK_WIDTH)
+            .zip(assignment.chunks(CHUNK_WIDTH));
+        for (coeffs, assigned) in chunks {
             if opts.budget.expired() {
                 return None;
             }
-            Some(
-                parts[range]
-                    .iter()
-                    .map(|p| p.mean_of(coeffs))
-                    .collect::<Vec<f64>>(),
-            )
-        });
-    let mut means = Vec::with_capacity(parts.len());
-    for chunk in chunks {
-        means.extend(chunk?);
-    }
-    Some(means)
+            for (&c, &p) in coeffs.iter().zip(assigned) {
+                sums[p] += c;
+            }
+        }
+        let mean = |(sum, part): (f64, &Partition)| match part.members.len() {
+            0 => 0.0,
+            len => sum / len as f64,
+        };
+        Some(sums.into_iter().zip(parts).map(mean).collect())
+    });
+    jobs.into_iter().collect()
 }
 
 /// Builds and solves the family's one ILP shape, for a sketch (a column per
@@ -592,8 +601,11 @@ fn greedy_fill(ctx: &RefineCtx<'_>, p: usize, state: &mut ViewState<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
+    use crate::par::ParExec;
     use crate::spec::tests::spec_for;
-    use datagen::{recipes, Seed};
+    use crate::spec::{BuildCtx, PackageSpec};
+    use datagen::{recipes, scenarios, Seed};
 
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \
         SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)";
@@ -655,5 +667,105 @@ mod tests {
         for (p, _) in &out.packages {
             assert!(spec.is_valid(p).unwrap());
         }
+    }
+
+    /// `leaf_means` as bits; `None` on expiry.
+    fn one_pass(
+        leaves: &Partitioning,
+        rows: &[&[f64]],
+        opts: &SolveOptions,
+    ) -> Option<Vec<Vec<u64>>> {
+        let means = leaf_means(leaves, rows, opts)?;
+        Some(
+            means
+                .iter()
+                .map(|row| row.iter().map(|m| m.to_bits()).collect())
+                .collect(),
+        )
+    }
+
+    /// The gather form the one pass replaced: [`Partition::mean_of`] per
+    /// leaf, as bits.
+    fn gathered(leaves: &Partitioning, rows: &[&[f64]]) -> Vec<Vec<u64>> {
+        let parts = leaves.partitions();
+        let mean_bits = |row: &&[f64]| parts.iter().map(|p| p.mean_of(row).to_bits()).collect();
+        rows.iter().map(mean_bits).collect()
+    }
+
+    #[test]
+    fn one_pass_leaf_means_equal_mean_of_on_every_registry_query() {
+        // Every linearized row and objective of every gauntlet query of
+        // every family over two chunks, over the flat leaves and a tree's
+        // leaves, at 1 and 2 threads.
+        let n = CHUNK_WIDTH + 300;
+        let budget = Budget::unlimited();
+        let mut rows_checked = 0;
+        for scenario in scenarios() {
+            let table = (scenario.build)(n, Seed(21));
+            for query in &scenario.queries {
+                let analyzed = paql::compile(&query.text, table.schema()).unwrap();
+                let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
+                let view = spec.view();
+                let (Ok(rows), Ok(objective)) = linearize(view).write(view) else {
+                    continue;
+                };
+                let mut coeff_rows: Vec<&[f64]> =
+                    rows.iter().map(|r| r.coeffs.as_slice()).collect();
+                coeff_rows.extend(objective.as_deref());
+                let seq = ParExec::sequential();
+                let flat = view.partitioning(64, 7, &budget, seq).unwrap();
+                let tree = view.partition_tree(8, 4, 7, &budget, seq).unwrap();
+                for leaves in [&*flat, tree.leaves()] {
+                    let oracle = gathered(leaves, &coeff_rows);
+                    for threads in [1, 2] {
+                        let opts = SolveOptions {
+                            par: ParExec::new(threads),
+                            ..SolveOptions::default()
+                        };
+                        assert_eq!(
+                            one_pass(leaves, &coeff_rows, &opts),
+                            Some(oracle.clone()),
+                            "{} ({}), {} leaves, {threads} threads",
+                            scenario.name,
+                            query.text,
+                            leaves.len()
+                        );
+                    }
+                    rows_checked += coeff_rows.len();
+                }
+            }
+        }
+        assert!(rows_checked > 50, "only {rows_checked} rows were compared");
+    }
+
+    #[test]
+    fn a_leaf_of_negative_zeros_keeps_its_sign_and_an_expired_budget_stops_the_pass() {
+        // A float `Sum` starts from -0.0, so a leaf whose every coefficient
+        // is -0.0 has mean -0.0; a pass starting its sums at +0.0 would
+        // give +0.0.
+        let t = recipes(2_000, Seed(5));
+        let spec = spec_for(&t, MEAL_QUERY);
+        let view = spec.view();
+        let budget = Budget::unlimited();
+        let leaves = view
+            .partitioning(64, 7, &budget, ParExec::sequential())
+            .unwrap();
+        let zeroed = leaves.partition_of(view.candidate_count() - 10);
+        let row: Vec<f64> = (0..view.candidate_count())
+            .map(|i| match leaves.partition_of(i) == zeroed {
+                true => -0.0,
+                false => i as f64 * 0.25 - 100.0,
+            })
+            .collect();
+        let rows = [row.as_slice()];
+        let means = one_pass(&leaves, &rows, &SolveOptions::default()).unwrap();
+        assert_eq!(means, gathered(&leaves, &rows));
+        assert_eq!(means[0][zeroed], (-0.0f64).to_bits());
+
+        let expired = SolveOptions {
+            budget: Budget::with_limit(std::time::Duration::ZERO),
+            ..SolveOptions::default()
+        };
+        assert_eq!(one_pass(&leaves, &rows, &expired), None);
     }
 }

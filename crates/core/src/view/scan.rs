@@ -14,9 +14,16 @@
 //!   on first use, and shared by every prefix scored against that chunk —
 //!   [`ScanChunk`]; a term the scan does not need (the objective's, when the
 //!   caller only wants violations) is never read;
-//! * the compiled formula is evaluated **column-at-a-time** over the pinned
-//!   slices: one tight loop per expression node, not one tree walk per
-//!   element.
+//! * the compiled formula is evaluated **block-at-a-time** over the pinned
+//!   slices: one tight loop per expression node over each block of 512
+//!   lanes, not one tree walk per element, with the block's scratch
+//!   vectors (4 KiB each, recycled) small enough to stay in L1 from one
+//!   node to the next. A term reads its inclusion mask one 64-lane word at
+//!   a time: a word that includes every lane is a straight loop, a word
+//!   that includes none a fill, and only mixed words test bit by bit. An
+//!   atom comparing a term with a literal, the usual shape, is scored in
+//!   that same pass over the term's lanes, with the comparison's operator
+//!   fixed per loop rather than matched per lane.
 //!
 //! Every floating-point operation is the one the scalar evaluator performs,
 //! in the same order, so a chunk score is bit-identical to `score_with` on
@@ -180,18 +187,14 @@ impl<'s, 'v> MoveScan<'s, 'v> {
             scan: self,
             chunk: c,
             pins: view.terms.iter().map(|_| None).collect(),
-            bufs: Bufs {
-                len: range.len(),
-                floats: Vec::new(),
-                flags: Vec::new(),
-            },
+            bufs: Bufs::default(),
             range,
             scores: ChunkScores::default(),
         }
     }
 
     /// A lower bound on the violation [`ScanChunk::score`] gives every lane
-    /// of chunk `c` it scores column-at-a-time after prefix number `prefix`
+    /// of chunk `c` it scores in blocks after prefix number `prefix`
     /// (every lane but the members and the prefix's own indices, which take
     /// the point path): each such lane's violation is NaN or at least this.
     ///
@@ -431,9 +434,14 @@ impl ChunkScores {
     }
 }
 
-/// One column chunk opened by a [`MoveScan`]: the pinned term chunks plus
-/// the kernel's scratch buffers (a few chunk-wide vectors, recycled across
-/// prefixes).
+/// Lanes the kernel evaluates at once: a multiple of 64, so a block owns
+/// whole mask words, and small enough that a block's scratch vectors (4 KiB
+/// each) stay in L1 while the formula's nodes read and write them.
+const BLOCK: usize = 512;
+
+/// One column chunk opened by a [`MoveScan`]: the pinned term chunks, the
+/// kernel's scratch buffers (a few block-wide vectors, recycled across
+/// blocks and prefixes) and the last prefix's chunk-wide scores.
 pub struct ScanChunk<'m> {
     scan: &'m MoveScan<'m, 'm>,
     chunk: usize,
@@ -450,45 +458,61 @@ impl ScanChunk<'_> {
     }
 
     /// Scores every element of the chunk after prefix number `prefix` (its
-    /// position in the `prefixes` list the scan was built from). The slot
-    /// of an element already at the `REPEAT` bound — no "+1" is legal there —
-    /// holds an unspecified score.
+    /// position in the `prefixes` list the scan was built from), 512 lanes
+    /// at a time. The slot of an element already at the `REPEAT` bound — no
+    /// "+1" is legal there — holds an unspecified score.
     pub fn score(&mut self, prefix: usize) -> &ChunkScores {
         let scan = self.scan;
         let view = scan.state.view;
         let base = &scan.prefixes[prefix];
-        let old = std::mem::take(&mut self.scores);
-        self.bufs.floats.extend([old.violation, old.objective]);
-        self.bufs.flags.push(old.objective_null);
+        let len = self.range.len();
+        let objective = scan.want_objective.then_some(&view.compiled_objective);
+        let scores = &mut self.scores;
+        scores.violation.resize(len, 0.0);
+        if objective.is_some() {
+            scores.objective.resize(len, 0.0);
+            scores.objective_null.resize(len, false);
+        }
 
         let mut kernel = Kernel {
             view,
             base,
             chunk: self.chunk,
+            lanes: 0..0,
             pins: &mut self.pins,
             bufs: &mut self.bufs,
         };
-        let violation = match &view.compiled_formula {
-            Some(f) => kernel.formula_violation(f),
-            None => kernel.bufs.floats_of(0.0),
-        };
-        let (objective, objective_null) = match (&view.compiled_objective, scan.want_objective) {
-            (Some(e), true) => {
-                let col = kernel.eval_expr(e);
-                let nulls = match col.nulls {
-                    Some(nulls) => nulls,
-                    None => kernel.bufs.flags_of(false),
-                };
-                (col.vals, nulls)
+        for start in (0..len).step_by(BLOCK) {
+            let lanes = start..len.min(start + BLOCK);
+            kernel.lanes = lanes.clone();
+            kernel.bufs.len = lanes.len();
+            let violation = match &view.compiled_formula {
+                Some(f) => kernel.formula_violation(f),
+                None => kernel.bufs.floats_of(0.0),
+            };
+            scores.violation[lanes.clone()].copy_from_slice(&violation);
+            kernel.bufs.floats.push(violation);
+            match objective {
+                Some(Some(e)) => {
+                    let col = kernel.eval_expr(e);
+                    scores.objective[lanes.clone()].copy_from_slice(&col.vals);
+                    kernel.bufs.floats.push(col.vals);
+                    let null = &mut scores.objective_null[lanes];
+                    match col.nulls {
+                        Some(nulls) => {
+                            null.copy_from_slice(&nulls);
+                            kernel.bufs.flags.push(nulls);
+                        }
+                        None => null.fill(false),
+                    }
+                }
+                Some(None) => {
+                    scores.objective[lanes.clone()].fill(0.0);
+                    scores.objective_null[lanes].fill(true);
+                }
+                None => {}
             }
-            (None, true) => (kernel.bufs.floats_of(0.0), kernel.bufs.flags_of(true)),
-            (_, false) => (Vec::new(), Vec::new()),
-        };
-        self.scores = ChunkScores {
-            violation,
-            objective,
-            objective_null,
-        };
+        }
 
         // Elements whose base multiplicity is not zero: the point path.
         // (Those already at the REPEAT bound have no legal "+1" at all.)
@@ -517,7 +541,8 @@ impl ScanChunk<'_> {
     }
 }
 
-/// Recycled chunk-wide scratch vectors.
+/// Recycled block-wide scratch vectors, `len` lanes each.
+#[derive(Default)]
 struct Bufs {
     len: usize,
     floats: Vec<Vec<f64>>,
@@ -525,7 +550,7 @@ struct Bufs {
 }
 
 impl Bufs {
-    /// A chunk-wide float vector with unspecified contents.
+    /// A block-wide float vector with unspecified contents.
     fn floats(&mut self) -> Vec<f64> {
         let mut v = self.floats.pop().unwrap_or_default();
         v.resize(self.len, 0.0);
@@ -538,7 +563,7 @@ impl Bufs {
         v
     }
 
-    /// A chunk-wide flag vector with unspecified contents.
+    /// A block-wide flag vector with unspecified contents.
     fn flags(&mut self) -> Vec<bool> {
         let mut v = self.flags.pop().unwrap_or_default();
         v.resize(self.len, false);
@@ -552,27 +577,91 @@ impl Bufs {
     }
 }
 
-/// One expression's value for every element of the chunk; `nulls` is absent
-/// when no element is NULL (the common case — most loops skip it entirely).
+/// One expression's value for every lane of the block; `nulls` is absent
+/// when no lane is NULL (the common case — most loops skip it entirely).
 struct Col {
     vals: Vec<f64>,
     nulls: Option<Vec<bool>>,
 }
 
-/// The column-at-a-time evaluator: [`super::eval_expr`] and friends with
-/// every `Option<f64>` widened to a [`Col`]. Operation for operation the
-/// same arithmetic, so the results are bit-identical.
+/// The block-at-a-time evaluator: [`super::eval_expr`] and friends with
+/// every `Option<f64>` widened to a [`Col`] over the lanes of one block.
+/// Operation for operation the same arithmetic, so the results are
+/// bit-identical.
 struct Kernel<'k, 'm> {
     view: &'m CandidateView,
     base: &'k PrefixBase,
     chunk: usize,
+    /// The block's lanes, as offsets into the chunk.
+    lanes: Range<usize>,
     pins: &'k mut Vec<Option<ColumnChunk<'m>>>,
     bufs: &'k mut Bufs,
 }
 
+/// Runs `$body` with `$violation` bound to [`comparison_violation`] at the
+/// constant operator `$op`: one copy of the body per operator, so a lane
+/// loop in it carries no per-lane branch on the operator.
+macro_rules! with_violation {
+    ($op:expr, |$violation:ident| $body:expr) => {
+        match $op {
+            CmpOp::Eq => {
+                let $violation = |a, b| comparison_violation(CmpOp::Eq, a, b);
+                $body
+            }
+            CmpOp::NotEq => {
+                let $violation = |a, b| comparison_violation(CmpOp::NotEq, a, b);
+                $body
+            }
+            CmpOp::Lt => {
+                let $violation = |a, b| comparison_violation(CmpOp::Lt, a, b);
+                $body
+            }
+            CmpOp::LtEq => {
+                let $violation = |a, b| comparison_violation(CmpOp::LtEq, a, b);
+                $body
+            }
+            CmpOp::Gt => {
+                let $violation = |a, b| comparison_violation(CmpOp::Gt, a, b);
+                $body
+            }
+            CmpOp::GtEq => {
+                let $violation = |a, b| comparison_violation(CmpOp::GtEq, a, b);
+                $body
+            }
+        }
+    };
+}
+
+/// Writes `included(c)` at each lane whose mask bit is set and `excluded`
+/// at the others, one mask word at a time: a word that includes every lane
+/// is a straight loop, a word that includes none a fill.
 #[inline]
-fn bit(mask: &[u64], i: usize) -> bool {
-    (mask[i / 64] >> (i % 64)) & 1 == 1
+fn select<T: Copy>(
+    out: &mut [T],
+    coeffs: &[f64],
+    words: &[u64],
+    included: impl Fn(f64) -> T,
+    excluded: T,
+) {
+    for ((out, coeffs), &word) in out.chunks_mut(64).zip(coeffs.chunks(64)).zip(words) {
+        match word {
+            u64::MAX => {
+                for (o, &c) in out.iter_mut().zip(coeffs) {
+                    *o = included(c);
+                }
+            }
+            0 => out.fill(excluded),
+            _ => {
+                for (k, (o, &c)) in out.iter_mut().zip(coeffs).enumerate() {
+                    *o = if (word >> k) & 1 == 1 {
+                        included(c)
+                    } else {
+                        excluded
+                    };
+                }
+            }
+        }
+    }
 }
 
 impl Kernel<'_, '_> {
@@ -580,64 +669,71 @@ impl Kernel<'_, '_> {
     /// prefix's accumulators plus the element's own contribution (old
     /// multiplicity 0, new 1 — the delta [`Overlay::accum`] applies).
     fn term(&mut self, id: usize) -> Col {
+        let mut vals = self.bufs.floats();
+        let mut nulls = self.empty_base(id).then(|| self.bufs.flags());
+        self.term_lanes(id, &mut vals, |v| v, None, nulls.as_deref_mut());
+        Col { vals, nulls }
+    }
+
+    /// Whether the prefix leaves term `id` empty, so that [`Kernel::term`]
+    /// is NULL exactly at the lanes whose element the term excludes.
+    fn empty_base(&self, id: usize) -> bool {
+        let accum = self.base.accums[id];
+        match self.view.terms[id].func {
+            AggFunc::Count => false,
+            AggFunc::Sum => accum.distinct == 0,
+            AggFunc::Avg => accum.count == 0,
+            AggFunc::Min | AggFunc::Max => self.base.extrema[id].is_none(),
+        }
+    }
+
+    /// Writes `f` of [`Kernel::term`]'s value at every lane into `out`,
+    /// except that a lane where that value is NULL gets `null` when one is
+    /// given; `nulls`, when given, is set exactly at those lanes.
+    fn term_lanes<T: Copy>(
+        &mut self,
+        id: usize,
+        out: &mut [T],
+        f: impl Fn(f64) -> T,
+        null: Option<T>,
+        nulls: Option<&mut [bool]>,
+    ) {
+        let empty_base = self.empty_base(id);
         let term: &TermColumn = &self.view.terms[id];
         let pin = self.pins[id].get_or_insert_with(|| term.chunk(self.chunk));
-        let coeffs = pin.coeffs();
-        let mask = pin.mask_words();
+        let coeffs = &pin.coeffs()[self.lanes.clone()];
+        let words = &pin.mask_words()[self.lanes.start / 64..];
         let accum = self.base.accums[id];
         let without = accum.count as f64;
         let with = (accum.count + 1) as f64;
-        let mut vals = self.bufs.floats();
-        // NULL exactly where the prefix leaves the term empty and the
-        // element itself is excluded.
-        let mut empty_base = false;
+        // The value written at an excluded lane.
+        let excluded = |v: f64| match (empty_base, null) {
+            (true, Some(null)) => null,
+            _ => f(v),
+        };
         match term.func {
             AggFunc::Count => {
-                for (i, v) in vals.iter_mut().enumerate() {
-                    *v = if bit(mask, i) { with } else { without };
-                }
+                let included = f(with);
+                select(out, coeffs, words, |_| included, excluded(without));
             }
             AggFunc::Sum => {
-                empty_base = accum.distinct == 0;
-                for (i, (v, &c)) in vals.iter_mut().zip(coeffs).enumerate() {
-                    *v = if bit(mask, i) {
-                        accum.sum + c * 1.0
-                    } else {
-                        accum.sum
-                    };
-                }
+                let sum = accum.sum;
+                select(out, coeffs, words, |c| f(sum + c * 1.0), excluded(sum));
             }
             AggFunc::Avg => {
-                empty_base = accum.count == 0;
-                let base_avg = accum.sum / without;
-                for (i, (v, &c)) in vals.iter_mut().zip(coeffs).enumerate() {
-                    *v = if bit(mask, i) {
-                        (accum.sum + c * 1.0) / with
-                    } else {
-                        base_avg
-                    };
-                }
+                let sum = accum.sum;
+                let base_avg = excluded(sum / without);
+                select(out, coeffs, words, |c| f((sum + c * 1.0) / with), base_avg);
             }
             AggFunc::Min | AggFunc::Max => {
                 let best = self.base.extrema[id];
-                empty_base = best.is_none();
-                for (i, (v, &c)) in vals.iter_mut().zip(coeffs).enumerate() {
-                    *v = if bit(mask, i) {
-                        fold_extremum(term.func, best, c)
-                    } else {
-                        best.unwrap_or(0.0)
-                    };
-                }
+                let fold = |c| f(fold_extremum(term.func, best, c));
+                select(out, coeffs, words, fold, excluded(best.unwrap_or(0.0)));
             }
         }
-        let nulls = empty_base.then(|| {
-            let mut nulls = self.bufs.flags();
-            for (i, n) in nulls.iter_mut().enumerate() {
-                *n = !bit(mask, i);
-            }
-            nulls
-        });
-        Col { vals, nulls }
+        if let Some(nulls) = nulls {
+            select(nulls, coeffs, words, |_| false, true);
+        }
     }
 
     fn eval_expr(&mut self, expr: &CompiledExpr) -> Col {
@@ -694,10 +790,22 @@ impl Kernel<'_, '_> {
     }
 
     fn constraint_violation(&mut self, c: &CompiledConstraint) -> Vec<f64> {
-        let (mut a, b, nulls) = self.sides(c);
-        for (x, &y) in a.iter_mut().zip(&b) {
-            *x = comparison_violation(c.op, *x, y);
+        // A term against a literal, the usual atom, is one pass over the
+        // term's lanes: no vector for either side.
+        if let (CompiledExpr::Term(id), CompiledExpr::Literal(x)) = (&c.lhs, &c.rhs) {
+            let mut out = self.bufs.floats();
+            let null = Some(UNEVALUABLE_PENALTY);
+            with_violation!(c.op, |violation| {
+                self.term_lanes(*id, &mut out, |v| violation(v, *x), null, None)
+            });
+            return out;
         }
+        let (mut a, b, nulls) = self.sides(c);
+        with_violation!(c.op, |violation| {
+            for (x, &y) in a.iter_mut().zip(&b) {
+                *x = violation(*x, y);
+            }
+        });
         self.bufs.floats.push(b);
         if let Some(nulls) = nulls {
             for (x, &n) in a.iter_mut().zip(&nulls) {
@@ -772,5 +880,164 @@ impl Kernel<'_, '_> {
                 x
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::column_store::SpillStore;
+    use crate::package::Package;
+    use crate::par::{chunk_count, CHUNK_WIDTH};
+    use crate::spec::tests::spec_for;
+    use crate::spec::{BuildCtx, PackageSpec};
+    use crate::view::ColumnSink;
+    use datagen::{uniform_table, Seed};
+    use std::sync::Arc;
+
+    /// Whether lane `i` passes the crafted FILTER. Word 0 of every block
+    /// (lanes 0..64, 512..576, ...) includes every lane and word 1 none;
+    /// the rest mix. Lanes 500..530 of each chunk are a run that crosses the
+    /// first block boundary, between excluded lanes.
+    fn crafted_included(i: usize) -> bool {
+        let lane = i % CHUNK_WIDTH;
+        match lane / 64 {
+            7 | 8 => (500..530).contains(&lane),
+            w if w % 4 == 0 => true,
+            w if w % 4 == 1 => false,
+            w if w % 4 == 2 => !lane.is_multiple_of(3),
+            _ => lane.wrapping_mul(2_654_435_761) % 7 < 3,
+        }
+    }
+
+    /// `spec`'s view with every term's inclusion mask replaced by the
+    /// crafted FILTER (an excluded lane's coefficient is 0, a COUNT lane's
+    /// 1), resident or spilled to `store`.
+    fn crafted_view(spec: &PackageSpec<'_>, store: Option<&Arc<SpillStore>>) -> CandidateView {
+        let view = spec.view();
+        let n = view.candidate_count();
+        CandidateView::assemble(
+            spec.table,
+            view.candidates().to_vec(),
+            &spec.query,
+            |call| {
+                let t = view.term_keys().iter().position(|k| k == call).unwrap();
+                let source = view.terms()[t].coeffs_vec();
+                let included: Vec<bool> = (0..n).map(crafted_included).collect();
+                let coeffs: Vec<f64> = (0..n)
+                    .map(|i| match (included[i], call.func) {
+                        (false, _) => 0.0,
+                        (true, AggFunc::Count) => 1.0,
+                        // The table's values, with signed zeros mixed in.
+                        (true, _) if i % 11 == 0 => -0.0,
+                        (true, _) => source[i],
+                    })
+                    .collect();
+                let sink = match store {
+                    Some(store) => ColumnSink::paged(call.func, Arc::clone(store), n),
+                    None => ColumnSink::resident(call.func, n),
+                };
+                Some(sink.fill_from(&coeffs, &included).unwrap())
+            },
+            &BuildCtx::default(),
+        )
+        .unwrap()
+    }
+
+    fn score_bits((v, o): (f64, Option<f64>)) -> (u64, Option<u64>) {
+        (v.to_bits(), o.map(f64::to_bits))
+    }
+
+    /// Every lane's kernel score after each prefix, with and without the
+    /// objective, against [`ViewState::score_with`]'s bits. Returns the
+    /// counts of all-included, all-excluded and mixed mask words seen.
+    fn assert_kernel_equals_point_path(state: &ViewState<'_>, context: &str) -> [usize; 3] {
+        let view = state.view();
+        let mut prefixes = vec![Vec::new()];
+        prefixes.extend(state.member_indices().map(|m| vec![(m, -1)]));
+        let scans = [true, false].map(|want| state.move_scan(prefixes.clone(), want));
+        let mut words = [0; 3];
+        for c in 0..chunk_count(view.candidate_count()) {
+            let mut chunks = scans.each_ref().map(|scan| scan.chunk(c));
+            let range = chunks[0].range();
+            for (p, prefix) in prefixes.iter().enumerate() {
+                let [with, without] = chunks.each_mut().map(|chunk| {
+                    let scores = chunk.score(p);
+                    assert_eq!(scores.violations().len(), range.len());
+                    (0..range.len())
+                        .map(|i| score_bits(scores.get(i)))
+                        .collect::<Vec<_>>()
+                });
+                for idx in range.clone() {
+                    if state.multiplicity(idx) >= view.max_multiplicity() {
+                        continue;
+                    }
+                    let mut changes = prefix.clone();
+                    changes.push((idx, 1));
+                    let (v, o) = state.score_with(&changes);
+                    for (got, want) in [(&with, true), (&without, false)] {
+                        assert_eq!(
+                            got[idx - range.start],
+                            score_bits((v, o.filter(|_| want))),
+                            "{context}: +1 at {idx} after {prefix:?} (objective: {want})"
+                        );
+                    }
+                }
+            }
+            let pin = view.terms()[0].chunk(c);
+            for &word in &pin.mask_words()[..range.len().div_ceil(64)] {
+                words[match word {
+                    u64::MAX => 0,
+                    0 => 1,
+                    _ => 2,
+                }] += 1;
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn block_scores_equal_score_with_over_crafted_mask_words() {
+        // Two chunks, the second a 300-lane tail (not a multiple of the
+        // block width, nor of 64), every term under the crafted FILTER: the
+        // empty base makes excluded lanes NULL, members in both chunks move
+        // the accumulators, and REPEAT 2 keeps members' adds legal.
+        let n = CHUNK_WIDTH + 300;
+        let table = uniform_table("t", n, 2.0, 30.0, Seed(9));
+        let formulas = [
+            "COUNT(P.w) >= 2 AND SUM(P.w) BETWEEN 50 AND 80",
+            "AVG(P.w) <= 20 OR NOT MAX(P.v) >= 25",
+            "SUM(P.w) / COUNT(P.v) >= 10 AND MIN(P.u) >= 0.25",
+            "SUM(P.w) - SUM(P.v) <> 3 AND COUNT(*) <= 4",
+        ];
+        let mut words = [0; 3];
+        for formula in formulas {
+            for repeat in ["", " REPEAT 2"] {
+                let text = format!(
+                    "SELECT PACKAGE(T) AS P FROM t T{repeat} SUCH THAT {formula} \
+                     MAXIMIZE SUM(P.v)"
+                );
+                let spec = spec_for(&table, &text);
+                for paged in [false, true] {
+                    let store = paged.then(|| SpillStore::create(2).unwrap());
+                    let view = crafted_view(&spec, store.as_ref());
+                    assert_eq!(view.is_paged(), paged);
+                    let context = format!("{text} (paged {paged})");
+                    let empty = ViewState::empty(&view);
+                    let counted = assert_kernel_equals_point_path(&empty, &context);
+                    let members = [509, 515, CHUNK_WIDTH + 290];
+                    let ids = members.iter().map(|&i| view.candidates()[i]);
+                    let state = view.project(&Package::from_ids(ids)).unwrap();
+                    assert_kernel_equals_point_path(&state, &context);
+                    for (total, seen) in words.iter_mut().zip(counted) {
+                        *total += seen;
+                    }
+                }
+            }
+        }
+        assert!(
+            words.iter().all(|&w| w > 0),
+            "all-included, all-excluded and mixed words must all occur: {words:?}"
+        );
     }
 }
