@@ -16,7 +16,10 @@
 //! one row shape, one oracle, one file writer, and [`Gate`]s that exit the
 //! process nonzero when they fail. The `gauntlet` (every registry query at
 //! every size) and `gauntlet-smoke` (each family's smallest size, the CI
-//! leg) run only when named; both write `BENCH_gauntlet.json`.
+//! leg) run only when named. The full grid writes the committed
+//! `BENCH_gauntlet.json`; the smoke tier writes
+//! `target/BENCH_gauntlet_smoke.json`, so a local smoke run leaves the
+//! committed grid as it is.
 
 use std::time::Instant;
 
@@ -84,14 +87,17 @@ fn opted_in(name: &str) -> bool {
 
 /// The one bench-file writer: the experiment's own top-level members
 /// (`header`, comma-terminated), the host stamp of [`resource_json`], then
-/// the rows. Returns false when the file could not be written.
+/// the rows, creating the file's directory when it is missing. Returns
+/// false when the file could not be written.
 fn write_bench(file: &str, header: &str, rows: &[String]) -> bool {
     let json = format!(
         "{{\n  {header}\n{}\n  \"rows\": [\n{}\n  ]\n}}\n",
         resource_json(),
         rows.join(",\n")
     );
-    match std::fs::write(file, json) {
+    let dir = std::path::Path::new(file).parent();
+    let written = dir.map_or(Ok(()), std::fs::create_dir_all);
+    match written.and_then(|()| std::fs::write(file, json)) {
         Ok(()) => {
             println!("(wrote {file})\n");
             true
@@ -304,7 +310,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "gauntlet-smoke",
         title: "scenario × strategy at each family's smallest size",
-        file: Some("BENCH_gauntlet.json"),
+        file: Some("target/BENCH_gauntlet_smoke.json"),
         on_demand: true,
         workloads: || gauntlet(true),
         config: gauntlet_config,

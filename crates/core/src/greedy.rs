@@ -1,7 +1,8 @@
 //! Greedy construction of starting packages for the local search and the
 //! standalone [`crate::solver::GreedySolver`], plus the shared
-//! feasibility-repair pass the greedy solver and the sketch→refine fallback
-//! both run.
+//! feasibility repair the greedy solver and the sketch→refine fallback both
+//! run: add/drop moves searched by the move engine's one
+//! [`crate::view::neighbourhood_pass`], the pass the local search runs too.
 
 use std::collections::BinaryHeap;
 
@@ -14,7 +15,7 @@ use crate::ilp::linearize;
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::pruning::derive_bounds;
-use crate::view::{CandidateView, ViewState};
+use crate::view::{neighbourhood_pass, CandidateView, ViewState};
 
 /// How to pick the tuples of a starting package.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,26 +131,15 @@ fn total_order_key(x: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// How much a repair move must lower the violation by to be taken.
-const MIN_GAIN: f64 = 1e-9;
-
 /// Feasibility-repair pass: accept single add/drop moves while they strictly
-/// reduce the violation. Each pass scans the whole candidate set in
-/// fixed-width chunks fanned out over `par`: the add moves of a chunk are
-/// scored block-at-a-time by one [`crate::view::MoveScan`] kernel call —
-/// each term the formula references is pinned once per chunk, and the
-/// objective's terms are never read — while the drop moves (one per member)
-/// go through the point path, [`ViewState::violation_with`]. A chunk whose
-/// [`crate::view::MoveScan::violation_floor`], read from resident chunk
-/// metadata, proves that none of its non-member adds can win is not scanned
-/// and pins no page: only its members' adds and drops are scored, through
-/// the same point path. Per-chunk local bests combine in chunk order (first
-/// strictly better move wins, exactly the sequential scan's tie-breaking),
-/// chunk scores are bit-identical to point scores, and the skip test reads
-/// only the pass's starting violation, so the repair trajectory is the same
-/// at every thread count and storage mode. The budget is checked per chunk,
-/// not per element: a chunk that observes expiry marks the pass interrupted
-/// and the state is left at its best-so-far.
+/// reduce the violation. Each pass is one [`neighbourhood_pass`] from the
+/// state itself, drops included, ranked by violation alone (a violation-only
+/// scan: the objective's terms are never read): every add is scored a chunk
+/// at a time by the [`crate::view::MoveScan`] kernel, every drop through the
+/// point path, and a chunk whose resident metadata proves that none of its
+/// non-member adds can win is not scored and pins no page. The pass picks
+/// the same move at every thread count and storage mode. A pass that
+/// observes budget expiry leaves the state at its best-so-far.
 /// Returns `(evaluations, moves)` for the caller's stats; `evaluations`
 /// counts every move considered, whether scored or ruled out by a chunk's
 /// bound.
@@ -162,11 +152,14 @@ pub(crate) fn repair_to_feasibility(
     let mut moves = 0u64;
     let mut violation = state.violation();
     while violation > 0.0 && !budget.expired() {
-        let pass = repair_pass(state, violation, budget, par);
+        let scan = state.move_scan(vec![vec![]], false);
+        let pass = neighbourhood_pass(&scan, true, (violation, None), budget, par);
         evaluations += pass.evaluations;
         match pass.best {
-            Some((v, idx, delta)) if !pass.expired => {
-                state.apply(idx, delta);
+            Some(((v, _), changes)) if !pass.expired => {
+                for (idx, delta) in changes {
+                    state.apply(idx, delta);
+                }
                 violation = v;
                 moves += 1;
             }
@@ -175,94 +168,6 @@ pub(crate) fn repair_to_feasibility(
         }
     }
     (evaluations, moves)
-}
-
-/// What one full scan of the add/drop neighbourhood found.
-#[derive(Debug, PartialEq)]
-struct RepairPass {
-    /// Moves considered (by the chunks that ran before any expiry), scored
-    /// or ruled out by a chunk's bound.
-    evaluations: u64,
-    /// `(violation, index, delta)` of the first move that beats the current
-    /// violation by the most, if any does.
-    best: Option<(f64, usize, i64)>,
-    /// Some chunk observed budget expiry and skipped its scan.
-    expired: bool,
-}
-
-fn repair_pass(state: &ViewState<'_>, violation: f64, budget: &Budget, par: ParExec) -> RepairPass {
-    let view = state.view();
-    let max_mult = view.max_multiplicity();
-    let scan = state.move_scan(vec![vec![]], false);
-    // One chunk's local best move (`None` chunk = expired marker).
-    let chunk_bests = par.run_chunks(view.candidate_count(), |c, range| {
-        if budget.expired() {
-            return None;
-        }
-        // Every non-member add scores at least the floor, so a floor within
-        // `MIN_GAIN` of the starting violation leaves them nothing to win.
-        let floor = scan.violation_floor(0, c);
-        let mut chunk = floor
-            .is_none_or(|f| f + MIN_GAIN < violation)
-            .then(|| scan.chunk(c));
-        let adds = chunk.as_mut().map(|chunk| chunk.score(0).violations());
-        let mut evals = 0u64;
-        let mut best: Option<(f64, usize, i64)> = None;
-        let mut bar = violation;
-        let mut consider = |v: f64, idx: usize, delta: i64| {
-            if v + MIN_GAIN < bar {
-                bar = v;
-                best = Some((v, idx, delta));
-            }
-        };
-        // Runs of non-members (add only, always legal under REPEAT >= 1)
-        // separated by members (add if below the REPEAT bound, then drop).
-        for (run, member) in state.member_runs(range.clone()) {
-            if max_mult > 0 {
-                evals += run.len() as u64;
-                if let Some(adds) = adds {
-                    for idx in run {
-                        consider(adds[idx - range.start], idx, 1);
-                    }
-                }
-            }
-            if let Some((member, mult)) = member {
-                if mult < max_mult {
-                    evals += 1;
-                    // The kernel patches a member's add through this same
-                    // point call, so a skipped chunk scores it bit for bit.
-                    let v = match adds {
-                        Some(adds) => adds[member - range.start],
-                        None => state.violation_with(&[(member, 1)]),
-                    };
-                    consider(v, member, 1);
-                }
-                evals += 1;
-                consider(state.violation_with(&[(member, -1)]), member, -1);
-            }
-        }
-        Some((evals, best))
-    });
-    let mut pass = RepairPass {
-        evaluations: 0,
-        best: None,
-        expired: false,
-    };
-    let mut bar = violation;
-    for chunk in chunk_bests {
-        let Some((evals, best)) = chunk else {
-            pass.expired = true;
-            break;
-        };
-        pass.evaluations += evals;
-        if let Some((v, _, _)) = best {
-            if v + MIN_GAIN < bar {
-                bar = v;
-                pass.best = best;
-            }
-        }
-    }
-    pass
 }
 
 fn starting_cardinality(view: &CandidateView, lower: u64, upper: Option<u64>) -> u64 {
@@ -296,10 +201,41 @@ mod tests {
     use crate::par::{chunk_count, CHUNK_WIDTH};
     use crate::spec::tests::{respill, spec_for};
     use crate::spec::{BuildCtx, PackageSpec};
-    use crate::view::ChunkMeta;
+    use crate::view::{ChunkMeta, MIN_GAIN};
     use datagen::{recipes, scenarios, Seed};
     use rand::SeedableRng;
     use std::sync::Arc;
+
+    /// What one full scan of the add/drop neighbourhood found.
+    #[derive(Debug, PartialEq)]
+    struct RepairPass {
+        /// Moves considered, scored or ruled out by a chunk's bound.
+        evaluations: u64,
+        /// `(violation, index, delta)` of the first move that beats the
+        /// current violation by the most, if any does.
+        best: Option<(f64, usize, i64)>,
+        /// Some chunk observed budget expiry and skipped its scan.
+        expired: bool,
+    }
+
+    /// One pass of [`repair_to_feasibility`], as [`RepairPass`].
+    fn repair_pass(
+        state: &ViewState<'_>,
+        violation: f64,
+        budget: &Budget,
+        par: ParExec,
+    ) -> RepairPass {
+        let scan = state.move_scan(vec![vec![]], false);
+        let pass = neighbourhood_pass(&scan, true, (violation, None), budget, par);
+        RepairPass {
+            evaluations: pass.evaluations,
+            best: pass.best.map(|((v, _), changes)| match changes[..] {
+                [(idx, delta)] => (v, idx, delta),
+                _ => unreachable!("a repair move is one change"),
+            }),
+            expired: pass.expired,
+        }
+    }
 
     /// The start the greedy solver makes: density-ordered by the view's
     /// own linearized objective, random without one.
@@ -541,7 +477,7 @@ mod tests {
             let mut best: Option<(f64, usize, i64)> = None;
             let mut bar = violation;
             let mut consider = |v: f64, idx: usize, delta: i64| {
-                if v + 1e-9 < bar {
+                if v + MIN_GAIN < bar {
                     bar = v;
                     best = Some((v, idx, delta));
                 }
@@ -577,7 +513,7 @@ mod tests {
             };
             pass.evaluations += evals;
             if let Some((v, _, _)) = best {
-                if v + 1e-9 < bar {
+                if v + MIN_GAIN < bar {
                     bar = v;
                     pass.best = best;
                 }

@@ -17,10 +17,10 @@ use std::fmt;
 use minidb::eval::BoundExpr;
 use minidb::{Table, TupleId};
 use paql::{
-    AggCall, AggFunc, CmpOp, GlobalConstraint, GlobalExpr, GlobalFormula, Objective,
-    ObjectiveDirection,
+    AggCall, AggFunc, GlobalConstraint, GlobalExpr, GlobalFormula, Objective, ObjectiveDirection,
 };
 
+use crate::view::{comparison_violation, UNEVALUABLE_PENALTY};
 use crate::PbResult;
 
 /// A package: a multiset of tuples from one base relation.
@@ -260,23 +260,11 @@ impl Package {
     pub fn constraint_violation(&self, table: &Table, c: &GlobalConstraint) -> PbResult<f64> {
         let lhs = self.eval_global_expr(table, &c.lhs)?;
         let rhs = self.eval_global_expr(table, &c.rhs)?;
-        let (a, b) = match (lhs, rhs) {
-            (Some(a), Some(b)) => (a, b),
+        Ok(match (lhs, rhs) {
+            (Some(a), Some(b)) => comparison_violation(c.op, a, b),
             // Un-evaluable constraints get a large fixed penalty so the search
             // moves towards packages where they become evaluable.
-            _ => return Ok(1e9),
-        };
-        Ok(match c.op {
-            CmpOp::Eq => (a - b).abs(),
-            CmpOp::NotEq => {
-                if c.op.compare(a, b) {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
-            CmpOp::Lt | CmpOp::LtEq => (a - b).max(0.0),
-            CmpOp::Gt | CmpOp::GtEq => (b - a).max(0.0),
+            _ => UNEVALUABLE_PENALTY,
         })
     }
 
@@ -354,7 +342,7 @@ mod tests {
     use super::*;
     use minidb::{tuple, ColumnType, Schema, Table};
     use paql::ast::GlobalArithOp;
-    use paql::{AggCall, GlobalConstraint};
+    use paql::{AggCall, CmpOp, GlobalConstraint};
 
     fn table() -> Table {
         let schema = Schema::build(&[

@@ -59,9 +59,9 @@ pub struct EvalStats {
     /// Search nodes expanded (enumeration, branch and bound) or local-search
     /// moves examined.
     pub nodes: u64,
-    /// Simplex iterations (ILP), neighbour evaluations (local search), or
-    /// the moves greedy repair considered — whether scored or ruled out by a
-    /// chunk's bound (`view::MoveScan::violation_floor`).
+    /// Simplex iterations (ILP), or the moves the local search or greedy
+    /// repair considered — whether scored or ruled out by a chunk's bound
+    /// (`view::MoveScan::rules_out`).
     pub iterations: u64,
     /// Branch-and-bound LPs that fell back to the cold two-phase start
     /// (`lp_solver::Solution::cold_solves`), summed wherever `iterations`

@@ -70,11 +70,14 @@ use crate::spec::BuildCtx;
 use crate::{PbError, PbResult};
 
 mod scan;
+#[cfg(test)]
+pub(crate) use scan::MIN_GAIN;
+pub(crate) use scan::{lex_better, neighbourhood_pass, Score};
 pub use scan::{ChunkScores, MoveScan, ScanChunk};
 
-/// Penalty for constraints whose sides cannot be evaluated (NULL aggregate),
-/// identical to the interpreted path's constant.
-const UNEVALUABLE_PENALTY: f64 = 1e9;
+/// Penalty for constraints whose sides cannot be evaluated (NULL aggregate)
+/// or whose distance is NaN while they fail; the interpreted path's too.
+pub(crate) const UNEVALUABLE_PENALTY: f64 = 1e9;
 
 /// Precomputed aggregates of one [`crate::par::CHUNK_WIDTH`]-wide chunk of a
 /// [`TermColumn`], over the chunk's *included* entries only.
@@ -1557,21 +1560,26 @@ fn eval_expr<S: TermValues>(src: &S, expr: &CompiledExpr) -> Option<f64> {
     }
 }
 
-/// Distance of `a op b` from holding (0 when it holds).
+/// Distance of `a op b` from holding (0 when it holds). A distance that is
+/// NaN — a NaN side, or `∞ − ∞` — measures nothing: the comparison scores 0
+/// when it holds ([`CmpOp::compare`]) and [`UNEVALUABLE_PENALTY`] when it
+/// does not, so no violation is NaN and a failing comparison never scores 0.
 #[inline]
-fn comparison_violation(op: CmpOp, a: f64, b: f64) -> f64 {
-    match op {
+pub(crate) fn comparison_violation(op: CmpOp, a: f64, b: f64) -> f64 {
+    let distance = match op {
         CmpOp::Eq => (a - b).abs(),
-        CmpOp::NotEq => {
-            if op.compare(a, b) {
-                0.0
-            } else {
-                1.0
-            }
-        }
-        CmpOp::Lt | CmpOp::LtEq => (a - b).max(0.0),
-        CmpOp::Gt | CmpOp::GtEq => (b - a).max(0.0),
-    }
+        CmpOp::NotEq => return if op.compare(a, b) { 0.0 } else { 1.0 },
+        CmpOp::Lt | CmpOp::LtEq => a - b,
+        CmpOp::Gt | CmpOp::GtEq => b - a,
+    };
+    // Where the distance is NaN, `compare` holds only for `<=` and `>=`
+    // between equal infinities. `max` maps a NaN distance to 0, so adding 0
+    // elsewhere keeps every other distance (a zero's sign aside, which `max`
+    // leaves unspecified), and the choice stays a select the scan kernel's
+    // lane loops can take.
+    let holds = matches!(op, CmpOp::LtEq | CmpOp::GtEq) && a == b;
+    let unmeasured = if holds { 0.0 } else { UNEVALUABLE_PENALTY };
+    distance.max(0.0) + if distance.is_nan() { unmeasured } else { 0.0 }
 }
 
 fn constraint_satisfied<S: TermValues>(src: &S, c: &CompiledConstraint) -> bool {
@@ -1712,6 +1720,61 @@ mod tests {
 
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \
         SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)";
+
+    #[test]
+    fn a_nan_distance_scores_by_whether_the_comparison_holds() {
+        // The rule as stated — a NaN distance scores 0 where `compare`
+        // holds and the penalty where it does not; every other distance
+        // keeps `max(0)` — against the select the kernel runs.
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            1e308,
+            -1e308,
+            5e-324,
+        ];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::NotEq,
+            CmpOp::Lt,
+            CmpOp::LtEq,
+            CmpOp::Gt,
+            CmpOp::GtEq,
+        ];
+        for op in ops {
+            for a in values {
+                for b in values {
+                    let scored = |holds: bool, otherwise: f64| if holds { 0.0 } else { otherwise };
+                    let want = match op {
+                        CmpOp::NotEq => scored(op.compare(a, b), 1.0),
+                        _ => {
+                            let distance = match op {
+                                CmpOp::Eq => (a - b).abs(),
+                                CmpOp::Lt | CmpOp::LtEq => a - b,
+                                _ => b - a,
+                            };
+                            if distance.is_nan() {
+                                scored(op.compare(a, b), UNEVALUABLE_PENALTY)
+                            } else {
+                                distance.max(0.0)
+                            }
+                        }
+                    };
+                    // `max` leaves the sign of a zero result unspecified.
+                    let got = comparison_violation(op, a, b);
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got == 0.0 && want == 0.0),
+                        "{a} {op:?} {b}: {got} against {want}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn full_count_chunks_read_like_their_pages_without_one() {

@@ -1,4 +1,5 @@
-//! Chunk-at-a-time move scoring: the full-neighbourhood scan kernel.
+//! Chunk-at-a-time move scoring: the full-neighbourhood scan kernel and the
+//! one pass that searches a neighbourhood with it.
 //!
 //! Greedy repair and the local search ask the same question of every
 //! candidate: *what would the state score with one more copy of element `i`*
@@ -32,6 +33,12 @@
 //! scenario family, resident and paged). The few elements whose base
 //! multiplicity is not zero (current members, prefix indices) take deltas
 //! the column form does not model; they are patched through the point path.
+//!
+//! Greedy repair (adds and drops, ranked by violation) and the local search
+//! (swaps, then adds, ranked by violation, then objective) both search with
+//! [`neighbourhood_pass`]. It skips each (chunk, prefix) that
+//! [`MoveScan::rules_out`] from resident chunk metadata, pinning no page
+//! there, and ranks every move by the one [`lex_better`].
 
 use std::ops::Range;
 
@@ -39,9 +46,11 @@ use super::{
     comparison_violation, fold_extremum, CandidateView, ColumnChunk, CompiledConstraint,
     CompiledExpr, CompiledFormula, Overlay, TermAccum, TermColumn, ViewState, UNEVALUABLE_PENALTY,
 };
-use crate::par::chunk_range;
+use crate::budget::Budget;
+use crate::package::Package;
+use crate::par::{chunk_range, ParExec};
 use paql::ast::GlobalArithOp;
-use paql::{AggFunc, CmpOp};
+use paql::{AggFunc, CmpOp, ObjectiveDirection};
 
 /// One fixed prefix of changes folded into the base state's accumulators.
 struct PrefixBase {
@@ -196,7 +205,7 @@ impl<'s, 'v> MoveScan<'s, 'v> {
     /// A lower bound on the violation [`ScanChunk::score`] gives every lane
     /// of chunk `c` it scores in blocks after prefix number `prefix`
     /// (every lane but the members and the prefix's own indices, which take
-    /// the point path): each such lane's violation is NaN or at least this.
+    /// the point path): each such lane's violation is at least this.
     ///
     /// Read from the referenced terms' resident [`ChunkMeta`] and the
     /// prefix's accumulators alone, so no page is pinned. The compiled
@@ -211,13 +220,8 @@ impl<'s, 'v> MoveScan<'s, 'v> {
     ///
     /// `None` when nothing is proven: a referenced chunk's `sum` is not
     /// finite (a NaN or infinite coefficient — the chunk's `min`/`max` skip
-    /// NaN lanes, and a NaN under `<=` scores 0), an endpoint is not finite,
-    /// or a divisor's interval holds 0.
-    ///
-    /// Greedy repair scans from the state itself, prefix 0; the other
-    /// prefixes are a swap scan's, for the local search to rule out chunks
-    /// the same way (its neighbourhood also ranks by objective, so it does
-    /// not yet).
+    /// NaN lanes), an endpoint is not finite, or a divisor's interval holds
+    /// 0.
     ///
     /// [`ChunkMeta`]: super::ChunkMeta
     pub fn violation_floor(&self, prefix: usize, c: usize) -> Option<f64> {
@@ -232,6 +236,188 @@ impl<'s, 'v> MoveScan<'s, 'v> {
             Some(f) => floor.formula(f),
             None => Some(0.0),
         }
+    }
+
+    /// Whether no "+1" move the kernel scores in blocks in chunk `c` after
+    /// prefix number `prefix` can beat `bar` under [`lex_better`]: the
+    /// chunk's [`MoveScan::violation_floor`] does not, even paired with an
+    /// objective no lane beats (none on a violation-only scan, the
+    /// direction's infinity otherwise). Exact: such a chunk holds no move a
+    /// scan from `bar` would take.
+    pub fn rules_out(&self, prefix: usize, c: usize, bar: (f64, Option<f64>)) -> bool {
+        let direction = self.state.view.direction();
+        let ceiling = self.want_objective.then_some(match direction {
+            ObjectiveDirection::Maximize => f64::INFINITY,
+            ObjectiveDirection::Minimize => f64::NEG_INFINITY,
+        });
+        self.violation_floor(prefix, c)
+            .is_some_and(|floor| !lex_better((floor, ceiling), bar, direction))
+    }
+
+    /// "Prefix number `prefix`, then `delta` at `idx`" scored through the
+    /// point path, as the kernel patches a lane (no objective on a
+    /// violation-only scan).
+    fn point(&self, prefix: usize, idx: usize, delta: i64) -> Score {
+        let mut changes = self.prefixes[prefix].changes.clone();
+        changes.push((idx, delta));
+        if self.want_objective {
+            self.state.score_with(&changes)
+        } else {
+            (self.state.violation_with(&changes), None)
+        }
+    }
+}
+
+/// A move's `(violation, objective)`, as [`ViewState::score_with`] gives it.
+pub(crate) type Score = (f64, Option<f64>);
+
+/// How much lower a violation must be to win on violation alone.
+pub(crate) const MIN_GAIN: f64 = 1e-9;
+
+/// The one rank of every move search: a violation lower by more than
+/// [`MIN_GAIN`] wins; within it, the better objective
+/// ([`Package::better_objective`]; a `None` objective never is).
+pub(crate) fn lex_better(a: Score, b: Score, direction: ObjectiveDirection) -> bool {
+    if a.0 + MIN_GAIN < b.0 {
+        return true;
+    }
+    if a.0 > b.0 + MIN_GAIN {
+        return false;
+    }
+    Package::better_objective(direction, a.1, b.1)
+}
+
+/// What one [`neighbourhood_pass`] found.
+pub(crate) struct Pass {
+    /// The first best move that beats the bar — its prefix's changes, then
+    /// `(index, delta)` — and its score.
+    pub best: Option<(Score, Vec<(usize, i64)>)>,
+    /// Moves considered, scored or ruled out, by every (chunk, prefix) that
+    /// ran.
+    pub evaluations: u64,
+    /// Some chunk observed budget expiry and left prefixes unscanned.
+    pub expired: bool,
+}
+
+/// A running first best: a score (the bar, before any move is kept) and the
+/// move that earned it.
+type Best<M> = (Score, Option<M>);
+
+/// Keeps move `m` when `s` beats the running best.
+fn keep<M>(best: &mut Best<M>, s: Score, m: M, direction: ObjectiveDirection) {
+    if lex_better(s, best.0, direction) {
+        *best = (s, Some(m));
+    }
+}
+
+/// The first of `violations` whose move may beat a running best of
+/// violation `best` — the one test most lanes need. Only a `ranked` scan's
+/// move can win by objective within [`MIN_GAIN`], so a violation-only
+/// scan's exact ties, common on integral data, fail its one comparison. (No
+/// violation is NaN.)
+fn contender(violations: &[f64], best: f64, ranked: bool) -> Option<usize> {
+    if ranked {
+        violations.iter().position(|&v| v <= best + MIN_GAIN)
+    } else {
+        violations.iter().position(|&v| v + MIN_GAIN < best)
+    }
+}
+
+/// Searches the neighbourhood of `scan`'s state for the first best move
+/// that beats `bar`: for each prefix, every legal "prefix, then +1 at `i`"
+/// and, with `drops`, every "prefix, then −1 at member `m`" (a member's add
+/// just before its drop). Every prefix index must be a member.
+///
+/// Chunks fan out over `par`; the budget is checked per (chunk, prefix). A
+/// (chunk, prefix) that [`MoveScan::rules_out`] is not scored: its
+/// non-member adds are counted only, and its members' moves take the point
+/// path, where the kernel patches them too. Each (chunk, prefix) keeps its
+/// first best from `bar` on, and those merge prefix-major, chunk-minor: the
+/// move one sequential scan picks, at every thread count.
+pub(crate) fn neighbourhood_pass(
+    scan: &MoveScan<'_, '_>,
+    drops: bool,
+    bar: Score,
+    budget: &Budget,
+    par: ParExec,
+) -> Pass {
+    let state = scan.state;
+    let view = state.view;
+    let direction = view.direction();
+    let max_mult = view.max_multiplicity;
+    debug_assert!(scan
+        .prefixes()
+        .flatten()
+        .all(|&(idx, _)| state.multiplicity(idx) > 0));
+    // Per chunk: evaluations, each prefix's best (fewer on expiry), expiry.
+    let chunks = par.run_chunks(view.candidate_count(), |c, range| {
+        let mut chunk = None;
+        let mut found = Vec::with_capacity(scan.prefixes.len());
+        let mut evaluations = 0u64;
+        for (p, prefix) in scan.prefixes().enumerate() {
+            if budget.expired() {
+                return (evaluations, found, true);
+            }
+            let scores = (!scan.rules_out(p, c, bar))
+                .then(|| chunk.get_or_insert_with(|| scan.chunk(c)).score(p));
+            let mut best: Best<(usize, i64)> = (bar, None);
+            for (run, member) in state.member_runs(range.clone()) {
+                if max_mult > 0 {
+                    evaluations += run.len() as u64;
+                    if let Some(scores) = scores {
+                        let (mut lane, end) = (run.start - range.start, run.end - range.start);
+                        let violations = &scores.violations()[..end];
+                        while let Some(k) =
+                            contender(&violations[lane..], best.0 .0, scan.want_objective)
+                        {
+                            lane += k;
+                            keep(
+                                &mut best,
+                                scores.get(lane),
+                                (range.start + lane, 1),
+                                direction,
+                            );
+                            lane += 1;
+                        }
+                    }
+                }
+                let Some((m, mult)) = member else {
+                    continue;
+                };
+                if mult < max_mult && prefix.iter().all(|&(idx, _)| idx != m) {
+                    evaluations += 1;
+                    let s = match scores {
+                        Some(scores) => scores.get(m - range.start),
+                        None => scan.point(p, m, 1),
+                    };
+                    keep(&mut best, s, (m, 1), direction);
+                }
+                if drops {
+                    evaluations += 1;
+                    keep(&mut best, scan.point(p, m, -1), (m, -1), direction);
+                }
+            }
+            found.push(best.1.map(|m| (best.0, m)));
+        }
+        (evaluations, found, false)
+    });
+
+    let mut best: Best<(usize, (usize, i64))> = (bar, None);
+    for p in 0..scan.prefixes.len() {
+        for (_, found, _) in &chunks {
+            if let Some(&Some((s, m))) = found.get(p) {
+                keep(&mut best, s, (p, m), direction);
+            }
+        }
+    }
+    Pass {
+        best: best.1.map(|(p, change)| {
+            let mut changes = scan.prefixes[p].changes.clone();
+            changes.push(change);
+            (best.0, changes)
+        }),
+        evaluations: chunks.iter().map(|chunk| chunk.0).sum(),
+        expired: chunks.iter().any(|chunk| chunk.2),
     }
 }
 
@@ -518,24 +704,19 @@ impl ScanChunk<'_> {
         // (Those already at the REPEAT bound have no legal "+1" at all.)
         let range = self.range.clone();
         let state = scan.state;
-        let mut changes = base.changes.clone();
         let touched = base.changes.iter().map(|&(idx, _)| idx);
         let members = state.members.range(range.clone()).map(|(&idx, _)| idx);
         for idx in members.chain(touched.filter(|idx| range.contains(idx))) {
             if state.multiplicity(idx) >= view.max_multiplicity {
                 continue;
             }
-            changes.push((idx, 1));
+            let (v, o) = scan.point(prefix, idx, 1);
             let i = idx - range.start;
+            self.scores.violation[i] = v;
             if scan.want_objective {
-                let (v, o) = state.score_with(&changes);
-                self.scores.violation[i] = v;
                 self.scores.objective_null[i] = o.is_none();
                 self.scores.objective[i] = o.unwrap_or(0.0);
-            } else {
-                self.scores.violation[i] = state.violation_with(&changes);
             }
-            changes.pop();
         }
         &self.scores
     }

@@ -1,13 +1,17 @@
-//! Soundness of the repair scan's chunk bound.
+//! Soundness of the move engine's chunk bound.
 //!
-//! Greedy repair skips a chunk — pins none of its pages and scores none of
-//! its non-member adds — when `MoveScan::violation_floor` proves every such
-//! add scores within `1e-9` of the pass's starting violation or worse. The
-//! skip is only sound if the floor never exceeds a violation the scan kernel
-//! would have produced, so these tests compare the two lane by lane: for
-//! every lane the kernel scores column-at-a-time (not a member, not touched
-//! by the prefix) the kernel's violation must be NaN or `>=` the floor, as
-//! IEEE values.
+//! The neighbourhood pass that greedy repair and the local search share does
+//! not score a (chunk, prefix) — pins none of its pages and scores none of
+//! its non-member moves — when `MoveScan::rules_out` proves that no such
+//! move beats the pass's bar: the chunk's `MoveScan::violation_floor`,
+//! paired with the best objective a lane could have, does not. The skip is
+//! only sound if the floor never exceeds a violation the scan kernel would
+//! have produced, so these tests compare the two lane by lane: for every
+//! lane the kernel scores column-at-a-time (not a member, not touched by the
+//! prefix) the kernel's violation must be `>=` the floor, as IEEE values.
+//! On an objective-ranked scan they also check the skip itself: no lane of a
+//! ruled-out (chunk, prefix) beats the bar, for bars at the state's own
+//! score and at the floor with every kind of objective.
 //!
 //! * Every family of `datagen::scenarios()`, its gauntlet queries and six
 //!   generated formula shapes (FILTER windows, AVG against AVG, MIN/MAX,
@@ -27,6 +31,7 @@ use packagebuilder::par::{chunk_count, ParExec, CHUNK_WIDTH};
 use packagebuilder::spec::{BuildCtx, PackageSpec};
 use packagebuilder::view::{CandidateView, ColumnSink};
 use packagebuilder::{ColumnPolicy, ViewState};
+use paql::ObjectiveDirection;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,6 +46,10 @@ struct Seen {
     positive: usize,
     /// Lanes whose violation equals their chunk's bound exactly.
     tight: usize,
+    /// (chunk, prefix, bar) triples an objective-ranked scan rules out.
+    ruled_out: usize,
+    /// ... and bounded ones it scores.
+    scored: usize,
 }
 
 impl std::ops::AddAssign for Seen {
@@ -48,22 +57,38 @@ impl std::ops::AddAssign for Seen {
         self.bounded += o.bounded;
         self.positive += o.positive;
         self.tight += o.tight;
+        self.ruled_out += o.ruled_out;
+        self.scored += o.scored;
     }
 }
 
+/// The rank the move searches use, written out from its definition: a lower
+/// violation by more than `1e-9`, else a better objective.
+fn beats(a: (f64, Option<f64>), b: (f64, Option<f64>), direction: ObjectiveDirection) -> bool {
+    a.0 + 1e-9 < b.0 || (a.0 <= b.0 + 1e-9 && Package::better_objective(direction, a.1, b.1))
+}
+
 /// Asserts that, after each of `prefixes`, every lane of every chunk the
-/// kernel scores column-at-a-time has a violation that is NaN or at least
-/// the chunk's floor.
+/// kernel scores column-at-a-time has a violation at least the chunk's
+/// floor, and that no such lane of a (chunk, prefix) that an
+/// objective-ranked scan rules out beats the bar it was ruled out against.
 fn assert_floor_bounds_kernel(
     state: &ViewState<'_>,
     prefixes: &[Vec<(usize, i64)>],
     context: &str,
 ) -> Seen {
     let view = state.view();
+    let direction = view.direction();
+    let worst = match direction {
+        ObjectiveDirection::Maximize => f64::NEG_INFINITY,
+        ObjectiveDirection::Minimize => f64::INFINITY,
+    };
     let scan = state.move_scan(prefixes.to_vec(), false);
+    let ranked = state.move_scan(prefixes.to_vec(), true);
     let mut seen = Seen::default();
     for c in 0..chunk_count(view.candidate_count()) {
         let mut chunk = scan.chunk(c);
+        let mut ranked_chunk = ranked.chunk(c);
         let range = chunk.range();
         for (p, prefix) in prefixes.iter().enumerate() {
             let Some(floor) = scan.violation_floor(p, c) else {
@@ -73,19 +98,42 @@ fn assert_floor_bounds_kernel(
             seen.bounded += 1;
             seen.positive += usize::from(floor > 0.0);
             let scores = chunk.score(p);
-            for idx in range.clone() {
-                let point_path =
-                    state.multiplicity(idx) > 0 || prefix.iter().any(|&(i, _)| i == idx);
-                if point_path {
-                    continue;
-                }
+            let column_lanes = range.clone().filter(|&idx| {
+                state.multiplicity(idx) == 0 && prefix.iter().all(|&(i, _)| i != idx)
+            });
+            for idx in column_lanes.clone() {
                 let v = scores.violations()[idx - range.start];
                 assert!(
-                    v.is_nan() || v >= floor,
+                    v >= floor,
                     "{context}: +1 at {idx} after {prefix:?} scores {v:e} below \
                      chunk {c}'s floor {floor:e}"
                 );
                 seen.tight += usize::from(v == floor);
+            }
+            let bars = [
+                state.score(),
+                (floor, None),
+                (floor, Some(worst)),
+                (floor, Some(-worst)),
+                (floor, Some(f64::NAN)),
+                (floor - 4e-9, Some(worst)),
+                (floor + 4e-9, Some(-worst)),
+            ];
+            let scores = ranked_chunk.score(p);
+            for bar in bars {
+                if !ranked.rules_out(p, c, bar) {
+                    seen.scored += 1;
+                    continue;
+                }
+                seen.ruled_out += 1;
+                for idx in column_lanes.clone() {
+                    let s = scores.get(idx - range.start);
+                    assert!(
+                        !beats(s, bar, direction),
+                        "{context}: chunk {c} after {prefix:?} is ruled out against \
+                         {bar:?}, yet +1 at {idx} scores {s:?}"
+                    );
+                }
             }
         }
     }
@@ -210,8 +258,9 @@ proptest! {
 const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 const EXTREME: [f64; 8] = [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 1.5, -2.25];
 const ORDINARY: [f64; 6] = [0.0, -0.0, 3.0, 12.5, 40.0, 150.0];
-/// Large positives with NaN lanes: a NaN lane under `<=` scores 0 while the
-/// chunk's `min`/`max`, which skip NaN lanes, would bound it well above.
+/// Large positives with NaN lanes: the chunk's `min`/`max` skip NaN lanes,
+/// so they would bound a NaN lane's sum, which no distance measures, by the
+/// large values alone.
 const NAN_AMONG_LARGE: [f64; 4] = [f64::NAN, 500.0, 600.0, 1e4];
 
 /// One lane of a hostile column: `(coefficient, included)`, by chunk class.
@@ -274,7 +323,8 @@ fn hostile_view(
 /// columns of NaN, `±∞`, `±0`, `±1e308`, subnormals and fully excluded
 /// chunks, from the empty base (where excluded lanes are NULL) and from
 /// members in every chunk (which carry those values into the accumulators),
-/// with and without `REPEAT 2`, resident and paged.
+/// with and without `REPEAT 2`, resident and paged, under an objective
+/// whose column is as hostile.
 #[test]
 fn the_chunk_floor_holds_on_hostile_columns() {
     let n = 4 * CHUNK_WIDTH + 100;
@@ -297,8 +347,11 @@ fn the_chunk_floor_holds_on_hostile_columns() {
     ];
     let mut seen = Seen::default();
     for formula in formulas {
-        for repeat in ["", " REPEAT 2"] {
-            let text = format!("SELECT PACKAGE(T) AS P FROM t T{repeat} SUCH THAT {formula}");
+        // Both directions, so the skip is checked against either infinity.
+        for (repeat, objective) in [("", "MAXIMIZE"), (" REPEAT 2", "MINIMIZE")] {
+            let text = format!(
+                "SELECT PACKAGE(T) AS P FROM t T{repeat} SUCH THAT {formula} {objective} SUM(P.v)"
+            );
             let analyzed = paql::compile(&text, table.schema()).expect("query compiles");
             let spec = PackageSpec::build(&analyzed, &table, &BuildCtx::default()).unwrap();
             for (seed, paged) in [(1, false), (2, true), (3, false)] {
@@ -317,7 +370,10 @@ fn the_chunk_floor_holds_on_hostile_columns() {
         }
     }
     // The sweep must exercise the bound, not only its refusals: positive
-    // floors, and lanes that score exactly their chunk's floor (so a floor
-    // one ulp higher fails).
-    assert!(seen.positive > 50 && seen.tight > 50, "{seen:?}");
+    // floors, lanes that score exactly their chunk's floor (so a floor one
+    // ulp higher fails), and bars the skip both rules out and lets through.
+    assert!(
+        seen.positive > 50 && seen.tight > 50 && seen.ruled_out > 50 && seen.scored > 50,
+        "{seen:?}"
+    );
 }
