@@ -17,64 +17,40 @@
 //!
 //! Exhaustive mode disables both rules and is the brute-force baseline of
 //! the harness's `e2` crossover table.
+//!
+//! [`EnumerationSolver`] is the strategy's one entry point, the
+//! [`Solver`] impl. It reads the node cap (`max_enumeration_nodes`), the
+//! packages to keep ([`SolveOptions::keep`]) and the budget from
+//! [`SolveOptions`], keeps packages under the one rank
+//! `solver::keep_ranked`, and counts the search nodes it expanded
+//! in [`EvalStats::nodes`] and the feasible packages it found in
+//! [`EvalStats::iterations`]. `optimal` means the whole (pruned) space was
+//! explored.
 
 use lp_solver::ConstraintOp;
 use paql::ObjectiveDirection;
 
-use crate::budget::Budget;
 use crate::error::PbError;
 use crate::ilp::{linearize, LinearConstraint};
 use crate::package::Package;
 use crate::pruning::{derive_bounds, CardinalityBounds};
 use crate::result::{EvalStats, StrategyUsed};
+use crate::solver::{keep_ranked, SolveOptions, SolveOutcome, Solver};
 use crate::view::{CandidateView, ViewState};
 use crate::PbResult;
 
-/// Options for the enumeration strategies.
-#[derive(Debug, Clone)]
-pub struct EnumerationOptions {
+/// Generate-and-validate enumeration, with or without the Section 4.1
+/// pruning rules (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct EnumerationSolver {
     /// Apply cardinality and partial-sum pruning.
     pub prune: bool,
-    /// Maximum number of search nodes to expand before giving up.
-    pub max_nodes: u64,
-    /// Number of best packages to keep (all feasible ones when the query has
-    /// no objective, up to this many).
-    pub keep: usize,
-    /// Cooperative wall-clock budget; on expiry the search aborts and the
-    /// best packages found so far are returned with `complete: false`.
-    pub budget: Budget,
-}
-
-impl Default for EnumerationOptions {
-    fn default() -> Self {
-        EnumerationOptions {
-            prune: true,
-            max_nodes: 20_000_000,
-            keep: 1,
-            budget: Budget::unlimited(),
-        }
-    }
-}
-
-/// Outcome of an enumeration run.
-pub struct EnumerationOutcome {
-    /// Best packages found (best first under the objective, insertion order
-    /// otherwise), with objective values.
-    pub packages: Vec<(Package, Option<f64>)>,
-    /// True when the whole (pruned) space was explored, i.e. the best package
-    /// is provably optimal.
-    pub complete: bool,
-    /// Search nodes expanded.
-    pub nodes: u64,
-    /// Number of feasible packages encountered.
-    pub feasible_found: u64,
-    /// Evaluation statistics.
-    pub stats: EvalStats,
 }
 
 struct Searcher<'v> {
     view: &'v CandidateView,
-    opts: EnumerationOptions,
+    opts: &'v SolveOptions,
+    prune: bool,
     bounds: CardinalityBounds,
     linear: Vec<LinearConstraint>,
     /// The row of `linear` that bounds a linear objective, if any.
@@ -83,7 +59,6 @@ struct Searcher<'v> {
     /// contribution obtainable from candidates `i..n`.
     suffix_max: Vec<Vec<f64>>,
     suffix_min: Vec<Vec<f64>>,
-    objective: Option<ObjectiveDirection>,
     current: Vec<u32>,
     sums: Vec<f64>,
     cardinality: u64,
@@ -96,11 +71,11 @@ struct Searcher<'v> {
 }
 
 impl<'v> Searcher<'v> {
-    fn new(view: &'v CandidateView, opts: EnumerationOptions) -> Self {
+    fn new(view: &'v CandidateView, prune: bool, opts: &'v SolveOptions) -> Self {
         let n = view.candidate_count();
         let r = view.max_multiplicity() as f64;
         let capacity = n as u64 * view.max_multiplicity() as u64;
-        let bounds = if opts.prune {
+        let bounds = if prune {
             derive_bounds(view).clamp_to(capacity)
         } else {
             CardinalityBounds::unbounded().clamp_to(capacity)
@@ -108,15 +83,13 @@ impl<'v> Searcher<'v> {
         // Linear constraints power the partial-sum bound; they are only an
         // accelerator, feasibility is always re-checked exactly.
         let (mut linear, mut objective_row) = (Vec::new(), None);
-        // Any objective ranks the packages: the rank reads exact values.
-        let objective = view.compiled_objective().map(|_| view.direction());
-        if opts.prune {
+        if prune {
             let (rows, objective_coeffs) = linearize(view).write(view);
             linear = rows.unwrap_or_default();
             // The objective row starts unbounded; kept packages bound it.
-            let (op, bound) = match objective {
-                Some(ObjectiveDirection::Minimize) => (ConstraintOp::Le, f64::INFINITY),
-                _ => (ConstraintOp::Ge, f64::NEG_INFINITY),
+            let (op, bound) = match view.direction() {
+                ObjectiveDirection::Minimize => (ConstraintOp::Le, f64::INFINITY),
+                ObjectiveDirection::Maximize => (ConstraintOp::Ge, f64::NEG_INFINITY),
             };
             if let Ok(Some(coeffs)) = objective_coeffs {
                 if coeffs.iter().all(|c| c.is_finite()) {
@@ -145,21 +118,21 @@ impl<'v> Searcher<'v> {
         }
         Searcher {
             view,
+            opts,
+            prune,
             bounds,
+            sums: vec![0.0; linear.len()],
             linear,
             objective_row,
             suffix_max,
             suffix_min,
-            objective,
             current: vec![0; n],
-            sums: Vec::new(),
             cardinality: 0,
             nodes: 0,
             feasible: 0,
             best: Vec::new(),
             best_linear: Vec::new(),
             aborted: false,
-            opts,
         }
     }
 
@@ -179,50 +152,17 @@ impl<'v> Searcher<'v> {
         }
         self.feasible += 1;
         let objective = state.objective_value();
-        match &self.objective {
-            None => {
-                if self.best.len() < self.opts.keep {
-                    self.best.push((state.to_package(), objective));
-                }
-            }
-            Some(direction) => {
-                // `best` is kept sorted best-first, so recording a package is
-                // a binary-search insert + truncate, not a full re-sort per
-                // feasible package. The rank uses `total_cmp` (like greedy
-                // and local search) instead of `partial_cmp(..).unwrap_or(Equal)`,
-                // so a NaN objective cannot silently compare Equal and
-                // corrupt the top-k order; NaN and un-evaluable (None)
-                // objectives both rank last for either direction (total_cmp
-                // alone would put NaN *above* +inf and crown it the
-                // "maximum").
-                let dir = *direction;
-                let rank = |a: &Option<f64>, b: &Option<f64>| -> std::cmp::Ordering {
-                    let evaluable = |o: &Option<f64>| o.filter(|x| !x.is_nan());
-                    match (evaluable(a), evaluable(b)) {
-                        (Some(x), Some(y)) => match dir {
-                            ObjectiveDirection::Maximize => y.total_cmp(&x),
-                            ObjectiveDirection::Minimize => x.total_cmp(&y),
-                        },
-                        (Some(_), None) => std::cmp::Ordering::Less,
-                        (None, Some(_)) => std::cmp::Ordering::Greater,
-                        (None, None) => std::cmp::Ordering::Equal,
-                    }
-                };
-                // Insert after any equal-ranked entries (stable, matching the
-                // previous stable-sort tie behaviour).
-                let pos = self
-                    .best
-                    .partition_point(|e| rank(&e.1, &objective) != std::cmp::Ordering::Greater);
-                if pos < self.opts.keep {
-                    self.best.insert(pos, (state.to_package(), objective));
-                    self.best.truncate(self.opts.keep);
-                    if let Some(o) = self.objective_row {
-                        self.best_linear.insert(pos, self.sums[o]);
-                        self.best_linear.truncate(self.opts.keep);
-                        self.bound_the_objective(o);
-                    }
-                }
-            }
+        // Without an objective every package ties, so the first `keep`
+        // feasible ones are kept, in search order.
+        let (direction, keep) = (self.view.direction(), self.opts.keep());
+        let package = || state.to_package();
+        let Some(pos) = keep_ranked(&mut self.best, keep, direction, objective, package) else {
+            return;
+        };
+        if let Some(o) = self.objective_row {
+            self.best_linear.insert(pos, self.sums[o]);
+            self.best_linear.truncate(keep);
+            self.bound_the_objective(o);
         }
     }
 
@@ -232,7 +172,7 @@ impl<'v> Searcher<'v> {
     /// exact objective from its row value (`Σ r·|c|` is the suffix spread).
     fn bound_the_objective(&mut self, o: usize) {
         let kept = self.best.len();
-        if kept < self.opts.keep || self.best[kept - 1].1.is_none_or(|x| x.is_nan()) {
+        if kept < self.opts.keep() || self.best[kept - 1].1.is_none_or(|x| x.is_nan()) {
             return;
         }
         let last = self.best_linear[kept - 1];
@@ -248,7 +188,7 @@ impl<'v> Searcher<'v> {
     /// True when the subtree rooted at position `idx` cannot contain a
     /// feasible package.
     fn prune_subtree(&self, idx: usize) -> bool {
-        if !self.opts.prune {
+        if !self.prune {
             return false;
         }
         let n = self.view.candidate_count() as u64;
@@ -331,7 +271,7 @@ impl<'v> Searcher<'v> {
                 }
                 Step::Visit(idx) => {
                     self.nodes += 1;
-                    if self.nodes > self.opts.max_nodes {
+                    if self.nodes > self.opts.max_enumeration_nodes {
                         self.aborted = true;
                         return;
                     }
@@ -347,7 +287,7 @@ impl<'v> Searcher<'v> {
                     }
                     if idx == n {
                         // A leaf is a complete multiplicity assignment.
-                        if !self.opts.prune
+                        if !self.prune
                             || (self.cardinality >= self.bounds.lower
                                 && self.cardinality <= self.bounds.upper.unwrap_or(u64::MAX))
                         {
@@ -366,58 +306,54 @@ impl<'v> Searcher<'v> {
     }
 }
 
-/// Enumerates packages for a candidate view.
-pub fn enumerate(view: &CandidateView, opts: EnumerationOptions) -> PbResult<EnumerationOutcome> {
-    // pb-lint: allow(time-containment) — stats clock only: stamps the
-    // outcome's elapsed_ms; pruning deadlines go through the budget.
-    let start = std::time::Instant::now();
-    let prune = opts.prune;
-    let outcome = |searcher: Option<Searcher<'_>>, complete: bool| {
-        let (packages, nodes, feasible_found) = match searcher {
-            Some(s) => (s.best, s.nodes, s.feasible),
-            None => (Vec::new(), 0, 0),
-        };
-        EnumerationOutcome {
-            packages,
-            complete,
-            nodes,
-            feasible_found,
+impl Solver for EnumerationSolver {
+    fn strategy(&self) -> StrategyUsed {
+        if self.prune {
+            StrategyUsed::PrunedEnumeration
+        } else {
+            StrategyUsed::Exhaustive
+        }
+    }
+
+    fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
+        // pb-lint: allow(time-containment) — stats clock only: stamps the
+        // outcome's elapsed time; pruning deadlines go through the budget.
+        let start = std::time::Instant::now();
+        if opts.budget.expired() {
+            // Bail before Searcher setup: linearizing every constraint reads
+            // all term columns (through the buffer pool when the view is
+            // paged), which an already-expired budget must not pay for.
+            return Ok(SolveOutcome::empty(
+                self.strategy(),
+                view.candidate_count(),
+                false,
+            ));
+        }
+        if view.candidate_count() > 64 && !self.prune {
+            // 2^64 leaves is never going to finish; refuse instead of spinning.
+            return Err(PbError::Unsupported(format!(
+                "exhaustive enumeration over {} candidates is intractable; use pruning, the solver or local search",
+                view.candidate_count()
+            )));
+        }
+        let mut searcher = Searcher::new(view, self.prune, opts);
+        // Contradictory cardinality bounds prove that no package is valid.
+        if !searcher.bounds.is_empty() {
+            searcher.search();
+        }
+        Ok(SolveOutcome {
+            packages: searcher.best,
+            optimal: !searcher.aborted,
             stats: EvalStats {
-                strategy: if prune {
-                    StrategyUsed::PrunedEnumeration
-                } else {
-                    StrategyUsed::Exhaustive
-                },
+                strategy: self.strategy(),
                 candidates: view.candidate_count(),
-                nodes,
-                iterations: feasible_found,
+                nodes: searcher.nodes,
+                iterations: searcher.feasible,
                 cold_solves: 0,
                 elapsed: start.elapsed(),
             },
-        }
-    };
-    if opts.budget.expired() {
-        // Bail before Searcher setup: linearizing every constraint reads
-        // all term columns (through the buffer pool when the view is
-        // paged), which an already-expired budget must not pay for.
-        return Ok(outcome(None, false));
+        })
     }
-    if view.candidate_count() > 64 && !opts.prune {
-        // 2^64 leaves is never going to finish; refuse instead of spinning.
-        return Err(PbError::Unsupported(format!(
-            "exhaustive enumeration over {} candidates is intractable; use pruning, the solver or local search",
-            view.candidate_count()
-        )));
-    }
-    let mut searcher = Searcher::new(view, opts);
-    searcher.sums = vec![0.0; searcher.linear.len()];
-    if searcher.bounds.is_empty() {
-        // Contradictory cardinality bounds: provably no valid package.
-        return Ok(outcome(None, true));
-    }
-    searcher.search();
-    let complete = !searcher.aborted;
-    Ok(outcome(Some(searcher), complete))
 }
 
 #[cfg(test)]
@@ -425,7 +361,15 @@ mod tests {
     use super::*;
     use crate::spec::tests::spec_for;
     use datagen::{recipes, uniform_table, Seed};
-    use lp_solver::SolverConfig;
+
+    /// Enumerates `view`, keeping `keep` packages, at the default options.
+    fn enumerate(view: &CandidateView, prune: bool, keep: usize) -> PbResult<SolveOutcome> {
+        let opts = SolveOptions {
+            num_packages: keep,
+            ..SolveOptions::default()
+        };
+        EnumerationSolver { prune }.solve(view, &opts)
+    }
 
     const SMALL_QUERY: &str = "SELECT PACKAGE(T) AS P FROM t T \
         SUCH THAT COUNT(*) = 3 AND SUM(P.w) BETWEEN 30 AND 40 MAXIMIZE SUM(P.v)";
@@ -442,23 +386,16 @@ mod tests {
             "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) <= 3 MAXIMIZE COUNT(*)",
         ] {
             let spec = spec_for(&t, query);
-            let run = |prune| {
-                let opts = EnumerationOptions {
-                    prune,
-                    keep: 5,
-                    ..Default::default()
-                };
-                enumerate(spec.view(), opts).unwrap()
-            };
+            let run = |prune| enumerate(spec.view(), prune, 5).unwrap();
             let (pruned, exhaustive) = (run(true), run(false));
-            assert!(pruned.complete && exhaustive.complete);
+            assert!(pruned.optimal && exhaustive.optimal);
             assert_eq!(pruned.packages.len(), 5, "{query}");
             assert_eq!(pruned.packages, exhaustive.packages, "{query}");
             assert!(
-                pruned.nodes < exhaustive.nodes,
+                pruned.stats.nodes < exhaustive.stats.nodes,
                 "pruning should expand fewer nodes ({} vs {})",
-                pruned.nodes,
-                exhaustive.nodes
+                pruned.stats.nodes,
+                exhaustive.stats.nodes
             );
         }
     }
@@ -470,15 +407,10 @@ mod tests {
                  SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 1200 AND 2500 \
                  MAXIMIZE SUM(P.protein)";
         let spec = spec_for(&t, q);
-        let enumerated = enumerate(spec.view(), EnumerationOptions::default()).unwrap();
-        let ilp = crate::ilp::solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            1,
-            &Budget::unlimited(),
-            crate::par::ParExec::sequential(),
-        )
-        .unwrap();
+        let enumerated = enumerate(spec.view(), true, 1).unwrap();
+        let ilp = crate::ilp::IlpSolver
+            .solve(spec.view(), &SolveOptions::default())
+            .unwrap();
         let a = enumerated.packages.first().map(|(_, o)| o.unwrap());
         let b = ilp.packages.first().map(|(_, o)| o.unwrap());
         match (a, b) {
@@ -492,35 +424,25 @@ mod tests {
     fn counts_feasible_packages_without_objective() {
         let t = uniform_table("t", 10, 5.0, 10.0, Seed(3));
         let spec = spec_for(&t, "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) = 2");
-        let out = enumerate(
-            spec.view(),
-            EnumerationOptions {
-                keep: 100,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.feasible_found, 45); // C(10,2)
+        let out = enumerate(spec.view(), true, 100).unwrap();
+        assert_eq!(out.stats.iterations, 45); // C(10,2)
         assert_eq!(out.packages.len(), 45);
-        assert!(out.complete);
+        assert!(out.optimal);
     }
 
     #[test]
     fn node_budget_aborts_cleanly() {
         let t = uniform_table("t", 30, 5.0, 10.0, Seed(4));
         let spec = spec_for(&t, "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) = 5");
-        let out = enumerate(
-            spec.view(),
-            EnumerationOptions {
-                prune: true,
-                max_nodes: 1000,
-                keep: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!out.complete);
-        assert!(out.nodes <= 1001);
+        let opts = SolveOptions {
+            max_enumeration_nodes: 1000,
+            ..SolveOptions::default()
+        };
+        let out = EnumerationSolver { prune: true }
+            .solve(spec.view(), &opts)
+            .unwrap();
+        assert!(!out.optimal);
+        assert!(out.stats.nodes <= 1001);
     }
 
     #[test]
@@ -528,13 +450,7 @@ mod tests {
         let t = uniform_table("t", 80, 5.0, 10.0, Seed(5));
         let spec = spec_for(&t, "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) = 2");
         assert!(matches!(
-            enumerate(
-                spec.view(),
-                EnumerationOptions {
-                    prune: false,
-                    ..Default::default()
-                }
-            ),
+            enumerate(spec.view(), false, 1),
             Err(PbError::Unsupported(_))
         ));
     }
@@ -546,10 +462,10 @@ mod tests {
             &t,
             "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) >= 5 AND COUNT(*) <= 3",
         );
-        let out = enumerate(spec.view(), EnumerationOptions::default()).unwrap();
+        let out = enumerate(spec.view(), true, 1).unwrap();
         assert!(out.packages.is_empty());
-        assert!(out.complete);
-        assert_eq!(out.nodes, 0);
+        assert!(out.optimal);
+        assert_eq!(out.stats.nodes, 0);
     }
 
     #[test]
@@ -559,7 +475,7 @@ mod tests {
             &t,
             "SELECT PACKAGE(T) AS P FROM t T REPEAT 2 SUCH THAT COUNT(*) = 4 MAXIMIZE SUM(P.v)",
         );
-        let out = enumerate(spec.view(), EnumerationOptions::default()).unwrap();
+        let out = enumerate(spec.view(), true, 1).unwrap();
         let (best, _) = out.packages.first().unwrap();
         assert_eq!(best.cardinality(), 4);
         // The optimum should repeat the highest-value tuples.
@@ -584,14 +500,7 @@ mod tests {
             &t,
             "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) = 1 MAXIMIZE SUM(P.v)",
         );
-        let out = enumerate(
-            spec.view(),
-            EnumerationOptions {
-                keep: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let out = enumerate(spec.view(), true, 3).unwrap();
         assert_eq!(out.packages.len(), 3);
         assert_eq!(out.packages[0].1, Some(7.0), "finite optimum must lead");
         assert_eq!(out.packages[1].1, Some(5.0));
@@ -608,15 +517,8 @@ mod tests {
             &t,
             "SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) = 2 AND AVG(P.w) <= 7 MAXIMIZE SUM(P.v)",
         );
-        let pruned = enumerate(spec.view(), EnumerationOptions::default()).unwrap();
-        let full = enumerate(
-            spec.view(),
-            EnumerationOptions {
-                prune: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let pruned = enumerate(spec.view(), true, 1).unwrap();
+        let full = enumerate(spec.view(), false, 1).unwrap();
         for (p, _) in &pruned.packages {
             assert!(spec.is_valid(p).unwrap());
         }
@@ -642,7 +544,7 @@ mod tests {
             "SELECT PACKAGE(T) AS P FROM t T \
              SUCH THAT COUNT(*) = 2 AND AVG(P.w) <= AVG(P.v) + 10 MAXIMIZE SUM(P.v)",
         );
-        let out = enumerate(spec.view(), EnumerationOptions::default()).unwrap();
+        let out = enumerate(spec.view(), true, 1).unwrap();
         assert!(
             !out.packages.is_empty(),
             "every 2-subset satisfies the slack AVG bound"

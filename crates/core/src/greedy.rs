@@ -1,21 +1,110 @@
-//! Greedy construction of starting packages for the local search and the
-//! standalone [`crate::solver::GreedySolver`], plus the shared
-//! feasibility repair the greedy solver and the sketch→refine fallback both
-//! run: add/drop moves searched by the move engine's one
-//! [`crate::view::neighbourhood_pass`], the pass the local search runs too.
+//! Greedy construction: [`GreedySolver`], the standalone strategy, and the
+//! starting packages of the local search, plus the shared feasibility
+//! repair the greedy solver and the sketch→refine fallback both run:
+//! add/drop moves searched by the move engine's one
+//! `view::neighbourhood_pass`, the pass the local search runs too.
+//! The greedy solver counts accepted repair moves in [`EvalStats::nodes`]
+//! and the moves its repair passes considered in [`EvalStats::iterations`].
 
 use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 use crate::budget::Budget;
+use crate::error::PbError;
 use crate::ilp::linearize;
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::pruning::derive_bounds;
+use crate::result::{EvalStats, StrategyUsed};
+use crate::solver::{SolveOptions, SolveOutcome, Solver};
 use crate::view::{neighbourhood_pass, CandidateView, ViewState};
+use crate::PbResult;
+
+/// Pure greedy construction: density-ordered packing followed by a
+/// feasibility-repair pass of add/drop moves (no replacement neighbourhood).
+/// The cheapest strategy — and the anytime baseline the paper's interface
+/// layer wants when a user asks for *a* package right now.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GreedySolver;
+
+impl Solver for GreedySolver {
+    fn strategy(&self) -> StrategyUsed {
+        StrategyUsed::Greedy
+    }
+
+    fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
+        // An already-expired budget skips the linearization with the start.
+        let objective = if view.candidate_count() > 0 && !opts.budget.expired() {
+            objective_coeffs(view)
+        } else {
+            None
+        };
+        self.solve_linearized(view, opts, objective.as_deref())
+    }
+}
+
+impl GreedySolver {
+    /// [`Solver::solve`] given the objective's linearized per-candidate
+    /// coefficients (`None` when it has none: the start is then random).
+    /// The sketch family linearizes its objective once per solve and hands
+    /// the coefficients down instead of reading the objective's columns a
+    /// second time.
+    pub(crate) fn solve_linearized(
+        &self,
+        view: &CandidateView,
+        opts: &SolveOptions,
+        objective: Option<&[f64]>,
+    ) -> PbResult<SolveOutcome> {
+        // pb-lint: allow(time-containment) — stats clock only: stamps
+        // solve_time_ms on the outcome; deadline decisions all go through
+        // the budget.
+        let start = std::time::Instant::now();
+        let budget = &opts.budget;
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let mut evaluations = 0u64;
+        let mut moves = 0u64;
+        let mut packages = Vec::new();
+
+        // An already-expired budget skips even the starting package: the
+        // density scan reads every candidate's terms (through the buffer
+        // pool when the view is paged), which expiry must not pay for.
+        if view.candidate_count() > 0 && !budget.expired() {
+            let heuristic = objective.map_or(StartHeuristic::Random, StartHeuristic::Greedy);
+            let greedy = starting_package(view, heuristic, &mut rng);
+            let mut state = view.project(&greedy).ok_or_else(|| {
+                PbError::Internal(
+                    "greedy starting package contains tuples outside the candidate set".into(),
+                )
+            })?;
+            // Shared repair pass (also the sketch→refine fallback): on budget
+            // expiry the best-so-far state is returned (optimal is false
+            // regardless).
+            let (evals, repair_moves) = repair_to_feasibility(&mut state, budget, opts.par);
+            evaluations += evals;
+            moves += repair_moves;
+            if state.is_feasible() {
+                let objective = state.objective_value();
+                packages.push((state.to_package(), objective));
+            }
+        }
+
+        Ok(SolveOutcome {
+            packages,
+            optimal: false,
+            stats: EvalStats {
+                strategy: StrategyUsed::Greedy,
+                candidates: view.candidate_count(),
+                nodes: moves,
+                iterations: evaluations,
+                cold_solves: 0,
+                elapsed: start.elapsed(),
+            },
+        })
+    }
+}
 
 /// How to pick the tuples of a starting package.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -15,6 +15,12 @@
 //! takes them from there, and the ILP and the sketch family's sub-ILPs
 //! build their `Problem` through one builder, `package_problem`.
 //!
+//! [`IlpSolver`] is the strategy's one entry point, the
+//! [`crate::solver::Solver`] impl: it translates the whole view and solves
+//! it by branch and bound, reading every setting from
+//! [`crate::solver::SolveOptions`]; its [`EvalStats`] sum the nodes,
+//! simplex iterations and cold starts of every round.
+//!
 //! Not every PaQL query is linearizable: MIN/MAX aggregates, `<>`
 //! comparisons, and non-conjunctive formulas (OR/NOT) have no direct linear
 //! form — exactly the "solver limitations" the paper discusses in Section 5.
@@ -30,16 +36,15 @@
 //! bound by `STRICT_MARGIN`.
 
 use lp_solver::{
-    ConstraintOp, LinExpr, LpError, Problem, Sense, SolverConfig, Status, VarId, VarType,
-    INCUMBENT_TOLERANCE,
+    ConstraintOp, LinExpr, LpError, Problem, Sense, Status, VarId, VarType, INCUMBENT_TOLERANCE,
 };
 use paql::{AggFunc, CmpOp, ObjectiveDirection};
 
-use crate::budget::Budget;
 use crate::error::PbError;
 use crate::package::Package;
-use crate::par::{chunk_count, chunk_range, ParExec};
+use crate::par::{chunk_count, chunk_range};
 use crate::result::{EvalStats, StrategyUsed};
+use crate::solver::{SolveOptions, SolveOutcome, Solver};
 use crate::view::{
     CandidateView, ColumnChunk, CompiledConstraint, CompiledExpr, CompiledFormula, TermColumn,
 };
@@ -656,125 +661,120 @@ pub fn translate(view: &CandidateView) -> PbResult<IlpTranslation> {
     Ok(IlpTranslation { problem, vars })
 }
 
-/// Result of the ILP strategy.
-pub struct IlpOutcome {
-    /// Valid packages found, best first, with their objective values.
-    pub packages: Vec<(Package, Option<f64>)>,
-    /// True when every solve ran to proven optimality; false when a time,
-    /// node or cancellation limit stopped the search (the packages are then
-    /// the best incumbents found, not provably optimal).
-    pub complete: bool,
-    /// Evaluation statistics.
-    pub stats: EvalStats,
-}
-
-/// Solves a view with the ILP strategy, returning up to `num_packages`
-/// packages (additional packages require binary multiplicities and use
-/// no-good cuts, per the paper's Section 5 discussion).
+/// ILP translation + branch and bound (paper Section 7): returns up to
+/// [`SolveOptions::keep`] packages (additional packages require binary
+/// multiplicities and use no-good cuts, per the paper's Section 5
+/// discussion). `optimal` is true when every solve ran to proven
+/// optimality; a time, node or cancellation limit makes the packages the
+/// best incumbents found instead.
 ///
-/// The `budget` is threaded down to the branch-and-bound node loop and the
-/// simplex pivot loop; on expiry the incumbents found so far come back with
-/// `complete: false` rather than an error. `par.threads()` is handed to the
-/// branch-and-bound layer (via [`SolverConfig::num_threads`]), which solves
+/// The budget is threaded down to the branch-and-bound node loop and the
+/// simplex pivot loop; on expiry the incumbents found so far come back
+/// rather than an error. `opts.par.threads()` is handed to the
+/// branch-and-bound layer (via [`lp_solver::SolverConfig::num_threads`]), which solves
 /// each frontier batch's LP relaxations concurrently once the LP is big
 /// enough to pay for it — rows × columns of at least one
 /// [`crate::par::CHUNK_WIDTH`]; smaller LPs, sketch-refine sub-ILPs among
 /// them, keep their batches inline. Results are bit-identical at every
 /// thread count — the solver's batch boundaries and merge order are fixed —
 /// so `par` is purely a latency knob.
-pub fn solve_ilp(
-    view: &CandidateView,
-    solver: &SolverConfig,
-    num_packages: usize,
-    budget: &Budget,
-    par: ParExec,
-) -> PbResult<IlpOutcome> {
-    // pb-lint: allow(time-containment) — stats clock only: stamps
-    // solve_time_ms on the outcome; the deadline lives in the budget.
-    let start = std::time::Instant::now();
-    // An already-spent budget skips even the translation (building one
-    // variable and row set per candidate is itself linear in the view).
-    let mut translation = (!budget.expired()).then(|| translate(view)).transpose()?;
-    let mut config = solver.clone();
-    budget.apply_to_solver(&mut config);
-    config.num_threads = par.threads();
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IlpSolver;
 
-    let mut packages = Vec::new();
-    let mut complete = true;
-    let mut total_iterations = 0usize;
-    let mut total_nodes = 0usize;
-    let mut total_cold_solves = 0usize;
-
-    let want = num_packages.max(1);
-    for round in 0..want {
-        let Some(IlpTranslation { problem, vars }) =
-            translation.as_mut().filter(|_| !budget.expired())
-        else {
-            complete = false;
-            break;
-        };
-        let solution = match lp_solver::solve(problem, &config) {
-            // Limits without an incumbent are a truncated search, not a
-            // failed one: report what previous rounds found, non-optimal.
-            Err(LpError::Interrupted) | Err(LpError::NodeLimit) => {
-                complete = false;
-                break;
-            }
-            other => other?,
-        };
-        total_iterations += solution.iterations;
-        total_nodes += solution.nodes;
-        total_cold_solves += solution.cold_solves;
-        if solution.status == Status::LimitReached {
-            complete = false;
-        }
-        if !solution.status.has_solution() {
-            break;
-        }
-        if solution.status == Status::Unbounded {
-            return Err(PbError::Unsupported(
-                "the package objective is unbounded (add an upper cardinality or budget constraint)".into(),
-            ));
-        }
-        let mut package = Package::new();
-        for (i, &var) in vars.iter().enumerate() {
-            let mult = solution.value_rounded(var);
-            if mult > 0 {
-                package.add(view.candidates()[i], mult as u32);
-            }
-        }
-        // The solver result should always be valid; re-check defensively so a
-        // numerical artefact can never surface as a wrong answer.
-        if !view.is_valid(&package) {
-            return Err(PbError::Internal(
-                "solver returned a package that fails validation".into(),
-            ));
-        }
-        let objective = view.objective_value(&package);
-        packages.push((package, objective));
-
-        if round + 1 < want {
-            if view.max_multiplicity() > 1 {
-                // No-good cuts need binary variables; stop after the first
-                // package for REPEAT queries (documented limitation).
-                break;
-            }
-            lp_solver::cuts::add_no_good_cut(problem, &solution, vars, format!("cut{round}"))?;
-        }
+impl Solver for IlpSolver {
+    fn strategy(&self) -> StrategyUsed {
+        StrategyUsed::Ilp
     }
 
-    Ok(IlpOutcome {
-        packages,
-        complete,
-        stats: EvalStats {
-            strategy: StrategyUsed::Ilp,
-            candidates: view.candidate_count(),
-            nodes: total_nodes as u64,
-            iterations: total_iterations as u64,
-            cold_solves: total_cold_solves as u64,
-            elapsed: start.elapsed(),
-        },
-    })
+    fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
+        // pb-lint: allow(time-containment) — stats clock only: stamps
+        // solve_time_ms on the outcome; the deadline lives in the budget.
+        let start = std::time::Instant::now();
+        let budget = &opts.budget;
+        // An already-spent budget skips even the translation (building one
+        // variable and row set per candidate is itself linear in the view).
+        let mut translation = (!budget.expired()).then(|| translate(view)).transpose()?;
+        let mut config = opts.solver.clone();
+        budget.apply_to_solver(&mut config);
+        config.num_threads = opts.par.threads();
+
+        let mut packages = Vec::new();
+        let mut complete = true;
+        let mut total_iterations = 0usize;
+        let mut total_nodes = 0usize;
+        let mut total_cold_solves = 0usize;
+
+        let want = opts.keep();
+        for round in 0..want {
+            let Some(IlpTranslation { problem, vars }) =
+                translation.as_mut().filter(|_| !budget.expired())
+            else {
+                complete = false;
+                break;
+            };
+            let solution = match lp_solver::solve(problem, &config) {
+                // Limits without an incumbent are a truncated search, not a
+                // failed one: report what previous rounds found, non-optimal.
+                Err(LpError::Interrupted) | Err(LpError::NodeLimit) => {
+                    complete = false;
+                    break;
+                }
+                other => other?,
+            };
+            total_iterations += solution.iterations;
+            total_nodes += solution.nodes;
+            total_cold_solves += solution.cold_solves;
+            if solution.status == Status::LimitReached {
+                complete = false;
+            }
+            if !solution.status.has_solution() {
+                break;
+            }
+            if solution.status == Status::Unbounded {
+                return Err(PbError::Unsupported(
+                    "the package objective is unbounded (add an upper cardinality or budget constraint)".into(),
+                ));
+            }
+            let mut package = Package::new();
+            for (i, &var) in vars.iter().enumerate() {
+                let mult = solution.value_rounded(var);
+                if mult > 0 {
+                    package.add(view.candidates()[i], mult as u32);
+                }
+            }
+            // The solver result should always be valid; re-check defensively so a
+            // numerical artefact can never surface as a wrong answer.
+            if !view.is_valid(&package) {
+                return Err(PbError::Internal(
+                    "solver returned a package that fails validation".into(),
+                ));
+            }
+            let objective = view.objective_value(&package);
+            packages.push((package, objective));
+
+            if round + 1 < want {
+                if view.max_multiplicity() > 1 {
+                    // No-good cuts need binary variables; stop after the first
+                    // package for REPEAT queries (documented limitation).
+                    break;
+                }
+                lp_solver::cuts::add_no_good_cut(problem, &solution, vars, format!("cut{round}"))?;
+            }
+        }
+
+        Ok(SolveOutcome {
+            packages,
+            optimal: complete,
+            stats: EvalStats {
+                strategy: StrategyUsed::Ilp,
+                candidates: view.candidate_count(),
+                nodes: total_nodes as u64,
+                iterations: total_iterations as u64,
+                cold_solves: total_cold_solves as u64,
+                elapsed: start.elapsed(),
+            },
+        })
+    }
 }
 
 #[cfg(test)]
@@ -799,14 +799,9 @@ mod tests {
              SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 \
              MAXIMIZE SUM(P.protein)",
         );
-        let out = solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            1,
-            &Budget::unlimited(),
-            ParExec::sequential(),
-        )
-        .unwrap();
+        let out = IlpSolver
+            .solve(spec.view(), &SolveOptions::default())
+            .unwrap();
         assert_eq!(out.packages.len(), 1);
         let (pkg, obj) = &out.packages[0];
         assert_eq!(pkg.cardinality(), 3);
@@ -905,20 +900,13 @@ mod tests {
                  SUCH THAT COUNT(*) = 3 AND AVG(P.calories) BETWEEN 400 AND 700 \
                  MAXIMIZE SUM(P.protein)";
         let spec = spec_for(&t, q);
-        let ilp = solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            1,
-            &Budget::unlimited(),
-            ParExec::sequential(),
-        )
-        .unwrap();
-        let oracle = crate::enumerate::enumerate(
-            spec.view(),
-            crate::enumerate::EnumerationOptions::default(),
-        )
-        .unwrap();
-        assert!(oracle.complete, "oracle must be exact");
+        let ilp = IlpSolver
+            .solve(spec.view(), &SolveOptions::default())
+            .unwrap();
+        let oracle = crate::enumerate::EnumerationSolver { prune: true }
+            .solve(spec.view(), &SolveOptions::default())
+            .unwrap();
+        assert!(oracle.optimal, "oracle must be exact");
         let a = ilp.packages.first().map(|(_, o)| o.unwrap());
         let b = oracle.packages.first().map(|(_, o)| o.unwrap());
         match (a, b) {
@@ -944,14 +932,9 @@ mod tests {
              MINIMIZE COUNT(*)",
         );
         assert!(linearize(spec.view()).obstacle().is_none());
-        let out = solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            1,
-            &Budget::unlimited(),
-            ParExec::sequential(),
-        )
-        .unwrap();
+        let out = IlpSolver
+            .solve(spec.view(), &SolveOptions::default())
+            .unwrap();
         // The minimizer would love the empty package, but that makes the AVG
         // NULL: any returned package must contain a gluten-free member.
         let (pkg, _) = out.packages.first().expect("a singleton package exists");
@@ -971,14 +954,9 @@ mod tests {
              MAXIMIZE SUM(P.expected_return)",
         );
         assert!(linearize(spec.view()).obstacle().is_none());
-        let out = solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            1,
-            &Budget::unlimited(),
-            ParExec::sequential(),
-        )
-        .unwrap();
+        let out = IlpSolver
+            .solve(spec.view(), &SolveOptions::default())
+            .unwrap();
         let (pkg, _) = &out.packages[0];
         assert!(spec.is_valid(pkg).unwrap());
         // Verify the 30% constraint numerically.
@@ -1009,14 +987,9 @@ mod tests {
             &t,
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 2 AND SUM(P.calories) >= 100000",
         );
-        let out = solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            1,
-            &Budget::unlimited(),
-            ParExec::sequential(),
-        )
-        .unwrap();
+        let out = IlpSolver
+            .solve(spec.view(), &SolveOptions::default())
+            .unwrap();
         assert!(out.packages.is_empty());
     }
 
@@ -1028,14 +1001,15 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 2 AND SUM(P.calories) <= 1500 \
              MAXIMIZE SUM(P.protein)",
         );
-        let out = solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            4,
-            &Budget::unlimited(),
-            ParExec::sequential(),
-        )
-        .unwrap();
+        let out = IlpSolver
+            .solve(
+                spec.view(),
+                &SolveOptions {
+                    num_packages: 4,
+                    ..SolveOptions::default()
+                },
+            )
+            .unwrap();
         assert_eq!(out.packages.len(), 4);
         for (p, _) in &out.packages {
             assert!(spec.is_valid(p).unwrap());
@@ -1066,14 +1040,9 @@ mod tests {
                      SUCH THAT COUNT(*) = 3 AND SUM(P.calories) <= 4200 MAXIMIZE SUM(P.protein)"
                 ),
             );
-            let out = solve_ilp(
-                spec.view(),
-                &SolverConfig::default(),
-                1,
-                &Budget::unlimited(),
-                ParExec::sequential(),
-            )
-            .unwrap();
+            let out = IlpSolver
+                .solve(spec.view(), &SolveOptions::default())
+                .unwrap();
             let (pkg, objective) = &out.packages[0];
             assert_eq!(pkg.cardinality(), 3);
             assert!(pkg.max_multiplicity() <= k, "REPEAT {k}");
@@ -1095,14 +1064,9 @@ mod tests {
             &t,
             "SELECT PACKAGE(R) AS P FROM recipes R MAXIMIZE SUM(P.protein)",
         );
-        let out = solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            1,
-            &Budget::unlimited(),
-            ParExec::sequential(),
-        )
-        .unwrap();
+        let out = IlpSolver
+            .solve(spec.view(), &SolveOptions::default())
+            .unwrap();
         // Every recipe has positive protein → optimum takes all of them.
         let (pkg, _) = &out.packages[0];
         assert_eq!(pkg.cardinality(), 30);
@@ -1142,14 +1106,9 @@ mod tests {
         let scenario = datagen::scenario("wide").expect("wide family is registered");
         let table = (scenario.build)(40, Seed(23));
         let spec = spec_for(&table, &scenario.exact_query);
-        let out = solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            1,
-            &Budget::unlimited(),
-            ParExec::sequential(),
-        )
-        .unwrap();
+        let out = IlpSolver
+            .solve(spec.view(), &SolveOptions::default())
+            .unwrap();
         let (pkg, _) = out.packages.first().expect("the window is feasible");
         assert!(spec.is_valid(pkg).unwrap());
         assert!(spec.is_valid_interpreted(pkg).unwrap());

@@ -27,7 +27,10 @@
 //!   with the Section 4.1 pruning rules, [`enumerate`]),
 //!   [`solver::LocalSearchSolver`] (Section 4.2 k-replacement search,
 //!   [`local_search`]) and [`solver::GreedySolver`] ([`greedy`] construction
-//!   with feasibility repair). Solvers only see the view — never the base
+//!   with feasibility repair), each the only entry point of its strategy's
+//!   module and reading every setting from [`solver::SolveOptions`]; the
+//!   strategies that keep several packages rank them by one rule
+//!   (NaN and `None` objectives last). Solvers only see the view — never the base
 //!   table — and are `Send + Sync`, which is what makes parallel, sharded
 //!   or cached solving a drop-in extension.
 //! * **[`budget`] + [`portfolio`] — anytime evaluation.** Every solver

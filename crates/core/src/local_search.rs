@@ -20,11 +20,21 @@
 //! scored as deltas over the view's precomputed term columns instead of
 //! cloning the package and re-aggregating every member. The two full
 //! neighbourhood scans (swaps, then adds) are each one
-//! [`neighbourhood_pass`], the pass greedy repair runs too: it scores a
+//! `view::neighbourhood_pass`, the pass greedy repair runs too: it scores a
 //! whole column chunk per pin through [`crate::view::MoveScan`] and does not
 //! score a chunk whose resident metadata proves that none of its moves can
 //! beat the running best. The `O(|P|)`-sized drop scan uses the point
 //! lookup [`ViewState::score_with`]. Both produce bit-identical scores.
+//!
+//! [`LocalSearchSolver`] is the strategy's one entry point, the [`Solver`]
+//! impl. It reads its settings from [`SolveOptions`] — `max_local_moves`
+//! accepted moves per restart, `local_restarts` restarts, `seed`,
+//! [`SolveOptions::keep`] packages, the budget and `par` — keeps feasible
+//! packages under the one rank `solver::keep_ranked`, and counts
+//! accepted moves in [`EvalStats::nodes`] and the moves it considered,
+//! whether scored or ruled out by a chunk's bound, in
+//! [`EvalStats::iterations`]. The accepted-move trajectory is bit-identical
+//! at every thread count.
 
 use paql::ObjectiveDirection;
 use rand::rngs::StdRng;
@@ -36,160 +46,99 @@ use crate::greedy::{objective_coeffs, random_cardinality, starting_package, Star
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::result::{EvalStats, StrategyUsed};
+use crate::solver::{keep_ranked, SolveOptions, SolveOutcome, Solver};
 use crate::view::{lex_better, neighbourhood_pass, CandidateView, Score, ViewState};
 use crate::PbResult;
 
-/// Options for the local-search strategy.
-#[derive(Debug, Clone)]
-pub struct LocalSearchOptions {
-    /// Maximum accepted moves per restart.
-    pub max_moves: usize,
-    /// Number of restarts (the first uses the greedy start, the rest random).
-    pub restarts: usize,
-    /// Random seed.
-    pub seed: u64,
-    /// How many distinct feasible packages to keep (best first).
-    pub keep: usize,
-    /// Cooperative wall-clock budget; on expiry the search stops scanning
-    /// and returns the best packages recorded so far.
-    pub budget: Budget,
-    /// Chunk fan-out executor for the neighbourhood scans (see
-    /// [`crate::par`]); the search's accepted-move trajectory is
-    /// bit-identical at every thread count.
-    pub par: ParExec,
-}
+/// Greedy construction + k-replacement local search (paper Section 4.2; see
+/// the module docs). The first restart starts from the greedy package, the
+/// rest from random ones. Never optimal.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LocalSearchSolver;
 
-impl Default for LocalSearchOptions {
-    fn default() -> Self {
-        LocalSearchOptions {
-            max_moves: 10_000,
-            restarts: 8,
-            seed: 42,
-            keep: 1,
-            budget: Budget::unlimited(),
-            par: ParExec::sequential(),
-        }
+impl Solver for LocalSearchSolver {
+    fn strategy(&self) -> StrategyUsed {
+        StrategyUsed::LocalSearch
     }
-}
 
-/// Outcome of the local-search strategy.
-pub struct LocalSearchOutcome {
-    /// Feasible packages found (best first), with objective values.
-    pub packages: Vec<(Package, Option<f64>)>,
-    /// Accepted moves across all restarts.
-    pub moves: u64,
-    /// Neighbour moves considered across all restarts, whether scored or
-    /// ruled out by a chunk's bound.
-    pub evaluations: u64,
-    /// Evaluation statistics.
-    pub stats: EvalStats,
-}
+    fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
+        // pb-lint: allow(time-containment) — stats clock only: stamps the
+        // outcome's elapsed time; deadline decisions all go through the budget.
+        let start = std::time::Instant::now();
+        let budget = &opts.budget;
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let mut best: Vec<(Package, Option<f64>)> = Vec::new();
+        let mut moves = 0u64;
+        let mut evaluations = 0u64;
 
-/// Runs the local search over a candidate view.
-pub fn local_search(
-    view: &CandidateView,
-    opts: &LocalSearchOptions,
-) -> PbResult<LocalSearchOutcome> {
-    // pb-lint: allow(time-containment) — stats clock only: stamps the
-    // outcome's elapsed time; deadline decisions all go through the budget.
-    let start = std::time::Instant::now();
-    let budget = &opts.budget;
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut best: Vec<(Package, Option<f64>)> = Vec::new();
-    let mut moves = 0u64;
-    let mut evaluations = 0u64;
-
-    let direction = view.direction();
-
-    for restart in 0..opts.restarts.max(1) {
-        if view.candidate_count() == 0 || budget.expired() {
-            break;
-        }
-        let start_package = if restart == 0 {
-            let coeffs = objective_coeffs(view);
-            let heuristic = coeffs
-                .as_deref()
-                .map_or(StartHeuristic::Random, StartHeuristic::Greedy);
-            starting_package(view, heuristic, &mut rng)
-        } else {
-            let target = random_cardinality(view, &mut rng);
-            let mut p = starting_package(view, StartHeuristic::Random, &mut rng);
-            // Resize the random start towards the sampled cardinality.
-            resize_to(view, &mut p, target, &mut rng);
-            p
+        let direction = view.direction();
+        let record = |state: &ViewState<'_>, s: Score, best: &mut Vec<_>| {
+            if s.0 > 0.0 || !state.is_feasible() {
+                return;
+            }
+            keep_ranked(best, opts.keep(), direction, s.1, || state.to_package());
         };
-        let mut state = view.project(&start_package).ok_or_else(|| {
-            PbError::Internal(
-                "local-search starting package contains tuples outside the candidate set".into(),
-            )
-        })?;
-        let mut current_score = state.score();
-        record(&state, current_score, &mut best, direction, opts.keep);
 
-        for _ in 0..opts.max_moves {
-            if budget.expired() {
+        for restart in 0..opts.local_restarts.max(1) {
+            if view.candidate_count() == 0 || budget.expired() {
                 break;
             }
-            let (neighbour, neighbour_score, evals) =
-                best_neighbour(&state, current_score, direction, budget, opts.par);
-            evaluations += evals;
-            match neighbour {
-                Some(changes) if lex_better(neighbour_score, current_score, direction) => {
-                    for &(idx, delta) in &changes {
-                        state.apply(idx, delta);
-                    }
-                    current_score = state.score();
-                    moves += 1;
-                    record(&state, current_score, &mut best, direction, opts.keep);
+            let start_package = if restart == 0 {
+                let coeffs = objective_coeffs(view);
+                let heuristic = coeffs
+                    .as_deref()
+                    .map_or(StartHeuristic::Random, StartHeuristic::Greedy);
+                starting_package(view, heuristic, &mut rng)
+            } else {
+                let target = random_cardinality(view, &mut rng);
+                let mut p = starting_package(view, StartHeuristic::Random, &mut rng);
+                // Resize the random start towards the sampled cardinality.
+                resize_to(view, &mut p, target, &mut rng);
+                p
+            };
+            let mut state = view.project(&start_package).ok_or_else(|| {
+                PbError::Internal(
+                    "local-search starting package contains tuples outside the candidate set"
+                        .into(),
+                )
+            })?;
+            let mut current_score = state.score();
+            record(&state, current_score, &mut best);
+
+            for _ in 0..opts.max_local_moves {
+                if budget.expired() {
+                    break;
                 }
-                _ => break, // local optimum
+                let (neighbour, neighbour_score, evals) =
+                    best_neighbour(&state, current_score, direction, budget, opts.par);
+                evaluations += evals;
+                match neighbour {
+                    Some(changes) if lex_better(neighbour_score, current_score, direction) => {
+                        for &(idx, delta) in &changes {
+                            state.apply(idx, delta);
+                        }
+                        current_score = state.score();
+                        moves += 1;
+                        record(&state, current_score, &mut best);
+                    }
+                    _ => break, // local optimum
+                }
             }
         }
-    }
 
-    Ok(LocalSearchOutcome {
-        packages: best,
-        moves,
-        evaluations,
-        stats: EvalStats {
-            strategy: StrategyUsed::LocalSearch,
-            candidates: view.candidate_count(),
-            nodes: moves,
-            iterations: evaluations,
-            cold_solves: 0,
-            elapsed: start.elapsed(),
-        },
-    })
-}
-
-fn record(
-    state: &ViewState<'_>,
-    s: (f64, Option<f64>),
-    best: &mut Vec<(Package, Option<f64>)>,
-    direction: ObjectiveDirection,
-    keep: usize,
-) {
-    if s.0 > 0.0 || !state.is_feasible() {
-        return;
+        Ok(SolveOutcome {
+            packages: best,
+            optimal: false,
+            stats: EvalStats {
+                strategy: StrategyUsed::LocalSearch,
+                candidates: view.candidate_count(),
+                nodes: moves,
+                iterations: evaluations,
+                cold_solves: 0,
+                elapsed: start.elapsed(),
+            },
+        })
     }
-    let p = state.to_package();
-    if best.iter().any(|(q, _)| q == &p) {
-        return;
-    }
-    best.push((p, s.1));
-    best.sort_by(|a, b| {
-        let ord = match (a.1, b.1) {
-            (Some(x), Some(y)) => x.total_cmp(&y),
-            (Some(_), None) => std::cmp::Ordering::Greater,
-            (None, Some(_)) => std::cmp::Ordering::Less,
-            (None, None) => std::cmp::Ordering::Equal,
-        };
-        match direction {
-            ObjectiveDirection::Maximize => ord.reverse(),
-            ObjectiveDirection::Minimize => ord,
-        }
-    });
-    best.truncate(keep.max(1));
 }
 
 /// A candidate move: multiplicity deltas over candidate indices.
@@ -283,8 +232,18 @@ mod tests {
     use crate::spec::{BuildCtx, PackageSpec};
     use datagen::synthetic::synthetic_schema;
     use datagen::{recipes, scenarios, Seed};
-    use lp_solver::SolverConfig;
     use minidb::{Table, Tuple, TupleId, Value};
+
+    /// Local search at the default options but `restarts` restarts and
+    /// `keep` packages.
+    fn search(view: &CandidateView, restarts: usize, keep: usize) -> SolveOutcome {
+        let opts = SolveOptions {
+            local_restarts: restarts,
+            num_packages: keep,
+            ..SolveOptions::default()
+        };
+        LocalSearchSolver.solve(view, &opts).unwrap()
+    }
 
     /// The swap and add scans as they were before the move engine had one
     /// pass: every chunk scored for every prefix, no bound. Kept verbatim as
@@ -477,7 +436,7 @@ mod tests {
     const MAX_EVALUATIONS: u64 = 1 << 20;
 
     /// The first [`MAX_STEPS`] steps of the search from `start`, as
-    /// [`local_search`] takes them, through `neighbour`, stopping early past
+    /// [`LocalSearchSolver`] takes them, through `neighbour`, stopping early past
     /// [`MAX_EVALUATIONS`]; `ruled_out` counts the (chunk, swap prefix)
     /// pairs the bound rules out at the step's score.
     fn steps(
@@ -590,15 +549,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_nan_weight_does_not_hide_the_feasible_packages() {
-        // 31 rows with integral weights 1..=10 and one more whose weight is
-        // NaN and whose value is the largest. A sum over that row is NaN, so
-        // a move onto it must score as violated: as a tie (`=`) or as
-        // satisfied (`BETWEEN`) the objective pulls every random restart
-        // onto it, and no move leaves it again. (The greedy start, restart
-        // 0, holds the row from the outset, and a delta cannot take a NaN
-        // back out of a running sum, so only the random restarts count.)
+    /// 31 rows `(i, w = 1 + i % 10, v = (i·37) % 31)`, then row 31 with
+    /// weight `w` and value `v`.
+    fn table_with_row_31(w: f64, v: f64) -> Table {
         let mut table = Table::new("t", synthetic_schema());
         let row = |i: i64, w: f64, v: f64| {
             Tuple::new(vec![
@@ -612,7 +565,20 @@ mod tests {
             let v = ((i * 37) % 31) as f64;
             table.insert(row(i, (1 + i % 10) as f64, v)).unwrap();
         }
-        table.insert(row(31, f64::NAN, 100.0)).unwrap();
+        table.insert(row(31, w, v)).unwrap();
+        table
+    }
+
+    #[test]
+    fn a_nan_weight_does_not_hide_the_feasible_packages() {
+        // 31 rows with integral weights 1..=10 and one more whose weight is
+        // NaN and whose value is the largest. A sum over that row is NaN, so
+        // a move onto it must score as violated: as a tie (`=`) or as
+        // satisfied (`BETWEEN`) the objective pulls every random restart
+        // onto it, and no move leaves it again. (The greedy start, restart
+        // 0, holds the row from the outset, and a delta cannot take a NaN
+        // back out of a running sum, so only the random restarts count.)
+        let table = table_with_row_31(f64::NAN, 100.0);
         for window in ["= 12", "BETWEEN 12 AND 12"] {
             let text = format!(
                 "SELECT PACKAGE(R) AS P FROM t R \
@@ -636,11 +602,7 @@ mod tests {
             }
             let optimum = optimum.expect("a feasible triple exists");
             for restarts in [2, 8] {
-                let opts = LocalSearchOptions {
-                    restarts,
-                    ..Default::default()
-                };
-                let out = local_search(view, &opts).unwrap();
+                let out = search(view, restarts, 1);
                 let Some((p, objective)) = out.packages.first() else {
                     panic!("{window}, {restarts} restarts: no package (optimum {optimum})");
                 };
@@ -653,6 +615,29 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_nan_objective_ranks_last_among_the_kept_packages() {
+        // Row 31 weighs 1 and is worth NaN, so every package holding it is
+        // feasible and NaN-valued: kept, it must rank behind every package
+        // with a value, as enumeration ranks it, not ahead of them.
+        let table = table_with_row_31(1.0, f64::NAN);
+        let spec = spec_for(
+            &table,
+            "SELECT PACKAGE(R) AS P FROM t R \
+             SUCH THAT COUNT(*) = 3 AND SUM(P.w) <= 30 MAXIMIZE SUM(P.v)",
+        );
+        for keep in [1, 3] {
+            let out = search(spec.view(), 8, keep);
+            let objectives: Vec<f64> = out.packages.iter().map(|(_, o)| o.unwrap()).collect();
+            assert_eq!(objectives.len(), keep, "keep {keep}: {objectives:?}");
+            assert!(
+                objectives.iter().all(|o| !o.is_nan()),
+                "keep {keep}: {objectives:?}"
+            );
+            assert_eq!(objectives[0], 87.0, "keep {keep}: {objectives:?}");
+        }
+    }
+
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \
         SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)";
 
@@ -660,7 +645,7 @@ mod tests {
     fn finds_a_feasible_meal_plan() {
         let t = recipes(300, Seed(1));
         let spec = spec_for(&t, MEAL_QUERY);
-        let out = local_search(spec.view(), &LocalSearchOptions::default()).unwrap();
+        let out = search(spec.view(), 8, 1);
         assert!(
             !out.packages.is_empty(),
             "local search found no feasible package"
@@ -669,29 +654,17 @@ mod tests {
         assert!(spec.is_valid(p).unwrap());
         assert_eq!(p.cardinality(), 3);
         assert!(obj.unwrap() > 0.0);
-        assert!(out.moves > 0 || out.evaluations > 0);
+        assert!(out.stats.nodes > 0 || out.stats.iterations > 0);
     }
 
     #[test]
     fn quality_is_close_to_the_ilp_optimum() {
         let t = recipes(200, Seed(2));
         let spec = spec_for(&t, MEAL_QUERY);
-        let exact = crate::ilp::solve_ilp(
-            spec.view(),
-            &SolverConfig::default(),
-            1,
-            &Budget::unlimited(),
-            crate::par::ParExec::sequential(),
-        )
-        .unwrap();
-        let heuristic = local_search(
-            spec.view(),
-            &LocalSearchOptions {
-                restarts: 6,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let exact = crate::ilp::IlpSolver
+            .solve(spec.view(), &SolveOptions::default())
+            .unwrap();
+        let heuristic = search(spec.view(), 6, 1);
         let opt = exact.packages[0].1.unwrap();
         let found = heuristic.packages[0].1.unwrap();
         assert!(found <= opt + 1e-6, "heuristic cannot beat the optimum");
@@ -709,7 +682,7 @@ mod tests {
             "SELECT PACKAGE(R) AS P FROM recipes R \
              SUCH THAT COUNT(*) = 3 AND SUM(P.protein) >= 60 MINIMIZE SUM(P.price)",
         );
-        let out = local_search(spec.view(), &LocalSearchOptions::default()).unwrap();
+        let out = search(spec.view(), 8, 1);
         assert!(!out.packages.is_empty());
         let (p, _) = &out.packages[0];
         assert!(spec.is_valid(p).unwrap());
@@ -722,15 +695,12 @@ mod tests {
             &t,
             "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 2 AND SUM(P.calories) >= 1000000",
         );
-        let out = local_search(
-            spec.view(),
-            &LocalSearchOptions {
-                restarts: 2,
-                max_moves: 200,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let opts = SolveOptions {
+            local_restarts: 2,
+            max_local_moves: 200,
+            ..SolveOptions::default()
+        };
+        let out = LocalSearchSolver.solve(spec.view(), &opts).unwrap();
         assert!(out.packages.is_empty());
     }
 
@@ -738,15 +708,7 @@ mod tests {
     fn keep_returns_multiple_distinct_packages() {
         let t = recipes(120, Seed(5));
         let spec = spec_for(&t, MEAL_QUERY);
-        let out = local_search(
-            spec.view(),
-            &LocalSearchOptions {
-                keep: 3,
-                restarts: 10,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let out = search(spec.view(), 10, 3);
         assert!(
             out.packages.len() >= 2,
             "expected multiple packages, got {}",
@@ -775,7 +737,7 @@ mod tests {
                        (SUM(P.calories) <= 2500 OR COUNT(*) FILTER (WHERE R.gluten = 'free') = 3) \
              MAXIMIZE SUM(P.protein)",
         );
-        let out = local_search(spec.view(), &LocalSearchOptions::default()).unwrap();
+        let out = search(spec.view(), 8, 1);
         assert!(
             !out.packages.is_empty(),
             "local search missed a trivially satisfiable OR"
@@ -790,15 +752,7 @@ mod tests {
         // projection — the delta path cannot drift from ground truth.
         let t = recipes(90, Seed(8));
         let spec = spec_for(&t, MEAL_QUERY);
-        let out = local_search(
-            spec.view(),
-            &LocalSearchOptions {
-                keep: 3,
-                restarts: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let out = search(spec.view(), 4, 3);
         for (p, obj) in &out.packages {
             let fresh = spec.view().project(p).unwrap();
             assert_eq!(fresh.objective_value(), *obj);

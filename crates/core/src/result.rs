@@ -56,12 +56,15 @@ pub struct EvalStats {
     pub strategy: StrategyUsed,
     /// Number of candidate tuples after base constraints.
     pub candidates: usize,
-    /// Search nodes expanded (enumeration, branch and bound) or local-search
-    /// moves examined.
+    /// Branch-and-bound nodes (ILP), search nodes expanded (enumeration),
+    /// or accepted moves (local search, greedy repair). The sketch family
+    /// sums its greedy floor's with every sketch and sub-ILP's, a portfolio
+    /// race its workers'.
     pub nodes: u64,
-    /// Simplex iterations (ILP), or the moves the local search or greedy
-    /// repair considered — whether scored or ruled out by a chunk's bound
-    /// (`view::MoveScan::rules_out`).
+    /// Simplex iterations (ILP), feasible packages found (enumeration), or
+    /// the moves the local search or greedy repair considered — whether
+    /// scored or ruled out by a chunk's bound (`view::MoveScan::rules_out`).
+    /// Summed like `nodes`.
     pub iterations: u64,
     /// Branch-and-bound LPs that fell back to the cold two-phase start
     /// (`lp_solver::Solution::cold_solves`), summed wherever `iterations`

@@ -40,8 +40,8 @@
 //! (`tests/parallel_determinism.rs`, `tests/paged_determinism.rs`).
 
 use crate::partition::{Partition, TreeNode};
-use crate::result::StrategyUsed;
-use crate::sketch_refine::{solve_sketch, solve_sketch_family, Counters, Linearized};
+use crate::result::{EvalStats, StrategyUsed};
+use crate::sketch_refine::{solve_sketch, solve_sketch_family, Linearized};
 use crate::solver::{SolveOptions, SolveOutcome, Solver};
 use crate::view::CandidateView;
 use crate::PbResult;
@@ -79,7 +79,7 @@ pub(crate) fn descend(
     layers: &[Vec<TreeNode>],
     parts: &[Partition],
     leaf_means: &[Vec<f64>],
-    counters: &mut Counters,
+    stats: &mut EvalStats,
 ) -> PbResult<Option<Vec<usize>>> {
     // Per-layer representative means, rolled up from the leaf means: a
     // node's mean is the weight-proportional mean of its children's
@@ -115,7 +115,7 @@ pub(crate) fn descend(
             return Ok(None);
         }
         let capacities = active.iter().map(|&i| layer[i].capacity(q.view)).collect();
-        let Some(drawn) = solve_sketch(q, &active, capacities, means, counters)? else {
+        let Some(drawn) = solve_sketch(q, &active, capacities, means, stats)? else {
             return Ok(None);
         };
         active = active

@@ -99,13 +99,6 @@ impl Solver for SketchRefineSolver {
     }
 }
 
-/// Aggregated LP work across every sketch and every sub-ILP of one solve.
-pub(crate) struct Counters {
-    pub(crate) nodes: u64,
-    pub(crate) iterations: u64,
-    pub(crate) cold_solves: u64,
-}
-
 /// What every stage of the pipeline reads: the view, its linearized rows and
 /// objective, and the solve options.
 #[derive(Clone, Copy)]
@@ -152,10 +145,11 @@ pub(crate) fn solve_sketch_family(
     // linearized above rather than linearizing it again.
     let obj_coeffs = objective.as_deref();
     let baseline = GreedySolver.solve_linearized(view, opts, obj_coeffs)?;
-    let mut counters = Counters {
-        nodes: baseline.stats.nodes,
-        iterations: baseline.stats.iterations,
-        cold_solves: baseline.stats.cold_solves,
+    // The floor's stats start the solve's: every sketch and sub-ILP adds its
+    // LP work to them.
+    let mut stats = EvalStats {
+        strategy,
+        ..baseline.stats
     };
     let mut best: Option<(Package, Option<f64>)> = baseline.packages.into_iter().next();
 
@@ -166,7 +160,7 @@ pub(crate) fn solve_sketch_family(
             obj_coeffs,
             opts,
         };
-        if let Some((package, obj)) = sketch_then_refine(&q, strategy, &mut counters)? {
+        if let Some((package, obj)) = sketch_then_refine(&q, strategy, &mut stats)? {
             let beats = |cur: &(Package, Option<f64>)| {
                 Package::better_objective(view.direction(), obj, cur.1)
             };
@@ -176,17 +170,11 @@ pub(crate) fn solve_sketch_family(
         }
     }
 
+    stats.elapsed = start.elapsed();
     Ok(SolveOutcome {
         packages: best.into_iter().collect(),
         optimal: false,
-        stats: EvalStats {
-            strategy,
-            candidates: view.candidate_count(),
-            nodes: counters.nodes,
-            iterations: counters.iterations,
-            cold_solves: counters.cold_solves,
-            elapsed: start.elapsed(),
-        },
+        stats,
     })
 }
 
@@ -197,7 +185,7 @@ pub(crate) fn solve_sketch_family(
 fn sketch_then_refine(
     q: &Linearized<'_>,
     strategy: StrategyUsed,
-    counters: &mut Counters,
+    stats: &mut EvalStats,
 ) -> PbResult<Option<(Package, Option<f64>)>> {
     // Partitioning and the means matrix are O(n log n) / O(rows·n) setup; on
     // a nearly-spent budget (a slow greedy baseline under a tight race
@@ -246,7 +234,7 @@ fn sketch_then_refine(
     // (zero outside the shade). An empty shade is a layer sketch that drew
     // nothing: no leaf sketch, no leaf refined.
     let layers = tree.as_ref().map_or(&[][..], |t| t.layers());
-    let Some(shade) = crate::shading::descend(q, layers, parts, &means, counters)? else {
+    let Some(shade) = crate::shading::descend(q, layers, parts, &means, stats)? else {
         return Ok(None);
     };
     let mut counts = vec![0u64; parts.len()];
@@ -255,7 +243,7 @@ fn sketch_then_refine(
             return Ok(None);
         }
         let capacities = shade.iter().map(|&p| parts[p].capacity(view)).collect();
-        let Some(drawn) = solve_sketch(q, &shade, capacities, &means, counters)? else {
+        let Some(drawn) = solve_sketch(q, &shade, capacities, &means, stats)? else {
             return Ok(None);
         };
         for (&p, &c) in shade.iter().zip(&drawn) {
@@ -281,7 +269,7 @@ fn sketch_then_refine(
         means: &means,
         counts: &counts,
     };
-    refine_with_backtracking(&ctx, order, counters)
+    refine_with_backtracking(&ctx, order, stats)
 }
 
 /// Representative coefficients: `leaf_means(leaves, rows, opts)[r][p]` is
@@ -328,7 +316,7 @@ fn leaf_means(
 /// [`package_problem`] (`coeff_rows`: one per constraint, then the
 /// objective's when the query has one), with solver limits from the options
 /// and the budget's deadline applied. Every solve's LP work is added to
-/// `counters`, whether or not it found a solution. `Ok(None)` when the ILP
+/// `stats`, whether or not it found a solution. `Ok(None)` when the ILP
 /// is infeasible, or stopped (node cap, deadline) without a solution; any
 /// other solver error is the query's error.
 fn solve_small_ilp<R: AsRef<[f64]>>(
@@ -338,7 +326,7 @@ fn solve_small_ilp<R: AsRef<[f64]>>(
     upper: impl Fn(usize) -> f64,
     rhs: impl Fn(usize) -> f64,
     hint: Option<&[f64]>,
-    counters: &mut Counters,
+    stats: &mut EvalStats,
 ) -> PbResult<Option<lp_solver::Solution>> {
     let (problem, _) = package_problem(q.view.direction(), q.rows, coeff_rows, columns, upper, rhs);
     let mut config = q.opts.solver.clone();
@@ -348,9 +336,9 @@ fn solve_small_ilp<R: AsRef<[f64]>>(
         Err(LpError::Interrupted | LpError::NodeLimit) => return Ok(None),
         other => other?,
     };
-    counters.nodes += solution.nodes as u64;
-    counters.iterations += solution.iterations as u64;
-    counters.cold_solves += solution.cold_solves as u64;
+    stats.nodes += solution.nodes as u64;
+    stats.iterations += solution.iterations as u64;
+    stats.cold_solves += solution.cold_solves as u64;
     Ok(solution.status.has_solution().then_some(solution))
 }
 
@@ -365,10 +353,10 @@ pub(crate) fn solve_sketch(
     active: &[usize],
     capacities: Vec<u64>,
     level: &[Vec<f64>],
-    counters: &mut Counters,
+    stats: &mut EvalStats,
 ) -> PbResult<Option<Vec<u64>>> {
     let (upper, rhs) = (|k: usize| capacities[k] as f64, |c: usize| q.rows[c].rhs);
-    let Some(sketch) = solve_small_ilp(q, active, level, upper, rhs, None, counters)? else {
+    let Some(sketch) = solve_small_ilp(q, active, level, upper, rhs, None, stats)? else {
         return Ok(None);
     };
     let drawn =
@@ -383,7 +371,7 @@ pub(crate) fn solve_sketch(
 fn refine_with_backtracking(
     ctx: &RefineCtx<'_>,
     mut order: Vec<usize>,
-    counters: &mut Counters,
+    stats: &mut EvalStats,
 ) -> PbResult<Option<(Package, Option<f64>)>> {
     // Last successful sub-ILP assignment per partition, across backtracking
     // passes of *this* query. A re-refined partition hints its previous
@@ -396,7 +384,7 @@ fn refine_with_backtracking(
     let mut hints: HashMap<usize, Vec<(usize, u32)>> = HashMap::new();
     let mut backtracks = 0;
     let mut state = loop {
-        match refine_pass(ctx, &order, Pass::Strict, &mut hints, counters)? {
+        match refine_pass(ctx, &order, Pass::Strict, &mut hints, stats)? {
             Ok(state) => break state,
             Err(failed) => {
                 backtracks += 1;
@@ -411,7 +399,7 @@ fn refine_with_backtracking(
                     // — if one ever does, surface it as an internal error
                     // (PR-2 convention) instead of panicking mid-solve.
                     let pass = Pass::Fill(already_first.then_some(failed));
-                    break refine_pass(ctx, &order, pass, &mut hints, counters)?.map_err(|p| {
+                    break refine_pass(ctx, &order, pass, &mut hints, stats)?.map_err(|p| {
                         PbError::Internal(format!(
                             "non-strict refine pass reported failed partition {p}"
                         ))
@@ -428,7 +416,7 @@ fn refine_with_backtracking(
 
     if !state.is_feasible() {
         let (evals, _) = repair_to_feasibility(&mut state, &ctx.q.opts.budget, ctx.q.opts.par);
-        counters.iterations += evals;
+        stats.iterations += evals;
     }
     Ok(state
         .is_feasible()
@@ -465,7 +453,7 @@ fn refine_pass<'v>(
     order: &[usize],
     pass: Pass,
     hints: &mut HashMap<usize, Vec<(usize, u32)>>,
-    counters: &mut Counters,
+    stats: &mut EvalStats,
 ) -> PbResult<Result<ViewState<'v>, usize>> {
     let mut state = ViewState::empty(ctx.q.view);
     let mut fixed = vec![0.0; ctx.q.rows.len()];
@@ -492,7 +480,7 @@ fn refine_pass<'v>(
         }
         let assignment = match pass {
             Pass::Fill(Some(failed)) if failed == p => None,
-            _ => solve_partition(ctx, p, &fixed, &rem, hints.get(&p), counters)?,
+            _ => solve_partition(ctx, p, &fixed, &rem, hints.get(&p), stats)?,
         };
         match assignment {
             Some(assignment) => {
@@ -534,7 +522,7 @@ fn solve_partition(
     fixed: &[f64],
     rem: &[f64],
     hint: Option<&Vec<(usize, u32)>>,
-    counters: &mut Counters,
+    stats: &mut EvalStats,
 ) -> PbResult<Option<Vec<(usize, u32)>>> {
     let q = &ctx.q;
     let members = &ctx.parts[p].members;
@@ -553,8 +541,7 @@ fn solve_partition(
     let coeff_rows: Vec<&[f64]> = q.coeff_rows().collect();
     let (upper, rhs) = (|_| q.view.max_multiplicity() as f64, |c: usize| shifted[c]);
     let hint = hint_values.as_deref();
-    let Some(solution) = solve_small_ilp(q, members, &coeff_rows, upper, rhs, hint, counters)?
-    else {
+    let Some(solution) = solve_small_ilp(q, members, &coeff_rows, upper, rhs, hint, stats)? else {
         return Ok(None);
     };
     let assignment = members

@@ -1,11 +1,20 @@
 //! The unified solver interface.
 //!
 //! Every evaluation strategy — ILP translation, pruned/exhaustive
-//! enumeration, greedy construction and local search — implements one trait:
+//! enumeration, greedy construction, local search and the sketch family —
+//! implements one trait, and this is its only entry point:
 //!
 //! ```text
 //! fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome>
 //! ```
+//!
+//! Each strategy's module holds its `impl Solver` ([`crate::ilp`],
+//! [`crate::enumerate`], [`crate::local_search`], [`crate::greedy`],
+//! [`crate::sketch_refine`], [`crate::shading`], [`crate::portfolio`]); this
+//! module holds the seam itself — the options every strategy reads its
+//! settings from, the outcome whose [`EvalStats`] carries every counter, the
+//! one rank for the packages a strategy keeps (`keep_ranked`) — and
+//! re-exports the solver types.
 //!
 //! Solvers consume only the columnar [`CandidateView`] (never the base
 //! table), which makes them interchangeable, individually testable, and the
@@ -18,27 +27,30 @@
 //! ([`crate::engine::PackageEngine`]) selects and chains them: pruning
 //! bounds first, then the solver, then validation.
 
+use std::cmp::Ordering;
+
 use lp_solver::SolverConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use paql::ObjectiveDirection;
 
 use crate::budget::Budget;
 use crate::config::{EngineConfig, Strategy, SHADE_FANOUT, SHADE_LEAF_SIZE, SKETCH_PARTITION_SIZE};
-use crate::enumerate::{enumerate, EnumerationOptions};
 use crate::error::PbError;
-use crate::greedy::{objective_coeffs, starting_package, StartHeuristic};
-use crate::ilp::solve_ilp;
-use crate::local_search::{local_search, LocalSearchOptions};
 use crate::package::Package;
 use crate::par::ParExec;
 use crate::result::{EvalStats, StrategyUsed};
 use crate::view::CandidateView;
 use crate::PbResult;
 
+pub use crate::enumerate::EnumerationSolver;
+pub use crate::greedy::GreedySolver;
+pub use crate::ilp::IlpSolver;
+pub use crate::local_search::LocalSearchSolver;
+
 /// Solver-facing slice of the engine configuration.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
-    /// How many packages to return (best first).
+    /// How many packages to return (best first); every strategy reads it
+    /// through [`SolveOptions::keep`], so 0 asks for one.
     pub num_packages: usize,
     /// Limits for the ILP substrate.
     pub solver: SolverConfig,
@@ -90,6 +102,11 @@ impl SolveOptions {
             budget: Budget::starting_now(config.time_budget),
             par: ParExec::new(config.num_threads),
         }
+    }
+
+    /// How many packages a strategy keeps: `num_packages`, at least one.
+    pub fn keep(&self) -> usize {
+        self.num_packages.max(1)
     }
 
     /// These options with the budget re-armed: same limit, deadline measured
@@ -147,182 +164,46 @@ pub trait Solver: Send + Sync {
     /// Which strategy this solver implements (reported in [`EvalStats`]).
     fn strategy(&self) -> StrategyUsed;
 
-    /// Evaluates the view, returning up to `opts.num_packages` packages.
+    /// Evaluates the view, returning up to [`SolveOptions::keep`] packages.
     fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome>;
 }
 
-/// ILP translation + branch and bound (paper Section 7).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IlpSolver;
-
-impl Solver for IlpSolver {
-    fn strategy(&self) -> StrategyUsed {
-        StrategyUsed::Ilp
+/// Inserts `(package, objective)` into `kept`, a best-first list of at most
+/// `k` entries: the one rank of every strategy that keeps several packages.
+/// Evaluable objectives rank by `total_cmp` under `direction`; NaN and
+/// `None` rank last in either direction (`total_cmp` alone would put NaN
+/// above +inf and crown it the maximum). A newcomer goes after the entries
+/// it ties with, and a package already kept is refused. `package` is built
+/// only when the newcomer ranks within `k`. Returns the insert position, or
+/// `None` when the package was not kept.
+pub(crate) fn keep_ranked(
+    kept: &mut Vec<(Package, Option<f64>)>,
+    k: usize,
+    direction: ObjectiveDirection,
+    objective: Option<f64>,
+    package: impl FnOnce() -> Package,
+) -> Option<usize> {
+    let evaluable = |o: Option<f64>| o.filter(|x| !x.is_nan());
+    let rank = |a: Option<f64>, b: Option<f64>| match (evaluable(a), evaluable(b)) {
+        (Some(x), Some(y)) => match direction {
+            ObjectiveDirection::Maximize => y.total_cmp(&x),
+            ObjectiveDirection::Minimize => x.total_cmp(&y),
+        },
+        (Some(_), None) => Ordering::Less,
+        (None, Some(_)) => Ordering::Greater,
+        (None, None) => Ordering::Equal,
+    };
+    let pos = kept.partition_point(|e| rank(e.1, objective) != Ordering::Greater);
+    if pos >= k {
+        return None;
     }
-
-    fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
-        let out = solve_ilp(
-            view,
-            &opts.solver,
-            opts.num_packages,
-            &opts.budget,
-            opts.par,
-        )?;
-        Ok(SolveOutcome {
-            packages: out.packages,
-            optimal: out.complete,
-            stats: out.stats,
-        })
+    let package = package();
+    if kept.iter().any(|(q, _)| *q == package) {
+        return None;
     }
-}
-
-/// Generate-and-validate enumeration, with or without the Section 4.1
-/// pruning rules.
-#[derive(Debug, Clone, Copy)]
-pub struct EnumerationSolver {
-    /// Apply cardinality and partial-sum pruning.
-    pub prune: bool,
-}
-
-impl Solver for EnumerationSolver {
-    fn strategy(&self) -> StrategyUsed {
-        if self.prune {
-            StrategyUsed::PrunedEnumeration
-        } else {
-            StrategyUsed::Exhaustive
-        }
-    }
-
-    fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
-        let out = enumerate(
-            view,
-            EnumerationOptions {
-                prune: self.prune,
-                max_nodes: opts.max_enumeration_nodes,
-                keep: opts.num_packages,
-                budget: opts.budget.clone(),
-            },
-        )?;
-        let complete = out.complete;
-        Ok(SolveOutcome {
-            packages: out.packages,
-            optimal: complete,
-            stats: out.stats,
-        })
-    }
-}
-
-/// Greedy construction + k-replacement local search (paper Section 4.2).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LocalSearchSolver;
-
-impl Solver for LocalSearchSolver {
-    fn strategy(&self) -> StrategyUsed {
-        StrategyUsed::LocalSearch
-    }
-
-    fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
-        let out = local_search(
-            view,
-            &LocalSearchOptions {
-                max_moves: opts.max_local_moves,
-                restarts: opts.local_restarts,
-                seed: opts.seed,
-                keep: opts.num_packages,
-                budget: opts.budget.clone(),
-                par: opts.par,
-            },
-        )?;
-        Ok(SolveOutcome {
-            packages: out.packages,
-            optimal: false,
-            stats: out.stats,
-        })
-    }
-}
-
-/// Pure greedy construction: density-ordered packing followed by a
-/// feasibility-repair pass of add/drop moves (no replacement neighbourhood).
-/// The cheapest strategy — and the anytime baseline the paper's interface
-/// layer wants when a user asks for *a* package right now.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedySolver;
-
-impl Solver for GreedySolver {
-    fn strategy(&self) -> StrategyUsed {
-        StrategyUsed::Greedy
-    }
-
-    fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
-        // An already-expired budget skips the linearization with the start.
-        let objective = if view.candidate_count() > 0 && !opts.budget.expired() {
-            objective_coeffs(view)
-        } else {
-            None
-        };
-        self.solve_linearized(view, opts, objective.as_deref())
-    }
-}
-
-impl GreedySolver {
-    /// [`Solver::solve`] given the objective's linearized per-candidate
-    /// coefficients (`None` when it has none: the start is then random).
-    /// The sketch family linearizes its objective once per solve and hands
-    /// the coefficients down instead of reading the objective's columns a
-    /// second time.
-    pub(crate) fn solve_linearized(
-        &self,
-        view: &CandidateView,
-        opts: &SolveOptions,
-        objective: Option<&[f64]>,
-    ) -> PbResult<SolveOutcome> {
-        // pb-lint: allow(time-containment) — stats clock only: stamps
-        // solve_time_ms on the outcome; deadline decisions all go through
-        // the budget.
-        let start = std::time::Instant::now();
-        let budget = &opts.budget;
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let mut evaluations = 0u64;
-        let mut moves = 0u64;
-        let mut packages = Vec::new();
-
-        // An already-expired budget skips even the starting package: the
-        // density scan reads every candidate's terms (through the buffer
-        // pool when the view is paged), which expiry must not pay for.
-        if view.candidate_count() > 0 && !budget.expired() {
-            let heuristic = objective.map_or(StartHeuristic::Random, StartHeuristic::Greedy);
-            let greedy = starting_package(view, heuristic, &mut rng);
-            let mut state = view.project(&greedy).ok_or_else(|| {
-                PbError::Internal(
-                    "greedy starting package contains tuples outside the candidate set".into(),
-                )
-            })?;
-            // Shared repair pass (also the sketch→refine fallback): on budget
-            // expiry the best-so-far state is returned (optimal is false
-            // regardless).
-            let (evals, repair_moves) =
-                crate::greedy::repair_to_feasibility(&mut state, budget, opts.par);
-            evaluations += evals;
-            moves += repair_moves;
-            if state.is_feasible() {
-                let objective = state.objective_value();
-                packages.push((state.to_package(), objective));
-            }
-        }
-
-        Ok(SolveOutcome {
-            packages,
-            optimal: false,
-            stats: EvalStats {
-                strategy: StrategyUsed::Greedy,
-                candidates: view.candidate_count(),
-                nodes: moves,
-                iterations: evaluations,
-                cold_solves: 0,
-                elapsed: start.elapsed(),
-            },
-        })
-    }
+    kept.insert(pos, (package, objective));
+    kept.truncate(k);
+    Some(pos)
 }
 
 /// The solver a routed strategy names; a race gets `workers`. `Auto` names
@@ -347,22 +228,27 @@ mod tests {
     use super::*;
     use crate::spec::tests::spec_for;
     use datagen::{recipes, Seed};
+    use minidb::TupleId;
 
     const SMALL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R \
         SUCH THAT COUNT(*) = 2 AND SUM(P.calories) <= 1200 MAXIMIZE SUM(P.protein)";
+
+    fn every_solver() -> Vec<Box<dyn Solver>> {
+        vec![
+            Box::new(IlpSolver),
+            Box::new(EnumerationSolver { prune: true }),
+            Box::new(EnumerationSolver { prune: false }),
+            Box::new(LocalSearchSolver),
+            Box::new(GreedySolver),
+        ]
+    }
 
     #[test]
     fn all_solvers_implement_the_trait_uniformly() {
         let t = recipes(20, Seed(1));
         let spec = spec_for(&t, SMALL_QUERY);
         let opts = SolveOptions::default();
-        let solvers: Vec<Box<dyn Solver>> = vec![
-            Box::new(IlpSolver),
-            Box::new(EnumerationSolver { prune: true }),
-            Box::new(EnumerationSolver { prune: false }),
-            Box::new(LocalSearchSolver),
-            Box::new(GreedySolver),
-        ];
+        let solvers = every_solver();
         let mut objectives = Vec::new();
         for solver in &solvers {
             let out = solver.solve(spec.view(), &opts).unwrap();
@@ -405,5 +291,142 @@ mod tests {
         let (p, _) = &out.packages[0];
         assert!(spec.is_valid(p).unwrap());
         assert!(!out.optimal);
+    }
+
+    #[test]
+    fn zero_packages_asked_means_one_for_every_solver() {
+        // `num_packages` is a public field, so 0 reaches the solvers; read as
+        // "keep none", enumeration once answered a feasible query with no
+        // package and `optimal: true`, a proof of infeasibility.
+        let t = recipes(20, Seed(1));
+        let spec = spec_for(&t, SMALL_QUERY);
+        let opts = SolveOptions {
+            num_packages: 0,
+            ..SolveOptions::default()
+        };
+        for solver in every_solver() {
+            let out = solver.solve(spec.view(), &opts).unwrap();
+            assert_eq!(out.packages.len(), 1, "{}", solver.strategy());
+        }
+    }
+
+    #[test]
+    fn kept_packages_share_one_rank() {
+        use ObjectiveDirection::{Maximize, Minimize};
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        type Arrival = (u32, Option<f64>, Option<usize>);
+        // (direction, k, arrivals as (package id, objective, returned
+        // position), the kept ids best first)
+        let cases: &[(ObjectiveDirection, usize, &[Arrival], &[u32])] = &[
+            // Both directions, by value.
+            (
+                Maximize,
+                3,
+                &[
+                    (1, Some(1.0), Some(0)),
+                    (2, Some(3.0), Some(0)),
+                    (3, Some(2.0), Some(1)),
+                ],
+                &[2, 3, 1],
+            ),
+            (
+                Minimize,
+                3,
+                &[
+                    (1, Some(1.0), Some(0)),
+                    (2, Some(3.0), Some(1)),
+                    (3, Some(2.0), Some(1)),
+                ],
+                &[1, 3, 2],
+            ),
+            // NaN and None rank last in either direction, behind ±inf, and
+            // tie with each other.
+            (
+                Maximize,
+                4,
+                &[
+                    (1, Some(nan), Some(0)),
+                    (2, None, Some(1)),
+                    (3, Some(-inf), Some(0)),
+                    (4, Some(inf), Some(0)),
+                ],
+                &[4, 3, 1, 2],
+            ),
+            (
+                Minimize,
+                4,
+                &[
+                    (1, None, Some(0)),
+                    (2, Some(nan), Some(1)),
+                    (3, Some(inf), Some(0)),
+                    (4, Some(-inf), Some(0)),
+                ],
+                &[4, 3, 1, 2],
+            ),
+            // ±0 are distinct: -0 ranks below +0.
+            (
+                Maximize,
+                2,
+                &[(1, Some(-0.0), Some(0)), (2, Some(0.0), Some(0))],
+                &[2, 1],
+            ),
+            (
+                Minimize,
+                2,
+                &[(1, Some(0.0), Some(0)), (2, Some(-0.0), Some(0))],
+                &[2, 1],
+            ),
+            // Ties keep arrival order.
+            (
+                Minimize,
+                3,
+                &[
+                    (1, Some(5.0), Some(0)),
+                    (2, Some(5.0), Some(1)),
+                    (3, Some(5.0), Some(2)),
+                ],
+                &[1, 2, 3],
+            ),
+            // A package already kept is refused, even ranked first.
+            (
+                Maximize,
+                3,
+                &[(1, Some(1.0), Some(0)), (1, Some(9.0), None)],
+                &[1],
+            ),
+            // Truncation at k: a newcomer behind k entries is not kept, a
+            // better one pushes the last out.
+            (
+                Maximize,
+                2,
+                &[
+                    (1, Some(1.0), Some(0)),
+                    (2, Some(2.0), Some(0)),
+                    (3, Some(0.5), None),
+                    (4, Some(3.0), Some(0)),
+                ],
+                &[4, 2],
+            ),
+        ];
+        for (case, &(direction, k, arrivals, want)) in cases.iter().enumerate() {
+            let mut kept = Vec::new();
+            for &(id, objective, position) in arrivals {
+                let package = || Package::from_ids([TupleId(id)]);
+                let got = keep_ranked(&mut kept, k, direction, objective, package);
+                assert_eq!(got, position, "case {case}: package {id}");
+            }
+            let ids: Vec<u32> = kept.iter().map(|(p, _)| p.tuple_ids()[0].0).collect();
+            assert_eq!(ids, want, "case {case}");
+            // Each kept entry carries its own objective, bit for bit.
+            for (p, objective) in &kept {
+                let id = p.tuple_ids()[0].0;
+                let arrived = arrivals.iter().find(|a| a.0 == id).unwrap().1;
+                assert_eq!(
+                    objective.map(f64::to_bits),
+                    arrived.map(f64::to_bits),
+                    "case {case}"
+                );
+            }
+        }
     }
 }

@@ -239,7 +239,7 @@ impl<'s, 'v> MoveScan<'s, 'v> {
     }
 
     /// Whether no "+1" move the kernel scores in blocks in chunk `c` after
-    /// prefix number `prefix` can beat `bar` under [`lex_better`]: the
+    /// prefix number `prefix` can beat `bar` under `lex_better`: the
     /// chunk's [`MoveScan::violation_floor`] does not, even paired with an
     /// objective no lane beats (none on a violation-only scan, the
     /// direction's infinity otherwise). Exact: such a chunk holds no move a

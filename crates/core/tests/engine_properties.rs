@@ -2,9 +2,9 @@
 
 use datagen::{uniform_table, zipf_table, Seed};
 use minidb::Table;
-use packagebuilder::enumerate::{enumerate, EnumerationOptions};
 use packagebuilder::package::Package;
 use packagebuilder::pruning::{derive_bounds, search_space};
+use packagebuilder::solver::{EnumerationSolver, SolveOptions, Solver};
 use packagebuilder::spec::{BuildCtx, PackageSpec};
 use proptest::prelude::*;
 
@@ -58,13 +58,14 @@ proptest! {
         }
 
         // Pruned and exhaustive enumeration agree.
-        let pruned = enumerate(spec.view(), EnumerationOptions { prune: true, ..Default::default() }).unwrap();
-        let full = enumerate(spec.view(), EnumerationOptions { prune: false, ..Default::default() }).unwrap();
+        let opts = SolveOptions::default();
+        let pruned = EnumerationSolver { prune: true }.solve(spec.view(), &opts).unwrap();
+        let full = EnumerationSolver { prune: false }.solve(spec.view(), &opts).unwrap();
         prop_assert_eq!(pruned.packages.is_empty(), full.packages.is_empty());
         if let (Some((_, a)), Some((_, b))) = (pruned.packages.first(), full.packages.first()) {
             prop_assert!((a.unwrap() - b.unwrap()).abs() < 1e-6);
         }
-        prop_assert!(pruned.nodes <= full.nodes);
+        prop_assert!(pruned.stats.nodes <= full.stats.nodes);
     }
 
     /// The analytic search-space accounting is consistent: the pruned count
