@@ -782,4 +782,40 @@ mod tests {
             "the unbounded pass pins every paged chunk of the formula terms ({unbounded} requests)"
         );
     }
+
+    #[test]
+    fn a_strict_comparison_that_fails_at_equality_is_not_satisfied() {
+        // 31 rows of weight 10: `SUM(P.w) > 30` needs a fourth member. The
+        // greedy start takes the three best rows, whose weight is exactly
+        // 30; scored at distance 0 that state would end repair at once,
+        // infeasible, with no package.
+        use crate::view::comparison_violation;
+        use minidb::{Table, Tuple, Value};
+        use paql::CmpOp;
+        assert!(comparison_violation(CmpOp::Gt, 30.0, 30.0) > 0.0);
+        assert!(comparison_violation(CmpOp::Lt, 30.0, 30.0) > 0.0);
+        let mut table = Table::new("t", datagen::synthetic::synthetic_schema());
+        for i in 0..31 {
+            let v = (100 - i) as f64;
+            let row = vec![Value::Int(i), Value::Float(10.0), Value::Float(v)];
+            table
+                .insert(Tuple::new([row, vec![Value::Float(0.5)]].concat()))
+                .unwrap();
+        }
+        let spec = spec_for(
+            &table,
+            "SELECT PACKAGE(R) AS P FROM t R \
+             SUCH THAT COUNT(*) >= 3 AND SUM(P.w) > 30 MAXIMIZE SUM(P.v)",
+        );
+        let opts = SolveOptions::default();
+        let exact = crate::ilp::IlpSolver.solve(spec.view(), &opts).unwrap();
+        assert_eq!(exact.packages[0].1, Some(2635.0));
+        let out = GreedySolver.solve(spec.view(), &opts).unwrap();
+        let (package, _) = out
+            .packages
+            .first()
+            .expect("greedy repair reaches a package");
+        assert!(spec.is_valid(package).unwrap());
+        assert!(package.cardinality() >= 4);
+    }
 }

@@ -63,6 +63,7 @@ use paql::{
 use crate::budget::Budget;
 use crate::cache::PartitionMemo;
 use crate::column_store::{PageGuard, SpillStore, MASK_WORDS_PER_CHUNK, PAGE_BYTES};
+use crate::ilp::STRICT_MARGIN;
 use crate::package::Package;
 use crate::par::{chunk_count, chunk_range, ParExec, CHUNK_WIDTH};
 use crate::partition::Partitioning;
@@ -1563,7 +1564,11 @@ fn eval_expr<S: TermValues>(src: &S, expr: &CompiledExpr) -> Option<f64> {
 /// Distance of `a op b` from holding (0 when it holds). A distance that is
 /// NaN — a NaN side, or `∞ − ∞` — measures nothing: the comparison scores 0
 /// when it holds ([`CmpOp::compare`]) and [`UNEVALUABLE_PENALTY`] when it
-/// does not, so no violation is NaN and a failing comparison never scores 0.
+/// does not, so no violation is NaN. A strict `<`/`>` that fails scores its
+/// non-strict twin's distance plus [`STRICT_MARGIN`], so it fails at
+/// equality too with a violation above 0. A failing comparison never scores
+/// 0, and the score stays monotone in each side, which keeps
+/// [`MoveScan::violation_floor`] a lower bound.
 #[inline]
 pub(crate) fn comparison_violation(op: CmpOp, a: f64, b: f64) -> f64 {
     let distance = match op {
@@ -1572,14 +1577,16 @@ pub(crate) fn comparison_violation(op: CmpOp, a: f64, b: f64) -> f64 {
         CmpOp::Lt | CmpOp::LtEq => a - b,
         CmpOp::Gt | CmpOp::GtEq => b - a,
     };
-    // Where the distance is NaN, `compare` holds only for `<=` and `>=`
+    // Where the distance is NaN, a non-strict `<=` or `>=` holds only
     // between equal infinities. `max` maps a NaN distance to 0, so adding 0
     // elsewhere keeps every other distance (a zero's sign aside, which `max`
-    // leaves unspecified), and the choice stays a select the scan kernel's
+    // leaves unspecified), and each choice stays a select the scan kernel's
     // lane loops can take.
-    let holds = matches!(op, CmpOp::LtEq | CmpOp::GtEq) && a == b;
+    let holds = !matches!(op, CmpOp::Eq) && a == b;
     let unmeasured = if holds { 0.0 } else { UNEVALUABLE_PENALTY };
-    distance.max(0.0) + if distance.is_nan() { unmeasured } else { 0.0 }
+    let weak = distance.max(0.0) + if distance.is_nan() { unmeasured } else { 0.0 };
+    let strict_miss = matches!(op, CmpOp::Lt | CmpOp::Gt) && !op.compare(a, b);
+    weak + if strict_miss { STRICT_MARGIN } else { 0.0 }
 }
 
 fn constraint_satisfied<S: TermValues>(src: &S, c: &CompiledConstraint) -> bool {
@@ -1725,7 +1732,9 @@ mod tests {
     fn a_nan_distance_scores_by_whether_the_comparison_holds() {
         // The rule as stated — a NaN distance scores 0 where `compare`
         // holds and the penalty where it does not; every other distance
-        // keeps `max(0)` — against the select the kernel runs.
+        // keeps `max(0)`; a failing strict comparison adds `STRICT_MARGIN`
+        // to its non-strict twin's score — against the select the kernel
+        // runs.
         let values = [
             f64::NAN,
             f64::INFINITY,
@@ -1750,6 +1759,11 @@ mod tests {
             for a in values {
                 for b in values {
                     let scored = |holds: bool, otherwise: f64| if holds { 0.0 } else { otherwise };
+                    let (weak_op, margin) = match op {
+                        CmpOp::Lt => (CmpOp::LtEq, STRICT_MARGIN),
+                        CmpOp::Gt => (CmpOp::GtEq, STRICT_MARGIN),
+                        _ => (op, 0.0),
+                    };
                     let want = match op {
                         CmpOp::NotEq => scored(op.compare(a, b), 1.0),
                         _ => {
@@ -1758,11 +1772,12 @@ mod tests {
                                 CmpOp::Lt | CmpOp::LtEq => a - b,
                                 _ => b - a,
                             };
-                            if distance.is_nan() {
-                                scored(op.compare(a, b), UNEVALUABLE_PENALTY)
+                            let weak = if distance.is_nan() {
+                                scored(weak_op.compare(a, b), UNEVALUABLE_PENALTY)
                             } else {
                                 distance.max(0.0)
-                            }
+                            };
+                            weak + scored(op.compare(a, b), margin)
                         }
                     };
                     // `max` leaves the sign of a zero result unspecified.
