@@ -24,8 +24,8 @@
 //!   memo, so the k-d partitioning is computed once and every later query —
 //!   and every portfolio worker — pulls the memoized [`Partitioning`].
 //!
-//! Both caches memoize a solve's *inputs*, never its answer: the sketch and
-//! refine sub-ILPs of the sketch family are solved by every query that
+//! Both caches memoize a solve's *inputs*, never its answer: the sketches
+//! and the refine ILP of the sketch family are solved by every query that
 //! needs them, since the constraints they carry change between queries.
 //!
 //! # Staleness is impossible by construction
@@ -109,7 +109,7 @@ const MAX_BANK_MEMOS: usize = 32;
 /// whichever solver partitions first pays, and everyone after reads.
 ///
 /// The memo holds inputs only — flat partitionings and partition trees —
-/// never a solver's answer: every sketch and refine sub-ILP is solved anew
+/// never a solver's answer: every sketch and refine ILP is solved anew
 /// by the query that needs it, so a warm solve's counters are the work it
 /// did.
 #[derive(Clone, Default)]

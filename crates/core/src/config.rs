@@ -97,9 +97,9 @@ pub const SHADE_THRESHOLD: usize = 500_000;
 /// prove optimality under the cap and cancel the race early.
 pub const AUTO_EXACT_NODE_CAP: usize = 20_000;
 
-/// Maximum partition size for [`Strategy::SketchRefine`]: the largest
-/// sub-ILP the refinement phase will solve, and (inversely) the size of the
-/// sketch ILP — median halving yields partitions holding between half this
+/// Maximum partition size for [`Strategy::SketchRefine`]: the most columns
+/// one drawn partition adds to the refine ILP, and (inversely) the size of
+/// the sketch ILP — median halving yields partitions holding between half this
 /// bound and the bound itself, i.e. roughly `n / size` to `2n / size`
 /// representatives.
 pub const SKETCH_PARTITION_SIZE: usize = 64;
@@ -110,7 +110,7 @@ pub const SKETCH_PARTITION_SIZE: usize = 64;
 pub const SHADE_FANOUT: usize = 64;
 
 /// Leaf partition size for [`Strategy::ProgressiveShading`] — the same bound
-/// [`SKETCH_PARTITION_SIZE`] puts on the flat path's refinement sub-ILPs.
+/// [`SKETCH_PARTITION_SIZE`] puts on the flat path's leaves.
 /// Equal to it so the two solvers share leaf partitionings through the view
 /// cache.
 pub const SHADE_LEAF_SIZE: usize = SKETCH_PARTITION_SIZE;

@@ -12,8 +12,8 @@
 //! linearizes at any candidate count. Its writer fills every dense row and
 //! the objective in one pass over the term columns' chunk cursors, resident
 //! or paged, pinning each term once per chunk; every solver that needs rows
-//! takes them from there, and the ILP and the sketch family's sub-ILPs
-//! build their `Problem` through one builder, `package_problem`.
+//! takes them from there, and the ILP and the sketch family's sketches and
+//! refine ILP build their `Problem` through one builder, `package_problem`.
 //!
 //! [`IlpSolver`] is the strategy's one entry point, the
 //! [`crate::solver::Solver`] impl: it translates the whole view and solves
@@ -590,7 +590,7 @@ impl<'v> ChunkWriter<'v> {
 }
 
 /// The one `Problem` builder of a package ILP, for the ILP strategy and the
-/// sketch family's sketches and sub-ILPs alike: integer variable
+/// sketch family's sketches and refine ILP alike: integer variable
 /// `k ∈ [0, upper(k)]` stands for entry `columns[k]` of every coefficient
 /// row — `coeffs[c]` for constraint `c`, named `g{c}`, with `rows[c]`'s
 /// operator against `rhs(c)`, then the objective when `coeffs` holds one
@@ -674,8 +674,7 @@ pub fn translate(view: &CandidateView) -> PbResult<IlpTranslation> {
 /// branch-and-bound layer (via [`lp_solver::SolverConfig::num_threads`]), which solves
 /// each frontier batch's LP relaxations concurrently once the LP is big
 /// enough to pay for it — rows × columns of at least one
-/// [`crate::par::CHUNK_WIDTH`]; smaller LPs, sketch-refine sub-ILPs among
-/// them, keep their batches inline. Results are bit-identical at every
+/// [`crate::par::CHUNK_WIDTH`]; smaller LPs keep their batches inline. Results are bit-identical at every
 /// thread count — the solver's batch boundaries and merge order are fixed —
 /// so `par` is purely a latency knob.
 #[derive(Debug, Clone, Copy, Default)]

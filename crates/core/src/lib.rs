@@ -47,9 +47,11 @@
 //!   (in [`sketch_refine`]) partitions the candidates offline (size-bounded
 //!   k-d splits of the view's term columns), solves a tiny "sketch" ILP over
 //!   one representative per partition, then refines the picked partitions
-//!   one small sub-ILP at a time (with the SketchRefine paper's
-//!   failed-partition backtracking and a greedy anytime fallback) —
-//!   near-optimal packages at a fraction of the monolithic ILP's latency.
+//!   with one ILP over their members (the final step of Progressive
+//!   Shading, in place of the SketchRefine paper's one-partition-at-a-time
+//!   refine and its backtracking; greedy fills and repair when that ILP
+//!   finds nothing) — near-optimal packages at a fraction of the monolithic
+//!   ILP's latency.
 //!   [`sketch_refine::SketchRefineSolver`] runs it over the view's flat
 //!   partitioning.
 //! * **[`shading`] — hierarchical partitioning for 10^6+ candidates.** At

@@ -25,11 +25,11 @@ pub enum StrategyUsed {
     /// worker; the packages come from the winning worker).
     Portfolio,
     /// Partition → sketch → refine (the stats aggregate the greedy baseline,
-    /// the sketch ILP and every per-partition sub-ILP).
+    /// the sketch ILP and the refine ILP).
     SketchRefine,
     /// Hierarchical sketch→refine over a partition tree (the stats
     /// aggregate the greedy baseline, every per-layer sketch ILP of the
-    /// descent and every leaf sub-ILP).
+    /// descent, the leaf sketch and the refine ILP).
     ProgressiveShading,
 }
 
@@ -58,8 +58,8 @@ pub struct EvalStats {
     pub candidates: usize,
     /// Branch-and-bound nodes (ILP), search nodes expanded (enumeration),
     /// or accepted moves (local search, greedy repair). The sketch family
-    /// sums its greedy floor's with every sketch and sub-ILP's, a portfolio
-    /// race its workers'.
+    /// sums its greedy floor's with every sketch's and the refine ILP's, a
+    /// portfolio race its workers'.
     pub nodes: u64,
     /// Simplex iterations (ILP), feasible packages found (enumeration), or
     /// the moves the local search or greedy repair considered — whether

@@ -21,9 +21,9 @@
 //!    small *regardless of `n`*.
 //!
 //! Everything before and after is the shared pipeline, verbatim: the greedy
-//! floor, the leaf means, the leaf sketch (over the shaded leaves only), the
-//! refine loop with its failed-partition backtracking, warm-hinted
-//! sub-ILPs and greedy degradation under deadline pressure. A tree
+//! floor, the leaf means, the leaf sketch (over the shaded leaves only) and
+//! the refine ILP over the drawn leaves' members, with its greedy fills and
+//! repair when that ILP finds nothing. A tree
 //! with no layers shades every leaf, which makes the flat
 //! [`crate::sketch_refine::SketchRefineSolver`] the zero-layer case of this
 //! solver, bit for bit (`tests::few_leaves_degenerate_to_the_flat_sketch_path`).

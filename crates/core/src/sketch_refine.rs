@@ -27,14 +27,16 @@
 //!    draw from each partition. Under a tree, [`crate::shading`]'s descent
 //!    first narrows the leaves to a shaded subset, one such sketch per
 //!    layer; without layers every leaf is in the sketch.
-//! 3. **Refine**: partitions with `y_p > 0` are refined one at a time —
-//!    a sub-ILP over just that partition's real tuples, with every other
-//!    partition's contribution fixed (already-refined actuals) or estimated
-//!    (still-sketched centroids). A failed sub-ILP triggers the paper's
-//!    backtracking rule: the failed partition is re-refined *first* and the
-//!    pass restarts; exhausted backtracks degrade to greedy per-partition
-//!    fills. Deadline pressure at any point falls back to greedy fills plus
-//!    the shared repair pass — every intermediate result honours the anytime
+//! 3. **Refine**: one ILP over the real tuples of every partition with
+//!    `y_p > 0` — the query's own rows and right-hand sides, every member
+//!    bounded by `REPEAT` — so it covers every package the drawn partitions
+//!    can build and needs no estimate of the others' contribution and no
+//!    backtracking (the final step Progressive Shading hands to one exact
+//!    ILP, where SketchRefine refined one partition at a time). When that
+//!    ILP finds nothing — infeasible, stopped at the node cap or deadline
+//!    without an incumbent, or the budget already spent — each drawn
+//!    partition is greedy-filled with its count, and the shared repair pass
+//!    mends what is left: every intermediate result honours the anytime
 //!    contract (`optimal: false`, never an error, never an overrun).
 //!
 //! The greedy baseline runs first, so the family's answer is never worse
@@ -52,13 +54,10 @@
 //! sequential pass over the candidates that adds every coefficient to its
 //! leaf's running sum (so it reads the row and the candidate → leaf
 //! assignment in order, never gathering a leaf's members), checking the
-//! budget every [`crate::par::CHUNK_WIDTH`] candidates. The refine loop
-//! itself stays sequential *by data dependence* — each sub-ILP's right-hand
-//! side folds in the actuals of every partition refined before it — so its
-//! unit of work (and of budget checking) is one partition, which is exactly
-//! a chunk of candidates by construction.
+//! budget every [`crate::par::CHUNK_WIDTH`] candidates. The sketches and the
+//! refine ILP are each one branch and bound under the options'
+//! [`lp_solver::SolverConfig`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use lp_solver::{LpError, VarId};
@@ -74,10 +73,6 @@ use crate::result::{EvalStats, StrategyUsed};
 use crate::solver::{GreedySolver, SolveOptions, SolveOutcome, Solver};
 use crate::view::{CandidateView, ViewState};
 use crate::PbResult;
-
-/// How many failed-partition backtracks the refinement tolerates before
-/// degrading the remaining sub-problems to greedy fills.
-const MAX_BACKTRACKS: usize = 3;
 
 /// Partition → sketch → refine over the view's flat partitioning (see the
 /// module docs).
@@ -145,8 +140,8 @@ pub(crate) fn solve_sketch_family(
     // linearized above rather than linearizing it again.
     let obj_coeffs = objective.as_deref();
     let baseline = GreedySolver.solve_linearized(view, opts, obj_coeffs)?;
-    // The floor's stats start the solve's: every sketch and sub-ILP adds its
-    // LP work to them.
+    // The floor's stats start the solve's: every sketch and the refine ILP
+    // add their LP work to them.
     let mut stats = EvalStats {
         strategy,
         ..baseline.stats
@@ -180,8 +175,8 @@ pub(crate) fn solve_sketch_family(
 
 /// Phases 1–3 behind the floor; `Ok(None)` means a sketch was infeasible, the
 /// budget ran out mid-setup or mid-descent, or the refined package could not
-/// be repaired to feasibility (the greedy baseline then stands). `Err` is
-/// reserved for internal invariant violations.
+/// be repaired to feasibility (the greedy baseline then stands). `Err` is a
+/// solver error.
 fn sketch_then_refine(
     q: &Linearized<'_>,
     strategy: StrategyUsed,
@@ -251,25 +246,16 @@ fn sketch_then_refine(
         }
     }
 
-    // Phase 3 — refine picked partitions, most-loaded first (deterministic:
-    // ties break on partition id).
-    let mut order: Vec<usize> = shade.iter().copied().filter(|&p| counts[p] > 0).collect();
-    order.sort_by_key(|&p| (std::cmp::Reverse(counts[p]), p));
-    if order.is_empty() {
+    // Phase 3 — one ILP over the members of every drawn leaf.
+    let drawn: Vec<usize> = shade.iter().copied().filter(|&p| counts[p] > 0).collect();
+    if drawn.is_empty() {
         // The sketch says the empty package: only useful if it is feasible.
         let state = ViewState::empty(view);
         return Ok(state
             .is_feasible()
             .then(|| (state.to_package(), state.objective_value())));
     }
-
-    let ctx = RefineCtx {
-        q: *q,
-        parts,
-        means: &means,
-        counts: &counts,
-    };
-    refine_with_backtracking(&ctx, order, stats)
+    refine(q, parts, &drawn, &counts, stats)
 }
 
 /// Representative coefficients: `leaf_means(leaves, rows, opts)[r][p]` is
@@ -312,7 +298,7 @@ fn leaf_means(
 }
 
 /// Builds and solves the family's one ILP shape, for a sketch (a column per
-/// group) and a refine sub-ILP (a column per member tuple) alike, through
+/// group) and the refine ILP (a column per member tuple) alike, through
 /// [`package_problem`] (`coeff_rows`: one per constraint, then the
 /// objective's when the query has one), with solver limits from the options
 /// and the budget's deadline applied. Every solve's LP work is added to
@@ -325,13 +311,12 @@ fn solve_small_ilp<R: AsRef<[f64]>>(
     coeff_rows: &[R],
     upper: impl Fn(usize) -> f64,
     rhs: impl Fn(usize) -> f64,
-    hint: Option<&[f64]>,
     stats: &mut EvalStats,
 ) -> PbResult<Option<lp_solver::Solution>> {
     let (problem, _) = package_problem(q.view.direction(), q.rows, coeff_rows, columns, upper, rhs);
     let mut config = q.opts.solver.clone();
     q.opts.budget.apply_to_solver(&mut config);
-    let solution = match lp_solver::solve_milp_hinted(&problem, &config, hint) {
+    let solution = match lp_solver::solve_milp(&problem, &config) {
         // A truncated search that found nothing carries no counters.
         Err(LpError::Interrupted | LpError::NodeLimit) => return Ok(None),
         other => other?,
@@ -356,7 +341,7 @@ pub(crate) fn solve_sketch(
     stats: &mut EvalStats,
 ) -> PbResult<Option<Vec<u64>>> {
     let (upper, rhs) = (|k: usize| capacities[k] as f64, |c: usize| q.rows[c].rhs);
-    let Some(sketch) = solve_small_ilp(q, active, level, upper, rhs, None, stats)? else {
+    let Some(sketch) = solve_small_ilp(q, active, level, upper, rhs, stats)? else {
         return Ok(None);
     };
     let drawn =
@@ -364,58 +349,54 @@ pub(crate) fn solve_sketch(
     Ok(Some(capacities.iter().enumerate().map(drawn).collect()))
 }
 
-/// Phase 3 driver: refines `order`'s partitions with the paper's
-/// failed-partition backtracking, then repairs any residual infeasibility.
-/// `Ok(None)` when no feasible package came out (the caller's greedy
-/// baseline stands).
-fn refine_with_backtracking(
-    ctx: &RefineCtx<'_>,
-    mut order: Vec<usize>,
+/// Phase 3: one ILP over the members of every `drawn` leaf, with the
+/// query's own rows and right-hand sides and every member bounded by
+/// `REPEAT`, so it covers every package the drawn leaves can build. When it
+/// finds nothing — infeasible, stopped at the node cap or deadline without
+/// an incumbent, or the budget already spent — each drawn leaf is
+/// greedy-filled with its sketched count instead. Either way the shared
+/// repair pass mends any residual infeasibility. `Ok(None)` when no feasible
+/// package came out (the caller's greedy baseline stands).
+fn refine(
+    q: &Linearized<'_>,
+    parts: &[Partition],
+    drawn: &[usize],
+    counts: &[u64],
     stats: &mut EvalStats,
 ) -> PbResult<Option<(Package, Option<f64>)>> {
-    // Last successful sub-ILP assignment per partition, across backtracking
-    // passes of *this* query. A re-refined partition hints its previous
-    // assignment into `solve_milp_hinted` as the starting incumbent — the
-    // right-hand sides shift between passes, but the old package is often
-    // still feasible and near-optimal, so branch and bound starts with a
-    // strong bound instead of none. Hints are deterministic (the map is only
-    // read/written by partition id, never iterated), so the backtracking
-    // sequence stays bit-identical run to run.
-    let mut hints: HashMap<usize, Vec<(usize, u32)>> = HashMap::new();
-    let mut backtracks = 0;
-    let mut state = loop {
-        match refine_pass(ctx, &order, Pass::Strict, &mut hints, stats)? {
-            Ok(state) => break state,
-            Err(failed) => {
-                backtracks += 1;
-                let already_first = order.first() == Some(&failed);
-                if backtracks >= MAX_BACKTRACKS || already_first || ctx.q.opts.budget.expired() {
-                    // Backtracking exhausted: a non-strict pass greedy-fills
-                    // whatever still fails instead of giving up. A failed
-                    // partition that was already first would get the same
-                    // sub-ILP again (no partition before it, the same hint),
-                    // so it is greedy-filled without a second solve. Such a
-                    // pass cannot report a failed partition by construction
-                    // — if one ever does, surface it as an internal error
-                    // (PR-2 convention) instead of panicking mid-solve.
-                    let pass = Pass::Fill(already_first.then_some(failed));
-                    break refine_pass(ctx, &order, pass, &mut hints, stats)?.map_err(|p| {
-                        PbError::Internal(format!(
-                            "non-strict refine pass reported failed partition {p}"
-                        ))
-                    })?;
-                }
-                // The paper's backtracking rule: re-refine the failed
-                // partition first, where the full constraint slack is still
-                // available to it.
-                order.retain(|&p| p != failed);
-                order.insert(0, failed);
-            }
-        }
+    let view = q.view;
+    let mut columns: Vec<usize> = drawn
+        .iter()
+        .flat_map(|&p| parts[p].members.iter().copied())
+        .collect();
+    columns.sort_unstable();
+    let solution = if q.opts.budget.expired() {
+        None
+    } else {
+        let coeff_rows: Vec<&[f64]> = q.coeff_rows().collect();
+        let (upper, rhs) = (|_| view.max_multiplicity() as f64, |c: usize| q.rows[c].rhs);
+        solve_small_ilp(q, &columns, &coeff_rows, upper, rhs, stats)?
     };
 
+    let mut state = ViewState::empty(view);
+    match solution {
+        Some(solution) => {
+            for (k, &i) in columns.iter().enumerate() {
+                let mult = solution.value_rounded(VarId::new(k)).max(0) as u32;
+                let mult = mult.min(view.max_multiplicity());
+                if mult > 0 {
+                    state.apply(i, mult as i64);
+                }
+            }
+        }
+        None => {
+            for &p in drawn {
+                greedy_fill(q, &parts[p], counts[p], &mut state);
+            }
+        }
+    }
     if !state.is_feasible() {
-        let (evals, _) = repair_to_feasibility(&mut state, &ctx.q.opts.budget, ctx.q.opts.par);
+        let (evals, _) = repair_to_feasibility(&mut state, &q.opts.budget, q.opts.par);
         stats.iterations += evals;
     }
     Ok(state
@@ -423,145 +404,13 @@ fn refine_with_backtracking(
         .then(|| (state.to_package(), state.objective_value())))
 }
 
-/// Shared inputs of one refinement pass over the leaf partitions: their
-/// representative means (`means[c][p]` per constraint row `c`) and the leaf
-/// sketch's draw counts (zero outside the shade).
-struct RefineCtx<'a> {
-    q: Linearized<'a>,
-    parts: &'a [Partition],
-    means: &'a [Vec<f64>],
-    counts: &'a [u64],
-}
-
-/// How a [`refine_pass`] treats a partition whose sub-ILP fails.
-#[derive(Clone, Copy, PartialEq)]
-enum Pass {
-    /// Report it.
-    Strict,
-    /// Greedy-fill it and carry on; the partition named here, known to
-    /// fail, is greedy-filled without solving its sub-ILP.
-    Fill(Option<usize>),
-}
-
-/// One refinement pass over `order`. Strict passes report the first
-/// partition whose sub-ILP fails (`Ok(Err(p))`); non-strict passes
-/// greedy-fill it and carry on (and therefore always succeed). Budget
-/// expiry mid-pass greedy-fills the remaining partitions — the anytime
-/// degradation, never an error. `Err` is a solver error.
-fn refine_pass<'v>(
-    ctx: &RefineCtx<'v>,
-    order: &[usize],
-    pass: Pass,
-    hints: &mut HashMap<usize, Vec<(usize, u32)>>,
-    stats: &mut EvalStats,
-) -> PbResult<Result<ViewState<'v>, usize>> {
-    let mut state = ViewState::empty(ctx.q.view);
-    let mut fixed = vec![0.0; ctx.q.rows.len()];
-    // Estimated contribution of every still-sketched partition, per row.
-    let mut rem: Vec<f64> = (0..ctx.q.rows.len())
-        .map(|c| {
-            order
-                .iter()
-                .map(|&p| ctx.counts[p] as f64 * ctx.means[c][p])
-                .sum()
-        })
-        .collect();
-
-    for (pos, &p) in order.iter().enumerate() {
-        // This partition stops being an estimate now, whatever happens next.
-        for (c, r) in rem.iter_mut().enumerate() {
-            *r -= ctx.counts[p] as f64 * ctx.means[c][p];
-        }
-        if ctx.q.opts.budget.expired() {
-            for &late in &order[pos..] {
-                greedy_fill(ctx, late, &mut state);
-            }
-            return Ok(Ok(state));
-        }
-        let assignment = match pass {
-            Pass::Fill(Some(failed)) if failed == p => None,
-            _ => solve_partition(ctx, p, &fixed, &rem, hints.get(&p), stats)?,
-        };
-        match assignment {
-            Some(assignment) => {
-                hints.insert(p, assignment.clone());
-                for &(idx, mult) in &assignment {
-                    state.apply(idx, mult as i64);
-                    for (c, row) in ctx.q.rows.iter().enumerate() {
-                        fixed[c] += row.coeffs[idx] * mult as f64;
-                    }
-                }
-            }
-            None if pass == Pass::Strict => return Ok(Err(p)),
-            None => {
-                // Each candidate belongs to exactly one partition, so the
-                // fill's contribution is exactly p's members' multiplicities.
-                greedy_fill(ctx, p, &mut state);
-                for (c, row) in ctx.q.rows.iter().enumerate() {
-                    fixed[c] += ctx.parts[p]
-                        .members
-                        .iter()
-                        .map(|&i| row.coeffs[i] * state.multiplicity(i) as f64)
-                        .sum::<f64>();
-                }
-            }
-        }
-    }
-    Ok(Ok(state))
-}
-
-/// Sub-ILP over one partition's real tuples: the original rows with every
-/// other partition's contribution moved to the right-hand side. On a
-/// backtracking re-refine, the partition's previous assignment (`hint`) seeds
-/// branch and bound's incumbent through [`lp_solver::solve_milp_hinted`] — an
-/// infeasible hint (the right-hand sides moved) is silently ignored, a
-/// feasible one prunes from node one.
-fn solve_partition(
-    ctx: &RefineCtx<'_>,
-    p: usize,
-    fixed: &[f64],
-    rem: &[f64],
-    hint: Option<&Vec<(usize, u32)>>,
-    stats: &mut EvalStats,
-) -> PbResult<Option<Vec<(usize, u32)>>> {
-    let q = &ctx.q;
-    let members = &ctx.parts[p].members;
-    let shifted: Vec<f64> = (q.rows.iter().zip(fixed).zip(rem))
-        .map(|((row, f), r)| row.rhs - f - r)
-        .collect();
-    let hint_values: Option<Vec<f64>> = hint.map(|assignment| {
-        let mut v = vec![0.0; members.len()];
-        for &(i, mult) in assignment {
-            if let Some(k) = members.iter().position(|&m| m == i) {
-                v[k] = mult as f64;
-            }
-        }
-        v
-    });
-    let coeff_rows: Vec<&[f64]> = q.coeff_rows().collect();
-    let (upper, rhs) = (|_| q.view.max_multiplicity() as f64, |c: usize| shifted[c]);
-    let hint = hint_values.as_deref();
-    let Some(solution) = solve_small_ilp(q, members, &coeff_rows, upper, rhs, hint, stats)? else {
-        return Ok(None);
-    };
-    let assignment = members
-        .iter()
-        .enumerate()
-        .filter_map(|(k, &i)| {
-            let mult = solution.value_rounded(VarId::new(k)).max(0) as u32;
-            (mult > 0).then_some((i, mult.min(q.view.max_multiplicity())))
-        })
-        .collect();
-    Ok(Some(assignment))
-}
-
-/// Greedy degradation for one partition: take its sketched multiplicity in
+/// Greedy degradation for one leaf: take `count` of its members in
 /// objective-coefficient order (best first, deterministic), round-robin over
 /// `REPEAT` slots — the refinement analogue of the greedy start heuristic.
-fn greedy_fill(ctx: &RefineCtx<'_>, p: usize, state: &mut ViewState<'_>) {
-    let mut members = ctx.parts[p].members.clone();
-    if let Some(obj) = ctx.q.obj_coeffs {
-        let maximize = matches!(ctx.q.view.direction(), ObjectiveDirection::Maximize);
+fn greedy_fill(q: &Linearized<'_>, leaf: &Partition, count: u64, state: &mut ViewState<'_>) {
+    let mut members = leaf.members.clone();
+    if let Some(obj) = q.obj_coeffs {
+        let maximize = matches!(q.view.direction(), ObjectiveDirection::Maximize);
         members.sort_by(|&a, &b| {
             let cmp = if maximize {
                 obj[b].total_cmp(&obj[a])
@@ -571,13 +420,13 @@ fn greedy_fill(ctx: &RefineCtx<'_>, p: usize, state: &mut ViewState<'_>) {
             cmp.then(a.cmp(&b))
         });
     }
-    let mut remaining = ctx.counts[p];
-    'outer: for _ in 0..ctx.q.view.max_multiplicity() {
+    let mut remaining = count;
+    'outer: for _ in 0..q.view.max_multiplicity() {
         for &i in &members {
             if remaining == 0 {
                 break 'outer;
             }
-            if state.multiplicity(i) < ctx.q.view.max_multiplicity() {
+            if state.multiplicity(i) < q.view.max_multiplicity() {
                 state.apply(i, 1);
                 remaining -= 1;
             }

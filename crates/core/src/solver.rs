@@ -60,14 +60,13 @@ pub struct SolveOptions {
     pub max_local_moves: usize,
     /// Local search: number of restarts.
     pub local_restarts: usize,
-    /// Sketch→refine: maximum partition size (bounds each refinement
-    /// sub-ILP).
+    /// Sketch→refine: maximum partition size of the flat leaves.
     pub sketch_partition_size: usize,
     /// Progressive shading: maximum children per partition-tree node, which
     /// bounds every intermediate sketch ILP of the descent.
     pub shade_fanout: usize,
-    /// Progressive shading: leaf partition size (bounds the leaf sub-ILPs,
-    /// like `sketch_partition_size` does on the flat path).
+    /// Progressive shading: leaf partition size of the partition tree, as
+    /// `sketch_partition_size` is on the flat path.
     pub shade_leaf_size: usize,
     /// Seed for randomized components.
     pub seed: u64,

@@ -19,7 +19,7 @@
 //! here the engine is driven across this one end to end.
 
 use datagen::{recipes, stocks, travel_options, uniform_table, Seed};
-use minidb::{Catalog, Table};
+use minidb::{Catalog, Table, Tuple, Value};
 use packagebuilder::config::{EngineConfig, Strategy, SKETCH_THRESHOLD};
 use packagebuilder::partition::partition_view;
 use packagebuilder::result::StrategyUsed;
@@ -222,48 +222,71 @@ fn avg_constrained_queries_route_to_ilp_and_match_the_enumeration_oracle() {
     }
 }
 
-/// `(nodes, iterations, cold LPs, packages)` of `query` over `table`, forced
-/// to `strategy`.
-fn work_of(table: Table, strategy: Strategy, query: &str) -> (u64, u64, u64, usize) {
+/// `(nodes, iterations, cold LPs, packages)` of `query` over `table` under
+/// `config`.
+fn work_of(table: Table, config: EngineConfig, query: &str) -> (u64, u64, u64, usize) {
     let mut catalog = Catalog::new();
     catalog.register(table);
-    let engine = PackageEngine::with_config(catalog, EngineConfig::with_strategy(strategy));
+    let engine = PackageEngine::with_config(catalog, config);
     let r = engine.execute_paql(query).unwrap();
     let s = &r.stats;
     (s.nodes, s.iterations, s.cold_solves, r.packages.len())
 }
 
 #[test]
-fn failed_sub_ilps_report_their_work() {
-    // A window this narrow fails one partition's sub-ILP in the first pass
-    // and again when that partition is refined first; the exhausted pass
-    // then greedy-fills it. The answer's 735 nodes used to be all that was
-    // reported: the two failed sub-ILPs (172 nodes between them) were
-    // dropped from the counters, and a third, identical to the second (79
-    // nodes), ran and was dropped too. Now both failures count and the
-    // repeat does not run: 735 + 172.
+fn the_narrow_windows_refine_to_a_package_and_report_every_ilp() {
+    // Windows narrow enough that a leaf refined on its own against the
+    // others' estimated contribution fails. One ILP over the drawn leaves'
+    // members (100 here) finds a package; the count is its nodes plus the
+    // sketch's.
     for strategy in [Strategy::SketchRefine, Strategy::ProgressiveShading] {
         let work = work_of(
             uniform_table("t", 400, 5.0, 20.0, Seed(3)),
-            strategy,
+            EngineConfig::with_strategy(strategy),
             "SELECT PACKAGE(T) AS P FROM t T \
              SUCH THAT COUNT(*) = 4 AND SUM(P.w) BETWEEN 50 AND 50.1 MAXIMIZE SUM(P.v)",
         );
-        assert_eq!(work, (735 + 172, 4_708, 85, 1), "{strategy:?}");
+        assert_eq!(work, (382, 1_991, 22, 1), "{strategy:?}");
     }
-}
-
-#[test]
-fn an_exhausted_refine_does_not_solve_its_failed_first_partition_twice() {
-    // The first partition's sub-ILP fails after 1 821 nodes, and fails
-    // first again after the backtrack, which exhausts backtracking. The
-    // non-strict pass used to solve that identical sub-ILP a third time
-    // before greedy-filling it; with it the count below would be 103 700.
+    // On this narrower window the greedy floor finds nothing; the ILP over
+    // the drawn leaves' 312 members finds a package.
     let work = work_of(
         uniform_table("t", 2_000, 5.0, 20.0, Seed(3)),
-        Strategy::SketchRefine,
+        EngineConfig::with_strategy(Strategy::SketchRefine),
         "SELECT PACKAGE(T) AS P FROM t T \
          SUCH THAT COUNT(*) = 6 AND SUM(P.w) BETWEEN 70 AND 70.001 MAXIMIZE SUM(P.v)",
     );
-    assert_eq!(work, (101_879, 259_904, 170, 0));
+    assert_eq!(work, (119_711, 364_679, 2_435, 1));
+}
+
+#[test]
+fn a_refine_ilp_that_finds_nothing_still_reports_its_work() {
+    // Every weight is a half-integer `2k + 0.5`, so three members sum to
+    // `2k + 1.5` and never land in `[30.6, 31.4]`; the leaf means are not so
+    // bound, and the sketch draws three members. The refine ILP over the
+    // drawn leaves' 100 members proves that infeasible in 98 295 nodes, on
+    // top of the sketch's 17; the greedy fills and the repair (800 moves
+    // considered) find nothing either, and no package comes back.
+    let mut table = Table::new("t", datagen::synthetic::synthetic_schema());
+    for i in 0..400i64 {
+        let w = (2 + 2 * (i * 7 % 10)) as f64 + 0.5;
+        let v = ((i * 37) % 101) as f64;
+        table
+            .insert(Tuple::new(vec![
+                Value::Int(i),
+                Value::Float(w),
+                Value::Float(v),
+                Value::Float(0.5),
+            ]))
+            .unwrap();
+    }
+    for strategy in [Strategy::SketchRefine, Strategy::ProgressiveShading] {
+        let work = work_of(
+            table.clone(),
+            EngineConfig::with_strategy(strategy),
+            "SELECT PACKAGE(T) AS P FROM t T \
+             SUCH THAT COUNT(*) = 3 AND SUM(P.w) BETWEEN 30.6 AND 31.4 MAXIMIZE SUM(P.v)",
+        );
+        assert_eq!(work, (17 + 98_295, 277_253, 1_872, 0), "{strategy:?}");
+    }
 }

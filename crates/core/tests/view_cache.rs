@@ -194,6 +194,21 @@ fn engine_over(table: Table, strategy: Strategy) -> PackageEngine {
     PackageEngine::with_config(catalog, EngineConfig::with_strategy(strategy))
 }
 
+/// `n` rows of the synthetic schema whose weights are half-integers
+/// `2k + 0.5`.
+fn half_integer_weights(n: i64) -> Table {
+    let mut table = Table::new("t", datagen::synthetic::synthetic_schema());
+    for i in 0..n {
+        let w = (2 + 2 * (i * 7 % 10)) as f64 + 0.5;
+        let v = ((i * 37) % 101) as f64;
+        let row = vec![Value::Int(i), Value::Float(w), Value::Float(v)];
+        table
+            .insert(Tuple::new([row, vec![Value::Float(0.5)]].concat()))
+            .unwrap();
+    }
+    table
+}
+
 /// Runs `query` cold and then warm on one engine, and cold on a fresh one:
 /// all three must return the same answer after the same work.
 fn assert_warm_equals_cold(at: &str, engine: impl Fn() -> PackageEngine, query: &str) {
@@ -210,8 +225,8 @@ fn assert_warm_equals_cold(at: &str, engine: impl Fn() -> PackageEngine, query: 
 #[test]
 fn warm_sketch_family_solves_equal_cold_and_fresh_ones_on_every_family() {
     // The view cache memoizes a solve's inputs (columns, partitionings),
-    // never its answers: a warm repeat re-solves every sketch and refine
-    // sub-ILP and must do exactly the work of the cold run.
+    // never its answers: a warm repeat re-solves every sketch and the refine
+    // ILP and must do exactly the work of the cold run.
     for strategy in [Strategy::SketchRefine, Strategy::ProgressiveShading] {
         for scenario in datagen::scenarios() {
             let n = scenario.gauntlet_sizes[0];
@@ -220,10 +235,8 @@ fn warm_sketch_family_solves_equal_cold_and_fresh_ones_on_every_family() {
             let at = format!("{}/{} at {n}, {strategy:?}", scenario.name, query.label);
             assert_warm_equals_cold(&at, engine, &query.text);
         }
-        // No registry query fails a refine sub-ILP. This narrow window does:
-        // its first pass fails a partition, the second fails it again as the
-        // first one refined, and the exhausted, non-strict pass greedy-fills
-        // it — backtracking, hinted re-solves and the last pass all run.
+        // A narrow window whose refine ILP is the solve's largest (its
+        // drawn leaves' 100 members, 382 nodes with the sketch's).
         let window = || {
             engine_over(
                 datagen::uniform_table("t", 400, 5.0, 20.0, Seed(3)),
@@ -233,13 +246,23 @@ fn warm_sketch_family_solves_equal_cold_and_fresh_ones_on_every_family() {
         let query = "SELECT PACKAGE(T) AS P FROM t T \
             SUCH THAT COUNT(*) = 4 AND SUM(P.w) BETWEEN 50 AND 50.1 MAXIMIZE SUM(P.v)";
         assert_warm_equals_cold(&format!("narrow window, {strategy:?}"), window, query);
+        // No registry query makes the refine ILP find nothing. This window
+        // does: every weight is a half-integer `2k + 0.5`, so four members
+        // sum to an even integer and never land in `[50.6, 51.4]`, while the
+        // leaf means let the sketch draw four. The ILP is infeasible, so
+        // the fallback runs: each drawn leaf is greedy-filled with its
+        // count, and the repair pass tries to mend the fill.
+        let parity = || engine_over(half_integer_weights(400), strategy);
+        let query = "SELECT PACKAGE(T) AS P FROM t T \
+            SUCH THAT COUNT(*) = 4 AND SUM(P.w) BETWEEN 50.6 AND 51.4 MAXIMIZE SUM(P.v)";
+        assert_warm_equals_cold(&format!("parity window, {strategy:?}"), parity, query);
     }
 }
 
 #[test]
 fn a_warm_minimize_after_a_maximize_equals_a_cold_minimize() {
     // Both directions of one SUCH THAT clause share a term signature, hence a
-    // bank and its `PartitionMemo`, and their sub-ILPs differ in nothing but
+    // bank and its `PartitionMemo`, and their ILPs differ in nothing but
     // the sense: a MINIMIZE after a MAXIMIZE on one engine must equal a
     // MINIMIZE on a fresh engine down to the counters.
     let query = |direction: &str| {
