@@ -261,15 +261,15 @@ fn the_narrow_windows_refine_to_a_package_and_report_every_ilp() {
 
 #[test]
 fn a_refine_ilp_that_finds_nothing_still_reports_its_work() {
-    // Every weight is a half-integer `2k + 0.5`, so three members sum to
-    // `2k + 1.5` and never land in `[30.6, 31.4]`; the leaf means are not so
-    // bound, and the sketch draws three members. The refine ILP over the
-    // drawn leaves' 100 members proves that infeasible in 98 295 nodes, on
-    // top of the sketch's 17; the greedy fills and the repair (800 moves
-    // considered) find nothing either, and no package comes back.
+    // Every weight is 2.5, 4.5 or 6.5, so two members sum to an odd integer
+    // and never land in `[9.2, 9.8]`; the leaf means are not so bound, and
+    // the sketch draws two members (3 nodes). The refine ILP over the drawn
+    // leaves' 35 members proves that infeasible in 265 nodes and reports
+    // them; the greedy fills and the repair find nothing either, and no
+    // package comes back.
     let mut table = Table::new("t", datagen::synthetic::synthetic_schema());
-    for i in 0..400i64 {
-        let w = (2 + 2 * (i * 7 % 10)) as f64 + 0.5;
+    for i in 0..280i64 {
+        let w = (2 + 2 * (i % 3)) as f64 + 0.5;
         let v = ((i * 37) % 101) as f64;
         table
             .insert(Tuple::new(vec![
@@ -285,8 +285,8 @@ fn a_refine_ilp_that_finds_nothing_still_reports_its_work() {
             table.clone(),
             EngineConfig::with_strategy(strategy),
             "SELECT PACKAGE(T) AS P FROM t T \
-             SUCH THAT COUNT(*) = 3 AND SUM(P.w) BETWEEN 30.6 AND 31.4 MAXIMIZE SUM(P.v)",
+             SUCH THAT COUNT(*) = 2 AND SUM(P.w) BETWEEN 9.2 AND 9.8 MAXIMIZE SUM(P.v)",
         );
-        assert_eq!(work, (17 + 98_295, 277_253, 1_872, 0), "{strategy:?}");
+        assert_eq!(work, (3 + 265, 1_390, 2, 0), "{strategy:?}");
     }
 }

@@ -194,12 +194,11 @@ fn engine_over(table: Table, strategy: Strategy) -> PackageEngine {
     PackageEngine::with_config(catalog, EngineConfig::with_strategy(strategy))
 }
 
-/// `n` rows of the synthetic schema whose weights are half-integers
-/// `2k + 0.5`.
+/// `n` rows of the synthetic schema whose weights are 2.5, 4.5 or 6.5.
 fn half_integer_weights(n: i64) -> Table {
     let mut table = Table::new("t", datagen::synthetic::synthetic_schema());
     for i in 0..n {
-        let w = (2 + 2 * (i * 7 % 10)) as f64 + 0.5;
+        let w = (2 + 2 * (i % 3)) as f64 + 0.5;
         let v = ((i * 37) % 101) as f64;
         let row = vec![Value::Int(i), Value::Float(w), Value::Float(v)];
         table
@@ -247,14 +246,14 @@ fn warm_sketch_family_solves_equal_cold_and_fresh_ones_on_every_family() {
             SUCH THAT COUNT(*) = 4 AND SUM(P.w) BETWEEN 50 AND 50.1 MAXIMIZE SUM(P.v)";
         assert_warm_equals_cold(&format!("narrow window, {strategy:?}"), window, query);
         // No registry query makes the refine ILP find nothing. This window
-        // does: every weight is a half-integer `2k + 0.5`, so four members
-        // sum to an even integer and never land in `[50.6, 51.4]`, while the
-        // leaf means let the sketch draw four. The ILP is infeasible, so
-        // the fallback runs: each drawn leaf is greedy-filled with its
+        // does: every weight is 2.5, 4.5 or 6.5, so two members sum to an
+        // odd integer and never land in `[9.2, 9.8]`, while the leaf means
+        // let the sketch draw two. The ILP is proven infeasible (265 nodes),
+        // so the fallback runs: each drawn leaf is greedy-filled with its
         // count, and the repair pass tries to mend the fill.
-        let parity = || engine_over(half_integer_weights(400), strategy);
+        let parity = || engine_over(half_integer_weights(280), strategy);
         let query = "SELECT PACKAGE(T) AS P FROM t T \
-            SUCH THAT COUNT(*) = 4 AND SUM(P.w) BETWEEN 50.6 AND 51.4 MAXIMIZE SUM(P.v)";
+            SUCH THAT COUNT(*) = 2 AND SUM(P.w) BETWEEN 9.2 AND 9.8 MAXIMIZE SUM(P.v)";
         assert_warm_equals_cold(&format!("parity window, {strategy:?}"), parity, query);
     }
 }
